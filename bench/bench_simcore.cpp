@@ -59,21 +59,15 @@ void BM_RuntimePipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_RuntimePipeline)->Arg(64)->Arg(1024);
 
-/// Serial vs parallel engine on one multi-device pipeline: state.range(0)
-/// devices, each card running an independent H2D -> kernel -> D2H chain, and
-/// state.range(1) selecting the engine (0 = serial, 1 = parallel with all
-/// hardware workers). Interleave the two rows to A/B the PDES win; virtual
-/// times are bit-identical by construction (asserted in bench_pdes).
+/// One multi-device pipeline: state.range(0) devices, each card running an
+/// independent H2D -> kernel -> D2H chain.
 void BM_MultiDevicePipeline(benchmark::State& state) {
   const int devices = static_cast<int>(state.range(0));
-  const bool par = state.range(1) != 0;
   ms::sim::SimConfig cfg = ms::sim::SimConfig::phi_31sp();
   cfg.num_devices = devices;
-  ms::rt::ContextConfig cc;
-  cc.parallel_engine = par;
   constexpr int kTasks = 256;
   for (auto _ : state) {
-    ms::rt::Context ctx(cfg, cc);
+    ms::rt::Context ctx(cfg);
     ctx.set_tracing(false);
     ctx.setup(4);
     const auto buf = ctx.create_virtual_buffer(static_cast<std::size_t>(kTasks) << 10);
@@ -91,9 +85,7 @@ void BM_MultiDevicePipeline(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kTasks);
 }
-BENCHMARK(BM_MultiDevicePipeline)
-    ->ArgsProduct({{1, 3}, {0, 1}})
-    ->ArgNames({"devices", "par"});
+BENCHMARK(BM_MultiDevicePipeline)->ArgName("devices")->Arg(1)->Arg(3);
 
 void BM_ContextSetup(benchmark::State& state) {
   for (auto _ : state) {

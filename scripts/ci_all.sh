@@ -1,24 +1,19 @@
 #!/usr/bin/env bash
 # The whole CI surface in one command, in severity order:
 #   1. tier-1: Release build + full ctest suite
-#   2. engine identity: every app, bit-identical across the serial,
-#      conservative-parallel, and speculative (risk-free + Time-Warp)
-#      engines at 1-3 devices and every worker count (bench_pdes
-#      --verify-only; non-zero exit on any mismatch)
-#   3. observability endpoint smoke: scrape a live --serve-obs run over TCP
+#   2. observability endpoint smoke: scrape a live --serve-obs run over TCP
 #      (/healthz readiness + monotone Prometheus /metrics)
-#   4. MS_TELEMETRY=OFF: the stub build must compile and pass everything
+#   3. MS_TELEMETRY=OFF: the stub build must compile and pass everything
 #      (proves instrumented call sites do not depend on live telemetry)
-#   5. sanitizers: thread (includes the speculative checkpoint/rollback
-#      paths via the test_sim/test_rt/test_integration spec matrices),
-#      address (leak check proves the hazard-abort and rollback paths
-#      release pooled actions), undefined (every UB report fatal)
-#   6. native kernel leg (-O3 -march=native numerics stay bit-stable)
-#   7. static analysis (clang-tidy, or the strict -Werror fallback)
-#   8. performance lint: every app + hbench pattern under `mstream_cli lint`,
+#   4. sanitizers: thread (the sweep pool, parallel kernels and concurrent
+#      telemetry primitives), address (leak check proves the hazard-abort
+#      path releases pooled actions), undefined (every UB report fatal)
+#   5. native kernel leg (-O3 -march=native numerics stay bit-stable)
+#   6. static analysis (clang-tidy, or the strict -Werror fallback)
+#   7. performance lint: every app + hbench pattern under `mstream_cli lint`,
 #      failing on findings outside scripts/lint_waivers.txt (SARIF artifacts
 #      in <prefix>/lint-sarif/)
-#   9. bench-regression smoke (report-only: fresh medians vs BENCH_*.json)
+#   8. bench-regression smoke (report-only: fresh medians vs BENCH_*.json)
 #
 #   scripts/ci_all.sh [build-dir-prefix]
 set -euo pipefail
@@ -30,10 +25,6 @@ echo "==> tier-1 build + ctest"
 cmake -S "${SOURCE_DIR}" -B "${PREFIX}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${PREFIX}" -j
 ctest --test-dir "${PREFIX}" --output-on-failure -j "$(nproc)"
-
-echo "==> engine identity (serial vs conservative vs speculative, all apps)"
-cmake --build "${PREFIX}" -j --target bench_pdes
-"${PREFIX}/bench/bench_pdes" --verify-only
 
 echo "==> observability endpoint smoke (--serve-obs)"
 "${SOURCE_DIR}/scripts/ci_obs_smoke.sh" "${PREFIX}"

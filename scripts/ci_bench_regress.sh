@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Report-only bench-regression smoke: re-run the host-cost microbenchmarks
 # (bench_simcore, bench_graph, bench_telemetry) with 3 repetitions and
-# compare the fresh medians against the checked-in BENCH_*.json baselines. A benchmark slower
-# than 2x its recorded median is reported as a regression — generous enough
-# that shared-runner noise stays quiet, loud enough that an accidental
-# O(n^2) in the engine shows up. Never fails the build: perf baselines are
-# recorded on whatever machine ran record_bench.sh last, so this leg informs,
-# the tier-1/sanitizer legs gate.
+# compare the fresh medians against the median rows of the checked-in
+# BENCH_*.json baselines (recorded by record_bench.sh with repetitions). A
+# benchmark slower than 2x its recorded median is reported as a regression —
+# generous enough that shared-runner noise stays quiet, loud enough that an
+# accidental O(n^2) in the engine shows up. A baseline recorded on a machine
+# with a different CPU count is skipped with a message rather than compared.
+# Never fails the build: perf baselines are recorded on whatever machine ran
+# record_bench.sh last, so this leg informs, the tier-1/sanitizer legs gate.
 #
 #   scripts/ci_bench_regress.sh [build-dir]
 set -euo pipefail
@@ -36,8 +38,10 @@ def ns(row):
     return row["real_time"] * TO_NS[row.get("time_unit", "ns")]
 
 
-base = {row["name"]: ns(row) for row in baseline.get("benchmarks", [])
-        if "aggregate_name" not in row}
+base = {row.get("run_name", row["name"]): ns(row) for row in baseline.get("benchmarks", [])
+        if row.get("aggregate_name") == "median"}
+if not base:
+    print("bench-regress:   baseline has no median rows (re-record with record_bench.sh)")
 regressions = 0
 compared = 0
 for row in fresh.get("benchmarks", []):
@@ -61,6 +65,11 @@ for pair in "bench_simcore:BENCH_SIMCORE.json" "bench_graph:BENCH_GRAPH.json" \
   baseline="${SOURCE_DIR}/${pair##*:}"
   if [[ ! -f "${baseline}" ]]; then
     echo "bench-regress: no baseline ${baseline##*/}, skipping ${bin}"
+    continue
+  fi
+  base_cpus="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["context"].get("num_cpus", ""))' "${baseline}")"
+  if [[ "${base_cpus}" != "$(nproc)" ]]; then
+    echo "bench-regress: ${baseline##*/} was recorded on ${base_cpus:-an unknown number of} CPUs, this machine has $(nproc); skipping ${bin}"
     continue
   fi
   if [[ ! -x "${BUILD_DIR}/bench/${bin}" ]]; then

@@ -34,11 +34,9 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 export ASAN_OPTIONS="detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1 ${UBSAN_OPTIONS:-}"
 
-# test_sim/test_rt/test_kern: thread pool, pooled runtime, parallel kernel
-# engine — including the speculative PDES matrices (checkpoint, rollback,
-# serial replay, deferred payload flush) that exercise the Time-Warp paths
-# under the race detector. test_model/test_trace: analytic + timeline
-# layers. test_telemetry:
+# test_sim/test_rt/test_kern: sweep thread pool, pooled runtime, parallel
+# kernel engine, and concurrent graph-cache access under the race detector.
+# test_model/test_trace: analytic + timeline layers. test_telemetry:
 # the concurrent metric primitives and span rings under the race detector.
 # test_analyze: the hazard analyzer, including the abort path that must not
 # leak pooled actions (ASan's leak checker is the arbiter).

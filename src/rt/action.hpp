@@ -81,27 +81,10 @@ struct Action {
   /// pool on completion; batch-arena actions (CompiledGraph::launch_batch)
   /// live in the arena slab and are refreshed in place instead.
   bool pooled = true;
-  /// Parallel-engine mode, compiled-graph nodes only: some plan dependent
-  /// runs on a different device, so completion notifies cross-LP (stateful
-  /// actions carry the equivalent flag on their ActionState instead).
-  bool cross_emitter = false;
   /// Completion state, shared with user-held Events. Null for actions issued
   /// by a compiled graph, whose intra-graph dependents are notified through
   /// `graph_run` instead of per-state waiter lists.
   std::shared_ptr<ActionState> state;
-
-  // Committed-completion stamp ---------------------------------------------
-  /// Set by Stream::start once the action holds a resource grant: from that
-  /// point its completion time and event sequence are decided (FIFO grants
-  /// are never revoked), so the risk-free speculation tier can treat the
-  /// completion as already fired when walking the emission bound.
-  bool in_flight = false;
-  /// Chunked DMA in progress: completion is a self-rescheduling closure
-  /// chain whose end time is not pre-committed — gates both the risk-free
-  /// pre-arm and the optimistic overshoot.
-  bool chunked = false;
-  sim::SimTime committed_end = sim::SimTime::zero();
-  std::uint64_t complete_seq = 0;  ///< seq the completion event carries
 
   // Compiled-graph hook ----------------------------------------------------
   void* graph_run = nullptr;    ///< CompiledGraph run this action belongs to

@@ -311,24 +311,6 @@ void CompiledGraph::validate_for(Context& ctx) {
     }
   }
 
-  // Cross-shard emitters for the parallel engine (rotation-0 layout): a node
-  // whose dependent list spans another device emits a cross-LP arm at
-  // completion, so the conservative window bound must account for it.
-  exec.cross_emit.assign(plan.nodes.size(), 0);
-  exec.cross_count = 0;
-  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
-    const PlanNode& pn = plan.nodes[i];
-    const int dev = exec.streams[static_cast<std::size_t>(pn.stream)]->device();
-    for (std::uint32_t idx = pn.dependents_begin; idx != pn.dependents_end; ++idx) {
-      const std::int32_t ds = plan.nodes[plan.dependents[idx]].stream;
-      if (exec.streams[static_cast<std::size_t>(ds)]->device() != dev) {
-        exec.cross_emit[i] = 1;
-        ++exec.cross_count;
-        break;
-      }
-    }
-  }
-
   exec_ = std::move(exec);
 }
 
@@ -424,7 +406,6 @@ void CompiledGraph::build_arena(Run& run, Context& ctx) {
     a.kind = pn.kind;
     a.label = pn.label;
     a.pooled = false;
-    a.cross_emitter = exec_.cross_emit[i] != 0;
     a.graph_run = &run;
     a.graph_node = static_cast<std::uint32_t>(g);
     switch (pn.kind) {
@@ -468,11 +449,6 @@ Event CompiledGraph::issue_batch(Context& ctx, Run& run) {
   const sim::SimTime per_node = exec_.per_node_cost;
   // Same action tally the pooled path reports via acquire_action[_raw].
   ctx.tel_.actions += run.target;
-  // Every issued cross emitter is outstanding until its completion
-  // micro-step decrements the counter (Stream::on_complete).
-  if (ctx.par_mode_) {
-    ctx.par_cross_pending_ += exec_.cross_count * run.instances;
-  }
 
   // Identical pricing and push order to `instances` separate launches: per
   // instance one launch base charge, then one host reservation per node in
@@ -487,12 +463,6 @@ Event CompiledGraph::issue_batch(Context& ctx, Run& run) {
       a.ready_floor = ctx.host_issue(per_node);
       a.deps_pending = static_cast<int>(pn.dep_count);
       a.armed = false;
-      // Arena slabs refresh in place, so the committed-completion stamp from
-      // a prior replay must not leak into the speculative bound walk.
-      a.in_flight = false;
-      a.chunked = false;
-      a.committed_end = sim::SimTime::zero();
-      a.complete_seq = 0;
       run.stream_tab[static_cast<std::size_t>(pn.stream)]->push_compiled(&a);
     }
   }
@@ -500,11 +470,6 @@ Event CompiledGraph::issue_batch(Context& ctx, Run& run) {
   detail::Action& last = run.slab[run.target - 1];
   last.state = std::allocate_shared<detail::ActionState>(
       detail::PoolAlloc<detail::ActionState>(ctx.state_pool_));
-  if (ctx.par_mode_) {
-    const std::int32_t bs = plan.nodes.back().stream;
-    last.state->lp = static_cast<std::int16_t>(
-        run.stream_tab[static_cast<std::size_t>(bs)]->device());
-  }
   return Event{last.state};
 }
 
@@ -543,32 +508,6 @@ Event CompiledGraph::issue_instance(Context& ctx, int rotation, bool want_event,
     a->graph_node = static_cast<std::uint32_t>(i);
     a->deps_pending = static_cast<int>(pn.dep_count);
     a->ready_floor = ctx.host_issue(per_node);
-    a->in_flight = false;
-    a->chunked = false;
-    a->committed_end = sim::SimTime::zero();
-    a->complete_seq = 0;
-    if (ctx.par_mode_) {
-      bool cross;
-      if (rotation == 0) {
-        cross = exec_.cross_emit[i] != 0;
-      } else {
-        // Rotation re-targets streams, which can move an edge across (or
-        // back within) a device boundary: recompute from the rotated table.
-        cross = false;
-        const int dev = run->stream_tab[static_cast<std::size_t>(pn.stream)]->device();
-        for (std::uint32_t idx = pn.dependents_begin; idx != pn.dependents_end; ++idx) {
-          const std::int32_t ds = plan.nodes[plan.dependents[idx]].stream;
-          if (run->stream_tab[static_cast<std::size_t>(ds)]->device() != dev) {
-            cross = true;
-            break;
-          }
-        }
-      }
-      if (cross) {
-        a->cross_emitter = true;
-        ++ctx.par_cross_pending_;
-      }
-    }
     switch (pn.kind) {
       case ActionKind::Kernel:
         a->duration = exec_.durations[i];
@@ -715,14 +654,10 @@ void CompiledGraph::notify(void* run_ptr, std::uint32_t node, sim::SimTime now) 
     detail::Action* a = run->actions[base + d];
     a->ready_floor = sim::max(a->ready_floor, now);
     if (--a->deps_pending == 0) {
-      // arm_routed: same-shard dependents dispatch inline exactly as
-      // maybe_arm did; cross-shard ones route through the parallel engine's
-      // mailbox (such edges only fire in coordinator micro-steps — the
-      // emitting node is flagged cross, so no window ever completes it).
-      run->stream_tab[static_cast<std::size_t>(plan.nodes[d].stream)]->arm_routed(a, now);
+      run->stream_tab[static_cast<std::size_t>(plan.nodes[d].stream)]->maybe_arm(a);
     }
   }
-  if (run->completed.fetch_add(1, std::memory_order_acq_rel) + 1 == run->target) {
+  if (++run->completed == run->target) {
     RunPool* pool = run->pool;
     if (run->instances > 1) {
       run->idle = true;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -192,9 +191,7 @@ private:
     const Plan* plan = nullptr;
     std::vector<detail::Action*> actions;    ///< per plan node (x instances)
     std::vector<Stream*> stream_tab;         ///< graph stream -> context stream
-    /// Atomic because notify() runs on LP workers in parallel-engine windows
-    /// (same-shard edges only; the retire transition is observed once).
-    std::atomic<std::size_t> completed{0};
+    std::size_t completed = 0;               ///< actions completed so far
     std::size_t target = 0;                  ///< completions that retire this run
     /// First replay id of this run; instance k of a batch is replay_base + k.
     std::uint64_t replay_base = 0;
@@ -233,12 +230,6 @@ private:
     std::vector<Payload> payloads;  ///< backed transfers; null otherwise
     sim::SimTime per_node_cost = sim::SimTime::zero();
     sim::SimTime base_cost = sim::SimTime::zero();
-    /// Per node, 1 if any dependent's stream maps to a different device under
-    /// this layout (rotation 0): such nodes emit cross-shard arms, so the
-    /// parallel engine's lookahead must bound them. Rotated issues recompute
-    /// from the rotated table instead.
-    std::vector<std::uint8_t> cross_emit;
-    std::uint64_t cross_count = 0;  ///< nodes with cross_emit set
     bool has_backed = false;
     bool rotation_checked = false;
   };

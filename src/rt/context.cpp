@@ -1,6 +1,5 @@
 #include "rt/context.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -21,28 +20,6 @@ namespace {
 bool env_analyze() {
   const char* v = std::getenv("MS_ANALYZE");
   return v != nullptr && *v != '\0' && *v != '0';
-}
-
-bool env_par_engine() {
-  const char* v = std::getenv("MS_PAR_ENGINE");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
-
-int env_par_threads() {
-  const char* v = std::getenv("MS_PAR_THREADS");
-  if (v == nullptr || *v == '\0') return 0;
-  return std::atoi(v);
-}
-
-bool env_par_speculate() {
-  const char* v = std::getenv("MS_PAR_SPECULATE");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
-
-double env_spec_slack_us() {
-  const char* v = std::getenv("MS_PAR_SPEC_SLACK");
-  if (v == nullptr || *v == '\0') return 0.0;
-  return std::atof(v);
 }
 
 /// Per-device link in-flight bytes as a labeled gauge family; its track()
@@ -103,10 +80,7 @@ telemetry::Histogram& tel_sync_ns() {
 }  // namespace
 
 Context::Context(const sim::SimConfig& cfg, const ContextConfig& ctx_cfg)
-    : platform_(std::make_unique<sim::Platform>(
-          cfg,
-          ctx_cfg.parallel_engine || ctx_cfg.speculate || env_par_engine() || env_par_speculate(),
-          ctx_cfg.parallel_threads != 0 ? ctx_cfg.parallel_threads : env_par_threads())) {
+    : platform_(std::make_unique<sim::Platform>(cfg)) {
   // Long-running entry point: bring up the process-wide observability
   // endpoint if configured (explicit obs_addr wins over MS_OBS_ADDR; no-op
   // when neither is set or a server already listens).
@@ -114,27 +88,6 @@ Context::Context(const sim::SimConfig& cfg, const ContextConfig& ctx_cfg)
   if (ctx_cfg.analyze || env_analyze() || analyze::Capture::current() != nullptr ||
       analyze::LintCapture::current() != nullptr) {
     recorder_ = std::make_unique<analyze::Recorder>(std::optional<sim::SimConfig>(cfg));
-  }
-  if (platform_->parallel()) {
-    par_mode_ = true;
-    const auto devices = static_cast<std::size_t>(platform_->device_count());
-    par_release_.resize(devices);
-    par_timelines_.resize(devices);
-    par_payloads_.resize(devices);
-    par_completed_.resize(devices);
-    platform_->par().set_bound_fn([this] { return par_emission_bound(); });
-    platform_->par().set_barrier_fn([this] { par_barrier_flush(); });
-    if (ctx_cfg.speculate || env_par_speculate()) {
-      par_spec_ = true;
-      platform_->par().set_spec_bound_fn([this] { return par_spec_bound(); });
-      platform_->par().set_spec_hooks([this] { par_spec_save(); }, [this] { par_spec_restore(); },
-                                      [this] { par_spec_commit(); });
-      platform_->par().set_spec_payload_hooks([this] { par_spec_payload_begin(); },
-                                              [this] { par_spec_payload_flush(); });
-      const double slack_us =
-          ctx_cfg.spec_slack_us > 0.0 ? ctx_cfg.spec_slack_us : env_spec_slack_us();
-      platform_->par().set_spec_slack(sim::SimTime::micros(slack_us));
-    }
   }
   setup(1);
 }
@@ -144,11 +97,6 @@ Context::~Context() {
   // Report whatever the last segment accumulated; dtors must not throw, so
   // abort-mode hazards go to stderr and capture mode collects as usual.
   if (recorder_) recorder_->finalize();
-  // Deferred parallel-mode releases (left behind only if a drain threw).
-  for (auto& pending : par_release_) {
-    for (detail::Action* a : pending) release_action(a);
-    pending.clear();
-  }
   // Actions still in flight (a Context dropped without synchronize()) are
   // placement-constructed in pool nodes, so run their destructors before the
   // store releases the chunks. In-order queues hold every live action.
@@ -336,11 +284,7 @@ void Context::synchronize() {
   const telemetry::ScopedSpan span("rt.synchronize");
   const std::uint64_t t0 = telemetry::enabled() ? telemetry::now_ns() : 0;
   ++tel_.syncs;
-  if (par_mode_) {
-    platform_->par().run_until_idle();
-  } else {
-    platform_->engine().run_until_idle();
-  }
+  platform_->engine().run_until_idle();
   for (const auto& s : streams_) {
     if (!s->idle()) {
       throw Error("Context::synchronize: stream still pending after drain (dependency cycle?)");
@@ -366,23 +310,10 @@ void Context::wait(const Event& ev) {
     throw Error("Context::wait: forbidden while capturing a graph");
   }
   if (!ev.valid()) return;
-  if (par_mode_) {
-    // Predicate drain: global micro-steps only. A window could overshoot the
-    // event's completion and fire later work the caller wanted to overlap
-    // with host-side computation.
-    auto& par = platform_->par();
-    while (!ev.done()) {
-      if (!par.step()) {
-        throw Error("Context::wait: event can never complete (missing producer?)");
-      }
-    }
-    par_barrier_flush();
-  } else {
-    auto& engine = platform_->engine();
-    while (!ev.done()) {
-      if (!engine.step()) {
-        throw Error("Context::wait: event can never complete (missing producer?)");
-      }
+  auto& engine = platform_->engine();
+  while (!ev.done()) {
+    if (!engine.step()) {
+      throw Error("Context::wait: event can never complete (missing producer?)");
     }
   }
   host_cursor_ = sim::max(host_cursor_, sim::max(platform_->now(), ev.time())) +
@@ -487,299 +418,6 @@ sim::SimTime Context::host_issue(sim::SimTime cost) {
       platform_->host_thread().reserve(sim::max(host_cursor_, sim::SimTime::zero()), cost);
   host_cursor_ = grant.end;
   return grant.end;
-}
-
-sim::SimTime Context::par_emission_bound() const {
-  if (par_cross_pending_ == 0) return sim::SimTime::max();
-  sim::SimTime bound = sim::SimTime::max();
-  for (const auto& sp : streams_) {
-    const Stream& s = *sp;
-    const std::size_t n = s.queue_.size();
-    if (n == 0) continue;
-    const sim::PcieLink& link = platform_->device(s.device_).link();
-    sim::SimTime ect = sim::SimTime::zero();
-    for (std::size_t i = 0; i < n; ++i) {
-      const detail::Action* a = s.queue_.at(i);
-      ect = sim::max(ect, a->ready_floor);
-      switch (a->kind) {
-        case ActionKind::Kernel:
-          ect = ect + a->duration;
-          break;
-        case ActionKind::H2D:
-        case ActionKind::D2H:
-          // Also a floor for chunked transfers: chunk durations sum to at
-          // least transfer_duration and the first chunk starts no earlier
-          // than the ready floor.
-          ect = ect + link.transfer_duration(a->bytes);
-          break;
-        case ActionKind::Barrier:
-          break;  // zero duration
-      }
-      if (a->cross_emitter || (a->state && a->state->cross_emitter)) {
-        bound = sim::min(bound, ect);
-        break;  // later actions of this FIFO only complete later
-      }
-    }
-  }
-  return bound;
-}
-
-sim::SpecBound Context::par_spec_bound() {
-  sim::SpecBound sb;
-  sb.safe = sim::SimTime::max();
-  sb.opt_allowed = true;
-  if (par_cross_pending_.load(std::memory_order_relaxed) == 0) {
-    // No pending cross dependency: one window drains everything, so the
-    // Time-Warp tier has nothing to add.
-    sb.opt_allowed = false;
-    return sb;
-  }
-  for (const auto& sp : streams_) {
-    Stream& s = *sp;
-    const std::size_t n = s.queue_.size();
-    if (n == 0) continue;
-    const sim::PcieLink& link = platform_->device(s.device_).link();
-    sim::SimTime ect = sim::SimTime::zero();
-    bool bounded = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      detail::Action* a = s.queue_.at(i);
-      // Snapshot gates: a compiled-graph run's retire state and a chunked
-      // transfer's closure chain cannot be checkpointed, so their presence
-      // anywhere forbids optimistic overshoot (the safe bound still stands).
-      if (a->graph_run != nullptr || a->chunked) sb.opt_allowed = false;
-      if (bounded) continue;  // bound fixed for this FIFO; keep scanning flags
-      const bool committed = i == 0 && a->in_flight && !a->chunked;
-      if (committed) {
-        ect = a->committed_end;
-      } else {
-        ect = sim::max(ect, a->ready_floor);
-        switch (a->kind) {
-          case ActionKind::Kernel:
-            ect = ect + a->duration;
-            break;
-          case ActionKind::H2D:
-          case ActionKind::D2H: {
-            const auto dir = a->kind == ActionKind::H2D ? sim::Direction::HostToDevice
-                                                        : sim::Direction::DeviceToHost;
-            // FIFO grants never start before the engine's committed horizon,
-            // and the horizon only grows — a proven floor for every
-            // not-yet-granted transfer on this link. An in-flight chunked
-            // transfer is excluded: its own granted chunks already advanced
-            // the horizon, so folding it would count the finished prefix
-            // twice and push the bound past the real completion. Its floor
-            // is ready_floor + full duration (chunk durations sum to at
-            // least transfer_duration and the first chunk starts no earlier
-            // than the ready floor).
-            if (!a->in_flight) ect = sim::max(ect, link.committed_horizon(dir));
-            ect = ect + link.transfer_duration(a->bytes);
-            break;
-          }
-          case ActionKind::Barrier:
-            break;  // zero duration
-        }
-      }
-      if (a->cross_emitter || (a->state && a->state->cross_emitter)) {
-        if (committed && a->state != nullptr) {
-          // Risk-free tier: the grant fixed this completion's time and
-          // sequence, so its cross arms can be injected at their exact
-          // serial keys now and the walk continues past the join.
-          par_spec_prearm(a);
-          continue;
-        }
-        sb.safe = sim::min(sb.safe, ect);
-        bounded = true;  // later actions of this FIFO only complete later
-      }
-    }
-  }
-  return sb;
-}
-
-void Context::par_spec_prearm(detail::Action* a) {
-  detail::ActionState* st = a->state.get();
-  const sim::SimTime end = a->committed_end;
-  auto waits = std::move(st->cross_waits);
-  st->cross_waits.clear();
-  // Group the arms by destination engine so same-instant arms fire in
-  // registration order — the serial waiter order — under a single injected
-  // event per engine (two injections could not share the sequence key).
-  std::vector<std::pair<sim::Engine*, std::vector<std::pair<Stream*, detail::Action*>>>> groups;
-  for (const auto& cw : waits) {
-    sim::Engine* de = cw.first->engine_;
-    auto it = std::find_if(groups.begin(), groups.end(),
-                           [de](const auto& g) { return g.first == de; });
-    if (it == groups.end()) {
-      groups.emplace_back(de, std::vector<std::pair<Stream*, detail::Action*>>{});
-      it = groups.end() - 1;
-    }
-    it->second.push_back(cw);
-  }
-  for (auto& g : groups) {
-    sim::Engine& de = *g.first;
-    de.schedule_at_seq(sim::max(end, de.now()), a->complete_seq,
-                       [arms = std::move(g.second), end] {
-                         for (const auto& cw : arms) {
-                           cw.second->ready_floor = sim::max(cw.second->ready_floor, end);
-                           if (--cw.second->deps_pending == 0) cw.first->maybe_arm(cw.second);
-                         }
-                       });
-  }
-  st->cross_emitter = false;
-  par_cross_pending_.fetch_sub(1, std::memory_order_relaxed);
-  platform_->par().note_riskfree_advance();
-}
-
-void Context::par_spec_save() {
-  par_spec_logging_ = true;
-  ParSpecSnap& snap = par_snap_;
-  snap.streams.clear();
-  snap.actions.clear();
-  snap.devices.clear();
-  snap.timeline_sizes.clear();
-  snap.release_sizes.clear();
-  snap.cross_pending = par_cross_pending_.load(std::memory_order_relaxed);
-  for (const auto& sp : streams_) {
-    Stream& s = *sp;
-    ParSpecSnap::StreamSnap ss;
-    ss.s = &s;
-    const std::size_t n = s.queue_.size();
-    ss.queue.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      detail::Action* a = s.queue_.at(i);
-      ss.queue.push_back(a);
-      snap.actions.push_back(ParSpecSnap::ActionSnap{a, a->ready_floor, a->deps_pending,
-                                                     a->pred_done, a->armed, a->in_flight,
-                                                     a->chunked, a->committed_end,
-                                                     a->complete_seq});
-    }
-    snap.streams.push_back(std::move(ss));
-  }
-  for (int d = 0; d < platform_->device_count(); ++d) {
-    sim::Coprocessor& dev = platform_->device(d);
-    ParSpecSnap::DeviceSnap ds;
-    ds.link = dev.link().snapshot();
-    const int parts = dev.partitions();
-    ds.partitions.reserve(static_cast<std::size_t>(parts));
-    for (int p = 0; p < parts; ++p) ds.partitions.push_back(dev.partition_resource(p).cursor());
-    ds.alloc = dev.alloc_lock().cursor();
-    snap.devices.push_back(std::move(ds));
-    snap.timeline_sizes.push_back(par_timelines_[static_cast<std::size_t>(d)].size());
-    snap.release_sizes.push_back(par_release_[static_cast<std::size_t>(d)].size());
-  }
-}
-
-void Context::par_spec_restore() {
-  ParSpecSnap& snap = par_snap_;
-  for (const auto& as : snap.actions) {
-    detail::Action* a = as.a;
-    a->ready_floor = as.ready_floor;
-    a->deps_pending = as.deps_pending;
-    a->pred_done = as.pred_done;
-    a->armed = as.armed;
-    a->in_flight = as.in_flight;
-    a->chunked = as.chunked;
-    a->committed_end = as.committed_end;
-    a->complete_seq = as.complete_seq;
-  }
-  for (const auto& ss : snap.streams) {
-    ss.s->queue_.clear();
-    for (detail::Action* a : ss.queue) ss.s->queue_.push_back(a);
-  }
-  // Un-complete every state the window completed (their waiter lists were
-  // kept by complete_keep, so the replay re-fires them as the serial engine
-  // would).
-  for (auto& per_dev : par_completed_) {
-    for (detail::ActionState* st : per_dev) {
-      st->done = false;
-      st->end = sim::SimTime::zero();
-    }
-    per_dev.clear();
-  }
-  // Deferred payloads never executed: just drop them.
-  for (auto& per_dev : par_payloads_) per_dev.clear();
-  for (int d = 0; d < platform_->device_count(); ++d) {
-    const auto di = static_cast<std::size_t>(d);
-    sim::Coprocessor& dev = platform_->device(d);
-    const ParSpecSnap::DeviceSnap& ds = snap.devices[di];
-    dev.link().restore(ds.link);
-    for (int p = 0; p < dev.partitions(); ++p) {
-      dev.partition_resource(p).restore(ds.partitions[static_cast<std::size_t>(p)]);
-    }
-    dev.alloc_lock().restore(ds.alloc);
-    par_timelines_[di].truncate(snap.timeline_sizes[di]);
-    par_release_[di].resize(snap.release_sizes[di]);
-  }
-  par_cross_pending_.store(snap.cross_pending, std::memory_order_relaxed);
-  par_spec_logging_ = false;
-}
-
-void Context::par_flush_payloads() {
-  // Execute the deferred payloads in the order the serial engine would have:
-  // by completion key, ties across shards broken by LP index. Data
-  // dependencies always cross a completion edge, so this order respects
-  // them; the schedule itself never read the buffers (durations were fixed
-  // at enqueue), which is what made deferral sound.
-  par_payload_scratch_.clear();
-  for (auto& per_dev : par_payloads_) {
-    for (const ParPayload& p : per_dev) par_payload_scratch_.push_back(p);
-    per_dev.clear();
-  }
-  std::sort(par_payload_scratch_.begin(), par_payload_scratch_.end(),
-            [](const ParPayload& x, const ParPayload& y) {
-              if (x.when != y.when) return x.when < y.when;
-              if (x.seq != y.seq) return x.seq < y.seq;
-              return x.device < y.device;
-            });
-  for (const ParPayload& p : par_payload_scratch_) p.action->fn();
-  par_payload_scratch_.clear();
-}
-
-void Context::par_spec_payload_flush() {
-  par_payload_defer_ = false;
-  par_flush_payloads();
-}
-
-void Context::par_spec_commit() {
-  par_spec_logging_ = false;
-  par_flush_payloads();
-  // Detach the committed states' waiter registrations, completing the
-  // complete_keep half-step (complete() would have done this inline).
-  for (auto& per_dev : par_completed_) {
-    for (detail::ActionState* st : per_dev) {
-      st->waiters.clear();
-      st->cross_waits.clear();
-    }
-    per_dev.clear();
-  }
-}
-
-void Context::par_barrier_flush() {
-  for (auto& pending : par_release_) {
-    for (detail::Action* a : pending) release_action(a);
-    pending.clear();
-  }
-  // Merge per-LP timelines in LP order — a fixed order, so traces are
-  // deterministic across thread counts (span *sets* match serial mode;
-  // within-window interleaving is not observable).
-  for (std::size_t d = 0; d < par_timelines_.size(); ++d) {
-    trace::Timeline& tl = par_timelines_[d];
-    if (tl.empty()) continue;
-    for (const trace::Span& span : tl.spans()) timeline_.record(span);
-    tl.clear();
-  }
-  if (telemetry::enabled()) {
-    for (int d = 0; d < platform_->device_count(); ++d) {
-      const sim::Engine& lp = platform_->device_engine(d);
-      const auto bytes = platform_->device(d).link().inflight_bytes(lp.now());
-      const LinkTrack t = link_track(d);
-      t.gauge->set(static_cast<std::int64_t>(bytes));
-      telemetry::record_counter_sample(t.name, static_cast<double>(bytes));
-    }
-  }
-}
-
-void Context::par_post(int device, sim::SimTime t, sim::Engine::Callback cb) {
-  // ParEngine LP 0 is the host shard; device d's shard is LP 1+d.
-  platform_->par().post(static_cast<std::size_t>(device) + 1, t, std::move(cb));
 }
 
 void Context::sample_counter_tracks() {

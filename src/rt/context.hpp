@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -33,28 +32,6 @@ struct ContextConfig {
   /// implicitly (in collection mode) while an analyze::Capture is installed
   /// on the constructing thread.
   bool analyze = false;
-  /// Run the simulation on the conservative parallel engine: one event-queue
-  /// shard per device, drained concurrently inside conservative time windows
-  /// (see sim::ParEngine). Virtual times, checksums and hazard verdicts are
-  /// bit-identical to the serial engine; only host wall-clock changes. Also
-  /// enabled by MS_PAR_ENGINE=1 in the environment.
-  bool parallel_engine = false;
-  /// Worker cap for parallel-engine windows: 0 = all hardware threads,
-  /// 1 = effectively serial windows (useful for determinism tests). Also
-  /// settable via MS_PAR_THREADS.
-  int parallel_threads = 0;
-  /// Speculative execution on the parallel engine (implies parallel_engine):
-  /// the risk-free tier pre-arms cross-device joins whose completion time is
-  /// already committed so windows advance past them, and — when
-  /// spec_slack_us > 0 — the bounded Time-Warp tier overshoots the safe
-  /// bound under checkpoint protection, rolling back and serially replaying
-  /// any window caught by a straggler delivery. Results stay bit-identical
-  /// to the serial engine in both tiers. Also enabled by MS_PAR_SPECULATE=1.
-  bool speculate = false;
-  /// Time-Warp overshoot beyond the proven emission bound, in virtual
-  /// microseconds (0 = risk-free tier only, no snapshots ever taken). Also
-  /// settable via MS_PAR_SPEC_SLACK.
-  double spec_slack_us = 0.0;
   /// Start the embedded observability endpoint (telemetry::ObsServer) on
   /// this address ("HOST:PORT" | ":PORT" | "PORT") when constructing the
   /// first context. Empty = consult MS_OBS_ADDR; unset either way = no
@@ -233,12 +210,6 @@ public:
   /// True when this context records its action graph for hazard analysis.
   [[nodiscard]] bool analyzing() const noexcept { return recorder_ != nullptr; }
 
-  /// True when this context simulates on the conservative parallel engine.
-  [[nodiscard]] bool parallel_engine() const noexcept { return par_mode_; }
-
-  /// True when the parallel engine runs with speculation enabled.
-  [[nodiscard]] bool speculative_engine() const noexcept { return par_spec_; }
-
   [[nodiscard]] sim::Platform& platform() noexcept { return *platform_; }
   [[nodiscard]] const sim::Platform& platform() const noexcept { return *platform_; }
   [[nodiscard]] const sim::CostModel& cost() const noexcept { return platform_->cost(); }
@@ -311,83 +282,6 @@ private:
   };
   void flush_telemetry() noexcept;
 
-  // --- Conservative parallel engine ------------------------------------------
-
-  /// Lower bound on the virtual time of the next cross-LP emission: the
-  /// minimum earliest-completion-time (ECT) over all pending cross-emitter
-  /// actions, chained per stream FIFO (ect_k = max(ect_{k-1}, ready_floor_k)
-  /// + minimum service duration of node k). Valid as a window bound because
-  /// the dependency graph of pending actions is fixed at enqueue time —
-  /// nothing enqueues during a drain — and every service-time estimate is a
-  /// true lower bound (transfers: PcieLink::transfer_duration, also a floor
-  /// for the chunked path; kernels: the exact precomputed duration;
-  /// barriers: zero). SimTime::max() when no cross-emitter is pending —
-  /// the common case, where one window drains everything.
-  [[nodiscard]] sim::SimTime par_emission_bound() const;
-  /// Speculative-mode bound walk. Same chaining as par_emission_bound, plus
-  /// the two speculation tiers: committed in-flight cross emitters (front of
-  /// queue, granted, non-chunked) are pre-armed on their destination shards
-  /// at their exact (completion time, sequence) key and excluded from the
-  /// bound — the risk-free tier — and unarmed transfers fold in the link's
-  /// committed FIFO horizon for a tighter (still proven) floor. Reports
-  /// whether the runtime state is snapshot-able right now (`opt_allowed`:
-  /// no chunked transfer or compiled-graph run pending anywhere), which
-  /// gates the Time-Warp tier.
-  [[nodiscard]] sim::SpecBound par_spec_bound();
-  /// Risk-free pre-arm of a committed cross emitter: inject its cross arms
-  /// on their destination engines at the exact (completion time, sequence)
-  /// key, clear its emitter flag and drop it from the pending-cross count.
-  void par_spec_prearm(detail::Action* a);
-  /// Time-Warp snapshot hooks (coordinator thread, bracketing a speculative
-  /// window): save captures stream queues, per-action scheduling scalars,
-  /// resource cursors and log watermarks; restore rewinds them after a
-  /// misspeculation; commit executes the deferred payloads in serial order
-  /// and retires the logs.
-  void par_spec_save();
-  void par_spec_restore();
-  void par_spec_commit();
-  /// Payload-deferral hooks for the *safe* windows of speculative mode (no
-  /// checkpoint, no rollback possible): the risk-free tier pre-arms cross
-  /// dependents inside such windows, so source and dependent payloads would
-  /// otherwise race in wall time. begin turns deferral on before the fork;
-  /// flush executes the log in (when, seq, device) order at the join.
-  void par_spec_payload_begin() { par_payload_defer_ = true; }
-  void par_spec_payload_flush();
-  /// Merge, sort and execute the deferred-payload log (serial virtual
-  /// order). Shared tail of par_spec_commit and par_spec_payload_flush.
-  void par_flush_payloads();
-  /// Defer a completion payload during a speculative window (worker thread;
-  /// per-device log, merged and executed in (when, seq, device) order at
-  /// commit). `key` is the completion event's (when, seq) on the device LP.
-  void par_log_payload(int device, detail::Action* a, sim::Engine::EventKey key) {
-    par_payloads_[static_cast<std::size_t>(device)].push_back(
-        ParPayload{a, key.when, key.seq, device});
-  }
-  /// Log a state completed via complete_keep during a speculative window so
-  /// rollback can un-complete it and commit can detach its waiters.
-  void par_log_completed(int device, detail::ActionState* st) {
-    par_completed_[static_cast<std::size_t>(device)].push_back(st);
-  }
-  /// Window-barrier hook (coordinator thread): release actions the LP
-  /// workers deferred and merge per-LP timelines into the main one, in LP
-  /// order.
-  void par_barrier_flush();
-  /// Route a cross-LP arm to `device`'s shard at virtual time `t`.
-  void par_post(int device, sim::SimTime t, sim::Engine::Callback cb);
-  /// Defer an action release to the next barrier flush (LP workers must not
-  /// touch the single-threaded pools).
-  void par_defer_release(int device, detail::Action* a) {
-    par_release_[static_cast<std::size_t>(device)].push_back(a);
-  }
-  /// Record a trace span from device `d`'s LP (its private timeline in
-  /// parallel mode; the shared one otherwise).
-  void record_trace_span(int device, const trace::Span& span) {
-    if (par_mode_) {
-      par_timelines_[static_cast<std::size_t>(device)].record(span);
-    } else {
-      timeline_.record(span);
-    }
-  }
   /// Sample depot/link occupancy counter tracks (telemetry-gated).
   void sample_counter_tracks();
 
@@ -406,70 +300,6 @@ private:
   std::uint64_t next_buffer_ = 1;
   ActionPool::Store action_store_;
   TelTally tel_;
-  /// Conservative parallel engine state (par_mode_ only; empty otherwise).
-  bool par_mode_ = false;
-  /// Speculation enabled (ContextConfig::speculate / MS_PAR_SPECULATE=1).
-  bool par_spec_ = false;
-  /// A speculative (Time-Warp) window is running: completions defer their
-  /// payloads and keep their waiter registrations so the window can roll
-  /// back. Written by the coordinator strictly before/after the window's
-  /// fork/join edges, read by the LP workers in between.
-  bool par_spec_logging_ = false;
-  /// A safe window of speculative mode is running: completions defer their
-  /// payloads (but keep eager state completion — no rollback can happen).
-  /// Same fork/join visibility discipline as par_spec_logging_.
-  bool par_payload_defer_ = false;
-  /// Pending actions some cross-device dependent waits on. Zero means the
-  /// emission bound is trivially infinite (single-window drains). Atomic
-  /// because speculative windows complete cross-emitters on worker threads;
-  /// relaxed ordering suffices (only read at coordinator decision points,
-  /// after a join).
-  std::atomic<std::uint64_t> par_cross_pending_{0};
-  std::vector<std::vector<detail::Action*>> par_release_;  ///< per device
-  std::vector<trace::Timeline> par_timelines_;             ///< per device
-
-  /// One deferred completion payload (speculative windows only).
-  struct ParPayload {
-    detail::Action* action = nullptr;
-    sim::SimTime when;
-    std::uint64_t seq = 0;
-    int device = 0;
-  };
-  std::vector<std::vector<ParPayload>> par_payloads_;           ///< per device
-  std::vector<ParPayload> par_payload_scratch_;                 ///< commit merge
-  std::vector<std::vector<detail::ActionState*>> par_completed_;  ///< per device
-
-  /// Runtime-state checkpoint for one speculative window. Reused across
-  /// windows so steady-state speculation does not allocate.
-  struct ParSpecSnap {
-    struct ActionSnap {
-      detail::Action* a = nullptr;
-      sim::SimTime ready_floor;
-      int deps_pending = 0;
-      bool pred_done = false;
-      bool armed = false;
-      bool in_flight = false;
-      bool chunked = false;
-      sim::SimTime committed_end;
-      std::uint64_t complete_seq = 0;
-    };
-    struct StreamSnap {
-      Stream* s = nullptr;
-      std::vector<detail::Action*> queue;
-    };
-    struct DeviceSnap {
-      sim::PcieLink::Snapshot link;
-      std::vector<sim::FifoResource::Cursor> partitions;
-      sim::FifoResource::Cursor alloc;
-    };
-    std::vector<StreamSnap> streams;
-    std::vector<ActionSnap> actions;
-    std::vector<DeviceSnap> devices;
-    std::vector<std::size_t> timeline_sizes;
-    std::vector<std::size_t> release_sizes;
-    std::uint64_t cross_pending = 0;
-  };
-  ParSpecSnap par_snap_;
   std::shared_ptr<detail::StatePool::Store> state_pool_ = detail::StatePool::make_store();
   /// Present only when analyzing (ContextConfig::analyze / MS_ANALYZE=1 /
   /// installed analyze::Capture); the hot path pays one branch when absent.

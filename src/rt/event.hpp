@@ -14,8 +14,6 @@ class Stream;
 
 namespace detail {
 
-struct Action;
-
 /// Shared completion state of one enqueued action. Instances live in the
 /// owning Context's state node pool (control block and all), so
 /// steady-state enqueue/complete cycles allocate nothing. Waiters are
@@ -39,22 +37,7 @@ struct ActionState {
   /// phantom handed to a *different* capture must be rejected rather than
   /// silently aliasing that graph's node of the same index.
   const void* capture_owner = nullptr;
-  /// Parallel-engine mode only: device of the producing stream (-1 = not
-  /// stamped / host). Lets a later enqueue detect a cross-device dependency.
-  std::int16_t lp = -1;
-  /// Parallel-engine mode only: some dependent on a *different* device waits
-  /// on this action, so its completion emits cross-LP. The conservative
-  /// window bound must stay below the completion of every such action.
-  bool cross_emitter = false;
   std::vector<Waiter> waiters;
-  /// Parallel-engine mode only: dependents on *other* devices, recorded
-  /// structurally instead of as closure waiters. Completion routes each
-  /// through ParEngine::post to its destination LP, so the dependent's
-  /// scheduling fields are only ever touched on their owning shard — and the
-  /// risk-free speculation tier can pre-arm them from the coordinator once
-  /// this action's completion time is committed.
-  std::vector<std::pair<Stream*, Action*>> cross_waits;
-
   void complete(sim::SimTime t) {
     done = true;
     end = t;
@@ -65,15 +48,6 @@ struct ActionState {
     for (auto& w : fire) w();
   }
 
-  /// Speculative-window variant of complete(): fires the waiters without
-  /// detaching the vector, so a rollback can re-run the completion with the
-  /// same registrations. Safe only under the window protocol: enqueues are
-  /// host-side, so no new waiter can be appended mid-window.
-  void complete_keep(sim::SimTime t) {
-    done = true;
-    end = t;
-    for (auto& w : waiters) w();
-  }
 };
 
 }  // namespace detail

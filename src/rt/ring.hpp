@@ -24,19 +24,8 @@ public:
   }
 
   [[nodiscard]] T* front() const noexcept { return buf_[head_]; }
-  /// i-th entry from the front (0 = front). No bounds check; i < size().
-  [[nodiscard]] T* at(std::size_t i) const noexcept {
-    return buf_[(head_ + i) & (buf_.size() - 1)];
-  }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
-  /// Drop everything (speculative-window restore repopulates from a saved
-  /// front-to-back snapshot). Keeps the backing storage.
-  void clear() noexcept {
-    head_ = 0;
-    size_ = 0;
-  }
 
 private:
   void grow() {

@@ -15,7 +15,7 @@ using detail::Action;
 
 Stream::Stream(Context& ctx, int index, int device, int partition)
     : ctx_(&ctx),
-      engine_(&ctx.platform().device_engine(device)),
+      engine_(&ctx.platform().engine()),
       dev_(&ctx.platform().device(device)),
       part_res_(&dev_->partition_resource(partition)),
       index_(index),
@@ -106,8 +106,6 @@ Event Stream::enqueue_common(Action* a, const std::vector<Event>& deps,
                              const KernelLaunch* launch) {
   if (ctx_->recorder_) record_enqueue(a, deps, launch);
   a->ready_floor = ctx_->host_issue();
-  const bool par = ctx_->par_mode_;
-  if (par) a->state->lp = static_cast<std::int16_t>(device_);
 
   // Wire cross-stream dependencies. Completed deps only raise the ready
   // floor; pending ones register a waiter that re-arms this action.
@@ -121,26 +119,10 @@ Event Stream::enqueue_common(Action* a, const std::vector<Event>& deps,
     // recycled after complete() has fired every waiter), so a raw pointer is
     // safe and skips two refcount round-trips per dependency.
     detail::ActionState* dep = e.state_.get();
-    if (par && dep->lp != static_cast<std::int16_t>(device_)) {
-      // This pending dep lives on another LP shard (or predates sharding);
-      // its completion will emit a cross-shard arm, so the conservative
-      // lookahead bound must account for it until it fires. The dependent is
-      // recorded structurally (not as a closure): completion posts the whole
-      // arm — floor raise, dep decrement, maybe_arm — to this shard, so no
-      // foreign thread ever touches this action's scheduling fields, and the
-      // risk-free tier can pre-arm it from the coordinator once the dep's
-      // completion time is committed.
-      if (!dep->cross_emitter) {
-        dep->cross_emitter = true;
-        ++ctx_->par_cross_pending_;
-      }
-      dep->cross_waits.emplace_back(this, a);
-      continue;
-    }
     Stream* self = this;
     dep->waiters.push_back(detail::ActionState::Waiter([self, a, dep] {
       a->ready_floor = sim::max(a->ready_floor, dep->end);
-      if (--a->deps_pending == 0) self->arm_routed(a, dep->end);
+      if (--a->deps_pending == 0) self->maybe_arm(a);
     }));
   }
 
@@ -208,20 +190,6 @@ void Stream::maybe_arm(Action* a) {
   engine.schedule_at(ready, [this, a] { start(a); });
 }
 
-void Stream::arm_routed(Action* a, sim::SimTime t) {
-  if (!ctx_->par_mode_ || engine_->dispatching()) {
-    // Serial engine, or the dependency completed on this same shard: the
-    // waiter is firing inside that completion's dispatch, exactly as the
-    // serial engine would have it.
-    maybe_arm(a);
-    return;
-  }
-  // Cross-shard completion: this shard's clock may trail the completion time.
-  // Route through the mailbox; ParEngine delivers at `t` with dispatching
-  // set, restoring the serial inline-dispatch context on this shard.
-  ctx_->par_post(device_, t, [this, a] { maybe_arm(a); });
-}
-
 void Stream::start(Action* a) {
   sim::Engine& engine = *engine_;
   const sim::SimTime now = engine.now();
@@ -240,12 +208,8 @@ void Stream::start(Action* a) {
       if (a->graph_run != nullptr) {
         span.replay_id = detail::compiled_graph_replay_id(a->graph_run, a->graph_node);
       }
-      ctx_->record_trace_span(device_, span);
+      ctx_->timeline_.record(span);
     }
-    // Committed: the completion event's time and sequence are now fixed.
-    a->in_flight = true;
-    a->committed_end = now;
-    a->complete_seq = engine.next_seq();
     engine.schedule_at(now, [this, a] { on_complete(a); });
     return;
   }
@@ -279,15 +243,9 @@ void Stream::start(Action* a) {
     if (a->graph_run != nullptr) {
       span.replay_id = detail::compiled_graph_replay_id(a->graph_run, a->graph_node);
     }
-    ctx_->record_trace_span(device_, span);
+    ctx_->timeline_.record(span);
   }
 
-  // Committed: the FIFO grant is never revoked, so the completion's time and
-  // sequence are fixed from here on — the risk-free speculation tier may
-  // treat this completion as already decided.
-  a->in_flight = true;
-  a->committed_end = grant.end;
-  a->complete_seq = engine.next_seq();
   engine.schedule_at(grant.end, [this, a] { on_complete(a); });
 }
 
@@ -299,10 +257,6 @@ void Stream::start_transfer_chunked(detail::Action* a, sim::Direction dir, std::
   const std::size_t first_len = std::min(chunk, a->bytes);
   const auto first = dev_->link().reserve_chunk(dir, now, first_len, /*first_chunk=*/true);
   a->duration = sim::SimTime::zero();  // unused for chunked transfers
-  // The completion is a self-rescheduling chunk chain: in flight, but with
-  // no pre-committed end time — speculation must not reason past it.
-  a->in_flight = true;
-  a->chunked = true;
 
   struct ChunkPlan {
     sim::SimTime span_start;
@@ -333,7 +287,7 @@ void Stream::start_transfer_chunked(detail::Action* a, sim::Direction dir, std::
         if (a->graph_run != nullptr) {
           span.replay_id = detail::compiled_graph_replay_id(a->graph_run, a->graph_node);
         }
-        ctx_->record_trace_span(device_, span);
+        ctx_->timeline_.record(span);
       }
       on_complete(a);
       return;
@@ -347,7 +301,6 @@ void Stream::start_transfer_chunked(detail::Action* a, sim::Direction dir, std::
 }
 
 void Stream::push_compiled(Action* a) {
-  if (ctx_->par_mode_ && a->state) a->state->lp = static_cast<std::int16_t>(device_);
   queue_.push_back(a);
   a->pred_done = queue_.size() == 1;
   maybe_arm(a);
@@ -358,61 +311,18 @@ void Stream::on_complete(Action* a) {
   if (queue_.empty() || queue_.front() != a) {
     throw Error("Stream: completion order corrupted (internal bug)");
   }
-  const bool spec = ctx_->par_spec_logging_;
-  if (a->fn) {
-    if (spec || ctx_->par_payload_defer_) {
-      // Payloads (memcpys, kernel shadow mutations) are not idempotent, so a
-      // rollback could not undo them. The schedule never reads buffer
-      // contents (durations are precomputed at enqueue), so execution is
-      // deferred to the window commit in (when, seq, lp) order; a rollback
-      // discards the log unexecuted and the serial replay runs them inline.
-      // par_payload_defer_ covers safe windows in speculative mode too: the
-      // risk-free tier pre-arms cross dependents inside the window, so a
-      // source shard's payload write and its dependent's payload read run
-      // concurrently in wall time unless both defer to the sorted flush.
-      ctx_->par_log_payload(device_, a, engine_->last_fired_key());
-    } else {
-      a->fn();
-    }
-  }
+  if (a->fn) a->fn();
   queue_.pop_front();
   // Read before notifying: an arena action's storage belongs to its run, and
   // the graph notification below may retire the run (freeing the slab) when
   // this was the batch's final action on an orphaned executor.
   const bool pooled = a->pooled;
-  const bool cross = a->cross_emitter || (a->state && a->state->cross_emitter);
 
   const sim::SimTime now = engine_->now();
   // Same notification order as the interpreted path: external waiters (the
   // state's, when one exists) fire before graph dependents, and both before
   // the stream's next action arms.
-  if (a->state) {
-    detail::ActionState* st = a->state.get();
-    if (spec) {
-      // Keep the waiter registrations: a rollback restores done/end from the
-      // completed-state log and the replay re-fires them.
-      ctx_->par_log_completed(device_, st);
-      st->complete_keep(now);
-    } else {
-      st->complete(now);
-    }
-    if (!st->cross_waits.empty()) {
-      // Cross-shard dependents, recorded structurally at enqueue: post each
-      // whole arm — floor raise, dep decrement, maybe_arm — to its owning
-      // shard. Outside speculative windows the post delivers inline (the
-      // serial firing point); inside one it buffers for the barrier, so no
-      // foreign scheduling field is ever touched from this worker thread.
-      for (const auto& cw : st->cross_waits) {
-        Stream* ds = cw.first;
-        Action* da = cw.second;
-        ctx_->par_post(ds->device_, now, [ds, da, now] {
-          da->ready_floor = sim::max(da->ready_floor, now);
-          if (--da->deps_pending == 0) ds->maybe_arm(da);
-        });
-      }
-      if (!spec) st->cross_waits.clear();
-    }
-  }
+  if (a->state) a->state->complete(now);
   if (a->graph_run != nullptr) detail::compiled_graph_notify(a->graph_run, a->graph_node, now);
 
   if (!queue_.empty()) {
@@ -423,38 +333,17 @@ void Stream::on_complete(Action* a) {
 
   // Notification and successor arming are done; recycle the action. Arena
   // actions stay in their slab — the owning batch refreshes them in place.
-  // In parallel mode the pool is coordinator-owned, so recycling is deferred
-  // to the next window barrier; cross emitters only complete in coordinator
-  // micro-steps, so the lookahead counter is safe to touch here.
-  if (ctx_->par_mode_) {
-    if (cross) --ctx_->par_cross_pending_;
-    if (pooled) ctx_->par_defer_release(device_, a);
-  } else if (pooled) {
-    ctx_->release_action(a);
-  }
+  if (pooled) ctx_->release_action(a);
 }
 
 void Stream::synchronize() {
   if (ctx_->capture_ != nullptr) {
     throw Error("Stream::synchronize: forbidden while capturing a graph");
   }
-  if (ctx_->par_mode_) {
-    // Predicate drain: fire globally-earliest events one at a time (windows
-    // would overshoot the predicate). Coordinator-only, so this is exactly
-    // the serial micro-step order.
-    sim::ParEngine& par = ctx_->platform().par();
-    while (!queue_.empty()) {
-      if (!par.step()) {
-        throw Error("Stream::synchronize: pending actions but no events (deadlock?)");
-      }
-    }
-    ctx_->par_barrier_flush();
-  } else {
-    sim::Engine& engine = *engine_;
-    while (!queue_.empty()) {
-      if (!engine.step()) {
-        throw Error("Stream::synchronize: pending actions but no events (deadlock?)");
-      }
+  sim::Engine& engine = *engine_;
+  while (!queue_.empty()) {
+    if (!engine.step()) {
+      throw Error("Stream::synchronize: pending actions but no events (deadlock?)");
     }
   }
   const sim::SimTime sync = ctx_->cost().sync_overhead(1, false);

@@ -78,13 +78,6 @@ private:
   void record_enqueue(detail::Action* a, const std::vector<Event>& deps,
                       const KernelLaunch* launch);
   void maybe_arm(detail::Action* a);
-  /// Arm `a` after a dependency completed at time `t`. In the serial engine
-  /// (and for same-shard completions) this is maybe_arm — the waiter fires
-  /// inside the completing event's dispatch. When the completion happened on
-  /// a *different* LP shard, the arm is routed through the parallel engine's
-  /// mailbox and delivered to this shard at time `t`, reproducing the same
-  /// inline-dispatch context the serial engine would have provided.
-  void arm_routed(detail::Action* a, sim::SimTime t);
   void start(detail::Action* a);
   void start_transfer_chunked(detail::Action* a, sim::Direction dir, std::size_t chunk,
                               sim::SimTime now);

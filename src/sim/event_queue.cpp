@@ -84,12 +84,6 @@ void Engine::throw_past() {
   throw std::invalid_argument("Engine::schedule_at: event scheduled in the past");
 }
 
-void Engine::throw_sealed() {
-  throw std::logic_error(
-      "Engine::deliver: engine is sealed (cross-LP delivery attempted mid-window — "
-      "conservative lookahead bound violated)");
-}
-
 void Engine::schedule_at(SimTime when, Callback cb) {
   if (when < now_) throw_past();
   if (!cb) {
@@ -119,8 +113,6 @@ void Engine::fire_next() {
   Slot* s = item.slot;
   now_ = item.when;
   ++fired_;
-  last_when_ = item.when;
-  last_seq_ = item.seq;
   const bool prev = dispatching_;
   dispatching_ = true;
   try {
@@ -135,66 +127,8 @@ void Engine::fire_next() {
 }
 
 void Engine::retire(const Item& item) {
-  // While a speculative window logs, fired slots stay allocated with their
-  // callbacks intact (re-invocable on replay); commit_log/rollback decide
-  // their fate at the barrier.
-  if (spec_log_) {
-    fired_log_.push_back(item);
-    return;
-  }
   item.slot->cb.reset();
   free_slots_.push_back(item.slot);
-}
-
-Engine::Checkpoint Engine::save() const {
-  Checkpoint cp;
-  cp.heap = heap_;
-  cp.heapified = heapified_;
-  cp.now = now_;
-  cp.next_seq = next_seq_;
-  cp.fired = fired_;
-  cp.depth_hw = depth_hw_;
-  cp.last_when = last_when_;
-  cp.last_seq = last_seq_;
-  return cp;
-}
-
-void Engine::commit_log() {
-  for (const Item& it : fired_log_) {
-    it.slot->cb.reset();
-    free_slots_.push_back(it.slot);
-  }
-  fired_log_.clear();
-  spec_log_ = false;
-}
-
-void Engine::rollback(Checkpoint cp) {
-  // Slots with seq >= the checkpoint's counter were created inside the
-  // window — release them whether they fired or are still pending. Slots
-  // below the floor belong to the restored queue (they appear in cp.heap)
-  // and keep their callbacks.
-  for (const Item& it : fired_log_) {
-    if (it.seq >= cp.next_seq) {
-      it.slot->cb.reset();
-      free_slots_.push_back(it.slot);
-    }
-  }
-  fired_log_.clear();
-  for (const Item& it : heap_) {
-    if (it.seq >= cp.next_seq) {
-      it.slot->cb.reset();
-      free_slots_.push_back(it.slot);
-    }
-  }
-  heap_ = std::move(cp.heap);
-  heapified_ = cp.heapified;
-  now_ = cp.now;
-  next_seq_ = cp.next_seq;
-  fired_ = cp.fired;
-  depth_hw_ = cp.depth_hw;
-  last_when_ = cp.last_when;
-  last_seq_ = cp.last_seq;
-  spec_log_ = false;
 }
 
 SimTime Engine::run_until_idle() {
@@ -216,14 +150,6 @@ SimTime Engine::run_until(SimTime deadline) {
   return now_;
 }
 
-SimTime Engine::run_before(SimTime bound) {
-  const DrainProbe probe(*this, fired_);
-  while (!heap_.empty() && heap_[earliest_index()].when < bound) {
-    fire_next();
-  }
-  return now_;
-}
-
 bool Engine::step() {
   if (heap_.empty()) return false;
   fire_next();
@@ -232,10 +158,6 @@ bool Engine::step() {
 
 void Engine::reset() {
   heap_.clear();
-  fired_log_.clear();
-  spec_log_ = false;
-  last_when_ = SimTime::zero();
-  last_seq_ = 0;
   // Drop pending callbacks but keep every chunk: a reused engine stays
   // allocation-free. Rebuild the free list from scratch.
   free_slots_.clear();
@@ -252,7 +174,6 @@ void Engine::reset() {
   depth_hw_ = 0;
   dispatching_ = false;
   heapified_ = false;
-  delivery_open_ = true;
 }
 
 }  // namespace ms::sim

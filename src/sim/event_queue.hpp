@@ -57,23 +57,6 @@ public:
     schedule_at(now_ + delay, std::forward<F>(f));
   }
 
-  /// Schedule with an explicit sequence number instead of drawing from the
-  /// local counter. The risk-free speculation tier injects a committed
-  /// cross-LP completion's arm on the destination engine at the exact
-  /// (when, seq) key the source completion event carries, so same-instant
-  /// ordering matches the serial engine's global FIFO. The local counter is
-  /// raised past `seq` so later local events can never collide with the
-  /// injected key on this engine.
-  template <typename F>
-    requires(std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
-  void schedule_at_seq(SimTime when, std::uint64_t seq, F&& f) {
-    if (when < now_) throw_past();
-    Slot* slot = acquire_empty_slot();
-    slot->cb.emplace(std::forward<F>(f));
-    if (next_seq_ <= seq) next_seq_ = seq + 1;
-    push_item(Item{when, seq, slot});
-  }
-
   /// Run events until the queue is empty. Returns the final clock value.
   SimTime run_until_idle();
 
@@ -81,67 +64,10 @@ public:
   /// max(now, deadline) if the queue drained, or at the last fired event.
   SimTime run_until(SimTime deadline);
 
-  /// Run events with timestamp strictly < `bound` — the conservative-window
-  /// drain of the parallel engine. The clock rests at the last fired event
-  /// (never advanced to the bound: a later window or cross-engine delivery
-  /// may still land exactly at `bound`). Returns the final clock value.
-  SimTime run_before(SimTime bound);
-
   /// Fire exactly one event. Returns false (and leaves the clock untouched)
   /// when the queue is empty. Lets callers pump until a condition of their
   /// own holds (e.g. "this stream drained").
   bool step();
-
-  /// (timestamp, insertion sequence) of the earliest pending event — the
-  /// exact key the heap orders by, so a coordinator can merge several
-  /// engines into one global FIFO order. Valid only when !idle().
-  struct EventKey {
-    SimTime when;
-    std::uint64_t seq;
-  };
-  [[nodiscard]] EventKey next_key() const noexcept {
-    const Item& it = heap_[earliest_index()];
-    return EventKey{it.when, it.seq};
-  }
-  /// Timestamp of the earliest pending event, or SimTime::max() when idle.
-  [[nodiscard]] SimTime next_when() const noexcept {
-    return heap_.empty() ? SimTime::max() : heap_[earliest_index()].when;
-  }
-
-  /// Next sequence number this engine would assign.
-  [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
-  /// Raise the sequence counter to at least `floor`. The parallel engine
-  /// syncs every shard to the global maximum at each window barrier so the
-  /// (when, seq) tie-break stays a single global FIFO order.
-  void bump_seq_floor(std::uint64_t floor) noexcept {
-    if (next_seq_ < floor) next_seq_ = floor;
-  }
-
-  /// Execute `fn` as if it were an event firing at time `t` on this engine:
-  /// the clock advances to max(now, t) and dispatching() is true for the
-  /// call. This is how cross-engine mailbox deliveries replicate the serial
-  /// engine's inline same-instant dispatch semantics. Throws
-  /// std::logic_error when the engine is sealed (mid-window foreign access —
-  /// a conservative-protocol violation).
-  template <typename F>
-  void deliver(SimTime t, F&& fn) {
-    if (!delivery_open_) throw_sealed();
-    if (now_ < t) now_ = t;
-    const bool prev = dispatching_;
-    dispatching_ = true;
-    try {
-      fn();
-    } catch (...) {
-      dispatching_ = prev;
-      throw;
-    }
-    dispatching_ = prev;
-  }
-
-  /// Seal/unseal the engine against foreign deliveries. Sealed engines are
-  /// being drained by a window worker; deliver() throws until reopened.
-  void set_delivery_open(bool open) noexcept { delivery_open_ = open; }
-  [[nodiscard]] bool delivery_open() const noexcept { return delivery_open_; }
 
   [[nodiscard]] bool idle() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
@@ -180,54 +106,6 @@ private:
     Slot* slot;
   };
   static constexpr std::size_t kSlotChunk = 64;
-
-public:
-  // --- Speculative-window support (ParEngine time-warp tier) --------------
-  //
-  // A checkpoint is cheap because the queue is already split into POD
-  // {when, seq, slot} items and never-moving callback slots: save() copies
-  // the item vector (24 bytes each), never a functor. While logging, fired
-  // events keep their slots — InlineFunction invocation is non-destructive,
-  // so a restored item's callback is re-invocable on replay. Slots whose
-  // seq is at or above the checkpoint's counter were created inside the
-  // window and are released on rollback; everything below the floor belongs
-  // to the restored queue. (schedule_at_seq is the only sub-floor scheduling
-  // path and runs on the coordinator strictly before the checkpoint.)
-
-  /// POD snapshot of the queue at a speculative window's entry.
-  struct Checkpoint {
-    std::vector<Item> heap;
-    bool heapified = false;
-    SimTime now = SimTime::zero();
-    std::uint64_t next_seq = 0;
-    std::uint64_t fired = 0;
-    std::size_t depth_hw = 0;
-    SimTime last_when = SimTime::zero();
-    std::uint64_t last_seq = 0;
-  };
-
-  /// Start retaining fired slots (callbacks intact) for a possible rollback.
-  void begin_log() {
-    spec_log_ = true;
-    fired_log_.clear();
-  }
-  /// Snapshot the queue. Call after begin_log(), before the window forks.
-  [[nodiscard]] Checkpoint save() const;
-  /// The window committed: release every logged slot and stop logging.
-  void commit_log();
-  /// The window misspeculated: restore the checkpoint, releasing every slot
-  /// created inside the window. The queue, clock, counters and last-fired
-  /// key are exactly as they were at save().
-  void rollback(Checkpoint cp);
-  [[nodiscard]] bool logging() const noexcept { return spec_log_; }
-
-  /// (when, seq) of the most recently fired event — straggler detection
-  /// compares a buffered delivery's key against this after a window join.
-  [[nodiscard]] EventKey last_fired_key() const noexcept {
-    return EventKey{last_when_, last_seq_};
-  }
-
-private:
 
   /// Min-heap ordering: earliest `when` first, ties broken by insertion
   /// sequence (earlier fires first) — the documented FIFO guarantee.
@@ -271,22 +149,16 @@ private:
   void retire(const Item& item);
   [[nodiscard]] Slot* acquire_empty_slot();
   [[noreturn]] static void throw_past();
-  [[noreturn]] static void throw_sealed();
 
   std::vector<Item> heap_;  // unsorted below kHeapThreshold, then a min-heap
   std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
   std::vector<Slot*> free_slots_;
-  std::vector<Item> fired_log_;  ///< fired-but-retained slots while logging
   bool heapified_ = false;
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
   std::size_t depth_hw_ = 0;
-  SimTime last_when_ = SimTime::zero();
-  std::uint64_t last_seq_ = 0;
   bool dispatching_ = false;
-  bool delivery_open_ = true;
-  bool spec_log_ = false;
 };
 
 }  // namespace ms::sim

@@ -86,33 +86,6 @@ SimTime PcieLink::busy_until() const noexcept {
   return max(h2d_->busy_until(), d2h_->busy_until());
 }
 
-PcieLink::Snapshot PcieLink::snapshot() const {
-  Snapshot s;
-  if (shared_) s.shared = shared_->cursor();
-  if (h2d_) s.h2d = h2d_->cursor();
-  if (d2h_) s.d2h = d2h_->cursor();
-  s.count[0] = count_[0];
-  s.count[1] = count_[1];
-  s.bytes[0] = bytes_[0];
-  s.bytes[1] = bytes_[1];
-  s.flights = flights_.size();
-  return s;
-}
-
-void PcieLink::restore(const Snapshot& s) {
-  if (shared_) shared_->restore(s.shared);
-  if (h2d_) h2d_->restore(s.h2d);
-  if (d2h_) d2h_->restore(s.d2h);
-  count_[0] = s.count[0];
-  count_[1] = s.count[1];
-  bytes_[0] = s.bytes[0];
-  bytes_[1] = s.bytes[1];
-  // Flights only append between barriers (pruning happens on coordinator
-  // queries), so dropping the tail rewinds the log; min() guards the
-  // telemetry-only log against an unexpected mid-window prune.
-  if (flights_.size() > s.flights) flights_.resize(s.flights);
-}
-
 void PcieLink::reset() {
   if (shared_) shared_->reset();
   if (h2d_) h2d_->reset();

@@ -66,30 +66,6 @@ public:
   /// pruned as a side effect.
   [[nodiscard]] std::uint64_t inflight_bytes(SimTime t) const noexcept;
 
-  /// Virtual time through which this link's FIFO arbitration is already
-  /// decided: the serving engine's busy-until for `dir`. A transfer not yet
-  /// granted can complete no earlier than this horizon plus its own wire
-  /// time, because FIFO grants never start before the previous grant ends —
-  /// the risk-free speculation tier folds this into its emission-bound walk.
-  [[nodiscard]] SimTime committed_horizon(Direction dir) const noexcept {
-    if (shared_) return shared_->busy_until();
-    return (dir == Direction::HostToDevice ? *h2d_ : *d2h_).busy_until();
-  }
-
-  /// POD snapshot of the serving engines, transfer counters and telemetry
-  /// flight-log watermark; save/restore bracket a speculative ParEngine
-  /// window so rollback rewinds every grant issued inside it.
-  struct Snapshot {
-    FifoResource::Cursor shared;
-    FifoResource::Cursor h2d;
-    FifoResource::Cursor d2h;
-    std::uint64_t count[2] = {0, 0};
-    std::uint64_t bytes[2] = {0, 0};
-    std::size_t flights = 0;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-  void restore(const Snapshot& s);
-
   void reset();
 
 private:

@@ -2,23 +2,11 @@
 
 namespace ms::sim {
 
-Platform::Platform(const SimConfig& cfg, bool parallel, int parallel_threads)
-    : cfg_(cfg), cost_(cfg), host_thread_("host.enqueue") {
+Platform::Platform(const SimConfig& cfg) : cfg_(cfg), cost_(cfg), host_thread_("host.enqueue") {
   cfg_.validate();
   devices_.reserve(static_cast<std::size_t>(cfg_.num_devices));
   for (int i = 0; i < cfg_.num_devices; ++i) {
     devices_.push_back(std::make_unique<Coprocessor>(cfg_, i));
-  }
-  if (parallel) {
-    std::vector<Engine*> lps;
-    lps.reserve(static_cast<std::size_t>(cfg_.num_devices) + 1);
-    lps.push_back(&engine_);  // LP 0: host/link engine
-    lp_engines_.reserve(static_cast<std::size_t>(cfg_.num_devices));
-    for (int i = 0; i < cfg_.num_devices; ++i) {
-      lp_engines_.push_back(std::make_unique<Engine>());
-      lps.push_back(lp_engines_.back().get());
-    }
-    par_ = std::make_unique<ParEngine>(std::move(lps), parallel_threads);
   }
 }
 

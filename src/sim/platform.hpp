@@ -6,7 +6,6 @@
 #include "sim/coprocessor.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/par_engine.hpp"
 #include "sim/sim_config.hpp"
 
 namespace ms::sim {
@@ -14,15 +13,9 @@ namespace ms::sim {
 /// The whole simulated machine: a host, N coprocessor cards each behind its
 /// own PCIe link, a shared virtual clock, and the cost model. This is the
 /// substrate the `ms::rt` runtime schedules onto.
-///
-/// In parallel mode the platform is sharded into logical processes — the
-/// host keeps `engine_` (LP 0) and every device gets its own Engine
-/// (LP 1+d) — coordinated by a ParEngine. Serial mode (the default) keeps
-/// the single shared engine; device_engine() collapses to engine() so the
-/// runtime wires the same way in both modes.
 class Platform {
 public:
-  explicit Platform(const SimConfig& cfg, bool parallel = false, int parallel_threads = 0);
+  explicit Platform(const SimConfig& cfg);
 
   Platform(const Platform&) = delete;
   Platform& operator=(const Platform&) = delete;
@@ -31,19 +24,6 @@ public:
   [[nodiscard]] const Engine& engine() const noexcept { return engine_; }
   [[nodiscard]] const CostModel& cost() const noexcept { return cost_; }
   [[nodiscard]] const SimConfig& config() const noexcept { return cfg_; }
-
-  /// True when the platform runs the conservative parallel engine.
-  [[nodiscard]] bool parallel() const noexcept { return par_ != nullptr; }
-
-  /// The engine that simulates device `d`'s events: its own LP shard in
-  /// parallel mode, the shared engine otherwise.
-  [[nodiscard]] Engine& device_engine(int d) noexcept {
-    return par_ ? *lp_engines_[static_cast<std::size_t>(d)] : engine_;
-  }
-
-  /// The parallel coordinator. Valid only when parallel().
-  [[nodiscard]] ParEngine& par() noexcept { return *par_; }
-  [[nodiscard]] const ParEngine& par() const noexcept { return *par_; }
 
   [[nodiscard]] int device_count() const noexcept { return static_cast<int>(devices_.size()); }
   [[nodiscard]] Coprocessor& device(int i) { return *devices_.at(static_cast<std::size_t>(i)); }
@@ -55,7 +35,7 @@ public:
   /// which is how very fine task granularities pay a real cost (Fig. 10).
   [[nodiscard]] FifoResource& host_thread() noexcept { return host_thread_; }
 
-  [[nodiscard]] SimTime now() const noexcept { return par_ ? par_->now() : engine_.now(); }
+  [[nodiscard]] SimTime now() const noexcept { return engine_.now(); }
 
 private:
   SimConfig cfg_;
@@ -63,9 +43,6 @@ private:
   CostModel cost_;
   FifoResource host_thread_;
   std::vector<std::unique_ptr<Coprocessor>> devices_;
-  /// Parallel mode only: per-device LP shards + the coordinator.
-  std::vector<std::unique_ptr<Engine>> lp_engines_;
-  std::unique_ptr<ParEngine> par_;
 };
 
 }  // namespace ms::sim

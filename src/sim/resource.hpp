@@ -49,25 +49,6 @@ public:
   /// Utilization over [0, horizon]: fraction of time the server was busy.
   [[nodiscard]] double utilization(SimTime horizon) const noexcept;
 
-  /// POD snapshot of the server state. save/restore bracket a speculative
-  /// ParEngine window: a rollback rewinds every grant issued inside it, so
-  /// the replay re-arbitrates from the identical FIFO position.
-  struct Cursor {
-    SimTime busy_until = SimTime::zero();
-    SimTime total_busy = SimTime::zero();
-    SimTime total_wait = SimTime::zero();
-    std::uint64_t grants = 0;
-  };
-  [[nodiscard]] Cursor cursor() const noexcept {
-    return Cursor{busy_until_, total_busy_, total_wait_, grants_};
-  }
-  void restore(const Cursor& c) noexcept {
-    busy_until_ = c.busy_until;
-    total_busy_ = c.total_busy;
-    total_wait_ = c.total_wait;
-    grants_ = c.grants;
-  }
-
   void reset() noexcept;
 
 private:
@@ -94,17 +75,6 @@ public:
   [[nodiscard]] std::uint64_t grants() const noexcept { return grants_; }
   [[nodiscard]] SimTime busy_until() const noexcept;
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-
-  /// Snapshot counterpart of FifoResource::Cursor for the pooled server.
-  struct Cursor {
-    std::vector<SimTime> slots;
-    std::uint64_t grants = 0;
-  };
-  [[nodiscard]] Cursor cursor() const { return Cursor{slots_, grants_}; }
-  void restore(const Cursor& c) {
-    slots_ = c.slots;
-    grants_ = c.grants;
-  }
 
   void reset() noexcept;
 

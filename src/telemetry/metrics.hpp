@@ -275,7 +275,7 @@ private:
 };
 
 /// Gauge counterpart of CounterFamily (instantaneous per-child values:
-/// per-LP queue depth, per-device link in-flight bytes, ...).
+/// per-device link in-flight bytes, ...).
 class GaugeFamily {
 public:
   [[nodiscard]] Gauge& with(std::string_view label_value);

@@ -33,9 +33,9 @@ inline constinit std::atomic<std::uint64_t> g_next_replay{1};
 }
 
 /// One time-stamped counter observation, feeding the Chrome-trace `ph:"C"`
-/// counter tracks (per-LP queue depth, parked depot bytes, in-flight link
-/// bytes). Like SpanRecord, `name` must point at storage that outlives the
-/// process slice being observed (string literals or interned strings).
+/// counter tracks (parked depot bytes, in-flight link bytes). Like
+/// SpanRecord, `name` must point at storage that outlives the process slice
+/// being observed (string literals or interned strings).
 struct CounterSample {
   const char* name = nullptr;
   std::uint64_t t_ns = 0;  ///< steady-clock nanoseconds

@@ -65,15 +65,6 @@ public:
     spans_.clear();
     agg_valid_ = false;
   }
-  /// Drop every span past the first `n` — a speculative-window rollback
-  /// rewinds the fragment to its window-entry length. No-op when already
-  /// at or below `n`.
-  void truncate(std::size_t n) noexcept {
-    if (spans_.size() <= n) return;
-    spans_.resize(n);
-    agg_valid_ = false;
-  }
-
   [[nodiscard]] const std::vector<Span>& spans() const noexcept { return spans_; }
   [[nodiscard]] std::size_t size() const noexcept { return spans_.size(); }
   [[nodiscard]] bool empty() const noexcept { return spans_.empty(); }

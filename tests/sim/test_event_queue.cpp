@@ -169,110 +169,6 @@ TEST(Engine, ResetMidFlightReleasesPooledSlots) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Speculative checkpoint machinery (begin_log / save / commit_log / rollback)
-// ---------------------------------------------------------------------------
-
-// rollback() rewinds the clock, the sequence counter and the pending queue
-// to the checkpoint, and re-arms the fired callbacks so a replay produces
-// the exact same dispatch order.
-TEST(Engine, RollbackRestoresPendingAndRefiresIdentically) {
-  Engine e;
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    e.schedule_at(SimTime::micros(i + 1), [&order, i] { order.push_back(i); });
-  }
-  e.run_until(SimTime::micros(3));  // fire 0..2, leave 3..7 pending
-  ASSERT_EQ(order.size(), 3u);
-
-  e.begin_log();
-  auto cp = e.save();
-  const SimTime now_at_save = e.now();
-  const std::uint64_t seq_at_save = e.next_seq();
-  e.run_before(SimTime::micros(7));  // speculatively fire 3..5
-  e.schedule_at(SimTime::micros(9), [&order] { order.push_back(99); });  // spec enqueue
-  ASSERT_EQ(order.size(), 6u);
-
-  e.rollback(std::move(cp));
-  EXPECT_FALSE(e.logging());
-  EXPECT_EQ(e.now(), now_at_save);
-  EXPECT_EQ(e.next_seq(), seq_at_save);
-
-  order.clear();
-  e.run_until_idle();
-  // The speculative enqueue (99) was discarded; 3..7 replay in order.
-  EXPECT_EQ(order, (std::vector<int>{3, 4, 5, 6, 7}));
-}
-
-// commit_log() keeps the speculated progress and releases the retained
-// slots; the engine continues as if the window had run normally.
-TEST(Engine, CommitLogKeepsProgress) {
-  Engine e;
-  std::vector<int> order;
-  for (int i = 0; i < 6; ++i) {
-    e.schedule_at(SimTime::micros(i + 1), [&order, i] { order.push_back(i); });
-  }
-  e.begin_log();
-  auto cp = e.save();
-  e.run_before(SimTime::micros(4));  // fire 0..2
-  e.commit_log();
-  EXPECT_FALSE(e.logging());
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  e.run_until_idle();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-}
-
-// Repeated speculate-rollback-replay cycles recycle the retained slots:
-// steady state must not grow the pool (leak check without a heap profiler).
-TEST(Engine, RollbackCyclesDoNotLeakSlots) {
-  Engine e;
-  int fired = 0;
-  for (int round = 0; round < 50; ++round) {
-    const SimTime base = e.now();
-    for (int i = 0; i < 32; ++i) {
-      e.schedule_at(base + SimTime::micros(i + 1), [&fired] { ++fired; });
-    }
-    e.begin_log();
-    auto cp = e.save();
-    e.run_before(base + SimTime::micros(33));
-    e.rollback(std::move(cp));
-    e.run_until_idle();  // replay
-  }
-  // Side effects are not undone by rollback: each event ran once in the
-  // speculative window and once in the replay.
-  EXPECT_EQ(fired, 50 * 32 * 2);
-  EXPECT_TRUE(e.idle());
-}
-
-// schedule_at_seq injects an event at an exact (when, seq) key — the
-// risk-free pre-arm primitive. It must order against normally scheduled
-// events exactly as the key dictates and bump the engine's counter past
-// the injected seq.
-TEST(Engine, ScheduleAtSeqOrdersByInjectedKey) {
-  Engine e;
-  std::vector<int> order;
-  e.schedule_at(SimTime::micros(5), [&] { order.push_back(0); });  // seq 0
-  const std::uint64_t seq = e.next_seq();                          // 1
-  e.schedule_at(SimTime::micros(5), [&] { order.push_back(2); });  // seq 1 -> bumped
-  e.schedule_at_seq(SimTime::micros(5), seq + 1, [&] { order.push_back(1); });
-  EXPECT_GE(e.next_seq(), seq + 2);
-  e.run_until_idle();
-  // Same timestamp: sequence decides. 0 (seq 0), then injected seq+1... the
-  // second schedule_at took seq 1, the injection seq 2.
-  EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
-}
-
-// last_fired_key() names the event currently being dispatched — the key the
-// speculative outbox stamps on emissions.
-TEST(Engine, LastFiredKeyTracksDispatch) {
-  Engine e;
-  Engine::EventKey seen{};
-  e.schedule_at(SimTime::micros(3), [&] { seen = e.last_fired_key(); });
-  e.run_until_idle();
-  EXPECT_EQ(seen.when, SimTime::micros(3));
-  EXPECT_EQ(seen.seq, 0u);
-}
-
 // A callback scheduling same-timestamp work while firing (the dispatching()
 // window streams use for inline starts) still runs strictly after every
 // event that was already queued for that instant.

@@ -126,47 +126,5 @@ TEST_P(FifoPropertyTest, StartsMonotoneAndBusyAdds) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FifoPropertyTest, ::testing::Values(1, 2, 8, 64, 512));
 
-// ---------------------------------------------------------------------------
-// Speculative-window cursors: cursor()/restore() must rewind the server to
-// an earlier grant history so a rolled-back window re-grants identically.
-// ---------------------------------------------------------------------------
-
-TEST(FifoResource, CursorRestoreRewindsGrantHistory) {
-  FifoResource r("link");
-  r.reserve(SimTime::zero(), SimTime::micros(4));
-  const auto cur = r.cursor();
-  const auto spec1 = r.reserve(SimTime::micros(1), SimTime::micros(3));
-  r.reserve(SimTime::micros(2), SimTime::micros(5));
-  EXPECT_EQ(r.grants(), 3u);
-
-  r.restore(cur);
-  EXPECT_EQ(r.grants(), 1u);
-  EXPECT_EQ(r.busy_until(), SimTime::micros(4));
-  EXPECT_EQ(r.total_busy(), SimTime::micros(4));
-
-  // The replay re-issues the same requests and must get the same grants.
-  const auto replay1 = r.reserve(SimTime::micros(1), SimTime::micros(3));
-  EXPECT_EQ(replay1.start, spec1.start);
-  EXPECT_EQ(replay1.end, spec1.end);
-}
-
-TEST(MultiSlotResource, CursorRestoreRewindsAllSlots) {
-  MultiSlotResource r("partition", 2);
-  r.reserve(SimTime::zero(), SimTime::micros(2));
-  r.reserve(SimTime::zero(), SimTime::micros(6));
-  const auto cur = r.cursor();
-  const auto spec = r.reserve(SimTime::micros(1), SimTime::micros(4));
-  r.reserve(SimTime::micros(1), SimTime::micros(4));
-  EXPECT_EQ(r.grants(), 4u);
-
-  r.restore(cur);
-  EXPECT_EQ(r.grants(), 2u);
-  EXPECT_EQ(r.busy_until(), SimTime::micros(6));
-
-  const auto replay = r.reserve(SimTime::micros(1), SimTime::micros(4));
-  EXPECT_EQ(replay.start, spec.start);
-  EXPECT_EQ(replay.end, spec.end);
-}
-
 }  // namespace
 }  // namespace ms::sim

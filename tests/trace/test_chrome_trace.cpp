@@ -74,14 +74,14 @@ TEST(ChromeTrace, MultipleEventsAreCommaSeparated) {
 TEST(ChromeTrace, CounterSamplesBecomeCounterEvents) {
   Timeline t;
   const telemetry::CounterSample samples[] = {
-      {"pdes.lp0.queue_depth", 5000, 3.0},
+      {"sim.queue_depth", 5000, 3.0},
       {"depot.parked_bytes", 7000, 1048576.0},
   };
   std::ostringstream os;
   write_chrome_trace(os, t, {}, samples);
   const std::string s = os.str();
   EXPECT_NE(s.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(s.find("\"name\":\"pdes.lp0.queue_depth\""), std::string::npos);
+  EXPECT_NE(s.find("\"name\":\"sim.queue_depth\""), std::string::npos);
   EXPECT_NE(s.find("\"cat\":\"counter\""), std::string::npos);
   EXPECT_NE(s.find("\"args\":{\"value\":3}"), std::string::npos);
   EXPECT_NE(s.find("\"args\":{\"value\":1048576}"), std::string::npos);
@@ -101,7 +101,7 @@ TEST(ChromeTrace, CountersShareOriginWithHostSpans) {
   span.end_ns = 9000;
   span.thread = 7;
   const telemetry::SpanRecord spans[] = {span};
-  const telemetry::CounterSample samples[] = {{"pdes.link0.inflight_bytes", 4000, 64.0}};
+  const telemetry::CounterSample samples[] = {{"link0.inflight_bytes", 4000, 64.0}};
   std::ostringstream os;
   write_chrome_trace(os, t, spans, samples);
   const std::string s = os.str();

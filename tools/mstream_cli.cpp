@@ -48,6 +48,7 @@
 //   --no-compile                        (graph) interpreted Graph::launch() baseline
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -58,6 +59,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <variant>
 
 #include "analyze/capture.hpp"
 #include "analyze/report.hpp"
@@ -180,108 +183,73 @@ void write_metrics(const Cli& cli) {
   }
 }
 
+/// Parse a whole token as a positive, finite number. Rejects empty input,
+/// trailing characters, overflow, zero and negatives.
+template <typename T>
+bool parse_positive(std::string_view token, T* out) {
+  T v{};
+  const auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), v);
+  if (ec != std::errc{} || end != token.data() + token.size() || !(v > T{0})) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return false;
+  }
+  *out = v;
+  return true;
+}
+
 bool parse_flags(int argc, char** argv, int first, Cli* cli) {
+  const std::map<std::string_view, bool*> switches{
+      {"--baseline", &cli->baseline},
+      {"--no-compile", &cli->no_compile},
+      {"--functional", &cli->functional},
+      {"--utilization", &cli->utilization},
+      {"--energy", &cli->energy},
+  };
+  const std::map<std::string_view, std::string*> strings{
+      {"--metrics", &cli->metrics_path},
+      {"--serve-obs", &cli->obs_addr},
+      {"--device", &cli->device},
+      {"--trace", &cli->trace_path},
+      {"--json", &cli->json_path},
+      {"--sarif", &cli->sarif_path},
+      {"--dot", &cli->dot_path},
+  };
+  const std::map<std::string_view, std::variant<int*, std::size_t*, double*>> numbers{
+      {"--replays", &cli->replays},
+      {"--batch", &cli->batch},
+      {"--partitions", &cli->partitions},
+      {"--tiles", &cli->tiles},
+      {"--dim", &cli->dim},
+      {"--points", &cli->points},
+      {"--iters", &cli->iters},
+      {"--metrics-interval", &cli->metrics_interval},
+      {"--h2d-mib", &cli->h2d_mib},
+      {"--d2h-mib", &cli->d2h_mib},
+      {"--gflop", &cli->gflop},
+      {"--gelem", &cli->gelem},
+  };
   for (int i = first; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (flag == "--baseline") {
-      cli->baseline = true;
-    } else if (flag == "--no-compile") {
-      cli->no_compile = true;
-    } else if (flag == "--replays") {
-      const char* v = next("--replays");
-      if (v == nullptr) return false;
-      cli->replays = std::atoi(v);
-    } else if (flag == "--batch") {
-      const char* v = next("--batch");
-      if (v == nullptr) return false;
-      cli->batch = std::atoi(v);
-    } else if (flag == "--functional") {
-      cli->functional = true;
-    } else if (flag == "--utilization") {
-      cli->utilization = true;
-    } else if (flag == "--energy") {
-      cli->energy = true;
-    } else if (flag == "--metrics") {
-      const char* v = next("--metrics");
-      if (v == nullptr) return false;
-      cli->metrics_path = v;
-    } else if (flag == "--metrics-interval") {
-      const char* v = next("--metrics-interval");
-      if (v == nullptr) return false;
-      cli->metrics_interval = std::atof(v);
-      if (cli->metrics_interval <= 0.0) {
-        std::fprintf(stderr, "--metrics-interval wants a positive seconds value\n");
-        return false;
-      }
-    } else if (flag == "--serve-obs") {
-      const char* v = next("--serve-obs");
-      if (v == nullptr) return false;
-      cli->obs_addr = v;
-    } else if (flag == "--device") {
-      const char* v = next("--device");
-      if (v == nullptr) return false;
-      cli->device = v;
-    } else if (flag == "--trace") {
-      const char* v = next("--trace");
-      if (v == nullptr) return false;
-      cli->trace_path = v;
-    } else if (flag == "--json") {
-      const char* v = next("--json");
-      if (v == nullptr) return false;
-      cli->json_path = v;
-    } else if (flag == "--sarif") {
-      const char* v = next("--sarif");
-      if (v == nullptr) return false;
-      cli->sarif_path = v;
-    } else if (flag == "--dot") {
-      const char* v = next("--dot");
-      if (v == nullptr) return false;
-      cli->dot_path = v;
-    } else if (flag == "--partitions") {
-      const char* v = next("--partitions");
-      if (v == nullptr) return false;
-      cli->partitions = std::atoi(v);
-    } else if (flag == "--tiles") {
-      const char* v = next("--tiles");
-      if (v == nullptr) return false;
-      cli->tiles = std::atoi(v);
-    } else if (flag == "--dim") {
-      const char* v = next("--dim");
-      if (v == nullptr) return false;
-      cli->dim = static_cast<std::size_t>(std::atoll(v));
-    } else if (flag == "--points") {
-      const char* v = next("--points");
-      if (v == nullptr) return false;
-      cli->points = static_cast<std::size_t>(std::atoll(v));
-    } else if (flag == "--iters") {
-      const char* v = next("--iters");
-      if (v == nullptr) return false;
-      cli->iters = std::atoi(v);
-    } else if (flag == "--h2d-mib") {
-      const char* v = next("--h2d-mib");
-      if (v == nullptr) return false;
-      cli->h2d_mib = std::atof(v);
-    } else if (flag == "--d2h-mib") {
-      const char* v = next("--d2h-mib");
-      if (v == nullptr) return false;
-      cli->d2h_mib = std::atof(v);
-    } else if (flag == "--gflop") {
-      const char* v = next("--gflop");
-      if (v == nullptr) return false;
-      cli->gflop = std::atof(v);
-    } else if (flag == "--gelem") {
-      const char* v = next("--gelem");
-      if (v == nullptr) return false;
-      cli->gelem = std::atof(v);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
+    const std::string_view flag = argv[i];
+    if (const auto sw = switches.find(flag); sw != switches.end()) {
+      *sw->second = true;
+      continue;
+    }
+    const auto str = strings.find(flag);
+    const auto num = numbers.find(flag);
+    if (str == strings.end() && num == numbers.end()) {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      return false;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n", argv[i]);
+      return false;
+    }
+    const char* value = argv[++i];
+    if (str != strings.end()) {
+      *str->second = value;
+    } else if (!std::visit([&](auto* out) { return parse_positive(value, out); }, num->second)) {
+      std::fprintf(stderr, "bad value for %s: '%s' (want a positive number)\n", argv[i - 1],
+                   value);
       return false;
     }
   }
@@ -330,8 +298,8 @@ void report(const ms::apps::AppResult& r, const Cli& cli, const ms::sim::SimConf
   if (!cli.trace_path.empty()) {
     // With telemetry on, the export carries the wall-clock host track next
     // to the virtual device timeline (one combined Perfetto view), plus the
-    // counter tracks (queue depth, pool bytes, link occupancy) the parallel
-    // engine samples at its window barriers.
+    // counter tracks (depot bytes, link occupancy) sampled at every
+    // synchronize.
     const auto host_spans = ms::telemetry::collect_spans();
     const auto counters = ms::telemetry::collect_counter_samples();
     const bool ok = with_output(cli.trace_path, [&](std::ostream& os) {
@@ -659,41 +627,6 @@ int run_stats_list() {
   return 0;
 }
 
-/// Human-readable summary of the parallel-engine protocol counters when a
-/// ParEngine ran (MS_PAR_ENGINE / MS_PAR_SPECULATE). The raw families are
-/// in the Prometheus dump too; this block is the at-a-glance view.
-void print_pdes_summary() {
-  const auto snap = ms::telemetry::registry().snapshot();
-  std::uint64_t windows = 0, microsteps = 0, posts = 0, spec = 0, replays = 0;
-  std::uint64_t riskfree = 0, rollbacks = 0;
-  bool any = false;
-  for (const auto& m : snap.metrics) {
-    const std::string& n = m.name;
-    if (n.rfind("ms_sim_pdes_", 0) != 0) continue;
-    // Family children repeat the name once per label value: accumulate.
-    if (n == "ms_sim_pdes_windows_total") windows += m.counter;
-    else if (n == "ms_sim_pdes_microsteps_total") microsteps += m.counter;
-    else if (n == "ms_sim_pdes_posts_total") posts += m.counter;
-    else if (n == "ms_sim_pdes_speculative_windows_total") spec += m.counter;
-    else if (n == "ms_sim_pdes_replay_steps_total") replays += m.counter;
-    else if (n == "ms_sim_pdes_riskfree_advances_total") riskfree += m.counter;
-    else if (n == "ms_sim_pdes_rollbacks_total") rollbacks += m.counter;
-    else continue;
-    any = true;
-  }
-  if (!any) return;
-  std::printf("# pdes: %llu windows, %llu micro-steps, %llu cross-LP posts\n",
-              static_cast<unsigned long long>(windows),
-              static_cast<unsigned long long>(microsteps),
-              static_cast<unsigned long long>(posts));
-  std::printf("# pdes speculative: %llu spec windows, %llu risk-free advances, "
-              "%llu rollbacks, %llu replay steps\n",
-              static_cast<unsigned long long>(spec),
-              static_cast<unsigned long long>(riskfree),
-              static_cast<unsigned long long>(rollbacks),
-              static_cast<unsigned long long>(replays));
-}
-
 /// `stats {app|hbench} <name>`: run the workload with telemetry on and dump
 /// the snapshot to stdout in Prometheus text form (or to --metrics FILE in
 /// its chosen format — main() handles that path).
@@ -708,7 +641,6 @@ int run_stats(const std::string& sub, const std::string& name, const Cli& cli) {
     return 2;
   }
   if (rc != 0) return rc;
-  print_pdes_summary();
   if (cli.metrics_path.empty()) {
     ms::telemetry::write_snapshot(std::cout, /*prometheus=*/true);
   }
