@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,6 +15,11 @@ struct Mutation {
   std::string name;
   std::function<void(SimConfig&)> apply;
 };
+
+// Print only the name. The default printer dumps the object's bytes, which
+// hold heap and code addresses, and the discovered CTest names would then
+// change from build to build.
+void PrintTo(const Mutation& m, std::ostream* os) { *os << m.name; }
 
 class InvalidConfigSweep : public ::testing::TestWithParam<Mutation> {};
 
@@ -48,8 +54,7 @@ INSTANTIATE_TEST_SUITE_P(
                  [](SimConfig& c) { c.efficiency.split_core_penalty = -0.1; }},
         Mutation{"locality_bonus_one",
                  [](SimConfig& c) { c.efficiency.stencil_locality_bonus = 1.0; }},
-        Mutation{"zero_devices", [](SimConfig& c) { c.num_devices = 0; }}),
-    [](const ::testing::TestParamInfo<Mutation>& info) { return info.param.name; });
+        Mutation{"zero_devices", [](SimConfig& c) { c.num_devices = 0; }}));
 
 TEST(ConfigValidation, AllPresetsAreValid) {
   EXPECT_NO_THROW(SimConfig::phi_31sp().validate());
