@@ -5,6 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "gbench_main.hpp"
 #include "rt/context.hpp"
 #include "sim/event_queue.hpp"
@@ -58,6 +62,48 @@ void BM_RuntimePipeline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * tasks);
 }
 BENCHMARK(BM_RuntimePipeline)->Arg(64)->Arg(1024);
+
+/// Hotspot-shaped direct issue: a state.range(0) x state.range(0) tile grid
+/// over 4 streams, where each step's kernel on a tile waits for that tile
+/// and its four neighbours from the previous step — the dependency path
+/// (waiter edges, dependency lists) that BM_RuntimePipeline never takes.
+void BM_StencilIssue(benchmark::State& state) {
+  const auto side = static_cast<std::size_t>(state.range(0));
+  const std::size_t tiles = side * side;
+  constexpr int kSteps = 8;
+  std::vector<ms::rt::Event> prev(tiles);
+  std::vector<ms::rt::Event> cur(tiles);
+  std::vector<ms::rt::Event> deps;
+  deps.reserve(5);
+  ms::sim::KernelWork w;
+  w.kind = ms::sim::KernelKind::Stencil;
+  w.elems = 1e5;
+  for (auto _ : state) {
+    ms::rt::Context ctx(ms::sim::SimConfig::phi_31sp());
+    ctx.set_tracing(false);
+    ctx.setup(4);
+    for (int step = 0; step < kSteps; ++step) {
+      for (std::size_t t = 0; t < tiles; ++t) {
+        const std::size_t r = t / side;
+        const std::size_t c = t % side;
+        deps.clear();
+        if (step > 0) {
+          deps.push_back(prev[t]);
+          if (r > 0) deps.push_back(prev[t - side]);
+          if (r + 1 < side) deps.push_back(prev[t + side]);
+          if (c > 0) deps.push_back(prev[t - 1]);
+          if (c + 1 < side) deps.push_back(prev[t + 1]);
+        }
+        cur[t] = ctx.stream(static_cast<int>(t % 4)).enqueue_kernel({"stencil", w, {}}, deps);
+      }
+      std::swap(prev, cur);
+    }
+    ctx.synchronize();
+    benchmark::DoNotOptimize(ctx.host_time());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(tiles) * kSteps);
+}
+BENCHMARK(BM_StencilIssue)->Arg(8)->Arg(16);
 
 /// One multi-device pipeline: state.range(0) devices, each card running an
 /// independent H2D -> kernel -> D2H chain.

@@ -22,7 +22,7 @@ case "${SANITIZER}" in
 esac
 
 TARGETS=(test_sim test_rt test_kern test_model test_trace test_telemetry test_analyze test_apps
-         test_integration)
+         test_integration test_capi)
 
 cmake -S "${SOURCE_DIR}" -B "${BUILD_DIR}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -43,6 +43,8 @@ export UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1 ${UBSAN_OPTIONS:-}"
 # test_apps: the ported apps across Direct/Interpreted/Compiled graph modes,
 # including batched replay through the compiled-graph arena.
 # test_integration: paper claims end to end.
+# test_capi: the flat C API, an external input surface (range resolution
+# of caller-supplied pointers and sizes).
 for t in "${TARGETS[@]}"; do
   "${BUILD_DIR}/tests/${t}"
 done

@@ -87,6 +87,8 @@ AppResult HotspotApp::run(const sim::SimConfig& cfg, const HotspotConfig& hc) {
     steps_phase.run([&] {
     std::vector<rt::Event> prev(tiles.size());
     std::vector<rt::Event> cur(tiles.size());
+    std::vector<rt::Event> deps;  // refilled per tile; self plus 4 neighbours
+    deps.reserve(5);
     for (int step = 0; step < hc.steps; ++step) {
       const std::size_t in = static_cast<std::size_t>(step % 2);
       const std::size_t out = 1 - in;
@@ -95,7 +97,7 @@ AppResult HotspotApp::run(const sim::SimConfig& cfg, const HotspotConfig& hc) {
         const std::size_t tr = t / tiles_per_row;
         const std::size_t tc = t % tiles_per_row;
 
-        std::vector<rt::Event> deps;
+        deps.clear();
         if (step > 0) {
           deps.push_back(prev[t]);
           if (tr > 0) deps.push_back(prev[tile_index(tr - 1, tc)]);

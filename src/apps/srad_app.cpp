@@ -177,8 +177,7 @@ AppResult SradApp::run(const sim::SimConfig& cfg, const SradConfig& sc) {
         }
         // The cross-phase dep on the previous update (or extract) kernel is
         // same-stream in graph modes: FIFO order already provides it.
-        s.enqueue_kernel(std::move(launch),
-                         graphed ? std::vector<rt::Event>{} : std::vector<rt::Event>{update_ev[t]});
+        s.enqueue_kernel(std::move(launch), graphed ? rt::Deps{} : rt::Deps{update_ev[t]});
         s.enqueue_d2h(bpart, t * 2 * sizeof(double), 2 * sizeof(double));
       }
       });
@@ -200,6 +199,8 @@ AppResult SradApp::run(const sim::SimConfig& cfg, const SradConfig& sc) {
       // --- diffusion coefficient ------------------------------------------
       diffusion_phase.run([&] {
       std::vector<rt::Event> coeff_ev(tiles.size());
+      std::vector<rt::Event> deps;  // refilled per tile; self plus 4 neighbours
+      deps.reserve(5);
       for (std::size_t t = 0; t < tiles.size(); ++t) {
         const rt::Tile2D tile = tiles[t];
         sim::KernelWork work;
@@ -236,7 +237,7 @@ AppResult SradApp::run(const sim::SimConfig& cfg, const SradConfig& sc) {
         const rt::Tile2D tile = tiles[t];
         const std::size_t tr = t / tiles_per_row;
         const std::size_t tc = t % tiles_per_row;
-        std::vector<rt::Event> deps{coeff_ev[t]};
+        deps.assign(1, coeff_ev[t]);
         if (tr > 0) deps.push_back(coeff_ev[tile_index(tr - 1, tc)]);
         if (tc > 0) deps.push_back(coeff_ev[tile_index(tr, tc - 1)]);
         if (tr + 1 < tile_rows_count) deps.push_back(coeff_ev[tile_index(tr + 1, tc)]);
@@ -300,8 +301,7 @@ AppResult SradApp::run(const sim::SimConfig& cfg, const SradConfig& sc) {
       // graph modes.
       compress_ev[t] =
           ctx.stream(static_cast<int>(t) % streams)
-              .enqueue_kernel(std::move(launch), graphed ? std::vector<rt::Event>{}
-                                                         : std::vector<rt::Event>{update_ev[t]});
+              .enqueue_kernel(std::move(launch), graphed ? rt::Deps{} : rt::Deps{update_ev[t]});
     }
     for (std::size_t b = 0; b < bands.size(); ++b) {
       std::vector<rt::Event> deps;

@@ -48,9 +48,13 @@ bool resolve_range(const void* p, std::size_t bytes, Resolved* out) {
   --it;
   const std::byte* base = it->first;
   const std::size_t size = it->second.first;
-  if (key < base || key + bytes > base + size) return false;
+  if (key < base) return false;
+  // Compare sizes, not pointers: `key + bytes` can run past the address
+  // space for a huge `bytes`.
+  const auto offset = static_cast<std::size_t>(key - base);
+  if (offset > size || bytes > size - offset) return false;
   out->id = it->second.second;
-  out->offset = static_cast<std::size_t>(key - base);
+  out->offset = offset;
   return true;
 }
 

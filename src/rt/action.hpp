@@ -39,26 +39,30 @@ struct KernelLaunch {
         fn(std::move(fn_)),
         accesses(std::move(accesses_)) {}
 
-  KernelLaunch& reads(BufferId b, MemRange r) {
-    accesses.push_back({b, AccessMode::Read, r});
-    return *this;
-  }
+  KernelLaunch& reads(BufferId b, MemRange r) { return declare({b, AccessMode::Read, r}); }
   KernelLaunch& reads(BufferId b, std::size_t offset, std::size_t len) {
     return reads(b, MemRange::flat(offset, len));
   }
-  KernelLaunch& writes(BufferId b, MemRange r) {
-    accesses.push_back({b, AccessMode::Write, r});
-    return *this;
-  }
+  KernelLaunch& writes(BufferId b, MemRange r) { return declare({b, AccessMode::Write, r}); }
   KernelLaunch& writes(BufferId b, std::size_t offset, std::size_t len) {
     return writes(b, MemRange::flat(offset, len));
   }
   KernelLaunch& reads_writes(BufferId b, MemRange r) {
-    accesses.push_back({b, AccessMode::ReadWrite, r});
-    return *this;
+    return declare({b, AccessMode::ReadWrite, r});
   }
   KernelLaunch& reads_writes(BufferId b, std::size_t offset, std::size_t len) {
     return reads_writes(b, MemRange::flat(offset, len));
+  }
+
+private:
+  /// Room for the widest app declaration (srad's update kernel: 8), reserved
+  /// on the first one so a launch grows its access list at most once.
+  static constexpr std::size_t kAccessReserve = 8;
+
+  KernelLaunch& declare(const BufferAccess& acc) {
+    if (accesses.capacity() == 0) accesses.reserve(kAccessReserve);
+    accesses.push_back(acc);
+    return *this;
   }
 };
 
@@ -84,7 +88,7 @@ struct Action {
   /// Completion state, shared with user-held Events. Null for actions issued
   /// by a compiled graph, whose intra-graph dependents are notified through
   /// `graph_run` instead of per-state waiter lists.
-  std::shared_ptr<ActionState> state;
+  StateRef state;
 
   // Compiled-graph hook ----------------------------------------------------
   void* graph_run = nullptr;    ///< CompiledGraph run this action belongs to

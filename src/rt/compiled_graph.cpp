@@ -100,7 +100,7 @@ CompiledGraph::CompiledGraph(const Graph& g, Context& ctx, const CompileOptions&
       case ActionKind::H2D:
       case ActionKind::D2H: {
         const std::size_t size = ctx.buffer_size(src.buffer);  // throws on unknown handle
-        if (src.offset + src.bytes > size) {
+        if (src.offset > size || src.bytes > size - src.offset) {
           throw Error("Graph::compile: node " + std::to_string(i) +
                       " transfer range exceeds buffer size");
         }
@@ -297,7 +297,7 @@ void CompiledGraph::validate_for(Context& ctx) {
       case ActionKind::H2D:
       case ActionKind::D2H: {
         const std::size_t size = ctx.buffer_size(pn.buffer);  // throws on unknown handle
-        if (pn.offset + pn.bytes > size) {
+        if (pn.offset > size || pn.bytes > size - pn.offset) {
           throw Error("CompiledGraph::launch: transfer range exceeds buffer size on this context");
         }
         if (ctx.buffer_backed(pn.buffer)) {
@@ -468,8 +468,7 @@ Event CompiledGraph::issue_batch(Context& ctx, Run& run) {
   }
   // The batch's completion event hangs off the final instance's barrier.
   detail::Action& last = run.slab[run.target - 1];
-  last.state = std::allocate_shared<detail::ActionState>(
-      detail::PoolAlloc<detail::ActionState>(ctx.state_pool_));
+  last.state = ctx.make_state();
   return Event{last.state};
 }
 

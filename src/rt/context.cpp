@@ -16,6 +16,13 @@
 
 namespace ms::rt {
 
+void detail::free_state(ActionState* s) noexcept {
+  StateStore* store = s->store;
+  s->~ActionState();
+  StatePool::deallocate(store->states, s);
+  StateStoreRelease{}(store);
+}
+
 namespace {
 bool env_analyze() {
   const char* v = std::getenv("MS_ANALYZE");
@@ -99,12 +106,19 @@ Context::~Context() {
   if (recorder_) recorder_->finalize();
   // Actions still in flight (a Context dropped without synchronize()) are
   // placement-constructed in pool nodes, so run their destructors before the
-  // store releases the chunks. In-order queues hold every live action.
+  // store releases the chunks. In-order queues hold every live action; arena
+  // actions belong to their compiled graph's slab and are left to it. Only
+  // in-flight states can hold waiter edges: detach them, since the actions
+  // the edges name die here even when an Event keeps the state alive.
   for (const auto& s : streams_) {
     while (!s->queue_.empty()) {
       detail::Action* a = s->queue_.front();
       s->queue_.pop_front();
-      a->~Action();
+      if (a->state) {
+        a->state->waiters_head = nullptr;
+        a->state->waiters_tail = nullptr;
+      }
+      if (a->pooled) a->~Action();
     }
   }
 }
@@ -335,7 +349,7 @@ void Context::end_capture() {
   capture_ = nullptr;
 }
 
-std::vector<std::size_t> Context::capture_deps(const std::vector<Event>& deps) const {
+std::vector<std::size_t> Context::capture_deps(Deps deps) const {
   std::vector<std::size_t> ids;
   ids.reserve(deps.size());
   for (const Event& e : deps) {
@@ -358,15 +372,14 @@ std::vector<std::size_t> Context::capture_deps(const std::vector<Event>& deps) c
 }
 
 Event Context::capture_phantom(std::size_t node) {
-  auto state = std::allocate_shared<detail::ActionState>(
-      detail::PoolAlloc<detail::ActionState>(state_pool_));
+  detail::StateRef state = make_state();
   state->capture_node = static_cast<std::uint64_t>(node) + 1;
   state->capture_owner = capture_;
   return Event{std::move(state)};
 }
 
 Event Context::capture_transfer(ActionKind kind, int stream, BufferId buf, std::size_t offset,
-                                std::size_t bytes, const std::vector<Event>& deps) {
+                                std::size_t bytes, Deps deps) {
   auto ids = capture_deps(deps);
   const std::size_t node =
       kind == ActionKind::H2D ? capture_->add_h2d(stream, buf, offset, bytes, std::move(ids))
@@ -374,12 +387,12 @@ Event Context::capture_transfer(ActionKind kind, int stream, BufferId buf, std::
   return capture_phantom(node);
 }
 
-Event Context::capture_kernel(int stream, KernelLaunch launch, const std::vector<Event>& deps) {
+Event Context::capture_kernel(int stream, KernelLaunch launch, Deps deps) {
   auto ids = capture_deps(deps);
   return capture_phantom(capture_->add_kernel(stream, std::move(launch), std::move(ids)));
 }
 
-Event Context::capture_barrier(int stream, const std::vector<Event>& deps) {
+Event Context::capture_barrier(int stream, Deps deps) {
   auto ids = capture_deps(deps);
   return capture_phantom(capture_->add_barrier(stream, std::move(ids)));
 }
@@ -387,11 +400,7 @@ Event Context::capture_barrier(int stream, const std::vector<Event>& deps) {
 detail::Action* Context::acquire_action() {
   ++tel_.actions;
   auto* a = new (ActionPool::allocate(action_store_)) detail::Action;
-  // Control block + state live in one pool node; the pool store is kept
-  // alive by the allocator copy inside the control block, so states held
-  // by user Events may safely outlive this Context.
-  a->state = std::allocate_shared<detail::ActionState>(
-      detail::PoolAlloc<detail::ActionState>(state_pool_));
+  a->state = make_state();
   return a;
 }
 
@@ -400,10 +409,17 @@ detail::Action* Context::acquire_action_raw() {
   return new (ActionPool::allocate(action_store_)) detail::Action;
 }
 
+detail::StateRef Context::make_state() {
+  auto* s = new (detail::StatePool::allocate(states_->states)) detail::ActionState;
+  s->store = states_.get();
+  ++states_->refs;
+  return detail::StateRef(s);
+}
+
 void Context::release_action(detail::Action* a) {
   // Destroying the Action drops its state reference; the state's node goes
   // straight back to the pool unless some Event still holds it (then it is
-  // freed into the — still alive — store when the last Event dies).
+  // freed into the store, kept alive by its count, when the last Event dies).
   a->~Action();
   ActionPool::deallocate(action_store_, a);
 }

@@ -241,27 +241,27 @@ private:
   // --- Graph capture internals ----------------------------------------------
 
   Event capture_transfer(ActionKind kind, int stream, BufferId buf, std::size_t offset,
-                         std::size_t bytes, const std::vector<Event>& deps);
-  Event capture_kernel(int stream, KernelLaunch launch, const std::vector<Event>& deps);
-  Event capture_barrier(int stream, const std::vector<Event>& deps);
+                         std::size_t bytes, Deps deps);
+  Event capture_kernel(int stream, KernelLaunch launch, Deps deps);
+  Event capture_barrier(int stream, Deps deps);
   /// Map dependency events to captured node ids (phantoms), dropping done
   /// real events and rejecting pending ones.
-  std::vector<std::size_t> capture_deps(const std::vector<Event>& deps) const;
+  std::vector<std::size_t> capture_deps(Deps deps) const;
   Event capture_phantom(std::size_t node);
 
   // --- Action / state pools ---------------------------------------------------
   //
   // Streams acquire Actions here per enqueue and release them on completion.
-  // Both Actions and their ActionStates live in fixed-node pools with
-  // intrusive free lists (and depot-recycled chunk storage), so steady-state
-  // scheduling performs no heap allocation and a destroyed Context leaves
-  // its pages parked for the next one instead of faulting them back in.
+  // Actions, their ActionStates and the waiter edges between them live in
+  // fixed-node pools with intrusive free lists (and depot-recycled chunk
+  // storage), so steady-state scheduling performs no heap allocation and a
+  // destroyed Context leaves its pages parked for the next one instead of
+  // faulting them back in.
 
-  /// Node class sized for a placement-new'd Action (rounded to preserve
-  /// max alignment between consecutive nodes).
-  using ActionPool = detail::NodePool<(sizeof(detail::Action) + alignof(std::max_align_t) - 1) /
-                                      alignof(std::max_align_t) * alignof(std::max_align_t)>;
+  using ActionPool = detail::NodePool<detail::kPoolNodeBytes<detail::Action>>;
 
+  /// A fresh completion state from this context's store.
+  [[nodiscard]] detail::StateRef make_state();
   [[nodiscard]] detail::Action* acquire_action();
   /// Action without a completion state: compiled-graph nodes notify their
   /// dependents through the flattened plan, so no Event/waiter state exists
@@ -300,7 +300,7 @@ private:
   std::uint64_t next_buffer_ = 1;
   ActionPool::Store action_store_;
   TelTally tel_;
-  std::shared_ptr<detail::StatePool::Store> state_pool_ = detail::StatePool::make_store();
+  std::unique_ptr<detail::StateStore, detail::StateStoreRelease> states_{new detail::StateStore};
   /// Present only when analyzing (ContextConfig::analyze / MS_ANALYZE=1 /
   /// installed analyze::Capture); the hot path pays one branch when absent.
   std::unique_ptr<analyze::Recorder> recorder_;

@@ -2,9 +2,9 @@
 
 #include <cstddef>
 #include <memory>
-#include <new>
 #include <vector>
 
+#include "rt/event.hpp"
 #include "sim/chunk_depot.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -27,11 +27,8 @@ inline telemetry::Counter& pool_chunks_grown() {
 /// create-run-destroy context loop reuses the same committed pages instead
 /// of faulting fresh ones in every lifetime.
 ///
-/// The store is held by `shared_ptr` when nodes can outlive their owner
-/// (action states referenced by user-retained Events keep the store alive
-/// through the allocator copy inside their control block). Not thread-safe:
-/// nodes must be acquired and released on the thread that owns the store,
-/// which is already the Context-wide contract.
+/// Not thread-safe: nodes must be acquired and released on the thread that
+/// owns the store, which is already the Context-wide contract.
 template <std::size_t NodeBytes>
 class NodePool {
   static_assert(NodeBytes >= sizeof(void*), "node must hold a free-list link");
@@ -56,8 +53,6 @@ public:
       }
     }
   };
-
-  [[nodiscard]] static std::shared_ptr<Store> make_store() { return std::make_shared<Store>(); }
 
   /// Pop a node (growing by one chunk when the free list is empty).
   [[nodiscard]] static void* allocate(Store& st) {
@@ -86,59 +81,33 @@ private:
   }
 };
 
-/// Node class backing `std::allocate_shared<ActionState>`: state + control
-/// block + allocator copy fit comfortably in one node.
-using StatePool = NodePool<128>;
-
-/// Minimal allocator over a shared StatePool store. Allocations that do not
-/// fit a node (rebinds to oversized types, n > 1 array forms) fall through
-/// to the global heap — decided at compile time from sizeof(T), so the hot
-/// single-node path has no branches beyond the free-list check.
+/// Node size for a placement-new'd T, rounded up to keep consecutive nodes
+/// max-aligned.
 template <typename T>
-class PoolAlloc {
-public:
-  using value_type = T;
+inline constexpr std::size_t kPoolNodeBytes =
+    (sizeof(T) + alignof(std::max_align_t) - 1) / alignof(std::max_align_t) *
+    alignof(std::max_align_t);
 
-  explicit PoolAlloc(std::shared_ptr<StatePool::Store> store) noexcept
-      : store_(std::move(store)) {}
+using StatePool = NodePool<kPoolNodeBytes<ActionState>>;
+using EdgePool = NodePool<kPoolNodeBytes<WaitEdge>>;
 
-  template <typename U>
-  PoolAlloc(const PoolAlloc<U>& other) noexcept : store_(other.store()) {}
+/// Home of a Context's ActionStates and of the waiter edges hung on them
+/// (an edge lives in the store of the state it waits for, so it is freed
+/// into the pool it came from even when the dependent is on another
+/// Context). `refs` counts live states plus one for the Context itself: a
+/// state still held by an Event after its Context is gone keeps the chunks
+/// alive, and the last one out frees the store.
+struct StateStore {
+  StatePool::Store states;
+  EdgePool::Store edges;
+  std::size_t refs = 1;
+};
 
-  [[nodiscard]] T* allocate(std::size_t n) {
-    if constexpr (!fits()) {
-      return static_cast<T*>(::operator new(n * sizeof(T)));
-    } else {
-      if (n != 1) return static_cast<T*>(::operator new(n * sizeof(T)));
-      return static_cast<T*>(StatePool::allocate(*store_));
-    }
+/// Drops the owning Context's share of its StateStore.
+struct StateStoreRelease {
+  void operator()(StateStore* st) const noexcept {
+    if (--st->refs == 0) delete st;
   }
-
-  void deallocate(T* p, std::size_t n) noexcept {
-    if constexpr (!fits()) {
-      ::operator delete(p);
-      (void)n;
-    } else {
-      if (n != 1) {
-        ::operator delete(p);
-        return;
-      }
-      StatePool::deallocate(*store_, p);
-    }
-  }
-
-  [[nodiscard]] const std::shared_ptr<StatePool::Store>& store() const noexcept { return store_; }
-
-  friend bool operator==(const PoolAlloc& a, const PoolAlloc& b) noexcept {
-    return a.store_ == b.store_;
-  }
-
-private:
-  static constexpr bool fits() noexcept {
-    return sizeof(T) <= StatePool::kNodeBytes && alignof(T) <= alignof(std::max_align_t);
-  }
-
-  std::shared_ptr<StatePool::Store> store_;
 };
 
 }  // namespace ms::rt::detail

@@ -22,20 +22,18 @@ Stream::Stream(Context& ctx, int index, int device, int partition)
       device_(device),
       partition_(partition) {}
 
-Event Stream::enqueue_h2d(BufferId buf, std::size_t offset, std::size_t bytes,
-                          const std::vector<Event>& deps) {
+Event Stream::enqueue_h2d(BufferId buf, std::size_t offset, std::size_t bytes, Deps deps) {
   return enqueue_transfer(ActionKind::H2D, buf, offset, bytes, deps);
 }
 
-Event Stream::enqueue_d2h(BufferId buf, std::size_t offset, std::size_t bytes,
-                          const std::vector<Event>& deps) {
+Event Stream::enqueue_d2h(BufferId buf, std::size_t offset, std::size_t bytes, Deps deps) {
   return enqueue_transfer(ActionKind::D2H, buf, offset, bytes, deps);
 }
 
 Event Stream::enqueue_transfer(ActionKind kind, BufferId buf, std::size_t offset,
-                               std::size_t bytes, const std::vector<Event>& deps) {
+                               std::size_t bytes, Deps deps) {
   const auto& rec = ctx_->buffer_rec(buf);
-  if (offset + bytes > rec.bytes) {
+  if (offset > rec.bytes || bytes > rec.bytes - offset) {
     throw Error("Stream::enqueue transfer: range exceeds buffer size");
   }
   if (bytes == 0) {
@@ -73,7 +71,7 @@ Event Stream::enqueue_transfer(ActionKind kind, BufferId buf, std::size_t offset
   return enqueue_common(a, deps);
 }
 
-Event Stream::enqueue_kernel(KernelLaunch launch, const std::vector<Event>& deps) {
+Event Stream::enqueue_kernel(KernelLaunch launch, Deps deps) {
   if (ctx_->capture_ != nullptr) {
     return ctx_->capture_kernel(index_, std::move(launch), deps);
   }
@@ -92,7 +90,7 @@ Event Stream::enqueue_kernel(KernelLaunch launch, const std::vector<Event>& deps
   return enqueue_common(a, deps, &launch);
 }
 
-Event Stream::enqueue_barrier(const std::vector<Event>& deps) {
+Event Stream::enqueue_barrier(Deps deps) {
   if (ctx_->capture_ != nullptr) {
     return ctx_->capture_barrier(index_, deps);
   }
@@ -102,28 +100,29 @@ Event Stream::enqueue_barrier(const std::vector<Event>& deps) {
   return enqueue_common(a, deps);
 }
 
-Event Stream::enqueue_common(Action* a, const std::vector<Event>& deps,
-                             const KernelLaunch* launch) {
+Event Stream::enqueue_common(Action* a, Deps deps, const KernelLaunch* launch) {
   if (ctx_->recorder_) record_enqueue(a, deps, launch);
   a->ready_floor = ctx_->host_issue();
 
   // Wire cross-stream dependencies. Completed deps only raise the ready
-  // floor; pending ones register a waiter that re-arms this action.
+  // floor; pending ones append an edge to the dep's waiter list, which
+  // re-arms this action when the dep completes. The dep's state is kept
+  // alive by its still-pending Action, so the edge needs no reference.
   for (const Event& e : deps) {
     if (!e.valid() || e.done()) {
       a->ready_floor = sim::max(a->ready_floor, e.time());
       continue;
     }
     ++a->deps_pending;
-    // The dep's state is kept alive by its still-pending Action (and is only
-    // recycled after complete() has fired every waiter), so a raw pointer is
-    // safe and skips two refcount round-trips per dependency.
     detail::ActionState* dep = e.state_.get();
-    Stream* self = this;
-    dep->waiters.push_back(detail::ActionState::Waiter([self, a, dep] {
-      a->ready_floor = sim::max(a->ready_floor, dep->end);
-      if (--a->deps_pending == 0) self->maybe_arm(a);
-    }));
+    auto* edge = new (detail::EdgePool::allocate(dep->store->edges))
+        detail::WaitEdge{nullptr, this, a};
+    if (dep->waiters_tail != nullptr) {
+      dep->waiters_tail->next = edge;
+    } else {
+      dep->waiters_head = edge;
+    }
+    dep->waiters_tail = edge;
   }
 
   queue_.push_back(a);
@@ -137,8 +136,7 @@ Event Stream::enqueue_common(Action* a, const std::vector<Event>& deps,
 // Off the scheduling path entirely: builds the analyzer's view of this
 // enqueue (node + event edges) and stamps the action's state with the node
 // id so later enqueues can name it as a dependency.
-void Stream::record_enqueue(Action* a, const std::vector<Event>& deps,
-                            const KernelLaunch* launch) {
+void Stream::record_enqueue(Action* a, Deps deps, const KernelLaunch* launch) {
   analyze::Recorder& rec = *ctx_->recorder_;
   std::vector<std::uint64_t> dep_ids;
   dep_ids.reserve(deps.size());
@@ -322,7 +320,7 @@ void Stream::on_complete(Action* a) {
   // Same notification order as the interpreted path: external waiters (the
   // state's, when one exists) fire before graph dependents, and both before
   // the stream's next action arms.
-  if (a->state) a->state->complete(now);
+  if (a->state) complete_state(*a->state.get(), now);
   if (a->graph_run != nullptr) detail::compiled_graph_notify(a->graph_run, a->graph_node, now);
 
   if (!queue_.empty()) {
@@ -334,6 +332,22 @@ void Stream::on_complete(Action* a) {
   // Notification and successor arming are done; recycle the action. Arena
   // actions stay in their slab — the owning batch refreshes them in place.
   if (pooled) ctx_->release_action(a);
+}
+
+void Stream::complete_state(detail::ActionState& st, sim::SimTime now) {
+  st.done = true;
+  st.end = now;
+  // Detach first: a dependent may enqueue work that waits on this same
+  // state, which now takes the completed-dep path instead.
+  detail::WaitEdge* edge = std::exchange(st.waiters_head, nullptr);
+  st.waiters_tail = nullptr;
+  while (edge != nullptr) {
+    const detail::WaitEdge e = *edge;
+    detail::EdgePool::deallocate(st.store->edges, edge);
+    e.action->ready_floor = sim::max(e.action->ready_floor, now);
+    if (--e.action->deps_pending == 0) e.stream->maybe_arm(e.action);
+    edge = e.next;
+  }
 }
 
 void Stream::synchronize() {

@@ -1,7 +1,8 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "rt/action.hpp"
@@ -19,6 +20,28 @@ namespace ms::rt {
 
 class Context;
 
+/// Non-owning view of the events an enqueue waits for. Accepts a braced list
+/// (`{a, b}`), a `std::vector<Event>` or a span, so callers pass whatever
+/// they hold without building a temporary vector per call.
+///
+/// A parameter type only: it points into the caller's storage (for a braced
+/// list, an array that dies at the end of the calling statement), so never
+/// store one or return it.
+class Deps {
+public:
+  Deps() noexcept = default;
+  Deps(std::initializer_list<Event> list) noexcept : events_(list.begin(), list.size()) {}
+  Deps(const std::vector<Event>& events) noexcept : events_(events) {}
+  Deps(std::span<const Event> events) noexcept : events_(events) {}
+
+  [[nodiscard]] const Event* begin() const noexcept { return events_.data(); }
+  [[nodiscard]] const Event* end() const noexcept { return events_.data() + events_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
+
+private:
+  std::span<const Event> events_;
+};
+
 /// One logical stream, bound to one partition of one coprocessor (the
 /// hStreams logical/physical mapping of Fig. 3). Actions enqueued into a
 /// stream execute strictly in order; actions in *different* streams overlap
@@ -35,20 +58,18 @@ public:
 
   /// Asynchronously copy [offset, offset+bytes) of the buffer's host range
   /// to this stream's device instantiation. Returns a completion event.
-  Event enqueue_h2d(BufferId buf, std::size_t offset, std::size_t bytes,
-                    const std::vector<Event>& deps = {});
+  Event enqueue_h2d(BufferId buf, std::size_t offset, std::size_t bytes, Deps deps = {});
 
   /// Device-to-host counterpart of enqueue_h2d.
-  Event enqueue_d2h(BufferId buf, std::size_t offset, std::size_t bytes,
-                    const std::vector<Event>& deps = {});
+  Event enqueue_d2h(BufferId buf, std::size_t offset, std::size_t bytes, Deps deps = {});
 
   /// Launch a kernel on this stream's partition.
-  Event enqueue_kernel(KernelLaunch launch, const std::vector<Event>& deps = {});
+  Event enqueue_kernel(KernelLaunch launch, Deps deps = {});
 
   /// Enqueue a zero-duration marker that completes once every `deps` event
   /// AND every earlier action of this stream has completed — a cross-stream
   /// join point without blocking the host (CUDA's event-wait pattern).
-  Event enqueue_barrier(const std::vector<Event>& deps = {});
+  Event enqueue_barrier(Deps deps = {});
 
   /// Block the host until every action in this stream has completed; charges
   /// the paper's stream-synchronization overhead to the host clock.
@@ -72,16 +93,17 @@ private:
   void push_compiled(detail::Action* a);
 
   Event enqueue_transfer(ActionKind kind, BufferId buf, std::size_t offset, std::size_t bytes,
-                         const std::vector<Event>& deps);
-  Event enqueue_common(detail::Action* a, const std::vector<Event>& deps,
-                       const KernelLaunch* launch = nullptr);
-  void record_enqueue(detail::Action* a, const std::vector<Event>& deps,
-                      const KernelLaunch* launch);
+                         Deps deps);
+  Event enqueue_common(detail::Action* a, Deps deps, const KernelLaunch* launch = nullptr);
+  void record_enqueue(detail::Action* a, Deps deps, const KernelLaunch* launch);
   void maybe_arm(detail::Action* a);
   void start(detail::Action* a);
   void start_transfer_chunked(detail::Action* a, sim::Direction dir, std::size_t chunk,
                               sim::SimTime now);
   void on_complete(detail::Action* a);
+  /// Mark `st` complete at `now` and fire its waiter edges in registration
+  /// order, returning each edge to the state's pool.
+  static void complete_state(detail::ActionState& st, sim::SimTime now);
 
   Context* ctx_;
   // Cached hot-path plumbing, stable for this stream's lifetime: streams are

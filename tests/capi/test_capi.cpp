@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -107,6 +108,21 @@ TEST(CApi, RangeOverflowingBufferIsRejected) {
   EXPECT_EQ(mstream_app_xfer_memory(buf.data() + 8, 9 * sizeof(float), 0, MSTREAM_HOST_TO_SINK,
                                     nullptr),
             MSTREAM_ERR_UNKNOWN_BUFFER);
+}
+
+TEST(CApi, WrappingRangeIsRejected) {
+  // key + bytes overflows the address space; resolution must compare sizes.
+  CApiSession session(2);
+  std::vector<unsigned char> buf(1024, 0);
+  ASSERT_EQ(mstream_app_create_buf(buf.data(), buf.size()), MSTREAM_SUCCESS);
+  mstream_event ev = 0;
+  EXPECT_EQ(mstream_app_xfer_memory(buf.data() + 16, SIZE_MAX - 8, 0, MSTREAM_HOST_TO_SINK, &ev),
+            MSTREAM_ERR_UNKNOWN_BUFFER);
+  EXPECT_EQ(mstream_app_xfer_memory(buf.data() + 1023, 2, 0, MSTREAM_SINK_TO_HOST, &ev),
+            MSTREAM_ERR_UNKNOWN_BUFFER);
+  EXPECT_EQ(mstream_app_xfer_memory(buf.data() + 1023, 1, 0, MSTREAM_SINK_TO_HOST, &ev),
+            MSTREAM_SUCCESS);
+  EXPECT_EQ(mstream_app_thread_sync(), MSTREAM_SUCCESS);
 }
 
 TEST(CApi, DestroyBufThenUseFails) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -329,6 +330,29 @@ TEST(CompiledGraphErrors, OutOfRangeTransferSurfacesAtCompile) {
   Graph g;
   g.add_h2d(0, buf, 4000, 1024);  // runs past the end
   EXPECT_THROW((void)g.compile(ctx), Error);
+}
+
+TEST(CompiledGraphErrors, WrappingTransferRangeSurfacesAtCompile) {
+  // offset + bytes wraps around SIZE_MAX; a wrapped sum would pass a naive
+  // bound check.
+  Context ctx(cfg());
+  const auto buf = ctx.create_virtual_buffer(1024);
+  Graph g;
+  g.add_h2d(0, buf, 16, std::numeric_limits<std::size_t>::max() - 8);
+  EXPECT_THROW((void)g.compile(ctx), Error);
+}
+
+TEST(CompiledGraphErrors, LaunchOnContextWithSmallerBufferThrows) {
+  Context a(cfg());
+  const auto buf = a.create_virtual_buffer(4096);
+  Graph g;
+  g.add_h2d(0, buf, 2048, 2048);
+  CompiledGraph cg = g.compile(a);
+
+  // Same handle, same platform, but the buffer is too small for the range.
+  Context b(cfg());
+  ASSERT_EQ(b.create_virtual_buffer(1024).value, buf.value);
+  EXPECT_THROW((void)cg.launch(b), Error);
 }
 
 TEST(CompiledGraphErrors, LaunchOnIncompatibleConfigThrows) {

@@ -1,42 +1,16 @@
 // Proves the compiled-graph zero-allocation steady state: after a warm-up
 // replay has grown the action/state/run pools and the engine heap to the
 // graph's high-water mark, launch()/synchronize() cycles perform no heap
-// allocation at all. Checked with a counting global operator new (the same
-// harness as sim/test_engine_alloc.cpp) so it cannot silently regress.
+// allocation at all. Checked with the binary's counting global operator new
+// (tests/alloc_counter.cpp) so it cannot silently regress.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_counter.hpp"
 #include "rt/compiled_graph.hpp"
 #include "rt/context.hpp"
 #include "rt/graph.hpp"
 #include "rt/tile_plan.hpp"
-
-namespace {
-
-std::atomic<std::size_t> g_allocs{0};
-
-}  // namespace
-
-// Counting wrappers for the whole test binary; only the deltas sampled
-// inside the tests below matter.
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace ms::rt {
 namespace {
@@ -73,12 +47,12 @@ TEST(CompiledGraphAlloc, SteadyStateReplayAllocatesNothing) {
     ctx.synchronize();
   }
 
-  const std::size_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::size_t before = test::alloc_count();
   for (int i = 0; i < 100; ++i) {
     cg.launch(ctx);
     ctx.synchronize();
   }
-  const std::size_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::size_t after = test::alloc_count();
   EXPECT_EQ(after - before, 0u) << "steady-state compiled replay must not allocate";
 }
 
@@ -98,12 +72,12 @@ TEST(CompiledGraphAlloc, SteadyStateBatchAllocatesNothing) {
     ctx.synchronize();
   }
 
-  const std::size_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::size_t before = test::alloc_count();
   for (int i = 0; i < 50; ++i) {
     cg.launch_batch(ctx, 16, /*stream_rotation=*/1);
     ctx.synchronize();
   }
-  const std::size_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::size_t after = test::alloc_count();
   EXPECT_EQ(after - before, 0u) << "steady-state batched replay must not allocate";
 }
 
@@ -125,12 +99,12 @@ TEST(CompiledGraphAlloc, SteadyStateArenaBatchAllocatesNothing) {
     ctx.synchronize();
   }
 
-  const std::size_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::size_t before = test::alloc_count();
   for (int i = 0; i < 50; ++i) {
     cg.launch_batch(ctx, 16);
     ctx.synchronize();
   }
-  const std::size_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::size_t after = test::alloc_count();
   EXPECT_EQ(after - before, 0u) << "steady-state arena batch must not allocate";
 }
 

@@ -1,0 +1,93 @@
+// Proves the direct-issue zero-allocation steady state: once a warm-up pass
+// has grown the action/state/edge pools and the engine heap, a
+// hotspot-shaped grid of Stream::enqueue_kernel calls with up to five
+// dependencies each, plus synchronize(), performs no heap allocation.
+// Declared accesses may cost one allocation per kernel (the access list).
+
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <utility>
+#include <vector>
+
+#include "alloc_counter.hpp"
+#include "rt/context.hpp"
+
+namespace ms::rt {
+namespace {
+
+constexpr std::size_t kSide = 8;  ///< kSide x kSide tiles
+constexpr int kSteps = 6;
+
+/// A Hotspot-style stencil on one context: every step, each tile's kernel
+/// waits for itself and its four neighbours from the previous step.
+struct Grid {
+  Grid() : ctx(sim::SimConfig::phi_31sp()) {
+    ctx.setup(4);
+    ctx.set_tracing(false);
+    buf = ctx.create_virtual_buffer(kSide * kSide * 64);
+    prev.resize(kSide * kSide);
+    cur.resize(kSide * kSide);
+    deps.reserve(5);
+  }
+
+  /// One pass plus synchronize(); returns the number of kernels issued.
+  std::size_t pass(bool declare) {
+    const auto at = [](std::size_t r, std::size_t c) { return r * kSide + c; };
+    std::size_t kernels = 0;
+    for (int step = 0; step < kSteps; ++step) {
+      for (std::size_t t = 0; t < kSide * kSide; ++t) {
+        const std::size_t r = t / kSide;
+        const std::size_t c = t % kSide;
+        deps.clear();
+        if (step > 0) {
+          deps.push_back(prev[t]);
+          if (r > 0) deps.push_back(prev[at(r - 1, c)]);
+          if (r + 1 < kSide) deps.push_back(prev[at(r + 1, c)]);
+          if (c > 0) deps.push_back(prev[at(r, c - 1)]);
+          if (c + 1 < kSide) deps.push_back(prev[at(r, c + 1)]);
+        }
+        KernelLaunch launch;
+        launch.label = "stencil";
+        launch.work.kind = sim::KernelKind::Stencil;
+        launch.work.elems = 1e4;
+        if (declare) {
+          launch.reads(buf, t * 64, 64);
+          launch.writes(buf, t * 64, 64);
+        }
+        cur[t] = ctx.stream(static_cast<int>(t % 4)).enqueue_kernel(std::move(launch), deps);
+        ++kernels;
+      }
+      std::swap(prev, cur);
+    }
+    ctx.synchronize();
+    return kernels;
+  }
+
+  Context ctx;
+  BufferId buf;
+  std::vector<Event> prev, cur, deps;
+};
+
+TEST(DirectIssueAlloc, SteadyStateStencilAllocatesNothing) {
+  Grid g;
+  for (int i = 0; i < 3; ++i) (void)g.pass(/*declare=*/false);
+
+  const std::size_t before = test::alloc_count();
+  for (int i = 0; i < 10; ++i) (void)g.pass(/*declare=*/false);
+  EXPECT_EQ(test::alloc_count() - before, 0u)
+      << "steady-state direct issue with dependencies must not allocate";
+}
+
+TEST(DirectIssueAlloc, DeclaredAccessesCostAtMostOneAllocationPerKernel) {
+  Grid g;
+  for (int i = 0; i < 3; ++i) (void)g.pass(/*declare=*/true);
+
+  const std::size_t before = test::alloc_count();
+  std::size_t kernels = 0;
+  for (int i = 0; i < 10; ++i) kernels += g.pass(/*declare=*/true);
+  EXPECT_LE(test::alloc_count() - before, kernels);
+}
+
+}  // namespace
+}  // namespace ms::rt

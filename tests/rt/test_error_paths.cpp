@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -94,6 +97,20 @@ TEST(ErrorPaths, NegativeTransferSizesAreImpossibleByType) {
   EXPECT_THROW(ctx.stream(0).enqueue_h2d(buf, 8, 9), Error);
   EXPECT_THROW(ctx.stream(0).enqueue_h2d(buf, 16, 1), Error);
   EXPECT_NO_THROW(ctx.stream(0).enqueue_h2d(buf, 15, 1));
+  ctx.synchronize();
+}
+
+TEST(ErrorPaths, WrappingTransferRangeIsRejected) {
+  // offset + bytes wraps around SIZE_MAX; the check must not, or the
+  // payload copy would write outside the device buffer.
+  Context ctx(cfg());
+  std::vector<std::byte> host(1024);
+  const auto buf = ctx.create_buffer(std::span(host));
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(ctx.stream(0).enqueue_h2d(buf, max, 2), Error);
+  EXPECT_THROW(ctx.stream(0).enqueue_d2h(buf, 16, max - 8), Error);
+  EXPECT_THROW(ctx.stream(0).enqueue_h2d(buf, 1025, 1), Error);
+  EXPECT_NO_THROW(ctx.stream(0).enqueue_h2d(buf, 1023, 1));
   ctx.synchronize();
 }
 

@@ -151,5 +151,72 @@ TEST(Events, EventTimeMatchesSpanEnd) {
   EXPECT_EQ(e.time(), ctx.timeline().spans()[0].end);
 }
 
+TEST(Events, EventOutlivesItsContext) {
+  Event done_ev;
+  Event pending_ev;
+  sim::SimTime end = sim::SimTime::zero();
+  {
+    Context ctx(cfg());
+    ctx.setup(2);
+    done_ev = ctx.stream(0).enqueue_kernel({"k", work(), {}});
+    ctx.synchronize();
+    end = done_ev.time();
+    pending_ev = ctx.stream(1).enqueue_kernel({"never-run", work(), {}});
+  }
+  // The states (and the store holding them) outlive the context.
+  EXPECT_TRUE(done_ev.done());
+  EXPECT_EQ(done_ev.time(), end);
+  EXPECT_GT(end, sim::SimTime::zero());
+  const Event copy = done_ev;
+  EXPECT_EQ(copy.time(), end);
+  EXPECT_TRUE(pending_ev.valid());
+  EXPECT_FALSE(pending_ev.done());
+}
+
+TEST(Events, ContextDestroyedWithPendingWaiterEdges) {
+  // The producer's state still holds waiter edges naming the consumers when
+  // the context dies; handles to both must stay safe to read, copy and drop
+  // (ASan flags any touch of a freed edge or action node).
+  Event producer;
+  Event consumer;
+  {
+    Context ctx(cfg());
+    ctx.setup(2);
+    producer = ctx.stream(0).enqueue_kernel({"producer", work(1e8), {}});
+    for (int i = 0; i < 3; ++i) {
+      consumer = ctx.stream(1).enqueue_kernel({"consumer", work(), {}}, {producer});
+    }
+  }
+  EXPECT_FALSE(producer.done());
+  EXPECT_FALSE(consumer.done());
+  Event copy = producer;
+  copy = consumer;
+  EXPECT_FALSE(copy.done());
+}
+
+TEST(Events, SameInstantDependentsStartInRegistrationOrder) {
+  // Both dependents become ready when the gate completes and compete for
+  // partition 0, so whichever is armed first holds it: registration order
+  // must decide, and the timeline shows it.
+  Context ctx(cfg());
+  ctx.setup(2);
+  Stream& extra = ctx.add_stream(0, 0);
+  const Event gate = ctx.stream(1).enqueue_kernel({"gate", work(1e8), {}});
+  extra.enqueue_kernel({"first", work(1e6), {}}, {gate});
+  ctx.stream(0).enqueue_kernel({"second", work(1e6), {}}, {gate});
+  ctx.synchronize();
+
+  const trace::Span* first = nullptr;
+  const trace::Span* second = nullptr;
+  for (const auto& s : ctx.timeline().spans()) {
+    if (s.label == "first") first = &s;
+    if (s.label == "second") second = &s;
+  }
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(first->start, gate.time());
+  EXPECT_EQ(second->start, first->end);
+}
+
 }  // namespace
 }  // namespace ms::rt

@@ -1,39 +1,13 @@
 // Proves the engine's zero-allocation steady state: once the slot pool and
 // heap have grown to a workload's high-water mark, schedule/fire cycles
 // perform no heap allocation at all (the BM_EngineScheduleFire acceptance
-// criterion, checked here with a counting global operator new so it cannot
-// silently regress).
+// criterion, checked here with the binary's counting global operator new,
+// tests/alloc_counter.cpp, so it cannot silently regress).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_counter.hpp"
 #include "sim/event_queue.hpp"
-
-namespace {
-
-std::atomic<std::size_t> g_allocs{0};
-
-}  // namespace
-
-// Counting wrappers for the whole test binary; only the deltas sampled
-// inside the tests below matter.
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace ms::sim {
 namespace {
@@ -50,14 +24,14 @@ TEST(EngineAlloc, SteadyStateScheduleFireAllocatesNothing) {
     e.run_until_idle();
   }
 
-  const std::size_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::size_t before = test::alloc_count();
   for (int round = 0; round < 100; ++round) {
     for (int i = 0; i < 64; ++i) {
       e.schedule_after(SimTime::micros(i + 1), [] {});
     }
     e.run_until_idle();
   }
-  const std::size_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::size_t after = test::alloc_count();
 
   EXPECT_EQ(after - before, 0u) << "steady-state schedule/fire must not allocate";
 }
@@ -72,7 +46,7 @@ TEST(EngineAlloc, SteadyStateSurvivesReset) {
 
   // Capacity is retained across reset(): the next burst of the same size
   // must not allocate either.
-  const std::size_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::size_t before = test::alloc_count();
   for (int round = 0; round < 10; ++round) {
     for (int i = 0; i < 32; ++i) {
       e.schedule_after(SimTime::micros(i + 1), [] {});
@@ -80,7 +54,7 @@ TEST(EngineAlloc, SteadyStateSurvivesReset) {
     e.run_until_idle();
     e.reset();
   }
-  const std::size_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::size_t after = test::alloc_count();
   EXPECT_EQ(after - before, 0u);
 }
 
