@@ -1,10 +1,10 @@
 // google-benchmark microbenchmarks of the graph executor's *host-side* cost:
-// what one replay of a recorded schedule costs the issuing thread under the
-// interpreted Graph::launch(), the compiled CompiledGraph::launch(), and the
-// batched launch_batch() paths. Virtual times are identical across the three
-// (the determinism suites prove it); these numbers are the real wall-clock
-// difference that motivates compile-once / replay-millions. Recorded as
-// BENCH_GRAPH.json by scripts/record_bench.sh.
+// what one replay of a recorded schedule costs the issuing thread under
+// CompiledGraph::launch() and the batched launch_batch(), plus the one-time
+// compile. Virtual times are identical across the two launch paths (the
+// determinism suites prove it); these numbers are the real wall-clock cost
+// of compile-once / replay-millions. Recorded as BENCH_GRAPH.json by
+// scripts/record_bench.sh.
 
 #include <benchmark/benchmark.h>
 
@@ -59,20 +59,6 @@ struct Fixture {
 
 // Only the launch call is timed; the synchronize (the device-side discrete-
 // event simulation, identical across paths) runs with the timer paused.
-
-void BM_GraphLaunchInterpreted(benchmark::State& state) {
-  Fixture f(static_cast<int>(state.range(0)));
-  f.graph.launch(f.ctx);  // warm the interpreted launch state
-  f.ctx.synchronize();
-  for (auto _ : state) {
-    f.graph.launch(f.ctx);
-    state.PauseTiming();
-    f.ctx.synchronize();
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GraphLaunchInterpreted)->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_GraphLaunchCompiled(benchmark::State& state) {
   Fixture f(static_cast<int>(state.range(0)));

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
 
     const auto sync = ms::apps::KmeansApp::run(cfg, kc);
     auto graph_kc = kc;
-    graph_kc.common.graph = ms::apps::GraphMode::Interpreted;
+    graph_kc.common.graph = ms::apps::GraphMode::Compiled;
     const auto graphed = ms::apps::KmeansApp::run(cfg, graph_kc);
     const auto async = ms::apps::KmeansAsyncApp::run(cfg, kc);
     t.add_row({std::to_string(n / 1000) + "K", Table::num(sync.ms / 1e3, 3),

@@ -1,9 +1,10 @@
 // Compile-once / replay-millions: record a pipeline schedule as a graph,
-// compile it, and replay it three ways — interpreted launch(), compiled
-// launch(), and batched launch_batch() — timing the *host wall clock* each
-// path costs per replay. Virtual times are bit-identical across all three
-// (asserted at the end); the compiled executor only changes what the issuing
-// thread pays, which is the point of CUDA-Graphs-style batched launch.
+// compile it, and time what the *host wall clock* pays per replay three
+// ways — direct re-enqueue of the same schedule, compiled launch(), and
+// batched launch_batch(). The two compiled paths charge bit-identical
+// virtual time (asserted at the end); the compiled executor only changes
+// what the issuing thread pays, which is the point of CUDA-Graphs-style
+// batched launch.
 
 #include <chrono>
 #include <cstdio>
@@ -21,21 +22,33 @@ int main() {
   constexpr int kReplays = 64;
 
   const auto cfg = sim::SimConfig::phi_31sp();
-  auto make_ctx = [&](rt::Context& ctx, rt::Graph& graph) {
+  const auto ranges = rt::split_even(kBytes, kTiles);
+  sim::KernelWork work;
+  work.kind = sim::KernelKind::Streaming;
+  work.elems = 1e8 / kTiles;
+
+  auto make_ctx = [&](rt::Context& ctx) {
     ctx.set_tracing(false);
     ctx.setup(4);
-    const auto buf = ctx.create_virtual_buffer(kBytes);
-    const auto ranges = rt::split_even(kBytes, kTiles);
+    return ctx.create_virtual_buffer(kBytes);
+  };
+  // The schedule: per tile an upload, a kernel on it, and a download,
+  // round-robin over the streams.
+  auto record = [&](rt::Context& ctx, rt::Graph& graph, rt::BufferId buf) {
     for (std::size_t t = 0; t < ranges.size(); ++t) {
       const int s = static_cast<int>(t) % ctx.stream_count();
-      sim::KernelWork w;
-      w.kind = sim::KernelKind::Streaming;
-      w.elems = 1e8 / kTiles;
       const auto up = graph.add_h2d(s, buf, ranges[t].begin, ranges[t].size());
-      const auto k = graph.add_kernel(s, {"task", w, {}}, {up});
+      const auto k = graph.add_kernel(s, {"task", work, {}}, {up});
       graph.add_d2h(s, buf, ranges[t].begin, ranges[t].size(), {k});
     }
-    ctx.synchronize();
+  };
+  auto enqueue = [&](rt::Context& ctx, rt::BufferId buf) {
+    for (std::size_t t = 0; t < ranges.size(); ++t) {
+      rt::Stream& s = ctx.stream(static_cast<int>(t) % ctx.stream_count());
+      s.enqueue_h2d(buf, ranges[t].begin, ranges[t].size());
+      s.enqueue_kernel({"task", work, {}});
+      s.enqueue_d2h(buf, ranges[t].begin, ranges[t].size());
+    }
   };
 
   auto wall_us = [](auto&& f) {
@@ -45,23 +58,22 @@ int main() {
         .count();
   };
 
-  // 1. Interpreted replay: the graph is re-walked on every launch.
-  rt::Context interp_ctx(cfg);
-  rt::Graph interp_graph;
-  make_ctx(interp_ctx, interp_graph);
-  // Warm with a full round so every path retires kReplays + kReplays replays
-  // (the bit-identity check at the end compares the three virtual clocks).
-  for (int i = 0; i < kReplays; ++i) interp_graph.launch(interp_ctx);
-  interp_ctx.synchronize();
-  const double interp_us = wall_us([&] {
-    for (int i = 0; i < kReplays; ++i) interp_graph.launch(interp_ctx);
+  // 1. Direct: every action re-enqueued (and re-priced) on every iteration.
+  rt::Context direct_ctx(cfg);
+  const auto direct_buf = make_ctx(direct_ctx);
+  for (int i = 0; i < kReplays; ++i) enqueue(direct_ctx, direct_buf);  // warm the pools
+  direct_ctx.synchronize();
+  const double direct_us = wall_us([&] {
+    for (int i = 0; i < kReplays; ++i) enqueue(direct_ctx, direct_buf);
   });
-  interp_ctx.synchronize();
+  direct_ctx.synchronize();
 
-  // 2. Compiled: validate + flatten once, then replay the plan.
+  // 2. Compiled: validate + flatten once, then replay the plan. Warm with a
+  // full round so both compiled paths retire 2 * kReplays replays (the
+  // bit-identity check at the end compares their virtual clocks).
   rt::Context comp_ctx(cfg);
   rt::Graph comp_graph;
-  make_ctx(comp_ctx, comp_graph);
+  record(comp_ctx, comp_graph, make_ctx(comp_ctx));
   rt::CompiledGraph compiled = comp_graph.compile(comp_ctx);
   for (int i = 0; i < kReplays; ++i) compiled.launch(comp_ctx);  // warm the run pool
   comp_ctx.synchronize();
@@ -73,7 +85,7 @@ int main() {
   // 3. Batched: all replays issued in one call through the batch arena.
   rt::Context batch_ctx(cfg);
   rt::Graph batch_graph;
-  make_ctx(batch_ctx, batch_graph);
+  record(batch_ctx, batch_graph, make_ctx(batch_ctx));
   rt::CompiledGraph batched = batch_graph.compile(batch_ctx);
   batched.launch_batch(batch_ctx, kReplays);  // warm: builds the arena
   batch_ctx.synchronize();
@@ -83,21 +95,20 @@ int main() {
 
   std::printf("%d replays of a %zu-node schedule, host wall clock per replay:\n", kReplays,
               batched.node_count() + 1);
-  std::printf("  interpreted launch()   %8.2f us\n", interp_us / kReplays);
+  std::printf("  direct re-enqueue      %8.2f us\n", direct_us / kReplays);
   std::printf("  compiled launch()      %8.2f us   (%.1fx)\n", comp_us / kReplays,
-              interp_us / comp_us);
+              direct_us / comp_us);
   std::printf("  launch_batch(%d)       %8.2f us   (%.1fx)\n", kReplays, batch_us / kReplays,
-              interp_us / batch_us);
+              direct_us / batch_us);
   std::printf("virtual time of the timed batch: %.3f ms\n",
               (batch_ctx.host_time() - t_before).millis());
 
-  // The executor never changes the modelled cost: all three contexts ran
+  // The executor never changes the modelled cost: both compiled contexts ran
   // 2 * kReplays replays, so their virtual clocks must agree to the last bit.
-  if (interp_ctx.host_time().micros() != comp_ctx.host_time().micros() ||
-      interp_ctx.host_time().micros() != batch_ctx.host_time().micros()) {
+  if (comp_ctx.host_time().micros() != batch_ctx.host_time().micros()) {
     std::printf("ERROR: virtual times diverged across replay paths\n");
     return 1;
   }
-  std::printf("virtual times bit-identical across the three paths: OK\n");
+  std::printf("virtual times bit-identical across compiled and batched replay: OK\n");
   return 0;
 }

@@ -7,6 +7,9 @@
 # generous enough that shared-runner noise stays quiet, loud enough that an
 # accidental O(n^2) in the engine shows up. A baseline recorded on a machine
 # with a different CPU count is skipped with a message rather than compared.
+# Median rows only one side has are listed too: a baseline row with no fresh
+# counterpart is a "stale baseline row" (the benchmark was removed or
+# renamed; re-record), a fresh row with no baseline is "unrecorded".
 # Never fails the build: perf baselines are recorded on whatever machine ran
 # record_bench.sh last, so this leg informs, the tier-1/sanitizer legs gate.
 #
@@ -44,17 +47,24 @@ if not base:
     print("bench-regress:   baseline has no median rows (re-record with record_bench.sh)")
 regressions = 0
 compared = 0
+seen = set()
 for row in fresh.get("benchmarks", []):
     if row.get("aggregate_name") != "median":
         continue
     name = row.get("run_name", row["name"])
-    if name not in base or base[name] <= 0.0:
+    seen.add(name)
+    if name not in base:
+        print(f"bench-regress:   unrecorded {name}: no baseline median row")
+        continue
+    if base[name] <= 0.0:
         continue
     compared += 1
     ratio = ns(row) / base[name]
     if ratio > 2.0:
         regressions += 1
         print(f"bench-regress:   REGRESSION {name}: {ratio:.2f}x the recorded median")
+for name in sorted(base.keys() - seen):
+    print(f"bench-regress:   stale baseline row {name}: no fresh counterpart")
 print(f"bench-regress:   {compared} benchmarks compared, {regressions} over the 2x threshold")
 EOF
 }

@@ -49,15 +49,13 @@ inline void declare_cross_reads(rt::KernelLaunch& launch, rt::BufferId buf,
 }
 
 /// How an app issues its replay-shaped inner loop.
-///  - Direct:      plain per-iteration enqueues (the original code path).
-///  - Interpreted: stream-capture the first iteration into an rt::Graph,
-///                 then Graph::launch() every iteration.
-///  - Compiled:    same capture, but Graph::compile() once and replay the
-///                 CompiledGraph — zero steady-state host allocations.
-/// Virtual times differ between Direct and the graph modes (replay pricing
-/// vs. per-enqueue pricing) but are bit-identical between Interpreted and
-/// Compiled; functional results are identical across all three.
-enum class GraphMode : std::uint8_t { Direct, Interpreted, Compiled };
+///  - Direct:   plain per-iteration enqueues (the original code path).
+///  - Compiled: stream-capture the first iteration into an rt::Graph,
+///              Graph::compile() it once and replay the CompiledGraph every
+///              iteration — zero steady-state host allocations.
+/// Virtual times differ between the two (replay pricing vs. per-enqueue
+/// pricing); functional results are identical.
+enum class GraphMode : std::uint8_t { Direct, Compiled };
 
 /// Knobs shared by every ported application.
 struct CommonConfig {
@@ -81,9 +79,8 @@ struct CommonConfig {
   /// Issue mode for the replay-shaped phases (see GraphMode). The paper-figure
   /// benches stay on Direct — replay pricing would change their shapes.
   GraphMode graph = GraphMode::Direct;
-  /// In the graph modes, issue every phase replay as this many back-to-back
-  /// instances (CompiledGraph::launch_batch; the interpreted mode launches in
-  /// a loop with identical virtual cost). A timing/stress knob for the CLI
+  /// In Compiled mode, issue every phase replay as this many back-to-back
+  /// instances (CompiledGraph::launch_batch). A timing/stress knob for the CLI
   /// `graph` subcommand and benches: >1 multiplies the schedule, so keep it
   /// at 1 when functional results matter. Ignored in Direct mode.
   int graph_batch = 1;
@@ -99,12 +96,12 @@ struct AppResult {
 
 /// One replay-shaped phase of an app's inner loop: a block of enqueues whose
 /// schedule is identical every iteration. In Direct mode `run(record)` just
-/// calls `record()`. In the graph modes the *first* call stream-captures
-/// `record` into an rt::Graph (charging no host time) and every call —
-/// including the first — launches the graph, so each iteration pays the same
-/// replay price and per-iteration virtual times stay identical across
-/// warm-up and measured samples. Compiled mode compiles the capture once
-/// (via the process GraphCache when `cacheable`) and replays the plan.
+/// calls `record()`. In Compiled mode the *first* call stream-captures
+/// `record` into an rt::Graph (charging no host time) and compiles it once
+/// (via the process GraphCache when `cacheable`); every call — including the
+/// first — replays the plan, so each iteration pays the same replay price and
+/// per-iteration virtual times stay identical across warm-up and measured
+/// samples.
 ///
 /// The record body must be schedule-stable: host-side values it reads each
 /// iteration (e.g. srad's q0sqr) must be fed to kernels through pointers,
@@ -129,7 +126,8 @@ public:
       return;
     }
     if (!recorded_) {
-      ctx_->begin_capture(graph_);
+      rt::Graph graph;
+      ctx_->begin_capture(graph);
       try {
         record();
       } catch (...) {
@@ -138,22 +136,18 @@ public:
       }
       ctx_->end_capture();
       recorded_ = true;
-      if (mode_ == GraphMode::Compiled && !graph_.empty()) {
+      if (!graph.empty()) {
         rt::CompileOptions opts;
         opts.name = name_;
-        compiled_ = cacheable_ ? rt::process_graph_cache().get_or_compile(name_, graph_, *ctx_, opts)
-                               : graph_.compile(*ctx_, opts);
+        compiled_ = cacheable_ ? rt::process_graph_cache().get_or_compile(name_, graph, *ctx_, opts)
+                               : graph.compile(*ctx_, opts);
       }
     }
-    if (graph_.empty()) return;
-    if (compiled_) {
-      if (batch_ > 1) {
-        compiled_->launch_batch(*ctx_, batch_);
-      } else {
-        compiled_->launch(*ctx_);
-      }
+    if (!compiled_) return;
+    if (batch_ > 1) {
+      compiled_->launch_batch(*ctx_, batch_);
     } else {
-      for (int b = 0; b < batch_; ++b) graph_.launch(*ctx_);
+      compiled_->launch(*ctx_);
     }
   }
 
@@ -166,7 +160,6 @@ private:
   std::string name_;
   bool cacheable_;
   int batch_;
-  rt::Graph graph_;
   std::optional<rt::CompiledGraph> compiled_;
   bool recorded_ = false;
 };

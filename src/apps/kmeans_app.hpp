@@ -20,7 +20,7 @@ struct KmeansConfig {
   int iterations = 100;      ///< paper: fixed 100 iterations
   int tiles = 4;             ///< T: point chunks (baseline forces 1)
   // The per-iteration device schedule is replay-shaped; set
-  // common.graph (GraphMode::Interpreted / Compiled) to record it once and
+  // common.graph = GraphMode::Compiled to record it once and
   // replay it each iteration instead of re-enqueueing every action.
 };
 

@@ -92,10 +92,6 @@ public:
   }
 
   [[nodiscard]] int last_writer(std::size_t slot) const { return tiles_.at(slot).last_writer; }
-  [[nodiscard]] rt::Event last_event(std::size_t slot) {
-    State& st = tiles_.at(slot);
-    return st.per_device(st.last_writer).ev;
-  }
 
   void reset() { std::fill(tiles_.begin(), tiles_.end(), State{}); }
 

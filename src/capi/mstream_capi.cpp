@@ -3,13 +3,22 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "rt/compiled_graph.hpp"
 #include "rt/context.hpp"
 #include "rt/graph.hpp"
 
 namespace {
+
+/// A recorded graph plus its executor, compiled on first launch and dropped
+/// whenever another node is added.
+struct GraphHandle {
+  ms::rt::Graph graph;
+  std::optional<ms::rt::CompiledGraph> compiled;
+};
 
 /// Process-global state behind the flat API, mirroring hStreams' design.
 struct GlobalState {
@@ -17,7 +26,7 @@ struct GlobalState {
   /// host base address -> (registered range, buffer id)
   std::map<const std::byte*, std::pair<std::size_t, ms::rt::BufferId>> buffers;
   std::map<mstream_event, ms::rt::Event> events;
-  std::map<mstream_graph, std::unique_ptr<ms::rt::Graph>> graphs;
+  std::map<mstream_graph, std::unique_ptr<GraphHandle>> graphs;
   mstream_event next_event = 1;
   mstream_graph next_graph = 1;
   std::string last_error;
@@ -247,7 +256,7 @@ mstream_result mstream_graph_create(mstream_graph* out_graph) {
     return fail(MSTREAM_ERR_BAD_ARGUMENT, "mstream_graph_create: null out pointer");
   }
   const mstream_graph handle = state().next_graph++;
-  state().graphs.emplace(handle, std::make_unique<ms::rt::Graph>());
+  state().graphs.emplace(handle, std::make_unique<GraphHandle>());
   *out_graph = handle;
   return MSTREAM_SUCCESS;
 }
@@ -260,7 +269,7 @@ mstream_result mstream_graph_destroy(mstream_graph graph) {
 }
 
 namespace {
-ms::rt::Graph* find_graph(mstream_graph graph) {
+GraphHandle* find_graph(mstream_graph graph) {
   auto it = state().graphs.find(graph);
   return it == state().graphs.end() ? nullptr : it->second.get();
 }
@@ -277,7 +286,7 @@ mstream_result mstream_graph_add_xfer(mstream_graph graph, int stream, void* hos
                                       size_t bytes, mstream_xfer_direction direction,
                                       const mstream_node* deps, size_t num_deps,
                                       mstream_node* out_node) {
-  ms::rt::Graph* g = find_graph(graph);
+  GraphHandle* g = find_graph(graph);
   if (g == nullptr) {
     return fail(MSTREAM_ERR_BAD_ARGUMENT, "mstream_graph_add_xfer: unknown graph");
   }
@@ -287,9 +296,11 @@ mstream_result mstream_graph_add_xfer(mstream_graph graph, int stream, void* hos
                 "mstream_graph_add_xfer: range not inside a registered buffer");
   }
   try {
-    const auto node = direction == MSTREAM_HOST_TO_SINK
-                          ? g->add_h2d(stream, r.id, r.offset, bytes, to_node_ids(deps, num_deps))
-                          : g->add_d2h(stream, r.id, r.offset, bytes, to_node_ids(deps, num_deps));
+    const auto node =
+        direction == MSTREAM_HOST_TO_SINK
+            ? g->graph.add_h2d(stream, r.id, r.offset, bytes, to_node_ids(deps, num_deps))
+            : g->graph.add_d2h(stream, r.id, r.offset, bytes, to_node_ids(deps, num_deps));
+    g->compiled.reset();
     if (out_node != nullptr) *out_node = static_cast<mstream_node>(node);
     return MSTREAM_SUCCESS;
   } catch (const std::exception& e) {
@@ -301,7 +312,7 @@ mstream_result mstream_graph_add_kernel(mstream_graph graph, int stream, const c
                                         const mstream_work* work, mstream_kernel_fn fn,
                                         void* arg, const mstream_node* deps, size_t num_deps,
                                         mstream_node* out_node) {
-  ms::rt::Graph* g = find_graph(graph);
+  GraphHandle* g = find_graph(graph);
   if (g == nullptr) {
     return fail(MSTREAM_ERR_BAD_ARGUMENT, "mstream_graph_add_kernel: unknown graph");
   }
@@ -312,7 +323,9 @@ mstream_result mstream_graph_add_kernel(mstream_graph graph, int stream, const c
     if (fn != nullptr) {
       launch.fn = [fn, arg] { fn(arg, &resolve_for_kernel); };
     }
-    const auto node = g->add_kernel(stream, std::move(launch), to_node_ids(deps, num_deps));
+    const auto node =
+        g->graph.add_kernel(stream, std::move(launch), to_node_ids(deps, num_deps));
+    g->compiled.reset();
     if (out_node != nullptr) *out_node = static_cast<mstream_node>(node);
     return MSTREAM_SUCCESS;
   } catch (const std::exception& e) {
@@ -324,12 +337,13 @@ mstream_result mstream_graph_launch(mstream_graph graph, mstream_event* out_even
   if (!state().ctx) {
     return fail(MSTREAM_ERR_NOT_INITIALIZED, "mstream_graph_launch: not initialized");
   }
-  ms::rt::Graph* g = find_graph(graph);
+  GraphHandle* g = find_graph(graph);
   if (g == nullptr) {
     return fail(MSTREAM_ERR_BAD_ARGUMENT, "mstream_graph_launch: unknown graph");
   }
   try {
-    const ms::rt::Event ev = g->launch(*state().ctx);
+    if (!g->compiled) g->compiled = g->graph.compile(*state().ctx);
+    const ms::rt::Event ev = g->compiled->launch(*state().ctx);
     if (out_event != nullptr) *out_event = store_event(ev);
     return MSTREAM_SUCCESS;
   } catch (const std::exception& e) {

@@ -139,7 +139,9 @@ mstream_result mstream_graph_add_kernel(mstream_graph graph, int stream, const c
                                         mstream_node* out_node);
 
 /* Replay the recorded schedule; `out_event` (optional) completes when every
- * node has completed. */
+ * node has completed. The first launch after a node was added validates and
+ * compiles the graph; a graph that fails validation returns
+ * MSTREAM_ERR_RUNTIME and issues nothing. */
 mstream_result mstream_graph_launch(mstream_graph graph, mstream_event* out_event);
 
 /* --- introspection ----------------------------------------------------------- */

@@ -8,6 +8,7 @@
 #include "analyze/analyzer.hpp"
 #include "analyze/perf_lint.hpp"
 #include "analyze/record.hpp"
+#include "analyze/recorder.hpp"
 #include "rt/context.hpp"
 #include "rt/errors.hpp"
 #include "rt/stream.hpp"
@@ -126,26 +127,27 @@ CompiledGraph::CompiledGraph(const Graph& g, Context& ctx, const CompileOptions&
     plan->nodes.push_back(std::move(pn));
   }
 
-  // Appended completion barrier: joins every leaf, exactly as the
-  // interpreted launch() enqueues it last on the first node's stream.
-  {
-    PlanNode bar;
-    bar.kind = ActionKind::Barrier;
-    bar.stream = g.nodes_.front().stream;
-    bar.dep_count = static_cast<std::uint32_t>(g.leaves_.size());
-    bar.label = "barrier";
-    plan->nodes.push_back(std::move(bar));
-  }
-  const std::uint32_t barrier_id = static_cast<std::uint32_t>(n);
-
   // Dependent lists in CSR form. Counting pass, prefix sums, fill pass —
-  // dependents of one node end up ordered by dependent id, which matches the
-  // waiter registration order of the interpreted path.
-  std::vector<std::uint32_t> counts(plan->nodes.size(), 0);
+  // dependents of one node end up ordered by dependent id. A leaf (a node
+  // nothing depends on) gets the appended completion barrier as its only
+  // dependent; the barrier joins them all on the first node's stream.
+  std::vector<std::uint32_t> counts(n + 1, 0);
   for (const Graph::Node& src : g.nodes_) {
     for (const Graph::NodeId d : src.deps) ++counts[d];
   }
-  for (const Graph::NodeId leaf : g.leaves_) ++counts[leaf];
+  PlanNode bar;
+  bar.kind = ActionKind::Barrier;
+  bar.stream = g.nodes_.front().stream;
+  bar.label = "barrier";
+  for (std::size_t i = 0; i < n; ++i) {
+    if (counts[i] == 0) {
+      counts[i] = 1;
+      ++bar.dep_count;
+    }
+  }
+  plan->nodes.push_back(std::move(bar));
+  const std::uint32_t barrier_id = static_cast<std::uint32_t>(n);
+
   std::uint32_t total = 0;
   for (std::size_t i = 0; i < plan->nodes.size(); ++i) {
     plan->nodes[i].dependents_begin = total;
@@ -158,8 +160,11 @@ CompiledGraph::CompiledGraph(const Graph& g, Context& ctx, const CompileOptions&
       plan->dependents[plan->nodes[d].dependents_end++] = static_cast<std::uint32_t>(i);
     }
   }
-  for (const Graph::NodeId leaf : g.leaves_) {
-    plan->dependents[plan->nodes[leaf].dependents_end++] = barrier_id;
+  for (std::size_t i = 0; i < n; ++i) {
+    PlanNode& pn = plan->nodes[i];
+    if (pn.dependents_end == pn.dependents_begin) {  // a leaf: its one slot is the barrier
+      plan->dependents[pn.dependents_end++] = barrier_id;
+    }
   }
 
   plan->stream_count = max_stream + 1;
@@ -178,55 +183,101 @@ CompiledGraph::CompiledGraph(const Graph& g, Context& ctx, const CompileOptions&
   plan_ = std::move(plan);
 }
 
-analyze::GraphRecord CompiledGraph::build_record(const Graph& g, Context& ctx) {
-  analyze::GraphRecord rec;
-  rec.stream_count = ctx.stream_count();
-  rec.partitions = ctx.partitions_per_device();
-  std::unordered_set<std::uint64_t> declared;
-  const auto declare = [&](BufferId buf) {
-    if (declared.insert(buf.value).second) {
-      rec.declare_buffer(buf, ctx.buffer_size(buf));
-      // A replayable graph may read device state produced before it; only
-      // intra-graph ordering is being checked here.
-      rec.assume_device_resident(buf);
-    }
-  };
-
+template <typename Sink>
+std::vector<std::uint64_t> CompiledGraph::flatten(const Graph& g, Context& ctx,
+                                                  const std::vector<Stream*>& streams,
+                                                  Sink& sink) {
   std::vector<std::uint64_t> ids;
   ids.reserve(g.nodes_.size());
   std::vector<std::uint64_t> deps;
   for (const Graph::Node& src : g.nodes_) {
     deps.clear();
-    deps.reserve(src.deps.size());
     for (const Graph::NodeId d : src.deps) deps.push_back(ids[d]);
-    Stream& s = ctx.stream(src.stream);
-    const int device = s.device();
+    const Stream& s = *streams[static_cast<std::size_t>(src.stream)];
     switch (src.kind) {
       case ActionKind::H2D:
-        declare(src.buffer);
-        ids.push_back(rec.add_h2d(src.stream, device, src.buffer, src.offset, src.bytes, deps));
-        break;
       case ActionKind::D2H:
-        declare(src.buffer);
-        ids.push_back(rec.add_d2h(src.stream, device, src.buffer, src.offset, src.bytes, deps));
+        ids.push_back(sink.on_transfer(src.kind == ActionKind::H2D, s.index(), s.device(),
+                                       src.buffer, src.offset, src.bytes, deps));
         break;
       case ActionKind::Kernel: {
-        for (const BufferAccess& a : src.launch.accesses) declare(a.buffer);
         // Partition-resolved duration: the linter's critical-path weight for
-        // this node, identical to what launch() would charge on this layout.
+        // this node, identical to what a replay charges on this stream.
         const sim::SimTime duration = ctx.cost().kernel_duration(
-            src.launch.work, ctx.platform().device(device).partition(s.partition()));
-        ids.push_back(rec.add_kernel(src.stream, device,
+            src.launch.work, ctx.platform().device(s.device()).partition(s.partition()));
+        ids.push_back(sink.on_kernel(s.index(), s.device(),
                                      src.launch.label.empty() ? "kernel" : src.launch.label,
                                      src.launch.accesses, deps, duration));
         break;
       }
       case ActionKind::Barrier:
-        ids.push_back(rec.add_barrier(src.stream, deps));
+        ids.push_back(sink.on_barrier(s.index(), deps));
         break;
     }
   }
+  return ids;
+}
+
+analyze::GraphRecord CompiledGraph::build_record(const Graph& g, Context& ctx) {
+  // Sink over a standalone record: every buffer a node touches is declared
+  // and assumed device-resident — a replayable graph may read device state
+  // produced before it; only intra-graph ordering is being checked here.
+  struct RecordSink {
+    analyze::GraphRecord& rec;
+    Context& ctx;
+    std::unordered_set<std::uint64_t> declared;
+
+    void declare(BufferId buf) {
+      if (declared.insert(buf.value).second) {
+        rec.declare_buffer(buf, ctx.buffer_size(buf));
+        rec.assume_device_resident(buf);
+      }
+    }
+    std::uint64_t on_transfer(bool h2d, int stream, int device, BufferId buf, std::size_t offset,
+                              std::size_t bytes, std::vector<std::uint64_t> deps) {
+      declare(buf);
+      return h2d ? rec.add_h2d(stream, device, buf, offset, bytes, std::move(deps))
+                 : rec.add_d2h(stream, device, buf, offset, bytes, std::move(deps));
+    }
+    std::uint64_t on_kernel(int stream, int device, std::string label,
+                            const std::vector<BufferAccess>& accesses,
+                            std::vector<std::uint64_t> deps, sim::SimTime duration) {
+      for (const BufferAccess& a : accesses) declare(a.buffer);
+      return rec.add_kernel(stream, device, std::move(label), accesses, std::move(deps),
+                            duration);
+    }
+    std::uint64_t on_barrier(int stream, std::vector<std::uint64_t> deps) {
+      return rec.add_barrier(stream, std::move(deps));
+    }
+  };
+
+  analyze::GraphRecord rec;
+  rec.stream_count = ctx.stream_count();
+  rec.partitions = ctx.partitions_per_device();
+  std::vector<Stream*> streams;
+  for (int i = 0; i < ctx.stream_count(); ++i) streams.push_back(&ctx.stream(i));
+  RecordSink sink{rec, ctx, {}};
+  (void)flatten(g, ctx, streams, sink);
   return rec;
+}
+
+std::uint64_t CompiledGraph::record_instance(Context& ctx, const std::vector<Stream*>& streams) {
+  const Plan& plan = *plan_;
+  analyze::Recorder& rec = *ctx.recorder_;
+  const std::vector<std::uint64_t> ids = flatten(plan.source, ctx, streams, rec);
+  // Same bookkeeping as Stream::record_enqueue: each stream remembers its
+  // newest node, and the completion barrier joins the leaves — the nodes
+  // whose only dependent is the barrier.
+  const std::size_t barrier = plan.nodes.size() - 1;
+  std::vector<std::uint64_t> leaves;
+  for (std::size_t i = 0; i < barrier; ++i) {
+    const PlanNode& pn = plan.nodes[i];
+    streams[static_cast<std::size_t>(pn.stream)]->last_analyze_id_ = ids[i];
+    if (plan.dependents[pn.dependents_end - 1] == barrier) leaves.push_back(ids[i]);
+  }
+  Stream& s = *streams[static_cast<std::size_t>(plan.nodes[barrier].stream)];
+  s.last_analyze_id_ = rec.on_barrier(s.index(), std::move(leaves));
+  return s.last_analyze_id_;
 }
 
 void CompiledGraph::run_hazard_pass(const Graph& g, Context& ctx) {
@@ -466,9 +517,16 @@ Event CompiledGraph::issue_batch(Context& ctx, Run& run) {
       run.stream_tab[static_cast<std::size_t>(pn.stream)]->push_compiled(&a);
     }
   }
+  std::uint64_t analyze_id = 0;
+  if (ctx.analyzing()) {
+    for (std::uint32_t k = 0; k < run.instances; ++k) {
+      analyze_id = record_instance(ctx, run.stream_tab);
+    }
+  }
   // The batch's completion event hangs off the final instance's barrier.
   detail::Action& last = run.slab[run.target - 1];
   last.state = ctx.make_state();
+  last.state->analyze_id = analyze_id;
   return Event{last.state};
 }
 
@@ -484,9 +542,8 @@ Event CompiledGraph::issue_instance(Context& ctx, int rotation, bool want_event,
         exec_.streams[static_cast<std::size_t>((s + rotation) % span)];
   }
 
-  // Same pricing as the interpreted replay: one launch base charge, then one
-  // host-thread reservation per node (completion barrier included) in issue
-  // order.
+  // Replay pricing: one launch base charge, then one host-thread
+  // reservation per node (completion barrier included) in issue order.
   ctx.host_cursor_ += exec_.base_cost;
   const sim::SimTime per_node = exec_.per_node_cost;
 
@@ -539,18 +596,16 @@ Event CompiledGraph::issue_instance(Context& ctx, int rotation, bool want_event,
     run->actions[i] = a;
     run->stream_tab[static_cast<std::size_t>(pn.stream)]->push_compiled(a);
   }
+  if (ctx.analyzing()) {
+    const std::uint64_t analyze_id = record_instance(ctx, run->stream_tab);
+    if (out.valid()) out.state_->analyze_id = analyze_id;
+  }
   return out;
 }
 
 Event CompiledGraph::launch(Context& ctx) {
   if (ctx.capturing()) {
     throw Error("CompiledGraph::launch: forbidden while the context is capturing");
-  }
-  if (ctx.analyzing()) {
-    // Hazard-recording contexts take the interpreted path so the analyzer
-    // sees every action; virtual-time charges are identical by construction.
-    ++replays_;
-    return plan_->source.launch(ctx);
   }
   const std::uint64_t t0 = telemetry::enabled() ? telemetry::now_ns() : 0;
   validate_for(ctx);
@@ -574,16 +629,6 @@ Event CompiledGraph::launch_batch(Context& ctx, int instances, int stream_rotati
   }
   if (ctx.capturing()) {
     throw Error("CompiledGraph::launch_batch: forbidden while the context is capturing");
-  }
-  if (ctx.analyzing()) {
-    if (stream_rotation != 0) {
-      throw Error("CompiledGraph::launch_batch: stream rotation is unavailable on "
-                  "analyzing contexts");
-    }
-    Event last;
-    for (int k = 0; k < instances; ++k) last = plan_->source.launch(ctx);
-    replays_ += static_cast<std::uint64_t>(instances);
-    return last;
   }
   const std::uint64_t t0 = telemetry::enabled() ? telemetry::now_ns() : 0;
   validate_for(ctx);
@@ -646,8 +691,8 @@ void CompiledGraph::notify(void* run_ptr, std::uint32_t node, sim::SimTime now) 
     base = node - local;
   }
   const PlanNode& pn = plan.nodes[local];
-  // Dependents are stored in increasing node id — the same order the
-  // interpreted path registers (and its states fire) waiters.
+  // Dependents are stored in increasing node id, so they arm in issue
+  // order.
   for (std::uint32_t idx = pn.dependents_begin; idx != pn.dependents_end; ++idx) {
     const std::uint32_t d = plan.dependents[idx];
     detail::Action* a = run->actions[base + d];

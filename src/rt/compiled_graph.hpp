@@ -69,10 +69,12 @@ struct CompileOptions {
 /// steady-state heap allocations and no per-node Event or waiter machinery:
 /// intra-graph dependencies are resolved through the plan itself.
 ///
-/// Virtual-time semantics are bit-identical to the interpreted
-/// `Graph::launch()` (same per-node replay charges in the same order, same
-/// arming order, same completion barrier); the difference is real host
-/// wall-clock per replay, which the ablation bench measures.
+/// This is the only way a recorded graph is issued. Each replay charges
+/// `graph_launch_base` plus `graph_replay_per_node` per node (completion
+/// barrier included) to the host clock — far below a per-action enqueue,
+/// which the ablation bench measures. On an analyzing context every replay
+/// instance is also appended to the context's analyze::Recorder, node for
+/// node, exactly as direct enqueues of the same schedule would be.
 ///
 /// Compatibility: a compiled graph can launch on any context whose SimConfig
 /// fingerprint matches the compile-time one and whose layout satisfies the
@@ -108,9 +110,9 @@ public:
   }
   ~CompiledGraph() { orphan_runs(); }
 
-  /// Replay the whole recorded schedule once. Charges exactly what the
-  /// interpreted launch would (graph_launch_base + per-node replay cost) and
-  /// returns the completion event of the appended leaf-joining barrier.
+  /// Replay the whole recorded schedule once. Charges graph_launch_base plus
+  /// the per-node replay cost and returns the completion event of the
+  /// appended leaf-joining barrier.
   Event launch(Context& ctx);
 
   /// Issue `instances` back-to-back replays in one scheduling pass.
@@ -170,7 +172,7 @@ private:
     std::vector<PlanNode> nodes;
     std::vector<std::uint32_t> dependents;          ///< CSR payload
     std::vector<std::function<void()>> kernel_fns;  ///< reused every replay
-    Graph source;  ///< interpreted fallback for analyzing contexts
+    Graph source;  ///< the recorded DAG, re-flattened into analyzing contexts' recorders
     // Telemetry, resolved once at compile time (labeled-family children):
     telemetry::Counter* replays_metric = nullptr;
     telemetry::Histogram* launch_ns_metric = nullptr;
@@ -246,11 +248,23 @@ private:
   void build_arena(Run& run, Context& ctx);
   Event issue_batch(Context& ctx, Run& run);
   static void notify(void* run, std::uint32_t node, sim::SimTime now);
-  /// Flatten the graph into an analyzer record against `ctx`'s layout:
-  /// devices resolved through the stream table, kernel durations stamped from
-  /// the cost model (the linter's critical-path weights), buffers assumed
-  /// device-resident (a replayable graph may read pre-existing state).
+  /// The one flatten loop behind the compile-time passes and analyzing
+  /// replays: emits every node of `g` into `sink` (anything with the
+  /// analyze::Recorder on_transfer/on_kernel/on_barrier hooks) on stream
+  /// `streams[node.stream]`, with kernel durations resolved against that
+  /// stream's partition (the linter's critical-path weights). Returns the
+  /// sink's id per node.
+  template <typename Sink>
+  static std::vector<std::uint64_t> flatten(const Graph& g, Context& ctx,
+                                            const std::vector<Stream*>& streams, Sink& sink);
+  /// Flatten the graph into a standalone analyzer record against `ctx`'s
+  /// layout, buffers assumed device-resident (a replayable graph may read
+  /// pre-existing state).
   static analyze::GraphRecord build_record(const Graph& g, Context& ctx);
+  /// Append one replay instance (nodes plus completion barrier, on the
+  /// possibly rotated `streams`) to `ctx`'s recorder; returns the barrier's
+  /// analyzer id.
+  std::uint64_t record_instance(Context& ctx, const std::vector<Stream*>& streams);
   static void run_hazard_pass(const Graph& g, Context& ctx);
   static void run_lint_pass(const Graph& g, Context& ctx);
 

@@ -425,7 +425,7 @@ void Context::release_action(detail::Action* a) {
 }
 
 sim::SimTime Context::host_issue() {
-  return host_issue(issue_override_ ? issue_cost_ : platform_->cost().enqueue_overhead());
+  return host_issue(platform_->cost().enqueue_overhead());
 }
 
 sim::SimTime Context::host_issue(sim::SimTime cost) {

@@ -165,7 +165,7 @@ public:
   /// Dependencies on already-completed real events are dropped (a replayable
   /// graph cannot bake in absolute times); depending on still-pending
   /// non-captured work throws, as do synchronize()/wait()/setup() while
-  /// capturing. The same graph can then be launch()ed or compile()d.
+  /// capturing. The graph can then be compile()d and replayed.
   void begin_capture(Graph& g);
 
   /// Stop recording; `g` holds everything enqueued since begin_capture().
@@ -178,29 +178,6 @@ public:
   [[nodiscard]] sim::SimTime host_time() const noexcept { return host_cursor_; }
 
   // --- Introspection -----------------------------------------------------------
-
-  /// Scoped override of the per-action host issue cost — how rt::Graph
-  /// prices replays. Restores the previous cost on destruction.
-  class IssueCostGuard {
-  public:
-    IssueCostGuard(Context& ctx, sim::SimTime per_action, sim::SimTime base)
-        : ctx_(ctx), saved_(ctx.issue_cost_), had_(ctx.issue_override_) {
-      ctx.issue_cost_ = per_action;
-      ctx.issue_override_ = true;
-      ctx.host_cursor_ += base;
-    }
-    ~IssueCostGuard() {
-      ctx_.issue_cost_ = saved_;
-      ctx_.issue_override_ = had_;
-    }
-    IssueCostGuard(const IssueCostGuard&) = delete;
-    IssueCostGuard& operator=(const IssueCostGuard&) = delete;
-
-  private:
-    Context& ctx_;
-    sim::SimTime saved_;
-    bool had_;
-  };
 
   /// Toggle timeline capture (on by default). Sweeps with millions of
   /// actions switch it off to keep memory flat.
@@ -235,7 +212,7 @@ private:
   /// time at which the action is issued.
   sim::SimTime host_issue();
   /// Same, with an explicit per-call cost — how CompiledGraph charges its
-  /// per-node replay cost without the IssueCostGuard indirection.
+  /// per-node replay cost.
   sim::SimTime host_issue(sim::SimTime cost);
 
   // --- Graph capture internals ----------------------------------------------
@@ -288,8 +265,6 @@ private:
   std::unique_ptr<sim::Platform> platform_;
   trace::Timeline timeline_;
   bool tracing_ = true;
-  bool issue_override_ = false;
-  sim::SimTime issue_cost_ = sim::SimTime::zero();
   sim::SimTime host_cursor_ = sim::SimTime::zero();
   int partitions_ = 0;
   std::uint64_t layout_epoch_ = 0;

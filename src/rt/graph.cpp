@@ -1,10 +1,6 @@
 #include "rt/graph.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 #include "rt/compiled_graph.hpp"
-#include "rt/context.hpp"
 #include "rt/errors.hpp"
 
 namespace ms::rt {
@@ -19,25 +15,7 @@ Graph::NodeId Graph::add(Node node) {
     throw Error("Graph: negative stream index");
   }
   const NodeId id = nodes_.size();
-  // Keep the dependent/leaf bookkeeping incremental: deps can only point at
-  // earlier nodes, so a node leaves the leaf set exactly once, when the
-  // first later node names it.
-  for (const NodeId d : node.deps) {
-    if (!has_dependent_[d]) {
-      has_dependent_[d] = true;
-      for (std::size_t i = 0; i < leaves_.size(); ++i) {
-        if (leaves_[i] == d) {
-          leaves_[i] = leaves_.back();
-          leaves_.pop_back();
-          break;
-        }
-      }
-    }
-  }
-  max_deps_ = std::max(max_deps_, node.deps.size());
   nodes_.push_back(std::move(node));
-  has_dependent_.push_back(false);
-  leaves_.push_back(id);
   return id;
 }
 
@@ -80,68 +58,6 @@ Graph::NodeId Graph::add_barrier(int stream, std::vector<NodeId> deps) {
   n.stream = stream;
   n.deps = std::move(deps);
   return add(std::move(n));
-}
-
-Event Graph::launch(Context& ctx) const {
-  if (nodes_.empty()) {
-    throw Error("Graph::launch: empty graph");
-  }
-  if (ctx.capturing()) {
-    throw Error("Graph::launch: forbidden while the context is capturing");
-  }
-  // Replay pricing: one launch call plus a tiny per-node re-arm cost,
-  // instead of the full per-action enqueue overhead.
-  const Context::IssueCostGuard guard(
-      ctx, ctx.platform().config().overhead.graph_replay_per_node,
-      ctx.platform().config().overhead.graph_launch_base);
-
-  // Scratch persists across replays; clear() keeps capacity, so after the
-  // first launch the loop below allocates only inside the streams.
-  std::vector<Event>& events = events_scratch_;
-  events.clear();
-  events.reserve(nodes_.size());
-
-  std::vector<Event>& deps = deps_scratch_;
-  deps.reserve(max_deps_);
-
-  for (const Node& n : nodes_) {
-    deps.clear();
-    for (const NodeId d : n.deps) deps.push_back(events[d]);
-    Stream& s = ctx.stream(n.stream);
-    switch (n.kind) {
-      case ActionKind::H2D:
-        events.push_back(s.enqueue_h2d(n.buffer, n.offset, n.bytes, deps));
-        break;
-      case ActionKind::D2H:
-        events.push_back(s.enqueue_d2h(n.buffer, n.offset, n.bytes, deps));
-        break;
-      case ActionKind::Kernel: {
-        KernelLaunch copy = n.launch;  // the functor is reused every replay
-        events.push_back(s.enqueue_kernel(std::move(copy), deps));
-        break;
-      }
-      case ActionKind::Barrier:
-        events.push_back(s.enqueue_barrier(deps));
-        break;
-    }
-  }
-
-  // Completion event: a barrier joining every leaf (nodes nothing depends
-  // on), precomputed by add(). Stream FIFO already orders the leaves of each
-  // stream, so only the last leaf per stream is strictly needed, but joining
-  // all is simpler and free at barrier cost.
-  std::vector<Event>& leaves = leaf_scratch_;
-  leaves.clear();
-  leaves.reserve(leaves_.size());
-  for (const NodeId i : leaves_) leaves.push_back(events[i]);
-  Event done = ctx.stream(nodes_.front().stream).enqueue_barrier(leaves);
-
-  // Drop the per-replay Event references so action states are not pinned
-  // past the replay that produced them.
-  events.clear();
-  deps.clear();
-  leaves.clear();
-  return done;
 }
 
 CompiledGraph Graph::compile(Context& ctx, const CompileOptions& opts) const {

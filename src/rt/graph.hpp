@@ -1,12 +1,10 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "rt/action.hpp"
 #include "rt/buffer.hpp"
-#include "rt/event.hpp"
 
 namespace ms::rt {
 
@@ -14,23 +12,20 @@ class CompiledGraph;
 class Context;
 struct CompileOptions;
 
-/// A recorded schedule that can be launched repeatedly — the CUDA-Graphs
+/// A recorded schedule that can be replayed repeatedly — the CUDA-Graphs
 /// style answer to the host-side enqueue cost this library models (and that
 /// Fig. 10 of the paper shows drowning fine-grained tilings): describe the
-/// actions and their dependency edges once, then `launch()` re-issues the
-/// whole bundle for the price of one launch call plus a small per-node
-/// replay cost instead of a full `action_enqueue` per action.
+/// actions and their dependency edges once, compile() the DAG against a
+/// context, then replay the resulting rt::CompiledGraph for the price of one
+/// launch call plus a small per-node replay cost instead of a full
+/// `action_enqueue` per action.
 ///
 /// Nodes reference streams by index and buffers by handle; dependencies are
 /// node-ids of *earlier* nodes (the graph is acyclic by construction).
-/// Launching validates against the target context, so one graph can be
-/// replayed on any context with compatible streams/buffers.
-///
-/// `launch()` interprets the node list on every call; `compile()` flattens
-/// it once into a rt::CompiledGraph whose replays skip per-launch
-/// validation, event allocation, and dependency re-resolution entirely.
-/// Graphs can be hand-built through the add_* calls or recorded from real
-/// enqueues with Context::begin_capture()/end_capture().
+/// compile() validates against the target context, so one graph can be
+/// compiled for any context with compatible streams/buffers. Graphs can be
+/// hand-built through the add_* calls or recorded from real enqueues with
+/// Context::begin_capture()/end_capture().
 class Graph {
 public:
   using NodeId = std::size_t;
@@ -53,21 +48,14 @@ public:
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
   [[nodiscard]] bool empty() const noexcept { return nodes_.empty(); }
 
-  /// Issue every recorded node into `ctx` (charging the replay overheads
-  /// instead of per-action enqueue costs) and return an event that
-  /// completes when every node has completed.
-  Event launch(Context& ctx) const;
-
-  /// Validate and flatten the DAG against `ctx` once, returning an executor
-  /// whose launches charge the same virtual costs as launch() but do no
-  /// per-replay host work beyond issuing the actions themselves. See
-  /// rt::CompiledGraph for the compatibility rules.
+  /// Validate and flatten the DAG against `ctx` once, returning the executor
+  /// that replays it (see rt::CompiledGraph for the pricing and the
+  /// compatibility rules). Throws rt::Error on an empty or invalid graph.
   [[nodiscard]] CompiledGraph compile(Context& ctx, const CompileOptions& opts) const;
   [[nodiscard]] CompiledGraph compile(Context& ctx) const;
 
 private:
   friend class CompiledGraph;
-  friend class Context;  // capture recording
 
   struct Node {
     ActionKind kind = ActionKind::Kernel;
@@ -82,17 +70,6 @@ private:
   NodeId add(Node node);
 
   std::vector<Node> nodes_;
-  /// Maintained by add(): has_dependent_[i] is true once any later node
-  /// depends on i, and leaves_ holds the current dependent-free node ids —
-  /// precomputed so launch() does not rediscover them on every replay.
-  std::vector<bool> has_dependent_;
-  std::vector<NodeId> leaves_;
-  std::size_t max_deps_ = 0;  ///< widest dependency list, for scratch sizing
-  /// Replay scratch, reused across launch() calls (the graph is immutable
-  /// while launching, so the buffers only ever grow to the graph's size).
-  mutable std::vector<Event> events_scratch_;
-  mutable std::vector<Event> deps_scratch_;
-  mutable std::vector<Event> leaf_scratch_;
 };
 
 }  // namespace ms::rt

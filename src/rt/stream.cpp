@@ -128,7 +128,6 @@ Event Stream::enqueue_common(Action* a, Deps deps, const KernelLaunch* launch) {
   queue_.push_back(a);
   a->pred_done = queue_.size() == 1;
   const Event ev{a->state};
-  last_ = ev;
   maybe_arm(a);
   return ev;
 }
@@ -166,6 +165,7 @@ void Stream::record_enqueue(Action* a, Deps deps, const KernelLaunch* launch) {
       break;
   }
   a->state->analyze_id = id;
+  last_analyze_id_ = id;
 }
 
 void Stream::maybe_arm(Action* a) {
@@ -317,9 +317,9 @@ void Stream::on_complete(Action* a) {
   const bool pooled = a->pooled;
 
   const sim::SimTime now = engine_->now();
-  // Same notification order as the interpreted path: external waiters (the
-  // state's, when one exists) fire before graph dependents, and both before
-  // the stream's next action arms.
+  // Notification order: external waiters (the state's, when one exists)
+  // fire before graph dependents, and both before the stream's next action
+  // arms.
   if (a->state) complete_state(*a->state.get(), now);
   if (a->graph_run != nullptr) detail::compiled_graph_notify(a->graph_run, a->graph_node, now);
 
@@ -365,7 +365,7 @@ void Stream::synchronize() {
   // Later enqueues (any stream) happen-after everything this stream had
   // queued; its most recent action's completion subsumes the whole FIFO.
   if (ctx_->recorder_) {
-    ctx_->recorder_->on_host_wait(last_.valid() ? last_.state_->analyze_id : 0);
+    ctx_->recorder_->on_host_wait(last_analyze_id_);
   }
 }
 

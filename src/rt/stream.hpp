@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <span>
 #include <vector>
@@ -75,9 +76,6 @@ public:
   /// the paper's stream-synchronization overhead to the host clock.
   void synchronize();
 
-  /// Completion event of the most recently enqueued action (null if none).
-  [[nodiscard]] Event last_event() const noexcept { return last_; }
-
   [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
   [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
 
@@ -118,7 +116,10 @@ private:
   /// In-order action queue; entries are owned by the Context's action pool
   /// and returned to it on completion.
   detail::PtrRing<detail::Action> queue_;
-  Event last_;
+  /// Analyzer node id of the most recently recorded action on this stream
+  /// (direct enqueue or compiled replay; 0 = none): synchronize() reports the
+  /// host wait as joining it.
+  std::uint64_t last_analyze_id_ = 0;
 };
 
 }  // namespace ms::rt

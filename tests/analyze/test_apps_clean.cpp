@@ -60,7 +60,7 @@ TEST(AppsClean, KmeansGraphReplay) {
   kc.dims = 4;
   kc.iterations = 3;
   kc.tiles = 4;
-  kc.common.graph = ms::apps::GraphMode::Interpreted;
+  kc.common.graph = ms::apps::GraphMode::Compiled;
   expect_clean([&] { return ms::apps::KmeansApp::run(cfg(), kc); });
 }
 

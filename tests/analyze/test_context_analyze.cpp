@@ -8,10 +8,13 @@
 #include <limits>
 
 #include "analyze/capture.hpp"
+#include "rt/compiled_graph.hpp"
 #include "rt/context.hpp"
+#include "rt/graph.hpp"
 #include "rt/tuner.hpp"
 #include "sim/chunk_depot.hpp"
 #include "sim/sim_config.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace {
 
@@ -203,6 +206,91 @@ TEST(ContextAnalyze, SetupIsASegmentBoundary) {
   ctx.synchronize();
   ctx.setup(4);
   ctx.stream(3).enqueue_h2d(buf, 0, 2048);
+  EXPECT_NO_THROW(ctx.synchronize());
+}
+
+// --- compiled graph replay feeds the recorder ------------------------------
+
+TEST(ContextAnalyze, CompiledReplayOfRacyGraphIsReported) {
+  // The compile-time hazard pass is opt-in; replaying on an analyzing context
+  // must still surface the race, because every replayed node is recorded.
+  Capture capture;
+  {
+    ms::rt::Context ctx(small_cfg());
+    ctx.setup(2);
+    const BufferId buf = ctx.create_virtual_buffer(4096);
+    ms::rt::Graph racy;
+    ms::rt::KernelLaunch w0{"w0", {}, {}, {}};
+    w0.writes(buf, 0, 4096);
+    ms::rt::KernelLaunch w1{"w1", {}, {}, {}};
+    w1.writes(buf, 0, 4096);
+    racy.add_kernel(0, std::move(w0));
+    racy.add_kernel(1, std::move(w1));
+    ms::rt::CompiledGraph cg = racy.compile(ctx);
+    cg.launch(ctx);
+    EXPECT_NO_THROW(ctx.synchronize());
+  }
+  EXPECT_FALSE(capture.clean());
+  EXPECT_EQ(capture.result().hazards[0].kind, HazardKind::RaceWAW);
+}
+
+TEST(ContextAnalyze, RotatedBatchIsRecordedWithoutChangingVirtualTime) {
+  // Three kernels hopping across two streams, replayed 8 times with stream
+  // rotation: every instance records its nodes plus the completion barrier.
+  const auto run = [](bool analyze) {
+    ms::rt::Context ctx(small_cfg(), ContextConfig{.analyze = analyze});
+    ctx.setup(2);
+    ms::sim::KernelWork work;
+    work.kind = ms::sim::KernelKind::Streaming;
+    work.elems = 1e5;
+    ms::rt::Graph g;
+    const auto k0 = g.add_kernel(0, {"k0", work, {}, {}});
+    const auto k1 = g.add_kernel(1, {"k1", work, {}, {}}, {k0});
+    g.add_kernel(0, {"k2", work, {}, {}}, {k1});
+    ms::rt::CompiledGraph cg = g.compile(ctx);
+    EXPECT_NO_THROW(cg.launch_batch(ctx, 8, 1));
+    ctx.synchronize();
+    return ctx.host_time().micros();
+  };
+  const bool telemetry_was = ms::telemetry::enabled();
+  ms::telemetry::set_enabled(true);
+  auto& recorded = ms::telemetry::registry().counter(
+      "ms_analyze_actions_recorded_total",
+      "Transfers, kernels, and barriers captured into action graphs");
+  const std::uint64_t before = recorded.value();
+  const double analyzed = run(true);
+  const std::uint64_t delta = recorded.value() - before;
+  ms::telemetry::set_enabled(telemetry_was);
+  if (ms::telemetry::kCompiledIn) EXPECT_EQ(delta, 8u * (3u + 1u));
+  EXPECT_EQ(analyzed, run(false));
+}
+
+TEST(ContextAnalyze, HostWaitsOnCompiledReplayAreOrderingEdges) {
+  // Stream::synchronize after a replay joins that stream's newest replayed
+  // node, and Context::wait on a launch's returned event joins the
+  // completion barrier: each makes the later overlapping upload race-free.
+  ms::rt::Context ctx(small_cfg(), ContextConfig{.analyze = true});
+  ctx.setup(3);
+  const BufferId buf = ctx.create_virtual_buffer(2048);
+  // The completion barrier lands on stream 0 with the marker; the upload is
+  // stream 1's newest node. The later uploads go to stream 2, which only a
+  // host wait orders after the replay.
+  ms::rt::Graph g;
+  g.add_kernel(0, {"marker", {}, {}, {}});
+  g.add_h2d(1, buf, 0, 2048);
+  ms::rt::CompiledGraph cg = g.compile(ctx);
+
+  cg.launch(ctx);
+  ctx.stream(1).synchronize();
+  ctx.stream(2).enqueue_h2d(buf, 0, 2048);
+  EXPECT_NO_THROW(ctx.synchronize());
+
+  ctx.wait(cg.launch(ctx));
+  ctx.stream(2).enqueue_h2d(buf, 0, 2048);
+  EXPECT_NO_THROW(ctx.synchronize());
+
+  ctx.wait(cg.launch_batch(ctx, 2));
+  ctx.stream(2).enqueue_h2d(buf, 0, 2048);
   EXPECT_NO_THROW(ctx.synchronize());
 }
 

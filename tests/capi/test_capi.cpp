@@ -30,6 +30,8 @@ void saxpy_kernel(void* arg, mstream_resolve_fn resolve) {
   for (size_t i = 0; i < args->n; ++i) b[i] = a[i] + args->alpha;
 }
 
+void count_kernel(void* arg, mstream_resolve_fn /*resolve*/) { ++*static_cast<int*>(arg); }
+
 TEST(CApi, InitAndFiniLifecycle) {
   EXPECT_EQ(mstream_app_init(4), MSTREAM_SUCCESS);
   EXPECT_EQ(mstream_stream_count(), 4);
@@ -218,6 +220,26 @@ TEST(CApi, GraphErrorPaths) {
   const mstream_node bogus = 42;
   EXPECT_EQ(mstream_graph_add_kernel(g, 0, "k", &work, nullptr, nullptr, &bogus, 1, nullptr),
             MSTREAM_ERR_RUNTIME);
+}
+
+TEST(CApi, FailedGraphLaunchIssuesNothing) {
+  // The second node targets a stream that does not exist: the launch fails
+  // as a whole, so the first node's kernel never runs either.
+  CApiSession session(2);
+  mstream_graph g = 0;
+  ASSERT_EQ(mstream_graph_create(&g), MSTREAM_SUCCESS);
+  int runs = 0;
+  mstream_work work{};
+  mstream_node first = 0;
+  ASSERT_EQ(mstream_graph_add_kernel(g, 0, "count", &work, &count_kernel, &runs, nullptr, 0,
+                                     &first),
+            MSTREAM_SUCCESS);
+  ASSERT_EQ(mstream_graph_add_kernel(g, 7, "k", &work, nullptr, nullptr, &first, 1, nullptr),
+            MSTREAM_SUCCESS);
+  EXPECT_EQ(mstream_graph_launch(g, nullptr), MSTREAM_ERR_RUNTIME);
+  EXPECT_NE(mstream_last_error()[0], '\0');
+  ASSERT_EQ(mstream_app_thread_sync(), MSTREAM_SUCCESS);
+  EXPECT_EQ(runs, 0);
 }
 
 TEST(CApi, TimingOnlyKernelAdvancesVirtualClock) {

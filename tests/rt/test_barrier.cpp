@@ -63,11 +63,13 @@ TEST(Barrier, OrdersWithinItsOwnStream) {
   int order = 0;
   int at_kernel = -1;
   ctx.stream(1).enqueue_kernel({"marks", work(), [&] { order = 1; }});
-  ctx.stream(0).enqueue_kernel({"after-barrier", work(), [&] { at_kernel = order; }});
+  const Event after = ctx.stream(0).enqueue_kernel({"after-barrier", work(), [&] {
+    at_kernel = order;
+  }});
   ctx.synchronize();
   // Stream 0's kernel ran after the barrier, i.e. after `slow`; the marker
   // on stream 1 may or may not have run, but the barrier's effect held:
-  EXPECT_GE(ctx.stream(0).last_event().time(), slow.time());
+  EXPECT_GE(after.time(), slow.time());
   EXPECT_NE(at_kernel, -1);
 }
 

@@ -1,5 +1,6 @@
-// Compiled graph executor: determinism vs the interpreted path, the
-// compile-error gallery, stream capture, and the graph cache.
+// Compiled graph executor: determinism across separate and batched replays,
+// replay pricing, the compile-error gallery, stream capture, and the graph
+// cache.
 
 #include "rt/compiled_graph.hpp"
 
@@ -49,20 +50,12 @@ Graph make_pipeline(BufferId buf, std::size_t bytes, int tiles, int streams) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: virtual times and results must be bit-identical across the
-// interpreted, compiled, and batched paths.
+// Determinism: virtual times must be bit-identical across separate and
+// batched replays, and results identical to direct issue.
 // ---------------------------------------------------------------------------
 
-TEST(CompiledGraph, VirtualTimeBitIdenticalToInterpreted) {
+TEST(CompiledGraph, VirtualTimeBitIdenticalAcrossLaunchAndBatch) {
   constexpr int kReplays = 7;
-
-  Context interp(cfg());
-  interp.setup(4);
-  interp.set_tracing(false);
-  const auto b1 = interp.create_virtual_buffer(1 << 20);
-  const Graph g1 = make_pipeline(b1, 1 << 20, 64, 4);
-  for (int i = 0; i < kReplays; ++i) g1.launch(interp);
-  interp.synchronize();
 
   Context comp(cfg());
   comp.setup(4);
@@ -83,13 +76,12 @@ TEST(CompiledGraph, VirtualTimeBitIdenticalToInterpreted) {
   batch.synchronize();
 
   // Bit-identical, not just close: EXPECT_EQ on the raw micros.
-  EXPECT_EQ(interp.host_time().micros(), comp.host_time().micros());
-  EXPECT_EQ(interp.host_time().micros(), batch.host_time().micros());
+  EXPECT_EQ(comp.host_time().micros(), batch.host_time().micros());
   EXPECT_EQ(cg.replays(), static_cast<std::uint64_t>(kReplays));
   EXPECT_EQ(cgb.replays(), static_cast<std::uint64_t>(kReplays));
 }
 
-TEST(CompiledGraph, FunctionalResultsMatchInterpreted) {
+TEST(CompiledGraph, FunctionalResultsMatchDirectIssue) {
   auto run = [](bool compiled) {
     Context ctx(cfg());
     ctx.setup(2);
@@ -98,36 +90,36 @@ TEST(CompiledGraph, FunctionalResultsMatchInterpreted) {
     const auto ba = ctx.create_buffer(std::span<float>(a));
     const auto bb = ctx.create_buffer(std::span<float>(b));
 
-    Graph g;
-    const auto up = g.add_h2d(0, ba, 0, 4096);
-    const auto k = g.add_kernel(0, {"twice", work(1024), [&ctx, ba, bb] {
-                                      const float* src = ctx.device_ptr<float>(ba, 0);
-                                      float* dst = ctx.device_ptr<float>(bb, 0);
-                                      for (int i = 0; i < 1024; ++i) dst[i] = 2.0f * src[i];
-                                    }},
-                                {up});
-    const auto k2 = g.add_kernel(1, {"inc", work(1024), [&ctx, bb] {
-                                       float* dst = ctx.device_ptr<float>(bb, 0);
-                                       for (int i = 0; i < 1024; ++i) dst[i] += 1.0f;
-                                     }},
-                                 {k});
-    g.add_d2h(0, bb, 0, 4096, {k2});
+    const KernelLaunch twice{"twice", work(1024), [&ctx, ba, bb] {
+                               const float* src = ctx.device_ptr<float>(ba, 0);
+                               float* dst = ctx.device_ptr<float>(bb, 0);
+                               for (int i = 0; i < 1024; ++i) dst[i] = 2.0f * src[i];
+                             }};
+    const KernelLaunch inc{"inc", work(1024), [&ctx, bb] {
+                             float* dst = ctx.device_ptr<float>(bb, 0);
+                             for (int i = 0; i < 1024; ++i) dst[i] += 1.0f;
+                           }};
 
     if (compiled) {
-      CompiledGraph cg = g.compile(ctx);
-      cg.launch(ctx);
+      Graph g;
+      const auto up = g.add_h2d(0, ba, 0, 4096);
+      const auto k = g.add_kernel(0, twice, {up});
+      const auto k2 = g.add_kernel(1, inc, {k});
+      g.add_d2h(0, bb, 0, 4096, {k2});
+      g.compile(ctx).launch(ctx);
     } else {
-      g.launch(ctx);
+      const Event up = ctx.stream(0).enqueue_h2d(ba, 0, 4096);
+      const Event k = ctx.stream(0).enqueue_kernel(twice, {up});
+      const Event k2 = ctx.stream(1).enqueue_kernel(inc, {k});
+      ctx.stream(0).enqueue_d2h(bb, 0, 4096, {k2});
     }
     ctx.synchronize();
-    const double checksum = std::accumulate(b.begin(), b.end(), 0.0);
-    return std::pair{ctx.host_time().micros(), checksum};
+    return std::accumulate(b.begin(), b.end(), 0.0);
   };
 
-  const auto [t_interp, sum_interp] = run(false);
-  const auto [t_comp, sum_comp] = run(true);
-  EXPECT_EQ(t_interp, t_comp);
-  EXPECT_EQ(sum_interp, sum_comp);
+  const double sum_direct = run(false);
+  const double sum_comp = run(true);
+  EXPECT_EQ(sum_direct, sum_comp);
   // 2*(1+...+1024) + 1024 = 1024*1025 + 1024.
   EXPECT_DOUBLE_EQ(sum_comp, 1024.0 * 1025.0 + 1024.0);
 }
@@ -248,37 +240,25 @@ TEST(CompiledGraph, RotationKeepsVirtualTimeOnUniformPartitions) {
   EXPECT_EQ(run(0), run(-1));  // negative rotations are normalised
 }
 
-TEST(CompiledGraph, CompiledReplayIsSameVirtualCostAsInterpreted) {
-  // The feature changes host wall-clock, never the modelled cost: one replay
-  // charges graph_launch_base + (n+1) * graph_replay_per_node either way.
-  auto issue_cost = [](bool compiled) {
-    Context ctx(cfg());
-    ctx.setup(2);
-    ctx.set_tracing(false);
-    const auto buf = ctx.create_virtual_buffer(1 << 16);
-    const Graph g = make_pipeline(buf, 1 << 16, 8, 2);
-    CompiledGraph cg = g.compile(ctx);
-    ctx.synchronize();
-    const auto t0 = ctx.host_time();
-    if (compiled) {
-      cg.launch(ctx);
-    } else {
-      g.launch(ctx);
-    }
-    const auto cost = ctx.host_time() - t0;
-    ctx.synchronize();
-    return cost;
-  };
-
-  const auto interp = issue_cost(false);
-  const auto comp = issue_cost(true);
-  EXPECT_EQ(interp.micros(), comp.micros());
+TEST(CompiledGraph, CompiledReplayChargesLaunchBasePlusPerNode) {
+  // One replay charges the host graph_launch_base + (n+1) *
+  // graph_replay_per_node (the +1 is the appended completion barrier).
+  Context ctx(cfg());
+  ctx.setup(2);
+  ctx.set_tracing(false);
+  const auto buf = ctx.create_virtual_buffer(1 << 16);
+  const Graph g = make_pipeline(buf, 1 << 16, 8, 2);
+  CompiledGraph cg = g.compile(ctx);
+  ctx.synchronize();
+  const auto t0 = ctx.host_time();
+  cg.launch(ctx);
+  const auto cost = ctx.host_time() - t0;
+  ctx.synchronize();
 
   const auto& ov = cfg().overhead;
-  const Graph probe = make_pipeline(BufferId{1}, 1 << 16, 8, 2);
   const auto expected =
-      ov.graph_launch_base + ov.graph_replay_per_node * static_cast<double>(probe.size() + 1);
-  EXPECT_NEAR(comp.micros(), expected.micros(), 1e-9);
+      ov.graph_launch_base + ov.graph_replay_per_node * static_cast<double>(g.size() + 1);
+  EXPECT_NEAR(cost.micros(), expected.micros(), 1e-9);
 }
 
 TEST(CompiledGraph, DestroyingExecutorWithLaunchesInFlightIsSafe) {
@@ -455,7 +435,7 @@ TEST(CompiledGraphCapture, CaptureRecordsWithoutExecuting) {
   EXPECT_EQ(runs, 0) << "capture must not execute anything";
   EXPECT_EQ((ctx.host_time() - t0).micros(), 0.0) << "capture charges no host time";
 
-  g.launch(ctx);
+  g.compile(ctx).launch(ctx);
   ctx.synchronize();
   EXPECT_EQ(runs, 1);
 }
@@ -511,7 +491,7 @@ TEST(CompiledGraphCapture, DependencyOnFinishedWorkIsDropped) {
   ctx.stream(0).enqueue_kernel({"k", work(), {}}, {pre});
   ctx.end_capture();
   EXPECT_EQ(g.size(), 1u);
-  g.launch(ctx);
+  g.compile(ctx).launch(ctx);
   ctx.synchronize();
 }
 
@@ -530,6 +510,9 @@ TEST(CompiledGraphCapture, DependencyOnPendingWorkThrows) {
 TEST(CompiledGraphCapture, BlockingOpsThrowDuringCapture) {
   Context ctx(cfg());
   const auto buf = ctx.create_virtual_buffer(4096);
+  Graph other;
+  other.add_kernel(0, {"k", work(), {}});
+  CompiledGraph cg = other.compile(ctx);
   Graph g;
   ctx.begin_capture(g);
   const Event phantom = ctx.stream(0).enqueue_h2d(buf, 0, 4096);
@@ -538,8 +521,8 @@ TEST(CompiledGraphCapture, BlockingOpsThrowDuringCapture) {
   EXPECT_THROW(ctx.stream(0).synchronize(), Error);
   EXPECT_THROW(ctx.setup(4), Error);
   EXPECT_THROW(ctx.destroy_buffer(buf), Error);
-  Graph other;
-  EXPECT_THROW((void)other.launch(ctx), Error);
+  EXPECT_THROW((void)cg.launch(ctx), Error);
+  EXPECT_THROW((void)cg.launch_batch(ctx, 2), Error);
   ctx.end_capture();
 }
 

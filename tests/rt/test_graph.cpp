@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "rt/compiled_graph.hpp"
 #include "rt/context.hpp"
 #include "rt/errors.hpp"
 #include "rt/tile_plan.hpp"
@@ -24,7 +25,7 @@ TEST(Graph, EmptyGraphCannotLaunch) {
   Context ctx(cfg());
   Graph g;
   EXPECT_TRUE(g.empty());
-  EXPECT_THROW((void)g.launch(ctx), Error);
+  EXPECT_THROW((void)g.compile(ctx).launch(ctx), Error);
 }
 
 TEST(Graph, ForwardDependencyIsRejectedAtRecordTime) {
@@ -53,7 +54,7 @@ TEST(Graph, FunctionalReplayProducesRealResults) {
   g.add_d2h(0, bb, 0, 4096, {k});
   EXPECT_EQ(g.size(), 3u);
 
-  const Event done = g.launch(ctx);
+  const Event done = g.compile(ctx).launch(ctx);
   ctx.synchronize();
   EXPECT_TRUE(done.done());
   for (const float x : b) ASSERT_FLOAT_EQ(x, 8.0f);
@@ -64,8 +65,9 @@ TEST(Graph, ReplayRunsTheFunctorEveryTime) {
   int runs = 0;
   Graph g;
   g.add_kernel(0, {"count", work(), [&runs] { ++runs; }});
+  CompiledGraph cg = g.compile(ctx);
   for (int i = 0; i < 5; ++i) {
-    g.launch(ctx);
+    cg.launch(ctx);
     ctx.synchronize();
   }
   EXPECT_EQ(runs, 5);
@@ -79,7 +81,7 @@ TEST(Graph, CompletionEventCoversAllLeaves) {
   for (int s = 0; s < 4; ++s) {
     leaves.push_back(g.add_kernel(s, {"k", work(1e6 * (s + 1)), {}}));
   }
-  const Event done = g.launch(ctx);
+  const Event done = g.compile(ctx).launch(ctx);
   ctx.wait(done);
   // Waiting on the graph's completion implies every stream's kernel is done.
   for (int s = 0; s < 4; ++s) {
@@ -94,7 +96,7 @@ TEST(Graph, CrossStreamDependenciesReplayCorrectly) {
   Graph g;
   const auto slow = g.add_kernel(0, {"slow", work(1e8), [&] { order.push_back(0); }});
   g.add_kernel(1, {"fast-but-dependent", work(1e3), [&] { order.push_back(1); }}, {slow});
-  g.launch(ctx);
+  g.compile(ctx).launch(ctx);
   ctx.synchronize();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
@@ -135,9 +137,10 @@ TEST(Graph, ReplayIsCheaperThanReEnqueueAtLargeT) {
   const auto b2 = replay.create_virtual_buffer(bytes);
   Graph g;
   build(replay, &g, b2);  // record only; nothing enqueued yet
+  CompiledGraph cg = g.compile(replay);
   replay.synchronize();
   const auto r0 = replay.host_time();
-  g.launch(replay);
+  cg.launch(replay);
   replay.synchronize();
   const double replay_ms = (replay.host_time() - r0).millis();
 
@@ -157,9 +160,9 @@ TEST(Graph, SameGraphLaunchesOnTwoContexts) {
   const auto up = g.add_h2d(0, buf_a, 0, 4096);
   g.add_kernel(0, {"k", work(), {}}, {up});
 
-  g.launch(a);
+  g.compile(a).launch(a);
   a.synchronize();
-  g.launch(b);
+  g.compile(b).launch(b);
   b.synchronize();
   EXPECT_DOUBLE_EQ((a.host_time() - b.host_time()).micros(), 0.0);
 }
@@ -168,7 +171,29 @@ TEST(Graph, InvalidStreamSurfacesAtLaunch) {
   Context ctx(cfg());  // only stream 0 exists
   Graph g;
   g.add_kernel(3, {"k", work(), {}});
-  EXPECT_THROW((void)g.launch(ctx), Error);
+  EXPECT_THROW((void)g.compile(ctx).launch(ctx), Error);
+}
+
+TEST(Graph, FailedLaunchIssuesNothing) {
+  // A graph whose *second* node targets a missing stream: the launch must
+  // be rejected whole, not after the first node was issued.
+  Context ctx(cfg());  // only stream 0 exists
+  int runs = 0;
+  Graph g;
+  const auto k = g.add_kernel(0, {"runs", work(), [&runs] { ++runs; }});
+  g.add_kernel(3, {"k", work(), {}}, {k});
+  ctx.synchronize();
+  const auto t0 = ctx.host_time();
+  EXPECT_THROW((void)g.compile(ctx).launch(ctx), Error);
+  ctx.synchronize();
+  EXPECT_EQ(runs, 0);
+
+  // The host clock moved by the synchronize alone.
+  Context bare(cfg());
+  bare.synchronize();
+  const auto b0 = bare.host_time();
+  bare.synchronize();
+  EXPECT_EQ((ctx.host_time() - t0).micros(), (bare.host_time() - b0).micros());
 }
 
 }  // namespace

@@ -83,7 +83,7 @@ TEST(MultiDevice, PerDeviceShadowsDivergeUntilExplicitTransfer) {
   // Route through the host: D2H from card 0 (a no-op here since host is the
   // source of truth), then H2D to card 1.
   ctx.stream(0, 0).enqueue_d2h(buf, 0, 8);
-  ctx.stream(1, 0).enqueue_h2d(buf, 0, 8, {ctx.stream(0, 0).last_event()});
+  ctx.stream(1, 0).enqueue_h2d(buf, 0, 8, {ctx.stream(0, 0).enqueue_barrier()});
   ctx.synchronize();
   EXPECT_FLOAT_EQ(ctx.device_ptr<float>(buf, 1)[1], 2.0f);
 }

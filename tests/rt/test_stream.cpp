@@ -153,16 +153,20 @@ TEST(Stream, OutOfRangeTransferThrows) {
 }
 
 TEST(Stream, LastEventTracksMostRecentAction) {
+  // A dependency-free barrier is the stream's "last event": it completes
+  // once every earlier action of the stream has.
   Context ctx(cfg());
-  EXPECT_FALSE(ctx.stream(0).last_event().valid());
   std::vector<float> data(4, 0.0f);
   const auto buf = ctx.create_buffer(std::span<float>(data));
   const Event e = ctx.stream(0).enqueue_h2d(buf, 0, 16);
-  EXPECT_TRUE(ctx.stream(0).last_event().valid());
+  const Event tail = ctx.stream(0).enqueue_barrier();
+  EXPECT_TRUE(tail.valid());
   EXPECT_FALSE(e.done());
+  EXPECT_FALSE(tail.done());
   ctx.synchronize();
   EXPECT_TRUE(e.done());
   EXPECT_GT(e.time(), sim::SimTime::zero());
+  EXPECT_GE(tail.time(), e.time());
 }
 
 TEST(Stream, PendingCountsQueuedActions) {

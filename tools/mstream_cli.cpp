@@ -45,7 +45,6 @@
 //   --dot FILE                          (analyze) write Graphviz dot of the racy subgraph
 //   --replays N                         (graph) protocol replays of the captured schedule
 //   --batch M                           (graph) instances per replay via launch_batch
-//   --no-compile                        (graph) interpreted Graph::launch() baseline
 
 #include <atomic>
 #include <charconv>
@@ -111,7 +110,6 @@ struct Cli {
   double gelem = 0.2;
   int replays = 0;
   int batch = 1;
-  bool no_compile = false;
 };
 
 int usage() {
@@ -120,7 +118,7 @@ int usage() {
                "       mstream_cli hbench {fig5|fig6|fig7} [flags]\n"
                "       mstream_cli analyze {app|hbench} <name> [flags] [--json FILE] [--dot FILE]\n"
                "       mstream_cli lint {app|hbench} <name> [flags] [--json FILE] [--sarif FILE]\n"
-               "       mstream_cli graph app <name> --replays N [--batch M] [--no-compile] [flags]\n"
+               "       mstream_cli graph app <name> --replays N [--batch M] [flags]\n"
                "       mstream_cli stats [{app|hbench} <name> [flags]]\n"
                "       mstream_cli tune [--h2d-mib N --d2h-mib N --gflop N | --gelem N]\n"
                "       mstream_cli devices\n"
@@ -200,7 +198,6 @@ bool parse_positive(std::string_view token, T* out) {
 bool parse_flags(int argc, char** argv, int first, Cli* cli) {
   const std::map<std::string_view, bool*> switches{
       {"--baseline", &cli->baseline},
-      {"--no-compile", &cli->no_compile},
       {"--functional", &cli->functional},
       {"--utilization", &cli->utilization},
       {"--energy", &cli->energy},
@@ -393,9 +390,8 @@ int run_app(const std::string& name, const Cli& cli) {
   return 0;
 }
 
-/// `graph app <name>`: run the app's replay-shaped phases through the graph
-/// executor (compiled by default; `--no-compile` keeps the interpreted
-/// `Graph::launch()` baseline) and report the host-side economics: compile
+/// `graph app <name>`: run the app's replay-shaped phases through the
+/// compiled graph executor and report the host-side economics: compile
 /// time, per-replay host wall cost, and process GraphCache stats. `--replays
 /// N` replays the captured schedule for N protocol iterations; `--batch M`
 /// issues each phase replay as M back-to-back instances via launch_batch
@@ -412,8 +408,7 @@ int run_graph(const std::string& sub, const std::string& name, const Cli& cli) {
   if (!pick_config(cli, &cfg)) return 2;
 
   auto common = common_from(cli);
-  common.graph =
-      cli.no_compile ? ms::apps::GraphMode::Interpreted : ms::apps::GraphMode::Compiled;
+  common.graph = ms::apps::GraphMode::Compiled;
   common.graph_batch = cli.batch > 1 ? cli.batch : 1;
   // Long replay runs would otherwise accumulate a full action timeline.
   common.tracing = !cli.trace_path.empty() || cli.utilization || cli.energy;
@@ -429,8 +424,7 @@ int run_graph(const std::string& sub, const std::string& name, const Cli& cli) {
     return 2;
   }
 
-  std::printf("mode: %s%s, %d protocol replays of the captured schedule\n",
-              cli.no_compile ? "interpreted" : "compiled",
+  std::printf("mode: compiled%s, %d protocol replays of the captured schedule\n",
               common.graph_batch > 1
                   ? (" (batch " + std::to_string(common.graph_batch) + ")").c_str()
                   : "",
@@ -440,7 +434,7 @@ int run_graph(const std::string& sub, const std::string& name, const Cli& cli) {
               wall_ms / static_cast<double>(replays));
 
   // Compile/launch breakdown from the labeled graph metric families. All
-  // zeros (families absent) means a telemetry-off build or --no-compile.
+  // zeros (families absent) means a telemetry-off build.
   std::uint64_t compiles = 0, compile_ns = 0, graph_replays = 0, launches = 0, launch_ns = 0;
   for (const auto& m : ms::telemetry::registry().snapshot().metrics) {
     if (m.name == "ms_rt_graph_compiles_total") {
@@ -458,8 +452,6 @@ int run_graph(const std::string& sub, const std::string& name, const Cli& cli) {
     std::printf("compile: %llu plan(s), %.1f us total\n",
                 static_cast<unsigned long long>(compiles),
                 static_cast<double>(compile_ns) / 1e3);
-  } else if (cli.no_compile) {
-    std::printf("compile: skipped (--no-compile: interpreted Graph::launch)\n");
   } else {
     std::printf("compile: no telemetry (MS_TELEMETRY=OFF build?)\n");
   }
