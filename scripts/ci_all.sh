@@ -3,17 +3,15 @@
 #   1. tier-1: Release build + full ctest suite
 #   2. observability endpoint smoke: scrape a live --serve-obs run over TCP
 #      (/healthz readiness + monotone Prometheus /metrics)
-#   3. MS_TELEMETRY=OFF: the stub build must compile and pass everything
-#      (proves instrumented call sites do not depend on live telemetry)
-#   4. sanitizers: thread (the sweep pool, parallel kernels and concurrent
+#   3. sanitizers: thread (the sweep pool, parallel kernels and concurrent
 #      telemetry primitives), address (leak check proves the hazard-abort
 #      path releases pooled actions), undefined (every UB report fatal)
-#   5. native kernel leg (-O3 -march=native numerics stay bit-stable)
-#   6. static analysis (clang-tidy, or the strict -Werror fallback)
-#   7. performance lint: every app + hbench pattern under `mstream_cli lint`,
+#   4. native kernel leg (-O3 -march=native numerics stay bit-stable)
+#   5. static analysis (clang-tidy, or the strict -Werror fallback)
+#   6. performance lint: every app + hbench pattern under `mstream_cli lint`,
 #      failing on findings outside scripts/lint_waivers.txt (SARIF artifacts
 #      in <prefix>/lint-sarif/)
-#   8. bench-regression smoke (report-only: fresh medians vs BENCH_*.json)
+#   7. bench-regression smoke (report-only: fresh medians vs BENCH_*.json)
 #
 #   scripts/ci_all.sh [build-dir-prefix]
 set -euo pipefail
@@ -28,11 +26,6 @@ ctest --test-dir "${PREFIX}" --output-on-failure -j "$(nproc)"
 
 echo "==> observability endpoint smoke (--serve-obs)"
 "${SOURCE_DIR}/scripts/ci_obs_smoke.sh" "${PREFIX}"
-
-echo "==> telemetry compiled out (MS_TELEMETRY=OFF)"
-cmake -S "${SOURCE_DIR}" -B "${PREFIX}-notel" -DCMAKE_BUILD_TYPE=Release -DMS_TELEMETRY=OFF
-cmake --build "${PREFIX}-notel" -j
-ctest --test-dir "${PREFIX}-notel" --output-on-failure -j "$(nproc)"
 
 for san in thread address undefined; do
   echo "==> sanitize: ${san}"

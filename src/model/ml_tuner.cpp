@@ -125,12 +125,12 @@ KnnTuner KnnTuner::train(const sim::SimConfig& cfg, int samples, std::uint32_t s
   const auto labeled = sim::parallel_map<Labeled>(
       static_cast<std::size_t>(samples), [&](std::size_t i) {
         const OffloadShape shape = random_shape(seed + static_cast<std::uint32_t>(i));
-        const auto result = rt::Tuner::search_validated(
+        const auto result = rt::Tuner::search(
             space,
             [&](rt::Tuner::Candidate c) {
               return simulate_streamed_ms(cfg, shape, c.partitions, c.tiles);
             },
-            cfg.device);
+            {.validate = true, .lint = cfg.device});
         return Labeled{shape, result.best};
       });
   for (const Labeled& l : labeled) {

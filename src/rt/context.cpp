@@ -1,6 +1,5 @@
 #include "rt/context.hpp"
 
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -24,11 +23,6 @@ void detail::free_state(ActionState* s) noexcept {
 }
 
 namespace {
-bool env_analyze() {
-  const char* v = std::getenv("MS_ANALYZE");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
-
 /// Per-device link in-flight bytes as a labeled gauge family; its track()
 /// names (`ms_rt_link_inflight_bytes{device="0"}`) are registry-owned and
 /// stable, shared by the scrape exporters and the Chrome counter track.
@@ -92,7 +86,7 @@ Context::Context(const sim::SimConfig& cfg, const ContextConfig& ctx_cfg)
   // endpoint if configured (explicit obs_addr wins over MS_OBS_ADDR; no-op
   // when neither is set or a server already listens).
   telemetry::ensure_obs_server(ctx_cfg.obs_addr);
-  if (ctx_cfg.analyze || env_analyze() || analyze::Capture::current() != nullptr ||
+  if (ctx_cfg.analyze || telemetry::env_switch("MS_ANALYZE") || analyze::Capture::current() != nullptr ||
       analyze::LintCapture::current() != nullptr) {
     recorder_ = std::make_unique<analyze::Recorder>(std::optional<sim::SimConfig>(cfg));
   }

@@ -1,6 +1,7 @@
 #include "rt/tuner.hpp"
 
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "analyze/capture.hpp"
@@ -44,39 +45,6 @@ void tel_search_begin(std::size_t candidates) {
   tel_done().set(0);
 }
 
-/// Evaluate one candidate under a fresh Capture; hazardous evaluations
-/// return infinity so the ordered reduction skips them unchanged.
-double validated_eval(const std::function<double(Tuner::Candidate)>& metric, Tuner::Candidate c,
-                      bool* hazardous) {
-  analyze::Capture capture;
-  const double v = metric(c);
-  *hazardous = !capture.clean();
-  return *hazardous ? std::numeric_limits<double>::infinity() : v;
-}
-
-Tuner::Result validated_reduce(const std::vector<Tuner::Candidate>& candidates,
-                               const std::vector<double>& values,
-                               const std::vector<char>& hazardous) {
-  Tuner::Result r;
-  r.best_metric = std::numeric_limits<double>::max();
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    ++r.evaluated;
-    if (hazardous[i] != 0) {
-      ++r.hazardous;
-      continue;
-    }
-    if (values[i] < r.best_metric) {
-      r.best_metric = values[i];
-      r.best = candidates[i];
-    }
-  }
-  tel_hazardous().add(static_cast<std::uint64_t>(r.hazardous));
-  if (r.hazardous == candidates.size()) {
-    throw Error("Tuner::search_validated: every candidate configuration reported hazards");
-  }
-  return r;
-}
-
 telemetry::Counter& tel_lint_pruned() {
   static telemetry::Counter& c = telemetry::registry().counter(
       "ms_analyze_lint_pruned_candidates_total",
@@ -100,7 +68,7 @@ std::vector<Tuner::Candidate> lint_prune(const std::vector<Tuner::Candidate>& ca
   }
   tel_lint_pruned().add(static_cast<std::uint64_t>(*pruned));
   if (kept.empty()) {
-    throw Error("Tuner::search_validated: the lint pre-prune rejected every candidate "
+    throw Error("Tuner::search: the lint pre-prune rejected every candidate "
                 "(no partition count fits the device's core granularity)");
   }
   return kept;
@@ -158,134 +126,56 @@ std::vector<Tuner::Candidate> Tuner::exhaustive_space(const sim::CoprocessorSpec
 }
 
 Tuner::Result Tuner::search(const std::vector<Candidate>& candidates,
-                            const std::function<double(Candidate)>& metric) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("Tuner::search: empty candidate list");
-  }
-  if (!metric) {
-    throw std::invalid_argument("Tuner::search: empty metric");
-  }
-  const telemetry::ScopedSpan span("rt.tuner.search");
-  tel_search_begin(candidates.size());
-  Result r;
-  r.best_metric = std::numeric_limits<double>::max();
-  for (const Candidate& c : candidates) {
-    const double v = metric(c);
-    tel_done().add(1);
-    ++r.evaluated;
-    if (v < r.best_metric) {
-      r.best_metric = v;
-      r.best = c;
-    }
-  }
-  return r;
-}
-
-Tuner::Result Tuner::search(const std::vector<Candidate>& candidates,
                             const std::function<double(Candidate)>& metric,
-                            const sim::SweepOptions& sweep) {
+                            const SearchOptions& opt) {
   if (candidates.empty()) {
     throw std::invalid_argument("Tuner::search: empty candidate list");
   }
   if (!metric) {
     throw std::invalid_argument("Tuner::search: empty metric");
   }
+  Result r;
+  std::vector<Candidate> kept;
+  if (opt.lint) kept = lint_prune(candidates, *opt.lint, &r.pruned);
+  const std::vector<Candidate>& list = opt.lint ? kept : candidates;
+
   const telemetry::ScopedSpan span("rt.tuner.search");
-  tel_search_begin(candidates.size());
+  tel_search_begin(list.size());
+  // A validated evaluation installs its own Capture on whichever thread runs
+  // it — the thread-local scoping gives per-candidate attribution for free.
+  std::vector<char> hazardous(list.size(), 0);
   const auto values = sim::parallel_map<double>(
-      candidates.size(),
+      list.size(),
       [&](std::size_t i) {
-        const double v = metric(candidates[i]);
+        std::optional<analyze::Capture> capture;
+        if (opt.validate) capture.emplace();
+        const double v = metric(list[i]);
+        hazardous[i] = capture && !capture->clean() ? 1 : 0;
         tel_done().add(1);
         return v;
       },
-      sweep);
+      opt.sweep);
 
-  // Ordered reduction: same winner and tie-breaks as the serial loop.
-  Result r;
+  // Ordered reduction: the winner and tie-breaks follow candidate order, not
+  // evaluation order.
   r.best_metric = std::numeric_limits<double>::max();
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
+  for (std::size_t i = 0; i < list.size(); ++i) {
     ++r.evaluated;
+    if (hazardous[i] != 0) {
+      ++r.hazardous;
+      continue;
+    }
     if (values[i] < r.best_metric) {
       r.best_metric = values[i];
-      r.best = candidates[i];
+      r.best = list[i];
     }
   }
-  return r;
-}
-
-Tuner::Result Tuner::search_validated(const std::vector<Candidate>& candidates,
-                                      const std::function<double(Candidate)>& metric) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("Tuner::search_validated: empty candidate list");
+  if (opt.validate) {
+    tel_hazardous().add(static_cast<std::uint64_t>(r.hazardous));
+    if (r.hazardous == list.size()) {
+      throw Error("Tuner::search: every candidate configuration reported hazards");
+    }
   }
-  if (!metric) {
-    throw std::invalid_argument("Tuner::search_validated: empty metric");
-  }
-  const telemetry::ScopedSpan span("rt.tuner.search");
-  tel_search_begin(candidates.size());
-  std::vector<double> values(candidates.size());
-  std::vector<char> hazardous(candidates.size(), 0);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    bool bad = false;
-    values[i] = validated_eval(metric, candidates[i], &bad);
-    hazardous[i] = bad ? 1 : 0;
-    tel_done().add(1);
-  }
-  return validated_reduce(candidates, values, hazardous);
-}
-
-Tuner::Result Tuner::search_validated(const std::vector<Candidate>& candidates,
-                                      const std::function<double(Candidate)>& metric,
-                                      const sim::SweepOptions& sweep) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("Tuner::search_validated: empty candidate list");
-  }
-  if (!metric) {
-    throw std::invalid_argument("Tuner::search_validated: empty metric");
-  }
-  const telemetry::ScopedSpan span("rt.tuner.search");
-  tel_search_begin(candidates.size());
-  // Each evaluation installs its own Capture on whichever pool worker runs
-  // it — the thread-local scoping gives per-candidate attribution for free.
-  std::vector<char> hazardous(candidates.size(), 0);
-  const auto values = sim::parallel_map<double>(
-      candidates.size(),
-      [&](std::size_t i) {
-        bool bad = false;
-        const double v = validated_eval(metric, candidates[i], &bad);
-        hazardous[i] = bad ? 1 : 0;
-        tel_done().add(1);
-        return v;
-      },
-      sweep);
-  return validated_reduce(candidates, values, hazardous);
-}
-
-Tuner::Result Tuner::search_validated(const std::vector<Candidate>& candidates,
-                                      const std::function<double(Candidate)>& metric,
-                                      const sim::CoprocessorSpec& spec) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("Tuner::search_validated: empty candidate list");
-  }
-  std::size_t pruned = 0;
-  const std::vector<Candidate> kept = lint_prune(candidates, spec, &pruned);
-  Result r = search_validated(kept, metric);
-  r.pruned = pruned;
-  return r;
-}
-
-Tuner::Result Tuner::search_validated(const std::vector<Candidate>& candidates,
-                                      const std::function<double(Candidate)>& metric,
-                                      const sim::CoprocessorSpec& spec,
-                                      const sim::SweepOptions& sweep) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("Tuner::search_validated: empty candidate list");
-  }
-  std::size_t pruned = 0;
-  const std::vector<Candidate> kept = lint_prune(candidates, spec, &pruned);
-  Result r = search_validated(kept, metric, sweep);
-  r.pruned = pruned;
   return r;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "sim/sim_config.hpp"
@@ -26,6 +27,27 @@ struct TunerOptions {
   bool include_single_partition = false;
 };
 
+/// How Tuner::search evaluates its candidates.
+struct SearchOptions {
+  /// Where evaluations run. The default runs them one after another on the
+  /// calling thread; other values spread them over the shared sweep pool,
+  /// so `metric` must then be thread-safe (simulator-backed metrics are,
+  /// since every evaluation builds its own Context).
+  sim::SweepOptions sweep{.threads = 1};
+  /// Run every evaluation under an installed analyze::Capture: the Contexts
+  /// the metric builds record their action graphs, and a candidate whose
+  /// pipeline contains any hazard (race, use-before-write, deadlock, ...) is
+  /// excluded from the ranking and counted in Result::hazardous. Throws
+  /// rt::Error when every candidate is hazardous.
+  bool validate = false;
+  /// When set, first pre-prune the candidates with the static performance
+  /// linter: shapes `analyze::check_partition_shape` rejects against this
+  /// spec (split-core partitions, paper Section V) are skipped without ever
+  /// running the metric and counted in Result::pruned. Throws rt::Error when
+  /// the linter rejects every candidate.
+  std::optional<sim::CoprocessorSpec> lint;
+};
+
 class Tuner {
 public:
   struct Candidate {
@@ -37,12 +59,12 @@ public:
     Candidate best{};
     double best_metric = 0.0;
     std::size_t evaluated = 0;
-    /// Candidates whose pipelines the hazard analyzer rejected (only
-    /// search_validated() fills this; they never become `best`).
+    /// Candidates whose pipelines the hazard analyzer rejected (only with
+    /// SearchOptions::validate; they never become `best`).
     std::size_t hazardous = 0;
     /// Candidates the static performance linter rejected before any
-    /// simulation ran (only the spec-taking search_validated() overloads
-    /// fill this; they are never evaluated, never `best`).
+    /// simulation ran (only with SearchOptions::lint; they are never
+    /// evaluated, never `best`).
     std::size_t pruned = 0;
   };
 
@@ -64,48 +86,14 @@ public:
                                                                int max_tiles);
 
   /// Evaluate `metric` (lower is better — e.g. virtual execution time in
-  /// ms) over a candidate list and return the winner. Evaluations run
-  /// serially; ties keep the earliest candidate.
-  [[nodiscard]] static Result search(const std::vector<Candidate>& candidates,
-                                     const std::function<double(Candidate)>& metric);
-
-  /// Parallel variant: candidates are evaluated across the shared sweep
-  /// pool (`metric` must therefore be thread-safe — simulator-backed
-  /// metrics are, since every evaluation builds its own Context). The
-  /// reduction is performed in candidate order afterwards, so the winner,
-  /// including tie-breaks, is identical to the serial search.
+  /// ms) over a candidate list and return the winner. Ties keep the earliest
+  /// candidate. The ranking is an ordered reduction over the candidate list
+  /// after every evaluation has finished, so the winner and its tie-breaks
+  /// do not depend on `opt.sweep`. Throws std::invalid_argument on an empty
+  /// candidate list or an empty metric.
   [[nodiscard]] static Result search(const std::vector<Candidate>& candidates,
                                      const std::function<double(Candidate)>& metric,
-                                     const sim::SweepOptions& sweep);
-
-  /// Like search(), but every candidate evaluation runs under an installed
-  /// analyze::Capture: the Contexts the metric builds record their action
-  /// graphs, and a candidate whose pipeline contains any hazard (race,
-  /// use-before-write, deadlock, ...) is excluded from the ranking and
-  /// counted in Result::hazardous instead — a generated configuration's
-  /// virtual time is only trusted once it is proven hazard-free. Throws
-  /// rt::Error when every candidate is hazardous. The parallel overload
-  /// keeps the serial ranking (per-worker Captures, ordered reduction).
-  [[nodiscard]] static Result search_validated(const std::vector<Candidate>& candidates,
-                                               const std::function<double(Candidate)>& metric);
-  [[nodiscard]] static Result search_validated(const std::vector<Candidate>& candidates,
-                                               const std::function<double(Candidate)>& metric,
-                                               const sim::SweepOptions& sweep);
-
-  /// Like search_validated(), but first pre-prunes the candidate list with
-  /// the static performance linter: shapes `analyze::check_partition_shape`
-  /// rejects against `spec` (split-core partitions, paper Section V) are
-  /// skipped without ever building a Context or running the simulator, and
-  /// counted in Result::pruned. Throws rt::Error when the linter rejects
-  /// every candidate. The surviving candidates go through the exact
-  /// hazard-validated search above.
-  [[nodiscard]] static Result search_validated(const std::vector<Candidate>& candidates,
-                                               const std::function<double(Candidate)>& metric,
-                                               const sim::CoprocessorSpec& spec);
-  [[nodiscard]] static Result search_validated(const std::vector<Candidate>& candidates,
-                                               const std::function<double(Candidate)>& metric,
-                                               const sim::CoprocessorSpec& spec,
-                                               const sim::SweepOptions& sweep);
+                                     const SearchOptions& opt = {});
 };
 
 }  // namespace ms::rt

@@ -1,7 +1,9 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -64,13 +66,25 @@ const char* to_string(MetricKind k) noexcept {
   return "?";
 }
 
-#if MS_TELEMETRY_ENABLED
+bool env_switch(const char* name) noexcept {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0' || std::strcmp(v, "0") == 0) return false;
+  if (std::strcmp(v, "1") == 0) return true;
+  // Warn once per variable: MS_ANALYZE is read by every Context.
+  static std::mutex mu;
+  static std::vector<std::string> warned;
+  const std::lock_guard<std::mutex> lock(mu);
+  if (std::find(warned.begin(), warned.end(), name) == warned.end()) {
+    warned.emplace_back(name);
+    std::fprintf(stderr, "warning: %s='%s' is not 0 or 1; treating it as 0\n", name, v);
+  }
+  return false;
+}
 
 namespace detail {
 
 bool init_from_env() noexcept {
-  const char* v = std::getenv("MS_METRICS");
-  const bool on = v != nullptr && *v != '\0' && *v != '0';
+  const bool on = env_switch("MS_METRICS");
   int expected = -1;
   g_state.compare_exchange_strong(expected, on ? 1 : 0, std::memory_order_relaxed);
   return g_state.load(std::memory_order_relaxed) != 0;
@@ -371,56 +385,5 @@ std::size_t Registry::size() const {
   std::lock_guard<std::mutex> lock(im.mu);
   return im.entries.size();
 }
-
-#else  // stub build
-
-namespace {
-// One shared instance of each stub type; every registration returns it.
-Counter g_stub_counter;
-Gauge g_stub_gauge;
-MaxGauge g_stub_max_gauge;
-Histogram g_stub_histogram;
-CounterFamily g_stub_counter_family;
-GaugeFamily g_stub_gauge_family;
-HistogramFamily g_stub_histogram_family;
-}  // namespace
-
-Registry& Registry::instance() {
-  static Registry r;
-  return r;
-}
-Counter& Registry::counter(std::string_view, std::string_view) { return g_stub_counter; }
-Gauge& Registry::gauge(std::string_view, std::string_view) { return g_stub_gauge; }
-MaxGauge& Registry::max_gauge(std::string_view, std::string_view) { return g_stub_max_gauge; }
-Histogram& Registry::histogram(std::string_view, std::string_view) { return g_stub_histogram; }
-CounterFamily& Registry::counter_family(std::string_view, std::string_view, std::string_view) {
-  return g_stub_counter_family;
-}
-GaugeFamily& Registry::gauge_family(std::string_view, std::string_view, std::string_view) {
-  return g_stub_gauge_family;
-}
-HistogramFamily& Registry::histogram_family(std::string_view, std::string_view, std::string_view) {
-  return g_stub_histogram_family;
-}
-Counter& CounterFamily::with(std::string_view) { return g_stub_counter; }
-Gauge& GaugeFamily::with(std::string_view) { return g_stub_gauge; }
-Histogram& HistogramFamily::with(std::string_view) { return g_stub_histogram; }
-
-namespace {
-// Stubs record neither name nor key; accessors return an empty string so
-// callers compiled against either flavour see the same surface.
-const std::string g_stub_label;
-}  // namespace
-const std::string& CounterFamily::name() const noexcept { return g_stub_label; }
-const std::string& CounterFamily::label_key() const noexcept { return g_stub_label; }
-const char* CounterFamily::track(std::string_view) { return g_stub_label.c_str(); }
-const std::string& GaugeFamily::name() const noexcept { return g_stub_label; }
-const std::string& GaugeFamily::label_key() const noexcept { return g_stub_label; }
-const char* GaugeFamily::track(std::string_view) { return g_stub_label.c_str(); }
-const std::string& HistogramFamily::name() const noexcept { return g_stub_label; }
-const std::string& HistogramFamily::label_key() const noexcept { return g_stub_label; }
-const char* HistogramFamily::track(std::string_view) { return g_stub_label.c_str(); }
-
-#endif  // MS_TELEMETRY_ENABLED
 
 }  // namespace ms::telemetry

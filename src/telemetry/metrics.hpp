@@ -10,23 +10,11 @@
 #include <string_view>
 #include <vector>
 
-// Compile-time switch: CMake's MS_TELEMETRY=OFF builds every class in this
-// header as an inline no-op stub, so call sites compile unchanged and the
-// optimizer deletes them — the "zero cost when disabled" guarantee is a
-// build configuration, not a promise about branch prediction.
-#ifndef MS_TELEMETRY_ENABLED
-#define MS_TELEMETRY_ENABLED 1
-#endif
-
 namespace ms::telemetry {
 
-/// True when the telemetry subsystem is compiled in (MS_TELEMETRY=ON).
-/// Tests use this to skip assertions that need live metrics.
-inline constexpr bool kCompiledIn = MS_TELEMETRY_ENABLED != 0;
-
 // ---------------------------------------------------------------------------
-// Histogram snapshot — pure data, shared by the live and stub builds (merge
-// and quantile logic is plain arithmetic and is useful to tests either way).
+// Histogram snapshot — pure data (merge and quantile logic is plain
+// arithmetic, usable without a live Histogram).
 // ---------------------------------------------------------------------------
 
 /// Log-bucketed histogram contents. Bucket b holds observations x with
@@ -78,8 +66,6 @@ struct HistogramSnapshot {
 /// render a labeled series identically.
 [[nodiscard]] std::string render_selector(std::string_view key, std::string_view value);
 
-#if MS_TELEMETRY_ENABLED
-
 namespace detail {
 
 /// Runtime gate, tri-state so it can be constant-initialized (no static
@@ -111,6 +97,13 @@ inline constinit std::atomic<int> g_state{-1};
 /// Programmatic override of the MS_METRICS gate (the CLI's --metrics flag,
 /// tests, benchmarks).
 void set_enabled(bool on) noexcept;
+
+/// Parse the on/off environment switch `name` (MS_METRICS, MS_ANALYZE).
+/// Unset, empty and "0" mean off; "1" means on. Any other value ("false",
+/// "off", "00", ...) counts as off and prints a one-line warning to stderr
+/// (once per variable), so a spelling that reads as "off" can never switch a
+/// feature on.
+[[nodiscard]] bool env_switch(const char* name) noexcept;
 
 // ---------------------------------------------------------------------------
 // Metric primitives
@@ -387,103 +380,6 @@ private:
   struct Impl;
   [[nodiscard]] Impl& impl() const;
 };
-
-#else  // MS_TELEMETRY_ENABLED == 0: inline no-op stubs, same surface.
-
-[[nodiscard]] constexpr bool enabled() noexcept { return false; }
-inline void set_enabled(bool) noexcept {}
-
-class Counter {
-public:
-  void add(std::uint64_t = 1) noexcept {}
-  [[nodiscard]] std::uint64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class Gauge {
-public:
-  void set(std::int64_t) noexcept {}
-  void add(std::int64_t) noexcept {}
-  [[nodiscard]] std::int64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class MaxGauge {
-public:
-  void observe(std::int64_t) noexcept {}
-  [[nodiscard]] std::int64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class Histogram {
-public:
-  using Snapshot = HistogramSnapshot;
-  static constexpr std::size_t kBuckets = HistogramSnapshot::kBuckets;
-  void observe(std::uint64_t) noexcept {}
-  void observe(std::uint64_t, std::uint64_t) noexcept {}
-  [[nodiscard]] Snapshot snapshot() const noexcept { return {}; }
-  void reset() noexcept {}
-};
-
-enum class MetricKind : std::uint8_t { Counter, Gauge, MaxGauge, Histogram };
-
-[[nodiscard]] const char* to_string(MetricKind k) noexcept;
-
-struct MetricSnapshot {
-  std::string name;
-  std::string help;
-  MetricKind kind = MetricKind::Counter;
-  std::uint64_t counter = 0;
-  std::int64_t gauge = 0;
-  HistogramSnapshot histogram;
-  std::string label_key;
-  std::string label_value;
-};
-
-class CounterFamily {
-public:
-  [[nodiscard]] Counter& with(std::string_view);
-  [[nodiscard]] const char* track(std::string_view);
-  [[nodiscard]] const std::string& name() const noexcept;
-  [[nodiscard]] const std::string& label_key() const noexcept;
-};
-
-class GaugeFamily {
-public:
-  [[nodiscard]] Gauge& with(std::string_view);
-  [[nodiscard]] const char* track(std::string_view);
-  [[nodiscard]] const std::string& name() const noexcept;
-  [[nodiscard]] const std::string& label_key() const noexcept;
-};
-
-class HistogramFamily {
-public:
-  [[nodiscard]] Histogram& with(std::string_view);
-  [[nodiscard]] const char* track(std::string_view);
-  [[nodiscard]] const std::string& name() const noexcept;
-  [[nodiscard]] const std::string& label_key() const noexcept;
-};
-
-class Registry {
-public:
-  [[nodiscard]] static Registry& instance();
-  Counter& counter(std::string_view, std::string_view);
-  Gauge& gauge(std::string_view, std::string_view);
-  MaxGauge& max_gauge(std::string_view, std::string_view);
-  Histogram& histogram(std::string_view, std::string_view);
-  CounterFamily& counter_family(std::string_view, std::string_view, std::string_view);
-  GaugeFamily& gauge_family(std::string_view, std::string_view, std::string_view);
-  HistogramFamily& histogram_family(std::string_view, std::string_view, std::string_view);
-
-  struct Snapshot {
-    std::vector<MetricSnapshot> metrics;
-  };
-  [[nodiscard]] Snapshot snapshot() const { return {}; }
-  void reset_all() noexcept {}
-  [[nodiscard]] std::size_t size() const { return 0; }
-};
-
-#endif  // MS_TELEMETRY_ENABLED
 
 /// Shorthand used by every instrumented call site.
 [[nodiscard]] inline Registry& registry() { return Registry::instance(); }

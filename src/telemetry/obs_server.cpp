@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -181,8 +182,28 @@ const char* status_text(int code) noexcept {
   return "OK";
 }
 
-bool send_all(int fd, const char* data, std::size_t n) noexcept {
+using Clock = std::chrono::steady_clock;
+
+/// Time one connection may spend reading its request head, and again writing
+/// its response. The accept loop is serial, so these budgets bound how long
+/// one slow client can hold up every other request.
+constexpr std::chrono::seconds kIoBudget{2};
+
+/// Arm the socket timeout `opt` (SO_RCVTIMEO or SO_SNDTIMEO) with the time
+/// left until `deadline`; false once the deadline has passed.
+bool arm_timeout(int fd, int opt, Clock::time_point deadline) noexcept {
+  const auto left =
+      std::chrono::duration_cast<std::chrono::microseconds>(deadline - Clock::now()).count();
+  if (left <= 0) return false;
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(left / 1000000);
+  tv.tv_usec = static_cast<suseconds_t>(left % 1000000);
+  return ::setsockopt(fd, SOL_SOCKET, opt, &tv, sizeof(tv)) == 0;
+}
+
+bool send_all(int fd, const char* data, std::size_t n, Clock::time_point deadline) noexcept {
   while (n > 0) {
+    if (!arm_timeout(fd, SO_SNDTIMEO, deadline)) return false;
     const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
     if (w <= 0) {
       if (w < 0 && errno == EINTR) continue;
@@ -235,14 +256,13 @@ struct ObsServer::Impl {
   }
 
   void handle(int fd) {
-    // Bounded, timed read of the request head; a stalled client cannot wedge
-    // the (serial) accept loop.
-    timeval tv{};
-    tv.tv_sec = 2;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    // Bounded read of the request head under one deadline for the whole
+    // head, so a client that drips bytes cannot wedge the serial accept loop.
+    const Clock::time_point read_deadline = Clock::now() + kIoBudget;
     std::string req;
     char buf[2048];
-    while (req.find("\r\n\r\n") == std::string::npos && req.size() < 8192) {
+    while (req.find("\r\n\r\n") == std::string::npos && req.size() < 8192 &&
+           arm_timeout(fd, SO_RCVTIMEO, read_deadline)) {
       const ssize_t r = ::recv(fd, buf, sizeof(buf), 0);
       if (r <= 0) break;
       req.append(buf, static_cast<std::size_t>(r));
@@ -268,8 +288,9 @@ struct ObsServer::Impl {
                        status_text(resp.status) + "\r\nContent-Type: " + resp.content_type +
                        "\r\nContent-Length: " + std::to_string(resp.body.size()) +
                        "\r\nConnection: close\r\n\r\n";
-    if (send_all(fd, head.data(), head.size())) {
-      send_all(fd, resp.body.data(), resp.body.size());
+    const Clock::time_point write_deadline = Clock::now() + kIoBudget;
+    if (send_all(fd, head.data(), head.size(), write_deadline)) {
+      send_all(fd, resp.body.data(), resp.body.size(), write_deadline);
     }
     ::close(fd);
   }

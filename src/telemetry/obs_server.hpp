@@ -14,10 +14,10 @@
 //   GET /spans         recent span-ring snapshot as JSON
 //   GET /trace         Chrome-trace fragment (host spans + counter tracks)
 //
-// The server is compiled in both telemetry flavors: with MS_TELEMETRY=OFF it
-// serves empty-but-well-formed payloads, so the wiring (CLI flags, env vars)
-// behaves identically either way. It is opt-in — nothing listens unless a
-// caller constructs one (or sets MS_OBS_ADDR, see ensure_obs_server).
+// Payloads are always well formed; while recording is off (MS_METRICS unset)
+// the series read zero and the span payloads are empty. It is opt-in —
+// nothing listens unless a caller constructs one (or sets MS_OBS_ADDR, see
+// ensure_obs_server).
 
 namespace ms::telemetry {
 

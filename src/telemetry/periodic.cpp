@@ -1,9 +1,5 @@
 #include "telemetry/periodic.hpp"
 
-#include "telemetry/metrics.hpp"
-
-#if MS_TELEMETRY_ENABLED
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -111,18 +107,3 @@ std::uint64_t PeriodicDumper::ticks() const noexcept {
 }
 
 }  // namespace ms::telemetry
-
-#else  // !MS_TELEMETRY_ENABLED
-
-namespace ms::telemetry {
-
-struct PeriodicDumper::Impl {};
-
-PeriodicDumper::PeriodicDumper(std::string, double, std::size_t) {}
-PeriodicDumper::~PeriodicDumper() = default;
-void PeriodicDumper::stop() noexcept {}
-std::uint64_t PeriodicDumper::ticks() const noexcept { return 0; }
-
-}  // namespace ms::telemetry
-
-#endif  // MS_TELEMETRY_ENABLED

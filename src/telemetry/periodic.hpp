@@ -18,8 +18,8 @@ namespace ms::telemetry {
 ///
 /// The destructor (or stop()) joins the worker and writes one final snapshot,
 /// so even runs shorter than the interval leave a complete file behind. When
-/// the library is built with MS_TELEMETRY=OFF, or the interval is not
-/// positive, construction is a no-op and ticks() stays 0.
+/// the interval is not positive or the path is empty, construction is a
+/// no-op and ticks() stays 0.
 class PeriodicDumper {
  public:
   /// Default JSON retention: plenty for a CI run or an interactive session,
@@ -40,7 +40,7 @@ class PeriodicDumper {
 
  private:
   struct Impl;
-  std::unique_ptr<Impl> impl_;  // null when inactive (stub build / interval<=0)
+  std::unique_ptr<Impl> impl_;  // null when inactive (interval<=0 or empty path)
 };
 
 }  // namespace ms::telemetry

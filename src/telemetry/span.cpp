@@ -1,7 +1,5 @@
 #include "telemetry/span.hpp"
 
-#if MS_TELEMETRY_ENABLED
-
 #include <chrono>
 #include <memory>
 #include <mutex>
@@ -181,5 +179,3 @@ void clear_counter_samples() noexcept {
 }
 
 }  // namespace ms::telemetry
-
-#endif  // MS_TELEMETRY_ENABLED

@@ -25,9 +25,9 @@ inline constinit std::atomic<std::uint64_t> g_next_replay{1};
 }  // namespace detail
 
 /// Allocate `count` consecutive replay ids and return the first. Ids are
-/// process-wide, monotonic, and start at 1 (0 means "no replay"). Available
-/// in both telemetry flavors: replay correlation also stamps the simulator
-/// trace, which is not gated by MS_TELEMETRY.
+/// process-wide, monotonic, and start at 1 (0 means "no replay"). Ids are
+/// handed out whether or not recording is on: replay correlation also stamps
+/// the simulator trace, which does not depend on the MS_METRICS gate.
 [[nodiscard]] inline std::uint64_t next_replay_id(std::uint64_t count = 1) noexcept {
   return detail::g_next_replay.fetch_add(count, std::memory_order_relaxed);
 }
@@ -41,8 +41,6 @@ struct CounterSample {
   std::uint64_t t_ns = 0;  ///< steady-clock nanoseconds
   double value = 0.0;
 };
-
-#if MS_TELEMETRY_ENABLED
 
 /// Monotonic wall-clock in nanoseconds (steady_clock).
 [[nodiscard]] std::uint64_t now_ns() noexcept;
@@ -97,27 +95,5 @@ private:
   const char* name_;
   std::uint64_t start_;
 };
-
-#else  // stub build
-
-[[nodiscard]] inline std::uint64_t now_ns() noexcept { return 0; }
-inline void record_span(const char*, std::uint64_t, std::uint64_t) noexcept {}
-inline void record_span(const char*, std::uint64_t, std::uint64_t, std::uint64_t) noexcept {}
-[[nodiscard]] inline std::vector<SpanRecord> collect_spans() { return {}; }
-inline void clear_spans() noexcept {}
-inline constexpr std::size_t kSpanRingCapacity = 0;
-inline void record_counter_sample(const char*, double) noexcept {}
-[[nodiscard]] inline std::vector<CounterSample> collect_counter_samples() { return {}; }
-inline void clear_counter_samples() noexcept {}
-inline constexpr std::size_t kCounterSampleCapacity = 0;
-
-class ScopedSpan {
-public:
-  explicit ScopedSpan(const char*) noexcept {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-};
-
-#endif  // MS_TELEMETRY_ENABLED
 
 }  // namespace ms::telemetry

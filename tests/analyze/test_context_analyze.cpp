@@ -104,6 +104,21 @@ TEST(ContextAnalyze, EnvVarEnablesAnalysis) {
   unsetenv("MS_ANALYZE");
 }
 
+TEST(ContextAnalyze, EnvVarAcceptsOnlyZeroOrOne) {
+  // MS_ANALYZE=false must not switch analysis on (and then throw
+  // HazardError at sync points); only "1" does.
+  const struct {
+    const char* value;
+    bool on;
+  } cases[] = {{"1", true}, {"false", false}, {"off", false}, {"00", false}};
+  for (const auto& c : cases) {
+    ASSERT_EQ(setenv("MS_ANALYZE", c.value, 1), 0);
+    const ms::rt::Context ctx(small_cfg());
+    EXPECT_EQ(ctx.analyzing(), c.on) << "MS_ANALYZE=" << c.value;
+  }
+  unsetenv("MS_ANALYZE");
+}
+
 TEST(ContextAnalyze, OffByDefault) {
   ms::rt::Context ctx(small_cfg());
   ctx.setup(2);
@@ -261,7 +276,7 @@ TEST(ContextAnalyze, RotatedBatchIsRecordedWithoutChangingVirtualTime) {
   const double analyzed = run(true);
   const std::uint64_t delta = recorded.value() - before;
   ms::telemetry::set_enabled(telemetry_was);
-  if (ms::telemetry::kCompiledIn) EXPECT_EQ(delta, 8u * (3u + 1u));
+  EXPECT_EQ(delta, 8u * (3u + 1u));
   EXPECT_EQ(analyzed, run(false));
 }
 
@@ -313,12 +328,13 @@ TEST(TunerValidated, SkipsHazardousCandidates) {
     return static_cast<double>(c.tiles);  // racy candidate would win on time
   };
 
-  const auto serial = ms::rt::Tuner::search_validated(space, metric);
+  const auto serial = ms::rt::Tuner::search(space, metric, {.validate = true});
   EXPECT_EQ(serial.evaluated, 3u);
   EXPECT_EQ(serial.hazardous, 1u);
   EXPECT_EQ(serial.best.tiles, 2);
 
-  const auto sweep = ms::rt::Tuner::search_validated(space, metric, ms::sim::SweepOptions{});
+  const auto sweep = ms::rt::Tuner::search(
+      space, metric, {.sweep = ms::sim::SweepOptions{}, .validate = true});
   EXPECT_EQ(sweep.hazardous, serial.hazardous);
   EXPECT_EQ(sweep.best.tiles, serial.best.tiles);
   EXPECT_EQ(sweep.best_metric, serial.best_metric);
@@ -335,7 +351,7 @@ TEST(TunerValidated, ThrowsWhenEveryCandidateIsHazardous) {
     ctx.synchronize();
     return 1.0;
   };
-  EXPECT_THROW((void)ms::rt::Tuner::search_validated(space, metric), ms::rt::Error);
+  EXPECT_THROW((void)ms::rt::Tuner::search(space, metric, {.validate = true}), ms::rt::Error);
 }
 
 }  // namespace

@@ -261,7 +261,8 @@ TEST(LintTuner, PrunesSplitCoreCandidates) {
   const auto metric = [](Tuner::Candidate c) {
     return static_cast<double>(c.partitions + c.tiles);
   };
-  const Tuner::Result r = Tuner::search_validated(candidates, metric, cfg().device);
+  const Tuner::Result r =
+      Tuner::search(candidates, metric, {.validate = true, .lint = cfg().device});
   EXPECT_EQ(r.pruned, 2u);     // P=5 and P=3 split cores on 56
   EXPECT_EQ(r.evaluated, 2u);  // only the aligned shapes ran
   EXPECT_EQ(r.best.partitions, 2);
@@ -272,14 +273,15 @@ TEST(LintTuner, AllPrunedThrows) {
   using ms::rt::Tuner;
   const std::vector<Tuner::Candidate> candidates = {{3, 3}, {5, 5}};
   const auto metric = [](Tuner::Candidate) { return 1.0; };
-  EXPECT_THROW((void)Tuner::search_validated(candidates, metric, cfg().device), ms::rt::Error);
+  EXPECT_THROW((void)Tuner::search(candidates, metric, {.validate = true, .lint = cfg().device}),
+               ms::rt::Error);
 }
 
 TEST(LintTuner, SpeclessOverloadStillEvaluatesEverything) {
   using ms::rt::Tuner;
   const std::vector<Tuner::Candidate> candidates = {{3, 3}, {2, 2}};
   const auto metric = [](Tuner::Candidate c) { return static_cast<double>(c.partitions); };
-  const Tuner::Result r = Tuner::search_validated(candidates, metric);
+  const Tuner::Result r = Tuner::search(candidates, metric, {.validate = true});
   EXPECT_EQ(r.pruned, 0u);
   EXPECT_EQ(r.evaluated, 2u);
   EXPECT_EQ(r.best.partitions, 2);

@@ -33,7 +33,7 @@ void expect_invariant_under_telemetry(Fn&& fn) {
   telemetry::set_enabled(true);
   const AppResult on = fn();
   telemetry::set_enabled(false);
-  if (telemetry::kCompiledIn) telemetry::clear_spans();
+  telemetry::clear_spans();
 
   EXPECT_DOUBLE_EQ(off.ms, on.ms);
   EXPECT_DOUBLE_EQ(off.checksum, on.checksum);
@@ -98,7 +98,6 @@ TEST(TelemetryDeterminism, TotalsIndependentOfThreadCount) {
   // Counter shards and histogram buckets merge by addition, so the totals a
   // sweep records are exact and identical no matter how many threads split
   // the work: {serial, 2 workers, one per hardware thread}.
-  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   telemetry::set_enabled(true);
 
   telemetry::Counter& c =

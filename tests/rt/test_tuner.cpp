@@ -81,6 +81,19 @@ TEST(Tuner, SearchEmptyInputsThrow) {
   EXPECT_THROW((void)Tuner::search(space, {}), std::invalid_argument);
 }
 
+TEST(Tuner, SweepKeepsSerialWinnerAndTieBreaks) {
+  const auto space = Tuner::pruned_space(phi());
+  // Every P has a T = 2P candidate scoring 1.0; the tie goes to the earliest.
+  const auto metric = [](Tuner::Candidate c) { return std::abs(c.tiles - 2 * c.partitions) + 1.0; };
+  const auto serial = Tuner::search(space, metric);
+  const auto swept = Tuner::search(space, metric, {.sweep = {.threads = 4}});
+  EXPECT_EQ(serial.best.partitions, space.front().partitions);
+  EXPECT_EQ(swept.best.partitions, serial.best.partitions);
+  EXPECT_EQ(swept.best.tiles, serial.best.tiles);
+  EXPECT_EQ(swept.best_metric, serial.best_metric);
+  EXPECT_EQ(swept.evaluated, serial.evaluated);
+}
+
 TEST(Tuner, PrunedSpaceContainsPaperOptima) {
   // Fig. 9/10 best configurations must survive pruning: P=4 with T=4
   // (most apps), and CF's T=100-ish region requires a larger multiplier.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -16,7 +17,7 @@ namespace ms::telemetry {
 namespace {
 
 // -------------------------------------------------------------------------
-// HistogramSnapshot is pure data and compiles in both build flavours.
+// HistogramSnapshot: pure bucket arithmetic, no live registry needed.
 // -------------------------------------------------------------------------
 
 TEST(HistogramSnapshot, BucketOfIsBitWidth) {
@@ -94,13 +95,12 @@ TEST(HistogramSnapshot, MergeIsAssociativeAndCommutative) {
 }
 
 // -------------------------------------------------------------------------
-// Live metric primitives — skipped when the library is compiled out.
+// Live metric primitives.
 // -------------------------------------------------------------------------
 
 class Metrics : public ::testing::Test {
 protected:
   void SetUp() override {
-    if (!kCompiledIn) GTEST_SKIP() << "telemetry compiled out (MS_TELEMETRY=OFF)";
     set_enabled(true);
   }
   void TearDown() override { set_enabled(false); }
@@ -303,6 +303,28 @@ TEST_F(Metrics, JsonExportGroupsByKind) {
   EXPECT_NE(s.find("\"gauges\""), std::string::npos);
   EXPECT_NE(s.find("\"histograms\""), std::string::npos);
   EXPECT_NE(s.find("\"ms_test_json_total\": 11"), std::string::npos);
+}
+
+// MS_METRICS accepts unset, empty, 0 and 1. Any other spelling counts as off
+// and warns, so MS_METRICS=off can never switch recording on.
+TEST(MetricsEnv, OnlyOneSwitchesRecordingOn) {
+  const struct {
+    const char* value;
+    bool on;
+  } cases[] = {{"1", true}, {"0", false}, {"", false}, {"false", false}, {"off", false},
+               {"00", false}};
+  for (const auto& c : cases) {
+    ASSERT_EQ(::setenv("MS_METRICS", c.value, 1), 0);
+    detail::g_state.store(-1);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(enabled(), c.on) << "MS_METRICS=" << c.value;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    if (std::string(c.value) == "false") {
+      EXPECT_NE(err.find("MS_METRICS='false'"), std::string::npos) << err;
+    }
+  }
+  ::unsetenv("MS_METRICS");
+  set_enabled(false);
 }
 
 }  // namespace

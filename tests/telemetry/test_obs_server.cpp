@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -26,20 +27,27 @@
 namespace ms::telemetry {
 namespace {
 
-/// Minimal blocking HTTP/1.1 client: one request, read to EOF (the server
-/// always answers Connection: close).
-std::string http_request(int port, const std::string& target,
-                         const std::string& method = "GET") {
+/// Connected loopback TCP socket, or -1.
+int connect_loopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
+  if (fd < 0) return -1;
   sockaddr_in sa{};
   sa.sin_family = AF_INET;
   sa.sin_port = htons(static_cast<std::uint16_t>(port));
   sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
     ::close(fd);
-    return {};
+    return -1;
   }
+  return fd;
+}
+
+/// Minimal blocking HTTP/1.1 client: one request, read to EOF (the server
+/// always answers Connection: close).
+std::string http_request(int port, const std::string& target,
+                         const std::string& method = "GET") {
+  const int fd = connect_loopback(port);
+  if (fd < 0) return {};
   const std::string req =
       method + " " + target + " HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
   for (std::size_t off = 0; off < req.size();) {
@@ -216,7 +224,7 @@ TEST(ObsServer, RoutesAnswerAndUnknownsAreBounded) {
   EXPECT_GE(srv.requests_served(), 7u);
 }
 
-TEST(ObsServer, MetricsBodyIsValidPrometheusInEitherFlavour) {
+TEST(ObsServer, MetricsBodyIsValidPrometheus) {
   set_enabled(true);
   ObsServer srv(":0");
   srv.set_state(ObsState::Serving);
@@ -245,8 +253,39 @@ TEST(ObsServer, EnsureIsOptInAndIdempotent) {
   EXPECT_EQ(status_of(http_request(first->bound_port(), "/healthz")), 200);
 }
 
+TEST(ObsServer, DrippingClientDoesNotStallOtherRequests) {
+  // The accept loop is serial. A client that sends its request head one byte
+  // at a time must lose its connection when the whole-head read deadline
+  // (2 s) runs out, so a second client's /healthz is answered soon after.
+  ObsServer srv(":0");
+  srv.set_state(ObsState::Serving);
+  const int fd = connect_loopback(srv.bound_port());
+  ASSERT_GE(fd, 0);
+  std::atomic<bool> done{false};
+  std::thread dripper([&] {
+    // ~35 bytes at 250 ms each: about 9 s to finish the head if never cut off.
+    const std::string head = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+    for (std::size_t i = 0; i < head.size() && !done.load(); ++i) {
+      if (::send(fd, &head[i], 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    }
+    ::close(fd);
+  });
+  // The dripper connected first, so the serial accept loop takes it first
+  // and /healthz queues behind it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string resp = http_request(srv.bound_port(), "/healthz");
+  const double waited_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  done.store(true);
+  dripper.join();
+  EXPECT_EQ(status_of(resp), 200);
+  EXPECT_LT(waited_s, 2.0 + 1.5) << "a dripping client held up /healthz";
+}
+
 TEST(ObsServer, ScrapeUnderMutationStaysValidAndMonotone) {
-  if (!kCompiledIn) GTEST_SKIP() << "telemetry compiled out (MS_TELEMETRY=OFF)";
   set_enabled(true);
   ObsServer srv(":0");
   srv.set_state(ObsState::Serving);

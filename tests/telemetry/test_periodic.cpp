@@ -1,7 +1,7 @@
 // PeriodicDumper: the background publisher writes snapshots on its interval,
 // rewrites Prometheus files in place, appends JSON snapshots, and always
 // leaves a final snapshot behind on stop — even for runs shorter than one
-// interval. Stub builds (MS_TELEMETRY=OFF) construct no-ops.
+// interval. A non-positive interval constructs a no-op.
 
 #include "telemetry/periodic.hpp"
 
@@ -41,15 +41,12 @@ TEST(PeriodicDumper, InactiveWhenIntervalIsNotPositive) {
   EXPECT_EQ(d.ticks(), 0u);
 }
 
-TEST(PeriodicDumper, RotationCtorLinksInEitherFlavour) {
-  // The 3-arg constructor exists in both telemetry flavors; the stub build
-  // constructs a no-op exactly like the 2-arg form.
+TEST(PeriodicDumper, RotationCtorWithNonPositiveIntervalIsInactive) {
+  // The 3-arg (retention) constructor is a no-op exactly like the 2-arg form.
   PeriodicDumper d("somewhere.json", 0.0, /*max_keep=*/4);
   d.stop();
   EXPECT_EQ(d.ticks(), 0u);
 }
-
-#if MS_TELEMETRY_ENABLED
 
 TEST(PeriodicDumper, StopFlushesAFinalSnapshotEvenBeforeFirstTick) {
   set_enabled(true);
@@ -110,8 +107,6 @@ TEST(PeriodicDumper, PrometheusModeRewritesInPlace) {
   EXPECT_NE(s.find("periodic_test_total"), std::string::npos);
   EXPECT_EQ(s.find("# TYPE periodic_test_total"), s.rfind("# TYPE periodic_test_total"));
 }
-
-#endif  // MS_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace ms::telemetry

@@ -397,8 +397,8 @@ int run_app(const std::string& name, const Cli& cli) {
 /// issues each phase replay as M back-to-back instances via launch_batch
 /// (a timing knob — it multiplies the schedule, so pair it with the default
 /// timing-only mode rather than --functional). The compile/launch breakdown
-/// comes from the `ms_rt_graph_*` telemetry families and is unavailable in
-/// MS_TELEMETRY=OFF builds; wall-clock and cache stats always print.
+/// comes from the `ms_rt_graph_*` telemetry families, which the `graph`
+/// subcommand switches on for the whole run.
 int run_graph(const std::string& sub, const std::string& name, const Cli& cli) {
   if (sub != "app") {
     std::fprintf(stderr, "graph: expected 'app', got '%s'\n", sub.c_str());
@@ -433,8 +433,7 @@ int run_graph(const std::string& sub, const std::string& name, const Cli& cli) {
   std::printf("host wall: %.2f ms total, %.3f ms per replay\n", wall_ms,
               wall_ms / static_cast<double>(replays));
 
-  // Compile/launch breakdown from the labeled graph metric families. All
-  // zeros (families absent) means a telemetry-off build.
+  // Compile/launch breakdown from the labeled graph metric families.
   std::uint64_t compiles = 0, compile_ns = 0, graph_replays = 0, launches = 0, launch_ns = 0;
   for (const auto& m : ms::telemetry::registry().snapshot().metrics) {
     if (m.name == "ms_rt_graph_compiles_total") {
@@ -448,13 +447,8 @@ int run_graph(const std::string& sub, const std::string& name, const Cli& cli) {
       launch_ns += m.histogram.sum;
     }
   }
-  if (compiles > 0) {
-    std::printf("compile: %llu plan(s), %.1f us total\n",
-                static_cast<unsigned long long>(compiles),
-                static_cast<double>(compile_ns) / 1e3);
-  } else {
-    std::printf("compile: no telemetry (MS_TELEMETRY=OFF build?)\n");
-  }
+  std::printf("compile: %llu plan(s), %.1f us total\n", static_cast<unsigned long long>(compiles),
+              static_cast<double>(compile_ns) / 1e3);
   if (launches > 0) {
     std::printf("launch: %llu graph replays in %llu launch calls, %.2f us host per call\n",
                 static_cast<unsigned long long>(graph_replays),
@@ -607,12 +601,7 @@ int run_tune(const Cli& cli) {
 int run_stats_list() {
   ms::telemetry::set_enabled(true);
   calibration_probe();
-  const auto snap = ms::telemetry::registry().snapshot();
-  if (snap.metrics.empty()) {
-    std::printf("no metrics registered (built with MS_TELEMETRY=OFF?)\n");
-    return 0;
-  }
-  for (const auto& m : snap.metrics) {
+  for (const auto& m : ms::telemetry::registry().snapshot().metrics) {
     std::printf("%-36s %-10s %s\n", m.name.c_str(), ms::telemetry::to_string(m.kind),
                 m.help.c_str());
   }
