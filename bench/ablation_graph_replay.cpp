@@ -5,14 +5,11 @@
 // pipeline at growing task counts separates the two contributions.
 //
 // Part two is the compiled-executor A/B: real *wall-clock* host cost per
-// replay for direct re-enqueue of the same schedule vs CompiledGraph::launch()
-// vs launch_batch(), interleaved and reported as medians, with the
-// virtual-time bit-identity of separate and batched replays verified on the
-// spot.
+// replay for direct re-enqueue of the same schedule vs CompiledGraph::launch(),
+// interleaved and reported as medians.
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -84,8 +81,6 @@ double run_replay(const ms::sim::SimConfig& cfg, int tiles) {
 // Compiled-executor A/B (real wall clock)
 // ---------------------------------------------------------------------------
 
-constexpr int kBatch = 64;
-
 /// A context + recorded pipeline graph of `tiles` tasks over 4 streams.
 struct Rig {
   ms::rt::Context ctx;
@@ -121,30 +116,6 @@ double median(std::vector<double> v) {
   return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-/// Verify separate and batched replays charge bit-identical virtual time (one
-/// fresh context per path, so the comparison starts from the same absolute
-/// clock). Exits non-zero on a mismatch — this is the correctness half of the
-/// A/B.
-void verify_bit_identity(const ms::sim::SimConfig& cfg, int tiles) {
-  const auto run = [&](auto&& issue) {
-    Rig r(cfg, tiles);
-    const auto t0 = r.ctx.host_time();
-    issue(r);
-    r.ctx.synchronize();
-    return (r.ctx.host_time() - t0).micros();
-  };
-  const double separate = run([](Rig& r) {
-    auto cg = r.graph.compile(r.ctx);
-    for (int i = 0; i < kBatch; ++i) cg.launch(r.ctx);
-  });
-  const double batched = run([](Rig& r) { r.graph.compile(r.ctx).launch_batch(r.ctx, kBatch); });
-  if (separate != batched) {
-    std::cerr << "BIT-IDENTITY FAILURE at T=" << tiles << ": " << kBatch << " separate "
-              << separate << " us vs batched " << batched << " us\n";
-    std::exit(1);
-  }
-}
-
 void compiled_ab(const ms::sim::SimConfig& cfg, int tiles, int reps, const ms::bench::Options& opt) {
   using ms::trace::Table;
   Rig rig(cfg, tiles);
@@ -154,41 +125,26 @@ void compiled_ab(const ms::sim::SimConfig& cfg, int tiles, int reps, const ms::b
   // validation cache) so steady-state replays are measured.
   enqueue_direct(rig.ctx, rig.buf, rig.tiles);
   cg.launch(rig.ctx);
-  cg.launch_batch(rig.ctx, kBatch);
   rig.ctx.synchronize();
 
   // Interleaved samples: one of each path per round, medians across rounds.
-  std::vector<double> direct, compiled, separate, batched;
+  std::vector<double> direct, compiled;
   for (int rep = 0; rep < reps; ++rep) {
     direct.push_back(wall_us([&] { enqueue_direct(rig.ctx, rig.buf, rig.tiles); }));
     rig.ctx.synchronize();
     compiled.push_back(wall_us([&] { cg.launch(rig.ctx); }));
     rig.ctx.synchronize();
-    separate.push_back(wall_us([&] {
-                         for (int i = 0; i < kBatch; ++i) cg.launch(rig.ctx);
-                       }) /
-                       kBatch);
-    rig.ctx.synchronize();
-    batched.push_back(wall_us([&] { cg.launch_batch(rig.ctx, kBatch); }) / kBatch);
-    rig.ctx.synchronize();
   }
 
   const double md = median(direct), mc = median(compiled);
-  const double ms_ = median(separate), mb = median(batched);
-  Table t({"path", "host per replay [us]", "vs direct", "vs separate"});
-  t.add_row({"direct re-enqueue", Table::num(md), "1.00x", ""});
-  t.add_row({"compiled launch()", Table::num(mc), Table::num(md / mc) + "x", ""});
-  t.add_row({"compiled launch() x" + std::to_string(kBatch), Table::num(ms_), "", "1.00x"});
-  t.add_row({"launch_batch(" + std::to_string(kBatch) + ")", Table::num(mb), "",
-             Table::num(ms_ / mb) + "x"});
+  Table t({"path", "host per replay [us]", "vs direct"});
+  t.add_row({"direct re-enqueue", Table::num(md), "1.00x"});
+  t.add_row({"compiled launch()", Table::num(mc), Table::num(md / mc) + "x"});
   ms::bench::emit(t, "compiled_ab_T" + std::to_string(tiles),
                   "compiled executor A/B at T=" + std::to_string(tiles) + " (" +
                       std::to_string(3 * tiles + 1) + " nodes, medians of " +
                       std::to_string(reps) + " interleaved rounds)",
                   opt);
-
-  verify_bit_identity(cfg, tiles);
-  std::cout << "virtual-time bit-identity across separate/batched replays: OK\n";
 }
 
 }  // namespace
@@ -215,7 +171,7 @@ int main(int argc, char** argv) {
                "that difference is the host-side share of Fig. 10's right-hand decline.\n\n";
 
   // Part two: what the *compiled* executor saves the host per replay, on a
-  // >=1k-node schedule (and the acceptance A/B for launch_batch).
+  // >=1k-node schedule.
   compiled_ab(cfg, /*tiles=*/512, /*reps=*/opt.quick ? 5 : 11, opt);
   return 0;
 }

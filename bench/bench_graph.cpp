@@ -1,10 +1,8 @@
 // google-benchmark microbenchmarks of the graph executor's *host-side* cost:
 // what one replay of a recorded schedule costs the issuing thread under
-// CompiledGraph::launch() and the batched launch_batch(), plus the one-time
-// compile. Virtual times are identical across the two launch paths (the
-// determinism suites prove it); these numbers are the real wall-clock cost
-// of compile-once / replay-millions. Recorded as BENCH_GRAPH.json by
-// scripts/record_bench.sh.
+// CompiledGraph::launch(), plus the one-time compile. These numbers are the
+// real wall-clock cost of compile-once / replay-millions. Recorded as
+// BENCH_GRAPH.json by scripts/record_bench.sh.
 
 #include <benchmark/benchmark.h>
 
@@ -19,7 +17,6 @@
 namespace {
 
 constexpr int kStreams = 4;
-constexpr int kBatch = 64;
 
 ms::sim::KernelWork task_work(int tasks) {
   ms::sim::KernelWork w;
@@ -58,7 +55,7 @@ struct Fixture {
 };
 
 // Only the launch call is timed; the synchronize (the device-side discrete-
-// event simulation, identical across paths) runs with the timer paused.
+// event simulation) runs with the timer paused.
 
 void BM_GraphLaunchCompiled(benchmark::State& state) {
   Fixture f(static_cast<int>(state.range(0)));
@@ -74,23 +71,6 @@ void BM_GraphLaunchCompiled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_GraphLaunchCompiled)->Arg(64)->Arg(512)->Arg(4096);
-
-void BM_GraphLaunchBatched(benchmark::State& state) {
-  Fixture f(static_cast<int>(state.range(0)));
-  ms::rt::CompiledGraph cg = f.graph.compile(f.ctx);
-  cg.launch_batch(f.ctx, kBatch);  // warm kBatch pooled runs
-  f.ctx.synchronize();
-  for (auto _ : state) {
-    cg.launch_batch(f.ctx, kBatch);
-    state.PauseTiming();
-    f.ctx.synchronize();
-    state.ResumeTiming();
-  }
-  // Items = replayed tasks, so per-item numbers compare directly with the
-  // unbatched cases (each iteration issues kBatch replays).
-  state.SetItemsProcessed(state.iterations() * state.range(0) * kBatch);
-}
-BENCHMARK(BM_GraphLaunchBatched)->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_GraphCompile(benchmark::State& state) {
   Fixture f(static_cast<int>(state.range(0)));

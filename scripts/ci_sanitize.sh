@@ -41,7 +41,7 @@ export UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1 ${UBSAN_OPTIONS:-}"
 # test_analyze: the hazard analyzer, including the abort path that must not
 # leak pooled actions (ASan's leak checker is the arbiter).
 # test_apps: the ported apps across the Direct and Compiled graph modes,
-# including batched replay through the compiled-graph arena.
+# including plans shared through the process graph cache.
 # test_integration: paper claims end to end.
 # test_capi: the flat C API, an external input surface (range resolution
 # of caller-supplied pointers and sizes).

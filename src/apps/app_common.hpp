@@ -79,11 +79,6 @@ struct CommonConfig {
   /// Issue mode for the replay-shaped phases (see GraphMode). The paper-figure
   /// benches stay on Direct — replay pricing would change their shapes.
   GraphMode graph = GraphMode::Direct;
-  /// In Compiled mode, issue every phase replay as this many back-to-back
-  /// instances (CompiledGraph::launch_batch). A timing/stress knob for the CLI
-  /// `graph` subcommand and benches: >1 multiplies the schedule, so keep it
-  /// at 1 when functional results matter. Ignored in Direct mode.
-  int graph_batch = 1;
 };
 
 /// What every application run reports.
@@ -98,8 +93,8 @@ struct AppResult {
 /// schedule is identical every iteration. In Direct mode `run(record)` just
 /// calls `record()`. In Compiled mode the *first* call stream-captures
 /// `record` into an rt::Graph (charging no host time) and compiles it once
-/// (via the process GraphCache when `cacheable`); every call — including the
-/// first — replays the plan, so each iteration pays the same replay price and
+/// through the process GraphCache; every call — including the first —
+/// replays the plan, so each iteration pays the same replay price and
 /// per-iteration virtual times stay identical across warm-up and measured
 /// samples.
 ///
@@ -110,14 +105,9 @@ struct AppResult {
 /// permanent no-op.
 class GraphPhase {
 public:
-  /// `cacheable` opts into the process-wide GraphCache; only safe for
-  /// timing-only graphs (kernel functors are compiled into cached plans).
-  /// `batch` > 1 replays each run() as that many back-to-back instances
-  /// (see CommonConfig::graph_batch).
-  GraphPhase(rt::Context& ctx, GraphMode mode, std::string name, bool cacheable = false,
-             int batch = 1)
-      : ctx_(&ctx), mode_(mode), name_(std::move(name)), cacheable_(cacheable),
-        batch_(batch > 1 ? batch : 1) {}
+  /// `name` labels the compiled graph's telemetry.
+  GraphPhase(rt::Context& ctx, GraphMode mode, std::string name)
+      : ctx_(&ctx), mode_(mode), name_(std::move(name)) {}
 
   template <typename F>
   void run(F&& record) {
@@ -139,16 +129,10 @@ public:
       if (!graph.empty()) {
         rt::CompileOptions opts;
         opts.name = name_;
-        compiled_ = cacheable_ ? rt::process_graph_cache().get_or_compile(name_, graph, *ctx_, opts)
-                               : graph.compile(*ctx_, opts);
+        compiled_ = rt::process_graph_cache().get_or_compile(graph, *ctx_, opts);
       }
     }
-    if (!compiled_) return;
-    if (batch_ > 1) {
-      compiled_->launch_batch(*ctx_, batch_);
-    } else {
-      compiled_->launch(*ctx_);
-    }
+    if (compiled_) compiled_->launch(*ctx_);
   }
 
   [[nodiscard]] GraphMode mode() const noexcept { return mode_; }
@@ -158,8 +142,6 @@ private:
   rt::Context* ctx_;
   GraphMode mode_;
   std::string name_;
-  bool cacheable_;
-  int batch_;
   std::optional<rt::CompiledGraph> compiled_;
   bool recorded_ = false;
 };

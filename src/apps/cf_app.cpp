@@ -114,8 +114,7 @@ AppResult CfApp::run(const sim::SimConfig& cfg, const CfConfig& cc) {
   // on is produced inside the same iteration. Graph modes capture it once;
   // the coherence reset stays outside (host bookkeeping only consulted while
   // recording).
-  GraphPhase phase(ctx, cc.common.graph, "cf#" + std::to_string(n) + "#" + std::to_string(g),
-                   /*cacheable=*/!cc.common.functional, cc.common.graph_batch);
+  GraphPhase phase(ctx, cc.common.graph, "cf");
 
   AppResult result;
   result.ms = measure_ms(ctx, cc.common.protocol_iterations, [&](int) {

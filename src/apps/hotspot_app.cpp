@@ -55,13 +55,8 @@ AppResult HotspotApp::run(const sim::SimConfig& cfg, const HotspotConfig& hc) {
   // Two replay-shaped phases, split at the mid-body synchronize (a capture
   // cannot contain a blocking call): the band uploads, then the whole
   // stepping pipeline plus the final readback.
-  const std::string tag =
-      "#" + std::to_string(hc.rows) + "x" + std::to_string(hc.cols) + "#" +
-      std::to_string(hc.steps) + "#" + std::to_string(tiles.size());
-  GraphPhase load_phase(ctx, hc.common.graph, "hotspot-load" + tag,
-                        /*cacheable=*/!hc.common.functional, hc.common.graph_batch);
-  GraphPhase steps_phase(ctx, hc.common.graph, "hotspot-steps" + tag,
-                         /*cacheable=*/!hc.common.functional, hc.common.graph_batch);
+  GraphPhase load_phase(ctx, hc.common.graph, "hotspot-load");
+  GraphPhase steps_phase(ctx, hc.common.graph, "hotspot-steps");
 
   AppResult result;
   result.ms = measure_ms(ctx, hc.common.protocol_iterations, [&](int) {

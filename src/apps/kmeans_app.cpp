@@ -64,9 +64,7 @@ AppResult KmeansApp::run(const sim::SimConfig& cfg, const KmeansConfig& kc) {
   // One k-means iteration's device schedule is the replay-shaped phase: in
   // graph modes it is stream-captured once and replayed kc.iterations times
   // per protocol run, instead of re-enqueueing every action.
-  GraphPhase phase(ctx, kc.common.graph,
-                   "kmeans#" + std::to_string(n) + "#" + std::to_string(tiles),
-                   /*cacheable=*/!kc.common.functional, kc.common.graph_batch);
+  GraphPhase phase(ctx, kc.common.graph, "kmeans");
 
   AppResult result;
   result.ms = measure_ms(ctx, kc.common.protocol_iterations, [&](int) {

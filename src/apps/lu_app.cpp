@@ -102,8 +102,7 @@ AppResult LuApp::run(const sim::SimConfig& cfg, const LuConfig& lc) {
 
   // As in CfApp: the whole factorization is one replay-shaped schedule, so
   // graph modes capture the entire body once and replay it per iteration.
-  GraphPhase phase(ctx, lc.common.graph, "lu#" + std::to_string(n) + "#" + std::to_string(g),
-                   /*cacheable=*/!lc.common.functional, lc.common.graph_batch);
+  GraphPhase phase(ctx, lc.common.graph, "lu");
 
   AppResult result;
   result.ms = measure_ms(ctx, lc.common.protocol_iterations, [&](int) {

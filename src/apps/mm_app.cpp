@@ -61,8 +61,7 @@ AppResult MmApp::run(const sim::SimConfig& cfg, const MmConfig& mc) {
 
   // The whole iteration is one replay-shaped schedule; graph modes capture
   // it once and replay it every protocol iteration.
-  GraphPhase phase(ctx, mc.common.graph, "mm#" + std::to_string(d) + "#" + std::to_string(g),
-                   /*cacheable=*/!mc.common.functional, mc.common.graph_batch);
+  GraphPhase phase(ctx, mc.common.graph, "mm");
 
   AppResult result;
   result.ms = measure_ms(ctx, mc.common.protocol_iterations, [&](int) {

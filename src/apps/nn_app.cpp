@@ -45,9 +45,7 @@ NnApp::Output NnApp::run_with_output(const sim::SimConfig& cfg, const NnConfig& 
 
   // The per-tile upload/kernel/readback sweep is identical every iteration;
   // the host-side top-k merge below stays outside the captured phase.
-  GraphPhase phase(ctx, nc.common.graph,
-                   "nn#" + std::to_string(nc.records) + "#" + std::to_string(tiles),
-                   /*cacheable=*/!nc.common.functional, nc.common.graph_batch);
+  GraphPhase phase(ctx, nc.common.graph, "nn");
 
   Output out;
   out.result.ms = measure_ms(ctx, nc.common.protocol_iterations, [&](int) {

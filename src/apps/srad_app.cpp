@@ -88,22 +88,10 @@ AppResult SradApp::run(const sim::SimConfig& cfg, const SradConfig& sc) {
   // ordering those events express is already implied by stream FIFO order
   // (and a phantom event must not leak into a different capture anyway).
   const bool graphed = sc.common.graph != GraphMode::Direct;
-  // Appends, not chained operator+: GCC 12's -Wrestrict misfires on the
-  // inlined concat chain (GCC PR105651) and the tidy leg builds with -Werror.
-  std::string tag = "#";
-  tag += std::to_string(rows);
-  tag += 'x';
-  tag += std::to_string(cols);
-  tag += '#';
-  tag += std::to_string(tiles.size());
-  const bool cache = !sc.common.functional;
-  GraphPhase extract_phase(ctx, sc.common.graph, "srad-extract" + tag, cache,
-                           sc.common.graph_batch);
-  GraphPhase stats_phase(ctx, sc.common.graph, "srad-stats" + tag, cache, sc.common.graph_batch);
-  GraphPhase diffusion_phase(ctx, sc.common.graph, "srad-diffusion" + tag, cache,
-                             sc.common.graph_batch);
-  GraphPhase compress_phase(ctx, sc.common.graph, "srad-compress" + tag, cache,
-                            sc.common.graph_batch);
+  GraphPhase extract_phase(ctx, sc.common.graph, "srad-extract");
+  GraphPhase stats_phase(ctx, sc.common.graph, "srad-stats");
+  GraphPhase diffusion_phase(ctx, sc.common.graph, "srad-diffusion");
+  GraphPhase compress_phase(ctx, sc.common.graph, "srad-compress");
   // The diffusion coefficient depends on this iteration's q0sqr, a host
   // value. Kernels read it through this persistent slot so a captured
   // functor replays with the *current* value instead of a stale by-value

@@ -1,13 +1,9 @@
 #include "model/workload_sim.hpp"
 
 #include <algorithm>
-#include <ios>
-#include <sstream>
 #include <stdexcept>
 
-#include "rt/compiled_graph.hpp"
 #include "rt/context.hpp"
-#include "rt/graph.hpp"
 
 namespace ms::model {
 
@@ -40,44 +36,22 @@ void enqueue_pipeline(rt::Context& ctx, const OffloadShape& shape, rt::BufferId 
   }
 }
 
-struct WorkloadContext {
-  rt::Context ctx;
-  rt::BufferId bin{};
-  rt::BufferId bout{};
-
-  WorkloadContext(const sim::SimConfig& cfg, const OffloadShape& shape, int partitions,
-                  int tiles)
-      : ctx(cfg) {
-    if (partitions < 1 || tiles < 1) {
-      throw std::invalid_argument("workload_sim: partitions and tiles must be >= 1");
-    }
-    const std::size_t h2d = static_cast<std::size_t>(std::max(0.0, shape.h2d_bytes));
-    const std::size_t d2h = static_cast<std::size_t>(std::max(0.0, shape.d2h_bytes));
-    ctx.set_tracing(false);
-    ctx.setup(partitions);
-    bin = ctx.create_virtual_buffer(std::max<std::size_t>(1, h2d));
-    bout = ctx.create_virtual_buffer(std::max<std::size_t>(1, d2h));
-    ctx.synchronize();
-  }
-};
-
 double run(const sim::SimConfig& cfg, const OffloadShape& shape, int partitions, int tiles) {
-  WorkloadContext w(cfg, shape, partitions, tiles);
-  const sim::SimTime t0 = w.ctx.host_time();
-  enqueue_pipeline(w.ctx, shape, w.bin, w.bout, static_cast<std::size_t>(tiles));
-  w.ctx.synchronize();
-  return (w.ctx.host_time() - t0).millis();
-}
-
-/// Collision-free cache key for a (shape, P, T) point: hexfloat renders the
-/// doubles exactly. Config fingerprint and stream layout are appended by the
-/// cache itself.
-std::string shape_key(const OffloadShape& shape, int partitions, int tiles) {
-  std::ostringstream os;
-  os << std::hexfloat << "workload#" << shape.h2d_bytes << '#' << shape.d2h_bytes << '#'
-     << shape.work.flops << '#' << shape.work.elems << '#' << shape.work.temp_alloc_bytes << '#'
-     << static_cast<int>(shape.work.kind) << '#' << partitions << '#' << tiles;
-  return os.str();
+  if (partitions < 1 || tiles < 1) {
+    throw std::invalid_argument("workload_sim: partitions and tiles must be >= 1");
+  }
+  const std::size_t h2d = static_cast<std::size_t>(std::max(0.0, shape.h2d_bytes));
+  const std::size_t d2h = static_cast<std::size_t>(std::max(0.0, shape.d2h_bytes));
+  rt::Context ctx(cfg);
+  ctx.set_tracing(false);
+  ctx.setup(partitions);
+  const rt::BufferId bin = ctx.create_virtual_buffer(std::max<std::size_t>(1, h2d));
+  const rt::BufferId bout = ctx.create_virtual_buffer(std::max<std::size_t>(1, d2h));
+  ctx.synchronize();
+  const sim::SimTime t0 = ctx.host_time();
+  enqueue_pipeline(ctx, shape, bin, bout, static_cast<std::size_t>(tiles));
+  ctx.synchronize();
+  return (ctx.host_time() - t0).millis();
 }
 
 }  // namespace
@@ -89,29 +63,6 @@ double simulate_streamed_ms(const sim::SimConfig& cfg, const OffloadShape& shape
 
 double simulate_serial_ms(const sim::SimConfig& cfg, const OffloadShape& shape) {
   return run(cfg, shape, 1, 1);
-}
-
-double simulate_streamed_replay_ms(const sim::SimConfig& cfg, const OffloadShape& shape,
-                                   int partitions, int tiles, int replays) {
-  if (replays < 1) {
-    throw std::invalid_argument("workload_sim: replays must be >= 1");
-  }
-  WorkloadContext w(cfg, shape, partitions, tiles);
-
-  rt::Graph g;
-  w.ctx.begin_capture(g);
-  enqueue_pipeline(w.ctx, shape, w.bin, w.bout, static_cast<std::size_t>(tiles));
-  w.ctx.end_capture();
-
-  rt::CompileOptions opts;
-  opts.name = "workload";
-  rt::CompiledGraph cg =
-      rt::process_graph_cache().get_or_compile(shape_key(shape, partitions, tiles), g, w.ctx, opts);
-
-  const sim::SimTime t0 = w.ctx.host_time();
-  cg.launch_batch(w.ctx, replays);
-  w.ctx.synchronize();
-  return (w.ctx.host_time() - t0).millis() / static_cast<double>(replays);
 }
 
 }  // namespace ms::model

@@ -16,16 +16,4 @@ namespace ms::model {
 /// The non-streamed (1 stream, 1 tile) ground truth for the same offload.
 [[nodiscard]] double simulate_serial_ms(const sim::SimConfig& cfg, const OffloadShape& shape);
 
-/// Same streamed pipeline, issued through the compiled graph executor: the
-/// schedule is recorded once, compiled (through the process GraphCache, so
-/// repeated tuner evaluations of the same (shape, P, T) point reuse the
-/// plan), and replayed `replays` times back-to-back via launch_batch().
-/// Returns mean virtual milliseconds per replay. Virtual times follow
-/// replay pricing (graph_launch_base + per-node cost) rather than
-/// per-enqueue pricing, so they are not comparable with
-/// simulate_streamed_ms — use one path or the other within a search.
-[[nodiscard]] double simulate_streamed_replay_ms(const sim::SimConfig& cfg,
-                                                 const OffloadShape& shape, int partitions,
-                                                 int tiles, int replays = 1);
-
 }  // namespace ms::model

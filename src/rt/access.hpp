@@ -83,6 +83,8 @@ struct MemRange {
     return false;
   }
 
+  bool operator==(const MemRange&) const = default;
+
 private:
   /// Collapse contiguous rows (len == stride) into a flat interval so the
   /// overlap walk sees the minimal representation.
@@ -100,6 +102,8 @@ struct BufferAccess {
   BufferId buffer;
   AccessMode mode = AccessMode::Read;
   MemRange range;
+
+  bool operator==(const BufferAccess&) const = default;
 };
 
 }  // namespace ms::rt

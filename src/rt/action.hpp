@@ -81,10 +81,6 @@ struct Action {
   int deps_pending = 0;
   bool pred_done = false;  ///< predecessor in the stream completed
   bool armed = false;
-  /// Storage ownership: pool actions are released back to the Context's node
-  /// pool on completion; batch-arena actions (CompiledGraph::launch_batch)
-  /// live in the arena slab and are refreshed in place instead.
-  bool pooled = true;
   /// Completion state, shared with user-held Events. Null for actions issued
   /// by a compiled graph, whose intra-graph dependents are notified through
   /// `graph_run` instead of per-state waiter lists.

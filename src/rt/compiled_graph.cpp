@@ -58,12 +58,8 @@ void compiled_graph_notify(void* run, std::uint32_t node, sim::SimTime now) {
   CompiledGraph::notify(run, node, now);
 }
 
-std::uint64_t compiled_graph_replay_id(void* run, std::uint32_t node) noexcept {
-  const auto* r = static_cast<const CompiledGraph::Run*>(run);
-  const std::size_t count = r->plan->nodes.size();
-  // Arena actions carry batch-global node ids; node / count recovers the
-  // instance index (0 for single runs, whose ids stay instance-local).
-  return r->replay_base + (count != 0 ? node / count : 0);
+std::uint64_t compiled_graph_replay_id(void* run) noexcept {
+  return static_cast<const CompiledGraph::Run*>(run)->replay_id;
 }
 }  // namespace detail
 
@@ -352,7 +348,6 @@ void CompiledGraph::validate_for(Context& ctx) {
           throw Error("CompiledGraph::launch: transfer range exceeds buffer size on this context");
         }
         if (ctx.buffer_backed(pn.buffer)) {
-          exec.has_backed = true;
           exec.payloads[i].device = ctx.device_data(pn.buffer, s.device()) + pn.offset;
           exec.payloads[i].host = ctx.buffer_rec(pn.buffer).host + pn.offset;
         }
@@ -363,32 +358,6 @@ void CompiledGraph::validate_for(Context& ctx) {
   }
 
   exec_ = std::move(exec);
-}
-
-void CompiledGraph::check_rotation(Context& ctx) {
-  if (exec_.rotation_checked) return;
-  const Plan& plan = *plan_;
-  if (exec_.has_backed && ctx.device_count() > 1) {
-    throw Error("CompiledGraph::launch_batch: stream rotation with host-backed buffers is "
-                "only supported on single-device contexts");
-  }
-  // Rotation re-targets each node's stream, so every kernel must cost the
-  // same on every partition the plan spans (true for the uniform layouts
-  // Context::setup builds; add_stream layouts can violate it).
-  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
-    const PlanNode& pn = plan.nodes[i];
-    if (pn.kind != ActionKind::Kernel) continue;
-    for (int s = 0; s < plan.stream_count; ++s) {
-      Stream& target = *exec_.streams[static_cast<std::size_t>(s)];
-      const sim::SimTime d = ctx.cost().kernel_duration(
-          pn.work, ctx.platform().device(target.device()).partition(target.partition()));
-      if (!(d == exec_.durations[i])) {
-        throw Error("CompiledGraph::launch_batch: stream rotation requires uniform "
-                    "partitions (kernel durations differ across the plan's streams)");
-      }
-    }
-  }
-  exec_.rotation_checked = true;
 }
 
 // ---------------------------------------------------------------------------
@@ -408,139 +377,16 @@ CompiledGraph::Run* CompiledGraph::acquire_run() {
   Run* r = owned.get();
   r->pool = runs_.get();
   r->plan = plan_.get();
-  r->target = plan_->nodes.size();
   r->actions.resize(plan_->nodes.size(), nullptr);
-  r->stream_tab.resize(static_cast<std::size_t>(plan_->stream_count), nullptr);
   runs_->all.push_back(std::move(owned));
   return r;
 }
 
-CompiledGraph::Run* CompiledGraph::acquire_arena(Context& ctx, int instances) {
-  if (!runs_) runs_ = std::make_unique<RunPool>();
-  Run* arena = nullptr;
-  for (Run* r : runs_->arenas) {
-    if (!r->idle || r->instances != static_cast<std::uint32_t>(instances)) continue;
-    arena = r;
-    if (r->built_for == &ctx && r->built_epoch == ctx.layout_epoch()) break;  // exact match
-  }
-  if (arena == nullptr) {
-    auto owned = std::make_unique<Run>();
-    arena = owned.get();
-    arena->pool = runs_.get();
-    arena->plan = plan_.get();
-    arena->instances = static_cast<std::uint32_t>(instances);
-    runs_->arenas.push_back(arena);
-    runs_->all.push_back(std::move(owned));
-  }
-  if (arena->built_for != &ctx || arena->built_epoch != ctx.layout_epoch()) {
-    build_arena(*arena, ctx);
-  }
-  ++runs_->in_flight;
-  arena->idle = false;
-  arena->completed = 0;
-  return arena;
-}
-
-void CompiledGraph::build_arena(Run& run, Context& ctx) {
-  const Plan& plan = *plan_;
-  const std::size_t count = plan.nodes.size();
-  const std::size_t total = count * run.instances;
-  run.target = total;
-  run.stream_tab.assign(exec_.streams.begin(), exec_.streams.end());
-  run.slab.clear();  // destroy stale payload functors before rebuilding in place
-  run.slab.resize(total);
-  run.actions.resize(total);
-  for (std::size_t g = 0; g < total; ++g) {
-    const std::size_t i = g % count;
-    const PlanNode& pn = plan.nodes[i];
-    detail::Action& a = run.slab[g];
-    a.kind = pn.kind;
-    a.label = pn.label;
-    a.pooled = false;
-    a.graph_run = &run;
-    a.graph_node = static_cast<std::uint32_t>(g);
-    switch (pn.kind) {
-      case ActionKind::Kernel:
-        a.duration = exec_.durations[i];
-        if (pn.fn != kNoFn) {
-          a.fn = [fp = &plan.kernel_fns[pn.fn]] { (*fp)(); };
-        }
-        break;
-      case ActionKind::H2D: {
-        a.buffer = pn.buffer;
-        a.offset = pn.offset;
-        a.bytes = pn.bytes;
-        const Exec::Payload& p = exec_.payloads[i];
-        if (p.device != nullptr) {
-          a.fn = [dst = p.device, src = p.host, len = pn.bytes] { std::memcpy(dst, src, len); };
-        }
-        break;
-      }
-      case ActionKind::D2H: {
-        a.buffer = pn.buffer;
-        a.offset = pn.offset;
-        a.bytes = pn.bytes;
-        const Exec::Payload& p = exec_.payloads[i];
-        if (p.device != nullptr) {
-          a.fn = [dst = p.host, src = p.device, len = pn.bytes] { std::memcpy(dst, src, len); };
-        }
-        break;
-      }
-      case ActionKind::Barrier: break;
-    }
-    run.actions[g] = &a;
-  }
-  run.built_for = &ctx;
-  run.built_epoch = ctx.layout_epoch();
-}
-
-Event CompiledGraph::issue_batch(Context& ctx, Run& run) {
-  const Plan& plan = *plan_;
-  const std::size_t count = plan.nodes.size();
-  const sim::SimTime per_node = exec_.per_node_cost;
-  // Same action tally the pooled path reports via acquire_action[_raw].
-  ctx.tel_.actions += run.target;
-
-  // Identical pricing and push order to `instances` separate launches: per
-  // instance one launch base charge, then one host reservation per node in
-  // issue order. Only the scheduling fields are rewritten — everything else
-  // (durations, payload functors, labels) survives from the arena build.
-  std::size_t g = 0;
-  for (std::uint32_t k = 0; k < run.instances; ++k) {
-    ctx.host_cursor_ += exec_.base_cost;
-    for (std::size_t i = 0; i < count; ++i, ++g) {
-      const PlanNode& pn = plan.nodes[i];
-      detail::Action& a = run.slab[g];
-      a.ready_floor = ctx.host_issue(per_node);
-      a.deps_pending = static_cast<int>(pn.dep_count);
-      a.armed = false;
-      run.stream_tab[static_cast<std::size_t>(pn.stream)]->push_compiled(&a);
-    }
-  }
-  std::uint64_t analyze_id = 0;
-  if (ctx.analyzing()) {
-    for (std::uint32_t k = 0; k < run.instances; ++k) {
-      analyze_id = record_instance(ctx, run.stream_tab);
-    }
-  }
-  // The batch's completion event hangs off the final instance's barrier.
-  detail::Action& last = run.slab[run.target - 1];
-  last.state = ctx.make_state();
-  last.state->analyze_id = analyze_id;
-  return Event{last.state};
-}
-
-Event CompiledGraph::issue_instance(Context& ctx, int rotation, bool want_event,
-                                    std::uint64_t replay_id) {
+Event CompiledGraph::issue_instance(Context& ctx, std::uint64_t replay_id) {
   const Plan& plan = *plan_;
   Run* run = acquire_run();
-  run->replay_base = replay_id;
-
-  const int span = plan.stream_count;
-  for (int s = 0; s < span; ++s) {
-    run->stream_tab[static_cast<std::size_t>(s)] =
-        exec_.streams[static_cast<std::size_t>((s + rotation) % span)];
-  }
+  run->replay_id = replay_id;
+  run->stream_tab = exec_.streams;
 
   // Replay pricing: one launch base charge, then one host-thread
   // reservation per node (completion barrier included) in issue order.
@@ -552,7 +398,7 @@ Event CompiledGraph::issue_instance(Context& ctx, int rotation, bool want_event,
   for (std::size_t i = 0; i < count; ++i) {
     const PlanNode& pn = plan.nodes[i];
     detail::Action* a;
-    if (want_event && i == count - 1) {
+    if (i == count - 1) {
       a = ctx.acquire_action();  // the returned Event needs a state
       out = Event{a->state};
     } else {
@@ -596,10 +442,7 @@ Event CompiledGraph::issue_instance(Context& ctx, int rotation, bool want_event,
     run->actions[i] = a;
     run->stream_tab[static_cast<std::size_t>(pn.stream)]->push_compiled(a);
   }
-  if (ctx.analyzing()) {
-    const std::uint64_t analyze_id = record_instance(ctx, run->stream_tab);
-    if (out.valid()) out.state_->analyze_id = analyze_id;
-  }
+  if (ctx.analyzing()) out.state_->analyze_id = record_instance(ctx, run->stream_tab);
   return out;
 }
 
@@ -610,7 +453,7 @@ Event CompiledGraph::launch(Context& ctx) {
   const std::uint64_t t0 = telemetry::enabled() ? telemetry::now_ns() : 0;
   validate_for(ctx);
   const std::uint64_t rid = telemetry::next_replay_id();
-  Event ev = issue_instance(ctx, /*rotation=*/0, /*want_event=*/true, rid);
+  Event ev = issue_instance(ctx, rid);
   ++replays_;
   plan_->replays_metric->add(1);
   if (t0 != 0) {
@@ -621,48 +464,6 @@ Event CompiledGraph::launch(Context& ctx) {
     telemetry::record_span("rt.graph.launch", t0, t1, rid);
   }
   return ev;
-}
-
-Event CompiledGraph::launch_batch(Context& ctx, int instances, int stream_rotation) {
-  if (instances < 1) {
-    throw Error("CompiledGraph::launch_batch: need at least one instance");
-  }
-  if (ctx.capturing()) {
-    throw Error("CompiledGraph::launch_batch: forbidden while the context is capturing");
-  }
-  const std::uint64_t t0 = telemetry::enabled() ? telemetry::now_ns() : 0;
-  validate_for(ctx);
-  const int span = plan_->stream_count;
-  const int rot_step = ((stream_rotation % span) + span) % span;
-  if (rot_step != 0) check_rotation(ctx);
-  // One consecutive id block per batch: instance k is replay rid + k, in
-  // both the arena and rotated paths.
-  const std::uint64_t rid = telemetry::next_replay_id(static_cast<std::uint64_t>(instances));
-  Event last;
-  if (rot_step == 0 && instances > 1) {
-    // Arena fast path: the batch's actions were materialised once; refresh
-    // their scheduling fields in place and re-push. Virtual charges are the
-    // per-instance / per-node loop either way, so the cost (and the whole
-    // schedule) is bit-identical to `instances` separate launch() calls.
-    Run* arena = acquire_arena(ctx, instances);
-    arena->replay_base = rid;
-    last = issue_batch(ctx, *arena);
-  } else {
-    int rotation = 0;
-    for (int k = 0; k < instances; ++k) {
-      last = issue_instance(ctx, rotation, /*want_event=*/k == instances - 1,
-                            rid + static_cast<std::uint64_t>(k));
-      rotation = (rotation + rot_step) % span;
-    }
-  }
-  replays_ += static_cast<std::uint64_t>(instances);
-  plan_->replays_metric->add(static_cast<std::uint64_t>(instances));
-  if (t0 != 0) {
-    const std::uint64_t t1 = telemetry::now_ns();
-    plan_->launch_ns_metric->observe(t1 - t0, rid);
-    telemetry::record_span("rt.graph.launch_batch", t0, t1, rid);
-  }
-  return last;
 }
 
 void CompiledGraph::orphan_runs() noexcept {
@@ -681,33 +482,20 @@ void CompiledGraph::orphan_runs() noexcept {
 void CompiledGraph::notify(void* run_ptr, std::uint32_t node, sim::SimTime now) {
   Run* run = static_cast<Run*>(run_ptr);
   const Plan& plan = *run->plan;
-  const std::size_t count = plan.nodes.size();
-  // Arena actions carry a batch-global node id; dependent edges in the plan
-  // are instance-local, so split it into (instance base, local id).
-  std::uint32_t base = 0;
-  std::uint32_t local = node;
-  if (local >= count) {
-    local = static_cast<std::uint32_t>(node % count);
-    base = node - local;
-  }
-  const PlanNode& pn = plan.nodes[local];
+  const PlanNode& pn = plan.nodes[node];
   // Dependents are stored in increasing node id, so they arm in issue
   // order.
   for (std::uint32_t idx = pn.dependents_begin; idx != pn.dependents_end; ++idx) {
     const std::uint32_t d = plan.dependents[idx];
-    detail::Action* a = run->actions[base + d];
+    detail::Action* a = run->actions[d];
     a->ready_floor = sim::max(a->ready_floor, now);
     if (--a->deps_pending == 0) {
       run->stream_tab[static_cast<std::size_t>(plan.nodes[d].stream)]->maybe_arm(a);
     }
   }
-  if (++run->completed == run->target) {
+  if (++run->completed == plan.nodes.size()) {
     RunPool* pool = run->pool;
-    if (run->instances > 1) {
-      run->idle = true;
-    } else {
-      pool->free.push_back(run);
-    }
+    pool->free.push_back(run);
     --pool->in_flight;
     if (pool->orphaned && pool->in_flight == 0) delete pool;
   }
@@ -717,44 +505,60 @@ void CompiledGraph::notify(void* run_ptr, std::uint32_t node, sim::SimTime now) 
 // GraphCache
 // ---------------------------------------------------------------------------
 
-CompiledGraph GraphCache::get_or_compile(std::string_view key, const Graph& g, Context& ctx,
-                                         const CompileOptions& opts) {
-  std::string full(key);
-  full += '#';
-  full += std::to_string(sim::fingerprint(ctx.platform().config()));
-  full += '#';
-  full += std::to_string(ctx.stream_count());
-  full += '#';
-  full += std::to_string(ctx.partitions_per_device());
-  full += '#';
-  full += std::to_string(ctx.device_count());
+bool CompiledGraph::has_kernel_fn(const Graph& g) {
+  return std::any_of(g.nodes_.begin(), g.nodes_.end(),
+                     [](const Graph::Node& n) { return static_cast<bool>(n.launch.fn); });
+}
 
+bool CompiledGraph::same_schedule(const Graph& a, const Graph& b) {
+  return std::equal(a.nodes_.begin(), a.nodes_.end(), b.nodes_.begin(), b.nodes_.end(),
+                    [](const Graph::Node& x, const Graph::Node& y) {
+                      return x.kind == y.kind && x.stream == y.stream && x.buffer == y.buffer &&
+                             x.offset == y.offset && x.bytes == y.bytes &&
+                             x.launch.work == y.launch.work && x.launch.label == y.launch.label &&
+                             x.launch.accesses == y.launch.accesses && x.deps == y.deps;
+                    });
+}
+
+GraphCache::Slot* GraphCache::find(const Graph& g, const Layout& layout) {
+  for (Slot& s : slots_) {
+    if (s.layout == layout && CompiledGraph::same_schedule(s.graph.plan_->source, g)) {
+      s.last_used = ++tick_;
+      return &s;
+    }
+  }
+  return nullptr;
+}
+
+CompiledGraph GraphCache::get_or_compile(const Graph& g, Context& ctx,
+                                         const CompileOptions& opts) {
+  if (CompiledGraph::has_kernel_fn(g)) return g.compile(ctx, opts);
+  const Layout layout{sim::fingerprint(ctx.platform().config()), ctx.stream_count(),
+                      ctx.partitions_per_device(), ctx.device_count()};
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (Slot& s : slots_) {
-      if (s.key == full) {
-        s.last_used = ++tick_;
-        ++hits_;
-        tel_cache_hits().add(1);
-        return s.graph;  // copy: shared plan, fresh execution state
-      }
+    if (const Slot* s = find(g, layout)) {
+      ++hits_;
+      tel_cache_hits().add(1);
+      return s->graph;  // copy: shared plan, fresh execution state
     }
   }
 
-  // Compile outside the lock (it can run the hazard pass); racing compiles
-  // of the same key are benign — last one in wins the slot.
+  // Compile outside the lock (it can run the hazard pass).
   CompiledGraph compiled = g.compile(ctx, opts);
 
   std::lock_guard<std::mutex> lock(mu_);
   ++misses_;
   tel_cache_misses().add(1);
+  // A racing miss on the same schedule may have inserted it meanwhile.
+  if (const Slot* s = find(g, layout)) return s->graph;
   if (slots_.size() >= capacity_) {
     auto oldest = std::min_element(slots_.begin(), slots_.end(), [](const Slot& a, const Slot& b) {
       return a.last_used < b.last_used;
     });
     slots_.erase(oldest);
   }
-  slots_.push_back(Slot{std::move(full), compiled, ++tick_});
+  slots_.push_back(Slot{layout, compiled, ++tick_});
   return compiled;
 }
 

@@ -33,11 +33,10 @@ namespace detail {
 /// arms whichever dependents just became ready. Defined by CompiledGraph.
 void compiled_graph_notify(void* run, std::uint32_t node, sim::SimTime now);
 
-/// Replay id of the batch instance a compiled-graph action belongs to:
-/// the run's base id plus the instance index encoded in the batch-global
-/// node id. Stamped into trace spans so device actions, the host launch
-/// span, and the latency-histogram exemplar join on one id.
-[[nodiscard]] std::uint64_t compiled_graph_replay_id(void* run, std::uint32_t node) noexcept;
+/// Replay id of the run a compiled-graph action belongs to. Stamped into
+/// trace spans so device actions, the host launch span, and the
+/// latency-histogram exemplar join on one id.
+[[nodiscard]] std::uint64_t compiled_graph_replay_id(void* run) noexcept;
 }  // namespace detail
 
 /// Options for Graph::compile().
@@ -115,20 +114,6 @@ public:
   /// appended leaf-joining barrier.
   Event launch(Context& ctx);
 
-  /// Issue `instances` back-to-back replays in one scheduling pass.
-  /// `stream_rotation` r maps instance k's stream s to
-  /// (s + k*r) mod stream_span() — round-robin across the plan's streams so
-  /// successive instances land on different partitions (requires uniform
-  /// partitions; rejected for host-backed buffers on multi-device contexts,
-  /// where rotation would change which card's shadow memory is touched).
-  /// With rotation 0 the whole batch issues through a per-(context, layout)
-  /// arena: actions are materialised once into a slab and later batches only
-  /// refresh their scheduling fields, making batched replay strictly cheaper
-  /// on the host clock than `instances` separate launch() calls.
-  /// Virtual cost equals `instances` separate launch() calls; the returned
-  /// event is the last instance's completion barrier.
-  Event launch_batch(Context& ctx, int instances, int stream_rotation = 0);
-
   /// Number of user-recorded nodes (excludes the appended completion barrier).
   [[nodiscard]] std::size_t node_count() const noexcept { return plan_->nodes.size() - 1; }
   /// Streams the plan spans: nodes reference stream indices [0, stream_span).
@@ -136,14 +121,14 @@ public:
   [[nodiscard]] const std::string& name() const noexcept { return plan_->name; }
   /// SimConfig fingerprint the plan was compiled against.
   [[nodiscard]] std::uint64_t config_fingerprint() const noexcept { return plan_->config_fp; }
-  /// Replays issued through this instance (both launch and launch_batch).
+  /// Replays issued through this instance.
   [[nodiscard]] std::uint64_t replays() const noexcept { return replays_; }
 
 private:
   friend class Graph;
   friend class GraphCache;
   friend void detail::compiled_graph_notify(void* run, std::uint32_t node, sim::SimTime now);
-  friend std::uint64_t detail::compiled_graph_replay_id(void* run, std::uint32_t node) noexcept;
+  friend std::uint64_t detail::compiled_graph_replay_id(void* run) noexcept;
 
   static constexpr std::uint32_t kNoFn = std::numeric_limits<std::uint32_t>::max();
 
@@ -180,40 +165,25 @@ private:
 
   struct RunPool;
 
-  /// One in-flight replay: the live actions and the (possibly rotated)
-  /// stream table. Two flavours share the type. A *single* run (instances ==
-  /// 1) points at pool-acquired actions and recycles into the free list when
-  /// its last action completes. A *batch arena* (instances > 1, the
-  /// launch_batch fast path) owns its actions outright in `slab` — built
-  /// once against one (context, layout epoch), then refreshed in place per
-  /// batch, so steady-state batches rewrite only the scheduling fields
-  /// instead of re-materialising every action.
+  /// One in-flight replay: the pool-acquired actions and the stream table it
+  /// issued on. Recycles into the free list when its last action completes.
   struct Run {
     RunPool* pool = nullptr;
     const Plan* plan = nullptr;
-    std::vector<detail::Action*> actions;    ///< per plan node (x instances)
+    std::vector<detail::Action*> actions;    ///< per plan node
     std::vector<Stream*> stream_tab;         ///< graph stream -> context stream
     std::size_t completed = 0;               ///< actions completed so far
-    std::size_t target = 0;                  ///< completions that retire this run
-    /// First replay id of this run; instance k of a batch is replay_base + k.
-    std::uint64_t replay_base = 0;
-    // Batch arenas only:
-    std::uint32_t instances = 1;
-    bool idle = false;                       ///< arena not in flight, reusable
-    const Context* built_for = nullptr;
-    std::uint64_t built_epoch = 0;
-    std::vector<detail::Action> slab;        ///< arena-owned action storage
+    std::uint64_t replay_id = 0;
   };
 
-  /// Free-list of Runs (plus the batch arenas). unique_ptr elements keep Run
-  /// addresses stable while this executor (and the pool vector) moves or
-  /// grows. When the owning executor is destroyed with replays still in
-  /// flight, the pool is orphaned (with a keepalive on the plan) and the
-  /// last completing run deletes it.
+  /// Free-list of Runs. unique_ptr elements keep Run addresses stable while
+  /// this executor (and the pool vector) moves or grows. When the owning
+  /// executor is destroyed with replays still in flight, the pool is
+  /// orphaned (with a keepalive on the plan) and the last completing run
+  /// deletes it.
   struct RunPool {
     std::vector<std::unique_ptr<Run>> all;
-    std::vector<Run*> free;     ///< recycled single runs (never arenas)
-    std::vector<Run*> arenas;   ///< batch arenas, reused when idle
+    std::vector<Run*> free;     ///< recycled runs
     std::size_t in_flight = 0;  ///< runs issued and not yet fully completed
     bool orphaned = false;
     std::shared_ptr<const Plan> plan_keepalive;
@@ -232,8 +202,6 @@ private:
     std::vector<Payload> payloads;  ///< backed transfers; null otherwise
     sim::SimTime per_node_cost = sim::SimTime::zero();
     sim::SimTime base_cost = sim::SimTime::zero();
-    bool has_backed = false;
-    bool rotation_checked = false;
   };
 
   CompiledGraph(const Graph& g, Context& ctx, const CompileOptions& opts);
@@ -241,12 +209,8 @@ private:
 
   void orphan_runs() noexcept;
   void validate_for(Context& ctx);
-  void check_rotation(Context& ctx);
-  Event issue_instance(Context& ctx, int rotation, bool want_event, std::uint64_t replay_id);
+  Event issue_instance(Context& ctx, std::uint64_t replay_id);
   Run* acquire_run();
-  Run* acquire_arena(Context& ctx, int instances);
-  void build_arena(Run& run, Context& ctx);
-  Event issue_batch(Context& ctx, Run& run);
   static void notify(void* run, std::uint32_t node, sim::SimTime now);
   /// The one flatten loop behind the compile-time passes and analyzing
   /// replays: emits every node of `g` into `sink` (anything with the
@@ -261,12 +225,16 @@ private:
   /// layout, buffers assumed device-resident (a replayable graph may read
   /// pre-existing state).
   static analyze::GraphRecord build_record(const Graph& g, Context& ctx);
-  /// Append one replay instance (nodes plus completion barrier, on the
-  /// possibly rotated `streams`) to `ctx`'s recorder; returns the barrier's
-  /// analyzer id.
+  /// Append one replay instance (nodes plus completion barrier, on
+  /// `streams`) to `ctx`'s recorder; returns the barrier's analyzer id.
   std::uint64_t record_instance(Context& ctx, const std::vector<Stream*>& streams);
   static void run_hazard_pass(const Graph& g, Context& ctx);
   static void run_lint_pass(const Graph& g, Context& ctx);
+  /// True when some kernel node of `g` carries a functor.
+  static bool has_kernel_fn(const Graph& g);
+  /// Node-by-node equality of two recorded schedules: kind, stream, buffer,
+  /// range, kernel work, label, declared accesses and deps (functors ignored).
+  static bool same_schedule(const Graph& a, const Graph& b);
 
   std::shared_ptr<const Plan> plan_;
   Exec exec_;
@@ -274,25 +242,24 @@ private:
   std::uint64_t replays_ = 0;
 };
 
-/// Keyed store of compiled plans, so repeated evaluations of the same
-/// schedule (tuner sweeps, CLI replays, protocol iterations) compile once
-/// per distinct (key, SimConfig fingerprint, stream layout) and share the
-/// immutable plan. `get_or_compile` hands out a fresh executor over the
-/// cached plan on a hit. Thread-safe; least-recently-used plans are evicted
-/// beyond `capacity`.
+/// Store of compiled plans, so repeated evaluations of the same schedule
+/// (tuner sweeps, CLI replays, protocol iterations) compile once and share
+/// the immutable plan. A cached plan is reused only for a graph whose
+/// recorded schedule equals the plan's source node for node, on a context
+/// with the same SimConfig fingerprint and stream layout. `get_or_compile`
+/// hands out a fresh executor over the cached plan on a hit. Thread-safe;
+/// least-recently-used plans are evicted beyond `capacity`.
 ///
-/// Caveat: kernel functors are compiled into the plan, so cache across
-/// contexts only for timing-only graphs (virtual buffers, no functors) —
-/// functors captured against one context's memory must not run against
-/// another's. The apps only consult the cache in non-functional mode.
+/// Only graphs without kernel functors are cached: functors captured against
+/// one context's memory must not run against another's. Transfer payloads
+/// are safe to share, since each executor resolves them per context.
 class GraphCache {
 public:
   explicit GraphCache(std::size_t capacity = 16) : capacity_(capacity ? capacity : 1) {}
 
-  /// Look up (key, config fingerprint, stream layout); compile and insert on
-  /// miss. Returns a fresh executor sharing the cached plan.
-  CompiledGraph get_or_compile(std::string_view key, const Graph& g, Context& ctx,
-                               const CompileOptions& opts = {});
+  /// Return an executor for `g` on `ctx`: a fresh one over a cached plan on a
+  /// hit, else compile (and insert, when `g` has no kernel functor).
+  CompiledGraph get_or_compile(const Graph& g, Context& ctx, const CompileOptions& opts = {});
 
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
@@ -301,11 +268,22 @@ public:
   void clear();
 
 private:
+  /// Everything besides the schedule that a plan must match.
+  struct Layout {
+    std::uint64_t config_fp = 0;
+    int streams = 0;
+    int partitions = 0;
+    int devices = 0;
+    bool operator==(const Layout&) const = default;
+  };
   struct Slot {
-    std::string key;
+    Layout layout;
     CompiledGraph graph;
     std::uint64_t last_used = 0;
   };
+  /// The slot replaying `g` under `layout`, or null. Caller holds mu_.
+  Slot* find(const Graph& g, const Layout& layout);
+
   mutable std::mutex mu_;
   std::vector<Slot> slots_;
   std::uint64_t tick_ = 0;

@@ -100,8 +100,7 @@ Context::~Context() {
   if (recorder_) recorder_->finalize();
   // Actions still in flight (a Context dropped without synchronize()) are
   // placement-constructed in pool nodes, so run their destructors before the
-  // store releases the chunks. In-order queues hold every live action; arena
-  // actions belong to their compiled graph's slab and are left to it. Only
+  // store releases the chunks. In-order queues hold every live action. Only
   // in-flight states can hold waiter edges: detach them, since the actions
   // the edges name die here even when an Event keeps the state alive.
   for (const auto& s : streams_) {
@@ -112,7 +111,7 @@ Context::~Context() {
         a->state->waiters_head = nullptr;
         a->state->waiters_tail = nullptr;
       }
-      if (a->pooled) a->~Action();
+      a->~Action();
     }
   }
 }

@@ -204,7 +204,7 @@ void Stream::start(Action* a) {
       span.end = now;
       span.label = a->label;
       if (a->graph_run != nullptr) {
-        span.replay_id = detail::compiled_graph_replay_id(a->graph_run, a->graph_node);
+        span.replay_id = detail::compiled_graph_replay_id(a->graph_run);
       }
       ctx_->timeline_.record(span);
     }
@@ -239,7 +239,7 @@ void Stream::start(Action* a) {
     span.bytes = a->bytes;
     span.label = a->label;
     if (a->graph_run != nullptr) {
-      span.replay_id = detail::compiled_graph_replay_id(a->graph_run, a->graph_node);
+      span.replay_id = detail::compiled_graph_replay_id(a->graph_run);
     }
     ctx_->timeline_.record(span);
   }
@@ -283,7 +283,7 @@ void Stream::start_transfer_chunked(detail::Action* a, sim::Direction dir, std::
         span.bytes = a->bytes;
         span.label = a->label;
         if (a->graph_run != nullptr) {
-          span.replay_id = detail::compiled_graph_replay_id(a->graph_run, a->graph_node);
+          span.replay_id = detail::compiled_graph_replay_id(a->graph_run);
         }
         ctx_->timeline_.record(span);
       }
@@ -311,10 +311,6 @@ void Stream::on_complete(Action* a) {
   }
   if (a->fn) a->fn();
   queue_.pop_front();
-  // Read before notifying: an arena action's storage belongs to its run, and
-  // the graph notification below may retire the run (freeing the slab) when
-  // this was the batch's final action on an orphaned executor.
-  const bool pooled = a->pooled;
 
   const sim::SimTime now = engine_->now();
   // Notification order: external waiters (the state's, when one exists)
@@ -329,9 +325,8 @@ void Stream::on_complete(Action* a) {
     maybe_arm(next);
   }
 
-  // Notification and successor arming are done; recycle the action. Arena
-  // actions stay in their slab — the owning batch refreshes them in place.
-  if (pooled) ctx_->release_action(a);
+  // Notification and successor arming are done; recycle the action.
+  ctx_->release_action(a);
 }
 
 void Stream::complete_state(detail::ActionState& st, sim::SimTime now) {

@@ -35,6 +35,8 @@ struct KernelWork {
   /// scratch costs grow with the partition's thread count — the mechanism
   /// behind Fig. 9(c).
   bool temp_alloc_per_thread = false;
+
+  bool operator==(const KernelWork&) const = default;
 };
 
 /// Turns (work, partition shape, configuration) into virtual durations.

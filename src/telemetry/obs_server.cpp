@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -62,9 +63,11 @@ ParsedAddr parse_addr(const std::string& addr) {
   }
   if (out.host == "localhost") out.host = "127.0.0.1";
   if (port_s.empty()) throw std::runtime_error("obs: empty port in address '" + addr + "'");
-  char* end = nullptr;
-  const long p = std::strtol(port_s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || p < 0 || p > 65535) {
+  // Digits only, over the whole token: no sign, no whitespace.
+  unsigned p = 0;
+  const char* const last = port_s.data() + port_s.size();
+  const auto [ptr, ec] = std::from_chars(port_s.data(), last, p);
+  if (ec != std::errc() || ptr != last || p > 65535) {
     throw std::runtime_error("obs: bad port in address '" + addr + "'");
   }
   out.port = static_cast<int>(p);

@@ -24,12 +24,12 @@ namespace detail {
 inline constinit std::atomic<std::uint64_t> g_next_replay{1};
 }  // namespace detail
 
-/// Allocate `count` consecutive replay ids and return the first. Ids are
-/// process-wide, monotonic, and start at 1 (0 means "no replay"). Ids are
-/// handed out whether or not recording is on: replay correlation also stamps
-/// the simulator trace, which does not depend on the MS_METRICS gate.
-[[nodiscard]] inline std::uint64_t next_replay_id(std::uint64_t count = 1) noexcept {
-  return detail::g_next_replay.fetch_add(count, std::memory_order_relaxed);
+/// Allocate the next replay id. Ids are process-wide, monotonic, and start
+/// at 1 (0 means "no replay"). Ids are handed out whether or not recording is
+/// on: replay correlation also stamps the simulator trace, which does not
+/// depend on the MS_METRICS gate.
+[[nodiscard]] inline std::uint64_t next_replay_id() noexcept {
+  return detail::g_next_replay.fetch_add(1, std::memory_order_relaxed);
 }
 
 /// One time-stamped counter observation, feeding the Chrome-trace `ph:"C"`

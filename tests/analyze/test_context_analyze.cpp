@@ -249,9 +249,9 @@ TEST(ContextAnalyze, CompiledReplayOfRacyGraphIsReported) {
   EXPECT_EQ(capture.result().hazards[0].kind, HazardKind::RaceWAW);
 }
 
-TEST(ContextAnalyze, RotatedBatchIsRecordedWithoutChangingVirtualTime) {
-  // Three kernels hopping across two streams, replayed 8 times with stream
-  // rotation: every instance records its nodes plus the completion barrier.
+TEST(ContextAnalyze, RepeatedReplaysAreRecordedWithoutChangingVirtualTime) {
+  // Three kernels hopping across two streams, replayed 8 times: every
+  // instance records its nodes plus the completion barrier.
   const auto run = [](bool analyze) {
     ms::rt::Context ctx(small_cfg(), ContextConfig{.analyze = analyze});
     ctx.setup(2);
@@ -263,7 +263,7 @@ TEST(ContextAnalyze, RotatedBatchIsRecordedWithoutChangingVirtualTime) {
     const auto k1 = g.add_kernel(1, {"k1", work, {}, {}}, {k0});
     g.add_kernel(0, {"k2", work, {}, {}}, {k1});
     ms::rt::CompiledGraph cg = g.compile(ctx);
-    EXPECT_NO_THROW(cg.launch_batch(ctx, 8, 1));
+    for (int i = 0; i < 8; ++i) EXPECT_NO_THROW(cg.launch(ctx));
     ctx.synchronize();
     return ctx.host_time().micros();
   };
@@ -301,10 +301,6 @@ TEST(ContextAnalyze, HostWaitsOnCompiledReplayAreOrderingEdges) {
   EXPECT_NO_THROW(ctx.synchronize());
 
   ctx.wait(cg.launch(ctx));
-  ctx.stream(2).enqueue_h2d(buf, 0, 2048);
-  EXPECT_NO_THROW(ctx.synchronize());
-
-  ctx.wait(cg.launch_batch(ctx, 2));
   ctx.stream(2).enqueue_h2d(buf, 0, 2048);
   EXPECT_NO_THROW(ctx.synchronize());
 }

@@ -3,7 +3,8 @@
 // Compiled issue modes, and compiled virtual times must stay BIT-identical to
 // pinned values — on one card and two, and regardless of the kernel engine's
 // thread count. The pins are C99 hex-float literals: only a deliberate
-// change to replay pricing or scheduling order may move them.
+// change to replay pricing or scheduling order may move them. The process
+// graph cache must never hand one schedule's plan to a run of another.
 
 #include <gtest/gtest.h>
 
@@ -171,30 +172,18 @@ TEST(GraphModes, ThreadCountInvariant) {
   }
 }
 
-// graph_batch issues every phase replay as M back-to-back instances through
-// launch_batch. The batched virtual time is pinned (it equals M separate
-// launches per phase), and the batch must actually multiply the replayed
-// schedule.
-TEST(GraphModes, BatchedPhasesBitIdenticalAcrossPaths) {
-  auto c = mm_cfg();
+template <typename Config>
+Config timing_only(Config c) {
   c.common.functional = false;
-  c.common.graph_batch = 3;
+  c.common.tracing = false;
   c.common.graph = GraphMode::Compiled;
-  const auto compiled = MmApp::run(sim::SimConfig::phi_31sp(), c);
-  EXPECT_EQ(compiled.ms, 0x1.7b1a8918d3754p+0);
-
-  c.common.graph_batch = 1;
-  const auto single = MmApp::run(sim::SimConfig::phi_31sp(), c);
-  EXPECT_GT(compiled.ms, single.ms);
+  return c;
 }
 
 // Timing-only runs consult the process-wide graph cache: a repeat run of the
 // same app geometry must hit, not recompile.
 TEST(GraphModes, TimingOnlyRunsShareCachedPlans) {
-  auto c = kmeans_cfg();
-  c.common.functional = false;
-  c.common.tracing = false;
-  c.common.graph = GraphMode::Compiled;
+  const auto c = timing_only(kmeans_cfg());
   const auto first = KmeansApp::run(sim::SimConfig::phi_31sp(), c);
   const auto misses_after_first = rt::process_graph_cache().misses();
   const auto hits_before = rt::process_graph_cache().hits();
@@ -202,6 +191,55 @@ TEST(GraphModes, TimingOnlyRunsShareCachedPlans) {
   EXPECT_EQ(second.ms, first.ms);
   EXPECT_EQ(rt::process_graph_cache().misses(), misses_after_first);
   EXPECT_GE(rt::process_graph_cache().hits(), hits_before + 1);
+}
+
+// The cache matches the recorded schedule itself, so runs whose schedules
+// differ never share a plan, whatever ran before them.
+template <typename App, typename Config>
+void expect_cold_equals_after(const Config& earlier, const Config& later) {
+  rt::process_graph_cache().clear();
+  const double cold = App::run(sim::SimConfig::phi_31sp(), later).ms;
+  rt::process_graph_cache().clear();
+  (void)App::run(sim::SimConfig::phi_31sp(), earlier);
+  EXPECT_EQ(App::run(sim::SimConfig::phi_31sp(), later).ms, cold);
+  EXPECT_EQ(rt::process_graph_cache().hits(), 0u);
+}
+
+TEST(GraphModes, KmeansCacheSeparatesDimsAndClusters) {
+  auto small = timing_only(kmeans_cfg());
+  small.dims = 34;
+  small.clusters = 8;
+  auto big = small;
+  big.dims = 68;
+  big.clusters = 16;
+  expect_cold_equals_after<KmeansApp>(small, big);
+}
+
+TEST(GraphModes, HotspotCacheSeparatesTileShapes) {
+  auto wide = timing_only(hotspot_cfg());
+  wide.rows = 256;
+  wide.cols = 256;
+  wide.tile_rows = 64;
+  wide.tile_cols = 128;
+  auto tall = wide;
+  tall.tile_rows = 128;
+  tall.tile_cols = 64;
+  expect_cold_equals_after<HotspotApp>(tall, wide);
+}
+
+// A functional run's transfer-only load phase is shared through the cache;
+// each executor resolves the payloads against its own context's buffers.
+TEST(GraphModes, FunctionalHotspotLoadPlanFromCacheKeepsChecksum) {
+  auto c = hotspot_cfg();
+  c.common.graph = GraphMode::Compiled;
+  const AppResult first = HotspotApp::run(sim::SimConfig::phi_31sp(), c);
+  const auto hits_before = rt::process_graph_cache().hits();
+  const AppResult second = HotspotApp::run(sim::SimConfig::phi_31sp(), c);
+  EXPECT_EQ(rt::process_graph_cache().hits(), hits_before + 1);
+  EXPECT_EQ(second.checksum, first.checksum);
+  EXPECT_EQ(second.ms, first.ms);
+  c.common.graph = GraphMode::Direct;
+  EXPECT_EQ(second.checksum, HotspotApp::run(sim::SimConfig::phi_31sp(), c).checksum);
 }
 
 }  // namespace

@@ -4,8 +4,6 @@
 
 #include <stdexcept>
 
-#include "rt/compiled_graph.hpp"
-
 namespace ms::model {
 namespace {
 
@@ -63,31 +61,6 @@ TEST(WorkloadSim, MoreTilesEventuallyHurt) {
   const double moderate = simulate_streamed_ms(cfg(), s, 4, 8);
   const double extreme = simulate_streamed_ms(cfg(), s, 4, 2048);
   EXPECT_GT(extreme, moderate);
-}
-
-TEST(WorkloadSim, ReplayPathIsDeterministicAndCachesThePlan) {
-  const auto s = shape_mib(12, 4, 3e7);
-  const double first = simulate_streamed_replay_ms(cfg(), s, 4, 12);
-  const auto misses = rt::process_graph_cache().misses();
-  const auto hits = rt::process_graph_cache().hits();
-  const double second = simulate_streamed_replay_ms(cfg(), s, 4, 12);
-  EXPECT_DOUBLE_EQ(second, first);
-  EXPECT_EQ(rt::process_graph_cache().misses(), misses) << "same point must not recompile";
-  EXPECT_GE(rt::process_graph_cache().hits(), hits + 1);
-  // A different (P, T) point is a different plan.
-  (void)simulate_streamed_replay_ms(cfg(), s, 4, 24);
-  EXPECT_GE(rt::process_graph_cache().misses(), misses + 1);
-}
-
-TEST(WorkloadSim, BatchedReplaysPipelineAtLeastAsWellAsOne) {
-  const auto s = shape_mib(16, 16, 4.0 * (1 << 20) * 40);
-  const double one = simulate_streamed_replay_ms(cfg(), s, 4, 8, 1);
-  const double mean8 = simulate_streamed_replay_ms(cfg(), s, 4, 8, 8);
-  EXPECT_GT(one, 0.0);
-  // Back-to-back instances overlap across the batch, so the per-replay mean
-  // cannot exceed an isolated launch.
-  EXPECT_LE(mean8, one * 1.0000001);
-  EXPECT_THROW((void)simulate_streamed_replay_ms(cfg(), s, 4, 8, 0), std::invalid_argument);
 }
 
 }  // namespace

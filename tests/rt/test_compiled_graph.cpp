@@ -1,6 +1,5 @@
-// Compiled graph executor: determinism across separate and batched replays,
-// replay pricing, the compile-error gallery, stream capture, and the graph
-// cache.
+// Compiled graph executor: results against direct issue, replay pricing,
+// the compile-error gallery, stream capture, and the graph cache.
 
 #include "rt/compiled_graph.hpp"
 
@@ -50,36 +49,8 @@ Graph make_pipeline(BufferId buf, std::size_t bytes, int tiles, int streams) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: virtual times must be bit-identical across separate and
-// batched replays, and results identical to direct issue.
+// Replay: results identical to direct issue, pricing, lifetime.
 // ---------------------------------------------------------------------------
-
-TEST(CompiledGraph, VirtualTimeBitIdenticalAcrossLaunchAndBatch) {
-  constexpr int kReplays = 7;
-
-  Context comp(cfg());
-  comp.setup(4);
-  comp.set_tracing(false);
-  const auto b2 = comp.create_virtual_buffer(1 << 20);
-  const Graph g2 = make_pipeline(b2, 1 << 20, 64, 4);
-  CompiledGraph cg = g2.compile(comp);
-  for (int i = 0; i < kReplays; ++i) cg.launch(comp);
-  comp.synchronize();
-
-  Context batch(cfg());
-  batch.setup(4);
-  batch.set_tracing(false);
-  const auto b3 = batch.create_virtual_buffer(1 << 20);
-  const Graph g3 = make_pipeline(b3, 1 << 20, 64, 4);
-  CompiledGraph cgb = g3.compile(batch);
-  cgb.launch_batch(batch, kReplays);
-  batch.synchronize();
-
-  // Bit-identical, not just close: EXPECT_EQ on the raw micros.
-  EXPECT_EQ(comp.host_time().micros(), batch.host_time().micros());
-  EXPECT_EQ(cg.replays(), static_cast<std::uint64_t>(kReplays));
-  EXPECT_EQ(cgb.replays(), static_cast<std::uint64_t>(kReplays));
-}
 
 TEST(CompiledGraph, FunctionalResultsMatchDirectIssue) {
   auto run = [](bool compiled) {
@@ -125,119 +96,19 @@ TEST(CompiledGraph, FunctionalResultsMatchDirectIssue) {
 }
 
 TEST(CompiledGraph, BatchedFunctionalReplayRunsEveryInstance) {
+  // Back-to-back launches before one synchronize: every replay instance runs
+  // its functor, and the last launch's event completes.
   Context ctx(cfg());
   ctx.setup(2);
   int runs = 0;
   Graph g;
   g.add_kernel(0, {"count", work(), [&runs] { ++runs; }});
   CompiledGraph cg = g.compile(ctx);
-  const Event done = cg.launch_batch(ctx, 5);
+  Event done;
+  for (int i = 0; i < 5; ++i) done = cg.launch(ctx);
   ctx.synchronize();
   EXPECT_TRUE(done.done());
   EXPECT_EQ(runs, 5);
-}
-
-TEST(CompiledGraph, BatchMatchesSeparateLaunchesInVirtualTime) {
-  auto run = [](bool batched) {
-    Context ctx(cfg());
-    ctx.setup(4);
-    ctx.set_tracing(false);
-    const auto buf = ctx.create_virtual_buffer(1 << 18);
-    const Graph g = make_pipeline(buf, 1 << 18, 16, 4);
-    CompiledGraph cg = g.compile(ctx);
-    if (batched) {
-      cg.launch_batch(ctx, 8);
-    } else {
-      for (int i = 0; i < 8; ++i) cg.launch(ctx);
-    }
-    ctx.synchronize();
-    return ctx.host_time().micros();
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(CompiledGraph, RepeatedBatchesReuseTheArenaBitIdentically) {
-  // Steady-state batches refresh the arena's actions in place; every batch
-  // must still charge exactly what the same count of separate launches does.
-  auto run = [](bool batched) {
-    Context ctx(cfg());
-    ctx.setup(4);
-    ctx.set_tracing(false);
-    const auto buf = ctx.create_virtual_buffer(1 << 18);
-    const Graph g = make_pipeline(buf, 1 << 18, 16, 4);
-    CompiledGraph cg = g.compile(ctx);
-    for (int round = 0; round < 4; ++round) {
-      if (batched) {
-        cg.launch_batch(ctx, 6);
-      } else {
-        for (int i = 0; i < 6; ++i) cg.launch(ctx);
-      }
-      ctx.synchronize();
-    }
-    return ctx.host_time().micros();
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(CompiledGraph, OverlappingBatchesGetIndependentArenas) {
-  // A second batch issued while the first is still in flight cannot reuse
-  // its arena; it must behave exactly like more separate launches.
-  auto run = [](bool batched) {
-    Context ctx(cfg());
-    ctx.setup(4);
-    ctx.set_tracing(false);
-    const auto buf = ctx.create_virtual_buffer(1 << 18);
-    const Graph g = make_pipeline(buf, 1 << 18, 16, 4);
-    CompiledGraph cg = g.compile(ctx);
-    if (batched) {
-      cg.launch_batch(ctx, 5);
-      cg.launch_batch(ctx, 5);  // first batch still in flight
-    } else {
-      for (int i = 0; i < 10; ++i) cg.launch(ctx);
-    }
-    ctx.synchronize();
-    return ctx.host_time().micros();
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(CompiledGraph, BatchSurvivesCompatibleLayoutChange) {
-  // Growing the stream set bumps the layout epoch; the stale arena (its
-  // stream table and durations were resolved against the old layout) must be
-  // rebuilt, not replayed.
-  Context ctx(cfg());
-  ctx.setup(2);
-  ctx.set_tracing(false);
-  const auto buf = ctx.create_virtual_buffer(1 << 16);
-  const Graph g = make_pipeline(buf, 1 << 16, 8, 2);
-  CompiledGraph cg = g.compile(ctx);
-  cg.launch_batch(ctx, 4);
-  ctx.synchronize();
-  const auto t_before = ctx.host_time();
-
-  ctx.add_stream(0, 0);
-  EXPECT_NO_THROW(cg.launch_batch(ctx, 4));
-  ctx.synchronize();
-  EXPECT_GT(ctx.host_time().micros(), t_before.micros());
-}
-
-TEST(CompiledGraph, RotationKeepsVirtualTimeOnUniformPartitions) {
-  // With uniform partitions, rotating the stream assignment must not change
-  // completion time: the schedule is symmetric under stream permutation.
-  auto run = [](int rotation) {
-    Context ctx(cfg());
-    ctx.setup(4);
-    ctx.set_tracing(false);
-    const auto buf = ctx.create_virtual_buffer(1 << 18);
-    const Graph g = make_pipeline(buf, 1 << 18, 16, 4);
-    CompiledGraph cg = g.compile(ctx);
-    cg.launch_batch(ctx, 8, rotation);
-    ctx.synchronize();
-    return ctx.host_time().micros();
-  };
-  EXPECT_EQ(run(0), run(1));
-  EXPECT_EQ(run(0), run(3));
-  EXPECT_EQ(run(0), run(-1));  // negative rotations are normalised
 }
 
 TEST(CompiledGraph, CompiledReplayChargesLaunchBasePlusPerNode) {
@@ -273,8 +144,7 @@ TEST(CompiledGraph, DestroyingExecutorWithLaunchesInFlightIsSafe) {
     const auto up = g.add_h2d(0, buf, 0, 4096);
     g.add_kernel(1, {"k", work(), [&runs] { ++runs; }}, {up});
     CompiledGraph cg = g.compile(ctx);
-    cg.launch(ctx);
-    cg.launch_batch(ctx, 3);
+    for (int i = 0; i < 4; ++i) cg.launch(ctx);
   }  // cg (and g) destroyed with 4 replays still in flight
   ctx.synchronize();
   EXPECT_EQ(runs, 4);
@@ -379,15 +249,6 @@ TEST(CompiledGraphErrors, LaunchSurvivesCompatibleLayoutChange) {
   ctx.synchronize();
 }
 
-TEST(CompiledGraphErrors, BatchRequiresPositiveInstanceCount) {
-  Context ctx(cfg());
-  Graph g;
-  g.add_kernel(0, {"k", work(), {}});
-  CompiledGraph cg = g.compile(ctx);
-  EXPECT_THROW((void)cg.launch_batch(ctx, 0), Error);
-  EXPECT_THROW((void)cg.launch_batch(ctx, -3), Error);
-}
-
 TEST(CompiledGraphErrors, AnalyzePassCatchesRacyGraph) {
   Context ctx(cfg());
   ctx.setup(2);
@@ -469,7 +330,7 @@ TEST(CompiledGraphCapture, CapturedGraphMatchesDirectRecording) {
     Graph g;
     build(ctx, buf, g, use_capture);
     CompiledGraph cg = g.compile(ctx);
-    cg.launch_batch(ctx, 4);
+    for (int i = 0; i < 4; ++i) cg.launch(ctx);
     ctx.synchronize();
     return ctx.host_time().micros();
   };
@@ -522,7 +383,6 @@ TEST(CompiledGraphCapture, BlockingOpsThrowDuringCapture) {
   EXPECT_THROW(ctx.setup(4), Error);
   EXPECT_THROW(ctx.destroy_buffer(buf), Error);
   EXPECT_THROW((void)cg.launch(ctx), Error);
-  EXPECT_THROW((void)cg.launch_batch(ctx, 2), Error);
   ctx.end_capture();
 }
 
@@ -548,8 +408,8 @@ TEST(GraphCacheTest, SecondLookupHitsAndSharesThePlan) {
   g.add_kernel(1, {"k", work(), {}});
 
   GraphCache cache(4);
-  CompiledGraph a = cache.get_or_compile("app", g, ctx);
-  CompiledGraph b = cache.get_or_compile("app", g, ctx);
+  CompiledGraph a = cache.get_or_compile(g, ctx);
+  CompiledGraph b = cache.get_or_compile(g, ctx);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.size(), 1u);
@@ -569,37 +429,103 @@ TEST(GraphCacheTest, DifferentConfigOrLayoutMisses) {
 
   GraphCache cache(8);
   Context a(cfg());
-  (void)cache.get_or_compile("app", g, a);
+  (void)cache.get_or_compile(g, a);
 
-  // Different platform: same key string, different fingerprint.
+  // Different platform: same schedule, different fingerprint.
   Context b(sim::SimConfig::phi_7120p());
-  (void)cache.get_or_compile("app", g, b);
+  (void)cache.get_or_compile(g, b);
 
   // Different stream layout on the original platform.
   Context c(cfg());
   c.setup(4);
-  (void)cache.get_or_compile("app", g, c);
+  (void)cache.get_or_compile(g, c);
 
   EXPECT_EQ(cache.misses(), 3u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.size(), 3u);
 }
 
+TEST(GraphCacheTest, AnyScheduleDifferenceMisses) {
+  // Each variant differs from the base in one recorded field; every one must
+  // compile its own plan.
+  Context ctx(cfg());
+  ctx.setup(2);
+  const auto buf = ctx.create_virtual_buffer(4096);
+  const auto other = ctx.create_virtual_buffer(4096);
+  const auto build = [&](int stream, BufferId b, std::size_t offset, double elems,
+                         const char* label, std::size_t read_len, bool dep) {
+    Graph g;
+    const auto up = g.add_h2d(stream, b, offset, 1024);
+    std::vector<Graph::NodeId> deps;
+    if (dep) deps.push_back(up);
+    g.add_kernel(0, KernelLaunch{label, work(elems)}.reads(buf, 0, read_len), deps);
+    return g;
+  };
+  GraphCache cache(16);
+  (void)cache.get_or_compile(build(0, buf, 0, 1e6, "k", 1024, true), ctx);
+  (void)cache.get_or_compile(build(1, buf, 0, 1e6, "k", 1024, true), ctx);      // stream
+  (void)cache.get_or_compile(build(0, other, 0, 1e6, "k", 1024, true), ctx);    // buffer
+  (void)cache.get_or_compile(build(0, buf, 512, 1e6, "k", 1024, true), ctx);    // offset
+  (void)cache.get_or_compile(build(0, buf, 0, 2e6, "k", 1024, true), ctx);      // work
+  (void)cache.get_or_compile(build(0, buf, 0, 1e6, "k2", 1024, true), ctx);     // label
+  (void)cache.get_or_compile(build(0, buf, 0, 1e6, "k", 2048, true), ctx);      // accesses
+  (void)cache.get_or_compile(build(0, buf, 0, 1e6, "k", 1024, false), ctx);     // deps
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 8u);
+  (void)cache.get_or_compile(build(0, buf, 0, 1e6, "k", 1024, true), ctx);
+  EXPECT_EQ(cache.hits(), 1u);
+}
+
+TEST(GraphCacheTest, GraphWithKernelFunctorIsNotCached) {
+  Context ctx(cfg());
+  int runs = 0;
+  Graph g;
+  g.add_kernel(0, {"k", work(), [&runs] { ++runs; }});
+  GraphCache cache(4);
+  cache.get_or_compile(g, ctx).launch(ctx);
+  cache.get_or_compile(g, ctx).launch(ctx);
+  ctx.synchronize();
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+}
+
+TEST(GraphCacheTest, SharedTransferPlanMovesEachContextsOwnData) {
+  // A transfer-only plan compiled on one context serves another: the payload
+  // is resolved against the launching context's buffers.
+  const auto upload = [](GraphCache& cache, float value) {
+    Context ctx(cfg());
+    std::vector<float> host(256, value);
+    const auto buf = ctx.create_buffer(std::span<float>(host));
+    Graph g;
+    g.add_h2d(0, buf, 0, host.size() * sizeof(float));
+    cache.get_or_compile(g, ctx).launch(ctx);
+    ctx.synchronize();
+    return *ctx.device_ptr<float>(buf, 0);
+  };
+  GraphCache cache(4);
+  EXPECT_EQ(upload(cache, 1.0f), 1.0f);
+  EXPECT_EQ(upload(cache, 2.0f), 2.0f);
+  EXPECT_EQ(cache.hits(), 1u);
+}
+
 TEST(GraphCacheTest, LeastRecentlyUsedPlanIsEvicted) {
   Context ctx(cfg());
-  Graph g;
-  g.add_kernel(0, {"k", work(), {}});
+  Graph a, b, c;
+  a.add_kernel(0, {"a", work(), {}});
+  b.add_kernel(0, {"b", work(), {}});
+  c.add_kernel(0, {"c", work(), {}});
 
   GraphCache cache(2);
-  (void)cache.get_or_compile("a", g, ctx);
-  (void)cache.get_or_compile("b", g, ctx);
-  (void)cache.get_or_compile("a", g, ctx);  // refresh "a"
-  (void)cache.get_or_compile("c", g, ctx);  // evicts "b"
+  (void)cache.get_or_compile(a, ctx);
+  (void)cache.get_or_compile(b, ctx);
+  (void)cache.get_or_compile(a, ctx);  // refresh a
+  (void)cache.get_or_compile(c, ctx);  // evicts b
   EXPECT_EQ(cache.size(), 2u);
 
-  (void)cache.get_or_compile("a", g, ctx);
+  (void)cache.get_or_compile(a, ctx);
   EXPECT_EQ(cache.hits(), 2u);
-  (void)cache.get_or_compile("b", g, ctx);  // must recompile
+  (void)cache.get_or_compile(b, ctx);  // must recompile
   EXPECT_EQ(cache.misses(), 4u);
 }
 
@@ -608,8 +534,8 @@ TEST(GraphCacheTest, ClearDropsPlansAndStats) {
   Graph g;
   g.add_kernel(0, {"k", work(), {}});
   GraphCache cache(4);
-  (void)cache.get_or_compile("a", g, ctx);
-  (void)cache.get_or_compile("a", g, ctx);
+  (void)cache.get_or_compile(g, ctx);
+  (void)cache.get_or_compile(g, ctx);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.hits(), 0u);
@@ -619,10 +545,10 @@ TEST(GraphCacheTest, ClearDropsPlansAndStats) {
 TEST(GraphCacheTest, ProcessCacheIsSharedAndUsable) {
   Context ctx(cfg());
   Graph g;
-  g.add_kernel(0, {"k", work(), {}});
+  g.add_kernel(0, {"test-process-cache-probe", work(), {}});
   auto& cache = process_graph_cache();
   const auto misses_before = cache.misses();
-  CompiledGraph cg = cache.get_or_compile("test-process-cache-probe", g, ctx);
+  CompiledGraph cg = cache.get_or_compile(g, ctx);
   cg.launch(ctx);
   ctx.synchronize();
   EXPECT_GE(cache.misses(), misses_before + 1);

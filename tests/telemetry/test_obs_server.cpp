@@ -182,6 +182,10 @@ TEST(ObsServer, RejectsUnparseableAddresses) {
   EXPECT_THROW(ObsServer("127.0.0.1:notaport"), std::runtime_error);
   EXPECT_THROW(ObsServer("127.0.0.1:99999"), std::runtime_error);
   EXPECT_THROW(ObsServer("not-a-host:0"), std::runtime_error);
+  // Signs and whitespace are not digits.
+  EXPECT_THROW(ObsServer(":+0"), std::runtime_error);
+  EXPECT_THROW(ObsServer(": 0"), std::runtime_error);
+  EXPECT_THROW(ObsServer(":-0"), std::runtime_error);
 }
 
 TEST(ObsServer, HealthzFollowsTheReadinessStateMachine) {

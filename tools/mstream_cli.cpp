@@ -7,7 +7,7 @@
 //   mstream_cli app srad    --dim 10000 --tiles 400 --baseline
 //   mstream_cli app cf      --dim 9600 --tiles 144 --device 31sp-x2 --trace out.json
 //   mstream_cli hbench fig7 --partitions 8
-//   mstream_cli graph app kmeans --replays 50 --batch 4
+//   mstream_cli graph app kmeans --replays 50
 //   mstream_cli tune --h2d-mib 32 --d2h-mib 32 --gflop 5
 //   mstream_cli analyze app srad --dim 2000 --tiles 16 --json hazards.json
 //   mstream_cli analyze hbench fig6 --dot racy.dot
@@ -44,7 +44,6 @@
 //   --sarif FILE                        (lint) write the SARIF 2.1.0 report ('-' = stdout)
 //   --dot FILE                          (analyze) write Graphviz dot of the racy subgraph
 //   --replays N                         (graph) protocol replays of the captured schedule
-//   --batch M                           (graph) instances per replay via launch_batch
 
 #include <atomic>
 #include <charconv>
@@ -109,7 +108,6 @@ struct Cli {
   double gflop = 0.0;
   double gelem = 0.2;
   int replays = 0;
-  int batch = 1;
 };
 
 int usage() {
@@ -118,7 +116,7 @@ int usage() {
                "       mstream_cli hbench {fig5|fig6|fig7} [flags]\n"
                "       mstream_cli analyze {app|hbench} <name> [flags] [--json FILE] [--dot FILE]\n"
                "       mstream_cli lint {app|hbench} <name> [flags] [--json FILE] [--sarif FILE]\n"
-               "       mstream_cli graph app <name> --replays N [--batch M] [flags]\n"
+               "       mstream_cli graph app <name> --replays N [flags]\n"
                "       mstream_cli stats [{app|hbench} <name> [flags]]\n"
                "       mstream_cli tune [--h2d-mib N --d2h-mib N --gflop N | --gelem N]\n"
                "       mstream_cli devices\n"
@@ -213,7 +211,6 @@ bool parse_flags(int argc, char** argv, int first, Cli* cli) {
   };
   const std::map<std::string_view, std::variant<int*, std::size_t*, double*>> numbers{
       {"--replays", &cli->replays},
-      {"--batch", &cli->batch},
       {"--partitions", &cli->partitions},
       {"--tiles", &cli->tiles},
       {"--dim", &cli->dim},
@@ -393,12 +390,9 @@ int run_app(const std::string& name, const Cli& cli) {
 /// `graph app <name>`: run the app's replay-shaped phases through the
 /// compiled graph executor and report the host-side economics: compile
 /// time, per-replay host wall cost, and process GraphCache stats. `--replays
-/// N` replays the captured schedule for N protocol iterations; `--batch M`
-/// issues each phase replay as M back-to-back instances via launch_batch
-/// (a timing knob — it multiplies the schedule, so pair it with the default
-/// timing-only mode rather than --functional). The compile/launch breakdown
-/// comes from the `ms_rt_graph_*` telemetry families, which the `graph`
-/// subcommand switches on for the whole run.
+/// N` replays the captured schedule for N protocol iterations. The
+/// compile/launch breakdown comes from the `ms_rt_graph_*` telemetry
+/// families, which the `graph` subcommand switches on for the whole run.
 int run_graph(const std::string& sub, const std::string& name, const Cli& cli) {
   if (sub != "app") {
     std::fprintf(stderr, "graph: expected 'app', got '%s'\n", sub.c_str());
@@ -409,7 +403,6 @@ int run_graph(const std::string& sub, const std::string& name, const Cli& cli) {
 
   auto common = common_from(cli);
   common.graph = ms::apps::GraphMode::Compiled;
-  common.graph_batch = cli.batch > 1 ? cli.batch : 1;
   // Long replay runs would otherwise accumulate a full action timeline.
   common.tracing = !cli.trace_path.empty() || cli.utilization || cli.energy;
   const int replays = cli.replays > 0 ? cli.replays : 10;
@@ -424,11 +417,7 @@ int run_graph(const std::string& sub, const std::string& name, const Cli& cli) {
     return 2;
   }
 
-  std::printf("mode: compiled%s, %d protocol replays of the captured schedule\n",
-              common.graph_batch > 1
-                  ? (" (batch " + std::to_string(common.graph_batch) + ")").c_str()
-                  : "",
-              replays);
+  std::printf("mode: compiled, %d protocol replays of the captured schedule\n", replays);
   report(*r, cli, cfg);
   std::printf("host wall: %.2f ms total, %.3f ms per replay\n", wall_ms,
               wall_ms / static_cast<double>(replays));
