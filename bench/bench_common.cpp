@@ -1,7 +1,7 @@
 #include "bench_common.hpp"
 
 #include <cmath>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -75,30 +75,41 @@ MetricsSink& metrics_sink() {
   return sink;
 }
 
+/// Print why the command line was refused plus the usage line, and exit 2:
+/// a mistyped flag must not run a full sweep under default settings.
+[[noreturn]] void reject(const char* prog, const std::string& why) {
+  std::cerr << why << "\nusage: " << prog
+            << " [--quick] [--csv DIR] [--json FILE] [--metrics FILE] [--serve-obs ADDR]\n";
+  std::exit(2);
+}
+
 }  // namespace
 
 Options parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
+    const std::string flag = argv[i];
+    if (flag == "--quick") {
       opt.quick = true;
-    } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      opt.csv_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      opt.json_file = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      opt.metrics_file = argv[++i];
-      telemetry::set_enabled(true);
-      metrics_sink().path = opt.metrics_file;
-    } else if (std::strcmp(argv[i], "--serve-obs") == 0 && i + 1 < argc) {
-      opt.obs_addr = argv[++i];
-      telemetry::set_enabled(true);
-      if (telemetry::ObsServer* obs = telemetry::ensure_obs_server(opt.obs_addr)) {
-        std::cout << "obs: serving http://" << obs->address() << "\n" << std::flush;
-      }
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--quick] [--csv DIR] [--json FILE] [--metrics FILE] [--serve-obs ADDR]\n";
+      continue;
+    }
+    std::string* value = flag == "--csv"         ? &opt.csv_dir
+                         : flag == "--json"      ? &opt.json_file
+                         : flag == "--metrics"   ? &opt.metrics_file
+                         : flag == "--serve-obs" ? &opt.obs_addr
+                                                 : nullptr;
+    if (value == nullptr) reject(argv[0], "unknown flag: " + flag);
+    if (i + 1 >= argc) reject(argv[0], "missing value for " + flag);
+    *value = argv[++i];
+  }
+  if (!opt.metrics_file.empty()) {
+    telemetry::set_enabled(true);
+    metrics_sink().path = opt.metrics_file;
+  }
+  if (!opt.obs_addr.empty()) {
+    telemetry::set_enabled(true);
+    if (telemetry::ObsServer* obs = telemetry::ensure_obs_server(opt.obs_addr)) {
+      std::cout << "obs: serving http://" << obs->address() << "\n" << std::flush;
     }
   }
   return opt;

@@ -19,6 +19,8 @@ namespace ms::bench {
 ///                   endpoint (/metrics, /healthz, ...) on ADDR while the
 ///                   sweeps run; the bound address is printed (port 0 =
 ///                   ephemeral)
+/// An unknown flag or a flag missing its value prints the reason and the
+/// usage line to stderr and exits 2.
 struct Options {
   bool quick = false;
   std::string csv_dir;

@@ -10,8 +10,8 @@
 namespace ms::analyze {
 
 /// Thrown by an analyzing Context at the next synchronization point when the
-/// segment contains hazards (the `MS_ANALYZE=1` / `ContextConfig::analyze`
-/// abort mode). what() carries the full human-readable report.
+/// segment contains hazards (the `MS_ANALYZE=1` abort mode). what() carries
+/// the full human-readable report.
 class HazardError : public rt::Error {
 public:
   HazardError(std::string what, Analysis analysis)

@@ -27,6 +27,29 @@ telemetry::Counter& tel_lint_findings() {
 
 thread_local LintCapture* g_lint_capture = nullptr;
 
+// Rule thresholds.
+/// sub-knee-transfer counts only chunks below this fraction of the knee (at
+/// 0.5 a chunk reaches less than a third of wire efficiency; chunks just
+/// under the knee are a fact of problem geometry, not a bug) ...
+constexpr double kSubKneeFraction = 0.5;
+/// ... and fires only on >= this many pairwise-distinct (offset, bytes)
+/// sub-knee ranges per (device, buffer, direction) ...
+constexpr std::size_t kSubKneeMinTransfers = 4;
+/// ... whose distinct bytes total at least this many knee-sizes (repeated
+/// small control-block uploads are fine; death-by-a-thousand-tiles is not).
+constexpr double kSubKneeMinTotalKnees = 2.0;
+/// duplex-serialization fires only when the serialized link is the binding
+/// constraint and the minor direction carries at least this fraction of the
+/// link occupancy (a single tiny back-transfer is not worth restructuring) ...
+constexpr double kDuplexMinMinorFraction = 0.10;
+/// ... and the segment's link occupancy is at least this long — micro
+/// segments dominated by per-transfer latency are launch-overhead noise, not
+/// a duplex problem.
+constexpr sim::SimTime kDuplexMinLink = sim::SimTime::millis(1.0);
+/// Cap on removal-verified false-dependency candidates per segment (each
+/// verification re-runs a race scan on the edge-deleted graph).
+constexpr std::size_t kFalseDepMaxChecks = 8;
+
 HazardAction describe(const ActionNode& n) {
   HazardAction a;
   a.id = n.id;
@@ -234,13 +257,6 @@ const std::vector<std::string_view>& lint_rule_ids() {
   return ids;
 }
 
-bool LintOptions::enabled(std::string_view rule_id) const noexcept {
-  for (const std::string& d : disabled_rules) {
-    if (d == rule_id) return false;
-  }
-  return true;
-}
-
 std::vector<LintFinding> check_partition_shape(const sim::CoprocessorSpec& spec, int partitions) {
   std::vector<LintFinding> out;
   if (partitions < 1 || partitions > spec.usable_threads()) return out;
@@ -276,7 +292,7 @@ std::vector<LintFinding> check_partition_shape(const sim::CoprocessorSpec& spec,
   return out;
 }
 
-LintReport lint(const GraphRecord& record, const LintOptions& opt, LintCarry* carry,
+LintReport lint(const GraphRecord& record, const sim::SimConfig& config, LintCarry* carry,
                 std::size_t hazard_count) {
   const telemetry::ScopedSpan tel_span("analyze.lint");
   LintCarry local_carry;
@@ -315,7 +331,7 @@ LintReport lint(const GraphRecord& record, const LintOptions& opt, LintCarry* ca
     switch (nodes[i].kind) {
       case NodeKind::Kernel: dur[i] = nodes[i].duration; break;
       case NodeKind::H2D:
-      case NodeKind::D2H: dur[i] = sim::transfer_floor(opt.config.link, moved_bytes(nodes[i])); break;
+      case NodeKind::D2H: dur[i] = sim::transfer_floor(config.link, moved_bytes(nodes[i])); break;
       default: dur[i] = sim::SimTime::zero(); break;
     }
   }
@@ -345,7 +361,7 @@ LintReport lint(const GraphRecord& record, const LintOptions& opt, LintCarry* ca
     (void)id;
     // Fig. 5: the serialized DMA engine's busy time is the sum over both
     // directions; a duplex link only has to fit the larger one.
-    d.link = opt.config.link.full_duplex ? std::max(d.h2d, d.d2h) : d.h2d + d.d2h;
+    d.link = config.link.full_duplex ? std::max(d.h2d, d.d2h) : d.h2d + d.d2h;
     d.bound = std::max(d.path, d.link);
     out.bound = std::max(out.bound, d.bound);
     out.devices.push_back(d);
@@ -358,20 +374,20 @@ LintReport lint(const GraphRecord& record, const LintOptions& opt, LintCarry* ca
   for (const ActionNode& node : nodes) {
     any_kernel = any_kernel || node.kind == NodeKind::Kernel;
   }
-  if (opt.enabled(rule::kSplitCorePartition) && any_kernel && record.partitions >= 1) {
-    for (LintFinding& f : check_partition_shape(opt.config.device, record.partitions)) {
+  if (any_kernel && record.partitions >= 1) {
+    for (LintFinding& f : check_partition_shape(config.device, record.partitions)) {
       emit(std::move(f), "p=" + std::to_string(record.partitions));
     }
   }
 
   // --- rule: duplex-serialization -------------------------------------------
-  if (opt.enabled(rule::kDuplexSerialization) && !opt.config.link.full_duplex) {
+  if (!config.link.full_duplex) {
     for (const DeviceBound& d : out.devices) {
       if (d.h2d <= sim::SimTime::zero() || d.d2h <= sim::SimTime::zero()) continue;
       if (!(d.path < d.link)) continue;  // link not the binding constraint
-      if (d.link < opt.duplex_min_link) continue;
+      if (d.link < kDuplexMinLink) continue;
       const sim::SimTime minor = std::min(d.h2d, d.d2h);
-      if (minor.micros() < opt.duplex_min_minor_fraction * d.link.micros()) continue;
+      if (minor.micros() < kDuplexMinMinorFraction * d.link.micros()) continue;
       // The structural culprit: an H2D and a D2H pair with no ordering, i.e.
       // both directions genuinely contend for the engine at once.
       std::size_t up = SIZE_MAX, down = SIZE_MAX;
@@ -406,214 +422,202 @@ LintReport lint(const GraphRecord& record, const LintOptions& opt, LintCarry* ca
   }
 
   // --- rule: single-stream-pipeline (cross-segment state) -------------------
-  if (opt.enabled(rule::kSingleStreamPipeline)) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const ActionNode& node = nodes[i];
-      if (node.device < 0 || !is_data(node.kind)) continue;
-      LintCarry::PipelineState& ps = st.pipeline[node.device];
-      ps.streams.insert(node.stream);
-      if (node.kind == NodeKind::H2D && ps.have_h2d && ps.have_kernel && ps.have_d2h) {
-        ++ps.rounds;
-        ps.round_start = describe(node);
-        ps.have_kernel = ps.have_d2h = false;
-      }
-      ps.have_h2d = ps.have_h2d || node.kind == NodeKind::H2D;
-      ps.have_kernel = ps.have_kernel || node.kind == NodeKind::Kernel;
-      if (node.kind == NodeKind::D2H) {
-        ps.have_d2h = true;
-        ps.last_d2h = describe(node);
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    const ActionNode& node = nodes[i];
+    if (node.device < 0 || !is_data(node.kind)) continue;
+    LintCarry::PipelineState& ps = st.pipeline[node.device];
+    ps.streams.insert(node.stream);
+    if (node.kind == NodeKind::H2D && ps.have_h2d && ps.have_kernel && ps.have_d2h) {
+      ++ps.rounds;
+      ps.round_start = describe(node);
+      ps.have_kernel = ps.have_d2h = false;
     }
-    for (auto& [device, ps] : st.pipeline) {
-      if (ps.streams.size() != 1 || ps.rounds < 1) continue;
-      LintFinding f;
-      f.rule = std::string(rule::kSingleStreamPipeline);
-      f.severity = LintSeverity::Warning;
-      f.device = device;
-      f.actions = {ps.last_d2h, ps.round_start};
-      f.message = "device " + std::to_string(device) +
-                  " runs its whole H2D->EXE->D2H pipeline on the single stream " +
-                  std::to_string(*ps.streams.begin()) + ": " + std::to_string(ps.rounds + 1) +
-                  " rounds back to back with no temporal sharing, so transfers can never hide "
-                  "under compute (paper Fig. 4/6); round boundary: " + action_str(ps.last_d2h) +
-                  " then " + action_str(ps.round_start);
-      f.fixit = "partition the device (Context::setup(P >= 2)) and split the workload into >= 2 "
-                "tiles on separate streams so one tile's kernel overlaps another's transfers";
-      emit(std::move(f), "dev=" + std::to_string(device));
+    ps.have_h2d = ps.have_h2d || node.kind == NodeKind::H2D;
+    ps.have_kernel = ps.have_kernel || node.kind == NodeKind::Kernel;
+    if (node.kind == NodeKind::D2H) {
+      ps.have_d2h = true;
+      ps.last_d2h = describe(node);
     }
+  }
+  for (auto& [device, ps] : st.pipeline) {
+    if (ps.streams.size() != 1 || ps.rounds < 1) continue;
+    LintFinding f;
+    f.rule = std::string(rule::kSingleStreamPipeline);
+    f.severity = LintSeverity::Warning;
+    f.device = device;
+    f.actions = {ps.last_d2h, ps.round_start};
+    f.message = "device " + std::to_string(device) +
+                " runs its whole H2D->EXE->D2H pipeline on the single stream " +
+                std::to_string(*ps.streams.begin()) + ": " + std::to_string(ps.rounds + 1) +
+                " rounds back to back with no temporal sharing, so transfers can never hide "
+                "under compute (paper Fig. 4/6); round boundary: " + action_str(ps.last_d2h) +
+                " then " + action_str(ps.round_start);
+    f.fixit = "partition the device (Context::setup(P >= 2)) and split the workload into >= 2 "
+              "tiles on separate streams so one tile's kernel overlaps another's transfers";
+    emit(std::move(f), "dev=" + std::to_string(device));
   }
 
   // --- rule: sub-knee-transfer (cross-segment state) ------------------------
-  if (opt.enabled(rule::kSubKneeTransfer)) {
-    const std::size_t knee = sim::bandwidth_knee_bytes(opt.config.link);
-    const auto cutoff = static_cast<std::size_t>(static_cast<double>(knee) * opt.sub_knee_fraction);
-    for (std::size_t i = 0; i < n; ++i) {
-      const ActionNode& node = nodes[i];
-      if (node.kind != NodeKind::H2D && node.kind != NodeKind::D2H) continue;
-      const std::size_t bytes = moved_bytes(node);
-      if (bytes == 0 || bytes >= cutoff) continue;
-      const Access& acc = node.accesses.front();
-      const std::uint64_t key = (Coverage::key(acc.buffer.value, node.device) << 1) |
-                                (node.kind == NodeKind::D2H ? 1u : 0u);
-      LintCarry::SubKneeState& sk = st.sub_knee[key];
-      if (sk.ranges.empty()) sk.first = describe(node);
-      if (sk.ranges.insert({acc.range.span_begin(), bytes}).second) sk.total += bytes;
-      sk.buffer = acc.buffer.value;
-      sk.buffer_name = record.buffer_name(acc.buffer.value);
-      sk.device = node.device;
-      sk.d2h = node.kind == NodeKind::D2H;
+  const std::size_t knee = sim::bandwidth_knee_bytes(config.link);
+  const auto cutoff = static_cast<std::size_t>(static_cast<double>(knee) * kSubKneeFraction);
+  for (std::size_t i = 0; i < n; ++i) {
+    const ActionNode& node = nodes[i];
+    if (node.kind != NodeKind::H2D && node.kind != NodeKind::D2H) continue;
+    const std::size_t bytes = moved_bytes(node);
+    if (bytes == 0 || bytes >= cutoff) continue;
+    const Access& acc = node.accesses.front();
+    const std::uint64_t key = (Coverage::key(acc.buffer.value, node.device) << 1) |
+                              (node.kind == NodeKind::D2H ? 1u : 0u);
+    LintCarry::SubKneeState& sk = st.sub_knee[key];
+    if (sk.ranges.empty()) sk.first = describe(node);
+    if (sk.ranges.insert({acc.range.span_begin(), bytes}).second) sk.total += bytes;
+    sk.buffer = acc.buffer.value;
+    sk.buffer_name = record.buffer_name(acc.buffer.value);
+    sk.device = node.device;
+    sk.d2h = node.kind == NodeKind::D2H;
+  }
+  for (auto& [key, sk] : st.sub_knee) {
+    (void)key;
+    if (sk.ranges.size() < kSubKneeMinTransfers) continue;
+    if (static_cast<double>(sk.total) < kSubKneeMinTotalKnees * static_cast<double>(knee)) {
+      continue;
     }
-    for (auto& [key, sk] : st.sub_knee) {
-      (void)key;
-      if (sk.ranges.size() < opt.sub_knee_min_transfers) continue;
-      if (static_cast<double>(sk.total) <
-          opt.sub_knee_min_total_knees * static_cast<double>(knee)) {
-        continue;
-      }
-      LintFinding f;
-      f.rule = std::string(rule::kSubKneeTransfer);
-      f.severity = LintSeverity::Note;
-      f.device = sk.device;
-      f.buffer = sk.buffer;
-      f.buffer_name = sk.buffer_name;
-      f.actions = {sk.first};
-      f.message = std::to_string(sk.ranges.size()) + " distinct " + (sk.d2h ? "D2H" : "H2D") +
-                  " chunks of '" + sk.buffer_name + "' on device " + std::to_string(sk.device) +
-                  " (" + kib_str(sk.total) + " total) each move less than half the " +
-                  kib_str(knee) +
-                  " bandwidth-efficiency knee, spending most of their engine occupancy on the "
-                  "per-command setup latency (paper Fig. 5 calibration)";
-      f.fixit = "coalesce the chunks into transfers of at least " + kib_str(knee) +
-                " (fewer, larger tiles, or a staging copy), starting with " +
-                action_str(sk.first);
-      emit(std::move(f),
-           "buf=" + std::to_string(sk.buffer) + "/dev=" + std::to_string(sk.device) +
-               "/dir=" + (sk.d2h ? "d" : "h"));
-    }
+    LintFinding f;
+    f.rule = std::string(rule::kSubKneeTransfer);
+    f.severity = LintSeverity::Note;
+    f.device = sk.device;
+    f.buffer = sk.buffer;
+    f.buffer_name = sk.buffer_name;
+    f.actions = {sk.first};
+    f.message = std::to_string(sk.ranges.size()) + " distinct " + (sk.d2h ? "D2H" : "H2D") +
+                " chunks of '" + sk.buffer_name + "' on device " + std::to_string(sk.device) +
+                " (" + kib_str(sk.total) + " total) each move less than half the " +
+                kib_str(knee) +
+                " bandwidth-efficiency knee, spending most of their engine occupancy on the "
+                "per-command setup latency (paper Fig. 5 calibration)";
+    f.fixit = "coalesce the chunks into transfers of at least " + kib_str(knee) +
+              " (fewer, larger tiles, or a staging copy), starting with " +
+              action_str(sk.first);
+    emit(std::move(f),
+         "buf=" + std::to_string(sk.buffer) + "/dev=" + std::to_string(sk.device) +
+             "/dir=" + (sk.d2h ? "d" : "h"));
   }
 
   // --- rules: redundant-h2d + dead-action (enqueue-order walk) --------------
-  const bool do_redundant = opt.enabled(rule::kRedundantH2D);
-  const bool do_dead = opt.enabled(rule::kDeadAction);
-  if (do_redundant || do_dead) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const ActionNode& node = nodes[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    const ActionNode& node = nodes[i];
 
-      if (node.kind == NodeKind::HostWrite) {
-        // Host rewrote these bytes: every device's uploaded copy of them is
-        // stale, so re-uploading is meaningful again.
-        const Access& acc = node.accesses.front();
-        for (auto& [key, set] : st.clean_upload) {
-          if ((key >> 9) != node.buffer) continue;
-          set.erase(acc.range.span_begin(), acc.range.span_end());
-        }
-        continue;
+    if (node.kind == NodeKind::HostWrite) {
+      // Host rewrote these bytes: every device's uploaded copy of them is
+      // stale, so re-uploading is meaningful again.
+      const Access& acc = node.accesses.front();
+      for (auto& [key, set] : st.clean_upload) {
+        if ((key >> 9) != node.buffer) continue;
+        set.erase(acc.range.span_begin(), acc.range.span_end());
       }
-      if (node.kind == NodeKind::Free) {
-        for (auto it = st.clean_upload.begin(); it != st.clean_upload.end();) {
-          it = (it->first >> 9) == node.buffer ? st.clean_upload.erase(it) : std::next(it);
+      continue;
+    }
+    if (node.kind == NodeKind::Free) {
+      for (auto it = st.clean_upload.begin(); it != st.clean_upload.end();) {
+        it = (it->first >> 9) == node.buffer ? st.clean_upload.erase(it) : std::next(it);
+      }
+      continue;
+    }
+
+    // Consumption scan first so a node never consumes its own writes.
+    for (const Access& acc : node.accesses) {
+      if (acc.space == kHostSpace) continue;
+      auto it = st.pending.find(Coverage::key(acc.buffer.value, acc.space));
+      if (it == st.pending.end()) continue;
+      for (LintCarry::PendingWrite& pw : it->second) {
+        if (pw.who.id == node.id) continue;
+        if (acc.range.span_end() > pw.begin && acc.range.span_begin() < pw.end) {
+          pw.touched = true;
         }
-        continue;
+      }
+    }
+
+    for (const Access& acc : node.accesses) {
+      if (acc.space == kHostSpace || !rt::access_writes(acc.mode)) continue;
+      const std::uint64_t key = Coverage::key(acc.buffer.value, acc.space);
+      const std::size_t b = acc.range.span_begin();
+      const std::size_t e = acc.range.span_end();
+
+      if (node.kind == NodeKind::H2D) {
+        IntervalSet& clean = st.clean_upload[key];
+        if (clean.covers(b, e)) {
+          LintFinding f;
+          f.rule = std::string(rule::kRedundantH2D);
+          f.severity = LintSeverity::Note;
+          f.device = acc.space;
+          f.buffer = acc.buffer.value;
+          f.buffer_name = record.buffer_name(f.buffer);
+          f.actions = {describe(node)};
+          f.message = action_str(f.actions[0]) + " re-uploads bytes [" + std::to_string(b) +
+                      ", " + std::to_string(e) + ") of '" + f.buffer_name + "' to device " +
+                      std::to_string(acc.space) +
+                      " although neither the host copy nor the device copy changed since the "
+                      "previous upload — the DMA moves bytes the device already has";
+          f.fixit = "hoist the upload out of the loop (upload once, reuse the device copy); "
+                    "if the host does rewrite the bytes between uploads, annotate it with "
+                    "Context::host_write() so the linter can see the mutation";
+          emit(std::move(f),
+               "buf=" + std::to_string(f.buffer) + "/dev=" + std::to_string(acc.space));
+        } else {
+          clean.insert(b, e);
+        }
+      } else if (node.kind == NodeKind::Kernel) {
+        // Device copy diverged from the host copy: a future re-upload of
+        // these bytes restores host values and is not redundant. (A D2H
+        // writes only host space; it is handled after this loop.)
+        auto it = st.clean_upload.find(key);
+        if (it != st.clean_upload.end()) it->second.erase(b, e);
       }
 
-      // Consumption scan first so a node never consumes its own writes.
-      if (do_dead) {
-        for (const Access& acc : node.accesses) {
-          if (acc.space == kHostSpace) continue;
-          auto it = st.pending.find(Coverage::key(acc.buffer.value, acc.space));
-          if (it == st.pending.end()) continue;
-          for (LintCarry::PendingWrite& pw : it->second) {
-            if (pw.who.id == node.id) continue;
-            if (acc.range.span_end() > pw.begin && acc.range.span_begin() < pw.end) {
-              pw.touched = true;
-            }
+      if (is_data(node.kind)) {
+        const auto bit = record.buffers.find(acc.buffer.value);
+        const bool assume = bit != record.buffers.end() && bit->second.assume_initialized;
+        if (!assume) {
+          auto& list = st.pending[key];
+          if (list.size() >= 32) {
+            // Keep the list bounded: consumed entries can never be
+            // reported, and dropping an oldest unconsumed one only loses
+            // a potential finding (never invents one).
+            std::erase_if(list, [](const LintCarry::PendingWrite& pw) { return pw.touched; });
+            if (list.size() >= 32) list.erase(list.begin());
           }
+          LintCarry::PendingWrite pw;
+          pw.who = describe(node);
+          pw.buffer = acc.buffer.value;
+          pw.buffer_name = record.buffer_name(acc.buffer.value);
+          pw.device = acc.space;
+          pw.begin = b;
+          pw.end = e;
+          list.push_back(std::move(pw));
         }
       }
+    }
 
+    // D2H rewrites the host copy with device-d values: uploads of the same
+    // bytes on *other* devices are no longer provably redundant.
+    if (node.kind == NodeKind::D2H) {
       for (const Access& acc : node.accesses) {
-        if (acc.space == kHostSpace || !rt::access_writes(acc.mode)) continue;
-        const std::uint64_t key = Coverage::key(acc.buffer.value, acc.space);
-        const std::size_t b = acc.range.span_begin();
-        const std::size_t e = acc.range.span_end();
-
-        if (do_redundant && node.kind == NodeKind::H2D) {
-          IntervalSet& clean = st.clean_upload[key];
-          if (clean.covers(b, e)) {
-            LintFinding f;
-            f.rule = std::string(rule::kRedundantH2D);
-            f.severity = LintSeverity::Note;
-            f.device = acc.space;
-            f.buffer = acc.buffer.value;
-            f.buffer_name = record.buffer_name(f.buffer);
-            f.actions = {describe(node)};
-            f.message = action_str(f.actions[0]) + " re-uploads bytes [" + std::to_string(b) +
-                        ", " + std::to_string(e) + ") of '" + f.buffer_name + "' to device " +
-                        std::to_string(acc.space) +
-                        " although neither the host copy nor the device copy changed since the "
-                        "previous upload — the DMA moves bytes the device already has";
-            f.fixit = "hoist the upload out of the loop (upload once, reuse the device copy); "
-                      "if the host does rewrite the bytes between uploads, annotate it with "
-                      "Context::host_write() so the linter can see the mutation";
-            emit(std::move(f),
-                 "buf=" + std::to_string(f.buffer) + "/dev=" + std::to_string(acc.space));
-          } else {
-            clean.insert(b, e);
-          }
-        } else if (do_redundant && node.kind == NodeKind::Kernel) {
-          // Device copy diverged from the host copy: a future re-upload of
-          // these bytes restores host values and is not redundant.
-          auto it = st.clean_upload.find(key);
-          if (it != st.clean_upload.end()) it->second.erase(b, e);
-        } else if (do_redundant && node.kind == NodeKind::D2H) {
-          // acc is the device read; handled below via the host-space write.
-        }
-
-        if (do_dead && is_data(node.kind)) {
-          const auto bit = record.buffers.find(acc.buffer.value);
-          const bool assume = bit != record.buffers.end() && bit->second.assume_initialized;
-          if (!assume) {
-            auto& list = st.pending[key];
-            if (list.size() >= 32) {
-              // Keep the list bounded: consumed entries can never be
-              // reported, and dropping an oldest unconsumed one only loses
-              // a potential finding (never invents one).
-              std::erase_if(list, [](const LintCarry::PendingWrite& pw) { return pw.touched; });
-              if (list.size() >= 32) list.erase(list.begin());
-            }
-            LintCarry::PendingWrite pw;
-            pw.who = describe(node);
-            pw.buffer = acc.buffer.value;
-            pw.buffer_name = record.buffer_name(acc.buffer.value);
-            pw.device = acc.space;
-            pw.begin = b;
-            pw.end = e;
-            list.push_back(std::move(pw));
-          }
-        }
-      }
-
-      // D2H rewrites the host copy with device-d values: uploads of the same
-      // bytes on *other* devices are no longer provably redundant.
-      if (do_redundant && node.kind == NodeKind::D2H) {
-        for (const Access& acc : node.accesses) {
-          if (acc.space != kHostSpace) continue;
-          for (auto& [key, set] : st.clean_upload) {
-            if ((key >> 9) != acc.buffer.value) continue;
-            const int space = static_cast<int>(key & 0x1FFu) - 1;
-            if (space == node.device) continue;
-            set.erase(acc.range.span_begin(), acc.range.span_end());
-          }
+        if (acc.space != kHostSpace) continue;
+        for (auto& [key, set] : st.clean_upload) {
+          if ((key >> 9) != acc.buffer.value) continue;
+          const int space = static_cast<int>(key & 0x1FFu) - 1;
+          if (space == node.device) continue;
+          set.erase(acc.range.span_begin(), acc.range.span_end());
         }
       }
     }
   }
 
   // --- rule: false-dependency -----------------------------------------------
-  if (opt.enabled(rule::kFalseDependency) && hazard_count == 0) {
+  if (hazard_count == 0) {
     const ByLocation by_location = index_accesses(record);
     std::size_t checks = 0;
-    for (std::size_t j = 0; j < n && checks < opt.false_dep_max_checks; ++j) {
+    for (std::size_t j = 0; j < n && checks < kFalseDepMaxChecks; ++j) {
       const ActionNode& nb = nodes[j];
       if (!is_data(nb.kind) || nb.accesses.empty()) continue;
       for (const std::uint64_t dep : nb.deps) {
@@ -635,7 +639,7 @@ LintReport lint(const GraphRecord& record, const LintOptions& opt, LintCarry* ca
           if (overlapping) break;
         }
         if (overlapping) continue;
-        if (++checks > opt.false_dep_max_checks) break;
+        if (++checks > kFalseDepMaxChecks) break;
         // What-if: delete this one edge and re-run the race scan. Only a
         // removal that leaves the segment provably race-free is reported —
         // the edge may be a transitive carrier for other accesses.
@@ -666,9 +670,8 @@ LintReport lint(const GraphRecord& record, const LintOptions& opt, LintCarry* ca
   return out;
 }
 
-std::vector<LintFinding> finalize_lint(LintCarry& carry, const LintOptions& opt) {
+std::vector<LintFinding> finalize_lint(LintCarry& carry) {
   std::vector<LintFinding> out;
-  if (!opt.enabled(rule::kDeadAction)) return out;
   for (auto& [key, list] : carry.pending) {
     (void)key;
     for (const LintCarry::PendingWrite& pw : list) {
@@ -701,11 +704,7 @@ std::vector<LintFinding> finalize_lint(LintCarry& carry, const LintOptions& opt)
 
 // --- LintCapture -------------------------------------------------------------
 
-LintCapture::LintCapture() : LintCapture(LintOptions{}) {}
-
-LintCapture::LintCapture(LintOptions opt) : options_(std::move(opt)), prev_(g_lint_capture) {
-  g_lint_capture = this;
-}
+LintCapture::LintCapture() : prev_(g_lint_capture) { g_lint_capture = this; }
 
 LintCapture::~LintCapture() { g_lint_capture = prev_; }
 

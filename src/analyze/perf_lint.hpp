@@ -66,43 +66,6 @@ struct LintFinding {
   std::string fixit;                  ///< concrete remedy
 };
 
-struct LintOptions {
-  /// Platform the record ran (or will run) against: link spec for transfer
-  /// floors and the duplex/knee rules, device spec for partition alignment.
-  sim::SimConfig config = sim::SimConfig::phi_31sp();
-
-  /// sub-knee-transfer counts only chunks below this fraction of the knee
-  /// (at 0.5 a chunk reaches less than a third of wire efficiency; chunks
-  /// just under the knee are a fact of problem geometry, not a bug) ...
-  double sub_knee_fraction = 0.5;
-  /// ... and fires only on >= this many pairwise-distinct (offset, bytes)
-  /// sub-knee ranges per (device, buffer, direction) ...
-  std::size_t sub_knee_min_transfers = 4;
-  /// ... whose distinct bytes total at least this many knee-sizes (repeated
-  /// small control-block uploads are fine; death-by-a-thousand-tiles is not).
-  double sub_knee_min_total_knees = 2.0;
-
-  /// duplex-serialization fires only when the serialized link is the binding
-  /// constraint and the minor direction carries at least this fraction of the
-  /// link occupancy (a single tiny back-transfer is not worth restructuring)
-  /// ...
-  double duplex_min_minor_fraction = 0.10;
-  /// ... and the segment's link occupancy is at least this long — micro
-  /// segments dominated by per-transfer latency are launch-overhead noise,
-  /// not a duplex problem.
-  sim::SimTime duplex_min_link = sim::SimTime::millis(1.0);
-
-  /// Cap on removal-verified false-dependency candidates per segment (each
-  /// verification re-runs a race scan on the edge-deleted graph).
-  std::size_t false_dep_max_checks = 8;
-
-  /// Rule ids to skip (e.g. `Graph::compile` disables dead-action because a
-  /// compiled fragment's outputs are legitimately consumed after replay).
-  std::vector<std::string> disabled_rules;
-
-  [[nodiscard]] bool enabled(std::string_view rule_id) const noexcept;
-};
-
 /// Per-device components of the makespan lower bound for one segment.
 struct DeviceBound {
   int device = -1;
@@ -192,14 +155,17 @@ public:
   }
 };
 
-/// Lint one recorded segment. `hazard_count` is the hazard analyzer's verdict
-/// for the same segment: rules that reason about ordering (false-dependency)
-/// are skipped on racy segments, where "provably unordered" means nothing.
-[[nodiscard]] LintReport lint(const GraphRecord& record, const LintOptions& opt,
+/// Lint one recorded segment against `config`, the platform the record ran
+/// (or will run) against: link spec for transfer floors and the duplex/knee
+/// rules, device spec for partition alignment. `hazard_count` is the hazard
+/// analyzer's verdict for the same segment: rules that reason about ordering
+/// (false-dependency) are skipped on racy segments, where "provably
+/// unordered" means nothing.
+[[nodiscard]] LintReport lint(const GraphRecord& record, const sim::SimConfig& config,
                               LintCarry* carry = nullptr, std::size_t hazard_count = 0);
 
 /// Flush end-of-recording rules (dead-action) out of the carry state.
-[[nodiscard]] std::vector<LintFinding> finalize_lint(LintCarry& carry, const LintOptions& opt);
+[[nodiscard]] std::vector<LintFinding> finalize_lint(LintCarry& carry);
 
 /// Check a partition shape against the core granularity of the device
 /// (paper Section V / Fig. 9: partition widths that split a 4-thread core
@@ -217,16 +183,11 @@ public:
 class LintCapture {
 public:
   LintCapture();
-  explicit LintCapture(LintOptions opt);
   ~LintCapture();
   LintCapture(const LintCapture&) = delete;
   LintCapture& operator=(const LintCapture&) = delete;
 
   [[nodiscard]] static LintCapture* current() noexcept;
-
-  /// Threshold/rule overrides recorders should lint with; the recorder fills
-  /// in `config` from its context's platform.
-  [[nodiscard]] const LintOptions& options() const noexcept { return options_; }
 
   // --- recorder interface ----------------------------------------------------
   /// `elapsed` is the virtual time the segment occupied (flush clock minus the
@@ -254,7 +215,6 @@ public:
   [[nodiscard]] double overlap_efficiency() const noexcept;
 
 private:
-  LintOptions options_;
   LintCapture* prev_ = nullptr;
   std::vector<LintFinding> findings_;
   std::vector<DeviceBound> devices_;

@@ -89,7 +89,7 @@ private:
 
   // Lint state (active only while a LintCapture was installed at creation).
   LintCapture* lint_capture_ = nullptr;
-  std::optional<LintOptions> lint_options_;
+  std::optional<sim::SimConfig> lint_config_;  ///< nullopt: lint pass disabled
   LintCarry lint_carry_;
   sim::SimTime clock_{};
   sim::SimTime flushed_clock_{};

@@ -127,9 +127,7 @@ public:
       ctx_->end_capture();
       recorded_ = true;
       if (!graph.empty()) {
-        rt::CompileOptions opts;
-        opts.name = name_;
-        compiled_ = rt::process_graph_cache().get_or_compile(graph, *ctx_, opts);
+        compiled_ = rt::process_graph_cache().get_or_compile(graph, *ctx_, name_);
       }
     }
     if (compiled_) compiled_->launch(*ctx_);

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_set>
 #include <utility>
 
-#include "analyze/analyzer.hpp"
-#include "analyze/perf_lint.hpp"
-#include "analyze/record.hpp"
 #include "analyze/recorder.hpp"
 #include "rt/context.hpp"
 #include "rt/errors.hpp"
@@ -67,13 +63,13 @@ std::uint64_t compiled_graph_replay_id(void* run) noexcept {
 // Compilation
 // ---------------------------------------------------------------------------
 
-CompiledGraph::CompiledGraph(const Graph& g, Context& ctx, const CompileOptions& opts) {
+CompiledGraph::CompiledGraph(const Graph& g, Context& ctx, std::string name) {
   if (g.empty()) {
     throw Error("Graph::compile: empty graph");
   }
   const std::uint64_t t_compile0 = telemetry::enabled() ? telemetry::now_ns() : 0;
   auto plan = std::make_shared<Plan>();
-  plan->name = opts.name.empty() ? "graph" : opts.name;
+  plan->name = name.empty() ? "graph" : std::move(name);
   plan->config_fp = sim::fingerprint(ctx.platform().config());
 
   const std::size_t n = g.nodes_.size();
@@ -166,9 +162,6 @@ CompiledGraph::CompiledGraph(const Graph& g, Context& ctx, const CompileOptions&
   plan->stream_count = max_stream + 1;
   plan->source = g;
 
-  if (opts.analyze) run_hazard_pass(g, ctx);
-  if (opts.lint) run_lint_pass(g, ctx);
-
   plan->replays_metric = &tel_replays().with(plan->name);
   plan->launch_ns_metric = &tel_launch_ns().with(plan->name);
   tel_compiles().with(plan->name).add(1);
@@ -179,88 +172,37 @@ CompiledGraph::CompiledGraph(const Graph& g, Context& ctx, const CompileOptions&
   plan_ = std::move(plan);
 }
 
-template <typename Sink>
-std::vector<std::uint64_t> CompiledGraph::flatten(const Graph& g, Context& ctx,
-                                                  const std::vector<Stream*>& streams,
-                                                  Sink& sink) {
+std::uint64_t CompiledGraph::record_instance(Context& ctx, const std::vector<Stream*>& streams) {
+  const Plan& plan = *plan_;
+  analyze::Recorder& rec = *ctx.recorder_;
   std::vector<std::uint64_t> ids;
-  ids.reserve(g.nodes_.size());
+  ids.reserve(plan.source.nodes_.size());
   std::vector<std::uint64_t> deps;
-  for (const Graph::Node& src : g.nodes_) {
+  for (const Graph::Node& src : plan.source.nodes_) {
     deps.clear();
     for (const Graph::NodeId d : src.deps) deps.push_back(ids[d]);
     const Stream& s = *streams[static_cast<std::size_t>(src.stream)];
     switch (src.kind) {
       case ActionKind::H2D:
       case ActionKind::D2H:
-        ids.push_back(sink.on_transfer(src.kind == ActionKind::H2D, s.index(), s.device(),
-                                       src.buffer, src.offset, src.bytes, deps));
+        ids.push_back(rec.on_transfer(src.kind == ActionKind::H2D, s.index(), s.device(),
+                                      src.buffer, src.offset, src.bytes, deps));
         break;
       case ActionKind::Kernel: {
         // Partition-resolved duration: the linter's critical-path weight for
         // this node, identical to what a replay charges on this stream.
         const sim::SimTime duration = ctx.cost().kernel_duration(
             src.launch.work, ctx.platform().device(s.device()).partition(s.partition()));
-        ids.push_back(sink.on_kernel(s.index(), s.device(),
-                                     src.launch.label.empty() ? "kernel" : src.launch.label,
-                                     src.launch.accesses, deps, duration));
+        ids.push_back(rec.on_kernel(s.index(), s.device(),
+                                    src.launch.label.empty() ? "kernel" : src.launch.label,
+                                    src.launch.accesses, deps, duration));
         break;
       }
       case ActionKind::Barrier:
-        ids.push_back(sink.on_barrier(s.index(), deps));
+        ids.push_back(rec.on_barrier(s.index(), deps));
         break;
     }
   }
-  return ids;
-}
-
-analyze::GraphRecord CompiledGraph::build_record(const Graph& g, Context& ctx) {
-  // Sink over a standalone record: every buffer a node touches is declared
-  // and assumed device-resident — a replayable graph may read device state
-  // produced before it; only intra-graph ordering is being checked here.
-  struct RecordSink {
-    analyze::GraphRecord& rec;
-    Context& ctx;
-    std::unordered_set<std::uint64_t> declared;
-
-    void declare(BufferId buf) {
-      if (declared.insert(buf.value).second) {
-        rec.declare_buffer(buf, ctx.buffer_size(buf));
-        rec.assume_device_resident(buf);
-      }
-    }
-    std::uint64_t on_transfer(bool h2d, int stream, int device, BufferId buf, std::size_t offset,
-                              std::size_t bytes, std::vector<std::uint64_t> deps) {
-      declare(buf);
-      return h2d ? rec.add_h2d(stream, device, buf, offset, bytes, std::move(deps))
-                 : rec.add_d2h(stream, device, buf, offset, bytes, std::move(deps));
-    }
-    std::uint64_t on_kernel(int stream, int device, std::string label,
-                            const std::vector<BufferAccess>& accesses,
-                            std::vector<std::uint64_t> deps, sim::SimTime duration) {
-      for (const BufferAccess& a : accesses) declare(a.buffer);
-      return rec.add_kernel(stream, device, std::move(label), accesses, std::move(deps),
-                            duration);
-    }
-    std::uint64_t on_barrier(int stream, std::vector<std::uint64_t> deps) {
-      return rec.add_barrier(stream, std::move(deps));
-    }
-  };
-
-  analyze::GraphRecord rec;
-  rec.stream_count = ctx.stream_count();
-  rec.partitions = ctx.partitions_per_device();
-  std::vector<Stream*> streams;
-  for (int i = 0; i < ctx.stream_count(); ++i) streams.push_back(&ctx.stream(i));
-  RecordSink sink{rec, ctx, {}};
-  (void)flatten(g, ctx, streams, sink);
-  return rec;
-}
-
-std::uint64_t CompiledGraph::record_instance(Context& ctx, const std::vector<Stream*>& streams) {
-  const Plan& plan = *plan_;
-  analyze::Recorder& rec = *ctx.recorder_;
-  const std::vector<std::uint64_t> ids = flatten(plan.source, ctx, streams, rec);
   // Same bookkeeping as Stream::record_enqueue: each stream remembers its
   // newest node, and the completion barrier joins the leaves — the nodes
   // whose only dependent is the barrier.
@@ -274,32 +216,6 @@ std::uint64_t CompiledGraph::record_instance(Context& ctx, const std::vector<Str
   Stream& s = *streams[static_cast<std::size_t>(plan.nodes[barrier].stream)];
   s.last_analyze_id_ = rec.on_barrier(s.index(), std::move(leaves));
   return s.last_analyze_id_;
-}
-
-void CompiledGraph::run_hazard_pass(const Graph& g, Context& ctx) {
-  const analyze::Analysis result = analyze::analyze(build_record(g, ctx));
-  if (!result.clean()) {
-    throw Error("Graph::compile: hazard in recorded graph:\n" + result.hazards.front().message);
-  }
-}
-
-void CompiledGraph::run_lint_pass(const Graph& g, Context& ctx) {
-  analyze::LintOptions opt;
-  opt.config = ctx.platform().config();
-  // A compiled fragment is replayed inside a larger schedule: its outputs are
-  // consumed after replay (dead-action meaningless) and its single round says
-  // nothing about the enclosing iteration structure.
-  opt.disabled_rules.emplace_back(analyze::rule::kDeadAction);
-  opt.disabled_rules.emplace_back(analyze::rule::kSingleStreamPipeline);
-  const analyze::LintReport report = analyze::lint(build_record(g, ctx), opt);
-  if (!report.clean()) {
-    std::string what = "Graph::compile: lint finding(s) in recorded graph:\n";
-    for (const analyze::LintFinding& f : report.findings) {
-      what += "  [" + f.rule + "] " + f.message + "\n";
-      if (!f.fixit.empty()) what += "    fix: " + f.fixit + "\n";
-    }
-    throw Error(std::move(what));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -530,9 +446,8 @@ GraphCache::Slot* GraphCache::find(const Graph& g, const Layout& layout) {
   return nullptr;
 }
 
-CompiledGraph GraphCache::get_or_compile(const Graph& g, Context& ctx,
-                                         const CompileOptions& opts) {
-  if (CompiledGraph::has_kernel_fn(g)) return g.compile(ctx, opts);
+CompiledGraph GraphCache::get_or_compile(const Graph& g, Context& ctx, std::string name) {
+  if (CompiledGraph::has_kernel_fn(g)) return g.compile(ctx, std::move(name));
   const Layout layout{sim::fingerprint(ctx.platform().config()), ctx.stream_count(),
                       ctx.partitions_per_device(), ctx.device_count()};
   {
@@ -544,8 +459,8 @@ CompiledGraph GraphCache::get_or_compile(const Graph& g, Context& ctx,
     }
   }
 
-  // Compile outside the lock (it can run the hazard pass).
-  CompiledGraph compiled = g.compile(ctx, opts);
+  // Compile outside the lock.
+  CompiledGraph compiled = g.compile(ctx, std::move(name));
 
   std::lock_guard<std::mutex> lock(mu_);
   ++misses_;

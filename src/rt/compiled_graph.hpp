@@ -18,10 +18,6 @@
 #include "sim/sim_time.hpp"
 #include "telemetry/metrics.hpp"
 
-namespace ms::analyze {
-class GraphRecord;
-}  // namespace ms::analyze
-
 namespace ms::rt {
 
 class Context;
@@ -39,30 +35,11 @@ void compiled_graph_notify(void* run, std::uint32_t node, sim::SimTime now);
 [[nodiscard]] std::uint64_t compiled_graph_replay_id(void* run) noexcept;
 }  // namespace detail
 
-/// Options for Graph::compile().
-struct CompileOptions {
-  /// Run the happens-before hazard pass over the flattened DAG at compile
-  /// time (races and deadlocks among the *declared* kernel accesses and
-  /// transfer ranges; device bytes are assumed resident, since a replayable
-  /// graph may legitimately read state produced before it). Throws rt::Error
-  /// on the first hazard.
-  bool analyze = false;
-  /// Run the static performance linter over the flattened DAG at compile time
-  /// (critical-path bound plus the anti-pattern rule gallery of
-  /// analyze/perf_lint.hpp, evaluated against this context's platform).
-  /// Throws rt::Error listing every finding. dead-action is disabled here: a
-  /// replayable fragment's outputs are legitimately consumed after replay.
-  bool lint = false;
-  /// Telemetry label: compiled-graph metrics are labeled families keyed by
-  /// this name (`ms_rt_graph_replays_total{graph="..."}`).
-  std::string name = "graph";
-};
-
 /// The compile-once / replay-millions executor for rt::Graph — the paper's
 /// answer to host-side launch cost taken to its hStreams/CUDA-Graphs
-/// conclusion. `Graph::compile(ctx)` validates the DAG once (stream and
-/// buffer resolution, topological checks, optional hazard pass) and flattens
-/// it into contiguous plan arrays: fixed issue order, CSR dependent lists,
+/// conclusion. `Graph::compile(ctx, name)` validates the DAG once (stream
+/// and buffer resolution, topological checks) and flattens it into
+/// contiguous plan arrays: fixed issue order, CSR dependent lists,
 /// static dependency counts, precomputed kernel durations and transfer
 /// payload pointers. `launch()` then replays the whole schedule with zero
 /// steady-state heap allocations and no per-node Event or waiter machinery:
@@ -118,6 +95,8 @@ public:
   [[nodiscard]] std::size_t node_count() const noexcept { return plan_->nodes.size() - 1; }
   /// Streams the plan spans: nodes reference stream indices [0, stream_span).
   [[nodiscard]] int stream_span() const noexcept { return plan_->stream_count; }
+  /// Telemetry label: compiled-graph metrics are labeled families keyed by
+  /// this name (`ms_rt_graph_replays_total{graph="..."}`).
   [[nodiscard]] const std::string& name() const noexcept { return plan_->name; }
   /// SimConfig fingerprint the plan was compiled against.
   [[nodiscard]] std::uint64_t config_fingerprint() const noexcept { return plan_->config_fp; }
@@ -204,7 +183,7 @@ private:
     sim::SimTime base_cost = sim::SimTime::zero();
   };
 
-  CompiledGraph(const Graph& g, Context& ctx, const CompileOptions& opts);
+  CompiledGraph(const Graph& g, Context& ctx, std::string name);
   explicit CompiledGraph(std::shared_ptr<const Plan> plan) : plan_(std::move(plan)) {}
 
   void orphan_runs() noexcept;
@@ -212,24 +191,11 @@ private:
   Event issue_instance(Context& ctx, std::uint64_t replay_id);
   Run* acquire_run();
   static void notify(void* run, std::uint32_t node, sim::SimTime now);
-  /// The one flatten loop behind the compile-time passes and analyzing
-  /// replays: emits every node of `g` into `sink` (anything with the
-  /// analyze::Recorder on_transfer/on_kernel/on_barrier hooks) on stream
-  /// `streams[node.stream]`, with kernel durations resolved against that
-  /// stream's partition (the linter's critical-path weights). Returns the
-  /// sink's id per node.
-  template <typename Sink>
-  static std::vector<std::uint64_t> flatten(const Graph& g, Context& ctx,
-                                            const std::vector<Stream*>& streams, Sink& sink);
-  /// Flatten the graph into a standalone analyzer record against `ctx`'s
-  /// layout, buffers assumed device-resident (a replayable graph may read
-  /// pre-existing state).
-  static analyze::GraphRecord build_record(const Graph& g, Context& ctx);
   /// Append one replay instance (nodes plus completion barrier, on
-  /// `streams`) to `ctx`'s recorder; returns the barrier's analyzer id.
+  /// `streams`) to `ctx`'s recorder, with kernel durations resolved against
+  /// each stream's partition (the linter's critical-path weights); returns
+  /// the barrier's analyzer id.
   std::uint64_t record_instance(Context& ctx, const std::vector<Stream*>& streams);
-  static void run_hazard_pass(const Graph& g, Context& ctx);
-  static void run_lint_pass(const Graph& g, Context& ctx);
   /// True when some kernel node of `g` carries a functor.
   static bool has_kernel_fn(const Graph& g);
   /// Node-by-node equality of two recorded schedules: kind, stream, buffer,
@@ -258,8 +224,9 @@ public:
   explicit GraphCache(std::size_t capacity = 16) : capacity_(capacity ? capacity : 1) {}
 
   /// Return an executor for `g` on `ctx`: a fresh one over a cached plan on a
-  /// hit, else compile (and insert, when `g` has no kernel functor).
-  CompiledGraph get_or_compile(const Graph& g, Context& ctx, const CompileOptions& opts = {});
+  /// hit, else compile under `name` (and insert, when `g` has no kernel
+  /// functor).
+  CompiledGraph get_or_compile(const Graph& g, Context& ctx, std::string name = "graph");
 
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;

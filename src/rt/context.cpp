@@ -10,7 +10,6 @@
 #include "rt/errors.hpp"
 #include "rt/graph.hpp"
 #include "sim/chunk_depot.hpp"
-#include "telemetry/obs_server.hpp"
 #include "telemetry/span.hpp"
 
 namespace ms::rt {
@@ -80,13 +79,8 @@ telemetry::Histogram& tel_sync_ns() {
 }
 }  // namespace
 
-Context::Context(const sim::SimConfig& cfg, const ContextConfig& ctx_cfg)
-    : platform_(std::make_unique<sim::Platform>(cfg)) {
-  // Long-running entry point: bring up the process-wide observability
-  // endpoint if configured (explicit obs_addr wins over MS_OBS_ADDR; no-op
-  // when neither is set or a server already listens).
-  telemetry::ensure_obs_server(ctx_cfg.obs_addr);
-  if (ctx_cfg.analyze || telemetry::env_switch("MS_ANALYZE") || analyze::Capture::current() != nullptr ||
+Context::Context(const sim::SimConfig& cfg) : platform_(std::make_unique<sim::Platform>(cfg)) {
+  if (telemetry::env_switch("MS_ANALYZE") || analyze::Capture::current() != nullptr ||
       analyze::LintCapture::current() != nullptr) {
     recorder_ = std::make_unique<analyze::Recorder>(std::optional<sim::SimConfig>(cfg));
   }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -24,21 +23,6 @@ namespace ms::rt {
 
 class Graph;
 
-/// Per-Context feature toggles (beyond the simulated platform's SimConfig).
-struct ContextConfig {
-  /// Record the action graph and run the happens-before hazard analysis at
-  /// every synchronization point, throwing analyze::HazardError on the first
-  /// hazardous segment. Also enabled by MS_ANALYZE=1 in the environment, or
-  /// implicitly (in collection mode) while an analyze::Capture is installed
-  /// on the constructing thread.
-  bool analyze = false;
-  /// Start the embedded observability endpoint (telemetry::ObsServer) on
-  /// this address ("HOST:PORT" | ":PORT" | "PORT") when constructing the
-  /// first context. Empty = consult MS_OBS_ADDR; unset either way = no
-  /// listener. The server is process-wide and outlives the context.
-  std::string obs_addr;
-};
-
 /// The streaming runtime: the public entry point of the library.
 ///
 /// A Context owns a simulated heterogeneous platform (host + N Phi cards),
@@ -55,7 +39,11 @@ struct ContextConfig {
 ///   auto elapsed = ctx.host_time() - t0;         // virtual milliseconds
 class Context {
 public:
-  explicit Context(const sim::SimConfig& cfg, const ContextConfig& ctx_cfg = {});
+  /// The context records its action graph for hazard analysis when
+  /// MS_ANALYZE=1 is set (abort mode: analyze::HazardError at the next
+  /// synchronization point) or when an analyze::Capture or LintCapture is
+  /// installed on the constructing thread (collection mode).
+  explicit Context(const sim::SimConfig& cfg);
   ~Context();
 
   Context(const Context&) = delete;
@@ -276,8 +264,8 @@ private:
   ActionPool::Store action_store_;
   TelTally tel_;
   std::unique_ptr<detail::StateStore, detail::StateStoreRelease> states_{new detail::StateStore};
-  /// Present only when analyzing (ContextConfig::analyze / MS_ANALYZE=1 /
-  /// installed analyze::Capture); the hot path pays one branch when absent.
+  /// Present only when analyzing (MS_ANALYZE=1 / installed analyze::Capture
+  /// or LintCapture); the hot path pays one branch when absent.
   std::unique_ptr<analyze::Recorder> recorder_;
 };
 

@@ -60,10 +60,8 @@ Graph::NodeId Graph::add_barrier(int stream, std::vector<NodeId> deps) {
   return add(std::move(n));
 }
 
-CompiledGraph Graph::compile(Context& ctx, const CompileOptions& opts) const {
-  return CompiledGraph(*this, ctx, opts);
+CompiledGraph Graph::compile(Context& ctx, std::string name) const {
+  return CompiledGraph(*this, ctx, std::move(name));
 }
-
-CompiledGraph Graph::compile(Context& ctx) const { return compile(ctx, CompileOptions{}); }
 
 }  // namespace ms::rt

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "rt/action.hpp"
@@ -10,7 +11,6 @@ namespace ms::rt {
 
 class CompiledGraph;
 class Context;
-struct CompileOptions;
 
 /// A recorded schedule that can be replayed repeatedly — the CUDA-Graphs
 /// style answer to the host-side enqueue cost this library models (and that
@@ -50,9 +50,9 @@ public:
 
   /// Validate and flatten the DAG against `ctx` once, returning the executor
   /// that replays it (see rt::CompiledGraph for the pricing and the
-  /// compatibility rules). Throws rt::Error on an empty or invalid graph.
-  [[nodiscard]] CompiledGraph compile(Context& ctx, const CompileOptions& opts) const;
-  [[nodiscard]] CompiledGraph compile(Context& ctx) const;
+  /// compatibility rules). `name` labels the executor's telemetry families.
+  /// Throws rt::Error on an empty or invalid graph.
+  [[nodiscard]] CompiledGraph compile(Context& ctx, std::string name = "graph") const;
 
 private:
   friend class CompiledGraph;

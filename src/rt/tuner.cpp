@@ -7,7 +7,6 @@
 #include "analyze/capture.hpp"
 #include "analyze/perf_lint.hpp"
 #include "rt/errors.hpp"
-#include "telemetry/obs_server.hpp"
 #include "telemetry/span.hpp"
 
 namespace ms::rt {
@@ -34,12 +33,8 @@ telemetry::Gauge& tel_done() {
   return g;
 }
 
-/// Common entry bookkeeping for every search variant. Searches are the
-/// longest-running library paths, so this is also where a standalone tuner
-/// process (no Context constructed yet) picks up MS_OBS_ADDR and starts the
-/// live scrape endpoint for watching ms_tuner_candidates_done.
+/// Common entry bookkeeping for every search variant.
 void tel_search_begin(std::size_t candidates) {
-  telemetry::ensure_obs_server();
   tel_searches().add(1);
   tel_candidates().add(candidates);
   tel_done().set(0);

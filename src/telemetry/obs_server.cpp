@@ -12,7 +12,6 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <mutex>
@@ -377,14 +376,8 @@ ObsServer* g_obs = nullptr;  // immortal once created, like Registry::impl()
 ObsServer* ensure_obs_server(const std::string& addr) {
   std::lock_guard<std::mutex> lock(g_obs_mu);
   if (g_obs != nullptr) return g_obs;
-  std::string a = addr;
-  if (a.empty()) {
-    const char* env = std::getenv("MS_OBS_ADDR");
-    if (env != nullptr) a = env;
-  }
-  if (a.empty()) return nullptr;
   try {
-    g_obs = new ObsServer(a);
+    g_obs = new ObsServer(addr);
     g_obs->set_state(ObsState::Serving);
   } catch (const std::exception& e) {
     std::cerr << "warning: observability endpoint disabled: " << e.what() << '\n';

@@ -16,8 +16,8 @@
 //
 // Payloads are always well formed; while recording is off (MS_METRICS unset)
 // the series read zero and the span payloads are empty. It is opt-in —
-// nothing listens unless a caller constructs one (or sets MS_OBS_ADDR, see
-// ensure_obs_server).
+// nothing listens unless a caller constructs one or calls ensure_obs_server
+// (`mstream_cli --serve-obs`, the bench harness's `--serve-obs`).
 
 namespace ms::telemetry {
 
@@ -60,12 +60,12 @@ private:
   std::unique_ptr<Impl> impl_;
 };
 
-/// Process-wide server, created on first demand: an explicit non-empty
-/// `addr` wins, otherwise MS_OBS_ADDR is consulted. Returns the server (in
-/// Serving state) or nullptr when no address is configured. Bind failures
-/// are reported to stderr and swallowed — observability must never take the
-/// workload down. Subsequent calls return the already-running server.
-ObsServer* ensure_obs_server(const std::string& addr = {});
+/// Process-wide server, created on first demand on `addr`. Returns the
+/// server (in Serving state), or nullptr when `addr` cannot be parsed or
+/// bound: the failure is reported to stderr and swallowed — observability
+/// must never take the workload down. Subsequent calls return the
+/// already-running server, whatever address they pass.
+ObsServer* ensure_obs_server(const std::string& addr);
 
 /// The process-wide server if one has been started, else nullptr.
 [[nodiscard]] ObsServer* obs_server() noexcept;

@@ -37,7 +37,6 @@ EnergyReport measure_energy(const Timeline& timeline, const sim::CoprocessorSpec
       case SpanKind::D2H:
         r.link_j += power.link_active_w * sec;
         break;
-      case SpanKind::Alloc:
       case SpanKind::Sync:
         break;
     }

@@ -14,7 +14,6 @@ const char* to_string(SpanKind k) noexcept {
     case SpanKind::H2D: return "H2D";
     case SpanKind::D2H: return "D2H";
     case SpanKind::Kernel: return "EXE";
-    case SpanKind::Alloc: return "ALLOC";
     case SpanKind::Sync: return "SYNC";
   }
   return "?";
@@ -110,8 +109,8 @@ void Timeline::render_gantt(std::ostream& os, int width) const {
     os << "(degenerate timeline)\n";
     return;
   }
-  // H2D, D2H, Kernel, Alloc, Sync — indexed by SpanKind.
-  static constexpr std::array<char, kSpanKindCount> kGlyphs{'>', '<', '#', 'a', '|'};
+  // H2D, D2H, Kernel, Sync — indexed by SpanKind.
+  static constexpr std::array<char, kSpanKindCount> kGlyphs{'>', '<', '#', '|'};
   static_assert(kGlyphs.size() == kSpanKindCount,
                 "update the Gantt glyph table when adding a SpanKind");
   const auto glyph_for = [](SpanKind k) {

@@ -12,12 +12,12 @@ namespace ms::trace {
 
 /// What a recorded span was doing. Mirrors the offload stages of the paper
 /// (H2D / EXE / D2H) plus runtime bookkeeping.
-enum class SpanKind : std::uint8_t { H2D, D2H, Kernel, Alloc, Sync };
+enum class SpanKind : std::uint8_t { H2D, D2H, Kernel, Sync };
 
 /// Number of SpanKind enumerators; keep in sync with the enum. Glyph and
 /// name tables static_assert against this so adding a kind without updating
 /// them is a compile error, not an out-of-bounds read.
-inline constexpr std::size_t kSpanKindCount = 5;
+inline constexpr std::size_t kSpanKindCount = 4;
 
 [[nodiscard]] const char* to_string(SpanKind k) noexcept;
 

@@ -20,7 +20,6 @@ UtilizationReport summarize(const Timeline& timeline) {
         r.kernel_busy_ms += ms;
         r.partition_busy_ms[{s.device, s.partition}] += ms;
         break;
-      case SpanKind::Alloc:
       case SpanKind::Sync:
         break;
     }

@@ -1,11 +1,13 @@
 // The runtime-facing side of the analyzer: an rt::Context with analysis
-// enabled (ContextConfig::analyze, MS_ANALYZE=1, or an installed Capture)
-// records every enqueue and reports hazards at synchronization points.
+// enabled (MS_ANALYZE=1 for abort mode, or an installed Capture for
+// collection mode) records every enqueue and reports hazards at
+// synchronization points.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "analyze/capture.hpp"
 #include "rt/compiled_graph.hpp"
@@ -22,10 +24,18 @@ using ms::analyze::Capture;
 using ms::analyze::HazardError;
 using ms::analyze::HazardKind;
 using ms::rt::BufferId;
-using ms::rt::ContextConfig;
 using ms::rt::MemRange;
 
 ms::sim::SimConfig small_cfg() { return ms::sim::SimConfig::phi_31sp(); }
+
+/// MS_ANALYZE=1 for one scope: every Context built inside runs in abort mode.
+class ScopedAbortMode {
+public:
+  ScopedAbortMode() { setenv("MS_ANALYZE", "1", 1); }
+  ~ScopedAbortMode() { unsetenv("MS_ANALYZE"); }
+  ScopedAbortMode(const ScopedAbortMode&) = delete;
+  ScopedAbortMode& operator=(const ScopedAbortMode&) = delete;
+};
 
 /// Two streams, overlapping device writes, no ordering edge.
 void enqueue_racy(ms::rt::Context& ctx, BufferId buf) {
@@ -34,7 +44,8 @@ void enqueue_racy(ms::rt::Context& ctx, BufferId buf) {
 }
 
 TEST(ContextAnalyze, AbortModeThrowsAtSynchronize) {
-  ms::rt::Context ctx(small_cfg(), ContextConfig{.analyze = true});
+  const ScopedAbortMode abort_mode;
+  ms::rt::Context ctx(small_cfg());
   ctx.setup(2);
   const BufferId buf = ctx.create_virtual_buffer(4096);
   ctx.name_buffer(buf, "racy");
@@ -53,7 +64,8 @@ TEST(ContextAnalyze, AbortModeThrowsAtSynchronize) {
 TEST(ContextAnalyze, AbortedContextStaysUsable) {
   // After the throw the recorder's segment is reset: the context can keep
   // enqueueing clean work, and teardown releases every pooled action.
-  ms::rt::Context ctx(small_cfg(), ContextConfig{.analyze = true});
+  const ScopedAbortMode abort_mode;
+  ms::rt::Context ctx(small_cfg());
   ctx.setup(2);
   const BufferId buf = ctx.create_virtual_buffer(4096);
   enqueue_racy(ctx, buf);
@@ -69,7 +81,8 @@ TEST(ContextAnalyze, AbortPathReleasesPooledActionsToDepot) {
   // context, the depot holds parked chunks a fresh context can reuse.
   ms::sim::detail::ChunkDepot::trim();
   {
-    ms::rt::Context ctx(small_cfg(), ContextConfig{.analyze = true});
+    const ScopedAbortMode abort_mode;
+    ms::rt::Context ctx(small_cfg());
     ctx.setup(2);
     const BufferId buf = ctx.create_virtual_buffer(4096);
     enqueue_racy(ctx, buf);
@@ -90,18 +103,12 @@ TEST(ContextAnalyze, AbortPathReleasesPooledActionsToDepot) {
 }
 
 TEST(ContextAnalyze, EnvVarEnablesAnalysis) {
-  ASSERT_EQ(setenv("MS_ANALYZE", "1", 1), 0);
-  try {
-    ms::rt::Context ctx(small_cfg());
-    ctx.setup(2);
-    const BufferId buf = ctx.create_virtual_buffer(4096);
-    enqueue_racy(ctx, buf);
-    EXPECT_THROW(ctx.synchronize(), HazardError);
-  } catch (...) {
-    unsetenv("MS_ANALYZE");
-    throw;
-  }
-  unsetenv("MS_ANALYZE");
+  const ScopedAbortMode abort_mode;
+  ms::rt::Context ctx(small_cfg());
+  ctx.setup(2);
+  const BufferId buf = ctx.create_virtual_buffer(4096);
+  enqueue_racy(ctx, buf);
+  EXPECT_THROW(ctx.synchronize(), HazardError);
 }
 
 TEST(ContextAnalyze, EnvVarAcceptsOnlyZeroOrOne) {
@@ -144,7 +151,8 @@ TEST(ContextAnalyze, CaptureCollectsInsteadOfThrowing) {
 }
 
 TEST(ContextAnalyze, KernelAccessRangesDriveRaces) {
-  ms::rt::Context ctx(small_cfg(), ContextConfig{.analyze = true});
+  const ScopedAbortMode abort_mode;
+  ms::rt::Context ctx(small_cfg());
   ctx.setup(2);
   const BufferId buf = ctx.create_virtual_buffer(8192);
   const auto up = ctx.stream(0).enqueue_h2d(buf, 0, 8192);
@@ -169,7 +177,8 @@ TEST(ContextAnalyze, KernelAccessRangesDriveRaces) {
 }
 
 TEST(ContextAnalyze, D2hOfUntouchedBufferIsUseBeforeWrite) {
-  ms::rt::Context ctx(small_cfg(), ContextConfig{.analyze = true});
+  const ScopedAbortMode abort_mode;
+  ms::rt::Context ctx(small_cfg());
   const BufferId buf = ctx.create_virtual_buffer(1024);
   ctx.stream(0).enqueue_d2h(buf, 0, 1024);
   try {
@@ -182,7 +191,8 @@ TEST(ContextAnalyze, D2hOfUntouchedBufferIsUseBeforeWrite) {
 }
 
 TEST(ContextAnalyze, AssumeDeviceResidentSuppressesIt) {
-  ms::rt::Context ctx(small_cfg(), ContextConfig{.analyze = true});
+  const ScopedAbortMode abort_mode;
+  ms::rt::Context ctx(small_cfg());
   const BufferId buf = ctx.create_virtual_buffer(1024);
   ctx.assume_device_resident(buf);
   ctx.stream(0).enqueue_d2h(buf, 0, 1024);
@@ -192,7 +202,8 @@ TEST(ContextAnalyze, AssumeDeviceResidentSuppressesIt) {
 TEST(ContextAnalyze, StreamSynchronizeIsAnOrderingEdge) {
   // Host blocks on stream 0, then enqueues the overlapping write on stream 1:
   // the host join orders them, so the analyzer must stay quiet.
-  ms::rt::Context ctx(small_cfg(), ContextConfig{.analyze = true});
+  const ScopedAbortMode abort_mode;
+  ms::rt::Context ctx(small_cfg());
   ctx.setup(2);
   const BufferId buf = ctx.create_virtual_buffer(2048);
   ctx.stream(0).enqueue_h2d(buf, 0, 2048);
@@ -202,7 +213,8 @@ TEST(ContextAnalyze, StreamSynchronizeIsAnOrderingEdge) {
 }
 
 TEST(ContextAnalyze, ContextWaitIsAnOrderingEdge) {
-  ms::rt::Context ctx(small_cfg(), ContextConfig{.analyze = true});
+  const ScopedAbortMode abort_mode;
+  ms::rt::Context ctx(small_cfg());
   ctx.setup(2);
   const BufferId buf = ctx.create_virtual_buffer(2048);
   const auto ev = ctx.stream(0).enqueue_h2d(buf, 0, 2048);
@@ -214,7 +226,8 @@ TEST(ContextAnalyze, ContextWaitIsAnOrderingEdge) {
 TEST(ContextAnalyze, SetupIsASegmentBoundary) {
   // Re-partitioning requires idle streams, so it is a global barrier: work
   // before and after needs no edges between them.
-  ms::rt::Context ctx(small_cfg(), ContextConfig{.analyze = true});
+  const ScopedAbortMode abort_mode;
+  ms::rt::Context ctx(small_cfg());
   ctx.setup(2);
   const BufferId buf = ctx.create_virtual_buffer(2048);
   ctx.stream(0).enqueue_h2d(buf, 0, 2048);
@@ -227,8 +240,8 @@ TEST(ContextAnalyze, SetupIsASegmentBoundary) {
 // --- compiled graph replay feeds the recorder ------------------------------
 
 TEST(ContextAnalyze, CompiledReplayOfRacyGraphIsReported) {
-  // The compile-time hazard pass is opt-in; replaying on an analyzing context
-  // must still surface the race, because every replayed node is recorded.
+  // Replaying on an analyzing context surfaces the race, because every
+  // replayed node is recorded.
   Capture capture;
   {
     ms::rt::Context ctx(small_cfg());
@@ -253,7 +266,9 @@ TEST(ContextAnalyze, RepeatedReplaysAreRecordedWithoutChangingVirtualTime) {
   // Three kernels hopping across two streams, replayed 8 times: every
   // instance records its nodes plus the completion barrier.
   const auto run = [](bool analyze) {
-    ms::rt::Context ctx(small_cfg(), ContextConfig{.analyze = analyze});
+    std::optional<Capture> capture;
+    if (analyze) capture.emplace();
+    ms::rt::Context ctx(small_cfg());
     ctx.setup(2);
     ms::sim::KernelWork work;
     work.kind = ms::sim::KernelKind::Streaming;
@@ -284,7 +299,8 @@ TEST(ContextAnalyze, HostWaitsOnCompiledReplayAreOrderingEdges) {
   // Stream::synchronize after a replay joins that stream's newest replayed
   // node, and Context::wait on a launch's returned event joins the
   // completion barrier: each makes the later overlapping upload race-free.
-  ms::rt::Context ctx(small_cfg(), ContextConfig{.analyze = true});
+  const ScopedAbortMode abort_mode;
+  ms::rt::Context ctx(small_cfg());
   ctx.setup(3);
   const BufferId buf = ctx.create_virtual_buffer(2048);
   // The completion barrier lands on stream 0 with the marker; the upload is

@@ -1,8 +1,9 @@
 // App-level linter coverage: the ported applications run under a LintCapture
 // at small sizes and must come out clean (nn's transfer-bound duplex finding
 // is the one designed exception), the critical-path bound must hold against
-// the simulated time at 1..3 devices, linting must not perturb results, and
-// the compile-time / tuner exposures must enforce and pre-prune.
+// the simulated time at 1..3 devices, linting must not perturb results,
+// compiled replays are linted like direct enqueues, and the tuner exposure
+// must pre-prune.
 
 #include <gtest/gtest.h>
 
@@ -215,42 +216,53 @@ TEST(LintApps, LintingDoesNotPerturbResults) {
   EXPECT_EQ(srad_on.checksum, srad_off.checksum);
 }
 
-// --- Graph::compile exposure -------------------------------------------------
+// --- Compiled replay ----------------------------------------------------------
 
-TEST(LintCompile, CleanGraphCompiles) {
-  ms::rt::Context ctx(cfg());
-  ctx.setup(4);
-  const ms::rt::BufferId buf = ctx.create_virtual_buffer(1u << 20);
-  ms::rt::Graph g;
-  const auto up = g.add_h2d(0, buf, 0, 1u << 20);
-  ms::rt::KernelLaunch launch;
-  launch.label = "consume";
-  launch.work.elems = 1 << 18;
-  launch.reads(buf, 0, 1u << 20);
-  const auto k = g.add_kernel(1, std::move(launch), {up});
-  g.add_d2h(2, buf, 0, 1u << 20, {k});
-  ms::rt::CompileOptions opts;
-  opts.lint = true;
-  EXPECT_NO_THROW((void)g.compile(ctx, opts));
+/// Findings of one compile-and-replay of `build`'s graph under a LintCapture.
+template <typename Build>
+std::vector<ms::analyze::LintFinding> replay_findings(Build&& build) {
+  LintCapture capture;
+  {
+    ms::rt::Context ctx(cfg());
+    ctx.setup(4);
+    const ms::rt::BufferId buf = ctx.create_virtual_buffer(1u << 20);
+    const ms::rt::Graph g = build(buf);
+    g.compile(ctx).launch(ctx);
+    ctx.synchronize();
+  }
+  return capture.findings();
 }
 
-TEST(LintCompile, RedundantUploadThrows) {
-  ms::rt::Context ctx(cfg());
-  ctx.setup(4);
-  const ms::rt::BufferId buf = ctx.create_virtual_buffer(1u << 20);
-  ms::rt::Graph g;
-  g.add_h2d(0, buf, 0, 1u << 20);
-  g.add_h2d(0, buf, 0, 1u << 20);  // nothing changed in between
-  ms::rt::CompileOptions opts;
-  opts.lint = true;
-  try {
-    (void)g.compile(ctx, opts);
-    FAIL() << "expected rt::Error from the lint pass";
-  } catch (const ms::rt::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("redundant-h2d"), std::string::npos) << e.what();
+bool has_rule(const std::vector<ms::analyze::LintFinding>& findings, std::string_view id) {
+  for (const ms::analyze::LintFinding& f : findings) {
+    if (f.rule == id) return true;
   }
-  // Without the lint pass the same graph compiles (it is merely wasteful).
-  EXPECT_NO_THROW((void)g.compile(ctx));
+  return false;
+}
+
+TEST(LintReplay, CleanGraphReportsNothing) {
+  const auto findings = replay_findings([](ms::rt::BufferId buf) {
+    ms::rt::Graph g;
+    const auto up = g.add_h2d(0, buf, 0, 1u << 20);
+    ms::rt::KernelLaunch launch;
+    launch.label = "consume";
+    launch.work.elems = 1 << 18;
+    launch.reads(buf, 0, 1u << 20);
+    const auto k = g.add_kernel(1, std::move(launch), {up});
+    g.add_d2h(2, buf, 0, 1u << 20, {k});
+    return g;
+  });
+  EXPECT_TRUE(findings.empty()) << findings.front().message;
+}
+
+TEST(LintReplay, RedundantUploadIsReported) {
+  const auto findings = replay_findings([](ms::rt::BufferId buf) {
+    ms::rt::Graph g;
+    g.add_h2d(0, buf, 0, 1u << 20);
+    g.add_h2d(0, buf, 0, 1u << 20);  // nothing changed in between
+    return g;
+  });
+  EXPECT_TRUE(has_rule(findings, rule::kRedundantH2D));
 }
 
 // --- Tuner exposure ----------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analyze/perf_lint.hpp"
@@ -19,12 +20,12 @@ using ms::analyze::GraphRecord;
 using ms::analyze::lint;
 using ms::analyze::LintCarry;
 using ms::analyze::LintFinding;
-using ms::analyze::LintOptions;
 using ms::analyze::LintReport;
 using ms::analyze::LintSeverity;
 using ms::rt::AccessMode;
 using ms::rt::BufferId;
 using ms::rt::MemRange;
+using ms::sim::SimConfig;
 using ms::sim::SimTime;
 namespace rule = ms::analyze::rule;
 
@@ -32,12 +33,20 @@ constexpr BufferId kA{1};
 constexpr BufferId kB{2};
 constexpr std::size_t kMiB = 1u << 20;
 
-LintOptions opts() { return LintOptions{}; }
+SimConfig config() { return SimConfig::phi_31sp(); }
 
 std::vector<std::string> rules_of(const LintReport& r) {
   std::vector<std::string> out;
   out.reserve(r.findings.size());
   for (const LintFinding& f : r.findings) out.push_back(f.rule);
+  return out;
+}
+
+/// rules_of(r) without the findings of rule `skip` (a rule that legitimately
+/// fires on a fixture built to probe another one).
+std::vector<std::string> rules_except(const LintReport& r, std::string_view skip) {
+  std::vector<std::string> out = rules_of(r);
+  std::erase(out, skip);
   return out;
 }
 
@@ -53,9 +62,9 @@ TEST(LintBound, HandComputedChain) {
                SimTime::micros(500));
   g.add_d2h(0, 0, kA, 0, kMiB);
 
-  const LintOptions opt = opts();
-  const SimTime floor = ms::sim::transfer_floor(opt.config.link, kMiB);
-  const LintReport r = lint(g, opt);
+  const SimConfig cfg = config();
+  const SimTime floor = ms::sim::transfer_floor(cfg.link, kMiB);
+  const LintReport r = lint(g, cfg);
   ASSERT_EQ(r.devices.size(), 1u);
   EXPECT_EQ(r.devices[0].device, 0);
   EXPECT_EQ(r.devices[0].h2d, floor);
@@ -79,9 +88,9 @@ TEST(LintBound, SerializedLinkDominatesParallelStreams) {
   g.add_d2h(1, 0, kB, 0, kMiB);
   g.add_d2h(1, 0, kB, kMiB, kMiB);
 
-  const LintOptions opt = opts();
-  const SimTime floor = ms::sim::transfer_floor(opt.config.link, kMiB);
-  const LintReport r = lint(g, opt);
+  const SimConfig cfg = config();
+  const SimTime floor = ms::sim::transfer_floor(cfg.link, kMiB);
+  const LintReport r = lint(g, cfg);
   ASSERT_EQ(r.devices.size(), 1u);
   EXPECT_EQ(r.devices[0].path, floor + floor);  // two-deep FIFO chains
   EXPECT_EQ(r.devices[0].link, 4.0 * floor);
@@ -96,9 +105,9 @@ TEST(LintBound, DuplexLinkTakesMaxOfDirections) {
   g.add_h2d(0, 0, kA, 0, kMiB);
   g.add_d2h(1, 0, kA, kMiB, 2 * kMiB);
 
-  LintOptions opt = opts();
-  opt.config.link.full_duplex = true;
-  const LintReport r = lint(g, opt);
+  SimConfig cfg = config();
+  cfg.link.full_duplex = true;
+  const LintReport r = lint(g, cfg);
   ASSERT_EQ(r.devices.size(), 1u);
   EXPECT_EQ(r.devices[0].link, r.devices[0].d2h);  // max(h2d, d2h)
   EXPECT_TRUE(r.clean()) << r.findings.front().message;
@@ -121,7 +130,7 @@ GraphRecord duplex_record(int per_direction) {
 
 TEST(LintRules, DuplexSerialization) {
   const GraphRecord g = duplex_record(4);
-  const LintReport r = lint(g, opts());
+  const LintReport r = lint(g, config());
   ASSERT_EQ(rules_of(r), std::vector<std::string>{std::string(rule::kDuplexSerialization)});
   const LintFinding& f = r.findings[0];
   EXPECT_EQ(f.severity, LintSeverity::Warning);
@@ -148,11 +157,9 @@ TEST(LintRules, DuplexNeedsUnorderedPair) {
   for (int i = 0; i < 4; ++i) {
     g.add_d2h(1, 0, kB, static_cast<std::size_t>(i) * kMiB, kMiB, {last});
   }
-  // The serializing edge is deliberate here; silence the (correct)
+  // The serializing edge is deliberate here; skip the (correct)
   // false-dependency verdict on it to isolate the duplex gate.
-  LintOptions opt = opts();
-  opt.disabled_rules.emplace_back(rule::kFalseDependency);
-  EXPECT_TRUE(lint(g, opt).clean());
+  EXPECT_TRUE(rules_except(lint(g, config()), rule::kFalseDependency).empty());
 }
 
 TEST(LintRules, DuplexNeedsLinkBoundSegment) {
@@ -166,14 +173,14 @@ TEST(LintRules, DuplexNeedsLinkBoundSegment) {
   g.assume_device_resident(kB);
   g.add_h2d(0, 0, kA, 0, 4096);
   g.add_d2h(1, 0, kB, 0, 4096);
-  EXPECT_TRUE(lint(g, opts()).clean());
+  EXPECT_TRUE(lint(g, config()).clean());
 }
 
 TEST(LintRules, DuplexDisabledOnFullDuplexLink) {
   GraphRecord g = duplex_record(4);
-  LintOptions opt = opts();
-  opt.config.link.full_duplex = true;
-  EXPECT_TRUE(lint(g, opt).clean());
+  SimConfig cfg = config();
+  cfg.link.full_duplex = true;
+  EXPECT_TRUE(lint(g, cfg).clean());
 }
 
 // --- false-dependency --------------------------------------------------------
@@ -189,7 +196,7 @@ TEST(LintRules, FalseDependency) {
   const auto first = g.add_h2d(0, 0, kA, 0, kMiB);
   const auto second = g.add_h2d(1, 0, kB, 0, kMiB, {first});
 
-  const LintReport r = lint(g, opts());
+  const LintReport r = lint(g, config());
   ASSERT_EQ(rules_of(r), std::vector<std::string>{std::string(rule::kFalseDependency)});
   const LintFinding& f = r.findings[0];
   EXPECT_EQ(f.severity, LintSeverity::Warning);
@@ -211,7 +218,7 @@ TEST(LintRules, TransitiveCarrierEdgeIsNotFalse) {
   g.add_kernel(1, 0, "middle", {{kB, AccessMode::Read, MemRange::flat(0, kMiB)}}, {w});
   g.add_kernel(1, 0, "consumer", {{kA, AccessMode::Read, MemRange::flat(0, kMiB)}});
   g.assume_device_resident(kB);
-  EXPECT_TRUE(lint(g, opts()).clean());
+  EXPECT_TRUE(lint(g, config()).clean());
 }
 
 TEST(LintRules, CoveredEdgeIsNotReported) {
@@ -224,7 +231,7 @@ TEST(LintRules, CoveredEdgeIsNotReported) {
   const auto first = g.add_h2d(0, 0, kA, 0, kMiB);
   g.add_host_sync({first});
   g.add_h2d(1, 0, kB, 0, kMiB, {first});
-  EXPECT_TRUE(lint(g, opts()).clean());
+  EXPECT_TRUE(lint(g, config()).clean());
 }
 
 TEST(LintRules, FalseDependencySkippedOnRacySegments) {
@@ -238,7 +245,7 @@ TEST(LintRules, FalseDependencySkippedOnRacySegments) {
   // nothing, so the rule must not fire.
   g.add_kernel(1, 0, "w1", {{kB, AccessMode::Write, MemRange::flat(0, 64)}});
   g.add_kernel(2, 0, "w2", {{kB, AccessMode::Write, MemRange::flat(0, 64)}});
-  EXPECT_TRUE(lint(g, opts(), nullptr, /*hazard_count=*/1).clean());
+  EXPECT_TRUE(lint(g, config(), nullptr, /*hazard_count=*/1).clean());
 }
 
 // --- single-stream-pipeline --------------------------------------------------
@@ -252,7 +259,7 @@ TEST(LintRules, SingleStreamPipeline) {
                  SimTime::micros(100));
     g.add_d2h(0, 0, kA, 0, kMiB);
   }
-  const LintReport r = lint(g, opts());
+  const LintReport r = lint(g, config());
   ASSERT_EQ(rules_of(r), std::vector<std::string>{std::string(rule::kSingleStreamPipeline)});
   EXPECT_EQ(r.findings[0].device, 0);
   EXPECT_NE(r.findings[0].fixit.find("setup(P >= 2)"), std::string::npos);
@@ -262,7 +269,7 @@ TEST(LintRules, PipelineRoundsAccumulateAcrossSegments) {
   // The baseline apps synchronize once per iteration, so each segment holds
   // exactly one round; only the carry shows the repetition.
   LintCarry carry;
-  const LintOptions opt = opts();
+  const SimConfig cfg = config();
   std::vector<LintFinding> all;
   GraphRecord g;
   g.declare_buffer(kA, kMiB, "a");
@@ -271,7 +278,7 @@ TEST(LintRules, PipelineRoundsAccumulateAcrossSegments) {
     g.add_kernel(0, 0, "exe", {{kA, AccessMode::ReadWrite, MemRange::flat(0, kMiB)}}, {},
                  SimTime::micros(100));
     g.add_d2h(0, 0, kA, 0, kMiB);
-    const LintReport r = lint(g, opt, &carry);
+    const LintReport r = lint(g, cfg, &carry);
     for (const LintFinding& f : r.findings) all.push_back(f);
     g.reset_segment();
   }
@@ -294,7 +301,7 @@ TEST(LintRules, TwoStreamPipelineIsClean) {
       g.add_d2h(s, 0, kA, off, kMiB);
     }
   }
-  EXPECT_TRUE(lint(g, opts()).clean());
+  EXPECT_TRUE(lint(g, config()).clean());
 }
 
 // --- split-core-partition ----------------------------------------------------
@@ -306,7 +313,7 @@ TEST(LintRules, SplitCorePartition) {
   g.assume_device_resident(kA);
   g.add_kernel(0, 0, "exe", {{kA, AccessMode::Read, MemRange::flat(0, kMiB)}}, {},
                SimTime::micros(100));
-  const LintReport r = lint(g, opts());
+  const LintReport r = lint(g, config());
   ASSERT_EQ(rules_of(r), std::vector<std::string>{std::string(rule::kSplitCorePartition)});
   EXPECT_NE(r.findings[0].message.find("3 partitions"), std::string::npos);
   // Nearest aligned neighbours of 3 in {2,4,7,8,14,28,56}.
@@ -321,7 +328,7 @@ TEST(LintRules, AlignedPartitionsAreClean) {
     g.assume_device_resident(kA);
     g.add_kernel(0, 0, "exe", {{kA, AccessMode::Read, MemRange::flat(0, kMiB)}}, {},
                  SimTime::micros(100));
-    EXPECT_TRUE(lint(g, opts()).clean()) << "P=" << p;
+    EXPECT_TRUE(lint(g, config()).clean()) << "P=" << p;
   }
 }
 
@@ -345,7 +352,7 @@ TEST(LintRules, SubKneeTransfer) {
   g.declare_buffer(kA, kMiB, "tiles");
   const std::size_t chunk = 32u << 10;
   for (std::size_t i = 0; i < 8; ++i) g.add_h2d(0, 0, kA, i * chunk, chunk);
-  const LintReport r = lint(g, opts());
+  const LintReport r = lint(g, config());
   ASSERT_EQ(rules_of(r), std::vector<std::string>{std::string(rule::kSubKneeTransfer)});
   const LintFinding& f = r.findings[0];
   EXPECT_EQ(f.severity, LintSeverity::Note);
@@ -356,15 +363,13 @@ TEST(LintRules, SubKneeTransfer) {
 
 TEST(LintRules, RepeatedControlBlockIsNotSubKnee) {
   // The same tiny range re-uploaded many times is one distinct shape, not
-  // death-by-a-thousand-tiles. (Disable redundant-h2d: that rule *does*
+  // death-by-a-thousand-tiles. (Skip redundant-h2d: that rule *does*
   // legitimately fire here.)
   GraphRecord g;
   g.declare_buffer(kA, kMiB, "ctl");
-  LintOptions opt = opts();
-  opt.disabled_rules.emplace_back(rule::kRedundantH2D);
   LintCarry carry;
   for (int i = 0; i < 16; ++i) g.add_h2d(0, 0, kA, 0, 4096);
-  EXPECT_TRUE(lint(g, opt, &carry).clean());
+  EXPECT_TRUE(rules_except(lint(g, config(), &carry), rule::kRedundantH2D).empty());
 }
 
 TEST(LintRules, AboveKneeChunksAreClean) {
@@ -372,7 +377,7 @@ TEST(LintRules, AboveKneeChunksAreClean) {
   g.declare_buffer(kA, 8 * kMiB, "tiles");
   const std::size_t chunk = 256u << 10;  // well above the knee
   for (std::size_t i = 0; i < 8; ++i) g.add_h2d(0, 0, kA, i * chunk, chunk);
-  EXPECT_TRUE(lint(g, opts()).clean());
+  EXPECT_TRUE(lint(g, config()).clean());
 }
 
 // --- redundant-h2d -----------------------------------------------------------
@@ -385,7 +390,7 @@ TEST(LintRules, RedundantH2D) {
                SimTime::micros(100));
   const auto second = g.add_h2d(0, 0, kA, 0, kMiB);  // nothing changed in between
 
-  const LintReport r = lint(g, opts());
+  const LintReport r = lint(g, config());
   ASSERT_EQ(rules_of(r), std::vector<std::string>{std::string(rule::kRedundantH2D)});
   const LintFinding& f = r.findings[0];
   EXPECT_EQ(f.severity, LintSeverity::Note);
@@ -404,7 +409,7 @@ TEST(LintRules, HostWriteMakesReuploadMeaningful) {
                SimTime::micros(100));
   g.add_host_write(kA, 0, kMiB);  // host mutated the bytes
   g.add_h2d(0, 0, kA, 0, kMiB);
-  EXPECT_TRUE(lint(g, opts()).clean());
+  EXPECT_TRUE(lint(g, config()).clean());
 }
 
 TEST(LintRules, KernelWriteMakesReuploadMeaningful) {
@@ -415,25 +420,23 @@ TEST(LintRules, KernelWriteMakesReuploadMeaningful) {
   g.add_kernel(0, 0, "mutate", {{kA, AccessMode::ReadWrite, MemRange::flat(0, kMiB)}}, {},
                SimTime::micros(100));
   g.add_h2d(0, 0, kA, 0, kMiB);
-  LintOptions opt = opts();
-  opt.disabled_rules.emplace_back(rule::kDeadAction);
-  EXPECT_TRUE(lint(g, opt).clean());
+  EXPECT_TRUE(lint(g, config()).clean());
 }
 
 TEST(LintRules, RedundancyTracksAcrossSegments) {
   // The iteration-loop shape: upload in segment 1, re-upload in segment 2.
   LintCarry carry;
-  const LintOptions opt = opts();
+  const SimConfig cfg = config();
   GraphRecord g;
   g.declare_buffer(kA, kMiB, "weights");
   g.add_h2d(0, 0, kA, 0, kMiB);
   g.add_kernel(0, 0, "consume", {{kA, AccessMode::Read, MemRange::flat(0, kMiB)}}, {},
                SimTime::micros(100));
-  EXPECT_TRUE(lint(g, opt, &carry).clean());
+  EXPECT_TRUE(lint(g, cfg, &carry).clean());
 
   g.reset_segment();
   g.add_h2d(0, 0, kA, 0, kMiB);
-  const LintReport r2 = lint(g, opt, &carry);
+  const LintReport r2 = lint(g, cfg, &carry);
   ASSERT_EQ(rules_of(r2), std::vector<std::string>{std::string(rule::kRedundantH2D)});
 }
 
@@ -450,9 +453,8 @@ TEST(LintRules, DeadAction) {
                               {}, SimTime::micros(100));
   // No readback of kB: the kernel's output dies on the device.
   LintCarry carry;
-  const LintOptions opt = opts();
-  EXPECT_TRUE(lint(g, opt, &carry).clean());  // verdict only final at the end
-  const std::vector<LintFinding> fin = ms::analyze::finalize_lint(carry, opt);
+  EXPECT_TRUE(lint(g, config(), &carry).clean());  // verdict only final at the end
+  const std::vector<LintFinding> fin = ms::analyze::finalize_lint(carry);
   ASSERT_EQ(fin.size(), 1u);
   EXPECT_EQ(fin[0].rule, rule::kDeadAction);
   EXPECT_EQ(fin[0].severity, LintSeverity::Warning);
@@ -472,9 +474,8 @@ TEST(LintRules, ReadbackConsumesTheWrite) {
                {}, SimTime::micros(100));
   g.add_d2h(0, 0, kB, 0, kMiB);
   LintCarry carry;
-  const LintOptions opt = opts();
-  EXPECT_TRUE(lint(g, opt, &carry).clean());
-  EXPECT_TRUE(ms::analyze::finalize_lint(carry, opt).empty());
+  EXPECT_TRUE(lint(g, config(), &carry).clean());
+  EXPECT_TRUE(ms::analyze::finalize_lint(carry).empty());
 }
 
 TEST(LintRules, OverwriteConsumesTheWrite) {
@@ -488,9 +489,8 @@ TEST(LintRules, OverwriteConsumesTheWrite) {
                SimTime::micros(100));
   g.add_d2h(0, 0, kA, 0, kMiB);
   LintCarry carry;
-  const LintOptions opt = opts();
-  EXPECT_TRUE(lint(g, opt, &carry).clean());
-  EXPECT_TRUE(ms::analyze::finalize_lint(carry, opt).empty());
+  EXPECT_TRUE(lint(g, config(), &carry).clean());
+  EXPECT_TRUE(ms::analyze::finalize_lint(carry).empty());
 }
 
 TEST(LintRules, ConsumptionCrossesSegments) {
@@ -498,26 +498,19 @@ TEST(LintRules, ConsumptionCrossesSegments) {
   // the id sequence monotone, so the later readback is a distinct node (a
   // fresh record would reuse id 1 and look like the write's own node).
   LintCarry carry;
-  const LintOptions opt = opts();
+  const SimConfig cfg = config();
   GraphRecord g;
   g.declare_buffer(kA, kMiB, "state");
   g.add_kernel(0, 0, "produce", {{kA, AccessMode::Write, MemRange::flat(0, kMiB)}}, {},
                SimTime::micros(100));
-  EXPECT_TRUE(lint(g, opt, &carry).clean());
+  EXPECT_TRUE(lint(g, cfg, &carry).clean());
   g.reset_segment();
   g.add_d2h(0, 0, kA, 0, kMiB);
-  EXPECT_TRUE(lint(g, opt, &carry).clean());
-  EXPECT_TRUE(ms::analyze::finalize_lint(carry, opt).empty());
+  EXPECT_TRUE(lint(g, cfg, &carry).clean());
+  EXPECT_TRUE(ms::analyze::finalize_lint(carry).empty());
 }
 
-// --- option plumbing ---------------------------------------------------------
-
-TEST(LintOptionsTest, DisabledRulesAreSkipped) {
-  GraphRecord g = duplex_record(4);
-  LintOptions opt = opts();
-  opt.disabled_rules.emplace_back(rule::kDuplexSerialization);
-  EXPECT_TRUE(lint(g, opt).clean());
-}
+// --- rule catalog ------------------------------------------------------------
 
 TEST(LintOptionsTest, RuleCatalogIsStable) {
   const auto& ids = ms::analyze::lint_rule_ids();

@@ -190,7 +190,7 @@ LintReport duplex_report() {
     g.add_h2d(0, 0, kUp, i * kMiB, kMiB);
     g.add_d2h(1, 0, kDown, i * kMiB, kMiB);
   }
-  return ms::analyze::lint(g, ms::analyze::LintOptions{});
+  return ms::analyze::lint(g, ms::sim::SimConfig::phi_31sp());
 }
 
 TEST(Sarif, LintLogShape) {

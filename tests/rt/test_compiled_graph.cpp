@@ -249,28 +249,6 @@ TEST(CompiledGraphErrors, LaunchSurvivesCompatibleLayoutChange) {
   ctx.synchronize();
 }
 
-TEST(CompiledGraphErrors, AnalyzePassCatchesRacyGraph) {
-  Context ctx(cfg());
-  ctx.setup(2);
-  const auto buf = ctx.create_virtual_buffer(4096);
-
-  // Two kernels on different streams write the same range with no ordering
-  // edge between them: a write/write race the compile-time pass must flag.
-  Graph racy;
-  racy.add_kernel(0, KernelLaunch{"w0", work()}.writes(buf, 0, 4096));
-  racy.add_kernel(1, KernelLaunch{"w1", work()}.writes(buf, 0, 4096));
-  CompileOptions analyze;
-  analyze.analyze = true;
-  EXPECT_THROW((void)racy.compile(ctx, analyze), Error);
-  EXPECT_NO_THROW((void)racy.compile(ctx));  // pass is opt-in
-
-  // Adding the ordering edge makes the same accesses clean.
-  Graph clean;
-  const auto w0 = clean.add_kernel(0, KernelLaunch{"w0", work()}.writes(buf, 0, 4096));
-  clean.add_kernel(1, KernelLaunch{"w1", work()}.writes(buf, 0, 4096), {w0});
-  EXPECT_NO_THROW((void)clean.compile(ctx, analyze));
-}
-
 // ---------------------------------------------------------------------------
 // Stream capture.
 // ---------------------------------------------------------------------------

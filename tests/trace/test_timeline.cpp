@@ -128,7 +128,6 @@ TEST(Timeline, SpanKindNames) {
   EXPECT_STREQ(to_string(SpanKind::H2D), "H2D");
   EXPECT_STREQ(to_string(SpanKind::D2H), "D2H");
   EXPECT_STREQ(to_string(SpanKind::Kernel), "EXE");
-  EXPECT_STREQ(to_string(SpanKind::Alloc), "ALLOC");
   EXPECT_STREQ(to_string(SpanKind::Sync), "SYNC");
 }
 

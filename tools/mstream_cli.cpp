@@ -29,11 +29,6 @@
 //   --metrics FILE                      enable host telemetry; write the snapshot
 //                                       (JSON, or Prometheus text for *.prom/*.txt;
 //                                       '-' = stdout)
-//   --metrics-interval SECS             with --metrics: publish the snapshot every
-//                                       SECS seconds while the run is in flight
-//                                       (*.prom rewritten in place, JSON appended;
-//                                       the file keeps at most the newest 64
-//                                       snapshots)
 //   --serve-obs ADDR                    serve the live observability endpoint
 //                                       (/metrics, /metrics.json, /healthz,
 //                                       /spans, /trace) on ADDR for the whole
@@ -77,7 +72,6 @@
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/obs_server.hpp"
-#include "telemetry/periodic.hpp"
 #include "telemetry/span.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/energy.hpp"
@@ -101,8 +95,7 @@ struct Cli {
   std::string sarif_path;
   std::string dot_path;
   std::string metrics_path;
-  double metrics_interval = 0.0;  // seconds; 0 = single snapshot at exit
-  std::string obs_addr;           // --serve-obs; empty = no endpoint
+  std::string obs_addr;  // --serve-obs; empty = no endpoint
   double h2d_mib = 16.0;
   double d2h_mib = 16.0;
   double gflop = 0.0;
@@ -122,8 +115,8 @@ int usage() {
                "       mstream_cli devices\n"
                "flags: --device {31sp|31sp-x2|7120p} --partitions N --tiles N\n"
                "       --dim N --points N --iters N --baseline --functional\n"
-               "       --trace FILE --metrics FILE --metrics-interval SECS\n"
-               "       --serve-obs ADDR --utilization --energy ('-' = stdout)\n");
+               "       --trace FILE --metrics FILE --serve-obs ADDR\n"
+               "       --utilization --energy ('-' = stdout)\n");
   return 2;
 }
 
@@ -168,9 +161,6 @@ void calibration_probe() {
 /// gets JSON.
 void write_metrics(const Cli& cli) {
   if (cli.metrics_path.empty()) return;
-  // Periodic publishing owns the file: its final flush (on dumper stop) is
-  // the exit snapshot, and truncating here would clobber the appended stream.
-  if (cli.metrics_interval > 0.0) return;
   const bool prom = wants_prometheus(cli.metrics_path);
   if (with_output(cli.metrics_path,
                   [&](std::ostream& os) { ms::telemetry::write_snapshot(os, prom); }) &&
@@ -216,7 +206,6 @@ bool parse_flags(int argc, char** argv, int first, Cli* cli) {
       {"--dim", &cli->dim},
       {"--points", &cli->points},
       {"--iters", &cli->iters},
-      {"--metrics-interval", &cli->metrics_interval},
       {"--h2d-mib", &cli->h2d_mib},
       {"--d2h-mib", &cli->d2h_mib},
       {"--gflop", &cli->gflop},
@@ -667,15 +656,6 @@ int main(int argc, char** argv) {
                   obs->address().c_str());
       std::fflush(stdout);
     }
-  }
-  if (cli.metrics_interval > 0.0 && cli.metrics_path.empty()) {
-    std::fprintf(stderr, "--metrics-interval needs --metrics FILE; ignoring\n");
-  }
-  // Live publisher: snapshots land while the run is still in flight, and the
-  // destructor's final flush doubles as the exit snapshot.
-  std::optional<ms::telemetry::PeriodicDumper> dumper;
-  if (cli.metrics_interval > 0.0 && !cli.metrics_path.empty()) {
-    dumper.emplace(cli.metrics_path, cli.metrics_interval);
   }
 
   try {
