@@ -4,10 +4,12 @@
 # checks it against the platform cost model (docs/lint.md). Findings fail
 # the leg unless scripts/lint_waivers.txt waives that (workload, rule) pair —
 # waivers are documented true positives, and a stale waiver (one that no
-# longer fires) is reported so the list cannot rot silently.
+# longer fires) is reported so the list cannot rot silently. Each workload
+# also runs under `mstream_cli analyze`, and any hazard (race, deadlock,
+# use-before-write, ...) fails the leg; hazards take no waivers.
 #
-# SARIF 2.1.0 logs for every workload land in <build-dir>/lint-sarif/ as the
-# leg's artifact.
+# SARIF 2.1.0 logs, lint JSON and hazard JSON reports for every workload land
+# in <build-dir>/lint-sarif/ as the leg's artifact.
 #
 #   scripts/ci_lint.sh [build-dir]
 set -euo pipefail
@@ -50,6 +52,15 @@ for entry in "${WORKLOADS[@]}"; do
   read -r -a cmd <<< "${entry#* }"
   sarif="${ARTIFACTS}/${id/:/-}.sarif"
   json="${ARTIFACTS}/${id/:/-}.json"
+  hazards="${ARTIFACTS}/${id/:/-}.hazards.json"
+
+  echo "==> analyze ${id}"
+  rc=0
+  "${CLI}" analyze "${cmd[@]}" --json "${hazards}" >/dev/null || rc=$?
+  if [[ ${rc} -ne 0 ]]; then
+    echo "ci_lint: ${id}: mstream_cli analyze exited ${rc} (see ${hazards})" >&2
+    fail=1
+  fi
 
   echo "==> lint ${id}"
   rc=0
@@ -83,7 +94,7 @@ while read -r id rule _; do
 done < "${WAIVERS}"
 
 if [[ ${fail} -ne 0 ]]; then
-  echo "ci_lint: FAILED (non-waivered findings above; SARIF in ${ARTIFACTS})" >&2
+  echo "ci_lint: FAILED (hazards or non-waivered findings above; reports in ${ARTIFACTS})" >&2
   exit 1
 fi
-echo "ci_lint: OK (SARIF artifacts in ${ARTIFACTS})"
+echo "ci_lint: OK (reports in ${ARTIFACTS})"

@@ -42,27 +42,6 @@ telemetry::Counter& tel_hazards() {
 /// edge in a tiled app can race hundreds of pairs.
 constexpr std::size_t kMaxHazards = 100;
 
-HazardAction describe(const ActionNode& n) {
-  HazardAction a;
-  a.id = n.id;
-  a.stream = n.stream;
-  a.kind = n.kind;
-  a.label = n.label;
-  return a;
-}
-
-std::string action_str(const HazardAction& a) {
-  std::string s = "action #" + std::to_string(a.id & 0xFFFFFFFFFFull) + " '" + a.label + "' (" +
-                  std::string(to_string(a.kind));
-  if (a.stream >= 0) {
-    s += ", stream " + std::to_string(a.stream);
-  } else {
-    s += ", host";
-  }
-  s += ")";
-  return s;
-}
-
 std::string range_str(const rt::MemRange& r) {
   std::string s = "bytes [" + std::to_string(r.offset) + ", ";
   if (r.rows <= 1) {
@@ -144,9 +123,148 @@ std::pair<std::size_t, std::size_t> IntervalSet::first_gap(std::size_t begin,
   return {begin, it == runs_.end() ? end : std::min(end, it->first)};
 }
 
+HazardAction describe(const ActionNode& n) {
+  HazardAction a;
+  a.id = n.id;
+  a.stream = n.stream;
+  a.kind = n.kind;
+  a.label = n.label;
+  return a;
+}
+
+std::string action_str(const HazardAction& a) {
+  std::string s = "action #" + std::to_string(a.id & 0xFFFFFFFFFFull) + " '" + a.label + "' (" +
+                  std::string(to_string(a.kind));
+  if (a.stream >= 0) {
+    s += ", stream " + std::to_string(a.stream);
+  } else {
+    s += ", host";
+  }
+  s += ")";
+  return s;
+}
+
+Order resolve_order(const GraphRecord& record) {
+  const std::vector<ActionNode>& nodes = record.nodes;
+  const std::size_t n = nodes.size();
+  Order o;
+  o.buckets = record.stream_count + 1;
+  o.bucket.resize(n);
+  o.pos.assign(n, 0);
+  o.preds.assign(n, {});
+  {
+    std::vector<std::size_t> last(static_cast<std::size_t>(o.buckets), SIZE_MAX);
+    for (std::size_t i = 0; i < n; ++i) {
+      const int b = nodes[i].stream >= 0 ? nodes[i].stream : record.stream_count;
+      o.bucket[i] = b;
+      const auto bu = static_cast<std::size_t>(b);
+      if (last[bu] != SIZE_MAX) o.preds[i].push_back(last[bu]);
+      o.pos[i] = last[bu] == SIZE_MAX ? 1 : o.pos[last[bu]] + 1;
+      last[bu] = i;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const std::uint64_t dep : nodes[i].deps) {
+      auto it = record.id_to_index.find(dep);
+      if (it == record.id_to_index.end() || it->second == i) continue;
+      o.preds[i].push_back(it->second);
+    }
+  }
+
+  // Kahn; nodes a wait cycle blocks keep a nonzero in-degree.
+  o.indegree.assign(n, 0);
+  std::vector<std::vector<std::size_t>> succs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const std::size_t p : o.preds[i]) {
+      succs[p].push_back(i);
+      ++o.indegree[i];
+      ++o.edges;
+    }
+  }
+  o.topo.reserve(n);
+  std::deque<std::size_t> ready;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (o.indegree[i] == 0) ready.push_back(i);
+  }
+  while (!ready.empty()) {
+    const std::size_t i = ready.front();
+    ready.pop_front();
+    o.topo.push_back(i);
+    for (const std::size_t s : succs[i]) {
+      if (--o.indegree[s] == 0) ready.push_back(s);
+    }
+  }
+  return o;
+}
+
+Clocks::Clocks(const Order& order, std::size_t skip_from, std::size_t skip_to)
+    : order_(&order),
+      vc_(order.preds.size() * static_cast<std::size_t>(order.buckets), 0) {
+  const auto buckets = static_cast<std::size_t>(order.buckets);
+  for (const std::size_t i : order.topo) {
+    std::uint32_t* ci = vc_.data() + i * buckets;
+    const std::vector<std::size_t>& preds = order.preds[i];
+    // The first slot of a non-leading node is its FIFO edge.
+    const std::size_t explicit_from = order.pos[i] > 1 ? 1 : 0;
+    for (std::size_t k = 0; k < preds.size(); ++k) {
+      if (k >= explicit_from && i == skip_to && preds[k] == skip_from) continue;
+      const std::uint32_t* cp = clock(preds[k]);
+      for (std::size_t b = 0; b < buckets; ++b) ci[b] = std::max(ci[b], cp[b]);
+    }
+    ci[order.bucket[i]] = order.pos[i];
+  }
+}
+
+const std::uint32_t* Clocks::clock(std::size_t i) const noexcept {
+  return vc_.data() + i * static_cast<std::size_t>(order_->buckets);
+}
+
+// a happens-before b  <=>  b's clock has reached a's position.
+bool Clocks::ordered(std::size_t a, std::size_t b) const noexcept {
+  return clock(b)[order_->bucket[a]] >= order_->pos[a] ||
+         clock(a)[order_->bucket[b]] >= order_->pos[b];
+}
+
+AccessIndex index_by_location(const GraphRecord& record) {
+  AccessIndex index;
+  for (std::size_t i = 0; i < record.nodes.size(); ++i) {
+    if (record.nodes[i].kind == NodeKind::HostWrite) continue;
+    for (std::size_t a = 0; a < record.nodes[i].accesses.size(); ++a) {
+      const Access& acc = record.nodes[i].accesses[a];
+      index[Coverage::key(acc.buffer.value, acc.space)].push_back({i, a});
+    }
+  }
+  return index;
+}
+
+std::size_t for_each_race(const GraphRecord& record, const AccessIndex& index,
+                          const Clocks& clocks,
+                          const std::function<bool(const AccessRef& x, const AccessRef& y)>& visit) {
+  const std::vector<ActionNode>& nodes = record.nodes;
+  std::size_t tests = 0;
+  for (const auto& [key, entries] : index) {
+    (void)key;
+    for (std::size_t x = 0; x < entries.size(); ++x) {
+      const std::size_t ni = entries[x].node;
+      const Access& ax = nodes[ni].accesses[entries[x].access];
+      for (std::size_t y = x + 1; y < entries.size(); ++y) {
+        ++tests;
+        const std::size_t nj = entries[y].node;
+        if (ni == nj) continue;
+        if (nodes[ni].stream == nodes[nj].stream && nodes[ni].stream >= 0) continue;
+        const Access& ay = nodes[nj].accesses[entries[y].access];
+        if (!rt::access_writes(ax.mode) && !rt::access_writes(ay.mode)) continue;
+        if (!ax.range.overlaps(ay.range)) continue;
+        if (clocks.ordered(ni, nj)) continue;
+        if (!visit(entries[x], entries[y])) return tests;
+      }
+    }
+  }
+  return tests;
+}
+
 Analysis analyze(const GraphRecord& record, Coverage* carry) {
   const telemetry::ScopedSpan tel_span("analyze.segment");
-  std::uint64_t tel_edge_count = 0;
   std::uint64_t tel_pair_tests = 0;
 
   Analysis out;
@@ -154,71 +272,13 @@ Analysis analyze(const GraphRecord& record, Coverage* carry) {
   const std::size_t n = nodes.size();
   out.nodes_analyzed = n;
 
-  // --- resolve ordering edges ---------------------------------------------
-  // Bucket per stream, plus one host bucket for HostSync/Free nodes (the
-  // host is itself sequential). FIFO predecessor + resolved explicit deps.
-  const int host_bucket = record.stream_count;
-  const int buckets = record.stream_count + 1;
-  auto bucket_of = [&](const ActionNode& node) {
-    return node.stream >= 0 ? node.stream : host_bucket;
-  };
-
-  std::vector<std::uint32_t> pos(n, 0);       // 1-based position within bucket
-  std::vector<std::size_t> fifo_pred(n, SIZE_MAX);
-  {
-    std::vector<std::size_t> last(static_cast<std::size_t>(buckets), SIZE_MAX);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto b = static_cast<std::size_t>(bucket_of(nodes[i]));
-      fifo_pred[i] = last[b];
-      pos[i] = last[b] == SIZE_MAX ? 1 : pos[last[b]] + 1;
-      last[b] = i;
-    }
-  }
-
-  std::vector<std::vector<std::size_t>> preds(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (fifo_pred[i] != SIZE_MAX) preds[i].push_back(fifo_pred[i]);
-    for (const std::uint64_t dep : nodes[i].deps) {
-      auto it = record.id_to_index.find(dep);
-      if (it == record.id_to_index.end() || it->second == i) continue;
-      preds[i].push_back(it->second);
-    }
-  }
-
-  // --- topological order (Kahn); failure means a wait cycle ----------------
-  std::vector<std::uint32_t> indegree(n, 0);
-  std::vector<std::vector<std::size_t>> succs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const std::size_t p : preds[i]) {
-      succs[p].push_back(i);
-      ++indegree[i];
-      ++tel_edge_count;
-    }
-  }
-  std::vector<std::size_t> topo;
-  topo.reserve(n);
-  {
-    std::deque<std::size_t> ready;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (indegree[i] == 0) ready.push_back(i);
-    }
-    while (!ready.empty()) {
-      const std::size_t i = ready.front();
-      ready.pop_front();
-      topo.push_back(i);
-      for (const std::size_t s : succs[i]) {
-        if (--indegree[s] == 0) ready.push_back(s);
-      }
-    }
-  }
-
-  const bool cyclic = topo.size() != n;
-  if (cyclic) {
+  const Order order = resolve_order(record);
+  if (order.cyclic()) {
     // Walk predecessors inside the residual graph until a node repeats; the
     // repeated suffix is a wait cycle.
     std::size_t start = SIZE_MAX;
     for (std::size_t i = 0; i < n; ++i) {
-      if (indegree[i] > 0) {
+      if (order.indegree[i] > 0) {
         start = i;
         break;
       }
@@ -230,8 +290,8 @@ Analysis analyze(const GraphRecord& record, Coverage* carry) {
       seen.emplace(cur, path.size());
       path.push_back(cur);
       std::size_t next = SIZE_MAX;
-      for (const std::size_t p : preds[cur]) {
-        if (indegree[p] > 0) {
+      for (const std::size_t p : order.preds[cur]) {
+        if (order.indegree[p] > 0) {
           next = p;
           break;
         }
@@ -254,70 +314,24 @@ Analysis analyze(const GraphRecord& record, Coverage* carry) {
     h.second = h.cycle[1];
     h.message = std::move(msg);
     out.hazards.push_back(std::move(h));
-  }
-
-  // --- vector clocks + race scan (sound only on acyclic graphs) ------------
-  if (!cyclic && n > 0) {
-    std::vector<std::uint32_t> vc(n * static_cast<std::size_t>(buckets), 0);
-    auto clock = [&](std::size_t i) { return vc.data() + i * static_cast<std::size_t>(buckets); };
-    for (const std::size_t i : topo) {
-      std::uint32_t* ci = clock(i);
-      for (const std::size_t p : preds[i]) {
-        const std::uint32_t* cp = clock(p);
-        for (int b = 0; b < buckets; ++b) {
-          ci[b] = std::max(ci[b], cp[static_cast<std::size_t>(b)]);
-        }
-      }
-      ci[bucket_of(nodes[i])] = pos[i];
-    }
-    // a happens-before b  <=>  b's clock has reached a's position.
-    auto ordered = [&](std::size_t a, std::size_t b) {
-      return clock(b)[bucket_of(nodes[a])] >= pos[a] ||
-             clock(a)[bucket_of(nodes[b])] >= pos[b];
-    };
-
-    struct Entry {
-      std::size_t node;
-      std::size_t access;
-    };
-    std::unordered_map<std::uint64_t, std::vector<Entry>> by_location;
-    for (std::size_t i = 0; i < n; ++i) {
-      // HostWrite nodes are linter annotations (Context::host_write), not
-      // recorded memory operations — they carry no ordering guarantees the
-      // race scan could use, so including them would only manufacture
-      // false races against in-flight transfers the host already waited on.
-      if (nodes[i].kind == NodeKind::HostWrite) continue;
-      for (std::size_t a = 0; a < nodes[i].accesses.size(); ++a) {
-        const Access& acc = nodes[i].accesses[a];
-        by_location[Coverage::key(acc.buffer.value, acc.space)].push_back({i, a});
-      }
-    }
-
+  } else if (n > 0) {
+    // The race scan is sound only on acyclic graphs.
     std::unordered_set<std::uint64_t> reported;  // (lo_index << 32) | hi_index
-    for (const auto& [key, entries] : by_location) {
-      (void)key;
-      for (std::size_t x = 0; x < entries.size() && out.hazards.size() < kMaxHazards; ++x) {
-        const Access& ax = nodes[entries[x].node].accesses[entries[x].access];
-        for (std::size_t y = x + 1; y < entries.size(); ++y) {
-          ++tel_pair_tests;
-          const std::size_t ni = entries[x].node;
-          const std::size_t nj = entries[y].node;
-          if (ni == nj) continue;
-          if (nodes[ni].stream == nodes[nj].stream && nodes[ni].stream >= 0) continue;
-          const Access& ay = nodes[nj].accesses[entries[y].access];
-          if (!rt::access_writes(ax.mode) && !rt::access_writes(ay.mode)) continue;
-          if (!ax.range.overlaps(ay.range)) continue;
-          if (ordered(ni, nj)) continue;
+    tel_pair_tests = for_each_race(
+        record, index_by_location(record), Clocks(order),
+        [&](const AccessRef& x, const AccessRef& y) {
+          const std::size_t ni = x.node;
+          const std::size_t nj = y.node;
           const std::uint64_t pair_key =
               (static_cast<std::uint64_t>(std::min(ni, nj)) << 32) | std::max(ni, nj);
-          if (!reported.insert(pair_key).second) continue;
+          if (!reported.insert(pair_key).second) return true;
 
           // Present in enqueue order: `first` was enqueued before `second`.
           const bool x_first = ni < nj;
           const ActionNode& nf = nodes[x_first ? ni : nj];
           const ActionNode& ns = nodes[x_first ? nj : ni];
-          const Access& af = x_first ? ax : ay;
-          const Access& as = x_first ? ay : ax;
+          const Access& af = nf.accesses[(x_first ? x : y).access];
+          const Access& as = ns.accesses[(x_first ? y : x).access];
 
           Hazard h;
           if (rt::access_writes(af.mode) && rt::access_writes(as.mode)) {
@@ -343,10 +357,8 @@ Analysis analyze(const GraphRecord& record, Coverage* carry) {
                       "); missing edge: pass the completion event of " + action_str(h.first) +
                       " into the enqueue of " + action_str(h.second);
           out.hazards.push_back(std::move(h));
-          if (out.hazards.size() >= kMaxHazards) break;
-        }
-      }
-    }
+          return out.hazards.size() < kMaxHazards;
+        });
   }
 
   // --- enqueue-order scans: use-before-write, use-after-free, double-free --
@@ -447,7 +459,7 @@ Analysis analyze(const GraphRecord& record, Coverage* carry) {
 
   tel_segments().add(1);
   tel_nodes().add(n);
-  tel_edges().add(tel_edge_count);
+  tel_edges().add(order.edges);
   tel_overlap_tests().add(tel_pair_tests);
   tel_hazards().add(out.hazards.size());
   return out;

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
-#include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "sim/partition.hpp"
@@ -50,27 +47,6 @@ constexpr sim::SimTime kDuplexMinLink = sim::SimTime::millis(1.0);
 /// verification re-runs a race scan on the edge-deleted graph).
 constexpr std::size_t kFalseDepMaxChecks = 8;
 
-HazardAction describe(const ActionNode& n) {
-  HazardAction a;
-  a.id = n.id;
-  a.stream = n.stream;
-  a.kind = n.kind;
-  a.label = n.label;
-  return a;
-}
-
-std::string action_str(const HazardAction& a) {
-  std::string s = "action #" + std::to_string(a.id & 0xFFFFFFFFFFull) + " '" + a.label + "' (" +
-                  std::string(to_string(a.kind));
-  if (a.stream >= 0) {
-    s += ", stream " + std::to_string(a.stream);
-  } else {
-    s += ", host";
-  }
-  s += ")";
-  return s;
-}
-
 std::string ms_str(sim::SimTime t) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f ms", t.millis());
@@ -92,155 +68,6 @@ std::size_t moved_bytes(const ActionNode& n) {
   if (n.accesses.empty()) return 0;
   const rt::MemRange& r = n.accesses.front().range;
   return r.rows <= 1 ? r.len : static_cast<std::size_t>(r.rows) * r.len;
-}
-
-/// Ordering edges of a segment: same-stream FIFO predecessor plus resolved
-/// explicit deps — identical to the hazard analyzer's resolution.
-struct EdgeSet {
-  int buckets = 1;
-  std::vector<int> bucket;          // per node
-  std::vector<std::uint32_t> pos;   // 1-based position within bucket
-  std::vector<std::vector<std::size_t>> preds;
-  std::vector<std::size_t> topo;    // empty when cyclic
-  bool cyclic = false;
-};
-
-EdgeSet resolve_edges(const GraphRecord& record) {
-  const std::vector<ActionNode>& nodes = record.nodes;
-  const std::size_t n = nodes.size();
-  EdgeSet es;
-  const int host_bucket = record.stream_count;
-  es.buckets = record.stream_count + 1;
-  es.bucket.resize(n);
-  es.pos.assign(n, 0);
-  es.preds.assign(n, {});
-  {
-    std::vector<std::size_t> last(static_cast<std::size_t>(es.buckets), SIZE_MAX);
-    for (std::size_t i = 0; i < n; ++i) {
-      const int b = nodes[i].stream >= 0 ? nodes[i].stream : host_bucket;
-      es.bucket[i] = b;
-      const auto bu = static_cast<std::size_t>(b);
-      if (last[bu] != SIZE_MAX) {
-        es.preds[i].push_back(last[bu]);
-        es.pos[i] = es.pos[last[bu]] + 1;
-      } else {
-        es.pos[i] = 1;
-      }
-      last[bu] = i;
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const std::uint64_t dep : nodes[i].deps) {
-      auto it = record.id_to_index.find(dep);
-      if (it == record.id_to_index.end() || it->second == i) continue;
-      es.preds[i].push_back(it->second);
-    }
-  }
-  // Kahn
-  std::vector<std::uint32_t> indegree(n, 0);
-  std::vector<std::vector<std::size_t>> succs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const std::size_t p : es.preds[i]) {
-      succs[p].push_back(i);
-      ++indegree[i];
-    }
-  }
-  es.topo.reserve(n);
-  std::deque<std::size_t> ready;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) ready.push_back(i);
-  }
-  while (!ready.empty()) {
-    const std::size_t i = ready.front();
-    ready.pop_front();
-    es.topo.push_back(i);
-    for (const std::size_t s : succs[i]) {
-      if (--indegree[s] == 0) ready.push_back(s);
-    }
-  }
-  es.cyclic = es.topo.size() != n;
-  return es;
-}
-
-/// Vector clocks over an edge set; `skip_from`/`skip_to` (SIZE_MAX = none)
-/// delete one explicit edge for the false-dependency what-if.
-struct Clocks {
-  int buckets = 1;
-  const EdgeSet* es = nullptr;
-  std::vector<std::uint32_t> vc;
-
-  Clocks(const EdgeSet& edges, std::size_t skip_from = SIZE_MAX, std::size_t skip_to = SIZE_MAX)
-      : buckets(edges.buckets), es(&edges) {
-    const std::size_t n = edges.preds.size();
-    vc.assign(n * static_cast<std::size_t>(buckets), 0);
-    for (const std::size_t i : edges.topo) {
-      std::uint32_t* ci = clock(i);
-      bool fifo_seen = false;  // first pred slot is the FIFO edge (never skipped)
-      for (const std::size_t p : edges.preds[i]) {
-        const bool is_fifo = !fifo_seen && edges.pos[i] > 1 && edges.bucket[p] == edges.bucket[i] &&
-                             edges.pos[p] + 1 == edges.pos[i];
-        fifo_seen = fifo_seen || is_fifo;
-        if (!is_fifo && i == skip_to && p == skip_from) continue;
-        const std::uint32_t* cp = clock(p);
-        for (int b = 0; b < buckets; ++b) {
-          ci[b] = std::max(ci[b], cp[static_cast<std::size_t>(b)]);
-        }
-      }
-      ci[es->bucket[i]] = es->pos[i];
-    }
-  }
-
-  [[nodiscard]] std::uint32_t* clock(std::size_t i) noexcept {
-    return vc.data() + i * static_cast<std::size_t>(buckets);
-  }
-  [[nodiscard]] const std::uint32_t* clock(std::size_t i) const noexcept {
-    return vc.data() + i * static_cast<std::size_t>(buckets);
-  }
-  [[nodiscard]] bool ordered(std::size_t a, std::size_t b) const noexcept {
-    return clock(b)[es->bucket[a]] >= es->pos[a] || clock(a)[es->bucket[b]] >= es->pos[b];
-  }
-};
-
-struct LocEntry {
-  std::size_t node;
-  std::size_t access;
-};
-using ByLocation = std::unordered_map<std::uint64_t, std::vector<LocEntry>>;
-
-ByLocation index_accesses(const GraphRecord& record) {
-  ByLocation by_location;
-  for (std::size_t i = 0; i < record.nodes.size(); ++i) {
-    if (record.nodes[i].kind == NodeKind::HostWrite) continue;
-    for (std::size_t a = 0; a < record.nodes[i].accesses.size(); ++a) {
-      const Access& acc = record.nodes[i].accesses[a];
-      by_location[Coverage::key(acc.buffer.value, acc.space)].push_back({i, a});
-    }
-  }
-  return by_location;
-}
-
-/// True when any unordered overlapping same-location access pair with a write
-/// exists under `clocks` — the boolean core of the hazard race scan, used to
-/// prove an edge removal safe.
-bool race_exists(const GraphRecord& record, const ByLocation& by_location, const Clocks& clocks) {
-  const std::vector<ActionNode>& nodes = record.nodes;
-  for (const auto& [key, entries] : by_location) {
-    (void)key;
-    for (std::size_t x = 0; x < entries.size(); ++x) {
-      const Access& ax = nodes[entries[x].node].accesses[entries[x].access];
-      for (std::size_t y = x + 1; y < entries.size(); ++y) {
-        const std::size_t ni = entries[x].node;
-        const std::size_t nj = entries[y].node;
-        if (ni == nj) continue;
-        if (nodes[ni].stream == nodes[nj].stream && nodes[ni].stream >= 0) continue;
-        const Access& ay = nodes[nj].accesses[entries[y].access];
-        if (!rt::access_writes(ax.mode) && !rt::access_writes(ay.mode)) continue;
-        if (!ax.range.overlaps(ay.range)) continue;
-        if (!clocks.ordered(ni, nj)) return true;
-      }
-    }
-  }
-  return false;
 }
 
 }  // namespace
@@ -305,8 +132,8 @@ LintReport lint(const GraphRecord& record, const sim::SimConfig& config, LintCar
   if (n == 0) return out;
   tel_lint_segments().add(1);
 
-  const EdgeSet es = resolve_edges(record);
-  if (es.cyclic) {
+  const Order order = resolve_order(record);
+  if (order.cyclic()) {
     // A deadlocked segment never completes: there is no meaningful makespan
     // to bound and "unordered" queries are unsound. The hazard analyzer owns
     // the Deadlock report.
@@ -338,9 +165,9 @@ LintReport lint(const GraphRecord& record, const sim::SimConfig& config, LintCar
   // Earliest completion time: longest duration-weighted path ending at i.
   std::vector<sim::SimTime> ect(n);
   sim::SimTime path_max = sim::SimTime::zero();
-  for (const std::size_t i : es.topo) {
+  for (const std::size_t i : order.topo) {
     sim::SimTime start = sim::SimTime::zero();
-    for (const std::size_t p : es.preds[i]) {
+    for (const std::size_t p : order.preds[i]) {
       start = std::max(start, ect[p]);
     }
     ect[i] = start + dur[i];
@@ -367,7 +194,7 @@ LintReport lint(const GraphRecord& record, const sim::SimConfig& config, LintCar
     out.devices.push_back(d);
   }
 
-  const Clocks clocks(es);
+  const Clocks clocks(order);
 
   // --- rule: split-core-partition -------------------------------------------
   bool any_kernel = false;
@@ -615,7 +442,7 @@ LintReport lint(const GraphRecord& record, const sim::SimConfig& config, LintCar
 
   // --- rule: false-dependency -----------------------------------------------
   if (hazard_count == 0) {
-    const ByLocation by_location = index_accesses(record);
+    const AccessIndex index = index_by_location(record);
     std::size_t checks = 0;
     for (std::size_t j = 0; j < n && checks < kFalseDepMaxChecks; ++j) {
       const ActionNode& nb = nodes[j];
@@ -643,12 +470,17 @@ LintReport lint(const GraphRecord& record, const sim::SimConfig& config, LintCar
         // What-if: delete this one edge and re-run the race scan. Only a
         // removal that leaves the segment provably race-free is reported —
         // the edge may be a transitive carrier for other accesses.
-        const Clocks without(es, i, j);
+        const Clocks without(order, i, j);
         // Still ordered without the edge (host sync, another chain): the
         // edge constrains nothing, so it cannot block overlap either —
         // belt-and-braces deps on already-covered events are not findings.
         if (without.ordered(i, j)) continue;
-        if (race_exists(record, by_location, without)) continue;
+        bool racy = false;
+        for_each_race(record, index, without, [&](const AccessRef&, const AccessRef&) {
+          racy = true;
+          return false;
+        });
+        if (racy) continue;
         LintFinding f;
         f.rule = std::string(rule::kFalseDependency);
         f.severity = LintSeverity::Warning;

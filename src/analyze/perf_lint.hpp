@@ -169,8 +169,8 @@ public:
 
 /// Check a partition shape against the core granularity of the device
 /// (paper Section V / Fig. 9: partition widths that split a 4-thread core
-/// hurt both neighbours). Returns the would-be finding so `Tuner` can
-/// pre-prune candidates with the same verdict the lint rule reports.
+/// hurt both neighbours). Returns the split-core-partition finding the lint
+/// rule reports, or nothing for a core-aligned shape.
 [[nodiscard]] std::vector<LintFinding> check_partition_shape(const sim::CoprocessorSpec& spec,
                                                              int partitions);
 

@@ -22,12 +22,8 @@ telemetry::Counter& tel_recorded() {
 }
 }  // namespace
 
-Recorder::Recorder() : Recorder(std::nullopt) {}
-
-Recorder::Recorder(std::optional<sim::SimConfig> config)
-    : capture_(Capture::current()),
-      lint_capture_(LintCapture::current()),
-      lint_config_(std::move(config)) {
+Recorder::Recorder(const sim::SimConfig& config)
+    : capture_(Capture::current()), lint_capture_(LintCapture::current()), lint_config_(config) {
   graph_.id_base = g_next_serial.fetch_add(1, std::memory_order_relaxed) << 40;
 }
 
@@ -92,8 +88,8 @@ void Recorder::flush(bool may_throw) {
   }
   Analysis analysis = analyze(graph_, &coverage_);
 
-  if (lint_capture_ != nullptr && lint_config_.has_value()) {
-    const LintReport report = lint(graph_, *lint_config_, &lint_carry_, analysis.hazards.size());
+  if (lint_capture_ != nullptr) {
+    const LintReport report = lint(graph_, lint_config_, &lint_carry_, analysis.hazards.size());
     // A flush without a preceding host drain (finalize of a context that was
     // never synchronized) has actions still in flight: its segment has no
     // completed wall span to compare the bound against.
@@ -135,7 +131,7 @@ void Recorder::finalize() noexcept {
   try {
     const std::size_t before = accumulated_.hazards.size();
     flush(/*may_throw=*/false);
-    if (lint_capture_ != nullptr && lint_config_.has_value() && !lint_finalized_) {
+    if (lint_capture_ != nullptr && !lint_finalized_) {
       lint_finalized_ = true;
       lint_capture_->add_findings(finalize_lint(lint_carry_));
     }

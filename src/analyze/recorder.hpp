@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,11 +27,9 @@ namespace ms::analyze {
 /// entirely.
 class Recorder {
 public:
-  /// `config`: the platform the owning context simulates against — required
-  /// for lint transfer floors and partition checks. nullopt (fixture use)
-  /// disables the lint pass.
-  Recorder();
-  explicit Recorder(std::optional<sim::SimConfig> config);
+  /// `config`: the platform the owning context simulates against — the
+  /// linter's transfer floors and partition checks read it.
+  explicit Recorder(const sim::SimConfig& config);
 
   [[nodiscard]] GraphRecord& graph() noexcept { return graph_; }
 
@@ -89,7 +86,7 @@ private:
 
   // Lint state (active only while a LintCapture was installed at creation).
   LintCapture* lint_capture_ = nullptr;
-  std::optional<sim::SimConfig> lint_config_;  ///< nullopt: lint pass disabled
+  sim::SimConfig lint_config_;
   LintCarry lint_carry_;
   sim::SimTime clock_{};
   sim::SimTime flushed_clock_{};

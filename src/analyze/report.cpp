@@ -7,36 +7,17 @@
 #include <set>
 #include <vector>
 
+#include "telemetry/export.hpp"
+
 namespace ms::analyze {
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using telemetry::json_quote;
 
 std::string json_action(const HazardAction& a) {
   std::string s = "{\"id\": " + std::to_string(a.id & 0xFFFFFFFFFFull) +
                   ", \"stream\": " + std::to_string(a.stream) + ", \"kind\": \"" +
-                  std::string(to_string(a.kind)) + "\", \"label\": \"" + json_escape(a.label) +
-                  "\"}";
+                  std::string(to_string(a.kind)) + "\", \"label\": " + json_quote(a.label) + "}";
   return s;
 }
 
@@ -72,8 +53,8 @@ std::string json_report(const Analysis& analysis) {
     first = false;
     out += "    {\"kind\": \"" + std::string(to_string(h.kind)) + "\"";
     if (h.kind != HazardKind::Deadlock) {
-      out += ", \"buffer\": " + std::to_string(h.buffer) + ", \"buffer_name\": \"" +
-             json_escape(h.buffer_name) + "\", \"space\": " +
+      out += ", \"buffer\": " + std::to_string(h.buffer) + ", \"buffer_name\": " +
+             json_quote(h.buffer_name) + ", \"space\": " +
              (h.space == kHostSpace ? std::string("\"host\"") : std::to_string(h.space));
     }
     if (h.first.id != 0 || h.kind == HazardKind::Deadlock) {
@@ -90,7 +71,7 @@ std::string json_report(const Analysis& analysis) {
       }
       out += "]";
     }
-    out += ", \"message\": \"" + json_escape(h.message) + "\"}";
+    out += ", \"message\": " + json_quote(h.message) + "}";
   }
   out += first ? "]\n}\n" : "\n  ]\n}\n";
   return out;
@@ -105,8 +86,8 @@ std::string f3(double v) {
 }
 
 std::string sarif_rule(std::string_view id, std::string_view description) {
-  return "{\"id\": \"" + std::string(id) + "\", \"shortDescription\": {\"text\": \"" +
-         json_escape(std::string(description)) + "\"}}";
+  return "{\"id\": \"" + std::string(id) + "\", \"shortDescription\": {\"text\": " +
+         json_quote(description) + "}}";
 }
 
 /// Common SARIF 2.1.0 scaffolding: one run, one driver, the given rule table
@@ -194,10 +175,10 @@ std::string sarif_report(const Analysis& analysis) {
   results.reserve(analysis.hazards.size());
   for (const Hazard& h : analysis.hazards) {
     std::string row = "{\"ruleId\": \"" + std::string(to_string(h.kind)) +
-                      "\", \"level\": \"error\", \"message\": {\"text\": \"" +
-                      json_escape(h.message) + "\"}, \"properties\": {";
-    row += "\"buffer\": " + std::to_string(h.buffer) + ", \"bufferName\": \"" +
-           json_escape(h.buffer_name) + "\"";
+                      "\", \"level\": \"error\", \"message\": {\"text\": " +
+                      json_quote(h.message) + "}, \"properties\": {";
+    row += "\"buffer\": " + std::to_string(h.buffer) + ", \"bufferName\": " +
+           json_quote(h.buffer_name);
     std::vector<HazardAction> actions;
     if (h.first.id != 0) actions.push_back(h.first);
     if (h.second.id != 0) actions.push_back(h.second);
@@ -218,11 +199,11 @@ std::string sarif_report(const std::vector<LintFinding>& findings) {
   for (const LintFinding& f : findings) {
     std::string row = "{\"ruleId\": \"" + f.rule + "\", \"level\": \"" +
                       std::string(f.severity == LintSeverity::Warning ? "warning" : "note") +
-                      "\", \"message\": {\"text\": \"" + json_escape(f.message) +
-                      "\"}, \"properties\": {";
+                      "\", \"message\": {\"text\": " + json_quote(f.message) +
+                      "}, \"properties\": {";
     row += "\"device\": " + std::to_string(f.device) + ", \"buffer\": " +
-           std::to_string(f.buffer) + ", \"bufferName\": \"" + json_escape(f.buffer_name) +
-           "\", \"fixit\": \"" + json_escape(f.fixit) + "\"";
+           std::to_string(f.buffer) + ", \"bufferName\": " + json_quote(f.buffer_name) +
+           ", \"fixit\": " + json_quote(f.fixit);
     row += ", \"actions\": " + sarif_actions(f.actions) + "}}";
     results.push_back(std::move(row));
   }
@@ -284,9 +265,9 @@ std::string json_report(const LintCapture& capture) {
     first = false;
     out += "    {\"rule\": \"" + f.rule + "\", \"severity\": \"" +
            std::string(to_string(f.severity)) + "\", \"device\": " + std::to_string(f.device) +
-           ", \"buffer\": " + std::to_string(f.buffer) + ", \"buffer_name\": \"" +
-           json_escape(f.buffer_name) + "\", \"message\": \"" + json_escape(f.message) +
-           "\", \"fixit\": \"" + json_escape(f.fixit) + "\", \"actions\": " +
+           ", \"buffer\": " + std::to_string(f.buffer) + ", \"buffer_name\": " +
+           json_quote(f.buffer_name) + ", \"message\": " + json_quote(f.message) +
+           ", \"fixit\": " + json_quote(f.fixit) + ", \"actions\": " +
            sarif_actions(f.actions) + "}";
   }
   out += first ? "]\n}\n" : "\n  ]\n}\n";

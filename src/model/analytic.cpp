@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
+#include "rt/tuner.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/partition.hpp"
 
@@ -88,9 +90,8 @@ int AnalyticModel::best_tiles(const OffloadShape& shape, int partitions,
     throw std::invalid_argument("AnalyticModel::best_tiles: max_multiplier must be >= 1");
   }
   int best = partitions;
-  double best_ms = predict(shape, partitions, partitions).streamed_ms;
-  for (int m = 2; m <= max_multiplier; ++m) {
-    const int t = m * partitions;
+  double best_ms = std::numeric_limits<double>::infinity();
+  for (const int t : rt::Tuner::tile_candidates(partitions, {.max_multiplier = max_multiplier})) {
     const double ms = predict(shape, partitions, t).streamed_ms;
     if (ms < best_ms) {
       best_ms = ms;
@@ -104,15 +105,11 @@ AnalyticModel::Choice AnalyticModel::best_configuration(const OffloadShape& shap
                                                         int max_multiplier) const {
   Choice best;
   best.predicted_ms = 1e300;
-  const int cores = cfg_.device.usable_cores();
-  for (int p = 2; p <= cores; ++p) {
-    if (cores % p != 0) continue;  // the Section V-C2 divisor rule
-    for (int m = 1; m <= max_multiplier; ++m) {
-      const int t = m * p;
-      const double ms = predict(shape, p, t).streamed_ms;
-      if (ms < best.predicted_ms) {
-        best = Choice{p, t, ms};
-      }
+  for (const rt::Tuner::Candidate c :
+       rt::Tuner::pruned_space(cfg_.device, {.max_multiplier = max_multiplier})) {
+    const double ms = predict(shape, c.partitions, c.tiles).streamed_ms;
+    if (ms < best.predicted_ms) {
+      best = Choice{c.partitions, c.tiles, ms};
     }
   }
   return best;

@@ -114,10 +114,8 @@ KnnTuner KnnTuner::train(const sim::SimConfig& cfg, int samples, std::uint32_t s
   // Label samples across the sweep pool: each sample's pruned-space search
   // runs serially inside one worker (its simulations share nothing), and
   // samples are added back in index order, so the trained tuner is
-  // bit-identical to a serial run. The lint pre-prune statically drops
-  // split-core partition shapes before any simulation; the validated search
-  // then hazard-checks every surviving candidate pipeline before trusting
-  // its virtual time as a label.
+  // bit-identical to a serial run. The validated search hazard-checks every
+  // candidate pipeline before trusting its virtual time as a label.
   struct Labeled {
     OffloadShape shape;
     rt::Tuner::Candidate best;
@@ -130,7 +128,7 @@ KnnTuner KnnTuner::train(const sim::SimConfig& cfg, int samples, std::uint32_t s
             [&](rt::Tuner::Candidate c) {
               return simulate_streamed_ms(cfg, shape, c.partitions, c.tiles);
             },
-            {.validate = true, .lint = cfg.device});
+            {.validate = true});
         return Labeled{shape, result.best};
       });
   for (const Labeled& l : labeled) {

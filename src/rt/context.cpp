@@ -82,7 +82,7 @@ telemetry::Histogram& tel_sync_ns() {
 Context::Context(const sim::SimConfig& cfg) : platform_(std::make_unique<sim::Platform>(cfg)) {
   if (telemetry::env_switch("MS_ANALYZE") || analyze::Capture::current() != nullptr ||
       analyze::LintCapture::current() != nullptr) {
-    recorder_ = std::make_unique<analyze::Recorder>(std::optional<sim::SimConfig>(cfg));
+    recorder_ = std::make_unique<analyze::Recorder>(cfg);
   }
   setup(1);
 }

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "analyze/capture.hpp"
-#include "analyze/perf_lint.hpp"
 #include "rt/errors.hpp"
 #include "telemetry/span.hpp"
 
@@ -38,35 +37,6 @@ void tel_search_begin(std::size_t candidates) {
   tel_searches().add(1);
   tel_candidates().add(candidates);
   tel_done().set(0);
-}
-
-telemetry::Counter& tel_lint_pruned() {
-  static telemetry::Counter& c = telemetry::registry().counter(
-      "ms_analyze_lint_pruned_candidates_total",
-      "Tuner candidates statically rejected by the performance linter before simulation");
-  return c;
-}
-
-/// Drop every candidate the static linter rejects against `spec`, counting
-/// them into *pruned. The relative order of survivors is preserved, so the
-/// downstream ranking and tie-breaks match a hand-filtered list.
-std::vector<Tuner::Candidate> lint_prune(const std::vector<Tuner::Candidate>& candidates,
-                                         const sim::CoprocessorSpec& spec, std::size_t* pruned) {
-  std::vector<Tuner::Candidate> kept;
-  kept.reserve(candidates.size());
-  for (const Tuner::Candidate& c : candidates) {
-    if (analyze::check_partition_shape(spec, c.partitions).empty()) {
-      kept.push_back(c);
-    } else {
-      ++*pruned;
-    }
-  }
-  tel_lint_pruned().add(static_cast<std::uint64_t>(*pruned));
-  if (kept.empty()) {
-    throw Error("Tuner::search: the lint pre-prune rejected every candidate "
-                "(no partition count fits the device's core granularity)");
-  }
-  return kept;
 }
 
 }  // namespace
@@ -129,22 +99,18 @@ Tuner::Result Tuner::search(const std::vector<Candidate>& candidates,
   if (!metric) {
     throw std::invalid_argument("Tuner::search: empty metric");
   }
-  Result r;
-  std::vector<Candidate> kept;
-  if (opt.lint) kept = lint_prune(candidates, *opt.lint, &r.pruned);
-  const std::vector<Candidate>& list = opt.lint ? kept : candidates;
 
   const telemetry::ScopedSpan span("rt.tuner.search");
-  tel_search_begin(list.size());
+  tel_search_begin(candidates.size());
   // A validated evaluation installs its own Capture on whichever thread runs
   // it — the thread-local scoping gives per-candidate attribution for free.
-  std::vector<char> hazardous(list.size(), 0);
+  std::vector<char> hazardous(candidates.size(), 0);
   const auto values = sim::parallel_map<double>(
-      list.size(),
+      candidates.size(),
       [&](std::size_t i) {
         std::optional<analyze::Capture> capture;
         if (opt.validate) capture.emplace();
-        const double v = metric(list[i]);
+        const double v = metric(candidates[i]);
         hazardous[i] = capture && !capture->clean() ? 1 : 0;
         tel_done().add(1);
         return v;
@@ -153,8 +119,9 @@ Tuner::Result Tuner::search(const std::vector<Candidate>& candidates,
 
   // Ordered reduction: the winner and tie-breaks follow candidate order, not
   // evaluation order.
+  Result r;
   r.best_metric = std::numeric_limits<double>::max();
-  for (std::size_t i = 0; i < list.size(); ++i) {
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
     ++r.evaluated;
     if (hazardous[i] != 0) {
       ++r.hazardous;
@@ -162,12 +129,12 @@ Tuner::Result Tuner::search(const std::vector<Candidate>& candidates,
     }
     if (values[i] < r.best_metric) {
       r.best_metric = values[i];
-      r.best = list[i];
+      r.best = candidates[i];
     }
   }
   if (opt.validate) {
     tel_hazardous().add(static_cast<std::uint64_t>(r.hazardous));
-    if (r.hazardous == list.size()) {
+    if (r.hazardous == candidates.size()) {
       throw Error("Tuner::search: every candidate configuration reported hazards");
     }
   }

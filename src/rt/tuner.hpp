@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "sim/sim_config.hpp"
@@ -40,12 +39,6 @@ struct SearchOptions {
   /// excluded from the ranking and counted in Result::hazardous. Throws
   /// rt::Error when every candidate is hazardous.
   bool validate = false;
-  /// When set, first pre-prune the candidates with the static performance
-  /// linter: shapes `analyze::check_partition_shape` rejects against this
-  /// spec (split-core partitions, paper Section V) are skipped without ever
-  /// running the metric and counted in Result::pruned. Throws rt::Error when
-  /// the linter rejects every candidate.
-  std::optional<sim::CoprocessorSpec> lint;
 };
 
 class Tuner {
@@ -62,10 +55,6 @@ public:
     /// Candidates whose pipelines the hazard analyzer rejected (only with
     /// SearchOptions::validate; they never become `best`).
     std::size_t hazardous = 0;
-    /// Candidates the static performance linter rejected before any
-    /// simulation ran (only with SearchOptions::lint; they are never
-    /// evaluated, never `best`).
-    std::size_t pruned = 0;
   };
 
   /// H1: the pruned partition-count candidates for `spec` — all divisors of

@@ -21,27 +21,6 @@ void write_escaped(std::ostream& os, const std::string& s) {
   }
 }
 
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 /// Rendered `{key="value"}` selector of a labeled snapshot ("" if unlabeled).
 /// Delegates to the registry's shared renderer so exporters and family
 /// track() names agree byte-for-byte.
@@ -50,6 +29,32 @@ std::string label_selector(const MetricSnapshot& m) {
 }
 
 }  // namespace
+
+std::string json_quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          constexpr const char* hex = "0123456789abcdef";
+          out += "\\u00";
+          out += hex[(c >> 4) & 0xF];
+          out += hex[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
 
 void write_prometheus(std::ostream& os, const Registry::Snapshot& snap) {
   // Snapshots are (name, label)-sorted, so a family's children are adjacent:
@@ -112,7 +117,7 @@ void write_json(std::ostream& os, const Registry::Snapshot& snap) {
     if (!first) os << ',';
     first = false;
     os << "\n    ";
-    write_json_string(os, m.name + label_selector(m));
+    os << json_quote(m.name + label_selector(m));
     os << ": " << m.counter;
   }
   os << "\n  },\n  \"gauges\": {";
@@ -122,7 +127,7 @@ void write_json(std::ostream& os, const Registry::Snapshot& snap) {
     if (!first) os << ',';
     first = false;
     os << "\n    ";
-    write_json_string(os, m.name + label_selector(m));
+    os << json_quote(m.name + label_selector(m));
     os << ": " << m.gauge;
   }
   os << "\n  },\n  \"histograms\": {";
@@ -132,7 +137,7 @@ void write_json(std::ostream& os, const Registry::Snapshot& snap) {
     if (!first) os << ',';
     first = false;
     os << "\n    ";
-    write_json_string(os, m.name + label_selector(m));
+    os << json_quote(m.name + label_selector(m));
     os << ": {\"count\": " << m.histogram.count() << ", \"sum\": " << m.histogram.sum
        << ", \"p50\": " << m.histogram.quantile(0.50) << ", \"p95\": " << m.histogram.quantile(0.95)
        << ", \"p99\": " << m.histogram.quantile(0.99);

@@ -1,10 +1,18 @@
 #pragma once
 
 #include <iosfwd>
+#include <string>
+#include <string_view>
 
 #include "telemetry/metrics.hpp"
 
 namespace ms::telemetry {
+
+/// `s` as a quoted JSON string: escapes `"`, `\`, `\n`, `\r` and `\t`, and
+/// writes every other byte below 0x20 as `\u00XX`. Every JSON writer of the
+/// library (reports, traces, metric snapshots, the live endpoint) quotes its
+/// strings through this one function.
+[[nodiscard]] std::string json_quote(std::string_view s);
 
 /// Write a registry snapshot in the Prometheus text exposition format
 /// (# HELP / # TYPE lines, histograms as cumulative _bucket/_sum/_count

@@ -73,29 +73,6 @@ ParsedAddr parse_addr(const std::string& addr) {
   return out;
 }
 
-void append_json_string(std::string& out, const char* s) {
-  out += '"';
-  for (; s != nullptr && *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 /// Span-ring snapshot as a JSON array, oldest-first per thread.
 std::string render_spans_json() {
   const std::vector<SpanRecord> spans = collect_spans();
@@ -105,7 +82,7 @@ std::string render_spans_json() {
     if (!first) out += ',';
     first = false;
     out += "\n  {\"name\": ";
-    append_json_string(out, s.name);
+    out += json_quote(s.name != nullptr ? s.name : "");
     out += ", \"thread\": " + std::to_string(s.thread);
     out += ", \"start_ns\": " + std::to_string(s.start_ns);
     out += ", \"end_ns\": " + std::to_string(s.end_ns);
@@ -141,7 +118,7 @@ std::string render_trace_json() {
     if (!first) out += ',';
     first = false;
     out += "\n  {\"name\": ";
-    append_json_string(out, s.name);
+    out += json_quote(s.name != nullptr ? s.name : "");
     out += ", \"ph\": \"X\", \"pid\": 0, \"tid\": " + std::to_string(s.thread) + ", \"ts\": ";
     append_us(out, s.start_ns - t0);
     out += ", \"dur\": ";
@@ -155,7 +132,7 @@ std::string render_trace_json() {
     if (!first) out += ',';
     first = false;
     out += "\n  {\"name\": ";
-    append_json_string(out, c.name);
+    out += json_quote(c.name != nullptr ? c.name : "");
     out += ", \"ph\": \"C\", \"pid\": 0, \"ts\": ";
     append_us(out, c.t_ns - t0);
     char buf[40];

@@ -8,34 +8,9 @@
 #include <set>
 #include <string_view>
 
+#include "telemetry/export.hpp"
+
 namespace ms::trace {
-
-namespace {
-
-/// JSON string escaping for the label field (labels are library-generated,
-/// but users may pass arbitrary kernel names).
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
 
 void write_chrome_trace(std::ostream& os, const Timeline& timeline) {
   write_chrome_trace(os, timeline, {});
@@ -62,6 +37,12 @@ void write_chrome_trace(std::ostream& os, const Timeline& timeline,
     os << ns / 1000 << '.' << static_cast<char>('0' + ns / 100 % 10)
        << static_cast<char>('0' + ns / 10 % 10) << static_cast<char>('0' + ns % 10);
   };
+  /// Virtual device microseconds, fixed to 3 decimals like the host track.
+  auto write_sim_us = [&](sim::SimTime t) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.3f", t.micros());
+    os << buf;
+  };
 
   // Name the virtual-device processes so the combined view reads itself.
   std::set<int> devices;
@@ -75,10 +56,13 @@ void write_chrome_trace(std::ostream& os, const Timeline& timeline,
   for (const Span& s : timeline.spans()) {
     sep();
     os << "{\"ph\":\"X\",\"name\":";
-    write_escaped(os, s.label.empty() ? std::string_view(to_string(s.kind)) : s.label);
+    os << telemetry::json_quote(s.label.empty() ? std::string_view(to_string(s.kind)) : s.label);
     os << ",\"cat\":\"" << to_string(s.kind) << "\"";
     os << ",\"pid\":" << s.device << ",\"tid\":" << s.stream;
-    os << ",\"ts\":" << s.start.micros() << ",\"dur\":" << s.duration().micros();
+    os << ",\"ts\":";
+    write_sim_us(s.start);
+    os << ",\"dur\":";
+    write_sim_us(s.duration());
     os << ",\"args\":{\"partition\":" << s.partition << ",\"bytes\":" << s.bytes;
     if (s.replay_id != 0) os << ",\"replay_id\":" << s.replay_id;
     os << "}}";
@@ -108,7 +92,7 @@ void write_chrome_trace(std::ostream& os, const Timeline& timeline,
     for (const telemetry::SpanRecord& r : host_spans) {
       sep();
       os << "{\"ph\":\"X\",\"name\":";
-      write_escaped(os, r.name != nullptr ? std::string_view(r.name) : std::string_view("span"));
+      os << telemetry::json_quote(r.name != nullptr ? r.name : "span");
       os << ",\"cat\":\"host\",\"pid\":" << kHostTracePid << ",\"tid\":" << r.thread
          << ",\"ts\":";
       write_us(r.start_ns - t0);
@@ -120,7 +104,7 @@ void write_chrome_trace(std::ostream& os, const Timeline& timeline,
     for (const telemetry::CounterSample& c : counters) {
       sep();
       os << "{\"ph\":\"C\",\"name\":";
-      write_escaped(os, c.name != nullptr ? std::string_view(c.name) : std::string_view("counter"));
+      os << telemetry::json_quote(c.name != nullptr ? c.name : "counter");
       os << ",\"cat\":\"counter\",\"pid\":" << kHostTracePid << ",\"ts\":";
       write_us(c.t_ns - t0);
       os << ",\"args\":{\"value\":";

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "telemetry/export.hpp"
+
 namespace ms::trace {
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
@@ -62,30 +64,12 @@ void Table::write_csv(std::ostream& os) const {
   for (const auto& row : rows_) csv_line(row);
 }
 
-namespace {
-
-void json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << ch; break;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void Table::write_json(std::ostream& os) const {
   auto json_row = [&](const std::vector<std::string>& cells) {
     os << '[';
     for (std::size_t c = 0; c < cells.size(); ++c) {
       if (c) os << ',';
-      json_string(os, cells[c]);
+      os << telemetry::json_quote(cells[c]);
     }
     os << ']';
   };

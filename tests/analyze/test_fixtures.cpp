@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "analyze/analyzer.hpp"
 #include "analyze/record.hpp"
@@ -168,6 +172,37 @@ TEST(Fixtures, TwoStreamWaitCycleIsDeadlock) {
   EXPECT_TRUE(saw1);
   EXPECT_TRUE(saw2);
   EXPECT_NE(h.message.find("cycle"), std::string::npos);
+}
+
+TEST(Fixtures, RaceReportIsCappedAndSorted) {
+  // 11 writers on stream 0 and 11 on stream 1, all over the same bytes:
+  // 121 unordered cross-stream WAW pairs. The scan visits them in enqueue
+  // order and stops at 100, so the pairs of the last writer on stream 0 and
+  // all but the first of its predecessor's are dropped.
+  GraphRecord g;
+  g.declare_buffer(kBuf, 64);
+  const BufferAccess w{kBuf, AccessMode::Write, MemRange::flat(0, 64)};
+  std::vector<std::uint64_t> left;
+  std::vector<std::uint64_t> right;
+  for (int i = 0; i < 11; ++i) left.push_back(g.add_kernel(0, 0, "left", {w}));
+  for (int i = 0; i < 11; ++i) right.push_back(g.add_kernel(1, 0, "right", {w}));
+
+  const auto a = analyze(g);
+  ASSERT_EQ(a.hazards.size(), 100u);
+  EXPECT_TRUE(std::is_sorted(a.hazards.begin(), a.hazards.end(), [](const auto& x, const auto& y) {
+    return std::tuple(x.second.id, x.first.id, static_cast<int>(x.kind)) <
+           std::tuple(y.second.id, y.first.id, static_cast<int>(y.kind));
+  }));
+  std::size_t from_tenth = 0;
+  for (const auto& h : a.hazards) {
+    EXPECT_EQ(h.kind, HazardKind::RaceWAW);
+    EXPECT_NE(h.first.id, left[10]);
+    if (h.first.id == left[9]) {
+      ++from_tenth;
+      EXPECT_EQ(h.second.id, right[0]);
+    }
+  }
+  EXPECT_EQ(from_tenth, 1u);
 }
 
 TEST(Fixtures, FifoOrdersSameStream) {

@@ -24,7 +24,6 @@
 #include "apps/srad_app.hpp"
 #include "rt/compiled_graph.hpp"
 #include "rt/context.hpp"
-#include "rt/errors.hpp"
 #include "rt/graph.hpp"
 #include "rt/tuner.hpp"
 #include "sim/sim_config.hpp"
@@ -267,34 +266,11 @@ TEST(LintReplay, RedundantUploadIsReported) {
 
 // --- Tuner exposure ----------------------------------------------------------
 
-TEST(LintTuner, PrunesSplitCoreCandidates) {
-  using ms::rt::Tuner;
-  const std::vector<Tuner::Candidate> candidates = {{2, 8}, {5, 5}, {3, 3}, {56, 56}};
-  const auto metric = [](Tuner::Candidate c) {
-    return static_cast<double>(c.partitions + c.tiles);
-  };
-  const Tuner::Result r =
-      Tuner::search(candidates, metric, {.validate = true, .lint = cfg().device});
-  EXPECT_EQ(r.pruned, 2u);     // P=5 and P=3 split cores on 56
-  EXPECT_EQ(r.evaluated, 2u);  // only the aligned shapes ran
-  EXPECT_EQ(r.best.partitions, 2);
-  EXPECT_EQ(r.best.tiles, 8);
-}
-
-TEST(LintTuner, AllPrunedThrows) {
-  using ms::rt::Tuner;
-  const std::vector<Tuner::Candidate> candidates = {{3, 3}, {5, 5}};
-  const auto metric = [](Tuner::Candidate) { return 1.0; };
-  EXPECT_THROW((void)Tuner::search(candidates, metric, {.validate = true, .lint = cfg().device}),
-               ms::rt::Error);
-}
-
 TEST(LintTuner, SpeclessOverloadStillEvaluatesEverything) {
   using ms::rt::Tuner;
   const std::vector<Tuner::Candidate> candidates = {{3, 3}, {2, 2}};
   const auto metric = [](Tuner::Candidate c) { return static_cast<double>(c.partitions); };
   const Tuner::Result r = Tuner::search(candidates, metric, {.validate = true});
-  EXPECT_EQ(r.pruned, 0u);
   EXPECT_EQ(r.evaluated, 2u);
   EXPECT_EQ(r.best.partitions, 2);
 }

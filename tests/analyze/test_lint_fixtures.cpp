@@ -74,6 +74,20 @@ TEST(LintBound, HandComputedChain) {
   EXPECT_EQ(r.bound, r.devices[0].path);  // path dominates the link here
 }
 
+TEST(LintBound, WaitCycleIsCyclicWithNoFindings) {
+  // The wait cycle of Fixtures.TwoStreamWaitCycleIsDeadlock: the linter
+  // shares the hazard analyzer's order, sees the cycle, and bounds nothing.
+  GraphRecord g;
+  g.declare_buffer(kA, 64);
+  const auto left = g.add_kernel(0, 0, "left", {}, {2});
+  g.add_kernel(1, 0, "right", {}, {left});
+
+  const LintReport r = lint(g, config());
+  EXPECT_TRUE(r.cyclic);
+  EXPECT_TRUE(r.findings.empty());
+  EXPECT_EQ(r.bound, SimTime::zero());
+}
+
 TEST(LintBound, SerializedLinkDominatesParallelStreams) {
   // Two streams move 1 MiB each way with no ordering: the DAG paths are one
   // transfer long, but the half-duplex engine must still run all four

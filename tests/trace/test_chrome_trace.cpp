@@ -43,6 +43,18 @@ TEST(ChromeTrace, EmitsCompleteEvents) {
   EXPECT_NE(s.find("\"bytes\":1024"), std::string::npos);
 }
 
+TEST(ChromeTrace, DeviceTimesKeepSubMicrosecondPrecision) {
+  // Long runs put device spans past 10^6 us, where the stream default of 6
+  // significant digits would print 3.21995e+06.
+  Timeline t;
+  t.record(make(SpanKind::Kernel, 3219950.125, 3219973.75, 0, 0, "k"));
+  std::ostringstream os;
+  write_chrome_trace(os, t);
+  const std::string s = os.str();
+  EXPECT_NE(s.find("\"ts\":3219950.125,\"dur\":23.625"), std::string::npos) << s;
+  EXPECT_EQ(s.find("e+"), std::string::npos) << s;
+}
+
 TEST(ChromeTrace, UnlabelledSpansUseKindName) {
   Timeline t;
   t.record(make(SpanKind::Kernel, 0, 10, 0, 0, ""));

@@ -37,6 +37,15 @@ TEST(Table, RowCountAndValidation) {
   EXPECT_THROW(Table({}), std::invalid_argument);
 }
 
+TEST(Table, JsonEscapesControlBytes) {
+  Table t({"a"});
+  t.add_row({"x\x01y"});
+  std::ostringstream os;
+  t.write_json(os);
+  EXPECT_NE(os.str().find("\"x\\u0001y\""), std::string::npos) << os.str();
+  EXPECT_EQ(os.str().find('\x01'), std::string::npos);
+}
+
 TEST(Table, NumFormatsPrecision) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(3.0, 0), "3");
