@@ -11,24 +11,15 @@
 #include <vector>
 
 #include "apps/hbench.hpp"
-#include "apps/kmeans_app.hpp"
-#include "apps/mm_app.hpp"
+#include "apps/registry.hpp"
 #include "rt/context.hpp"
 #include "bench_common.hpp"
 #include "trace/report.hpp"
 
 namespace {
 
+using ms::apps::timing_common;
 using ms::trace::Table;
-
-ms::apps::CommonConfig sweep_common(int partitions) {
-  ms::apps::CommonConfig c;
-  c.partitions = partitions;
-  c.functional = false;
-  c.tracing = false;
-  c.protocol_iterations = 1;
-  return c;
-}
 
 }  // namespace
 
@@ -55,14 +46,12 @@ int main(int argc, char** argv) {
   {
     auto no_penalty = base;
     no_penalty.efficiency.split_core_penalty = 0.0;
+    const auto& mm = *ms::apps::find_app("mm");
     Table t({"P", "with penalty [GFLOPS]", "penalty off [GFLOPS]"});
     for (const int p : {13, 14, 15, 27, 28, 29}) {
-      ms::apps::MmConfig mc;
-      mc.common = sweep_common(p);
-      mc.dim = 6000;
-      mc.tile_grid = 12;
-      t.add_row({std::to_string(p), Table::num(ms::apps::MmApp::run(base, mc).gflops, 1),
-                 Table::num(ms::apps::MmApp::run(no_penalty, mc).gflops, 1)});
+      t.add_row({std::to_string(p),
+                 Table::num(mm.run(base, timing_common(p), {144, 6000}).gflops, 1),
+                 Table::num(mm.run(no_penalty, timing_common(p), {144, 6000}).gflops, 1)});
     }
     ms::bench::emit(t, "ablation_d2_splitcore",
                     "D2 — divisor-set peaks (14, 28) vanish without the split-core penalty",
@@ -90,16 +79,13 @@ int main(int argc, char** argv) {
   {
     auto no_alloc = base;
     no_alloc.overhead.alloc_per_thread = ms::sim::SimTime::zero();
+    const auto& kmeans = *ms::apps::find_app("kmeans");
     Table t({"P", "with alloc cost [s]", "alloc cost off [s]"});
     for (const int p : {1, 4, 14, 56}) {
-      ms::apps::KmeansConfig kc;
-      kc.common = sweep_common(p);
-      kc.points = 1120000;
-      kc.tiles = 56;
-      kc.iterations = 100;
       t.add_row({std::to_string(p),
-                 Table::num(ms::apps::KmeansApp::run(base, kc).ms / 1e3, 3),
-                 Table::num(ms::apps::KmeansApp::run(no_alloc, kc).ms / 1e3, 3)});
+                 Table::num(kmeans.run(base, timing_common(p), {56, 1120000, 100}).ms / 1e3, 3),
+                 Table::num(kmeans.run(no_alloc, timing_common(p), {56, 1120000, 100}).ms / 1e3,
+                            3)});
     }
     ms::bench::emit(t, "ablation_d4_alloc",
                     "D4 — Kmeans' decline over P disappears without per-thread alloc cost",

@@ -135,6 +135,28 @@ void emit(const trace::Table& table, const std::string& name, const std::string&
   }
 }
 
+std::string unit(Metric metric) {
+  switch (metric) {
+    case Metric::Gflops: return "GFLOPS";
+    case Metric::Seconds: return "s";
+    case Metric::Millis: return "ms";
+  }
+  return {};
+}
+
+std::string column(Metric metric) {
+  return metric == Metric::Gflops ? unit(metric) : "time [" + unit(metric) + "]";
+}
+
+double value(Metric metric, const apps::AppResult& r) {
+  switch (metric) {
+    case Metric::Gflops: return r.gflops;
+    case Metric::Seconds: return r.ms / 1e3;
+    case Metric::Millis: return r.ms;
+  }
+  return 0.0;
+}
+
 std::string improvement_cell(double baseline, double streamed) {
   if (!(baseline > 0.0) || !std::isfinite(baseline) || !std::isfinite(streamed)) return "n/a";
   return trace::Table::num((baseline - streamed) / baseline * 100.0, 1) + "%";

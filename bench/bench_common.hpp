@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 
+#include "apps/app_common.hpp"
 #include "trace/report.hpp"
 
 namespace ms::bench {
@@ -34,6 +36,18 @@ Options parse(int argc, char** argv);
 /// Print a table under a heading and optionally persist it as CSV.
 void emit(const trace::Table& table, const std::string& name, const std::string& heading,
           const Options& opt);
+
+/// What a figure panel reports for each app run.
+enum class Metric : std::uint8_t { Gflops, Seconds, Millis };
+
+/// The metric's unit: "GFLOPS", "s" or "ms".
+[[nodiscard]] std::string unit(Metric metric);
+
+/// Column title of a sweep table: "GFLOPS", "time [s]" or "time [ms]".
+[[nodiscard]] std::string column(Metric metric);
+
+/// The metric's value for one run: GFLOPS, or virtual time in s or ms.
+[[nodiscard]] double value(Metric metric, const apps::AppResult& r);
 
 /// Shorthand for a percentage-improvement cell: (base - streamed) / base.
 [[nodiscard]] std::string improvement_cell(double baseline, double streamed);

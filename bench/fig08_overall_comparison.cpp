@@ -7,34 +7,54 @@
 // buffers). Paper headline: average improvements MM +8.3%, CF +24.1%,
 // Kmeans +24.1%, NN +9.2%; Hotspot unchanged; SRAD loses small / wins large.
 
-#include <algorithm>
+#include <initializer_list>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "apps/cf_app.hpp"
-#include "apps/hotspot_app.hpp"
-#include "apps/kmeans_app.hpp"
-#include "apps/mm_app.hpp"
-#include "apps/nn_app.hpp"
-#include "apps/srad_app.hpp"
+#include "apps/registry.hpp"
 #include "bench_common.hpp"
 #include "trace/report.hpp"
 
 namespace {
 
+using ms::bench::Metric;
 using ms::bench::improvement_cell;
 using ms::trace::Table;
 
-ms::apps::CommonConfig sweep_common(int partitions, bool streamed = true) {
-  ms::apps::CommonConfig c;
-  c.partitions = partitions;
-  c.streamed = streamed;
-  c.functional = false;
-  c.tracing = false;
-  c.protocol_iterations = 1;
-  return c;
+struct PT {
+  int partitions;
+  int tiles;
+};
+
+/// One Fig. 8 panel: the app's non-streamed baseline against its best
+/// streamed (P, T) candidate over a dataset sweep.
+struct Panel {
+  std::string name;
+  std::string app;
+  std::string heading;
+  std::vector<std::size_t> sizes;
+  std::vector<std::size_t> quick_sizes;
+  std::vector<PT> candidates;
+  Metric metric;
+  int decimals;
+  std::string (*label)(std::size_t size);
+  bool mean_gain;  ///< print the mean improvement and carry it to the summary
+};
+
+/// Every (P, T) pair with P from `ps` and T = g*g for g from `edges`.
+std::vector<PT> grid(std::initializer_list<int> ps, std::initializer_list<int> edges) {
+  std::vector<PT> out;
+  for (const int p : ps) {
+    for (const int g : edges) out.push_back(PT{p, g * g});
+  }
+  return out;
 }
+
+std::string squared(std::size_t d) { return std::to_string(d) + "^2"; }
+std::string thousands(std::size_t n) { return std::to_string(n / 1000) + "K"; }
+std::string kibi(std::size_t n) { return std::to_string(n / 1024) + "k"; }
 
 double mean(const std::vector<double>& v) {
   double s = 0.0;
@@ -42,224 +62,66 @@ double mean(const std::vector<double>& v) {
   return v.empty() ? 0.0 : s / static_cast<double>(v.size());
 }
 
-/// Best streamed time over a candidate list (the paper's enumeration).
-template <typename Runner, typename Candidate>
-double best_streamed_ms(Runner&& run, const std::vector<Candidate>& candidates) {
-  double best = 1e300;
-  for (const Candidate& c : candidates) best = std::min(best, run(c));
-  return best;
-}
-
-struct PT {
-  int partitions;
-  int tiles;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto opt = ms::bench::parse(argc, argv);
   const auto cfg = ms::sim::SimConfig::phi_31sp();
+  constexpr std::size_t k = 1024;
+
+  const std::vector<Panel> panels{
+      // MM: GFLOPS over D in 2000..12000.
+      {"fig08a_mm", "mm", "Fig. 8(a) MM — paper mean improvement +8.3%",
+       {2000, 4000, 6000, 8000, 10000, 12000}, {6000}, grid({2, 4, 8}, {2, 4, 8, 10}),
+       Metric::Gflops, 1, squared, true},
+      // CF: GFLOPS over D in 7200..19200.
+      {"fig08b_cf", "cf", "Fig. 8(b) CF — paper mean improvement +24.1%",
+       {7200, 9600, 12000, 14400, 16800, 19200}, {9600}, grid({4, 8}, {6, 8, 10, 12, 16}),
+       Metric::Gflops, 1, squared, true},
+      // Kmeans: execution time over point counts.
+      {"fig08c_kmeans", "kmeans", "Fig. 8(c) Kmeans — paper mean improvement +24.1%",
+       {140000, 280000, 560000, 1120000, 2240000}, {1120000},
+       {{14, 28}, {28, 28}, {28, 56}, {56, 56}, {56, 112}}, Metric::Seconds, 3, thousands, true},
+      // Hotspot: execution time over grid sizes.
+      {"fig08d_hotspot", "hotspot", "Fig. 8(d) Hotspot — paper: no performance change",
+       {1024, 2048, 4096, 8192, 16384}, {4096}, {{4, 4}, {4, 16}, {34, 64}}, Metric::Seconds, 3,
+       squared, false},
+      // NN: execution time over record counts.
+      {"fig08e_nn", "nn", "Fig. 8(e) NN — paper mean improvement +9.2%",
+       {128 * k, 256 * k, 512 * k, 1024 * k, 2048 * k}, {1024 * k},
+       {{2, 2}, {4, 4}, {4, 8}, {4, 16}, {8, 32}}, Metric::Millis, 2, kibi, true},
+      // SRAD: execution time over image sizes.
+      {"fig08f_srad", "srad", "Fig. 8(f) SRAD — paper: slower on small, faster on large datasets",
+       {1000, 2000, 4000, 5000, 10000}, {10000}, {{2, 4}, {4, 4}, {4, 16}, {4, 100}, {4, 400}},
+       Metric::Seconds, 3, squared, false},
+  };
+
   std::vector<double> gains;
-
-  // --- (a) Matrix Multiplication: GFLOPS over D in 2000..12000 ------------
-  {
-    Table t({"dataset", "w/o [GFLOPS]", "w/ [GFLOPS]", "improvement"});
+  for (const Panel& panel : panels) {
+    const ms::apps::AppEntry& app = *ms::apps::find_app(panel.app);
+    const std::string unit = " [" + ms::bench::unit(panel.metric) + "]";
+    Table t({"dataset", "w/o" + unit, "w/" + unit, "improvement"});
     std::vector<double> g;
-    const std::vector<std::size_t> dims =
-        opt.quick ? std::vector<std::size_t>{6000}
-                  : std::vector<std::size_t>{2000, 4000, 6000, 8000, 10000, 12000};
-    for (const std::size_t d : dims) {
-      std::vector<PT> cand;
-      for (const int p : {2, 4, 8}) {
-        for (const int grid : {2, 4, 8, 10}) {
-          if (d % static_cast<std::size_t>(grid) == 0) cand.push_back(PT{p, grid});
-        }
+    for (const std::size_t size : opt.quick ? panel.quick_sizes : panel.sizes) {
+      // The streamed bar is the best candidate (the paper's enumeration).
+      ms::apps::AppResult best;
+      best.ms = 1e300;
+      for (const PT c : panel.candidates) {
+        auto r = app.run(cfg, ms::apps::timing_common(c.partitions), {c.tiles, size});
+        if (r.ms < best.ms) best = std::move(r);
       }
-      const double streamed_ms = best_streamed_ms(
-          [&](PT c) {
-            ms::apps::MmConfig mc;
-            mc.common = sweep_common(c.partitions);
-            mc.dim = d;
-            mc.tile_grid = c.tiles;
-            return ms::apps::MmApp::run(cfg, mc).ms;
-          },
-          cand);
-      ms::apps::MmConfig mc;
-      mc.common = sweep_common(4, false);
-      mc.dim = d;
-      const auto baseline = ms::apps::MmApp::run(cfg, mc);
-      const double flops = ms::apps::MmApp::total_flops(d);
-      t.add_row({std::to_string(d) + "^2", Table::num(baseline.gflops, 1),
-                 Table::num(ms::trace::gflops(flops, streamed_ms), 1),
-                 improvement_cell(baseline.ms, streamed_ms)});
-      g.push_back((baseline.ms - streamed_ms) / baseline.ms * 100.0);
+      const auto baseline = app.run(cfg, ms::apps::timing_common(4, false), {1, size});
+      t.add_row({panel.label(size),
+                 Table::num(ms::bench::value(panel.metric, baseline), panel.decimals),
+                 Table::num(ms::bench::value(panel.metric, best), panel.decimals),
+                 improvement_cell(baseline.ms, best.ms)});
+      g.push_back((baseline.ms - best.ms) / baseline.ms * 100.0);
     }
-    ms::bench::emit(t, "fig08a_mm", "Fig. 8(a) MM — paper mean improvement +8.3%", opt);
-    std::cout << "measured mean improvement: " << Table::num(mean(g), 1) << "%\n";
-    gains.push_back(mean(g));
-  }
-
-  // --- (b) Cholesky Factorization: GFLOPS over D in 7200..19200 -----------
-  {
-    Table t({"dataset", "w/o [GFLOPS]", "w/ [GFLOPS]", "improvement"});
-    std::vector<double> g;
-    const std::vector<std::size_t> dims =
-        opt.quick ? std::vector<std::size_t>{9600}
-                  : std::vector<std::size_t>{7200, 9600, 12000, 14400, 16800, 19200};
-    for (const std::size_t d : dims) {
-      std::vector<PT> cand;
-      for (const int p : {4, 8}) {
-        for (const int grid : {6, 8, 10, 12, 16}) {
-          if (d % static_cast<std::size_t>(grid) == 0) cand.push_back(PT{p, grid});
-        }
-      }
-      const double streamed_ms = best_streamed_ms(
-          [&](PT c) {
-            ms::apps::CfConfig cc;
-            cc.common = sweep_common(c.partitions);
-            cc.dim = d;
-            cc.tile = d / static_cast<std::size_t>(c.tiles);
-            return ms::apps::CfApp::run(cfg, cc).ms;
-          },
-          cand);
-      ms::apps::CfConfig cc;
-      cc.common = sweep_common(4, false);
-      cc.dim = d;
-      const auto baseline = ms::apps::CfApp::run(cfg, cc);
-      const double flops = ms::apps::CfApp::total_flops(d);
-      t.add_row({std::to_string(d) + "^2", Table::num(baseline.gflops, 1),
-                 Table::num(ms::trace::gflops(flops, streamed_ms), 1),
-                 improvement_cell(baseline.ms, streamed_ms)});
-      g.push_back((baseline.ms - streamed_ms) / baseline.ms * 100.0);
+    ms::bench::emit(t, panel.name, panel.heading, opt);
+    if (panel.mean_gain) {
+      std::cout << "measured mean improvement: " << Table::num(mean(g), 1) << "%\n";
+      gains.push_back(mean(g));
     }
-    ms::bench::emit(t, "fig08b_cf", "Fig. 8(b) CF — paper mean improvement +24.1%", opt);
-    std::cout << "measured mean improvement: " << Table::num(mean(g), 1) << "%\n";
-    gains.push_back(mean(g));
-  }
-
-  // --- (c) Kmeans: execution time over point counts ----------------------
-  {
-    Table t({"dataset", "w/o [s]", "w/ [s]", "improvement"});
-    std::vector<double> g;
-    const std::vector<std::size_t> pts =
-        opt.quick ? std::vector<std::size_t>{1120000}
-                  : std::vector<std::size_t>{140000, 280000, 560000, 1120000, 2240000};
-    for (const std::size_t n : pts) {
-      const std::vector<PT> cand{{14, 28}, {28, 28}, {28, 56}, {56, 56}, {56, 112}};
-      const double streamed_ms = best_streamed_ms(
-          [&](PT c) {
-            ms::apps::KmeansConfig kc;
-            kc.common = sweep_common(c.partitions);
-            kc.points = n;
-            kc.tiles = c.tiles;
-            kc.iterations = 100;
-            return ms::apps::KmeansApp::run(cfg, kc).ms;
-          },
-          cand);
-      ms::apps::KmeansConfig kc;
-      kc.common = sweep_common(4, false);
-      kc.points = n;
-      kc.iterations = 100;
-      const auto baseline = ms::apps::KmeansApp::run(cfg, kc);
-      t.add_row({std::to_string(n / 1000) + "K", Table::num(baseline.ms / 1e3, 3),
-                 Table::num(streamed_ms / 1e3, 3), improvement_cell(baseline.ms, streamed_ms)});
-      g.push_back((baseline.ms - streamed_ms) / baseline.ms * 100.0);
-    }
-    ms::bench::emit(t, "fig08c_kmeans", "Fig. 8(c) Kmeans — paper mean improvement +24.1%", opt);
-    std::cout << "measured mean improvement: " << Table::num(mean(g), 1) << "%\n";
-    gains.push_back(mean(g));
-  }
-
-  // --- (d) Hotspot: execution time over grid sizes ------------------------
-  {
-    Table t({"dataset", "w/o [s]", "w/ [s]", "improvement"});
-    const std::vector<std::size_t> dims =
-        opt.quick ? std::vector<std::size_t>{4096}
-                  : std::vector<std::size_t>{1024, 2048, 4096, 8192, 16384};
-    for (const std::size_t d : dims) {
-      const std::vector<PT> cand{{4, 2}, {4, 4}, {34, 8}};  // tiles = grid edge
-      const double streamed_ms = best_streamed_ms(
-          [&](PT c) {
-            ms::apps::HotspotConfig hc;
-            hc.common = sweep_common(c.partitions);
-            hc.rows = hc.cols = d;
-            hc.tile_rows = hc.tile_cols = d / static_cast<std::size_t>(c.tiles);
-            hc.steps = 50;
-            return ms::apps::HotspotApp::run(cfg, hc).ms;
-          },
-          cand);
-      ms::apps::HotspotConfig hc;
-      hc.common = sweep_common(4, false);
-      hc.rows = hc.cols = d;
-      hc.steps = 50;
-      const auto baseline = ms::apps::HotspotApp::run(cfg, hc);
-      t.add_row({std::to_string(d) + "^2", Table::num(baseline.ms / 1e3, 3),
-                 Table::num(streamed_ms / 1e3, 3), improvement_cell(baseline.ms, streamed_ms)});
-    }
-    ms::bench::emit(t, "fig08d_hotspot", "Fig. 8(d) Hotspot — paper: no performance change", opt);
-  }
-
-  // --- (e) NN: execution time over record counts --------------------------
-  {
-    Table t({"dataset", "w/o [ms]", "w/ [ms]", "improvement"});
-    std::vector<double> g;
-    const std::vector<std::size_t> recs =
-        opt.quick ? std::vector<std::size_t>{1024 * 1024}
-                  : std::vector<std::size_t>{128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024,
-                                             2048 * 1024};
-    for (const std::size_t n : recs) {
-      const std::vector<PT> cand{{2, 2}, {4, 4}, {4, 8}, {4, 16}, {8, 32}};
-      const double streamed_ms = best_streamed_ms(
-          [&](PT c) {
-            ms::apps::NnConfig nc;
-            nc.common = sweep_common(c.partitions);
-            nc.records = n;
-            nc.tiles = c.tiles;
-            return ms::apps::NnApp::run(cfg, nc).ms;
-          },
-          cand);
-      ms::apps::NnConfig nc;
-      nc.common = sweep_common(4, false);
-      nc.records = n;
-      const auto baseline = ms::apps::NnApp::run(cfg, nc);
-      t.add_row({std::to_string(n / 1024) + "k", Table::num(baseline.ms, 2),
-                 Table::num(streamed_ms, 2), improvement_cell(baseline.ms, streamed_ms)});
-      g.push_back((baseline.ms - streamed_ms) / baseline.ms * 100.0);
-    }
-    ms::bench::emit(t, "fig08e_nn", "Fig. 8(e) NN — paper mean improvement +9.2%", opt);
-    std::cout << "measured mean improvement: " << Table::num(mean(g), 1) << "%\n";
-    gains.push_back(mean(g));
-  }
-
-  // --- (f) SRAD: execution time over image sizes ---------------------------
-  {
-    Table t({"dataset", "w/o [s]", "w/ [s]", "improvement"});
-    const std::vector<std::size_t> dims =
-        opt.quick ? std::vector<std::size_t>{10000}
-                  : std::vector<std::size_t>{1000, 2000, 4000, 5000, 10000};
-    for (const std::size_t d : dims) {
-      const std::vector<PT> cand{{2, 2}, {4, 2}, {4, 4}, {4, 10}, {4, 20}};
-      const double streamed_ms = best_streamed_ms(
-          [&](PT c) {
-            ms::apps::SradConfig sc;
-            sc.common = sweep_common(c.partitions);
-            sc.rows = sc.cols = d;
-            sc.tile_rows = sc.tile_cols = d / static_cast<std::size_t>(c.tiles);
-            sc.iterations = 100;
-            return ms::apps::SradApp::run(cfg, sc).ms;
-          },
-          cand);
-      ms::apps::SradConfig sc;
-      sc.common = sweep_common(4, false);
-      sc.rows = sc.cols = d;
-      sc.iterations = 100;
-      const auto baseline = ms::apps::SradApp::run(cfg, sc);
-      t.add_row({std::to_string(d) + "^2", Table::num(baseline.ms / 1e3, 3),
-                 Table::num(streamed_ms / 1e3, 3), improvement_cell(baseline.ms, streamed_ms)});
-    }
-    ms::bench::emit(t, "fig08f_srad",
-                    "Fig. 8(f) SRAD — paper: slower on small, faster on large datasets", opt);
   }
 
   std::cout << "\nsummary — mean improvements (paper: MM 8.3, CF 24.1, Kmeans 24.1, NN 9.2):\n"

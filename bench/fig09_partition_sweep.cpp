@@ -11,59 +11,32 @@
 #include <string>
 #include <vector>
 
-#include "apps/cf_app.hpp"
-#include "apps/hotspot_app.hpp"
-#include "apps/kmeans_app.hpp"
-#include "apps/mm_app.hpp"
-#include "apps/nn_app.hpp"
-#include "apps/srad_app.hpp"
+#include "apps/registry.hpp"
 #include "bench_common.hpp"
 #include "sim/sweep.hpp"
 #include "trace/report.hpp"
 
 namespace {
 
+using ms::bench::Metric;
 using ms::trace::AsciiChart;
 using ms::trace::Table;
 
-ms::apps::CommonConfig sweep_common(int partitions) {
-  ms::apps::CommonConfig c;
-  c.partitions = partitions;
-  c.functional = false;
-  c.tracing = false;
-  c.protocol_iterations = 1;
-  return c;
-}
+/// One Fig. 9 panel: the app at its caption's (T, size, iters), swept over P.
+struct Panel {
+  std::string name;
+  std::string app;
+  std::string heading;
+  ms::apps::AppPoint point;
+  Metric metric;
+  int decimals;
+};
 
 std::vector<int> sweep_points(bool quick) {
   if (quick) return {1, 4, 8, 14, 28, 33, 56};
   std::vector<int> p;
   for (int i = 1; i <= 56; ++i) p.push_back(i);
   return p;
-}
-
-/// Run one simulated point per partition count across the sweep pool. Each
-/// point builds its own Context, so points are independent; parallel_map's
-/// by-index result ordering keeps every virtual-time number identical to
-/// the former serial loop.
-template <typename Fn>
-std::vector<double> sweep(const std::vector<int>& ps, Fn&& point) {
-  return ms::sim::parallel_map<double>(ps.size(),
-                                       [&](std::size_t i) { return point(ps[i]); });
-}
-
-void panel(const std::string& name, const std::string& heading, const std::string& col,
-           const std::vector<int>& ps, const std::vector<double>& ys, int decimals,
-           const ms::bench::Options& opt) {
-  Table t({"P", col});
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    t.add_row({std::to_string(ps[i]), Table::num(ys[i], decimals)});
-  }
-  ms::bench::emit(t, name, heading, opt);
-  AsciiChart chart(heading + " shape");
-  chart.add_series("measured", ys);
-  chart.set_x_labels({std::to_string(ps.front()), std::to_string(ps.back())});
-  chart.print(std::cout);
 }
 
 }  // namespace
@@ -73,80 +46,45 @@ int main(int argc, char** argv) {
   const auto cfg = ms::sim::SimConfig::phi_31sp();
   const auto ps = sweep_points(opt.quick);
 
-  // (a) MM: D = 6000, tile 500x500 (T = 144 tasks), GFLOPS.
-  panel("fig09a_mm", "Fig. 9(a) MM GFLOPS vs P (peaks on divisors of 56)", "GFLOPS", ps,
-        sweep(ps,
-              [&](int p) {
-                ms::apps::MmConfig mc;
-                mc.common = sweep_common(p);
-                mc.dim = 6000;
-                mc.tile_grid = 12;
-                return ms::apps::MmApp::run(cfg, mc).gflops;
-              }),
-        1, opt);
+  const std::vector<Panel> panels{
+      // MM: D = 6000, tile 500x500 (T = 144 tasks).
+      {"fig09a_mm", "mm", "Fig. 9(a) MM GFLOPS vs P (peaks on divisors of 56)", {144, 6000},
+       Metric::Gflops, 1},
+      // CF: D = 9600, tile 800x800.
+      {"fig09b_cf", "cf", "Fig. 9(b) CF GFLOPS vs P (peaks on divisors of 56)", {144, 9600},
+       Metric::Gflops, 1},
+      // Kmeans: D = 1120000 points, tile = 20000 points (56 tasks).
+      {"fig09c_kmeans", "kmeans", "Fig. 9(c) Kmeans time vs P (monotone decline)",
+       {56, 1120000, 100}, Metric::Seconds, 3},
+      // Hotspot: 16384^2 grid, 1024^2 tiles (256 tasks), 50 steps.
+      {"fig09d_hotspot", "hotspot", "Fig. 9(d) Hotspot time vs P (dip near P=33..37)",
+       {256, 16384, 50}, Metric::Millis, 1},
+      // NN: 5242880 records, 512 tasks.
+      {"fig09e_nn", "nn", "Fig. 9(e) NN time vs P (drop until 4, then flat)", {512, 5242880},
+       Metric::Millis, 1},
+      // SRAD: 10000^2 image, 20x20 tile grid, 100 iterations.
+      {"fig09f_srad", "srad", "Fig. 9(f) SRAD time vs P (fall then rise)", {400, 10000, 100},
+       Metric::Seconds, 3},
+  };
 
-  // (b) CF: D = 9600, tile 800x800, GFLOPS.
-  panel("fig09b_cf", "Fig. 9(b) CF GFLOPS vs P (peaks on divisors of 56)", "GFLOPS", ps,
-        sweep(ps,
-              [&](int p) {
-                ms::apps::CfConfig cc;
-                cc.common = sweep_common(p);
-                cc.dim = 9600;
-                cc.tile = 800;
-                return ms::apps::CfApp::run(cfg, cc).gflops;
-              }),
-        1, opt);
-
-  // (c) Kmeans: D = 1120000 points, tile = 20000 points (56 tasks).
-  panel("fig09c_kmeans", "Fig. 9(c) Kmeans time vs P (monotone decline)", "time [s]", ps,
-        sweep(ps,
-              [&](int p) {
-                ms::apps::KmeansConfig kc;
-                kc.common = sweep_common(p);
-                kc.points = 1120000;
-                kc.tiles = 56;
-                kc.iterations = 100;
-                return ms::apps::KmeansApp::run(cfg, kc).ms / 1e3;
-              }),
-        3, opt);
-
-  // (d) Hotspot: 16384^2 grid, 1024^2 tiles (256 tasks), 50 steps.
-  panel("fig09d_hotspot", "Fig. 9(d) Hotspot time vs P (dip near P=33..37)", "time [ms]", ps,
-        sweep(ps,
-              [&](int p) {
-                ms::apps::HotspotConfig hc;
-                hc.common = sweep_common(p);
-                hc.rows = hc.cols = 16384;
-                hc.tile_rows = hc.tile_cols = 1024;
-                hc.steps = 50;
-                return ms::apps::HotspotApp::run(cfg, hc).ms;
-              }),
-        1, opt);
-
-  // (e) NN: 5242880 records, 512 tasks.
-  panel("fig09e_nn", "Fig. 9(e) NN time vs P (drop until 4, then flat)", "time [ms]", ps,
-        sweep(ps,
-              [&](int p) {
-                ms::apps::NnConfig nc;
-                nc.common = sweep_common(p);
-                nc.records = 5242880;
-                nc.tiles = 512;
-                return ms::apps::NnApp::run(cfg, nc).ms;
-              }),
-        1, opt);
-
-  // (f) SRAD: 10000^2 image, 400 tiles, 100 iterations.
-  panel("fig09f_srad", "Fig. 9(f) SRAD time vs P (fall then rise)", "time [s]", ps,
-        sweep(ps,
-              [&](int p) {
-                ms::apps::SradConfig sc;
-                sc.common = sweep_common(p);
-                sc.rows = sc.cols = 10000;
-                sc.tile_rows = sc.tile_cols = 500;  // 20x20 tile grid
-                sc.iterations = 100;
-                return ms::apps::SradApp::run(cfg, sc).ms / 1e3;
-              }),
-        3, opt);
-
+  for (const Panel& panel : panels) {
+    const ms::apps::AppEntry& app = *ms::apps::find_app(panel.app);
+    // Each point builds its own Context, so points run independently on the
+    // sweep pool; parallel_map's by-index ordering keeps the table identical
+    // to a serial loop.
+    const auto ys = ms::sim::parallel_map<double>(ps.size(), [&](std::size_t i) {
+      return ms::bench::value(panel.metric,
+                              app.run(cfg, ms::apps::timing_common(ps[i]), panel.point));
+    });
+    Table t({"P", ms::bench::column(panel.metric)});
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      t.add_row({std::to_string(ps[i]), Table::num(ys[i], panel.decimals)});
+    }
+    ms::bench::emit(t, panel.name, panel.heading, opt);
+    AsciiChart chart(panel.heading + " shape");
+    chart.add_series("measured", ys);
+    chart.set_x_labels({std::to_string(ps.front()), std::to_string(ps.back())});
+    chart.print(std::cout);
+  }
   return 0;
 }

@@ -3,57 +3,48 @@
 // performance rises to an optimum (T = 4 for most apps, T ~ 100 for CF,
 // T ~ 400 for SRAD) and then falls as per-task overheads dominate.
 
+#include <cmath>
 #include <cstddef>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "apps/cf_app.hpp"
-#include "apps/hotspot_app.hpp"
-#include "apps/kmeans_app.hpp"
-#include "apps/mm_app.hpp"
-#include "apps/nn_app.hpp"
-#include "apps/srad_app.hpp"
+#include "apps/registry.hpp"
 #include "bench_common.hpp"
 #include "sim/sweep.hpp"
 #include "trace/report.hpp"
 
 namespace {
 
+using ms::bench::Metric;
 using ms::trace::AsciiChart;
 using ms::trace::Table;
 
-ms::apps::CommonConfig sweep_common() {
-  ms::apps::CommonConfig c;
-  c.partitions = 4;
-  c.functional = false;
-  c.tracing = false;
-  c.protocol_iterations = 1;
-  return c;
+/// One Fig. 10 panel: the app at a fixed dataset size, swept over T at P = 4.
+struct Panel {
+  std::string name;
+  std::string app;
+  std::string heading;
+  std::size_t size;
+  int iters;
+  std::vector<int> tiles;
+  std::vector<int> quick_tiles;
+  Metric metric;
+  int decimals;
+  bool edge_labels = false;  ///< label T = g*g as "g^2" (the paper's Hotspot axis)
+};
+
+/// T = g*g for each grid edge g.
+std::vector<int> squares(std::initializer_list<int> edges) {
+  std::vector<int> out;
+  for (const int g : edges) out.push_back(g * g);
+  return out;
 }
 
-/// Run one simulated point per tile-count across the sweep pool. Each point
-/// builds its own Context, so points are independent; parallel_map's
-/// by-index result ordering keeps every virtual-time number identical to
-/// the former serial loop.
-template <typename X, typename Fn>
-std::vector<double> sweep(const std::vector<X>& points, Fn&& point) {
-  return ms::sim::parallel_map<double>(points.size(),
-                                       [&](std::size_t i) { return point(points[i]); });
-}
-
-void panel(const std::string& name, const std::string& heading, const std::string& col,
-           const std::vector<std::string>& xs, const std::vector<double>& ys, int decimals,
-           const ms::bench::Options& opt) {
-  Table t({"T", col});
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    t.add_row({xs[i], Table::num(ys[i], decimals)});
-  }
-  ms::bench::emit(t, name, heading, opt);
-  AsciiChart chart(heading + " shape");
-  chart.add_series("measured", ys);
-  chart.set_x_labels({xs.front(), xs.back()});
-  chart.print(std::cout);
+std::string label(const Panel& panel, int tiles) {
+  if (!panel.edge_labels) return std::to_string(tiles);
+  return std::to_string(std::lround(std::sqrt(static_cast<double>(tiles)))) + "^2";
 }
 
 }  // namespace
@@ -62,111 +53,50 @@ int main(int argc, char** argv) {
   const auto opt = ms::bench::parse(argc, argv);
   const auto cfg = ms::sim::SimConfig::phi_31sp();
 
-  // (a) MM: D = 6000, T = g^2 for g in {1..20} (paper x-axis 1..400).
-  {
-    const std::vector<int> grids =
-        opt.quick ? std::vector<int>{1, 4, 12} : std::vector<int>{1, 2, 3, 4, 5, 6, 10, 12, 15, 20};
-    std::vector<std::string> xs;
-    for (const int g : grids) xs.push_back(std::to_string(g * g));
-    const auto ys = sweep(grids, [&](int g) {
-      ms::apps::MmConfig mc;
-      mc.common = sweep_common();
-      mc.dim = 6000;
-      mc.tile_grid = g;
-      return ms::apps::MmApp::run(cfg, mc).gflops;
-    });
-    panel("fig10a_mm", "Fig. 10(a) MM GFLOPS vs T (paper optimum T=4)", "GFLOPS", xs, ys, 1, opt);
-  }
+  const std::vector<Panel> panels{
+      // MM: D = 6000, T = g^2 for g in {1..20} (paper x-axis 1..400).
+      {"fig10a_mm", "mm", "Fig. 10(a) MM GFLOPS vs T (paper optimum T=4)", 6000, 0,
+       squares({1, 2, 3, 4, 5, 6, 10, 12, 15, 20}), squares({1, 4, 12}), Metric::Gflops, 1},
+      // CF: D = 9600, T = g^2 for g in {2..20}.
+      {"fig10b_cf", "cf", "Fig. 10(b) CF GFLOPS vs T (paper optimum T=100)", 9600, 0,
+       squares({2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20}), squares({2, 10, 20}), Metric::Gflops, 1},
+      // Kmeans: D = 1120000, T in {1..224}.
+      {"fig10c_kmeans", "kmeans", "Fig. 10(c) Kmeans time vs T", 1120000, 100,
+       {1, 2, 4, 8, 16, 20, 28, 32, 56, 112, 224}, {1, 8, 224}, Metric::Seconds, 3},
+      // Hotspot: 16384^2, T = g^2 for g in {1..256} (paper 1^2..256^2).
+      {"fig10d_hotspot", "hotspot", "Fig. 10(d) Hotspot time vs T", 16384, 50,
+       squares({1, 2, 4, 8, 16, 32, 64, 128, 256}), squares({1, 16, 64}), Metric::Seconds, 3,
+       true},
+      // NN: 5242880 records, T = 2^0..2^11.
+      {"fig10e_nn", "nn", "Fig. 10(e) NN time vs T (flat between T=1 and 4)", 5242880, 0,
+       {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048}, {1, 16, 256}, Metric::Millis, 1},
+      // SRAD: 10000^2, T = g^2 for g in {1..100}.
+      {"fig10f_srad", "srad", "Fig. 10(f) SRAD time vs T (paper optimum T=400)", 10000, 100,
+       squares({1, 2, 3, 4, 5, 10, 13, 20, 25, 50, 100}), squares({1, 20, 100}), Metric::Seconds,
+       3},
+  };
 
-  // (b) CF: D = 9600, T = g^2 for g in {2..20}.
-  {
-    const std::vector<int> grids =
-        opt.quick ? std::vector<int>{2, 10, 20}
-                  : std::vector<int>{2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20};
-    std::vector<std::string> xs;
-    for (const int g : grids) xs.push_back(std::to_string(g * g));
-    const auto ys = sweep(grids, [&](int g) {
-      ms::apps::CfConfig cc;
-      cc.common = sweep_common();
-      cc.dim = 9600;
-      cc.tile = 9600 / static_cast<std::size_t>(g);
-      return ms::apps::CfApp::run(cfg, cc).gflops;
+  for (const Panel& panel : panels) {
+    const ms::apps::AppEntry& app = *ms::apps::find_app(panel.app);
+    const std::vector<int>& ts = opt.quick ? panel.quick_tiles : panel.tiles;
+    // Each point builds its own Context, so points run independently on the
+    // sweep pool; parallel_map's by-index ordering keeps the table identical
+    // to a serial loop.
+    const auto ys = ms::sim::parallel_map<double>(ts.size(), [&](std::size_t i) {
+      return ms::bench::value(panel.metric, app.run(cfg, ms::apps::timing_common(4),
+                                                    {ts[i], panel.size, panel.iters}));
     });
-    panel("fig10b_cf", "Fig. 10(b) CF GFLOPS vs T (paper optimum T=100)", "GFLOPS", xs, ys, 1,
-          opt);
-  }
-
-  // (c) Kmeans: D = 1120000, T in {1..224}.
-  {
-    const std::vector<int> tiles = opt.quick
-                                       ? std::vector<int>{1, 8, 224}
-                                       : std::vector<int>{1, 2, 4, 8, 16, 20, 28, 32, 56, 112, 224};
     std::vector<std::string> xs;
-    for (const int tcount : tiles) xs.push_back(std::to_string(tcount));
-    const auto ys = sweep(tiles, [&](int tcount) {
-      ms::apps::KmeansConfig kc;
-      kc.common = sweep_common();
-      kc.points = 1120000;
-      kc.tiles = tcount;
-      kc.iterations = 100;
-      return ms::apps::KmeansApp::run(cfg, kc).ms / 1e3;
-    });
-    panel("fig10c_kmeans", "Fig. 10(c) Kmeans time vs T", "time [s]", xs, ys, 3, opt);
+    for (const int tiles : ts) xs.push_back(label(panel, tiles));
+    Table t({"T", ms::bench::column(panel.metric)});
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      t.add_row({xs[i], Table::num(ys[i], panel.decimals)});
+    }
+    ms::bench::emit(t, panel.name, panel.heading, opt);
+    AsciiChart chart(panel.heading + " shape");
+    chart.add_series("measured", ys);
+    chart.set_x_labels({xs.front(), xs.back()});
+    chart.print(std::cout);
   }
-
-  // (d) Hotspot: 16384^2, T = g^2 for g in {1..256} (paper 1^2..256^2).
-  {
-    const std::vector<std::size_t> grids =
-        opt.quick ? std::vector<std::size_t>{1, 16, 64}
-                  : std::vector<std::size_t>{1, 2, 4, 8, 16, 32, 64, 128, 256};
-    std::vector<std::string> xs;
-    for (const std::size_t g : grids) xs.push_back(std::to_string(g) + "^2");
-    const auto ys = sweep(grids, [&](std::size_t g) {
-      ms::apps::HotspotConfig hc;
-      hc.common = sweep_common();
-      hc.rows = hc.cols = 16384;
-      hc.tile_rows = hc.tile_cols = 16384 / g;
-      hc.steps = 50;
-      return ms::apps::HotspotApp::run(cfg, hc).ms / 1e3;
-    });
-    panel("fig10d_hotspot", "Fig. 10(d) Hotspot time vs T", "time [s]", xs, ys, 3, opt);
-  }
-
-  // (e) NN: 5242880 records, T = 2^0..2^11.
-  {
-    std::vector<int> tiles;
-    for (int e = 0; e <= 11; e += opt.quick ? 4 : 1) tiles.push_back(1 << e);
-    std::vector<std::string> xs;
-    for (const int tcount : tiles) xs.push_back(std::to_string(tcount));
-    const auto ys = sweep(tiles, [&](int tcount) {
-      ms::apps::NnConfig nc;
-      nc.common = sweep_common();
-      nc.records = 5242880;
-      nc.tiles = tcount;
-      return ms::apps::NnApp::run(cfg, nc).ms;
-    });
-    panel("fig10e_nn", "Fig. 10(e) NN time vs T (flat between T=1 and 4)", "time [ms]", xs, ys, 1,
-          opt);
-  }
-
-  // (f) SRAD: 10000^2, T = g^2 for g in {1..100}.
-  {
-    const std::vector<std::size_t> grids =
-        opt.quick ? std::vector<std::size_t>{1, 20, 100}
-                  : std::vector<std::size_t>{1, 2, 3, 4, 5, 10, 13, 20, 25, 50, 100};
-    std::vector<std::string> xs;
-    for (const std::size_t g : grids) xs.push_back(std::to_string(g * g));
-    const auto ys = sweep(grids, [&](std::size_t g) {
-      ms::apps::SradConfig sc;
-      sc.common = sweep_common();
-      sc.rows = sc.cols = 10000;
-      sc.tile_rows = sc.tile_cols = 10000 / g;
-      sc.iterations = 100;
-      return ms::apps::SradApp::run(cfg, sc).ms / 1e3;
-    });
-    panel("fig10f_srad", "Fig. 10(f) SRAD time vs T (paper optimum T=400)", "time [s]", xs, ys, 3,
-          opt);
-  }
-
   return 0;
 }

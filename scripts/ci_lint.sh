@@ -26,16 +26,14 @@ if [[ ! -x "${CLI}" ]]; then
 fi
 mkdir -p "${ARTIFACTS}"
 
-# workload-id  CLI-subcommand-and-args
-WORKLOADS=(
-  "app:mm        app mm"
-  "app:cf        app cf"
-  "app:lu        app lu"
-  "app:kmeans    app kmeans"
-  "app:kmeans-async app kmeans-async"
-  "app:hotspot   app hotspot"
-  "app:nn        app nn"
-  "app:srad      app srad"
+# workload-id  CLI-subcommand-and-args: every app the registry lists
+# (`mstream_cli apps`), then the hBench patterns.
+apps="$("${CLI}" apps)"
+WORKLOADS=()
+for app in ${apps}; do
+  WORKLOADS+=("app:${app} app ${app}")
+done
+WORKLOADS+=(
   "hbench:fig5   hbench fig5"
   "hbench:fig6   hbench fig6"
   "hbench:fig7   hbench fig7"

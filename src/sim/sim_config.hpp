@@ -93,9 +93,9 @@ struct OverheadSpec {
   /// per-thread term is the mechanism behind the paper's Kmeans observation
   /// (Fig. 9(c)): temp-buffer alloc/free cost grows linearly with threads in
   /// the partition, so more (smaller) partitions shrink it. Calibrated so a
-  /// whole-device (224-thread) per-launch alloc costs ~4.5 ms, which puts
-  /// the baseline Kmeans in the paper's Fig. 8(c) regime with the ~24%
-  /// streamed improvement the paper reports.
+  /// whole-device (224-thread) per-launch alloc costs ~7.2 ms, which puts
+  /// the baseline Kmeans in the paper's Fig. 8(c) regime (1.09-6.49 s over
+  /// 140K-2240K points) with the ~24% streamed improvement the paper reports.
   SimTime alloc_base = SimTime::micros(20.0);
   SimTime alloc_per_mib = SimTime::micros(14.0);
   SimTime alloc_per_thread = SimTime::micros(32.0);

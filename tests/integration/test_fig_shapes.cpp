@@ -6,27 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string_view>
 #include <vector>
 
-#include "apps/cf_app.hpp"
 #include "apps/hbench.hpp"
-#include "apps/hotspot_app.hpp"
-#include "apps/kmeans_app.hpp"
-#include "apps/srad_app.hpp"
+#include "apps/registry.hpp"
 
 namespace ms {
 namespace {
 
+using apps::timing_common;
+
 sim::SimConfig cfg() { return sim::SimConfig::phi_31sp(); }
 
-apps::CommonConfig sweep_common(int partitions) {
-  apps::CommonConfig c;
-  c.partitions = partitions;
-  c.functional = false;
-  c.tracing = false;
-  c.protocol_iterations = 1;
-  return c;
-}
+const apps::AppEntry& app(std::string_view name) { return *apps::find_app(name); }
 
 TEST(FigShapes, Fig5LinesAreLinearInBlocks) {
   // IC rises and CD falls by the same per-block increment.
@@ -42,28 +35,15 @@ TEST(FigShapes, Fig9bCfDivisorPeaksAtSmallP) {
   // enough width to keep the partitions busy (small P); at large P the
   // wavefront's idle time swamps the per-task contention differences —
   // recorded as a deviation in EXPERIMENTS.md.
-  apps::CfConfig cc;
-  cc.common = sweep_common(4);
-  cc.dim = 9600;
-  cc.tile = 800;
-  auto at = [&](int p) {
-    cc.common.partitions = p;
-    return apps::CfApp::run(cfg(), cc).gflops;
-  };
+  auto at = [](int p) { return app("cf").run(cfg(), timing_common(p), {144, 9600}).gflops; };
   EXPECT_GT(at(2), at(3));  // 2 divides 56, 3 does not
   EXPECT_GT(at(4), at(3));
   EXPECT_GT(at(4), at(5));
 }
 
 TEST(FigShapes, Fig9dHotspotPlateauIsLow) {
-  apps::HotspotConfig hc;
-  hc.common = sweep_common(4);
-  hc.rows = hc.cols = 16384;
-  hc.tile_rows = hc.tile_cols = 1024;
-  hc.steps = 50;
-  auto at = [&](int p) {
-    hc.common.partitions = p;
-    return apps::HotspotApp::run(cfg(), hc).ms;
+  auto at = [](int p) {
+    return app("hotspot").run(cfg(), timing_common(p), {256, 16384, 50}).ms;
   };
   // The narrow-partition plateau (locality bonus region) beats wide and
   // very fragmented configurations.
@@ -73,13 +53,8 @@ TEST(FigShapes, Fig9dHotspotPlateauIsLow) {
 }
 
 TEST(FigShapes, Fig10cKmeansTileUShape) {
-  apps::KmeansConfig kc;
-  kc.common = sweep_common(4);
-  kc.points = 1120000;
-  kc.iterations = 100;
-  auto at = [&](int t) {
-    kc.tiles = t;
-    return apps::KmeansApp::run(cfg(), kc).ms;
+  auto at = [](int t) {
+    return app("kmeans").run(cfg(), timing_common(4), {t, 1120000, 100}).ms;
   };
   const double t1 = at(1);
   const double t4 = at(4);
@@ -89,20 +64,14 @@ TEST(FigShapes, Fig10cKmeansTileUShape) {
 }
 
 TEST(FigShapes, Fig8fSradCrossoverPersists) {
-  apps::SradConfig sc;
-  sc.common = sweep_common(4);
-  sc.iterations = 100;
-  auto gain = [&](std::size_t d, std::size_t grid) {
-    sc.rows = sc.cols = d;
-    sc.tile_rows = sc.tile_cols = d / grid;
-    sc.common.streamed = true;
-    const double streamed = apps::SradApp::run(cfg(), sc).ms;
-    sc.common.streamed = false;
-    const double baseline = apps::SradApp::run(cfg(), sc).ms;
+  auto gain = [](std::size_t d, int tiles) {
+    const apps::AppPoint point{tiles, d, 100};
+    const double streamed = app("srad").run(cfg(), timing_common(4), point).ms;
+    const double baseline = app("srad").run(cfg(), timing_common(4, false), point).ms;
     return (baseline - streamed) / baseline;
   };
-  EXPECT_LT(gain(1000, 2), 0.05);  // small image: no meaningful win
-  EXPECT_GT(gain(10000, 4), 0.1);  // large image: clear win (few big tiles)
+  EXPECT_LT(gain(1000, 4), 0.05);   // small image: no meaningful win
+  EXPECT_GT(gain(10000, 16), 0.1);  // large image: clear win (few big tiles)
 }
 
 TEST(FigShapes, Fig7MinimumIsInteriorAndAboveRef) {

@@ -15,17 +15,19 @@
 //   mstream_cli lint hbench fig5 --json -
 //   mstream_cli stats app cf --dim 4800
 //   mstream_cli devices
+//   mstream_cli apps
 //
 // Flags:
 //   --device {31sp | 31sp-x2 | 7120p}   platform preset     (default 31sp)
 //   --partitions N                      resource granularity (default 4)
-//   --tiles N                           task granularity     (default 4; apps
+//   --tiles N                           task granularity T   (default 4; apps
 //                                       with 2-D tiles take a square count)
-//   --dim N / --points N / --iters N    workload size knobs
+//   --dim N / --points N / --iters N    workload size knobs (each app takes
+//                                       the ones its registry entry names)
 //   --baseline                          run the non-streamed port instead
 //   --functional                        real data + kernels (slower, verifiable)
 //   --trace FILE                        write the Chrome trace JSON ('-' = stdout)
-//   --utilization / --energy            print resource / energy summary of the run
+//   --utilization                       print the resource summary of the run
 //   --metrics FILE                      enable host telemetry; write the snapshot
 //                                       (JSON, or Prometheus text for *.prom/*.txt;
 //                                       '-' = stdout)
@@ -57,15 +59,8 @@
 
 #include "analyze/capture.hpp"
 #include "analyze/report.hpp"
-#include "apps/cf_app.hpp"
 #include "apps/hbench.hpp"
-#include "apps/hotspot_app.hpp"
-#include "apps/kmeans_app.hpp"
-#include "apps/kmeans_async_app.hpp"
-#include "apps/lu_app.hpp"
-#include "apps/mm_app.hpp"
-#include "apps/nn_app.hpp"
-#include "apps/srad_app.hpp"
+#include "apps/registry.hpp"
 #include "model/analytic.hpp"
 #include "rt/compiled_graph.hpp"
 #include "sim/sweep.hpp"
@@ -74,7 +69,6 @@
 #include "telemetry/obs_server.hpp"
 #include "telemetry/span.hpp"
 #include "trace/chrome_trace.hpp"
-#include "trace/energy.hpp"
 #include "trace/utilization.hpp"
 
 namespace {
@@ -89,7 +83,6 @@ struct Cli {
   bool baseline = false;
   bool functional = false;
   bool utilization = false;
-  bool energy = false;
   std::string trace_path;
   std::string json_path;
   std::string sarif_path;
@@ -104,8 +97,12 @@ struct Cli {
 };
 
 int usage() {
+  std::string names;
+  for (const auto& app : ms::apps::registry()) {
+    names += (names.empty() ? "" : "|") + std::string(app.name);
+  }
   std::fprintf(stderr,
-               "usage: mstream_cli app {mm|cf|lu|kmeans|kmeans-async|hotspot|nn|srad} [flags]\n"
+               "usage: mstream_cli app {%s} [flags]\n"
                "       mstream_cli hbench {fig5|fig6|fig7} [flags]\n"
                "       mstream_cli analyze {app|hbench} <name> [flags] [--json FILE] [--dot FILE]\n"
                "       mstream_cli lint {app|hbench} <name> [flags] [--json FILE] [--sarif FILE]\n"
@@ -113,10 +110,12 @@ int usage() {
                "       mstream_cli stats [{app|hbench} <name> [flags]]\n"
                "       mstream_cli tune [--h2d-mib N --d2h-mib N --gflop N | --gelem N]\n"
                "       mstream_cli devices\n"
+               "       mstream_cli apps\n"
                "flags: --device {31sp|31sp-x2|7120p} --partitions N --tiles N\n"
                "       --dim N --points N --iters N --baseline --functional\n"
                "       --trace FILE --metrics FILE --serve-obs ADDR\n"
-               "       --utilization --energy ('-' = stdout)\n");
+               "       --utilization ('-' = stdout)\n",
+               names.c_str());
   return 2;
 }
 
@@ -188,7 +187,6 @@ bool parse_flags(int argc, char** argv, int first, Cli* cli) {
       {"--baseline", &cli->baseline},
       {"--functional", &cli->functional},
       {"--utilization", &cli->utilization},
-      {"--energy", &cli->energy},
   };
   const std::map<std::string_view, std::string*> strings{
       {"--metrics", &cli->metrics_path},
@@ -262,21 +260,13 @@ ms::apps::CommonConfig common_from(const Cli& cli) {
   return c;
 }
 
-int square_edge(int tiles) {
-  const int edge = static_cast<int>(std::lround(std::sqrt(static_cast<double>(tiles))));
-  return edge > 0 ? edge : 1;
-}
-
-void report(const ms::apps::AppResult& r, const Cli& cli, const ms::sim::SimConfig& cfg) {
+void report(const ms::apps::AppResult& r, const Cli& cli) {
   std::printf("virtual time: %.3f ms", r.ms);
   if (r.gflops > 0.0) std::printf("  (%.1f GFLOPS)", r.gflops);
   if (cli.functional) std::printf("  checksum %.6g", r.checksum);
   std::printf("\n");
   if (cli.utilization) {
     ms::trace::print(std::cout, ms::trace::summarize(r.timeline));
-  }
-  if (cli.energy) {
-    ms::trace::print(std::cout, ms::trace::measure_energy(r.timeline, cfg.device));
   }
   if (!cli.trace_path.empty()) {
     // With telemetry on, the export carries the wall-clock host track next
@@ -295,84 +285,39 @@ void report(const ms::apps::AppResult& r, const Cli& cli, const ms::sim::SimConf
   }
 }
 
-/// Build the named app's config from the CLI knobs and run it. Returns
-/// nullopt for an unknown app name.
-std::optional<ms::apps::AppResult> dispatch_app(const std::string& name,
-                                                const ms::sim::SimConfig& cfg,
-                                                const ms::apps::CommonConfig& common,
-                                                const Cli& cli) {
-  if (name == "mm") {
-    ms::apps::MmConfig mc;
-    mc.common = common;
-    mc.dim = cli.dim ? cli.dim : 6000;
-    mc.tile_grid = square_edge(cli.tiles);
-    return ms::apps::MmApp::run(cfg, mc);
+/// Look up `name` in the app registry, check the CLI's workload flags
+/// against its entry and run it. Prints the reason and returns nullopt for an
+/// unknown app, the wrong size flag, a non-square --tiles for a 2-D app or
+/// --iters for an app that takes none.
+std::optional<ms::apps::AppResult> run_registered(const std::string& name,
+                                                  const ms::sim::SimConfig& cfg,
+                                                  const ms::apps::CommonConfig& common,
+                                                  const Cli& cli) {
+  const ms::apps::AppEntry* app = ms::apps::find_app(name);
+  if (app == nullptr) {
+    std::fprintf(stderr, "unknown app: %s ('mstream_cli apps' lists them)\n", name.c_str());
+    return std::nullopt;
   }
-  if (name == "cf") {
-    ms::apps::CfConfig cc;
-    cc.common = common;
-    cc.dim = cli.dim ? cli.dim : 9600;
-    cc.tile = cc.dim / static_cast<std::size_t>(square_edge(cli.tiles));
-    return ms::apps::CfApp::run(cfg, cc);
+  const bool dim = app->size_flag == ms::apps::SizeFlag::Dim;
+  if ((dim ? cli.points : cli.dim) != 0) {
+    std::fprintf(stderr, "%s takes %s, not %s\n", name.c_str(), dim ? "--dim" : "--points",
+                 dim ? "--points" : "--dim");
+    return std::nullopt;
   }
-  if (name == "lu") {
-    ms::apps::LuConfig lc;
-    lc.common = common;
-    lc.dim = cli.dim ? cli.dim : 9600;
-    lc.tile = lc.dim / static_cast<std::size_t>(square_edge(cli.tiles));
-    return ms::apps::LuApp::run(cfg, lc);
+  const ms::apps::AppPoint point{cli.tiles, dim ? cli.dim : cli.points, cli.iters};
+  if (const std::string why = app->check(point); !why.empty()) {
+    std::fprintf(stderr, "%s\n", why.c_str());
+    return std::nullopt;
   }
-  if (name == "kmeans") {
-    ms::apps::KmeansConfig kc;
-    kc.common = common;
-    kc.points = cli.points ? cli.points : 1120000;
-    kc.tiles = cli.tiles;
-    kc.iterations = cli.iters ? cli.iters : 100;
-    return ms::apps::KmeansApp::run(cfg, kc);
-  }
-  if (name == "kmeans-async") {
-    ms::apps::KmeansConfig kc;
-    kc.common = common;
-    kc.points = cli.points ? cli.points : 1120000;
-    kc.tiles = cli.tiles;
-    kc.iterations = cli.iters ? cli.iters : 100;
-    return ms::apps::KmeansAsyncApp::run(cfg, kc);
-  }
-  if (name == "hotspot") {
-    ms::apps::HotspotConfig hc;
-    hc.common = common;
-    hc.rows = hc.cols = cli.dim ? cli.dim : 16384;
-    hc.tile_rows = hc.tile_cols = hc.rows / static_cast<std::size_t>(square_edge(cli.tiles));
-    hc.steps = cli.iters ? cli.iters : 50;
-    return ms::apps::HotspotApp::run(cfg, hc);
-  }
-  if (name == "nn") {
-    ms::apps::NnConfig nc;
-    nc.common = common;
-    nc.records = cli.points ? cli.points : 5242880;
-    nc.tiles = cli.tiles;
-    return ms::apps::NnApp::run(cfg, nc);
-  }
-  if (name == "srad") {
-    ms::apps::SradConfig sc;
-    sc.common = common;
-    sc.rows = sc.cols = cli.dim ? cli.dim : 10000;
-    sc.tile_rows = sc.tile_cols = sc.rows / static_cast<std::size_t>(square_edge(cli.tiles));
-    sc.iterations = cli.iters ? cli.iters : 100;
-    return ms::apps::SradApp::run(cfg, sc);
-  }
-  return std::nullopt;
+  return app->run(cfg, common, point);
 }
 
 int run_app(const std::string& name, const Cli& cli) {
   ms::sim::SimConfig cfg;
   if (!pick_config(cli, &cfg)) return 2;
-  const auto r = dispatch_app(name, cfg, common_from(cli), cli);
-  if (!r) {
-    std::fprintf(stderr, "unknown app: %s\n", name.c_str());
-    return 2;
-  }
-  report(*r, cli, cfg);
+  const auto r = run_registered(name, cfg, common_from(cli), cli);
+  if (!r) return 2;
+  report(*r, cli);
   return 0;
 }
 
@@ -393,21 +338,18 @@ int run_graph(const std::string& sub, const std::string& name, const Cli& cli) {
   auto common = common_from(cli);
   common.graph = ms::apps::GraphMode::Compiled;
   // Long replay runs would otherwise accumulate a full action timeline.
-  common.tracing = !cli.trace_path.empty() || cli.utilization || cli.energy;
+  common.tracing = !cli.trace_path.empty() || cli.utilization;
   const int replays = cli.replays > 0 ? cli.replays : 10;
   common.protocol_iterations = replays;
 
   const auto t0 = std::chrono::steady_clock::now();
-  const auto r = dispatch_app(name, cfg, common, cli);
+  const auto r = run_registered(name, cfg, common, cli);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-  if (!r) {
-    std::fprintf(stderr, "unknown app: %s\n", name.c_str());
-    return 2;
-  }
+  if (!r) return 2;
 
   std::printf("mode: compiled, %d protocol replays of the captured schedule\n", replays);
-  report(*r, cli, cfg);
+  report(*r, cli);
   std::printf("host wall: %.2f ms total, %.3f ms per replay\n", wall_ms,
               wall_ms / static_cast<double>(replays));
 
@@ -606,6 +548,14 @@ int run_stats(const std::string& sub, const std::string& name, const Cli& cli) {
   return 0;
 }
 
+/// `apps`: one registry name per line, for scripts that iterate over apps.
+int list_apps() {
+  for (const auto& app : ms::apps::registry()) {
+    std::printf("%.*s\n", static_cast<int>(app.name.size()), app.name.data());
+  }
+  return 0;
+}
+
 int list_devices() {
   const std::map<std::string, ms::sim::SimConfig> devices{
       {"31sp", ms::sim::SimConfig::phi_31sp()},
@@ -628,6 +578,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   if (cmd == "devices") return list_devices();
+  if (cmd == "apps") return list_apps();
   if (cmd == "stats" && argc == 2) return run_stats_list();
   if (argc < 3) return usage();
 
