@@ -1,6 +1,8 @@
 // Microbenchmarks for the kernel execution engine: one benchmark per
-// parallelized kernel at the paper's working-set shapes. Wall-clock only —
-// virtual time never depends on these. Emit machine-readable results with
+// parallelized kernel at the paper's working-set shapes, each run at 1, 2
+// and 4 engine workers (the `/threads:N` suffix) so the file records how
+// every kernel scales. Wall-clock only — virtual time never depends on
+// these. Emit machine-readable results with
 //   bench_kernels --benchmark_format=json --benchmark_out=BENCH_KERNELS.json
 // (scripts/record_bench.sh does exactly that).
 
@@ -16,6 +18,7 @@
 #include "kern/hotspot.hpp"
 #include "kern/kmeans.hpp"
 #include "kern/nn.hpp"
+#include "kern/par.hpp"
 #include "kern/saxpy_iter.hpp"
 #include "kern/srad.hpp"
 
@@ -30,6 +33,16 @@ std::vector<T> random_vec(std::size_t n, unsigned seed, double lo = 0.0, double 
   return v;
 }
 
+// The thread axis: the benchmark's one argument is the par::ThreadScope
+// worker count its timed loop runs under.
+void thread_axis(benchmark::internal::Benchmark* b) {
+  b->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+}
+
+ms::kern::par::ThreadScope threads_of(const benchmark::State& state) {
+  return ms::kern::par::ThreadScope(static_cast<int>(state.range(0)));
+}
+
 // The MM app's unit of work: one 500 x 500 C tile of the paper's D = 6000
 // multiplication (C tile += A band * B band, k = 6000).
 void BM_GemmTile(benchmark::State& state) {
@@ -37,6 +50,7 @@ void BM_GemmTile(benchmark::State& state) {
   const auto a = random_vec<double>(m * k, 1);
   const auto b = random_vec<double>(k * n, 2);
   std::vector<double> c(m * n, 0.0);
+  const auto scope = threads_of(state);
   for (auto _ : state) {
     ms::kern::gemm_tile(a.data(), b.data(), c.data(), m, n, k, k, n, n);
     benchmark::DoNotOptimize(c.data());
@@ -45,13 +59,14 @@ void BM_GemmTile(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ms::kern::gemm_flops(m, n, k)));
 }
-BENCHMARK(BM_GemmTile)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GemmTile)->Apply(thread_axis);
 
 void BM_GemmNtAcc(benchmark::State& state) {
   const std::size_t m = 500, n = 500, k = 6000;
   const auto a = random_vec<double>(m * k, 3);
   const auto bt = random_vec<double>(n * k, 4);
   std::vector<double> c(m * n, 0.0);
+  const auto scope = threads_of(state);
   for (auto _ : state) {
     ms::kern::gemm_nt_acc(a.data(), bt.data(), c.data(), m, n, k, k, k, n);
     benchmark::DoNotOptimize(c.data());
@@ -60,7 +75,7 @@ void BM_GemmNtAcc(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ms::kern::gemm_flops(m, n, k)));
 }
-BENCHMARK(BM_GemmNtAcc)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GemmNtAcc)->Apply(thread_axis);
 
 // One 1024-row band of the paper's 8192-wide Hotspot grid.
 void BM_HotspotStep(benchmark::State& state) {
@@ -69,6 +84,7 @@ void BM_HotspotStep(benchmark::State& state) {
   const auto power = random_vec<double>(rows * cols, 6);
   std::vector<double> t_out(rows * cols, 0.0);
   const ms::kern::HotspotParams p;
+  const auto scope = threads_of(state);
   for (auto _ : state) {
     ms::kern::hotspot_step(t_in.data(), power.data(), t_out.data(), rows, cols, 0, rows, 0,
                            cols, p);
@@ -78,7 +94,7 @@ void BM_HotspotStep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows * cols));
 }
-BENCHMARK(BM_HotspotStep)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HotspotStep)->Apply(thread_axis);
 
 // MineBench shape: 34 features, 8 clusters, a 1M-point assignment pass.
 void BM_KmeansAssign(benchmark::State& state) {
@@ -86,6 +102,7 @@ void BM_KmeansAssign(benchmark::State& state) {
   const auto points = random_vec<float>(n * dims, 7);
   const auto centroids = random_vec<float>(k * dims, 8);
   std::vector<std::int32_t> membership(n, 0);
+  const auto scope = threads_of(state);
   for (auto _ : state) {
     ms::kern::kmeans_assign(points.data(), centroids.data(), membership.data(), n, dims, k);
     benchmark::DoNotOptimize(membership.data());
@@ -94,7 +111,7 @@ void BM_KmeansAssign(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_KmeansAssign)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KmeansAssign)->Apply(thread_axis);
 
 // Rodinia NN at the paper's record count: distance scan + blocked top-10.
 void BM_NnTopk(benchmark::State& state) {
@@ -106,6 +123,7 @@ void BM_NnTopk(benchmark::State& state) {
   }
   std::vector<float> dist(n, 0.0f);
   const ms::kern::LatLng target{40.0f, 120.0f};
+  const auto scope = threads_of(state);
   for (auto _ : state) {
     ms::kern::nn_distances(records.data(), dist.data(), n, target);
     std::vector<ms::kern::Neighbor> best(k,
@@ -117,12 +135,13 @@ void BM_NnTopk(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_NnTopk)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_NnTopk)->Apply(thread_axis);
 
 // SRAD planes at a 1024 x 10000 working set (paper-scale ultrasound image).
 void BM_SradStats(benchmark::State& state) {
   const std::size_t rows = 1024, cols = 10000;
   const auto j = random_vec<float>(rows * cols, 10, 0.5, 2.0);
+  const auto scope = threads_of(state);
   for (auto _ : state) {
     double s = 0.0, s2 = 0.0;
     ms::kern::srad_statistics(j.data(), 0, rows * cols, &s, &s2);
@@ -132,13 +151,14 @@ void BM_SradStats(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows * cols));
 }
-BENCHMARK(BM_SradStats)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SradStats)->Apply(thread_axis);
 
 void BM_SradCoeff(benchmark::State& state) {
   const std::size_t rows = 1024, cols = 10000;
   const auto j = random_vec<float>(rows * cols, 11, 0.5, 2.0);
   std::vector<float> c(rows * cols), dn(rows * cols), ds(rows * cols), dw(rows * cols),
       de(rows * cols);
+  const auto scope = threads_of(state);
   for (auto _ : state) {
     ms::kern::srad_coeff(j.data(), c.data(), dn.data(), ds.data(), dw.data(), de.data(), rows,
                          cols, 0, rows, 0, cols, 0.05);
@@ -148,7 +168,7 @@ void BM_SradCoeff(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows * cols));
 }
-BENCHMARK(BM_SradCoeff)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SradCoeff)->Apply(thread_axis);
 
 void BM_SradUpdate(benchmark::State& state) {
   const std::size_t rows = 1024, cols = 10000;
@@ -158,6 +178,7 @@ void BM_SradUpdate(benchmark::State& state) {
   const auto ds = random_vec<float>(rows * cols, 15, -0.1, 0.1);
   const auto dw = random_vec<float>(rows * cols, 16, -0.1, 0.1);
   const auto de = random_vec<float>(rows * cols, 17, -0.1, 0.1);
+  const auto scope = threads_of(state);
   for (auto _ : state) {
     ms::kern::srad_update(j.data(), c.data(), dn.data(), ds.data(), dw.data(), de.data(), rows,
                           cols, 0, rows, 0, cols, 0.5);
@@ -167,12 +188,13 @@ void BM_SradUpdate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows * cols));
 }
-BENCHMARK(BM_SradUpdate)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SradUpdate)->Apply(thread_axis);
 
 void BM_SaxpyIter(benchmark::State& state) {
   const std::size_t n = 1u << 24;
   const auto a = random_vec<float>(n, 18);
   std::vector<float> b(n, 0.0f);
+  const auto scope = threads_of(state);
   for (auto _ : state) {
     ms::kern::saxpy_iter(a.data(), b.data(), n, 1.5f, 2);
     benchmark::DoNotOptimize(b.data());
@@ -181,7 +203,7 @@ void BM_SaxpyIter(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_SaxpyIter)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SaxpyIter)->Apply(thread_axis);
 
 }  // namespace
 

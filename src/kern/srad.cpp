@@ -2,10 +2,104 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "kern/par.hpp"
 
 namespace ms::kern {
+
+namespace {
+
+/// Gradients and unclamped diffusion coefficient of one cell.
+struct CoeffCell {
+  float n, s, w, e;
+  double cv;
+};
+
+/// The per-cell coefficient expression from the centre value and its four
+/// (already clamped) neighbours. One expression shared by the edge and
+/// interior paths, so a cell computes bit-identically whichever loop
+/// handled it and however the image was tiled.
+inline CoeffCell coeff_cell(float jc, float jn, float js, float jw, float je, double q0sqr) {
+  const float n = jn - jc;
+  const float s = js - jc;
+  const float w = jw - jc;
+  const float e = je - jc;
+  const double g2 = (static_cast<double>(n) * n + static_cast<double>(s) * s +
+                     static_cast<double>(w) * w + static_cast<double>(e) * e) /
+                    (static_cast<double>(jc) * jc);
+  const double l = (static_cast<double>(n) + s + w + e) / jc;
+  const double num = 0.5 * g2 - (1.0 / 16.0) * l * l;
+  const double den_l = 1.0 + 0.25 * l;
+  const double qsqr = num / (den_l * den_l);
+  const double den = (qsqr - q0sqr) / (q0sqr * (1.0 + q0sqr));
+  return {n, s, w, e, 1.0 / (1.0 + den)};
+}
+
+/// Columns [c0, c1) of one srad_coeff row. `north`, `row`, `south` and the
+/// four gradient pointers are row bases (indexed by global column); the
+/// unclamped coefficients go to cv[col - c0]. As in hotspot, column clamping
+/// only fires at the global edge columns 0 and cols-1, so those run as
+/// scalar prologue/epilogue and every other column takes the branch-free
+/// interior loop. Kept out of line with `__restrict` pointers and q0sqr by
+/// value: that is what lets GCC vectorize the loop without runtime alias
+/// checks.
+[[gnu::noinline]] void coeff_row(const float* __restrict north, const float* __restrict row,
+                                 const float* __restrict south, float* __restrict dn,
+                                 float* __restrict ds, float* __restrict dw,
+                                 float* __restrict de, double* __restrict cv, std::size_t cols,
+                                 std::size_t c0, std::size_t c1, double q0sqr) {
+  const auto store = [&](std::size_t col, const CoeffCell& x) {
+    dn[col] = x.n;
+    ds[col] = x.s;
+    dw[col] = x.w;
+    de[col] = x.e;
+    cv[col - c0] = x.cv;
+  };
+  std::size_t col = c0;
+  if (col == 0) {  // global west edge: west neighbour clamps to the cell
+    const std::size_t ce = cols > 1 ? 1 : 0;
+    store(0, coeff_cell(row[0], north[0], south[0], row[0], row[ce], q0sqr));
+    ++col;
+  }
+  const std::size_t interior_end = c1 < cols ? c1 : cols - 1;
+  for (; col < interior_end; ++col) {  // 1 <= col <= cols-2: no clamp possible
+    store(col, coeff_cell(row[col], north[col], south[col], row[col - 1], row[col + 1], q0sqr));
+  }
+  if (col < c1) {  // col == cols-1 > 0: global east edge clamps
+    store(col, coeff_cell(row[col], north[col], south[col], row[col - 1], row[col], q0sqr));
+  }
+}
+
+/// The per-cell divergence update from the cell's own, south and east
+/// coefficients; shared by the edge and interior paths like coeff_cell.
+inline float update_cell(float jv, float cc, float cs, float ce, float n, float s, float w,
+                         float e, double lambda) {
+  const double div = static_cast<double>(cs) * s + static_cast<double>(cc) * n +
+                     static_cast<double>(ce) * e + static_cast<double>(cc) * w;
+  return static_cast<float>(jv + 0.25 * lambda * div);
+}
+
+/// Columns [c0, c1) of one srad_update row (row bases as in coeff_row).
+/// Only the east neighbour is read, so only global column cols-1 clamps.
+[[gnu::noinline]] void update_row(float* __restrict j, const float* __restrict c,
+                                  const float* __restrict c_south, const float* __restrict dn,
+                                  const float* __restrict ds, const float* __restrict dw,
+                                  const float* __restrict de, std::size_t cols, std::size_t c0,
+                                  std::size_t c1, double lambda) {
+  std::size_t col = c0;
+  const std::size_t interior_end = c1 < cols ? c1 : cols - 1;
+  for (; col < interior_end; ++col) {  // col <= cols-2: east neighbour exists
+    j[col] = update_cell(j[col], c[col], c_south[col], c[col + 1], dn[col], ds[col], dw[col],
+                         de[col], lambda);
+  }
+  if (col < c1) {  // col == cols-1: global east edge clamps
+    j[col] = update_cell(j[col], c[col], c_south[col], c[col], dn[col], ds[col], dw[col],
+                         de[col], lambda);
+  }
+}
+
+}  // namespace
 
 void srad_extract(const float* image, float* j, std::size_t begin, std::size_t end) {
   par::for_blocked(begin, end, par::kChunk, [=](std::size_t i0, std::size_t i1) {
@@ -51,36 +145,23 @@ double srad_q0sqr(double sum, double sum2, std::size_t count) noexcept {
 void srad_coeff(const float* j, float* c, float* dn, float* ds, float* dw, float* de,
                 std::size_t rows, std::size_t cols, std::size_t row_begin, std::size_t row_end,
                 std::size_t col_begin, std::size_t col_end, double q0sqr) {
+  if (row_end <= row_begin || col_end <= col_begin) return;
   // Band-parallel over rows (fixed kRowBand); each cell's expression is
-  // unchanged and self-contained, so any banding gives bit-identical tiles.
+  // self-contained, so any banding gives bit-identical tiles.
   par::for_blocked(row_begin, row_end, par::kRowBand, [=](std::size_t r0, std::size_t r1) {
+    std::vector<double> cv(col_end - col_begin);
     for (std::size_t r = r0; r < r1; ++r) {
       const std::size_t rn = r > 0 ? r - 1 : 0;
       const std::size_t rs = r + 1 < rows ? r + 1 : rows - 1;
-      for (std::size_t col = col_begin; col < col_end; ++col) {
-        const std::size_t cw = col > 0 ? col - 1 : 0;
-        const std::size_t ce = col + 1 < cols ? col + 1 : cols - 1;
-        const std::size_t k = r * cols + col;
-        const float jc = j[k];
-        const float n = j[rn * cols + col] - jc;
-        const float s = j[rs * cols + col] - jc;
-        const float w = j[r * cols + cw] - jc;
-        const float e = j[r * cols + ce] - jc;
-        dn[k] = n;
-        ds[k] = s;
-        dw[k] = w;
-        de[k] = e;
-
-        const double g2 = (static_cast<double>(n) * n + static_cast<double>(s) * s +
-                           static_cast<double>(w) * w + static_cast<double>(e) * e) /
-                          (static_cast<double>(jc) * jc);
-        const double l = (static_cast<double>(n) + s + w + e) / jc;
-        const double num = 0.5 * g2 - (1.0 / 16.0) * l * l;
-        const double den_l = 1.0 + 0.25 * l;
-        const double qsqr = num / (den_l * den_l);
-        const double den = (qsqr - q0sqr) / (q0sqr * (1.0 + q0sqr));
-        const double cv = 1.0 / (1.0 + den);
-        c[k] = static_cast<float>(std::clamp(cv, 0.0, 1.0));
+      const std::size_t row = r * cols;
+      coeff_row(j + rn * cols, j + row, j + rs * cols, dn + row, ds + row, dw + row, de + row,
+                cv.data(), cols, col_begin, col_end, q0sqr);
+      // The clamp is a separate scalar pass: inside the stencil loop its
+      // compares keep GCC from if-converting (trapping math), which blocks
+      // vectorization. std::clamp passes a NaN through unchanged.
+      float* crow = c + row + col_begin;
+      for (std::size_t i = 0; i < cv.size(); ++i) {
+        crow[i] = static_cast<float>(std::clamp(cv[i], 0.0, 1.0));
       }
     }
   });
@@ -89,19 +170,13 @@ void srad_coeff(const float* j, float* c, float* dn, float* ds, float* dw, float
 void srad_update(float* j, const float* c, const float* dn, const float* ds, const float* dw,
                  const float* de, std::size_t rows, std::size_t cols, std::size_t row_begin,
                  std::size_t row_end, std::size_t col_begin, std::size_t col_end, double lambda) {
+  if (row_end <= row_begin || col_end <= col_begin) return;
   par::for_blocked(row_begin, row_end, par::kRowBand, [=](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       const std::size_t rs = r + 1 < rows ? r + 1 : rows - 1;
-      for (std::size_t col = col_begin; col < col_end; ++col) {
-        const std::size_t ce = col + 1 < cols ? col + 1 : cols - 1;
-        const std::size_t k = r * cols + col;
-        const float cc = c[k];
-        const float cs = c[rs * cols + col];
-        const float ce_v = c[r * cols + ce];
-        const double div = static_cast<double>(cs) * ds[k] + static_cast<double>(cc) * dn[k] +
-                           static_cast<double>(ce_v) * de[k] + static_cast<double>(cc) * dw[k];
-        j[k] = static_cast<float>(j[k] + 0.25 * lambda * div);
-      }
+      const std::size_t row = r * cols;
+      update_row(j + row, c + row, c + rs * cols, dn + row, ds + row, dw + row, de + row, cols,
+                 col_begin, col_end, lambda);
     }
   });
 }

@@ -30,13 +30,15 @@ void srad_statistics(const float* j, std::size_t begin, std::size_t end, double*
 
 /// Diffusion-coefficient kernel over the 2-D tile [row_begin, row_end) x
 /// [col_begin, col_end): reads J (clamped 4-neighbour stencil), writes the
-/// c, dn, ds, dw, de tiles.
+/// c, dn, ds, dw, de tiles. The five output planes must not overlap J or
+/// each other.
 void srad_coeff(const float* j, float* c, float* dn, float* ds, float* dw, float* de,
                 std::size_t rows, std::size_t cols, std::size_t row_begin, std::size_t row_end,
                 std::size_t col_begin, std::size_t col_end, double q0sqr);
 
 /// Divergence update kernel over the 2-D tile: J += lambda/4 * div, using
-/// the coefficient c of self/south/east neighbours (clamped).
+/// the coefficient c of self/south/east neighbours (clamped). J must not
+/// overlap the five input planes.
 void srad_update(float* j, const float* c, const float* dn, const float* ds, const float* dw,
                  const float* de, std::size_t rows, std::size_t cols, std::size_t row_begin,
                  std::size_t row_end, std::size_t col_begin, std::size_t col_end, double lambda);

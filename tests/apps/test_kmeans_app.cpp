@@ -134,5 +134,21 @@ TEST(KmeansApp, MembershipValuesAreValidClusterIds) {
   EXPECT_DOUBLE_EQ(a.checksum, b.checksum);
 }
 
+TEST(KmeansApp, ChecksumIsPinnedBitForBit) {
+  // Hex-float literals recorded before kmeans_assign was vectorized: any
+  // change to a membership or to the centroid sums moves these bits.
+  EXPECT_EQ(KmeansApp::run(cfg(), small(true)).checksum, 0x1.79546e45cp+11);
+  EXPECT_EQ(KmeansApp::run(cfg(), small(false)).checksum, 0x1.79546e444p+11);
+
+  // The MineBench shape (34 features, 8 clusters) over 3 tiles of 667
+  // points, so every tile ends in a 3-point scalar remainder.
+  KmeansConfig kc;
+  kc.points = 2001;
+  kc.iterations = 5;
+  kc.tiles = 3;
+  kc.common.partitions = 4;
+  EXPECT_EQ(KmeansApp::run(cfg(), kc).checksum, 0x1.0d6c89e82p+13);
+}
+
 }  // namespace
 }  // namespace ms::apps

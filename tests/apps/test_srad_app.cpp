@@ -99,5 +99,23 @@ TEST(SradApp, ChecksumReproducible) {
   EXPECT_DOUBLE_EQ(a.ms, b.ms);
 }
 
+TEST(SradApp, ChecksumIsPinnedBitForBit) {
+  // Hex-float literals recorded before the srad kernels were vectorized:
+  // any change to a kernel's rounding moves these bits.
+  EXPECT_EQ(SradApp::run(cfg(), small(true)).checksum, 0x1.e5dff92c8p+17);
+  EXPECT_EQ(SradApp::run(cfg(), small(false)).checksum, 0x1.e5dff92c8p+17);
+
+  // 37 columns: full-width tiles with both clamped edge columns and a
+  // vector remainder in the interior loop.
+  auto sc = small(true);
+  sc.rows = 50;
+  sc.cols = 37;
+  sc.tile_rows = 25;
+  sc.tile_cols = 37;
+  sc.iterations = 6;
+  sc.common.partitions = 2;
+  EXPECT_EQ(SradApp::run(cfg(), sc).checksum, 0x1.89a347c9cp+17);
+}
+
 }  // namespace
 }  // namespace ms::apps

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -102,6 +104,117 @@ TEST(Kmeans, LloydIterationConvergesOnSeparatedClusters) {
   const bool order_a = std::abs(cent[0]) < 0.5 && std::abs(cent[2] - 8.0f) < 0.5;
   const bool order_b = std::abs(cent[2]) < 0.5 && std::abs(cent[0] - 8.0f) < 0.5;
   EXPECT_TRUE(order_a || order_b) << cent[0] << "," << cent[2];
+}
+
+// The scalar kmeans_assign the point-lane kernel replaced, kept verbatim
+// (minus the chunk parallelism, which never changes a point) as the exact
+// oracle.
+void ref_kmeans_assign(const float* points, const float* centroids, std::int32_t* membership,
+                       std::size_t n, std::size_t dims, std::size_t k) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float* p = points + i * dims;
+    float best = std::numeric_limits<float>::max();
+    std::int32_t best_c = 0;
+    for (std::size_t c = 0; c < k; ++c) {
+      const float* cc = centroids + c * dims;
+      float dist = 0.0f;
+      for (std::size_t d = 0; d < dims; ++d) {
+        const float diff = p[d] - cc[d];
+        dist += diff * diff;
+      }
+      if (dist < best) {
+        best = dist;
+        best_c = static_cast<std::int32_t>(c);
+      }
+    }
+    membership[i] = best_c;
+  }
+}
+
+std::vector<float> uniform(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<float> d(-3.0f, 3.0f);
+  std::vector<float> v(n);
+  for (float& x : v) x = d(rng);
+  return v;
+}
+
+void expect_assign_matches_oracle(const std::vector<float>& points,
+                                  const std::vector<float>& centroids, std::size_t n,
+                                  std::size_t dims, std::size_t k) {
+  SCOPED_TRACE(::testing::Message() << "n=" << n << " dims=" << dims << " k=" << k);
+  std::vector<std::int32_t> got(n, -1), want(n, -2);
+  kmeans_assign(points.data(), centroids.data(), got.data(), n, dims, k);
+  ref_kmeans_assign(points.data(), centroids.data(), want.data(), n, dims, k);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(std::int32_t)), 0);
+}
+
+TEST(Kmeans, AssignMatchesScalarOracle) {
+  // Every n % 4 remainder, centroid counts below, at and around the
+  // four-in-flight group, and the 1-feature and MineBench 34-feature shapes.
+  for (const std::size_t n : {1u, 2u, 3u, 64u, 65u, 66u, 67u}) {
+    for (const std::size_t k : {1u, 3u, 4u, 5u, 8u, 9u}) {
+      for (const std::size_t dims : {1u, 34u}) {
+        const auto points = uniform(n * dims, static_cast<unsigned>(n * 100 + dims));
+        const auto centroids = uniform(k * dims, static_cast<unsigned>(k * 100 + dims + 1));
+        expect_assign_matches_oracle(points, centroids, n, dims, k);
+      }
+    }
+  }
+}
+
+TEST(Kmeans, AssignLanePathBreaksExactTiesToLowestIndex) {
+  // Integer coordinates make the distances exact, so each point below ties
+  // between centroids: duplicates inside one four-centroid group (0 and 2),
+  // across groups (1 and 5, 3 and 8) and in the k % 4 tail. Ties must go
+  // to the lowest index in every lane, as in the scalar scan.
+  const std::size_t dims = 2, k = 9;
+  const std::vector<float> centroids{0, 0, /*1*/ 4, 0, /*2*/ 0, 0, /*3*/ 0, 4, /*4*/ 8, 8,
+                                     /*5*/ 4, 0, /*6*/ -4, 0, /*7*/ 0, -4, /*8*/ 0, 4};
+  const std::vector<float> points{0, 0,  /* 0 = 2 */
+                                  2, 0,  /* 0 = 1 = 2 = 5 */
+                                  4, 0,  /* 1 = 5 */
+                                  0, 4,  /* 3 = 8 */
+                                  -2, 0, /* 0 = 2 = 6 */
+                                  0, -2, /* 0 = 2 = 7 */
+                                  6, 6,  /* 4 alone */
+                                  2, 2}; /* 0 = 1 = 2 = 3 = 5 = 8 */
+  const std::size_t n = points.size() / dims;
+  std::vector<std::int32_t> memb(n, -1);
+  kmeans_assign(points.data(), centroids.data(), memb.data(), n, dims, k);
+  EXPECT_EQ(memb, (std::vector<std::int32_t>{0, 0, 1, 3, 0, 0, 4, 0}));
+  expect_assign_matches_oracle(points, centroids, n, dims, k);
+}
+
+TEST(Kmeans, AssignKeepsEachDistancesFeatureOrder) {
+  // A centroid and its feature-reversed twin are exactly equidistant from
+  // the origin, but their float sums d = 0..dims-1 round differently
+  // whenever the accumulation order matters, so the membership of a point
+  // at the origin reveals the order each distance was summed in. Centroids
+  // come in three such pairs: two fill the four-in-flight group, one is the
+  // k % 4 tail; five points cover the lane path and the scalar remainder.
+  const std::size_t dims = 34, k = 6, n = 5;
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<float> u(0.5f, 2.0f);
+  const std::vector<float> origin(n * dims, 0.0f);
+  int order_sensitive = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<float> centroids(k * dims);
+    for (std::size_t pair = 0; pair < k / 2; ++pair) {
+      float* a = centroids.data() + 2 * pair * dims;
+      float* b = a + dims;
+      for (std::size_t d = 0; d < dims; ++d) a[d] = u(rng);
+      for (std::size_t d = 0; d < dims; ++d) b[d] = a[dims - 1 - d];
+      float fwd = 0.0f, rev = 0.0f;
+      for (std::size_t d = 0; d < dims; ++d) {
+        fwd += a[d] * a[d];
+        rev += b[d] * b[d];
+      }
+      if (fwd != rev) ++order_sensitive;
+    }
+    expect_assign_matches_oracle(origin, centroids, n, dims, k);
+  }
+  EXPECT_GT(order_sensitive, 50);  // the inputs do exercise the order
 }
 
 TEST(Kmeans, AssignFlopsFormula) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -136,6 +139,174 @@ TEST(Srad, TiledPipelineEqualsWholeImage) {
   run_iteration(jw, n);   // whole image
   run_iteration(jt, 4);   // 4x4 tiles
   for (std::size_t i = 0; i < n * n; ++i) EXPECT_FLOAT_EQ(jt[i], jw[i]);
+}
+
+// The scalar srad_coeff / srad_update the vectorized kernels replaced, kept
+// verbatim (minus the band parallelism, which never changes a cell) as exact
+// oracles: every output of the kernels must match them bit for bit.
+void ref_srad_coeff(const float* j, float* c, float* dn, float* ds, float* dw, float* de,
+                    std::size_t rows, std::size_t cols, std::size_t row_begin,
+                    std::size_t row_end, std::size_t col_begin, std::size_t col_end,
+                    double q0sqr) {
+  for (std::size_t r = row_begin; r < row_end; ++r) {
+    const std::size_t rn = r > 0 ? r - 1 : 0;
+    const std::size_t rs = r + 1 < rows ? r + 1 : rows - 1;
+    for (std::size_t col = col_begin; col < col_end; ++col) {
+      const std::size_t cw = col > 0 ? col - 1 : 0;
+      const std::size_t ce = col + 1 < cols ? col + 1 : cols - 1;
+      const std::size_t k = r * cols + col;
+      const float jc = j[k];
+      const float n = j[rn * cols + col] - jc;
+      const float s = j[rs * cols + col] - jc;
+      const float w = j[r * cols + cw] - jc;
+      const float e = j[r * cols + ce] - jc;
+      dn[k] = n;
+      ds[k] = s;
+      dw[k] = w;
+      de[k] = e;
+
+      const double g2 = (static_cast<double>(n) * n + static_cast<double>(s) * s +
+                         static_cast<double>(w) * w + static_cast<double>(e) * e) /
+                        (static_cast<double>(jc) * jc);
+      const double l = (static_cast<double>(n) + s + w + e) / jc;
+      const double num = 0.5 * g2 - (1.0 / 16.0) * l * l;
+      const double den_l = 1.0 + 0.25 * l;
+      const double qsqr = num / (den_l * den_l);
+      const double den = (qsqr - q0sqr) / (q0sqr * (1.0 + q0sqr));
+      const double cv = 1.0 / (1.0 + den);
+      c[k] = static_cast<float>(std::clamp(cv, 0.0, 1.0));
+    }
+  }
+}
+
+void ref_srad_update(float* j, const float* c, const float* dn, const float* ds, const float* dw,
+                     const float* de, std::size_t rows, std::size_t cols, std::size_t row_begin,
+                     std::size_t row_end, std::size_t col_begin, std::size_t col_end,
+                     double lambda) {
+  for (std::size_t r = row_begin; r < row_end; ++r) {
+    const std::size_t rs = r + 1 < rows ? r + 1 : rows - 1;
+    for (std::size_t col = col_begin; col < col_end; ++col) {
+      const std::size_t ce = col + 1 < cols ? col + 1 : cols - 1;
+      const std::size_t k = r * cols + col;
+      const float cc = c[k];
+      const float cs = c[rs * cols + col];
+      const float ce_v = c[r * cols + ce];
+      const double div = static_cast<double>(cs) * ds[k] + static_cast<double>(cc) * dn[k] +
+                         static_cast<double>(ce_v) * de[k] + static_cast<double>(cc) * dw[k];
+      j[k] = static_cast<float>(j[k] + 0.25 * lambda * div);
+    }
+  }
+}
+
+struct Tile {
+  std::size_t r0, r1, c0, c1;
+};
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Runs srad_coeff and then srad_update on `tile` of the rows x cols plane
+/// `j`, and the oracles on a copy, from identical sentinel-filled outputs;
+/// every plane must match bit for bit (cells outside the tile included).
+void expect_matches_oracle(const std::vector<float>& j, std::size_t rows, std::size_t cols,
+                           const Tile& t, double q0sqr) {
+  SCOPED_TRACE(::testing::Message() << rows << "x" << cols << " tile [" << t.r0 << "," << t.r1
+                                    << ")x[" << t.c0 << "," << t.c1 << ")");
+  const std::size_t cells = rows * cols;
+  const auto fill = random_image(cells, 7);  // stands in for the untouched cells
+  std::vector<float> c(fill), dn(fill), ds(fill), dw(fill), de(fill);
+  std::vector<float> rc(fill), rdn(fill), rds(fill), rdw(fill), rde(fill);
+  srad_coeff(j.data(), c.data(), dn.data(), ds.data(), dw.data(), de.data(), rows, cols, t.r0,
+             t.r1, t.c0, t.c1, q0sqr);
+  ref_srad_coeff(j.data(), rc.data(), rdn.data(), rds.data(), rdw.data(), rde.data(), rows, cols,
+                 t.r0, t.r1, t.c0, t.c1, q0sqr);
+  EXPECT_TRUE(same_bits(c, rc)) << "c";
+  EXPECT_TRUE(same_bits(dn, rdn)) << "dn";
+  EXPECT_TRUE(same_bits(ds, rds)) << "ds";
+  EXPECT_TRUE(same_bits(dw, rdw)) << "dw";
+  EXPECT_TRUE(same_bits(de, rde)) << "de";
+
+  // The update reads the coefficient of cells outside the tile (south and
+  // east halo), so it runs on the full-plane outputs of the oracle.
+  ref_srad_coeff(j.data(), rc.data(), rdn.data(), rds.data(), rdw.data(), rde.data(), rows, cols,
+                 0, rows, 0, cols, q0sqr);
+  std::vector<float> ju(j), rju(j);
+  srad_update(ju.data(), rc.data(), rdn.data(), rds.data(), rdw.data(), rde.data(), rows, cols,
+              t.r0, t.r1, t.c0, t.c1, 0.5);
+  ref_srad_update(rju.data(), rc.data(), rdn.data(), rds.data(), rdw.data(), rde.data(), rows,
+                  cols, t.r0, t.r1, t.c0, t.c1, 0.5);
+  EXPECT_TRUE(same_bits(ju, rju)) << "j";
+
+  // Coefficient-derived planes zero de on the east edge, which would hide
+  // a wrong east neighbour there; independent random planes do not.
+  const auto pc = random_image(cells, 8), pdn = random_image(cells, 9),
+             pds = random_image(cells, 10), pdw = random_image(cells, 11),
+             pde = random_image(cells, 12);
+  ju = j;
+  rju = j;
+  srad_update(ju.data(), pc.data(), pdn.data(), pds.data(), pdw.data(), pde.data(), rows, cols,
+              t.r0, t.r1, t.c0, t.c1, 0.5);
+  ref_srad_update(rju.data(), pc.data(), pdn.data(), pds.data(), pdw.data(), pde.data(), rows,
+                  cols, t.r0, t.r1, t.c0, t.c1, 0.5);
+  EXPECT_TRUE(same_bits(ju, rju)) << "j from random planes";
+}
+
+std::vector<float> extracted(std::size_t cells, unsigned seed) {
+  const auto img = random_image(cells, seed);
+  std::vector<float> j(cells);
+  srad_extract(img.data(), j.data(), 0, cells);
+  return j;
+}
+
+TEST(Srad, CoeffAndUpdateMatchScalarOracleOnEdgeAndInteriorTiles) {
+  // 70 rows span two kRowBand bands; 37 columns leave a vector remainder.
+  const std::size_t rows = 70, cols = 37;
+  const auto j = extracted(rows * cols, 11);
+  double s = 0.0, s2 = 0.0;
+  srad_statistics(j.data(), 0, rows * cols, &s, &s2);
+  const double q0 = srad_q0sqr(s, s2, rows * cols);
+  for (const Tile& t : {Tile{0, rows, 0, cols},       // whole plane: both edges
+                        Tile{0, 70, 0, 10},           // touches col 0
+                        Tile{3, 68, 27, cols},        // touches col cols-1
+                        Tile{5, 60, 3, 30},           // interior only
+                        Tile{1, 2, 1, 36},            // one interior row
+                        Tile{10, 20, 0, 1},           // col 0 alone
+                        Tile{10, 20, cols - 1, cols},  // col cols-1 alone
+                        Tile{69, 70, 17, 18}}) {      // one cell on the south edge
+    expect_matches_oracle(j, rows, cols, t, q0);
+  }
+}
+
+TEST(Srad, CoeffAndUpdateMatchScalarOracleOnDegenerateShapes) {
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{9, 1},
+                                   {9, 2},
+                                   {1, 19},
+                                   {1, 1},
+                                   {1, 2}}) {
+    const auto j = extracted(rows * cols, 13);
+    double s = 0.0, s2 = 0.0;
+    srad_statistics(j.data(), 0, rows * cols, &s, &s2);
+    const double q0 = srad_q0sqr(s, s2, rows * cols);
+    expect_matches_oracle(j, rows, cols, Tile{0, rows, 0, cols}, q0);
+    expect_matches_oracle(j, rows, cols, Tile{0, rows, cols - 1, cols}, q0);
+  }
+}
+
+TEST(Srad, CoeffAndUpdateMatchScalarOracleOnNonFiniteInput) {
+  // NaN, +/-inf and 0 in J poison their neighbours' gradients and the
+  // coefficient (std::clamp passes a NaN through); the kernels must
+  // reproduce the oracle's bits, NaNs included.
+  const std::size_t rows = 12, cols = 21;
+  auto j = extracted(rows * cols, 17);
+  j[2 * cols + 5] = std::numeric_limits<float>::quiet_NaN();
+  j[6 * cols + 11] = std::numeric_limits<float>::infinity();
+  j[6 * cols + 14] = -std::numeric_limits<float>::infinity();
+  j[9 * cols + 0] = std::numeric_limits<float>::quiet_NaN();
+  j[4 * cols + cols - 1] = std::numeric_limits<float>::infinity();
+  j[10 * cols + 8] = 0.0f;
+  expect_matches_oracle(j, rows, cols, Tile{0, rows, 0, cols}, 0.05);
+  expect_matches_oracle(j, rows, cols, Tile{1, 11, 2, 19}, 0.05);
 }
 
 TEST(Srad, WorkFormulas) {
