@@ -29,6 +29,36 @@ void BM_EngineScheduleFire(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleFire)->Arg(1 << 10)->Arg(1 << 14);
 
+/// Hold model: the queue stays at a constant depth because every fire
+/// schedules one later event — the drain pattern of a streaming pipeline,
+/// which the fill-then-empty BM_EngineScheduleFire never exercises. The
+/// increments come from a fixed LCG, so every iteration does the same work.
+void BM_EngineHold(benchmark::State& state) {
+  constexpr int kFires = 1 << 14;
+  struct Hold {
+    ms::sim::Engine engine;
+    std::uint64_t lcg = 1;
+    int remaining = 0;
+    void fire() {
+      if (remaining-- <= 0) return;
+      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+      const double dt = 1.0 + static_cast<double>(lcg >> 56);  // 1..256 us
+      engine.schedule_after(ms::sim::SimTime::micros(dt), [this] { fire(); });
+    }
+  };
+  const int depth = static_cast<int>(state.range(0));
+  Hold h;
+  for (auto _ : state) {
+    h.remaining = kFires;
+    for (int i = 0; i < depth; ++i) {
+      h.engine.schedule_after(ms::sim::SimTime::micros(i), [&h] { h.fire(); });
+    }
+    benchmark::DoNotOptimize(h.engine.run_until_idle());
+  }
+  state.SetItemsProcessed(state.iterations() * (kFires + depth));
+}
+BENCHMARK(BM_EngineHold)->Arg(16)->Arg(64);
+
 void BM_FifoReserve(benchmark::State& state) {
   ms::sim::FifoResource r("x");
   for (auto _ : state) {

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -219,6 +220,9 @@ mstream_result mstream_app_invoke(int stream, const char* name, const mstream_wo
                                                                         dep_events);
     if (out_event != nullptr) *out_event = store_event(ev);
     return MSTREAM_SUCCESS;
+  } catch (const std::invalid_argument& e) {
+    // The cost model rejects negative or non-finite work before anything is issued.
+    return fail(MSTREAM_ERR_BAD_ARGUMENT, e.what());
   } catch (const std::exception& e) {
     return fail(MSTREAM_ERR_RUNTIME, e.what());
   }

@@ -96,7 +96,9 @@ mstream_result mstream_app_xfer_memory(void* host_ptr, size_t bytes, int stream,
                                        mstream_event* out_event);
 
 /* Launch a kernel on `stream`. `fn` may be NULL for timing-only studies.
- * `deps` is an optional array of `num_deps` events to wait for. */
+ * `deps` is an optional array of `num_deps` events to wait for. A `work`
+ * with a negative, NaN or infinite flops/elems/temp_alloc_bytes returns
+ * MSTREAM_ERR_BAD_ARGUMENT and issues nothing. */
 mstream_result mstream_app_invoke(int stream, const char* name, const mstream_work* work,
                                   mstream_kernel_fn fn, void* arg, const mstream_event* deps,
                                   size_t num_deps, mstream_event* out_event);

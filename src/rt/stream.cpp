@@ -1,5 +1,6 @@
 #include "rt/stream.hpp"
 
+#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -75,6 +76,8 @@ Event Stream::enqueue_kernel(KernelLaunch launch, Deps deps) {
   if (ctx_->capture_ != nullptr) {
     return ctx_->capture_kernel(index_, std::move(launch), deps);
   }
+  // Costed first: an invalid KernelWork throws before an action is taken.
+  const sim::SimTime duration = kernel_duration(launch.work);
   Action* a = ctx_->acquire_action();
   a->kind = ActionKind::Kernel;
   // Labels only feed trace spans; intern them (stable storage, no per-span
@@ -86,8 +89,25 @@ Event Stream::enqueue_kernel(KernelLaunch launch, Deps deps) {
   }
   if (launch.fn) a->fn = std::move(launch.fn);
 
-  a->duration = ctx_->cost().kernel_duration(launch.work, dev_->partition(partition_));
+  a->duration = duration;
   return enqueue_common(a, deps, &launch);
+}
+
+sim::SimTime Stream::kernel_duration(const sim::KernelWork& work) {
+  const MemoKey key{std::bit_cast<std::uint64_t>(work.flops),
+                    std::bit_cast<std::uint64_t>(work.elems),
+                    std::bit_cast<std::uint64_t>(work.temp_alloc_bytes), work.kind,
+                    work.temp_alloc_per_thread};
+  for (std::size_t i = 0; i < memo_size_; ++i) {
+    if (memo_[i].key == key) return memo_[i].duration;
+  }
+  // The cost model validates the work and throws before anything is stored,
+  // so every entry holds a valid work and a hit needs no check.
+  const sim::SimTime d = ctx_->cost().kernel_duration(work, dev_->partition(partition_));
+  memo_[memo_next_] = MemoEntry{key, d};
+  memo_next_ = (memo_next_ + 1) % kMemoEntries;
+  if (memo_size_ < kMemoEntries) ++memo_size_;
+  return d;
 }
 
 Event Stream::enqueue_barrier(Deps deps) {

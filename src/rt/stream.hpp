@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -94,6 +95,8 @@ private:
                          Deps deps);
   Event enqueue_common(detail::Action* a, Deps deps, const KernelLaunch* launch = nullptr);
   void record_enqueue(detail::Action* a, Deps deps, const KernelLaunch* launch);
+  /// CostModel::kernel_duration on this stream's partition, through memo_.
+  sim::SimTime kernel_duration(const sim::KernelWork& work);
   void maybe_arm(detail::Action* a);
   void start(detail::Action* a);
   void start_transfer_chunked(detail::Action* a, sim::Direction dir, std::size_t chunk,
@@ -120,6 +123,26 @@ private:
   /// (direct enqueue or compiled replay; 0 = none): synchronize() reports the
   /// host wait as joining it.
   std::uint64_t last_analyze_id_ = 0;
+  /// Memo of kernel durations: a stream re-issues the same few KernelWorks,
+  /// and the partition, the cost model's other input, is fixed for the
+  /// stream's lifetime. Keyed on the work's bit pattern; the first
+  /// memo_size_ entries are live, replaced round-robin at memo_next_.
+  struct MemoKey {
+    std::uint64_t flops;
+    std::uint64_t elems;
+    std::uint64_t temp_alloc_bytes;
+    sim::KernelKind kind;
+    bool temp_alloc_per_thread;
+    bool operator==(const MemoKey&) const = default;
+  };
+  struct MemoEntry {
+    MemoKey key;
+    sim::SimTime duration;
+  };
+  static constexpr std::size_t kMemoEntries = 8;
+  std::array<MemoEntry, kMemoEntries> memo_{};
+  std::size_t memo_size_ = 0;
+  std::size_t memo_next_ = 0;
 };
 
 }  // namespace ms::rt

@@ -1,7 +1,9 @@
 #include "sim/cost_model.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace ms::sim {
 
@@ -91,7 +93,19 @@ SimTime CostModel::alloc_overhead(const KernelWork& work, const PartitionView& p
   return t;
 }
 
+namespace {
+void require_work_field(double v, const char* field) {
+  if (!std::isfinite(v) || v < 0.0) {
+    throw std::invalid_argument(std::string("CostModel::kernel_duration: KernelWork.") + field +
+                                " must be finite and non-negative");
+  }
+}
+}  // namespace
+
 SimTime CostModel::kernel_duration(const KernelWork& work, const PartitionView& part) const {
+  require_work_field(work.flops, "flops");
+  require_work_field(work.elems, "elems");
+  require_work_field(work.temp_alloc_bytes, "temp_alloc_bytes");
   return launch_overhead(part) + alloc_overhead(work, part) + compute_duration(work, part);
 }
 

@@ -59,6 +59,8 @@ public:
   [[nodiscard]] SimTime alloc_overhead(const KernelWork& work, const PartitionView& part) const;
 
   /// Total: launch + alloc + compute. What the scheduler charges a stream.
+  /// The one validation point for KernelWork: throws std::invalid_argument
+  /// when flops, elems or temp_alloc_bytes is negative, NaN or infinite.
   [[nodiscard]] SimTime kernel_duration(const KernelWork& work, const PartitionView& part) const;
 
   /// Stream/device synchronization latency.

@@ -1,6 +1,5 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -80,49 +79,46 @@ Engine::Slot* Engine::acquire_empty_slot() {
   return s;
 }
 
-void Engine::throw_past() {
-  throw std::invalid_argument("Engine::schedule_at: event scheduled in the past");
+void Engine::throw_bad_time(SimTime when) const {
+  if (when < now_) {
+    throw std::invalid_argument("Engine::schedule_at: event scheduled in the past");
+  }
+  throw std::invalid_argument("Engine::schedule_at: event time is NaN or infinite");
 }
 
 void Engine::schedule_at(SimTime when, Callback cb) {
-  if (when < now_) throw_past();
+  const SimTime at = checked_time(when);
   if (!cb) {
     throw std::invalid_argument("Engine::schedule_at: empty callback");
   }
   Slot* slot = acquire_empty_slot();
   slot->cb = std::move(cb);
-  push_item(Item{when, next_seq_++, slot});
+  push_item(Item{at, next_seq_++, slot});
 }
 
 void Engine::fire_next() {
-  Item item;  // NOLINT(cppcoreguidelines-pro-type-member-init): assigned below
-  if (heapified_) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    item = heap_.back();
-    heap_.pop_back();
-  } else {
-    const std::size_t idx = earliest_index();
-    item = heap_[idx];
-    heap_[idx] = heap_.back();
-    heap_.pop_back();
-  }
+  // The earliest item stays parked at the root while its callback runs, so
+  // the callback's first schedule can take its place (push_item).
+  const Item item = heap_.front();
+  parked_ = true;
 
   // Slots never move, so the callback is invoked in place; it may schedule
   // new events freely (they take other slots — this one is released only
   // after the call returns).
-  Slot* s = item.slot;
   now_ = item.when;
   ++fired_;
   const bool prev = dispatching_;
   dispatching_ = true;
   try {
-    s->cb();
+    item.slot->cb();
   } catch (...) {
     dispatching_ = prev;
+    if (parked_) pop_parked();
     retire(item);
     throw;
   }
   dispatching_ = prev;
+  if (parked_) pop_parked();
   retire(item);
 }
 
@@ -133,6 +129,7 @@ void Engine::retire(const Item& item) {
 
 SimTime Engine::run_until_idle() {
   const DrainProbe probe(*this, fired_);
+  if (parked_) pop_parked();  // called from inside a callback
   while (!heap_.empty()) {
     fire_next();
   }
@@ -141,7 +138,8 @@ SimTime Engine::run_until_idle() {
 
 SimTime Engine::run_until(SimTime deadline) {
   const DrainProbe probe(*this, fired_);
-  while (!heap_.empty() && heap_[earliest_index()].when <= deadline) {
+  if (parked_) pop_parked();
+  while (!heap_.empty() && heap_.front().when <= deadline) {
     fire_next();
   }
   if (now_ < deadline && heap_.empty()) {
@@ -151,6 +149,7 @@ SimTime Engine::run_until(SimTime deadline) {
 }
 
 bool Engine::step() {
+  if (parked_) pop_parked();
   if (heap_.empty()) return false;
   fire_next();
   return true;
@@ -173,7 +172,7 @@ void Engine::reset() {
   fired_ = 0;
   depth_hw_ = 0;
   dispatching_ = false;
-  heapified_ = false;
+  parked_ = false;
 }
 
 }  // namespace ms::sim

@@ -1,7 +1,7 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -35,7 +35,8 @@ public:
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
   /// Schedule `cb` to run at absolute virtual time `when`.
-  /// Scheduling in the past is an error (throws std::invalid_argument).
+  /// Scheduling in the past, or at a NaN or infinite time, is an error
+  /// (throws std::invalid_argument); -0.0 is stored as +0.0.
   void schedule_at(SimTime when, Callback cb);
 
   /// Emplace overload for raw callables: the functor is constructed directly
@@ -45,10 +46,10 @@ public:
     requires(!std::is_same_v<std::remove_cvref_t<F>, Callback> &&
              std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
   void schedule_at(SimTime when, F&& f) {
-    if (when < now_) throw_past();
+    const SimTime at = checked_time(when);
     Slot* slot = acquire_empty_slot();
     slot->cb.emplace(std::forward<F>(f));
-    push_item(Item{when, next_seq_++, slot});
+    push_item(Item{at, next_seq_++, slot});
   }
 
   /// Schedule `cb` to run `delay` after the current time.
@@ -69,8 +70,8 @@ public:
   /// own holds (e.g. "this stream drained").
   bool step();
 
-  [[nodiscard]] bool idle() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
+  [[nodiscard]] bool idle() const noexcept { return pending() == 0; }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size() - (parked_ ? 1 : 0); }
   [[nodiscard]] std::uint64_t events_fired() const noexcept { return fired_; }
 
   /// Deepest the pending queue has ever been (since construction/reset).
@@ -107,53 +108,84 @@ private:
   };
   static constexpr std::size_t kSlotChunk = 64;
 
-  /// Min-heap ordering: earliest `when` first, ties broken by insertion
-  /// sequence (earlier fires first) — the documented FIFO guarantee.
-  /// A functor (not a function pointer) so push_heap/pop_heap inline it.
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  /// Queues this small stay an unsorted array: a linear min-scan over a
-  /// couple of cache lines beats O(log n) heap sifts, and a streaming
-  /// pipeline holds only one armed event per stream plus in-flight
-  /// completions. Crossing the threshold heapifies once and the engine
-  /// stays a heap from then on (sticky, so mixed workloads never flip-flop).
-  static constexpr std::size_t kHeapThreshold = 16;
-
-  void push_item(Item it) {
-    heap_.push_back(it);
-    if (heap_.size() > depth_hw_) depth_hw_ = heap_.size();
-    if (heapified_) {
-      std::push_heap(heap_.begin(), heap_.end(), Later{});
-    } else if (heap_.size() > kHeapThreshold) {
-      std::make_heap(heap_.begin(), heap_.end(), Later{});
-      heapified_ = true;
-    }
+  /// Heap order: earliest `when` first, ties broken by insertion sequence
+  /// (earlier fires first) — the documented FIFO guarantee. `when` is never
+  /// NaN (checked_time rejects it), so this is a strict total order.
+  [[nodiscard]] static bool earlier(const Item& a, const Item& b) noexcept {
+    return a.when < b.when || (a.when == b.when && a.seq < b.seq);
   }
 
-  /// Index of the earliest pending item (valid only when !heap_.empty()).
-  [[nodiscard]] std::size_t earliest_index() const noexcept {
-    if (heapified_) return 0;
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < heap_.size(); ++i) {
-      if (Later{}(heap_[best], heap_[i])) best = i;
+  /// `when` as stored: throws if it is in the past, NaN or infinite, and
+  /// maps -0.0 to +0.0.
+  [[nodiscard]] SimTime checked_time(SimTime when) const {
+    if (!(when >= now_) || when.micros() == std::numeric_limits<double>::infinity()) {
+      throw_bad_time(when);
     }
-    return best;
+    return when + SimTime::zero();
+  }
+
+  /// A callback scheduling its first event while its own item is still
+  /// parked at the root replaces that root in one sift (a pop and a push
+  /// fused); every other schedule is a plain push.
+  void push_item(Item it) {
+    if (parked_) {
+      parked_ = false;
+      replace_root(it);
+    } else {
+      heap_.push_back(it);
+      sift_up(heap_.size() - 1, it);
+    }
+    if (heap_.size() > depth_hw_) depth_hw_ = heap_.size();
+  }
+
+  /// Put `it` in the hole at index `hole` and move it towards the root.
+  void sift_up(std::size_t hole, Item it) noexcept {
+    Item* h = heap_.data();
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / 2;
+      if (!earlier(it, h[parent])) break;
+      h[hole] = h[parent];
+      hole = parent;
+    }
+    h[hole] = it;
+  }
+
+  /// Overwrite the root with `it`, bottom-up: walk the hole down to a leaf
+  /// along the earlier child, then sift `it` up from there. A replacement is
+  /// usually later than most pending events, so the climb back is short and
+  /// the walk down needs one compare per level instead of two.
+  void replace_root(Item it) noexcept {
+    Item* h = heap_.data();
+    const std::size_t n = heap_.size();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+      if (child + 1 < n && earlier(h[child + 1], h[child])) ++child;
+      h[hole] = h[child];
+      hole = child;
+    }
+    sift_up(hole, it);
+  }
+
+  /// Drop the parked root of a fired event that scheduled nothing.
+  void pop_parked() noexcept {
+    parked_ = false;
+    const Item last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) replace_root(last);
   }
 
   void fire_next();
   void retire(const Item& item);
   [[nodiscard]] Slot* acquire_empty_slot();
-  [[noreturn]] static void throw_past();
+  [[noreturn]] void throw_bad_time(SimTime when) const;
 
-  std::vector<Item> heap_;  // unsorted below kHeapThreshold, then a min-heap
+  /// Binary min-heap on (when, seq). While a callback runs, its own item
+  /// stays at heap_[0] (`parked_`): it is logically gone, and its place is
+  /// taken by the first event the callback schedules.
+  std::vector<Item> heap_;
   std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
   std::vector<Slot*> free_slots_;
-  bool heapified_ = false;
+  bool parked_ = false;
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 namespace {
@@ -252,6 +253,38 @@ TEST(CApi, TimingOnlyKernelAdvancesVirtualClock) {
             MSTREAM_SUCCESS);
   ASSERT_EQ(mstream_app_thread_sync(), MSTREAM_SUCCESS);
   EXPECT_GT(mstream_virtual_time_ms(), before + 1.0);  // ~1.7 ms of GEMM
+}
+
+TEST(CApi, InvalidWorkIsRejectedAndIssuesNothing) {
+  CApiSession session(2);
+  const double bad[] = {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()};
+  int runs = 0;
+  for (const double v : bad) {
+    for (int field = 0; field < 3; ++field) {
+      mstream_work work{};
+      work.kind = MSTREAM_KERNEL_GEMM;
+      work.flops = 1e6;
+      double* target[] = {&work.flops, &work.elems, &work.temp_alloc_bytes};
+      *target[field] = v;
+      mstream_event ev = 0;
+      EXPECT_EQ(mstream_app_invoke(0, "bad", &work, &count_kernel, &runs, nullptr, 0, &ev),
+                MSTREAM_ERR_BAD_ARGUMENT)
+          << "field " << field << " value " << v;
+      EXPECT_EQ(ev, 0u);
+      EXPECT_NE(mstream_last_error()[0], '\0');
+    }
+  }
+  ASSERT_EQ(mstream_app_thread_sync(), MSTREAM_SUCCESS);
+  EXPECT_EQ(runs, 0);
+
+  // The stream still works after the rejections.
+  mstream_work good{};
+  good.flops = 1e6;
+  ASSERT_EQ(mstream_app_invoke(0, "good", &good, &count_kernel, &runs, nullptr, 0, nullptr),
+            MSTREAM_SUCCESS);
+  ASSERT_EQ(mstream_app_thread_sync(), MSTREAM_SUCCESS);
+  EXPECT_EQ(runs, 1);
 }
 
 }  // namespace

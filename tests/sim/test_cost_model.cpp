@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace ms::sim {
@@ -152,6 +153,29 @@ TEST(CostModel, KernelDurationIsSumOfParts) {
   const auto part = whole();
   EXPECT_EQ(m.kernel_duration(w, part),
             m.launch_overhead(part) + m.alloc_overhead(w, part) + m.compute_duration(w, part));
+}
+
+TEST(CostModel, KernelDurationRejectsNegativeOrNonFiniteWork) {
+  CostModel m(cfg());
+  const auto part = whole();
+  const double bad[] = {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double v : bad) {
+    KernelWork w = gemm(1e6);
+    w.flops = v;
+    EXPECT_THROW((void)m.kernel_duration(w, part), std::invalid_argument) << "flops " << v;
+    w = saxpy(1e6);
+    w.elems = v;
+    EXPECT_THROW((void)m.kernel_duration(w, part), std::invalid_argument) << "elems " << v;
+    w = saxpy(1e6);
+    w.temp_alloc_bytes = v;
+    EXPECT_THROW((void)m.kernel_duration(w, part), std::invalid_argument) << "temp " << v;
+  }
+  // Zero (either sign) is valid work.
+  KernelWork zero;
+  zero.flops = -0.0;
+  EXPECT_EQ(m.kernel_duration(zero, part), m.kernel_duration(KernelWork{}, part));
 }
 
 TEST(CostModel, SyncOverheadScalesWithStreamsAndCrossDevice) {
