@@ -16,25 +16,34 @@ namespace ms::bench {
 
 namespace {
 
+/// A file named by --json or --metrics: stdout for "-", otherwise opened by
+/// parse() so a path that cannot be written is refused before any sweep runs.
+struct Output {
+  std::string path;
+  std::ofstream file;
+
+  /// Remembers `p` only once it is writable, so a refused path writes nothing.
+  [[nodiscard]] bool open(const std::string& p) {
+    if (p != "-") {
+      file.open(p);
+      if (!file.is_open()) return false;
+    }
+    path = p;
+    return true;
+  }
+  [[nodiscard]] std::ostream& stream() { return path == "-" ? std::cout : file; }
+};
+
 /// Tables accumulated for --json. Written by a static destructor so every
 /// figure binary gets the file without threading a "finish" call through
 /// each main(); the sink outlives any table emitted from main's scope.
 struct JsonSink {
-  std::string path;
+  Output out;
   std::vector<std::pair<std::string, trace::Table>> tables;
 
   ~JsonSink() {
-    if (path.empty()) return;
-    // "-" streams to stdout, mirroring the CLI's with_output contract.
-    std::ofstream f;
-    if (path != "-") {
-      f.open(path);
-      if (!f) {
-        std::cerr << "warning: cannot write JSON to " << path << "\n";
-        return;
-      }
-    }
-    std::ostream& os = path == "-" ? std::cout : f;
+    if (out.path.empty()) return;
+    std::ostream& os = out.stream();
     os << "{\n";
     for (std::size_t i = 0; i < tables.size(); ++i) {
       os << "  \"" << tables[i].first << "\": ";
@@ -53,20 +62,10 @@ JsonSink& json_sink() {
 /// Same static-destructor pattern for --metrics: the telemetry snapshot is
 /// taken once, after every table (and every worker flush) is done.
 struct MetricsSink {
-  std::string path;
+  Output out;
 
   ~MetricsSink() {
-    if (path.empty()) return;
-    std::ofstream f;
-    if (path != "-") {
-      f.open(path);
-      if (!f) {
-        std::cerr << "warning: cannot write metrics to " << path << "\n";
-        return;
-      }
-    }
-    const bool prom = path.ends_with(".prom") || path.ends_with(".txt");
-    telemetry::write_snapshot(path == "-" ? std::cout : f, prom);
+    if (!out.path.empty()) telemetry::write_snapshot(out.stream());
   }
 };
 
@@ -102,9 +101,21 @@ Options parse(int argc, char** argv) {
     if (i + 1 >= argc) reject(argv[0], "missing value for " + flag);
     *value = argv[++i];
   }
+  if (!opt.csv_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(opt.csv_dir, ec);
+    if (!std::filesystem::is_directory(opt.csv_dir, ec)) {
+      reject(argv[0], "cannot create --csv directory " + opt.csv_dir);
+    }
+  }
+  if (!opt.json_file.empty() && !json_sink().out.open(opt.json_file)) {
+    reject(argv[0], "cannot write --json file " + opt.json_file);
+  }
   if (!opt.metrics_file.empty()) {
+    if (!metrics_sink().out.open(opt.metrics_file)) {
+      reject(argv[0], "cannot write --metrics file " + opt.metrics_file);
+    }
     telemetry::set_enabled(true);
-    metrics_sink().path = opt.metrics_file;
   }
   if (!opt.obs_addr.empty()) {
     telemetry::set_enabled(true);
@@ -120,8 +131,6 @@ void emit(const trace::Table& table, const std::string& name, const std::string&
   std::cout << "\n== " << heading << " ==\n";
   table.print(std::cout);
   if (!opt.csv_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(opt.csv_dir, ec);  // best-effort; open reports failure
     std::ofstream f(opt.csv_dir + "/" + name + ".csv");
     if (f) {
       table.write_csv(f);
@@ -129,10 +138,7 @@ void emit(const trace::Table& table, const std::string& name, const std::string&
       std::cerr << "warning: cannot write CSV for " << name << " into " << opt.csv_dir << "\n";
     }
   }
-  if (!opt.json_file.empty()) {
-    json_sink().path = opt.json_file;
-    json_sink().tables.emplace_back(name, table);
-  }
+  if (!opt.json_file.empty()) json_sink().tables.emplace_back(name, table);
 }
 
 std::string unit(Metric metric) {

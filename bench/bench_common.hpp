@@ -15,14 +15,14 @@ namespace ms::bench {
 ///                   file keyed by table name (perf-trajectory tracking);
 ///                   "-" streams to stdout like the CLI
 ///   --metrics FILE  enable host telemetry for the whole run and write the
-///                   registry snapshot at exit (JSON, or Prometheus text for
-///                   *.prom/*.txt paths; "-" = stdout)
+///                   registry snapshot at exit as Prometheus text ("-" = stdout)
 ///   --serve-obs ADDR  enable host telemetry and serve the live observability
 ///                   endpoint (/metrics, /healthz, ...) on ADDR while the
 ///                   sweeps run; the bound address is printed (port 0 =
 ///                   ephemeral)
-/// An unknown flag or a flag missing its value prints the reason and the
-/// usage line to stderr and exits 2.
+/// An unknown flag, a flag missing its value, a --csv directory that cannot
+/// be created or a --json/--metrics file that cannot be opened prints the
+/// reason and the usage line to stderr and exits 2, before anything runs.
 struct Options {
   bool quick = false;
   std::string csv_dir;

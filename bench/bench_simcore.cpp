@@ -60,7 +60,7 @@ void BM_EngineHold(benchmark::State& state) {
 BENCHMARK(BM_EngineHold)->Arg(16)->Arg(64);
 
 void BM_FifoReserve(benchmark::State& state) {
-  ms::sim::FifoResource r("x");
+  ms::sim::FifoResource r;
   for (auto _ : state) {
     benchmark::DoNotOptimize(r.reserve(ms::sim::SimTime::zero(), ms::sim::SimTime::micros(1)));
   }

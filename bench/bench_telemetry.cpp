@@ -186,7 +186,7 @@ void BM_SnapshotRenderPrometheus(benchmark::State& state) {
   std::size_t bytes = 0;
   for (auto _ : state) {
     std::ostringstream os;
-    ms::telemetry::write_snapshot(os, /*prometheus=*/true);
+    ms::telemetry::write_snapshot(os);
     bytes = os.str().size();
     benchmark::DoNotOptimize(bytes);
   }

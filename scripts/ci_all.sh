@@ -2,7 +2,7 @@
 # The whole CI surface in one command, in severity order:
 #   1. tier-1: Release build + full ctest suite
 #   2. observability endpoint smoke: scrape a live --serve-obs run over TCP
-#      (/healthz readiness + monotone Prometheus /metrics)
+#      (/healthz readiness + monotone Prometheus /metrics + /trace host track)
 #   3. sanitizers: thread (the sweep pool, parallel kernels and concurrent
 #      telemetry primitives), address (leak check proves the hazard-abort
 #      path releases pooled actions), undefined (every UB report fatal)

@@ -6,6 +6,8 @@
 #   - /healthz answers 200 "serving" while the run is in flight
 #   - /metrics serves Prometheus text (HELP/TYPE headers + samples) and the
 #     request counter is monotone across two scrapes
+#   - /trace serves Chrome-trace JSON: a traceEvents array that holds the
+#     host process_name event (checked with python3's json module)
 #   - the workload exits 0 with the server attached
 #
 #   scripts/ci_obs_smoke.sh [build-dir]
@@ -20,9 +22,10 @@ fi
 log="$(mktemp)"
 s1="$(mktemp)"
 s2="$(mktemp)"
+s3="$(mktemp)"
 cleanup() {
   [[ -n "${pid:-}" ]] && kill "${pid}" 2>/dev/null || true
-  rm -f "${log}" "${s1}" "${s2}"
+  rm -f "${log}" "${s1}" "${s2}" "${s3}"
 }
 trap cleanup EXIT
 
@@ -90,6 +93,20 @@ if (( t2 <= t1 )); then
   exit 1
 fi
 
+code="$(fetch "http://${addr}/trace" "${s3}")"
+[[ "${code}" == "200" ]] || { echo "obs-smoke: FAIL - /trace answered ${code}"; exit 1; }
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "${s3}" <<'EOF' || { echo "obs-smoke: FAIL - /trace is not a host Chrome trace"; exit 1; }
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+assert isinstance(events, list)
+assert any(e.get("ph") == "M" and e.get("name") == "process_name"
+           and e.get("args", {}).get("name") == "host (wall-clock)" for e in events)
+EOF
+else
+  echo "obs-smoke: python3 not found, /trace JSON check skipped"
+fi
+
 wait "${pid}"
 rc=$?
 pid=""
@@ -98,4 +115,4 @@ if (( rc != 0 )); then
   cat "${log}"
   exit 1
 fi
-echo "obs-smoke: OK (healthz serving, ${t1} -> ${t2} requests counted across scrapes)"
+echo "obs-smoke: OK (healthz serving, ${t1} -> ${t2} requests counted across scrapes, /trace has the host track)"

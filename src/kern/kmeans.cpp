@@ -134,12 +134,4 @@ void kmeans_update(const float* sums, const std::int32_t* counts, float* centroi
   }
 }
 
-std::size_t kmeans_delta(const std::int32_t* a, const std::int32_t* b, std::size_t n) noexcept {
-  std::size_t delta = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] != b[i]) ++delta;
-  }
-  return delta;
-}
-
 }  // namespace ms::kern

@@ -28,11 +28,6 @@ void kmeans_accumulate(const float* points, const std::int32_t* membership, floa
 void kmeans_update(const float* sums, const std::int32_t* counts, float* centroids, std::size_t k,
                    std::size_t dims);
 
-/// Number of points whose membership differs between `a` and `b` — the
-/// convergence test.
-[[nodiscard]] std::size_t kmeans_delta(const std::int32_t* a, const std::int32_t* b,
-                                       std::size_t n) noexcept;
-
 /// Flops of one assignment pass (3 ops per point/centroid/feature triple).
 [[nodiscard]] constexpr double kmeans_assign_flops(std::size_t n, std::size_t dims,
                                                    std::size_t k) noexcept {

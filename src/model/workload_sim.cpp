@@ -61,8 +61,4 @@ double simulate_streamed_ms(const sim::SimConfig& cfg, const OffloadShape& shape
   return run(cfg, shape, partitions, tiles);
 }
 
-double simulate_serial_ms(const sim::SimConfig& cfg, const OffloadShape& shape) {
-  return run(cfg, shape, 1, 1);
-}
-
 }  // namespace ms::model

@@ -13,7 +13,4 @@ namespace ms::model {
 [[nodiscard]] double simulate_streamed_ms(const sim::SimConfig& cfg, const OffloadShape& shape,
                                           int partitions, int tiles);
 
-/// The non-streamed (1 stream, 1 tile) ground truth for the same offload.
-[[nodiscard]] double simulate_serial_ms(const sim::SimConfig& cfg, const OffloadShape& shape);
-
 }  // namespace ms::model

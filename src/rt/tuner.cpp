@@ -41,10 +41,8 @@ void tel_search_begin(std::size_t candidates) {
 
 }  // namespace
 
-std::vector<int> Tuner::partition_candidates(const sim::CoprocessorSpec& spec,
-                                             const TunerOptions& opt) {
+std::vector<int> Tuner::partition_candidates(const sim::CoprocessorSpec& spec) {
   std::vector<int> out;
-  if (opt.include_single_partition) out.push_back(1);
   const int cores = spec.usable_cores();
   for (int p = 2; p <= cores; ++p) {
     if (cores % p == 0) out.push_back(p);
@@ -67,7 +65,7 @@ std::vector<int> Tuner::tile_candidates(int partitions, const TunerOptions& opt)
 std::vector<Tuner::Candidate> Tuner::pruned_space(const sim::CoprocessorSpec& spec,
                                                   const TunerOptions& opt) {
   std::vector<Candidate> out;
-  for (const int p : partition_candidates(spec, opt)) {
+  for (const int p : partition_candidates(spec)) {
     for (const int t : tile_candidates(p, opt)) {
       out.push_back(Candidate{p, t});
     }

@@ -22,8 +22,6 @@ namespace ms::rt {
 struct TunerOptions {
   /// H2/H3 bound: consider m in [1, max_multiplier].
   int max_multiplier = 8;
-  /// Include P = 1 (useful as a degenerate baseline)?
-  bool include_single_partition = false;
 };
 
 /// How Tuner::search evaluates its candidates.
@@ -58,9 +56,8 @@ public:
   };
 
   /// H1: the pruned partition-count candidates for `spec` — all divisors of
-  /// usable_cores() except 1 (plus 1 itself when requested).
-  [[nodiscard]] static std::vector<int> partition_candidates(const sim::CoprocessorSpec& spec,
-                                                             const TunerOptions& opt = TunerOptions());
+  /// usable_cores() except 1.
+  [[nodiscard]] static std::vector<int> partition_candidates(const sim::CoprocessorSpec& spec);
 
   /// H2+H3: tile-count candidates for a fixed P.
   [[nodiscard]] static std::vector<int> tile_candidates(int partitions, const TunerOptions& opt = TunerOptions());

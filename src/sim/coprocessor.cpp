@@ -6,18 +6,13 @@ Coprocessor::Coprocessor(const SimConfig& cfg, int device_id)
     : id_(device_id),
       spec_(cfg.device),
       memory_(cfg.device.memory_bytes),
-      link_(cfg.link, "mic" + std::to_string(device_id)),
-      alloc_lock_("mic" + std::to_string(device_id) + ".alloc") {
+      link_(cfg.link) {
   set_partitions(1);
 }
 
 void Coprocessor::set_partitions(int partitions) {
   table_ = std::make_unique<PartitionTable>(spec_, partitions);
-  partition_res_.clear();
-  partition_res_.reserve(static_cast<std::size_t>(partitions));
-  for (int i = 0; i < partitions; ++i) {
-    partition_res_.emplace_back("mic" + std::to_string(id_) + ".p" + std::to_string(i));
-  }
+  partition_res_.assign(static_cast<std::size_t>(partitions), FifoResource{});
 }
 
 }  // namespace ms::sim

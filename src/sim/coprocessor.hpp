@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/device_memory.hpp"
@@ -44,16 +43,11 @@ public:
     return partition_res_.at(static_cast<std::size_t>(i));
   }
 
-  /// Serialized device-side allocator (MPSS funnels dynamic allocations
-  /// through one service thread).
-  [[nodiscard]] FifoResource& alloc_lock() noexcept { return alloc_lock_; }
-
 private:
   int id_;
   CoprocessorSpec spec_;
   DeviceMemory memory_;
   PcieLink link_;
-  FifoResource alloc_lock_;
   std::unique_ptr<PartitionTable> table_;
   std::vector<FifoResource> partition_res_;
 };

@@ -1,7 +1,6 @@
 #include "sim/pcie_link.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "telemetry/metrics.hpp"
 
@@ -11,12 +10,12 @@ const char* to_string(Direction d) noexcept {
   return d == Direction::HostToDevice ? "H2D" : "D2H";
 }
 
-PcieLink::PcieLink(const LinkSpec& spec, std::string name) : spec_(spec), name_(std::move(name)) {
+PcieLink::PcieLink(const LinkSpec& spec) : spec_(spec) {
   if (spec_.full_duplex) {
-    h2d_ = std::make_unique<FifoResource>(name_ + ".h2d");
-    d2h_ = std::make_unique<FifoResource>(name_ + ".d2h");
+    h2d_ = std::make_unique<FifoResource>();
+    d2h_ = std::make_unique<FifoResource>();
   } else {
-    shared_ = std::make_unique<FifoResource>(name_ + ".dma");
+    shared_ = std::make_unique<FifoResource>();
   }
 }
 

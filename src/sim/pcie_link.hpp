@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/resource.hpp"
@@ -38,7 +37,7 @@ enum class Direction : std::uint8_t { HostToDevice, DeviceToHost };
 /// show what the figure would look like on duplex-capable hardware.
 class PcieLink {
 public:
-  PcieLink(const LinkSpec& spec, std::string name);
+  explicit PcieLink(const LinkSpec& spec);
 
   /// Pure transfer cost for `bytes`: setup latency + bytes / bandwidth.
   [[nodiscard]] SimTime transfer_duration(std::size_t bytes) const noexcept;
@@ -77,7 +76,6 @@ private:
   };
 
   LinkSpec spec_;
-  std::string name_;
   // Serialized mode uses `shared_`; duplex mode uses the per-direction pair.
   std::unique_ptr<FifoResource> shared_;
   std::unique_ptr<FifoResource> h2d_;

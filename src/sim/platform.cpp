@@ -2,7 +2,7 @@
 
 namespace ms::sim {
 
-Platform::Platform(const SimConfig& cfg) : cfg_(cfg), cost_(cfg), host_thread_("host.enqueue") {
+Platform::Platform(const SimConfig& cfg) : cfg_(cfg), cost_(cfg) {
   cfg_.validate();
   devices_.reserve(static_cast<std::size_t>(cfg_.num_devices));
   for (int i = 0; i < cfg_.num_devices; ++i) {

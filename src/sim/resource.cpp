@@ -1,6 +1,5 @@
 #include "sim/resource.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace ms::sim {
@@ -9,45 +8,10 @@ void FifoResource::throw_negative() {
   throw std::invalid_argument("FifoResource::reserve: negative duration");
 }
 
-double FifoResource::utilization(SimTime horizon) const noexcept {
-  if (horizon <= SimTime::zero()) return 0.0;
-  return std::min(1.0, total_busy_ / horizon);
-}
-
 void FifoResource::reset() noexcept {
   busy_until_ = SimTime::zero();
   total_busy_ = SimTime::zero();
   total_wait_ = SimTime::zero();
-  grants_ = 0;
-}
-
-MultiSlotResource::MultiSlotResource(std::string name, std::size_t slots)
-    : name_(std::move(name)), slots_(slots, SimTime::zero()) {
-  if (slots == 0) {
-    throw std::invalid_argument("MultiSlotResource: slot count must be positive");
-  }
-}
-
-FifoResource::Grant MultiSlotResource::reserve(SimTime ready, SimTime duration) {
-  if (duration < SimTime::zero()) {
-    throw std::invalid_argument("MultiSlotResource::reserve: negative duration");
-  }
-  auto it = std::min_element(slots_.begin(), slots_.end());
-  const SimTime start = max(ready, *it);
-  const SimTime end = start + duration;
-  *it = end;
-  ++grants_;
-  return FifoResource::Grant{start, end, start - ready};
-}
-
-SimTime MultiSlotResource::busy_until() const noexcept {
-  SimTime latest = SimTime::zero();
-  for (const SimTime t : slots_) latest = max(latest, t);
-  return latest;
-}
-
-void MultiSlotResource::reset() noexcept {
-  std::fill(slots_.begin(), slots_.end(), SimTime::zero());
   grants_ = 0;
 }
 

@@ -1,6 +1,11 @@
 #include "telemetry/export.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <ostream>
+#include <set>
 #include <string>
 
 namespace ms::telemetry {
@@ -19,13 +24,6 @@ void write_escaped(std::ostream& os, const std::string& s) {
       default: os << c;
     }
   }
-}
-
-/// Rendered `{key="value"}` selector of a labeled snapshot ("" if unlabeled).
-/// Delegates to the registry's shared renderer so exporters and family
-/// track() names agree byte-for-byte.
-std::string label_selector(const MetricSnapshot& m) {
-  return render_selector(m.label_key, m.label_value);
 }
 
 }  // namespace
@@ -61,7 +59,7 @@ void write_prometheus(std::ostream& os, const Registry::Snapshot& snap) {
   // emit HELP/TYPE once per metric name.
   const std::string* described = nullptr;
   for (const MetricSnapshot& m : snap.metrics) {
-    const std::string sel = label_selector(m);
+    const std::string sel = render_selector(m.label_key, m.label_value);
     if (described == nullptr || *described != m.name) {
       os << "# HELP " << m.name << ' ';
       write_escaped(os, m.help);
@@ -109,62 +107,64 @@ void write_prometheus(std::ostream& os, const Registry::Snapshot& snap) {
   }
 }
 
-void write_json(std::ostream& os, const Registry::Snapshot& snap) {
-  os << "{\n  \"counters\": {";
-  bool first = true;
-  for (const MetricSnapshot& m : snap.metrics) {
-    if (m.kind != MetricKind::Counter) continue;
-    if (!first) os << ',';
-    first = false;
-    os << "\n    ";
-    os << json_quote(m.name + label_selector(m));
-    os << ": " << m.counter;
-  }
-  os << "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const MetricSnapshot& m : snap.metrics) {
-    if (m.kind != MetricKind::Gauge && m.kind != MetricKind::MaxGauge) continue;
-    if (!first) os << ',';
-    first = false;
-    os << "\n    ";
-    os << json_quote(m.name + label_selector(m));
-    os << ": " << m.gauge;
-  }
-  os << "\n  },\n  \"histograms\": {";
-  first = true;
-  for (const MetricSnapshot& m : snap.metrics) {
-    if (m.kind != MetricKind::Histogram) continue;
-    if (!first) os << ',';
-    first = false;
-    os << "\n    ";
-    os << json_quote(m.name + label_selector(m));
-    os << ": {\"count\": " << m.histogram.count() << ", \"sum\": " << m.histogram.sum
-       << ", \"p50\": " << m.histogram.quantile(0.50) << ", \"p95\": " << m.histogram.quantile(0.95)
-       << ", \"p99\": " << m.histogram.quantile(0.99);
-    if (m.histogram.exemplar_replay != 0) {
-      os << ", \"exemplar\": {\"replay_id\": " << m.histogram.exemplar_replay
-         << ", \"value\": " << m.histogram.exemplar_value << '}';
-    }
-    os << ", \"buckets\": [";
-    bool bfirst = true;
-    for (std::size_t b = 0; b < HistogramSnapshot::kBuckets; ++b) {
-      if (m.histogram.buckets[b] == 0) continue;
-      if (!bfirst) os << ", ";
-      bfirst = false;
-      os << '[' << HistogramSnapshot::bucket_upper(b) << ", " << m.histogram.buckets[b] << ']';
-    }
-    os << "]}";
-  }
-  os << "\n  }\n}\n";
+void write_snapshot(std::ostream& os) { write_prometheus(os, registry().snapshot()); }
+
+ChromeTraceWriter::ChromeTraceWriter(std::ostream& os) : os_(os) {
+  os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
 }
 
-void write_snapshot(std::ostream& os, bool prometheus) {
-  const auto snap = registry().snapshot();
-  if (prometheus) {
-    write_prometheus(os, snap);
-  } else {
-    write_json(os, snap);
+std::ostream& ChromeTraceWriter::event() {
+  if (!first_) os_ << ',';
+  first_ = false;
+  return os_ << '\n';
+}
+
+void ChromeTraceWriter::host(std::span<const SpanRecord> spans,
+                             std::span<const CounterSample> counters) {
+  if (spans.empty() && counters.empty()) return;
+  /// Exact microseconds with a 3-digit nanosecond fraction — stream default
+  /// precision would round large steady-clock offsets.
+  auto write_us = [&](std::uint64_t ns) {
+    os_ << ns / 1000 << '.' << static_cast<char>('0' + ns / 100 % 10)
+        << static_cast<char>('0' + ns / 10 % 10) << static_cast<char>('0' + ns % 10);
+  };
+  event() << "{\"ph\":\"M\",\"pid\":" << kHostTracePid
+          << ",\"name\":\"process_name\",\"args\":{\"name\":\"host (wall-clock)\"}}";
+  event() << "{\"ph\":\"M\",\"pid\":" << kHostTracePid
+          << ",\"name\":\"process_sort_index\",\"args\":{\"sort_index\":-1}}";
+  std::set<std::uint32_t> threads;
+  for (const SpanRecord& r : spans) threads.insert(r.thread);
+  for (const std::uint32_t t : threads) {
+    event() << "{\"ph\":\"M\",\"pid\":" << kHostTracePid << ",\"tid\":" << t
+            << ",\"name\":\"thread_name\",\"args\":{\"name\":\"host thread " << t << "\"}}";
+  }
+
+  // Normalize so the earliest host event starts at 0 — steady-clock offsets
+  // are since boot and would park the track light-years from the devices.
+  // Spans and counters share one origin so their tracks stay aligned.
+  std::uint64_t t0 = std::numeric_limits<std::uint64_t>::max();
+  for (const SpanRecord& r : spans) t0 = std::min(t0, r.start_ns);
+  for (const CounterSample& c : counters) t0 = std::min(t0, c.t_ns);
+  for (const SpanRecord& r : spans) {
+    event() << "{\"ph\":\"X\",\"name\":" << json_quote(r.name != nullptr ? r.name : "span")
+            << ",\"cat\":\"host\",\"pid\":" << kHostTracePid << ",\"tid\":" << r.thread
+            << ",\"ts\":";
+    write_us(r.start_ns - t0);
+    os_ << ",\"dur\":";
+    write_us(r.duration_ns());
+    if (r.replay_id != 0) os_ << ",\"args\":{\"replay_id\":" << r.replay_id << '}';
+    os_ << '}';
+  }
+  for (const CounterSample& c : counters) {
+    event() << "{\"ph\":\"C\",\"name\":" << json_quote(c.name != nullptr ? c.name : "counter")
+            << ",\"cat\":\"counter\",\"pid\":" << kHostTracePid << ",\"ts\":";
+    write_us(c.t_ns - t0);
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", c.value);
+    os_ << ",\"args\":{\"value\":" << buf << "}}";
   }
 }
+
+void ChromeTraceWriter::close() { os_ << "\n]}\n"; }
 
 }  // namespace ms::telemetry

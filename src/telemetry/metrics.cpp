@@ -99,7 +99,6 @@ void set_enabled(bool on) noexcept {
 struct Registry::Entry {
   std::string name;
   std::string help;
-  MetricKind kind = MetricKind::Counter;
   /// Family children record their label pair; empty key = unlabeled.
   std::string label_key;
   std::string label_value;
@@ -107,23 +106,29 @@ struct Registry::Entry {
   /// after creation and owned by the immortal registry, so its c_str() is a
   /// process-lifetime-stable track name for counter samples and spans.
   std::string rendered;
-  // Exactly one is set, matching `kind`; unique_ptr keeps addresses stable
-  // as the registry grows (call sites hold references for the process life).
-  std::unique_ptr<Counter> counter;
-  std::unique_ptr<Gauge> gauge;
-  std::unique_ptr<MaxGauge> max_gauge;
-  std::unique_ptr<Histogram> histogram;
+  /// Entries are heap-allocated, so the metric's address stays stable as the
+  /// registry grows (call sites hold references for the process life).
+  AnyMetric metric;
+
+  [[nodiscard]] MetricKind kind() const noexcept {
+    return static_cast<MetricKind>(metric.index());
+  }
 };
 
 struct Registry::Impl {
+  /// A registered family: its kind, checked on every re-registration, and
+  /// the Family<kind> itself, type-erased so one map holds every kind.
+  struct FamilyEntry {
+    MetricKind kind;
+    std::unique_ptr<void, void (*)(void*)> family;
+  };
+
   mutable std::mutex mu;
   std::vector<std::unique_ptr<Entry>> entries;
   /// Unlabeled metrics index by name; family children by
   /// name + '\x1f' + label value (no valid metric name contains '\x1f').
   std::unordered_map<std::string, std::size_t> index;
-  std::unordered_map<std::string, std::unique_ptr<CounterFamily>> counter_families;
-  std::unordered_map<std::string, std::unique_ptr<GaugeFamily>> gauge_families;
-  std::unordered_map<std::string, std::unique_ptr<HistogramFamily>> histogram_families;
+  std::unordered_map<std::string, FamilyEntry> families;
 };
 
 Registry& Registry::instance() {
@@ -140,201 +145,104 @@ Registry::Impl& Registry::impl() const {
   return *i;
 }
 
-namespace {
-/// Index key of a family child: family name + unit separator + label value.
-std::string child_key(std::string_view name, std::string_view value) {
-  std::string k(name);
-  k += '\x1f';
-  k += value;
-  return k;
-}
-}  // namespace
-
+template <MetricKind K>
 Registry::Entry& Registry::find_or_create(std::string_view name, std::string_view help,
-                                          MetricKind kind) {
+                                          std::string_view label_key,
+                                          std::string_view label_value) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
-  if (im.counter_families.count(std::string(name)) != 0 ||
-      im.gauge_families.count(std::string(name)) != 0 ||
-      im.histogram_families.count(std::string(name)) != 0) {
-    throw std::logic_error("telemetry: metric '" + std::string(name) +
-                           "' is registered as a labeled family");
+  std::string idx(name);
+  if (label_key.empty()) {
+    if (im.families.count(idx) != 0) {
+      throw std::logic_error("telemetry: metric '" + idx + "' is registered as a labeled family");
+    }
+  } else {
+    idx += '\x1f';
+    idx += label_value;
   }
-  if (auto it = im.index.find(std::string(name)); it != im.index.end()) {
+  if (auto it = im.index.find(idx); it != im.index.end()) {
     Entry& e = *im.entries[it->second];
-    if (e.kind != kind) {
+    if (e.kind() != K) {
       throw std::logic_error("telemetry: metric '" + std::string(name) + "' registered as " +
-                             to_string(e.kind) + ", requested as " + to_string(kind));
+                             to_string(e.kind()) + ", requested as " + to_string(K));
     }
     return e;
   }
   auto entry = std::make_unique<Entry>();
   entry->name = std::string(name);
   entry->help = std::string(help);
-  entry->kind = kind;
-  entry->rendered = entry->name;
-  switch (kind) {
-    case MetricKind::Counter: entry->counter = std::make_unique<Counter>(); break;
-    case MetricKind::Gauge: entry->gauge = std::make_unique<Gauge>(); break;
-    case MetricKind::MaxGauge: entry->max_gauge = std::make_unique<MaxGauge>(); break;
-    case MetricKind::Histogram: entry->histogram = std::make_unique<Histogram>(); break;
-  }
+  entry->label_key = std::string(label_key);
+  entry->label_value = std::string(label_value);
+  entry->rendered = entry->name + render_selector(label_key, label_value);
+  entry->metric.emplace<static_cast<std::size_t>(K)>();
   im.entries.push_back(std::move(entry));
-  im.index.emplace(im.entries.back()->name, im.entries.size() - 1);
+  im.index.emplace(std::move(idx), im.entries.size() - 1);
   return *im.entries.back();
 }
 
-Registry::Entry& Registry::find_or_create_labeled(const std::string& name, const std::string& help,
-                                                  const std::string& key, std::string_view value,
-                                                  MetricKind kind) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  const std::string idx = child_key(name, value);
-  if (auto it = im.index.find(idx); it != im.index.end()) {
-    return *im.entries[it->second];
-  }
-  auto entry = std::make_unique<Entry>();
-  entry->name = name;
-  entry->help = help;
-  entry->kind = kind;
-  entry->label_key = key;
-  entry->label_value = std::string(value);
-  entry->rendered = name + render_selector(key, value);
-  switch (kind) {
-    case MetricKind::Counter: entry->counter = std::make_unique<Counter>(); break;
-    case MetricKind::Gauge: entry->gauge = std::make_unique<Gauge>(); break;
-    case MetricKind::MaxGauge: entry->max_gauge = std::make_unique<MaxGauge>(); break;
-    case MetricKind::Histogram: entry->histogram = std::make_unique<Histogram>(); break;
-  }
-  im.entries.push_back(std::move(entry));
-  im.index.emplace(idx, im.entries.size() - 1);
-  return *im.entries.back();
-}
-
-CounterFamily& Registry::counter_family(std::string_view name, std::string_view help,
-                                        std::string_view label_key) {
+template <MetricKind K>
+Family<K>& Registry::family(std::string_view name, std::string_view help,
+                            std::string_view label_key) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   const std::string n(name);
-  if (auto it = im.counter_families.find(n); it != im.counter_families.end()) {
-    if (it->second->label_key() != label_key) {
-      throw std::logic_error("telemetry: family '" + n + "' registered with label key '" +
-                             it->second->label_key() + "', requested '" + std::string(label_key) +
-                             "'");
+  if (auto it = im.families.find(n); it != im.families.end()) {
+    if (it->second.kind != K) {
+      throw std::logic_error("telemetry: family '" + n + "' registered as " +
+                             to_string(it->second.kind) + ", requested as " + to_string(K));
     }
-    return *it->second;
-  }
-  if (im.histogram_families.count(n) != 0 || im.gauge_families.count(n) != 0) {
-    throw std::logic_error("telemetry: family '" + n +
-                           "' registered with a different kind, requested as counter");
+    auto& fam = *static_cast<Family<K>*>(it->second.family.get());
+    if (fam.label_key() != label_key) {
+      throw std::logic_error("telemetry: family '" + n + "' registered with label key '" +
+                             fam.label_key() + "', requested '" + std::string(label_key) + "'");
+    }
+    return fam;
   }
   if (im.index.count(n) != 0) {
     throw std::logic_error("telemetry: '" + n + "' already registered as an unlabeled metric");
   }
-  auto fam = std::unique_ptr<CounterFamily>(
-      new CounterFamily(*this, n, std::string(help), std::string(label_key)));
-  auto [it, inserted] = im.counter_families.emplace(n, std::move(fam));
-  (void)inserted;
-  return *it->second;
+  auto* fam = new Family<K>(*this, n, std::string(help), std::string(label_key));
+  im.families.emplace(
+      n, Impl::FamilyEntry{K, {fam, [](void* f) { delete static_cast<Family<K>*>(f); }}});
+  return *fam;
 }
 
-GaugeFamily& Registry::gauge_family(std::string_view name, std::string_view help,
-                                    std::string_view label_key) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  const std::string n(name);
-  if (auto it = im.gauge_families.find(n); it != im.gauge_families.end()) {
-    if (it->second->label_key() != label_key) {
-      throw std::logic_error("telemetry: family '" + n + "' registered with label key '" +
-                             it->second->label_key() + "', requested '" + std::string(label_key) +
-                             "'");
-    }
-    return *it->second;
-  }
-  if (im.counter_families.count(n) != 0 || im.histogram_families.count(n) != 0) {
-    throw std::logic_error("telemetry: family '" + n +
-                           "' registered with a different kind, requested as gauge");
-  }
-  if (im.index.count(n) != 0) {
-    throw std::logic_error("telemetry: '" + n + "' already registered as an unlabeled metric");
-  }
-  auto fam = std::unique_ptr<GaugeFamily>(
-      new GaugeFamily(*this, n, std::string(help), std::string(label_key)));
-  auto [it, inserted] = im.gauge_families.emplace(n, std::move(fam));
-  (void)inserted;
-  return *it->second;
+template <MetricKind K>
+MetricOf<K>& Family<K>::with(std::string_view label_value) {
+  return std::get<static_cast<std::size_t>(K)>(
+      reg_->find_or_create<K>(name_, help_, key_, label_value).metric);
 }
 
-HistogramFamily& Registry::histogram_family(std::string_view name, std::string_view help,
-                                            std::string_view label_key) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  const std::string n(name);
-  if (auto it = im.histogram_families.find(n); it != im.histogram_families.end()) {
-    if (it->second->label_key() != label_key) {
-      throw std::logic_error("telemetry: family '" + n + "' registered with label key '" +
-                             it->second->label_key() + "', requested '" + std::string(label_key) +
-                             "'");
-    }
-    return *it->second;
-  }
-  if (im.counter_families.count(n) != 0 || im.gauge_families.count(n) != 0) {
-    throw std::logic_error("telemetry: family '" + n +
-                           "' registered with a different kind, requested as histogram");
-  }
-  if (im.index.count(n) != 0) {
-    throw std::logic_error("telemetry: '" + n + "' already registered as an unlabeled metric");
-  }
-  auto fam = std::unique_ptr<HistogramFamily>(
-      new HistogramFamily(*this, n, std::string(help), std::string(label_key)));
-  auto [it, inserted] = im.histogram_families.emplace(n, std::move(fam));
-  (void)inserted;
-  return *it->second;
+template <MetricKind K>
+const char* Family<K>::track(std::string_view label_value) {
+  return reg_->find_or_create<K>(name_, help_, key_, label_value).rendered.c_str();
 }
 
-Counter& CounterFamily::with(std::string_view label_value) {
-  return *reg_->find_or_create_labeled(name_, help_, key_, label_value, MetricKind::Counter)
-              .counter;
-}
-
-const char* CounterFamily::track(std::string_view label_value) {
-  return reg_->find_or_create_labeled(name_, help_, key_, label_value, MetricKind::Counter)
-      .rendered.c_str();
-}
-
-Gauge& GaugeFamily::with(std::string_view label_value) {
-  return *reg_->find_or_create_labeled(name_, help_, key_, label_value, MetricKind::Gauge).gauge;
-}
-
-const char* GaugeFamily::track(std::string_view label_value) {
-  return reg_->find_or_create_labeled(name_, help_, key_, label_value, MetricKind::Gauge)
-      .rendered.c_str();
-}
-
-Histogram& HistogramFamily::with(std::string_view label_value) {
-  return *reg_->find_or_create_labeled(name_, help_, key_, label_value, MetricKind::Histogram)
-              .histogram;
-}
-
-const char* HistogramFamily::track(std::string_view label_value) {
-  return reg_->find_or_create_labeled(name_, help_, key_, label_value, MetricKind::Histogram)
-      .rendered.c_str();
-}
+template class Family<MetricKind::Counter>;
+template class Family<MetricKind::Gauge>;
+template class Family<MetricKind::Histogram>;
+template CounterFamily& Registry::family<MetricKind::Counter>(std::string_view, std::string_view,
+                                                              std::string_view);
+template GaugeFamily& Registry::family<MetricKind::Gauge>(std::string_view, std::string_view,
+                                                          std::string_view);
+template HistogramFamily& Registry::family<MetricKind::Histogram>(std::string_view,
+                                                                  std::string_view,
+                                                                  std::string_view);
 
 Counter& Registry::counter(std::string_view name, std::string_view help) {
-  return *find_or_create(name, help, MetricKind::Counter).counter;
+  return std::get<Counter>(find_or_create<MetricKind::Counter>(name, help).metric);
 }
 
 Gauge& Registry::gauge(std::string_view name, std::string_view help) {
-  return *find_or_create(name, help, MetricKind::Gauge).gauge;
+  return std::get<Gauge>(find_or_create<MetricKind::Gauge>(name, help).metric);
 }
 
 MaxGauge& Registry::max_gauge(std::string_view name, std::string_view help) {
-  return *find_or_create(name, help, MetricKind::MaxGauge).max_gauge;
+  return std::get<MaxGauge>(find_or_create<MetricKind::MaxGauge>(name, help).metric);
 }
 
 Histogram& Registry::histogram(std::string_view name, std::string_view help) {
-  return *find_or_create(name, help, MetricKind::Histogram).histogram;
+  return std::get<Histogram>(find_or_create<MetricKind::Histogram>(name, help).metric);
 }
 
 Registry::Snapshot Registry::snapshot() const {
@@ -347,14 +255,14 @@ Registry::Snapshot Registry::snapshot() const {
       MetricSnapshot m;
       m.name = e->name;
       m.help = e->help;
-      m.kind = e->kind;
+      m.kind = e->kind();
       m.label_key = e->label_key;
       m.label_value = e->label_value;
-      switch (e->kind) {
-        case MetricKind::Counter: m.counter = e->counter->value(); break;
-        case MetricKind::Gauge: m.gauge = e->gauge->value(); break;
-        case MetricKind::MaxGauge: m.gauge = e->max_gauge->value(); break;
-        case MetricKind::Histogram: m.histogram = e->histogram->snapshot(); break;
+      switch (m.kind) {
+        case MetricKind::Counter: m.counter = std::get<Counter>(e->metric).value(); break;
+        case MetricKind::Gauge: m.gauge = std::get<Gauge>(e->metric).value(); break;
+        case MetricKind::MaxGauge: m.gauge = std::get<MaxGauge>(e->metric).value(); break;
+        case MetricKind::Histogram: m.histogram = std::get<Histogram>(e->metric).snapshot(); break;
       }
       out.metrics.push_back(std::move(m));
     }
@@ -371,12 +279,7 @@ void Registry::reset_all() noexcept {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   for (const auto& e : im.entries) {
-    switch (e->kind) {
-      case MetricKind::Counter: e->counter->reset(); break;
-      case MetricKind::Gauge: e->gauge->reset(); break;
-      case MetricKind::MaxGauge: e->max_gauge->reset(); break;
-      case MetricKind::Histogram: e->histogram->reset(); break;
-    }
+    std::visit([](auto& m) { m.reset(); }, e->metric);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 namespace ms::telemetry {
@@ -61,9 +62,9 @@ struct HistogramSnapshot {
 };
 
 /// Rendered Prometheus `{key="value"}` selector ("" when key is empty), with
-/// label-value escaping. The one definition shared by the exporters and the
-/// family track() names, so Prometheus, JSON, and Chrome counter tracks all
-/// render a labeled series identically.
+/// label-value escaping. The one definition shared by the Prometheus encoder
+/// and the family track() names, so scrapes and Chrome counter tracks render
+/// a labeled series identically.
 [[nodiscard]] std::string render_selector(std::string_view key, std::string_view value);
 
 namespace detail {
@@ -232,26 +233,40 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Labeled families
+// Registry
 // ---------------------------------------------------------------------------
+
+/// The metric kinds, in the order of AnyMetric's alternatives.
+enum class MetricKind : std::uint8_t { Counter, Gauge, MaxGauge, Histogram };
+
+[[nodiscard]] const char* to_string(MetricKind k) noexcept;
+
+/// Storage of one registered metric; the active alternative's index is its
+/// MetricKind.
+using AnyMetric = std::variant<Counter, Gauge, MaxGauge, Histogram>;
+
+/// The metric type of kind K (Counter for MetricKind::Counter, ...).
+template <MetricKind K>
+using MetricOf = std::variant_alternative_t<static_cast<std::size_t>(K), AnyMetric>;
 
 class Registry;
 
-/// A counter fanned out over the values of one label key — rendered as
-/// Prometheus `name{key="value"}`. `with()` registers the child metric on
+/// A metric of kind K fanned out over the values of one label key, rendered
+/// as Prometheus `name{key="value"}`. `with()` registers the child metric on
 /// first use and returns a process-lifetime reference, so hot paths resolve
 /// their child once (at setup/compile time) and then touch only the plain
-/// Counter. One family owns its label key; re-registering the same family
-/// name with a different key throws, as does colliding with an unlabeled
-/// metric of the same name.
-class CounterFamily {
+/// metric. One family owns its label key; re-registering the same family
+/// name with a different key or kind throws, as does colliding with an
+/// unlabeled metric of the same name.
+template <MetricKind K>
+class Family {
 public:
-  [[nodiscard]] Counter& with(std::string_view label_value);
+  [[nodiscard]] MetricOf<K>& with(std::string_view label_value);
 
   /// Stable rendered series name `name{key="value"}` for one child, owned by
   /// the registry for the life of the process — usable directly as a
   /// record_counter_sample / span name, so the Chrome counter track and the
-  /// Prometheus/JSON series carry the identical string.
+  /// Prometheus series carry the identical string.
   [[nodiscard]] const char* track(std::string_view label_value);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -259,7 +274,7 @@ public:
 
 private:
   friend class Registry;
-  CounterFamily(Registry& r, std::string name, std::string help, std::string key)
+  Family(Registry& r, std::string name, std::string help, std::string key)
       : reg_(&r), name_(std::move(name)), help_(std::move(help)), key_(std::move(key)) {}
   Registry* reg_;
   std::string name_;
@@ -267,52 +282,9 @@ private:
   std::string key_;
 };
 
-/// Gauge counterpart of CounterFamily (instantaneous per-child values:
-/// per-device link in-flight bytes, ...).
-class GaugeFamily {
-public:
-  [[nodiscard]] Gauge& with(std::string_view label_value);
-  [[nodiscard]] const char* track(std::string_view label_value);
-
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] const std::string& label_key() const noexcept { return key_; }
-
-private:
-  friend class Registry;
-  GaugeFamily(Registry& r, std::string name, std::string help, std::string key)
-      : reg_(&r), name_(std::move(name)), help_(std::move(help)), key_(std::move(key)) {}
-  Registry* reg_;
-  std::string name_;
-  std::string help_;
-  std::string key_;
-};
-
-/// Histogram counterpart of CounterFamily.
-class HistogramFamily {
-public:
-  [[nodiscard]] Histogram& with(std::string_view label_value);
-  [[nodiscard]] const char* track(std::string_view label_value);
-
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] const std::string& label_key() const noexcept { return key_; }
-
-private:
-  friend class Registry;
-  HistogramFamily(Registry& r, std::string name, std::string help, std::string key)
-      : reg_(&r), name_(std::move(name)), help_(std::move(help)), key_(std::move(key)) {}
-  Registry* reg_;
-  std::string name_;
-  std::string help_;
-  std::string key_;
-};
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-enum class MetricKind : std::uint8_t { Counter, Gauge, MaxGauge, Histogram };
-
-[[nodiscard]] const char* to_string(MetricKind k) noexcept;
+using CounterFamily = Family<MetricKind::Counter>;
+using GaugeFamily = Family<MetricKind::Gauge>;
+using HistogramFamily = Family<MetricKind::Histogram>;
 
 /// One metric's exported state.
 struct MetricSnapshot {
@@ -341,16 +313,25 @@ public:
   MaxGauge& max_gauge(std::string_view name, std::string_view help);
   Histogram& histogram(std::string_view name, std::string_view help);
 
-  /// Labeled families: one metric name whose children are distinguished by
-  /// the value of `label_key` (see CounterFamily). Children appear in
-  /// snapshots with their label pair filled in and export as
-  /// `name{label_key="value"}`.
+  /// Labeled family: one metric name whose children are distinguished by
+  /// the value of `label_key` (see Family). Children appear in snapshots
+  /// with their label pair filled in and export as `name{label_key="value"}`.
+  /// Defined for the Counter, Gauge and Histogram kinds.
+  template <MetricKind K>
+  Family<K>& family(std::string_view name, std::string_view help, std::string_view label_key);
+
   CounterFamily& counter_family(std::string_view name, std::string_view help,
-                                std::string_view label_key);
+                                std::string_view label_key) {
+    return family<MetricKind::Counter>(name, help, label_key);
+  }
   GaugeFamily& gauge_family(std::string_view name, std::string_view help,
-                            std::string_view label_key);
+                            std::string_view label_key) {
+    return family<MetricKind::Gauge>(name, help, label_key);
+  }
   HistogramFamily& histogram_family(std::string_view name, std::string_view help,
-                                    std::string_view label_key);
+                                    std::string_view label_key) {
+    return family<MetricKind::Histogram>(name, help, label_key);
+  }
 
   struct Snapshot {
     std::vector<MetricSnapshot> metrics;  ///< sorted by (name, label_value)
@@ -368,14 +349,15 @@ public:
   [[nodiscard]] std::size_t size() const;
 
 private:
-  friend class CounterFamily;
-  friend class GaugeFamily;
-  friend class HistogramFamily;
+  template <MetricKind>
+  friend class Family;
   Registry() = default;
   struct Entry;
-  Entry& find_or_create(std::string_view name, std::string_view help, MetricKind kind);
-  Entry& find_or_create_labeled(const std::string& name, const std::string& help,
-                                const std::string& key, std::string_view value, MetricKind kind);
+  /// The metric `name` (label_key empty) or the family child
+  /// `name{label_key="label_value"}`, created on first use.
+  template <MetricKind K>
+  Entry& find_or_create(std::string_view name, std::string_view help,
+                        std::string_view label_key = {}, std::string_view label_value = {});
 
   struct Impl;
   [[nodiscard]] Impl& impl() const;

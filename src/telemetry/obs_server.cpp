@@ -6,19 +6,17 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
-#include <vector>
 
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -73,83 +71,53 @@ ParsedAddr parse_addr(const std::string& addr) {
   return out;
 }
 
-/// Span-ring snapshot as a JSON array, oldest-first per thread.
-std::string render_spans_json() {
-  const std::vector<SpanRecord> spans = collect_spans();
-  std::string out = "{\"spans\": [";
-  bool first = true;
-  for (const SpanRecord& s : spans) {
-    if (!first) out += ',';
-    first = false;
-    out += "\n  {\"name\": ";
-    out += json_quote(s.name != nullptr ? s.name : "");
-    out += ", \"thread\": " + std::to_string(s.thread);
-    out += ", \"start_ns\": " + std::to_string(s.start_ns);
-    out += ", \"end_ns\": " + std::to_string(s.end_ns);
-    out += ", \"replay_id\": " + std::to_string(s.replay_id);
-    out += '}';
-  }
-  out += "\n]}\n";
-  return out;
-}
-
-void append_us(std::string& out, std::uint64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu.%03u",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned>(ns % 1000));
-  out += buf;
-}
-
-/// Chrome-trace fragment of the host-side telemetry: span rings as "X"
-/// slices and counter samples as "C" tracks, normalized to the earliest
-/// timestamp. Self-contained JSON — loadable in a trace viewer as-is.
-std::string render_trace_json() {
-  const std::vector<SpanRecord> spans = collect_spans();
-  const std::vector<CounterSample> samples = collect_counter_samples();
-  std::uint64_t t0 = ~std::uint64_t{0};
-  for (const SpanRecord& s : spans) t0 = std::min(t0, s.start_ns);
-  for (const CounterSample& c : samples) t0 = std::min(t0, c.t_ns);
-  if (spans.empty() && samples.empty()) t0 = 0;
-
-  std::string out = "{\"traceEvents\": [";
-  bool first = true;
-  for (const SpanRecord& s : spans) {
-    if (!first) out += ',';
-    first = false;
-    out += "\n  {\"name\": ";
-    out += json_quote(s.name != nullptr ? s.name : "");
-    out += ", \"ph\": \"X\", \"pid\": 0, \"tid\": " + std::to_string(s.thread) + ", \"ts\": ";
-    append_us(out, s.start_ns - t0);
-    out += ", \"dur\": ";
-    append_us(out, s.end_ns - s.start_ns);
-    if (s.replay_id != 0) {
-      out += ", \"args\": {\"replay_id\": " + std::to_string(s.replay_id) + '}';
-    }
-    out += '}';
-  }
-  for (const CounterSample& c : samples) {
-    if (!first) out += ',';
-    first = false;
-    out += "\n  {\"name\": ";
-    out += json_quote(c.name != nullptr ? c.name : "");
-    out += ", \"ph\": \"C\", \"pid\": 0, \"ts\": ";
-    append_us(out, c.t_ns - t0);
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", c.value);
-    out += ", \"args\": {\"value\": ";
-    out += buf;
-    out += "}}";
-  }
-  out += "\n]}\n";
-  return out;
-}
-
 struct Response {
   int status = 200;
   const char* content_type = "text/plain; charset=utf-8";
   std::string body;
 };
+
+Response answer_healthz(ObsState s) {
+  return Response{s == ObsState::Serving ? 200 : 503, "text/plain; charset=utf-8",
+                  std::string(to_string(s)) + "\n"};
+}
+
+Response answer_metrics(ObsState) {
+  std::ostringstream os;
+  write_snapshot(os);
+  return Response{200, "text/plain; version=0.0.4; charset=utf-8", os.str()};
+}
+
+/// The host track of the Chrome trace: byte-equal to what the --trace export
+/// writes for an empty device timeline and the same spans and samples.
+Response answer_trace(ObsState) {
+  std::ostringstream os;
+  ChromeTraceWriter w(os);
+  w.host(collect_spans(), collect_counter_samples());
+  w.close();
+  return Response{200, "application/json", os.str()};
+}
+
+struct Route {
+  std::string_view path;
+  Response (*answer)(ObsState);
+};
+
+/// Every served path. dispatch() answers from it, and the `route` label of
+/// the request counter takes its values from it (plus "other"), which keeps
+/// the label's cardinality bounded.
+constexpr Route kRoutes[] = {
+    {"/metrics", answer_metrics},
+    {"/healthz", answer_healthz},
+    {"/trace", answer_trace},
+};
+
+const Route* find_route(std::string_view path) noexcept {
+  for (const Route& r : kRoutes) {
+    if (r.path == path) return &r;
+  }
+  return nullptr;
+}
 
 const char* status_text(int code) noexcept {
   switch (code) {
@@ -205,33 +173,12 @@ struct ObsServer::Impl {
   std::atomic<std::uint64_t> requests{0};
   std::thread worker;
 
-  Response dispatch(const std::string& method, const std::string& path) {
+  Response dispatch(const std::string& method, const Route* route) const {
     if (method != "GET") {
       return Response{405, "text/plain; charset=utf-8", "method not allowed\n"};
     }
-    if (path == "/healthz") {
-      const auto s = static_cast<ObsState>(state.load(std::memory_order_relaxed));
-      const bool ready = s == ObsState::Serving;
-      std::string body = std::string(to_string(s)) + "\n";
-      return Response{ready ? 200 : 503, "text/plain; charset=utf-8", std::move(body)};
-    }
-    if (path == "/metrics") {
-      std::ostringstream os;
-      write_snapshot(os, /*prometheus=*/true);
-      return Response{200, "text/plain; version=0.0.4; charset=utf-8", os.str()};
-    }
-    if (path == "/metrics.json") {
-      std::ostringstream os;
-      write_snapshot(os, /*prometheus=*/false);
-      return Response{200, "application/json", os.str()};
-    }
-    if (path == "/spans") {
-      return Response{200, "application/json", render_spans_json()};
-    }
-    if (path == "/trace") {
-      return Response{200, "application/json", render_trace_json()};
-    }
-    return Response{404, "text/plain; charset=utf-8", "not found\n"};
+    if (route == nullptr) return Response{404, "text/plain; charset=utf-8", "not found\n"};
+    return route->answer(static_cast<ObsState>(state.load(std::memory_order_relaxed)));
   }
 
   void handle(int fd) {
@@ -256,12 +203,10 @@ struct ObsServer::Impl {
     std::string path = req.substr(sp1 + 1, sp2 - sp1 - 1);
     if (const std::size_t q = path.find('?'); q != std::string::npos) path.resize(q);
 
-    const Response resp = dispatch(method, path);
+    const Route* route = find_route(path);
+    const Response resp = dispatch(method, route);
     requests.fetch_add(1, std::memory_order_relaxed);
-    // Bound the label cardinality: unknown paths all count under "other".
-    const bool known = path == "/metrics" || path == "/metrics.json" || path == "/healthz" ||
-                       path == "/spans" || path == "/trace";
-    tel_requests().with(known ? std::string_view(path) : std::string_view("other")).add(1);
+    tel_requests().with(route != nullptr ? route->path : std::string_view("other")).add(1);
 
     std::string head = "HTTP/1.1 " + std::to_string(resp.status) + ' ' +
                        status_text(resp.status) + "\r\nContent-Type: " + resp.content_type +

@@ -7,15 +7,14 @@
 // Embedded, dependency-free observability endpoint: a minimal HTTP/1.1
 // listener on its own thread serving the live metric registry and span rings.
 //
-//   GET /metrics       Prometheus text (rendered under concurrent mutation)
-//   GET /metrics.json  JSON snapshot (same series names as Prometheus)
-//   GET /healthz       readiness: 200 while Serving, 503 otherwise (the body
-//                      is the state name: starting / serving / draining)
-//   GET /spans         recent span-ring snapshot as JSON
-//   GET /trace         Chrome-trace fragment (host spans + counter tracks)
+//   GET /metrics  Prometheus text (rendered under concurrent mutation)
+//   GET /healthz  readiness: 200 while Serving, 503 otherwise (the body is
+//                 the state name: starting / serving / draining)
+//   GET /trace    Chrome trace of the host track (span rings + counter
+//                 samples), the same bytes the --trace export writes for them
 //
 // Payloads are always well formed; while recording is off (MS_METRICS unset)
-// the series read zero and the span payloads are empty. It is opt-in —
+// the series read zero and the trace has no events. It is opt-in —
 // nothing listens unless a caller constructs one or calls ensure_obs_server
 // (`mstream_cli --serve-obs`, the bench harness's `--serve-obs`).
 

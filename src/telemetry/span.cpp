@@ -8,37 +8,37 @@ namespace ms::telemetry {
 
 namespace {
 
-/// Fixed-capacity overwrite-oldest span buffer, one per recording thread.
-/// push() is called only by the owning thread; collect() may run on any
-/// thread — the per-ring mutex makes the pair race-free (and is uncontended
-/// in steady state, since collection happens at export points).
-struct SpanRing {
+/// Fixed-capacity overwrite-oldest buffer: a long run keeps the freshest
+/// `Capacity` entries instead of growing without bound. push() and collect()
+/// may run on different threads; the mutex makes the pair race-free (and is
+/// uncontended in steady state, since collection happens at export points).
+template <typename T, std::size_t Capacity>
+struct Ring {
   std::mutex mu;
-  std::uint32_t thread_id = 0;
   std::size_t head = 0;   ///< next write position
   std::size_t count = 0;  ///< live entries (<= capacity)
-  std::vector<SpanRecord> slots;
+  std::vector<T> slots;
 
-  void push(const SpanRecord& r) noexcept {
+  void push(const T& v) noexcept {
     std::lock_guard<std::mutex> lock(mu);
-    if (slots.size() < kSpanRingCapacity && count == slots.size()) {
-      slots.push_back(r);
-      head = slots.size() % kSpanRingCapacity;
+    if (slots.size() < Capacity && count == slots.size()) {
+      slots.push_back(v);
+      head = slots.size() % Capacity;
       ++count;
       return;
     }
-    slots[head] = r;
-    head = (head + 1) % kSpanRingCapacity;
+    slots[head] = v;
+    head = (head + 1) % Capacity;
     if (count < slots.size()) ++count;
   }
 
-  void collect(std::vector<SpanRecord>& out) {
+  /// Append every live entry to `out`, oldest-first.
+  void collect(std::vector<T>& out) {
     std::lock_guard<std::mutex> lock(mu);
-    // Oldest-first: entries live in [head - count, head) modulo size.
-    const std::size_t n = count;
+    // Entries live in [head - count, head) modulo size.
     const std::size_t cap = slots.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(slots[(head + cap - n + i) % cap]);
+    for (std::size_t i = 0; i < count; ++i) {
+      out.push_back(slots[(head + cap - count + i) % cap]);
     }
   }
 
@@ -47,6 +47,11 @@ struct SpanRing {
     head = 0;
     count = 0;
   }
+};
+
+/// One recording thread's spans; push() is called only by the owning thread.
+struct SpanRing : Ring<SpanRecord, kSpanRingCapacity> {
+  std::uint32_t thread_id = 0;
 };
 
 /// Global sink: keeps every thread's ring alive (shared_ptr) so spans
@@ -76,33 +81,15 @@ SpanRing& thread_ring() {
   return *ring;
 }
 
-/// Global overwrite-oldest ring of counter observations. Unlike spans these
-/// are recorded at barrier/sync cadence (not per event), so one shared
-/// mutex-guarded ring is cheaper than per-thread machinery.
-struct CounterRing {
-  std::mutex mu;
-  std::size_t head = 0;
-  std::size_t count = 0;
-  std::vector<CounterSample> slots;
+/// Global ring of counter observations. Unlike spans these are recorded at
+/// barrier/sync cadence (not per event), so one shared ring is cheaper than
+/// per-thread machinery.
+using CounterRing = Ring<CounterSample, kCounterSampleCapacity>;
 
-  static CounterRing& instance() {
-    static CounterRing* r = new CounterRing;  // immortal, like SpanSink
-    return *r;
-  }
-
-  void push(const CounterSample& s) noexcept {
-    std::lock_guard<std::mutex> lock(mu);
-    if (slots.size() < kCounterSampleCapacity && count == slots.size()) {
-      slots.push_back(s);
-      head = slots.size() % kCounterSampleCapacity;
-      ++count;
-      return;
-    }
-    slots[head] = s;
-    head = (head + 1) % kCounterSampleCapacity;
-    if (count < slots.size()) ++count;
-  }
-};
+CounterRing& counter_ring() {
+  static CounterRing* r = new CounterRing;  // immortal, like SpanSink
+  return *r;
+}
 
 }  // namespace
 
@@ -156,26 +143,13 @@ void record_counter_sample(const char* name, double value) noexcept {
   s.name = name;
   s.t_ns = now_ns();
   s.value = value;
-  CounterRing::instance().push(s);
+  counter_ring().push(s);
 }
 
 std::vector<CounterSample> collect_counter_samples() {
-  CounterRing& ring = CounterRing::instance();
-  std::lock_guard<std::mutex> lock(ring.mu);
   std::vector<CounterSample> out;
-  out.reserve(ring.count);
-  const std::size_t cap = ring.slots.size();
-  for (std::size_t i = 0; i < ring.count; ++i) {
-    out.push_back(ring.slots[(ring.head + cap - ring.count + i) % cap]);
-  }
+  counter_ring().collect(out);
   return out;
-}
-
-void clear_counter_samples() noexcept {
-  CounterRing& ring = CounterRing::instance();
-  std::lock_guard<std::mutex> lock(ring.mu);
-  ring.head = 0;
-  ring.count = 0;
 }
 
 }  // namespace ms::telemetry

@@ -53,9 +53,6 @@ void record_counter_sample(const char* name, double value) noexcept;
 /// Copy out every buffered counter sample, oldest-first. Does not clear.
 [[nodiscard]] std::vector<CounterSample> collect_counter_samples();
 
-/// Drop every buffered counter sample.
-void clear_counter_samples() noexcept;
-
 /// Global counter-sample ring capacity.
 inline constexpr std::size_t kCounterSampleCapacity = 16384;
 

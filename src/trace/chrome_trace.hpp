@@ -8,33 +8,18 @@
 
 namespace ms::trace {
 
-/// Process id used for the wall-clock host track in the combined export.
-/// High enough never to collide with a device index.
-inline constexpr int kHostTracePid = 1000;
-
 /// Export a timeline in the Chrome trace-event JSON format, loadable in
 /// chrome://tracing or https://ui.perfetto.dev. Devices map to processes,
 /// streams to threads, each span to one complete ("X") event with its kind
 /// as the category; virtual microseconds map 1:1 onto trace microseconds.
-void write_chrome_trace(std::ostream& os, const Timeline& timeline);
-
-/// Combined export: the virtual device timeline plus a wall-clock "host"
-/// process (pid kHostTracePid, sorted above the devices) holding the
-/// telemetry spans, one thread per recording thread. Host timestamps are
-/// normalized so the earliest span starts at 0; the two time bases share the
-/// microsecond unit but are otherwise independent, which is exactly how the
-/// paper's host-vs-device timelines are read side by side.
+///
+/// Host telemetry spans and counter samples, when given, follow as the
+/// wall-clock "host" process (telemetry::ChromeTraceWriter::host): counter
+/// samples render as stacked area charts above the span tracks. The two time
+/// bases share the microsecond unit but are otherwise independent, which is
+/// exactly how the paper's host-vs-device timelines are read side by side.
 void write_chrome_trace(std::ostream& os, const Timeline& timeline,
-                        std::span<const telemetry::SpanRecord> host_spans);
-
-/// Full export: device timeline, host wall-clock spans, and counter tracks.
-/// Each CounterSample becomes a Chrome counter ("C") event on the host
-/// process, so queue depths, parked pool bytes, and link occupancy render as
-/// stacked area charts above the span tracks. Counter timestamps share the
-/// host spans' normalization (earliest of either starts at 0) so the tracks
-/// line up.
-void write_chrome_trace(std::ostream& os, const Timeline& timeline,
-                        std::span<const telemetry::SpanRecord> host_spans,
-                        std::span<const telemetry::CounterSample> counters);
+                        std::span<const telemetry::SpanRecord> host_spans = {},
+                        std::span<const telemetry::CounterSample> counters = {});
 
 }  // namespace ms::trace

@@ -1,28 +1,8 @@
 #include "trace/stats.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace ms::trace {
-
-void RunningStat::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
-  ++n_;
-  const double d = x - mean_;
-  mean_ += d / static_cast<double>(n_);
-  m2_ += d * (x - mean_);
-}
-
-double RunningStat::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
 
 double mean_skip_first(const std::vector<double>& samples) {
   if (samples.size() < 2) {

@@ -1,29 +1,8 @@
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace ms::trace {
-
-/// Streaming mean/min/max/variance accumulator (Welford).
-class RunningStat {
-public:
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-
-private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// The paper's measurement protocol (Section III-B): run 11 iterations,
 /// discard the first (warm-up), report the mean of the rest. `samples` must

@@ -66,13 +66,6 @@ TEST(Kmeans, EmptyClusterKeepsPreviousCentroid) {
   EXPECT_FLOAT_EQ(cent[1], 2.0f);
 }
 
-TEST(Kmeans, DeltaCountsChangedMemberships) {
-  const std::vector<std::int32_t> a{0, 1, 2, 3};
-  const std::vector<std::int32_t> b{0, 1, 3, 2};
-  EXPECT_EQ(kmeans_delta(a.data(), b.data(), 4), 2u);
-  EXPECT_EQ(kmeans_delta(a.data(), a.data(), 4), 0u);
-}
-
 TEST(Kmeans, LloydIterationConvergesOnSeparatedClusters) {
   // Full algorithm loop built from the kernels: must find the two obvious
   // cluster centers.

@@ -45,7 +45,7 @@ TEST(AnalyticModel, SerialPredictionTracksSimulator) {
   AnalyticModel m(cfg());
   const auto shape = balanced_shape();
   const double predicted = m.predict(shape, 4, 4).serial_ms;
-  const double simulated = simulate_serial_ms(cfg(), shape);
+  const double simulated = simulate_streamed_ms(cfg(), shape, 1, 1);
   EXPECT_NEAR(predicted / simulated, 1.0, 0.1);
 }
 

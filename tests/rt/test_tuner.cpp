@@ -16,13 +16,6 @@ TEST(Tuner, PartitionCandidatesArePaperSet) {
   EXPECT_EQ(p, (std::vector<int>{2, 4, 7, 8, 14, 28, 56}));
 }
 
-TEST(Tuner, PartitionCandidatesCanIncludeOne) {
-  TunerOptions opt;
-  opt.include_single_partition = true;
-  const auto p = Tuner::partition_candidates(phi(), opt);
-  EXPECT_EQ(p.front(), 1);
-}
-
 TEST(Tuner, TileCandidatesAreMultiplesOfP) {
   const auto t = Tuner::tile_candidates(4);
   ASSERT_EQ(t.size(), 8u);

@@ -8,7 +8,7 @@ namespace ms::sim {
 namespace {
 
 TEST(FifoResource, GrantsImmediatelyWhenIdle) {
-  FifoResource r("dma");
+  FifoResource r;
   const auto g = r.reserve(SimTime::micros(5), SimTime::micros(10));
   EXPECT_EQ(g.start, SimTime::micros(5));
   EXPECT_EQ(g.end, SimTime::micros(15));
@@ -16,7 +16,7 @@ TEST(FifoResource, GrantsImmediatelyWhenIdle) {
 }
 
 TEST(FifoResource, QueuesBehindPriorGrant) {
-  FifoResource r("dma");
+  FifoResource r;
   r.reserve(SimTime::zero(), SimTime::micros(10));
   const auto g = r.reserve(SimTime::micros(2), SimTime::micros(5));
   EXPECT_EQ(g.start, SimTime::micros(10));
@@ -27,25 +27,25 @@ TEST(FifoResource, QueuesBehindPriorGrant) {
 TEST(FifoResource, IdleGapIsNotBackfilled) {
   // A request that becomes ready late leaves the earlier idle gap unused —
   // FIFO, no reordering.
-  FifoResource r("dma");
+  FifoResource r;
   r.reserve(SimTime::micros(100), SimTime::micros(10));
   const auto g = r.reserve(SimTime::zero(), SimTime::micros(1));
   EXPECT_EQ(g.start, SimTime::micros(110));
 }
 
 TEST(FifoResource, ZeroDurationGrant) {
-  FifoResource r("x");
+  FifoResource r;
   const auto g = r.reserve(SimTime::micros(3), SimTime::zero());
   EXPECT_EQ(g.start, g.end);
 }
 
 TEST(FifoResource, NegativeDurationThrows) {
-  FifoResource r("x");
+  FifoResource r;
   EXPECT_THROW(r.reserve(SimTime::zero(), SimTime::micros(-1)), std::invalid_argument);
 }
 
 TEST(FifoResource, AccumulatesStats) {
-  FifoResource r("x");
+  FifoResource r;
   r.reserve(SimTime::zero(), SimTime::micros(10));
   r.reserve(SimTime::zero(), SimTime::micros(10));
   EXPECT_EQ(r.grants(), 2u);
@@ -54,51 +54,14 @@ TEST(FifoResource, AccumulatesStats) {
   EXPECT_EQ(r.busy_until(), SimTime::micros(20));
 }
 
-TEST(FifoResource, UtilizationIsBusyOverHorizon) {
-  FifoResource r("x");
-  r.reserve(SimTime::zero(), SimTime::micros(25));
-  EXPECT_DOUBLE_EQ(r.utilization(SimTime::micros(100)), 0.25);
-  EXPECT_DOUBLE_EQ(r.utilization(SimTime::micros(25)), 1.0);
-  EXPECT_DOUBLE_EQ(r.utilization(SimTime::zero()), 0.0);
-}
-
 TEST(FifoResource, ResetRestoresPristineState) {
-  FifoResource r("x");
+  FifoResource r;
   r.reserve(SimTime::zero(), SimTime::micros(10));
   r.reset();
   EXPECT_EQ(r.grants(), 0u);
   EXPECT_EQ(r.busy_until(), SimTime::zero());
   const auto g = r.reserve(SimTime::zero(), SimTime::micros(1));
   EXPECT_EQ(g.start, SimTime::zero());
-}
-
-TEST(MultiSlotResource, TwoSlotsRunConcurrently) {
-  MultiSlotResource r("duplex", 2);
-  const auto a = r.reserve(SimTime::zero(), SimTime::micros(10));
-  const auto b = r.reserve(SimTime::zero(), SimTime::micros(10));
-  EXPECT_EQ(a.start, SimTime::zero());
-  EXPECT_EQ(b.start, SimTime::zero());
-  const auto c = r.reserve(SimTime::zero(), SimTime::micros(10));
-  EXPECT_EQ(c.start, SimTime::micros(10));  // both slots busy
-}
-
-TEST(MultiSlotResource, PicksEarliestFreeSlot) {
-  MultiSlotResource r("pool", 2);
-  r.reserve(SimTime::zero(), SimTime::micros(10));
-  r.reserve(SimTime::zero(), SimTime::micros(4));
-  const auto g = r.reserve(SimTime::zero(), SimTime::micros(1));
-  EXPECT_EQ(g.start, SimTime::micros(4));
-}
-
-TEST(MultiSlotResource, ZeroSlotsThrows) {
-  EXPECT_THROW(MultiSlotResource("bad", 0), std::invalid_argument);
-}
-
-TEST(MultiSlotResource, BusyUntilIsLatestSlot) {
-  MultiSlotResource r("pool", 2);
-  r.reserve(SimTime::zero(), SimTime::micros(3));
-  r.reserve(SimTime::zero(), SimTime::micros(9));
-  EXPECT_EQ(r.busy_until(), SimTime::micros(9));
 }
 
 // Property sweep: under FIFO, grant start times are non-decreasing when all
@@ -108,7 +71,7 @@ class FifoPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FifoPropertyTest, StartsMonotoneAndBusyAdds) {
   const int n = GetParam();
-  FifoResource r("x");
+  FifoResource r;
   SimTime prev_start = SimTime::zero();
   SimTime expected_busy = SimTime::zero();
   for (int i = 0; i < n; ++i) {

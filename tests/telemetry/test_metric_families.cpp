@@ -109,16 +109,6 @@ TEST_F(MetricFamilies, PrometheusMergesHistogramLabelsWithLe) {
   EXPECT_NE(out.find("ms_test_fam_hist_ns_count{graph=\"pipeline\"} 1"), std::string::npos) << out;
 }
 
-TEST_F(MetricFamilies, JsonKeysIncludeTheSelector) {
-  auto& fam = registry().counter_family("ms_test_fam_json_total", "json rendering", "app");
-  fam.with("srad").add(2);
-
-  std::ostringstream os;
-  write_json(os, registry().snapshot());
-  const std::string out = os.str();
-  EXPECT_NE(out.find("ms_test_fam_json_total{app=\\\"srad\\\"}"), std::string::npos) << out;
-}
-
 TEST_F(MetricFamilies, GaugeFamilyMirrorsCounterFamilySemantics) {
   auto& fam = registry().gauge_family("ms_test_fam_gauge", "labeled gauge", "lp");
   Gauge& a1 = fam.with("0");
@@ -199,12 +189,6 @@ TEST_F(MetricFamilies, HistogramExemplarCarriesTheLatestReplayId) {
   write_prometheus(prom, snap);
   EXPECT_NE(prom.str().find("le=\"+Inf\"} 3 # {replay_id=\"9\"} 250"), std::string::npos)
       << prom.str();
-
-  std::ostringstream json;
-  write_json(json, snap);
-  EXPECT_NE(json.str().find("\"exemplar\": {\"replay_id\": 9, \"value\": 250}"),
-            std::string::npos)
-      << json.str();
 }
 
 TEST_F(MetricFamilies, DisabledChildrenRecordNothing) {

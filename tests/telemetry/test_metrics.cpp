@@ -290,23 +290,6 @@ TEST_F(Metrics, PrometheusExportHasHelpTypeAndSeries) {
   EXPECT_NE(s.find("ms_test_prom_ns_count 1"), std::string::npos);
 }
 
-TEST_F(Metrics, JsonExportGroupsByKind) {
-  Counter& c = registry().counter("ms_test_json_total", "json export test");
-  c.reset();
-  c.add(11);
-
-  std::ostringstream os;
-  write_json(os, registry().snapshot());
-  const std::string s = os.str();
-  EXPECT_EQ(s.find("nan"), std::string::npos);
-  EXPECT_NE(s.find("\"counters\""), std::string::npos);
-  EXPECT_NE(s.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(s.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(s.find("\"ms_test_json_total\": 11"), std::string::npos);
-}
-
-// MS_METRICS accepts unset, empty, 0 and 1. Any other spelling counts as off
-// and warns, so MS_METRICS=off can never switch recording on.
 TEST(MetricsEnv, OnlyOneSwitchesRecordingOn) {
   const struct {
     const char* value;

@@ -1,5 +1,6 @@
 // ObsServer: the embedded observability endpoint. Routes, the /healthz
-// readiness state machine, address parsing, and — the critical property —
+// readiness state machine, address parsing, /trace as the host track of the
+// Chrome-trace export, and — the critical property —
 // scraping /metrics over real sockets while worker threads mutate the
 // registry: every response must parse as valid Prometheus text and counter
 // totals must be monotone across scrapes. Runs under TSan in CI.
@@ -17,12 +18,15 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "telemetry/metrics.hpp"
+#include "telemetry/span.hpp"
+#include "trace/chrome_trace.hpp"
 
 namespace ms::telemetry {
 namespace {
@@ -207,16 +211,17 @@ TEST(ObsServer, HealthzFollowsTheReadinessStateMachine) {
 }
 
 TEST(ObsServer, RoutesAnswerAndUnknownsAreBounded) {
+  set_enabled(true);
   ObsServer srv(":0");
   srv.set_state(ObsState::Serving);
+  Counter& other = registry()
+                       .counter_family("ms_obs_http_requests_total",
+                                       "HTTP requests answered by the observability endpoint",
+                                       "route")
+                       .with("other");
+  const std::uint64_t other_before = other.value();
 
   EXPECT_EQ(status_of(http_request(srv.bound_port(), "/metrics")), 200);
-  const std::string json = http_request(srv.bound_port(), "/metrics.json");
-  EXPECT_EQ(status_of(json), 200);
-  EXPECT_EQ(body_of(json)[0], '{');
-  const std::string spans = http_request(srv.bound_port(), "/spans");
-  EXPECT_EQ(status_of(spans), 200);
-  EXPECT_NE(body_of(spans).find("\"spans\""), std::string::npos);
   const std::string trace = http_request(srv.bound_port(), "/trace");
   EXPECT_EQ(status_of(trace), 200);
   EXPECT_NE(body_of(trace).find("\"traceEvents\""), std::string::npos);
@@ -224,8 +229,30 @@ TEST(ObsServer, RoutesAnswerAndUnknownsAreBounded) {
   // Query strings are stripped before routing.
   EXPECT_EQ(status_of(http_request(srv.bound_port(), "/healthz?verbose=1")), 200);
   EXPECT_EQ(status_of(http_request(srv.bound_port(), "/nope")), 404);
+  // The retired JSON routes are unknown paths like any other.
+  EXPECT_EQ(status_of(http_request(srv.bound_port(), "/metrics.json")), 404);
+  EXPECT_EQ(status_of(http_request(srv.bound_port(), "/spans")), 404);
   EXPECT_EQ(status_of(http_request(srv.bound_port(), "/metrics", "POST")), 405);
   EXPECT_GE(srv.requests_served(), 7u);
+  // Every unknown path counts under the one bounded label value.
+  EXPECT_EQ(other.value() - other_before, 3u);
+  set_enabled(false);
+}
+
+TEST(ObsServer, TraceIsTheHostTrackOfTheTraceExport) {
+  record_span("test.obs.trace", 1'000, 4'500, /*replay_id=*/3);
+  record_span(nullptr, 2'000, 2'500);
+  record_counter_sample("test.obs.depth", 7.5);
+  ObsServer srv(":0");
+  srv.set_state(ObsState::Serving);
+  const std::string resp = http_request(srv.bound_port(), "/trace");
+  ASSERT_EQ(status_of(resp), 200);
+  EXPECT_NE(resp.find("Content-Type: application/json"), std::string::npos);
+
+  std::ostringstream want;
+  trace::write_chrome_trace(want, trace::Timeline{}, collect_spans(), collect_counter_samples());
+  EXPECT_EQ(body_of(resp), want.str());
+  EXPECT_NE(want.str().find("\"host (wall-clock)\""), std::string::npos);
 }
 
 TEST(ObsServer, MetricsBodyIsValidPrometheus) {

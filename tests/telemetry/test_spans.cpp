@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "telemetry/export.hpp"
 #include "trace/chrome_trace.hpp"
 
 namespace ms::telemetry {
@@ -149,7 +150,7 @@ TEST_F(Spans, ChromeTraceHostTrack) {
   // Host track: its own process, sorted above the devices, one thread row
   // per telemetry thread id, timestamps normalized to the earliest span.
   EXPECT_NE(s.find("\"host (wall-clock)\""), std::string::npos);
-  EXPECT_NE(s.find(std::string("\"pid\":") + std::to_string(trace::kHostTracePid)),
+  EXPECT_NE(s.find(std::string("\"pid\":") + std::to_string(kHostTracePid)),
             std::string::npos);
   EXPECT_NE(s.find("\"sort_index\":-1"), std::string::npos);
   EXPECT_NE(s.find("\"host thread 0\""), std::string::npos);

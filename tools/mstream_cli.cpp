@@ -17,6 +17,8 @@
 //   mstream_cli devices
 //   mstream_cli apps
 //
+// A --trace or --metrics file that cannot be written fails the run (exit 1).
+//
 // Flags:
 //   --device {31sp | 31sp-x2 | 7120p}   platform preset     (default 31sp)
 //   --partitions N                      resource granularity (default 4)
@@ -29,12 +31,10 @@
 //   --trace FILE                        write the Chrome trace JSON ('-' = stdout)
 //   --utilization                       print the resource summary of the run
 //   --metrics FILE                      enable host telemetry; write the snapshot
-//                                       (JSON, or Prometheus text for *.prom/*.txt;
-//                                       '-' = stdout)
+//                                       as Prometheus text ('-' = stdout)
 //   --serve-obs ADDR                    serve the live observability endpoint
-//                                       (/metrics, /metrics.json, /healthz,
-//                                       /spans, /trace) on ADDR for the whole
-//                                       run; ADDR is HOST:PORT, :PORT or PORT
+//                                       (/metrics, /healthz, /trace) on ADDR for
+//                                       the whole run; ADDR is HOST:PORT, :PORT or PORT
 //                                       (port 0 = ephemeral, bound address is
 //                                       printed). Implies host telemetry.
 //   --json FILE                         (analyze/lint) write the JSON report ('-' = stdout)
@@ -135,14 +135,6 @@ bool with_output(const std::string& path, Fn&& fn) {
   return true;
 }
 
-bool wants_prometheus(const std::string& path) {
-  const auto ends_with = [&](std::string_view suffix) {
-    return path.size() >= suffix.size() &&
-           path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0;
-  };
-  return ends_with(".prom") || ends_with(".txt");
-}
-
 /// Timing-only app runs never touch the host compute pool, so with --metrics
 /// on, one tiny no-op sweep is run first. It registers and exercises the pool
 /// metrics (batch count, queue wait, worker busy) as a labeled calibration
@@ -155,17 +147,15 @@ void calibration_probe() {
       64, [&](std::size_t i) { sink.fetch_add(i, std::memory_order_relaxed); }, {});
 }
 
-/// Write the metrics snapshot to --metrics FILE (no-op when the flag is
-/// absent). *.prom / *.txt select the Prometheus text format, anything else
-/// gets JSON.
-void write_metrics(const Cli& cli) {
-  if (cli.metrics_path.empty()) return;
-  const bool prom = wants_prometheus(cli.metrics_path);
-  if (with_output(cli.metrics_path,
-                  [&](std::ostream& os) { ms::telemetry::write_snapshot(os, prom); }) &&
-      cli.metrics_path != "-") {
-    std::printf("metrics (%s) -> %s\n", prom ? "prometheus" : "json", cli.metrics_path.c_str());
+/// Write the metrics snapshot as Prometheus text to --metrics FILE. True
+/// when the flag is absent or the file was written.
+bool write_metrics(const Cli& cli) {
+  if (cli.metrics_path.empty()) return true;
+  if (!with_output(cli.metrics_path, [](std::ostream& os) { ms::telemetry::write_snapshot(os); })) {
+    return false;
   }
+  if (cli.metrics_path != "-") std::printf("metrics -> %s\n", cli.metrics_path.c_str());
+  return true;
 }
 
 /// Parse a whole token as a positive, finite number. Rejects empty input,
@@ -260,7 +250,9 @@ ms::apps::CommonConfig common_from(const Cli& cli) {
   return c;
 }
 
-void report(const ms::apps::AppResult& r, const Cli& cli) {
+/// Print the run's result and write its --trace file; false when the trace
+/// cannot be written.
+bool report(const ms::apps::AppResult& r, const Cli& cli) {
   std::printf("virtual time: %.3f ms", r.ms);
   if (r.gflops > 0.0) std::printf("  (%.1f GFLOPS)", r.gflops);
   if (cli.functional) std::printf("  checksum %.6g", r.checksum);
@@ -278,11 +270,13 @@ void report(const ms::apps::AppResult& r, const Cli& cli) {
     const bool ok = with_output(cli.trace_path, [&](std::ostream& os) {
       ms::trace::write_chrome_trace(os, r.timeline, host_spans, counters);
     });
-    if (ok && cli.trace_path != "-") {
+    if (!ok) return false;
+    if (cli.trace_path != "-") {
       std::printf("trace: %zu spans (+%zu host, %zu counter samples) -> %s\n", r.timeline.size(),
                   host_spans.size(), counters.size(), cli.trace_path.c_str());
     }
   }
+  return true;
 }
 
 /// Look up `name` in the app registry, check the CLI's workload flags
@@ -317,8 +311,7 @@ int run_app(const std::string& name, const Cli& cli) {
   if (!pick_config(cli, &cfg)) return 2;
   const auto r = run_registered(name, cfg, common_from(cli), cli);
   if (!r) return 2;
-  report(*r, cli);
-  return 0;
+  return report(*r, cli) ? 0 : 1;
 }
 
 /// `graph app <name>`: run the app's replay-shaped phases through the
@@ -349,7 +342,7 @@ int run_graph(const std::string& sub, const std::string& name, const Cli& cli) {
   if (!r) return 2;
 
   std::printf("mode: compiled, %d protocol replays of the captured schedule\n", replays);
-  report(*r, cli);
+  if (!report(*r, cli)) return 1;
   std::printf("host wall: %.2f ms total, %.3f ms per replay\n", wall_ms,
               wall_ms / static_cast<double>(replays));
 
@@ -529,8 +522,8 @@ int run_stats_list() {
 }
 
 /// `stats {app|hbench} <name>`: run the workload with telemetry on and dump
-/// the snapshot to stdout in Prometheus text form (or to --metrics FILE in
-/// its chosen format — main() handles that path).
+/// the snapshot to stdout in Prometheus text form (or to --metrics FILE —
+/// main() handles that path).
 int run_stats(const std::string& sub, const std::string& name, const Cli& cli) {
   int rc;
   if (sub == "app") {
@@ -543,7 +536,7 @@ int run_stats(const std::string& sub, const std::string& name, const Cli& cli) {
   }
   if (rc != 0) return rc;
   if (cli.metrics_path.empty()) {
-    ms::telemetry::write_snapshot(std::cout, /*prometheus=*/true);
+    ms::telemetry::write_snapshot(std::cout);
   }
   return 0;
 }
@@ -603,7 +596,7 @@ int main(int argc, char** argv) {
   // scripts can discover where to curl.
   if (!cli.obs_addr.empty()) {
     if (ms::telemetry::ObsServer* obs = ms::telemetry::ensure_obs_server(cli.obs_addr)) {
-      std::printf("obs: serving http://%s (/metrics /metrics.json /healthz /spans /trace)\n",
+      std::printf("obs: serving http://%s (/metrics /healthz /trace)\n",
                   obs->address().c_str());
       std::fflush(stdout);
     }
@@ -632,7 +625,7 @@ int main(int argc, char** argv) {
     if (ms::telemetry::ObsServer* obs = ms::telemetry::obs_server()) {
       obs->set_state(ms::telemetry::ObsState::Draining);
     }
-    write_metrics(cli);
+    if (!write_metrics(cli) && rc == 0) rc = 1;
     return rc;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
