@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <utility>
@@ -10,7 +9,6 @@
 
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/obs_server.hpp"
 
 namespace ms::bench {
 
@@ -21,17 +19,24 @@ namespace {
 struct Output {
   std::string path;
   std::ofstream file;
+  std::ostream os{nullptr};
 
   /// Remembers `p` only once it is writable, so a refused path writes nothing.
+  /// "-" takes stdout's buffer for the document and points std::cout, which
+  /// the tables and notes are printed to, at stderr.
   [[nodiscard]] bool open(const std::string& p) {
-    if (p != "-") {
+    if (p == "-") {
+      os.rdbuf(std::cout.rdbuf());
+      std::cout.rdbuf(std::cerr.rdbuf());
+    } else {
       file.open(p);
       if (!file.is_open()) return false;
+      os.rdbuf(file.rdbuf());
     }
     path = p;
     return true;
   }
-  [[nodiscard]] std::ostream& stream() { return path == "-" ? std::cout : file; }
+  ~Output() { os.flush(); }
 };
 
 /// Tables accumulated for --json. Written by a static destructor so every
@@ -43,7 +48,7 @@ struct JsonSink {
 
   ~JsonSink() {
     if (out.path.empty()) return;
-    std::ostream& os = out.stream();
+    std::ostream& os = out.os;
     os << "{\n";
     for (std::size_t i = 0; i < tables.size(); ++i) {
       os << "  \"" << tables[i].first << "\": ";
@@ -65,7 +70,7 @@ struct MetricsSink {
   Output out;
 
   ~MetricsSink() {
-    if (!out.path.empty()) telemetry::write_snapshot(out.stream());
+    if (!out.path.empty()) telemetry::write_snapshot(out.os);
   }
 };
 
@@ -77,8 +82,7 @@ MetricsSink& metrics_sink() {
 /// Print why the command line was refused plus the usage line, and exit 2:
 /// a mistyped flag must not run a full sweep under default settings.
 [[noreturn]] void reject(const char* prog, const std::string& why) {
-  std::cerr << why << "\nusage: " << prog
-            << " [--quick] [--csv DIR] [--json FILE] [--metrics FILE] [--serve-obs ADDR]\n";
+  std::cerr << why << "\nusage: " << prog << " [--quick] [--json FILE] [--metrics FILE]\n";
   std::exit(2);
 }
 
@@ -92,21 +96,15 @@ Options parse(int argc, char** argv) {
       opt.quick = true;
       continue;
     }
-    std::string* value = flag == "--csv"         ? &opt.csv_dir
-                         : flag == "--json"      ? &opt.json_file
-                         : flag == "--metrics"   ? &opt.metrics_file
-                         : flag == "--serve-obs" ? &opt.obs_addr
-                                                 : nullptr;
+    std::string* value = flag == "--json"      ? &opt.json_file
+                         : flag == "--metrics" ? &opt.metrics_file
+                                               : nullptr;
     if (value == nullptr) reject(argv[0], "unknown flag: " + flag);
     if (i + 1 >= argc) reject(argv[0], "missing value for " + flag);
     *value = argv[++i];
   }
-  if (!opt.csv_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(opt.csv_dir, ec);
-    if (!std::filesystem::is_directory(opt.csv_dir, ec)) {
-      reject(argv[0], "cannot create --csv directory " + opt.csv_dir);
-    }
+  if (opt.json_file == "-" && opt.metrics_file == "-") {
+    reject(argv[0], "at most one output can be '-' (stdout)");
   }
   if (!opt.json_file.empty() && !json_sink().out.open(opt.json_file)) {
     reject(argv[0], "cannot write --json file " + opt.json_file);
@@ -117,12 +115,6 @@ Options parse(int argc, char** argv) {
     }
     telemetry::set_enabled(true);
   }
-  if (!opt.obs_addr.empty()) {
-    telemetry::set_enabled(true);
-    if (telemetry::ObsServer* obs = telemetry::ensure_obs_server(opt.obs_addr)) {
-      std::cout << "obs: serving http://" << obs->address() << "\n" << std::flush;
-    }
-  }
   return opt;
 }
 
@@ -130,14 +122,6 @@ void emit(const trace::Table& table, const std::string& name, const std::string&
           const Options& opt) {
   std::cout << "\n== " << heading << " ==\n";
   table.print(std::cout);
-  if (!opt.csv_dir.empty()) {
-    std::ofstream f(opt.csv_dir + "/" + name + ".csv");
-    if (f) {
-      table.write_csv(f);
-    } else {
-      std::cerr << "warning: cannot write CSV for " << name << " into " << opt.csv_dir << "\n";
-    }
-  }
   if (!opt.json_file.empty()) json_sink().tables.emplace_back(name, table);
 }
 

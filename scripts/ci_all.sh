@@ -9,8 +9,8 @@
 #   4. native kernel leg (-O3 -march=native numerics stay bit-stable)
 #   5. static analysis (clang-tidy, or the strict -Werror fallback)
 #   6. performance lint: every app + hbench pattern under `mstream_cli lint`,
-#      failing on findings outside scripts/lint_waivers.txt (SARIF artifacts
-#      in <prefix>/lint-sarif/)
+#      failing on findings outside scripts/lint_waivers.txt (JSON reports
+#      in <prefix>/lint-reports/)
 #   7. bench-regression smoke (report-only: fresh medians vs BENCH_*.json)
 #
 #   scripts/ci_all.sh [build-dir-prefix]

@@ -8,8 +8,9 @@
 # also runs under `mstream_cli analyze`, and any hazard (race, deadlock,
 # use-before-write, ...) fails the leg; hazards take no waivers.
 #
-# SARIF 2.1.0 logs, lint JSON and hazard JSON reports for every workload land
-# in <build-dir>/lint-sarif/ as the leg's artifact.
+# The lint JSON and hazard JSON reports of every workload land in
+# <build-dir>/lint-reports/ as the leg's artifact. Each lint report is read
+# with python3's json module, so a malformed report fails the leg.
 #
 #   scripts/ci_lint.sh [build-dir]
 set -euo pipefail
@@ -18,7 +19,7 @@ BUILD_DIR="${1:-build-ci}"
 SOURCE_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 CLI="${BUILD_DIR}/tools/mstream_cli"
 WAIVERS="${SOURCE_DIR}/scripts/lint_waivers.txt"
-ARTIFACTS="${BUILD_DIR}/lint-sarif"
+ARTIFACTS="${BUILD_DIR}/lint-reports"
 
 if [[ ! -x "${CLI}" ]]; then
   echo "ci_lint: ${CLI} not built (run the tier-1 leg first)" >&2
@@ -48,7 +49,6 @@ declare -A waiver_hit
 for entry in "${WORKLOADS[@]}"; do
   id="${entry%% *}"
   read -r -a cmd <<< "${entry#* }"
-  sarif="${ARTIFACTS}/${id/:/-}.sarif"
   json="${ARTIFACTS}/${id/:/-}.json"
   hazards="${ARTIFACTS}/${id/:/-}.hazards.json"
 
@@ -62,7 +62,7 @@ for entry in "${WORKLOADS[@]}"; do
 
   echo "==> lint ${id}"
   rc=0
-  "${CLI}" lint "${cmd[@]}" --sarif "${sarif}" --json "${json}" >/dev/null || rc=$?
+  "${CLI}" lint "${cmd[@]}" --json "${json}" >/dev/null || rc=$?
   if [[ ${rc} -ge 2 ]]; then
     echo "ci_lint: ${id}: mstream_cli exited ${rc}" >&2
     fail=1
@@ -70,13 +70,24 @@ for entry in "${WORKLOADS[@]}"; do
   fi
 
   # Findings (if any) are in the JSON report; check each rule against waivers.
-  mapfile -t rules < <(grep -o '"rule": "[a-z0-9-]*"' "${json}" | cut -d'"' -f4 | sort -u)
+  if ! rules_text="$(python3 -c '
+import json, sys
+with open(sys.argv[1]) as f:
+    report = json.load(f)
+print("\n".join(sorted({finding["rule"] for finding in report["findings"]})))
+' "${json}")"; then
+    echo "ci_lint: ${id}: unreadable lint report ${json}" >&2
+    fail=1
+    continue
+  fi
+  mapfile -t rules <<< "${rules_text}"
   for rule in "${rules[@]}"; do
+    [[ -z "${rule}" ]] && continue
     if waived "${id}" "${rule}"; then
       echo "    waived: ${rule}"
       waiver_hit["${id} ${rule}"]=1
     else
-      echo "ci_lint: ${id}: non-waivered finding '${rule}' (see ${sarif})" >&2
+      echo "ci_lint: ${id}: non-waivered finding '${rule}' (see ${json})" >&2
       fail=1
     fi
   done

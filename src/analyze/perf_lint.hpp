@@ -41,7 +41,7 @@ struct LintSeverity {
 
 [[nodiscard]] std::string_view to_string(LintSeverity::Level s) noexcept;
 
-/// Stable rule identifiers (also the SARIF ruleId values).
+/// Stable rule identifiers (the "rule" field of the lint JSON report).
 namespace rule {
 inline constexpr std::string_view kDuplexSerialization = "duplex-serialization";
 inline constexpr std::string_view kFalseDependency = "false-dependency";
@@ -52,7 +52,7 @@ inline constexpr std::string_view kRedundantH2D = "redundant-h2d";
 inline constexpr std::string_view kDeadAction = "dead-action";
 }  // namespace rule
 
-/// All rule ids in catalog order (docs, SARIF rule table, CLI listing).
+/// All rule ids in catalog order (docs/lint.md lists the same catalog).
 [[nodiscard]] const std::vector<std::string_view>& lint_rule_ids();
 
 struct LintFinding {

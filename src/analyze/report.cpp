@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <iterator>
 #include <map>
 #include <set>
 #include <vector>
@@ -25,6 +24,22 @@ std::string json_range(const rt::MemRange& r) {
   return "{\"offset\": " + std::to_string(r.offset) + ", \"len\": " + std::to_string(r.len) +
          ", \"rows\": " + std::to_string(r.rows) + ", \"stride\": " + std::to_string(r.stride) +
          "}";
+}
+
+std::string f3(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%.3f", v);
+  return buf;
+}
+
+std::string json_actions(const std::vector<HazardAction>& actions) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += json_action(actions[i]);
+  }
+  out += "]";
+  return out;
 }
 
 }  // namespace
@@ -63,151 +78,11 @@ std::string json_report(const Analysis& analysis) {
     out += ", \"second\": " + json_action(h.second);
     if (!h.range_first.empty()) out += ", \"range_first\": " + json_range(h.range_first);
     if (!h.range_second.empty()) out += ", \"range_second\": " + json_range(h.range_second);
-    if (!h.cycle.empty()) {
-      out += ", \"cycle\": [";
-      for (std::size_t i = 0; i < h.cycle.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += json_action(h.cycle[i]);
-      }
-      out += "]";
-    }
+    if (!h.cycle.empty()) out += ", \"cycle\": " + json_actions(h.cycle);
     out += ", \"message\": " + json_quote(h.message) + "}";
   }
   out += first ? "]\n}\n" : "\n  ]\n}\n";
   return out;
-}
-
-namespace {
-
-std::string f3(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.3f", v);
-  return buf;
-}
-
-std::string sarif_rule(std::string_view id, std::string_view description) {
-  return "{\"id\": \"" + std::string(id) + "\", \"shortDescription\": {\"text\": " +
-         json_quote(description) + "}}";
-}
-
-/// Common SARIF 2.1.0 scaffolding: one run, one driver, the given rule table
-/// and result rows.
-std::string sarif_log(std::string_view driver, const std::vector<std::string>& rules,
-                      const std::vector<std::string>& results) {
-  std::string out =
-      "{\n"
-      "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-      "  \"version\": \"2.1.0\",\n"
-      "  \"runs\": [\n"
-      "    {\n"
-      "      \"tool\": {\"driver\": {\"name\": \"" +
-      std::string(driver) + "\", \"rules\": [";
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "        " + rules[i];
-  }
-  out += rules.empty() ? "]}},\n" : "\n      ]}},\n";
-  out += "      \"results\": [";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "        " + results[i];
-  }
-  out += results.empty() ? "]\n" : "\n      ]\n";
-  out += "    }\n  ]\n}\n";
-  return out;
-}
-
-std::string sarif_actions(const std::vector<HazardAction>& actions) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < actions.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += json_action(actions[i]);
-  }
-  out += "]";
-  return out;
-}
-
-}  // namespace
-
-std::string_view lint_rule_description(std::string_view rule_id) noexcept {
-  if (rule_id == rule::kDuplexSerialization) {
-    return "Bidirectional DMA saturates a half-duplex link: the serialized H2D+D2H occupancy "
-           "exceeds the critical path (paper Fig. 5).";
-  }
-  if (rule_id == rule::kFalseDependency) {
-    return "A cross-stream dependency edge orders actions whose accesses are disjoint; removing "
-           "it is provably race-free and restores overlap.";
-  }
-  if (rule_id == rule::kSingleStreamPipeline) {
-    return "Repeated H2D->kernel->D2H rounds all ride one stream; multiple streams would "
-           "pipeline transfers against compute (paper Fig. 2).";
-  }
-  if (rule_id == rule::kSplitCorePartition) {
-    return "The stream partition count does not divide the usable cores, so some partitions "
-           "split a physical core's thread group (paper Section V).";
-  }
-  if (rule_id == rule::kSubKneeTransfer) {
-    return "Many distinct transfers sit far below the link's latency/bandwidth knee, paying "
-           "per-transfer latency instead of wire bandwidth (paper Fig. 5).";
-  }
-  if (rule_id == rule::kRedundantH2D) {
-    return "An H2D re-uploads bytes already resident and unmodified on the device since the "
-           "previous upload.";
-  }
-  if (rule_id == rule::kDeadAction) {
-    return "A device write is never consumed by any kernel read, readback, or overwrite before "
-           "the recording ends.";
-  }
-  return "";
-}
-
-std::string sarif_report(const Analysis& analysis) {
-  static constexpr HazardKind kKinds[] = {
-      HazardKind::RaceRAW,      HazardKind::RaceWAR,   HazardKind::RaceWAW,
-      HazardKind::UseBeforeWrite, HazardKind::UseAfterFree, HazardKind::DoubleFree,
-      HazardKind::Deadlock};
-  std::vector<std::string> rules;
-  rules.reserve(std::size(kKinds));
-  for (const HazardKind k : kKinds) {
-    rules.push_back(sarif_rule(to_string(k), "Hazard: " + std::string(to_string(k))));
-  }
-  std::vector<std::string> results;
-  results.reserve(analysis.hazards.size());
-  for (const Hazard& h : analysis.hazards) {
-    std::string row = "{\"ruleId\": \"" + std::string(to_string(h.kind)) +
-                      "\", \"level\": \"error\", \"message\": {\"text\": " +
-                      json_quote(h.message) + "}, \"properties\": {";
-    row += "\"buffer\": " + std::to_string(h.buffer) + ", \"bufferName\": " +
-           json_quote(h.buffer_name);
-    std::vector<HazardAction> actions;
-    if (h.first.id != 0) actions.push_back(h.first);
-    if (h.second.id != 0) actions.push_back(h.second);
-    for (const HazardAction& a : h.cycle) actions.push_back(a);
-    row += ", \"actions\": " + sarif_actions(actions) + "}}";
-    results.push_back(std::move(row));
-  }
-  return sarif_log("mstream-analyze", rules, results);
-}
-
-std::string sarif_report(const std::vector<LintFinding>& findings) {
-  std::vector<std::string> rules;
-  for (const std::string_view id : lint_rule_ids()) {
-    rules.push_back(sarif_rule(id, lint_rule_description(id)));
-  }
-  std::vector<std::string> results;
-  results.reserve(findings.size());
-  for (const LintFinding& f : findings) {
-    std::string row = "{\"ruleId\": \"" + f.rule + "\", \"level\": \"" +
-                      std::string(f.severity == LintSeverity::Warning ? "warning" : "note") +
-                      "\", \"message\": {\"text\": " + json_quote(f.message) +
-                      "}, \"properties\": {";
-    row += "\"device\": " + std::to_string(f.device) + ", \"buffer\": " +
-           std::to_string(f.buffer) + ", \"bufferName\": " + json_quote(f.buffer_name) +
-           ", \"fixit\": " + json_quote(f.fixit);
-    row += ", \"actions\": " + sarif_actions(f.actions) + "}}";
-    results.push_back(std::move(row));
-  }
-  return sarif_log("mstream-lint", rules, results);
 }
 
 std::string text_report(const LintCapture& capture) {
@@ -268,7 +143,7 @@ std::string json_report(const LintCapture& capture) {
            ", \"buffer\": " + std::to_string(f.buffer) + ", \"buffer_name\": " +
            json_quote(f.buffer_name) + ", \"message\": " + json_quote(f.message) +
            ", \"fixit\": " + json_quote(f.fixit) + ", \"actions\": " +
-           sarif_actions(f.actions) + "}";
+           json_actions(f.actions) + "}";
   }
   out += first ? "]\n}\n" : "\n  ]\n}\n";
   return out;

@@ -19,23 +19,6 @@ namespace ms::analyze {
 /// the ordering edges among them, and a dashed red edge per missing edge.
 [[nodiscard]] std::string dot_racy_subgraph(const Analysis& analysis, const GraphRecord& record);
 
-// --- SARIF 2.1.0 (shared static-analysis interchange) ------------------------
-// Both analyses export through the same emitter so CI consumes one artifact
-// format: runs[0].tool.driver carries the rule table, results[] one entry per
-// hazard/finding with ruleId, level, message, and the offending actions under
-// properties.
-
-/// Hazard analysis as a SARIF log (driver "mstream-analyze", level "error").
-[[nodiscard]] std::string sarif_report(const Analysis& analysis);
-
-/// Lint findings as a SARIF log (driver "mstream-lint"; level mirrors each
-/// finding's severity). The rule table always lists the full catalog from
-/// `lint_rule_ids()` so consumers can enumerate rules even on clean runs.
-[[nodiscard]] std::string sarif_report(const std::vector<LintFinding>& findings);
-
-/// One-line catalog description for a lint rule id (empty for unknown ids).
-[[nodiscard]] std::string_view lint_rule_description(std::string_view rule_id) noexcept;
-
 // --- lint report formats ------------------------------------------------------
 
 /// Human-readable lint summary: findings with fix-its, then per-device bound

@@ -1,5 +1,6 @@
 #include "rt/stream.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <utility>
@@ -13,6 +14,15 @@
 namespace ms::rt {
 
 using detail::Action;
+
+namespace {
+
+sim::Direction link_direction(const Action& a) {
+  return a.kind == ActionKind::H2D ? sim::Direction::HostToDevice
+                                   : sim::Direction::DeviceToHost;
+}
+
+}  // namespace
 
 Stream::Stream(Context& ctx, int index, int device, int partition)
     : ctx_(&ctx),
@@ -214,20 +224,7 @@ void Stream::start(Action* a) {
 
   if (a->kind == ActionKind::Barrier) {
     // No resource use: the barrier completes as soon as it is reached.
-    if (ctx_->tracing()) {
-      trace::Span span;
-      span.kind = trace::SpanKind::Sync;
-      span.device = device_;
-      span.stream = index_;
-      span.partition = partition_;
-      span.start = now;
-      span.end = now;
-      span.label = a->label;
-      if (a->graph_run != nullptr) {
-        span.replay_id = detail::compiled_graph_replay_id(a->graph_run);
-      }
-      ctx_->timeline_.record(span);
-    }
+    if (ctx_->tracing()) record_span(a, now, now);
     engine.schedule_at(now, [this, a] { on_complete(a); });
     return;
   }
@@ -236,86 +233,63 @@ void Stream::start(Action* a) {
   if (a->kind == ActionKind::Kernel) {
     grant = part_res_->reserve(now, a->duration);
   } else {
-    const auto dir =
-        a->kind == ActionKind::H2D ? sim::Direction::HostToDevice : sim::Direction::DeviceToHost;
     const std::size_t chunk = dev_->link().spec().dma_chunk_bytes;
     if (chunk > 0 && a->bytes > chunk) {
-      start_transfer_chunked(a, dir, chunk, now);
+      start_transfer_chunked(a, chunk, now);
       return;
     }
-    grant = dev_->link().reserve(dir, now, a->bytes);
+    grant = dev_->link().reserve(link_direction(*a), now, a->bytes);
   }
 
-  if (ctx_->tracing()) {
-    trace::Span span;
-    span.kind = a->kind == ActionKind::Kernel ? trace::SpanKind::Kernel
-                : a->kind == ActionKind::H2D  ? trace::SpanKind::H2D
-                                              : trace::SpanKind::D2H;
-    span.device = device_;
-    span.stream = index_;
-    span.partition = partition_;
-    span.start = grant.start;
-    span.end = grant.end;
-    span.bytes = a->bytes;
-    span.label = a->label;
-    if (a->graph_run != nullptr) {
-      span.replay_id = detail::compiled_graph_replay_id(a->graph_run);
-    }
-    ctx_->timeline_.record(span);
-  }
-
+  if (ctx_->tracing()) record_span(a, grant.start, grant.end);
   engine.schedule_at(grant.end, [this, a] { on_complete(a); });
 }
 
-void Stream::start_transfer_chunked(detail::Action* a, sim::Direction dir, std::size_t chunk,
-                                    sim::SimTime now) {
+void Stream::record_span(const Action* a, sim::SimTime start, sim::SimTime end) {
+  trace::Span span;
+  span.kind = a->kind == ActionKind::Barrier  ? trace::SpanKind::Sync
+              : a->kind == ActionKind::Kernel ? trace::SpanKind::Kernel
+              : a->kind == ActionKind::H2D    ? trace::SpanKind::H2D
+                                              : trace::SpanKind::D2H;
+  span.device = device_;
+  span.stream = index_;
+  span.partition = partition_;
+  span.start = start;
+  span.end = end;
+  span.bytes = a->bytes;  // 0 for kernels and barriers
+  span.label = a->label;
+  if (a->graph_run != nullptr) {
+    span.replay_id = detail::compiled_graph_replay_id(a->graph_run);
+  }
+  ctx_->timeline_.record(span);
+}
+
+void Stream::start_transfer_chunked(Action* a, std::size_t chunk, sim::SimTime now) {
   // Progressive reservation: each chunk is requested only when the previous
   // one finishes, so competing transfers that become ready mid-way slot in
   // between chunks (no head-of-line blocking behind a huge upload).
   const std::size_t first_len = std::min(chunk, a->bytes);
-  const auto first = dev_->link().reserve_chunk(dir, now, first_len, /*first_chunk=*/true);
+  const auto first =
+      dev_->link().reserve_chunk(link_direction(*a), now, first_len, /*first_chunk=*/true);
   a->duration = sim::SimTime::zero();  // unused for chunked transfers
+  engine_->schedule_at(first.end, [this, a, left = a->bytes - first_len, span_start = first.start] {
+    next_chunk(a, left, span_start);
+  });
+}
 
-  struct ChunkPlan {
-    sim::SimTime span_start;
-    std::size_t remaining;
-  };
-  auto plan = std::make_shared<ChunkPlan>(ChunkPlan{first.start, a->bytes - first_len});
-
-  // Continuation invoked at each chunk's completion. The scheduled events
-  // hold the only strong references; the functor keeps a weak handle to
-  // itself so the plan/functor pair is freed after the last chunk fires
-  // (a captured strong handle would be a shared_ptr cycle).
-  auto step = std::make_shared<std::function<void()>>();
-  const std::weak_ptr<std::function<void()>> weak_step = step;
-  *step = [this, a, dir, chunk, plan, weak_step] {
-    auto& link = dev_->link();
-    const sim::SimTime t = engine_->now();
-    if (plan->remaining == 0) {
-      if (ctx_->tracing()) {
-        trace::Span span;
-        span.kind = a->kind == ActionKind::H2D ? trace::SpanKind::H2D : trace::SpanKind::D2H;
-        span.device = device_;
-        span.stream = index_;
-        span.partition = partition_;
-        span.start = plan->span_start;
-        span.end = t;
-        span.bytes = a->bytes;
-        span.label = a->label;
-        if (a->graph_run != nullptr) {
-          span.replay_id = detail::compiled_graph_replay_id(a->graph_run);
-        }
-        ctx_->timeline_.record(span);
-      }
-      on_complete(a);
-      return;
-    }
-    const std::size_t len = std::min(chunk, plan->remaining);
-    plan->remaining -= len;
-    const auto grant = link.reserve_chunk(dir, t, len, /*first_chunk=*/false);
-    engine_->schedule_at(grant.end, [next = weak_step.lock()] { (*next)(); });
-  };
-  engine_->schedule_at(first.end, [step] { (*step)(); });
+void Stream::next_chunk(Action* a, std::size_t left, sim::SimTime span_start) {
+  const sim::SimTime now = engine_->now();
+  if (left == 0) {
+    if (ctx_->tracing()) record_span(a, span_start, now);
+    on_complete(a);
+    return;
+  }
+  auto& link = dev_->link();
+  const std::size_t len = std::min(link.spec().dma_chunk_bytes, left);
+  const auto grant = link.reserve_chunk(link_direction(*a), now, len, /*first_chunk=*/false);
+  engine_->schedule_at(grant.end, [this, a, left = left - len, span_start] {
+    next_chunk(a, left, span_start);
+  });
 }
 
 void Stream::push_compiled(Action* a) {

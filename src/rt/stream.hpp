@@ -99,8 +99,15 @@ private:
   sim::SimTime kernel_duration(const sim::KernelWork& work);
   void maybe_arm(detail::Action* a);
   void start(detail::Action* a);
-  void start_transfer_chunked(detail::Action* a, sim::Direction dir, std::size_t chunk,
-                              sim::SimTime now);
+  /// Record `a`'s timeline span (kind, placement, bytes, label, replay id).
+  void record_span(const detail::Action* a, sim::SimTime start, sim::SimTime end);
+  /// A transfer larger than the link's DMA chunk: reserve its first chunk
+  /// now and the rest one at a time through next_chunk().
+  void start_transfer_chunked(detail::Action* a, std::size_t chunk, sim::SimTime now);
+  /// Completion of a chunk of `a`, with `left` bytes still to move; the span
+  /// runs from the first chunk's start. The continuation is captured by
+  /// value, so a chunked transfer allocates nothing.
+  void next_chunk(detail::Action* a, std::size_t left, sim::SimTime span_start);
   void on_complete(detail::Action* a);
   /// Mark `st` complete at `now` and fire its waiter edges in registration
   /// order, returning each edge to the state's pool.

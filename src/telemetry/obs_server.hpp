@@ -16,7 +16,7 @@
 // Payloads are always well formed; while recording is off (MS_METRICS unset)
 // the series read zero and the trace has no events. It is opt-in —
 // nothing listens unless a caller constructs one or calls ensure_obs_server
-// (`mstream_cli --serve-obs`, the bench harness's `--serve-obs`).
+// (`mstream_cli --serve-obs`).
 
 namespace ms::telemetry {
 

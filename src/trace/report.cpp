@@ -52,18 +52,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) line(row);
 }
 
-void Table::write_csv(std::ostream& os) const {
-  auto csv_line = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << cells[c];
-    }
-    os << '\n';
-  };
-  csv_line(headers_);
-  for (const auto& row : rows_) csv_line(row);
-}
-
 void Table::write_json(std::ostream& os) const {
   auto json_row = [&](const std::vector<std::string>& cells) {
     os << '[';

@@ -8,7 +8,7 @@
 namespace ms::trace {
 
 /// Column-aligned text tables for the bench harness — each paper table and
-/// figure is regenerated as one of these (plus an optional CSV next to it).
+/// figure is regenerated as one of these (and optionally written as JSON).
 class Table {
 public:
   explicit Table(std::vector<std::string> headers);
@@ -20,7 +20,6 @@ public:
   [[nodiscard]] static std::string num(double v, int precision = 2);
 
   void print(std::ostream& os) const;
-  void write_csv(std::ostream& os) const;
 
   /// Emit the table as one JSON object: {"columns": [...], "rows": [[...]]}.
   /// Cells stay strings — they are already formatted for presentation.

@@ -3,6 +3,8 @@
 // hotspot-shaped grid of Stream::enqueue_kernel calls with up to five
 // dependencies each, plus synchronize(), performs no heap allocation.
 // Declared accesses may cost one allocation per kernel (the access list).
+// Transfers split into DMA chunks (LinkSpec::dma_chunk_bytes) allocate
+// nothing either: each chunk's continuation rides in the engine's event.
 
 #include <gtest/gtest.h>
 
@@ -87,6 +89,30 @@ TEST(DirectIssueAlloc, DeclaredAccessesCostAtMostOneAllocationPerKernel) {
   std::size_t kernels = 0;
   for (int i = 0; i < 10; ++i) kernels += g.pass(/*declare=*/true);
   EXPECT_LE(test::alloc_count() - before, kernels);
+}
+
+TEST(DirectIssueAlloc, SteadyStateChunkedTransfersAllocateNothing) {
+  auto cfg = sim::SimConfig::phi_31sp();
+  cfg.link.dma_chunk_bytes = 64 << 10;
+  Context ctx(cfg);
+  ctx.setup(4);
+  ctx.set_tracing(false);
+  constexpr std::size_t kBytes = 1 << 20;  // 16 chunks per transfer
+  const BufferId buf = ctx.create_virtual_buffer(4 * kBytes);
+  const auto pass = [&] {
+    for (int s = 0; s < 4; ++s) {
+      const std::size_t offset = static_cast<std::size_t>(s) * kBytes;
+      (void)ctx.stream(s).enqueue_h2d(buf, offset, kBytes);
+      (void)ctx.stream(s).enqueue_d2h(buf, offset, kBytes);
+    }
+    ctx.synchronize();
+  };
+  for (int i = 0; i < 3; ++i) pass();
+
+  const std::size_t before = test::alloc_count();
+  for (int i = 0; i < 10; ++i) pass();
+  EXPECT_EQ(test::alloc_count() - before, 0u)
+      << "steady-state chunked transfers must not allocate";
 }
 
 }  // namespace

@@ -20,14 +20,6 @@ TEST(Table, PrintsAlignedColumns) {
   EXPECT_NE(s.find("|---"), std::string::npos);
 }
 
-TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(Table, RowCountAndValidation) {
   Table t({"a", "b"});
   EXPECT_EQ(t.rows(), 0u);

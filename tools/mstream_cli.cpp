@@ -11,13 +11,16 @@
 //   mstream_cli tune --h2d-mib 32 --d2h-mib 32 --gflop 5
 //   mstream_cli analyze app srad --dim 2000 --tiles 16 --json hazards.json
 //   mstream_cli analyze hbench fig6 --dot racy.dot
-//   mstream_cli lint app mm --dim 2000 --tiles 16 --sarif lint.sarif
+//   mstream_cli lint app mm --dim 2000 --tiles 16 --json lint.json
 //   mstream_cli lint hbench fig5 --json -
 //   mstream_cli stats app cf --dim 4800
 //   mstream_cli devices
 //   mstream_cli apps
 //
 // A --trace or --metrics file that cannot be written fails the run (exit 1).
+// At most one output may be '-' (stdout). While stdout carries a document
+// (a '-' output, or the `stats` snapshot), the human-readable lines go to
+// stderr so the document parses as it stands.
 //
 // Flags:
 //   --device {31sp | 31sp-x2 | 7120p}   platform preset     (default 31sp)
@@ -38,20 +41,22 @@
 //                                       (port 0 = ephemeral, bound address is
 //                                       printed). Implies host telemetry.
 //   --json FILE                         (analyze/lint) write the JSON report ('-' = stdout)
-//   --sarif FILE                        (lint) write the SARIF 2.1.0 report ('-' = stdout)
 //   --dot FILE                          (analyze) write Graphviz dot of the racy subgraph
+//                                       ('-' = stdout)
 //   --replays N                         (graph) protocol replays of the captured schedule
 
 #include <atomic>
 #include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -85,7 +90,6 @@ struct Cli {
   bool utilization = false;
   std::string trace_path;
   std::string json_path;
-  std::string sarif_path;
   std::string dot_path;
   std::string metrics_path;
   std::string obs_addr;  // --serve-obs; empty = no endpoint
@@ -105,7 +109,7 @@ int usage() {
                "usage: mstream_cli app {%s} [flags]\n"
                "       mstream_cli hbench {fig5|fig6|fig7} [flags]\n"
                "       mstream_cli analyze {app|hbench} <name> [flags] [--json FILE] [--dot FILE]\n"
-               "       mstream_cli lint {app|hbench} <name> [flags] [--json FILE] [--sarif FILE]\n"
+               "       mstream_cli lint {app|hbench} <name> [flags] [--json FILE]\n"
                "       mstream_cli graph app <name> --replays N [flags]\n"
                "       mstream_cli stats [{app|hbench} <name> [flags]]\n"
                "       mstream_cli tune [--h2d-mib N --d2h-mib N --gflop N | --gelem N]\n"
@@ -117,6 +121,18 @@ int usage() {
                "       --utilization ('-' = stdout)\n",
                names.c_str());
   return 2;
+}
+
+/// Where human-readable lines go: stdout, or stderr while stdout carries a
+/// document. main() picks it once the flags are parsed.
+std::FILE* g_text = stdout;
+
+/// printf to the human-readable sink.
+[[gnu::format(printf, 1, 2)]] void say(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  std::vfprintf(g_text, fmt, args);
+  va_end(args);
 }
 
 /// Open `path` for writing and hand the stream to `fn`; "-" selects stdout.
@@ -154,7 +170,7 @@ bool write_metrics(const Cli& cli) {
   if (!with_output(cli.metrics_path, [](std::ostream& os) { ms::telemetry::write_snapshot(os); })) {
     return false;
   }
-  if (cli.metrics_path != "-") std::printf("metrics -> %s\n", cli.metrics_path.c_str());
+  if (cli.metrics_path != "-") say("metrics -> %s\n", cli.metrics_path.c_str());
   return true;
 }
 
@@ -184,7 +200,6 @@ bool parse_flags(int argc, char** argv, int first, Cli* cli) {
       {"--device", &cli->device},
       {"--trace", &cli->trace_path},
       {"--json", &cli->json_path},
-      {"--sarif", &cli->sarif_path},
       {"--dot", &cli->dot_path},
   };
   const std::map<std::string_view, std::variant<int*, std::size_t*, double*>> numbers{
@@ -253,12 +268,14 @@ ms::apps::CommonConfig common_from(const Cli& cli) {
 /// Print the run's result and write its --trace file; false when the trace
 /// cannot be written.
 bool report(const ms::apps::AppResult& r, const Cli& cli) {
-  std::printf("virtual time: %.3f ms", r.ms);
-  if (r.gflops > 0.0) std::printf("  (%.1f GFLOPS)", r.gflops);
-  if (cli.functional) std::printf("  checksum %.6g", r.checksum);
-  std::printf("\n");
+  say("virtual time: %.3f ms", r.ms);
+  if (r.gflops > 0.0) say("  (%.1f GFLOPS)", r.gflops);
+  if (cli.functional) say("  checksum %.6g", r.checksum);
+  say("\n");
   if (cli.utilization) {
-    ms::trace::print(std::cout, ms::trace::summarize(r.timeline));
+    std::ostringstream os;
+    ms::trace::print(os, ms::trace::summarize(r.timeline));
+    say("%s", os.str().c_str());
   }
   if (!cli.trace_path.empty()) {
     // With telemetry on, the export carries the wall-clock host track next
@@ -272,8 +289,8 @@ bool report(const ms::apps::AppResult& r, const Cli& cli) {
     });
     if (!ok) return false;
     if (cli.trace_path != "-") {
-      std::printf("trace: %zu spans (+%zu host, %zu counter samples) -> %s\n", r.timeline.size(),
-                  host_spans.size(), counters.size(), cli.trace_path.c_str());
+      say("trace: %zu spans (+%zu host, %zu counter samples) -> %s\n", r.timeline.size(),
+          host_spans.size(), counters.size(), cli.trace_path.c_str());
     }
   }
   return true;
@@ -341,10 +358,10 @@ int run_graph(const std::string& sub, const std::string& name, const Cli& cli) {
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
   if (!r) return 2;
 
-  std::printf("mode: compiled, %d protocol replays of the captured schedule\n", replays);
+  say("mode: compiled, %d protocol replays of the captured schedule\n", replays);
   if (!report(*r, cli)) return 1;
-  std::printf("host wall: %.2f ms total, %.3f ms per replay\n", wall_ms,
-              wall_ms / static_cast<double>(replays));
+  say("host wall: %.2f ms total, %.3f ms per replay\n", wall_ms,
+      wall_ms / static_cast<double>(replays));
 
   // Compile/launch breakdown from the labeled graph metric families.
   std::uint64_t compiles = 0, compile_ns = 0, graph_replays = 0, launches = 0, launch_ns = 0;
@@ -360,18 +377,18 @@ int run_graph(const std::string& sub, const std::string& name, const Cli& cli) {
       launch_ns += m.histogram.sum;
     }
   }
-  std::printf("compile: %llu plan(s), %.1f us total\n", static_cast<unsigned long long>(compiles),
-              static_cast<double>(compile_ns) / 1e3);
+  say("compile: %llu plan(s), %.1f us total\n", static_cast<unsigned long long>(compiles),
+      static_cast<double>(compile_ns) / 1e3);
   if (launches > 0) {
-    std::printf("launch: %llu graph replays in %llu launch calls, %.2f us host per call\n",
-                static_cast<unsigned long long>(graph_replays),
-                static_cast<unsigned long long>(launches),
-                static_cast<double>(launch_ns) / 1e3 / static_cast<double>(launches));
+    say("launch: %llu graph replays in %llu launch calls, %.2f us host per call\n",
+        static_cast<unsigned long long>(graph_replays),
+        static_cast<unsigned long long>(launches),
+        static_cast<double>(launch_ns) / 1e3 / static_cast<double>(launches));
   }
   const auto& cache = ms::rt::process_graph_cache();
-  std::printf("cache: %llu hits, %llu misses, %zu plan(s) resident (capacity %zu)\n",
-              static_cast<unsigned long long>(cache.hits()),
-              static_cast<unsigned long long>(cache.misses()), cache.size(), cache.capacity());
+  say("cache: %llu hits, %llu misses, %zu plan(s) resident (capacity %zu)\n",
+      static_cast<unsigned long long>(cache.hits()),
+      static_cast<unsigned long long>(cache.misses()), cache.size(), cache.capacity());
   return 0;
 }
 
@@ -381,19 +398,19 @@ int run_hbench(const std::string& mode, const Cli& cli) {
 
   if (mode == "fig5") {
     for (int hd = 0; hd <= 16; hd += 4) {
-      std::printf("hd=%2d dh=%2d -> %.3f ms\n", hd, 16 - hd,
-                  ms::apps::HBench::transfer_pattern(cfg, hd, 16 - hd, 1 << 20));
+      say("hd=%2d dh=%2d -> %.3f ms\n", hd, 16 - hd,
+          ms::apps::HBench::transfer_pattern(cfg, hd, 16 - hd, 1 << 20));
     }
   } else if (mode == "fig6") {
     const int iters = cli.iters ? cli.iters : 40;
     const auto p = ms::apps::HBench::overlap(cfg, 4u << 20, iters, cli.partitions,
                                              cli.tiles > 1 ? cli.tiles : cli.partitions);
-    std::printf("data %.2f  kernel %.2f  serial %.2f  streamed %.2f  ideal %.2f [ms]\n",
-                p.data_ms, p.kernel_ms, p.serial_ms, p.streamed_ms, p.ideal_ms);
+    say("data %.2f  kernel %.2f  serial %.2f  streamed %.2f  ideal %.2f [ms]\n",
+        p.data_ms, p.kernel_ms, p.serial_ms, p.streamed_ms, p.ideal_ms);
   } else if (mode == "fig7") {
-    std::printf("P=%d: %.2f ms (ref %.2f ms)\n", cli.partitions,
-                ms::apps::HBench::spatial(cfg, cli.partitions, 128, 100, 4u << 20),
-                ms::apps::HBench::spatial_ref(cfg, 100, 4u << 20));
+    say("P=%d: %.2f ms (ref %.2f ms)\n", cli.partitions,
+        ms::apps::HBench::spatial(cfg, cli.partitions, 128, 100, 4u << 20),
+        ms::apps::HBench::spatial_ref(cfg, 100, 4u << 20));
   } else {
     std::fprintf(stderr, "unknown hbench mode: %s\n", mode.c_str());
     return 2;
@@ -401,39 +418,38 @@ int run_hbench(const std::string& mode, const Cli& cli) {
   return 0;
 }
 
+/// `{analyze|lint|stats} {app|hbench} <name>`: run the named workload.
+int run_workload(const char* cmd, const std::string& sub, const std::string& name,
+                 const Cli& cli) {
+  if (sub == "app") return run_app(name, cli);
+  if (sub == "hbench") return run_hbench(name, cli);
+  std::fprintf(stderr, "%s: expected 'app' or 'hbench', got '%s'\n", cmd, sub.c_str());
+  return 2;
+}
+
 // Run any app/hbench config under a hazard Capture: the runtime records the
 // virtual-concurrency action graph and collects happens-before violations
 // instead of aborting. Prints the text report; exit 1 when hazards exist.
 int run_analyze(const std::string& sub, const std::string& name, const Cli& cli) {
   ms::analyze::Capture capture;
-  int rc;
-  if (sub == "app") {
-    rc = run_app(name, cli);
-  } else if (sub == "hbench") {
-    rc = run_hbench(name, cli);
-  } else {
-    std::fprintf(stderr, "analyze: expected 'app' or 'hbench', got '%s'\n", sub.c_str());
-    return 2;
-  }
-  if (rc != 0) return rc;
+  if (const int rc = run_workload("analyze", sub, name, cli); rc != 0) return rc;
 
   const ms::analyze::Analysis& analysis = capture.result();
-  std::printf("%s", ms::analyze::text_report(analysis).c_str());
+  say("%s", ms::analyze::text_report(analysis).c_str());
   if (!cli.json_path.empty()) {
     if (!with_output(cli.json_path,
                      [&](std::ostream& os) { os << ms::analyze::json_report(analysis); })) {
       return 2;
     }
-    if (cli.json_path != "-") std::printf("json report -> %s\n", cli.json_path.c_str());
+    if (cli.json_path != "-") say("json report -> %s\n", cli.json_path.c_str());
   }
   if (!cli.dot_path.empty()) {
-    std::ofstream f(cli.dot_path);
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", cli.dot_path.c_str());
+    if (!with_output(cli.dot_path, [&](std::ostream& os) {
+          os << ms::analyze::dot_racy_subgraph(analysis, capture.racy_record());
+        })) {
       return 2;
     }
-    f << ms::analyze::dot_racy_subgraph(analysis, capture.racy_record());
-    std::printf("racy subgraph -> %s\n", cli.dot_path.c_str());
+    if (cli.dot_path != "-") say("racy subgraph -> %s\n", cli.dot_path.c_str());
   }
   return capture.clean() ? 0 : 1;
 }
@@ -447,36 +463,19 @@ int run_analyze(const std::string& sub, const std::string& name, const Cli& cli)
 int run_lint(const std::string& sub, const std::string& name, const Cli& cli) {
   ms::analyze::Capture hazards;
   ms::analyze::LintCapture capture;
-  int rc;
-  if (sub == "app") {
-    rc = run_app(name, cli);
-  } else if (sub == "hbench") {
-    rc = run_hbench(name, cli);
-  } else {
-    std::fprintf(stderr, "lint: expected 'app' or 'hbench', got '%s'\n", sub.c_str());
-    return 2;
-  }
-  if (rc != 0) return rc;
+  if (const int rc = run_workload("lint", sub, name, cli); rc != 0) return rc;
 
-  std::printf("%s", ms::analyze::text_report(capture).c_str());
+  say("%s", ms::analyze::text_report(capture).c_str());
   if (!hazards.clean()) {
-    std::printf("note: %zu hazard(s) found alongside — run `mstream_cli analyze` for details\n",
-                hazards.result().hazards.size());
+    say("note: %zu hazard(s) found alongside — run `mstream_cli analyze` for details\n",
+        hazards.result().hazards.size());
   }
   if (!cli.json_path.empty()) {
     if (!with_output(cli.json_path,
                      [&](std::ostream& os) { os << ms::analyze::json_report(capture); })) {
       return 2;
     }
-    if (cli.json_path != "-") std::printf("json report -> %s\n", cli.json_path.c_str());
-  }
-  if (!cli.sarif_path.empty()) {
-    if (!with_output(cli.sarif_path, [&](std::ostream& os) {
-          os << ms::analyze::sarif_report(capture.findings());
-        })) {
-      return 2;
-    }
-    if (cli.sarif_path != "-") std::printf("sarif report -> %s\n", cli.sarif_path.c_str());
+    if (cli.json_path != "-") say("json report -> %s\n", cli.json_path.c_str());
   }
   return capture.clean() ? 0 : 1;
 }
@@ -499,11 +498,11 @@ int run_tune(const Cli& cli) {
   const ms::model::AnalyticModel model(cfg);
   const auto choice = model.best_configuration(shape, 16);
   const auto pred = model.predict(shape, choice.partitions, choice.tiles);
-  std::printf("offload: %.1f MiB in, %.1f MiB out, %s-bound kernel\n", cli.h2d_mib, cli.d2h_mib,
-              pred.transfer_bound ? "transfer" : "compute");
-  std::printf("recommended: P = %d partitions, T = %d tiles\n", choice.partitions, choice.tiles);
-  std::printf("predicted: serial %.2f ms, streamed %.2f ms (%.2fx), ideal %.2f ms\n",
-              pred.serial_ms, pred.streamed_ms, pred.speedup, pred.ideal_ms);
+  say("offload: %.1f MiB in, %.1f MiB out, %s-bound kernel\n", cli.h2d_mib, cli.d2h_mib,
+      pred.transfer_bound ? "transfer" : "compute");
+  say("recommended: P = %d partitions, T = %d tiles\n", choice.partitions, choice.tiles);
+  say("predicted: serial %.2f ms, streamed %.2f ms (%.2fx), ideal %.2f ms\n",
+      pred.serial_ms, pred.streamed_ms, pred.speedup, pred.ideal_ms);
   return 0;
 }
 
@@ -517,26 +516,6 @@ int run_stats_list() {
   for (const auto& m : ms::telemetry::registry().snapshot().metrics) {
     std::printf("%-36s %-10s %s\n", m.name.c_str(), ms::telemetry::to_string(m.kind),
                 m.help.c_str());
-  }
-  return 0;
-}
-
-/// `stats {app|hbench} <name>`: run the workload with telemetry on and dump
-/// the snapshot to stdout in Prometheus text form (or to --metrics FILE —
-/// main() handles that path).
-int run_stats(const std::string& sub, const std::string& name, const Cli& cli) {
-  int rc;
-  if (sub == "app") {
-    rc = run_app(name, cli);
-  } else if (sub == "hbench") {
-    rc = run_hbench(name, cli);
-  } else {
-    std::fprintf(stderr, "stats: expected 'app' or 'hbench', got '%s'\n", sub.c_str());
-    return 2;
-  }
-  if (rc != 0) return rc;
-  if (cli.metrics_path.empty()) {
-    ms::telemetry::write_snapshot(std::cout);
   }
   return 0;
 }
@@ -583,11 +562,23 @@ int main(int argc, char** argv) {
   }
   if (flag_start > argc) return usage();
   if (!parse_flags(argc, argv, flag_start, &cli)) return usage();
+  // A workload under `stats` is a run whose output is its metrics snapshot.
+  if (cmd == "stats" && cli.metrics_path.empty()) cli.metrics_path = "-";
+  int to_stdout = 0;
+  for (const std::string* path : {&cli.trace_path, &cli.metrics_path, &cli.json_path,
+                                  &cli.dot_path}) {
+    to_stdout += *path == "-" ? 1 : 0;
+  }
+  if (to_stdout > 1) {
+    std::fprintf(stderr, "at most one output can be '-' (stdout)\n");
+    return 2;
+  }
+  if (to_stdout == 1) g_text = stderr;
 
-  // --metrics / --serve-obs (and the stats/graph subcommands) switch host
+  // --metrics / --serve-obs (and the graph subcommand) switch host
   // telemetry on for the whole run; the calibration probe gives the pool
   // metrics a baseline even for timing-only runs that never sweep.
-  if (!cli.metrics_path.empty() || !cli.obs_addr.empty() || cmd == "stats" || cmd == "graph") {
+  if (!cli.metrics_path.empty() || !cli.obs_addr.empty() || cmd == "graph") {
     ms::telemetry::set_enabled(true);
     calibration_probe();
   }
@@ -596,9 +587,8 @@ int main(int argc, char** argv) {
   // scripts can discover where to curl.
   if (!cli.obs_addr.empty()) {
     if (ms::telemetry::ObsServer* obs = ms::telemetry::ensure_obs_server(cli.obs_addr)) {
-      std::printf("obs: serving http://%s (/metrics /healthz /trace)\n",
-                  obs->address().c_str());
-      std::fflush(stdout);
+      say("obs: serving http://%s (/metrics /healthz /trace)\n", obs->address().c_str());
+      std::fflush(g_text);
     }
   }
 
@@ -615,7 +605,7 @@ int main(int argc, char** argv) {
     } else if (cmd == "graph") {
       rc = run_graph(argv[2], argv[3], cli);
     } else if (cmd == "stats") {
-      rc = run_stats(argv[2], argv[3], cli);
+      rc = run_workload("stats", argv[2], argv[3], cli);
     } else if (cmd == "tune") {
       rc = run_tune(cli);
     }
@@ -625,7 +615,9 @@ int main(int argc, char** argv) {
     if (ms::telemetry::ObsServer* obs = ms::telemetry::obs_server()) {
       obs->set_state(ms::telemetry::ObsState::Draining);
     }
-    if (!write_metrics(cli) && rc == 0) rc = 1;
+    // A refused run (exit 2) writes no snapshot, so `stats` prints nothing
+    // on stdout for a workload it could not run.
+    if (rc != 2 && !write_metrics(cli) && rc == 0) rc = 1;
     return rc;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
