@@ -3,7 +3,7 @@
 # machine-diffable across commits) at the repo root:
 #   bench_kernels   -> BENCH_KERNELS.json
 #   bench_telemetry -> BENCH_TELEMETRY.json (metrics-off vs -on A/B)
-#   bench_graph     -> BENCH_GRAPH.json (compiled vs batched replay, compile)
+#   bench_graph     -> BENCH_GRAPH.json (compiled replay launch, compile)
 #   bench_simcore   -> BENCH_SIMCORE.json (engine/runtime host-cost baseline
 #                      for the report-only CI regression smoke)
 #

@@ -66,36 +66,47 @@ private:
   }
 };
 
+class Stream;
+
 namespace detail {
+
+/// What an action does at completion: the memcpy of a backed transfer or a
+/// kernel body. It lives in a node of its own from the Context's payload
+/// pool, taken only by actions that carry one; a timing-only action pays a
+/// null pointer. 40 bytes hold the widest capture, a direct transfer's
+/// (context, buffer, offset, bytes, device), and a KernelLaunch's
+/// std::function.
+using Payload = sim::InlineFunction<40>;
 
 /// Internal per-action bookkeeping. Placement-constructed in a Context pool
 /// node at enqueue and destroyed back into it on completion — the runtime's
 /// steady state recycles the node storage instead of allocating per
-/// enqueue. `label` views static or interned storage, never owns it.
+/// enqueue. Every in-flight action holds one, so only what the scheduler
+/// reads is kept here. `label` views static or interned storage, never owns
+/// it.
 struct Action {
   ActionKind kind = ActionKind::Kernel;
-  std::string_view label;
-
-  // Scheduling state -------------------------------------------------------
-  sim::SimTime ready_floor = sim::SimTime::zero();  ///< issue time and dep completions
-  int deps_pending = 0;
   bool pred_done = false;  ///< predecessor in the stream completed
   bool armed = false;
+
+  // Scheduling state -------------------------------------------------------
+  int deps_pending = 0;
+  std::string_view label;
+  sim::SimTime ready_floor = sim::SimTime::zero();  ///< issue time and dep completions
   /// Completion state, shared with user-held Events. Null for actions issued
   /// by a compiled graph, whose intra-graph dependents are notified through
   /// `graph_run` instead of per-state waiter lists.
   StateRef state;
+  Stream* stream = nullptr;  ///< the stream whose FIFO holds this action
 
   // Compiled-graph hook ----------------------------------------------------
   void* graph_run = nullptr;    ///< CompiledGraph run this action belongs to
   std::uint32_t graph_node = 0; ///< plan node index within that run
 
-  // Payload ----------------------------------------------------------------
+  // Work -------------------------------------------------------------------
   sim::SimTime duration = sim::SimTime::zero();  ///< precomputed service time
-  BufferId buffer;                               ///< transfers only
-  std::size_t offset = 0;
-  std::size_t bytes = 0;
-  sim::InlineFunction<48> fn;  ///< executed at completion (memcpy / kernel body)
+  std::size_t bytes = 0;                         ///< transfers only
+  Payload* payload = nullptr;  ///< run at completion; null when there is none
 };
 
 }  // namespace detail

@@ -302,7 +302,6 @@ Event CompiledGraph::issue_instance(Context& ctx, std::uint64_t replay_id) {
   const Plan& plan = *plan_;
   Run* run = acquire_run();
   run->replay_id = replay_id;
-  run->stream_tab = exec_.streams;
 
   // Replay pricing: one launch base charge, then one host-thread
   // reservation per node (completion barrier included) in issue order.
@@ -330,35 +329,35 @@ Event CompiledGraph::issue_instance(Context& ctx, std::uint64_t replay_id) {
       case ActionKind::Kernel:
         a->duration = exec_.durations[i];
         if (pn.fn != kNoFn) {
-          a->fn = [fp = &plan.kernel_fns[pn.fn]] { (*fp)(); };
+          ctx.set_payload(a, [fp = &plan.kernel_fns[pn.fn]] { (*fp)(); });
         }
         break;
       case ActionKind::H2D: {
-        a->buffer = pn.buffer;
-        a->offset = pn.offset;
         a->bytes = pn.bytes;
         const Exec::Payload& p = exec_.payloads[i];
         if (p.device != nullptr) {
-          a->fn = [dst = p.device, src = p.host, len = pn.bytes] { std::memcpy(dst, src, len); };
+          ctx.set_payload(a, [dst = p.device, src = p.host, len = pn.bytes] {
+            std::memcpy(dst, src, len);
+          });
         }
         break;
       }
       case ActionKind::D2H: {
-        a->buffer = pn.buffer;
-        a->offset = pn.offset;
         a->bytes = pn.bytes;
         const Exec::Payload& p = exec_.payloads[i];
         if (p.device != nullptr) {
-          a->fn = [dst = p.host, src = p.device, len = pn.bytes] { std::memcpy(dst, src, len); };
+          ctx.set_payload(a, [dst = p.host, src = p.device, len = pn.bytes] {
+            std::memcpy(dst, src, len);
+          });
         }
         break;
       }
       case ActionKind::Barrier: break;
     }
     run->actions[i] = a;
-    run->stream_tab[static_cast<std::size_t>(pn.stream)]->push_compiled(a);
+    exec_.streams[static_cast<std::size_t>(pn.stream)]->push_compiled(a);
   }
-  if (ctx.analyzing()) out.state_->analyze_id = record_instance(ctx, run->stream_tab);
+  if (ctx.analyzing()) out.state_->ident = record_instance(ctx, exec_.streams);
   return out;
 }
 
@@ -405,9 +404,7 @@ void CompiledGraph::notify(void* run_ptr, std::uint32_t node, sim::SimTime now) 
     const std::uint32_t d = plan.dependents[idx];
     detail::Action* a = run->actions[d];
     a->ready_floor = sim::max(a->ready_floor, now);
-    if (--a->deps_pending == 0) {
-      run->stream_tab[static_cast<std::size_t>(plan.nodes[d].stream)]->maybe_arm(a);
-    }
+    if (--a->deps_pending == 0) a->stream->maybe_arm(a);
   }
   if (++run->completed == plan.nodes.size()) {
     RunPool* pool = run->pool;

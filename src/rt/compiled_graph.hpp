@@ -144,13 +144,13 @@ private:
 
   struct RunPool;
 
-  /// One in-flight replay: the pool-acquired actions and the stream table it
-  /// issued on. Recycles into the free list when its last action completes.
+  /// One in-flight replay: the pool-acquired actions it issued, each of
+  /// which names its stream. Recycles into the free list when its last
+  /// action completes.
   struct Run {
     RunPool* pool = nullptr;
     const Plan* plan = nullptr;
     std::vector<detail::Action*> actions;    ///< per plan node
-    std::vector<Stream*> stream_tab;         ///< graph stream -> context stream
     std::size_t completed = 0;               ///< actions completed so far
     std::uint64_t replay_id = 0;
   };

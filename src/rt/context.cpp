@@ -32,9 +32,17 @@ telemetry::GaugeFamily& tel_link_inflight() {
   return f;
 }
 
+/// A capture phantom's ActionState::ident: kPhantom, the capturing graph's
+/// id in bits 32-62 and the node id in bits 0-31 (a graph of 2^32 nodes
+/// would need hundreds of GB of host memory).
+std::uint64_t phantom_ident(std::uint32_t graph, std::size_t node) {
+  return detail::ActionState::kPhantom | (std::uint64_t{graph & 0x7fffffffu} << 32) |
+         (node & 0xffffffffu);
+}
+
 telemetry::Gauge& tel_depot_parked() {
   static telemetry::Gauge& g = telemetry::registry().gauge(
-      "ms_sim_depot_parked_bytes", "Bytes parked in the thread-local chunk depots");
+      "ms_sim_depot_parked_bytes", "Bytes parked in the process-wide chunk depot");
   return g;
 }
 
@@ -93,10 +101,11 @@ Context::~Context() {
   // abort-mode hazards go to stderr and capture mode collects as usual.
   if (recorder_) recorder_->finalize();
   // Actions still in flight (a Context dropped without synchronize()) are
-  // placement-constructed in pool nodes, so run their destructors before the
-  // store releases the chunks. In-order queues hold every live action. Only
-  // in-flight states can hold waiter edges: detach them, since the actions
-  // the edges name die here even when an Event keeps the state alive.
+  // placement-constructed in pool nodes, so run their (and their payloads')
+  // destructors before the stores release the chunks. In-order queues hold
+  // every live action. Only in-flight states can hold waiter edges: detach
+  // them, since the actions the edges name die here even when an Event keeps
+  // the state alive.
   for (const auto& s : streams_) {
     while (!s->queue_.empty()) {
       detail::Action* a = s->queue_.front();
@@ -105,7 +114,7 @@ Context::~Context() {
         a->state->waiters_head = nullptr;
         a->state->waiters_tail = nullptr;
       }
-      a->~Action();
+      release_action(a);
     }
   }
 }
@@ -319,7 +328,7 @@ void Context::wait(const Event& ev) {
   }
   host_cursor_ = sim::max(host_cursor_, sim::max(platform_->now(), ev.time())) +
                  platform_->cost().sync_overhead(1, false);
-  if (recorder_) recorder_->on_host_wait(ev.state_->analyze_id);
+  if (recorder_) recorder_->on_host_wait(ev.state_->analyze_id());
 }
 
 void Context::begin_capture(Graph& g) {
@@ -341,13 +350,15 @@ std::vector<std::size_t> Context::capture_deps(Deps deps) const {
   ids.reserve(deps.size());
   for (const Event& e : deps) {
     if (!e.valid()) continue;
-    if (e.state_->capture_node != 0) {
-      if (e.state_->capture_owner != capture_) {
+    const std::uint64_t ident = e.state_->ident;
+    if ((ident & detail::ActionState::kPhantom) != 0) {
+      const auto node = static_cast<std::size_t>(ident & 0xffffffffu);
+      if (ident != phantom_ident(capture_->capture_id_.value, node)) {
         throw Error(
             "Graph capture: dependency is a phantom event recorded into a "
             "different graph; node ids are graph-local");
       }
-      ids.push_back(static_cast<std::size_t>(e.state_->capture_node - 1));
+      ids.push_back(node);
       continue;
     }
     if (e.done()) continue;  // completed real work orders nothing in a replay
@@ -360,8 +371,7 @@ std::vector<std::size_t> Context::capture_deps(Deps deps) const {
 
 Event Context::capture_phantom(std::size_t node) {
   detail::StateRef state = make_state();
-  state->capture_node = static_cast<std::uint64_t>(node) + 1;
-  state->capture_owner = capture_;
+  state->ident = phantom_ident(capture_->capture_id_.value, node);
   return Event{std::move(state)};
 }
 
@@ -404,6 +414,10 @@ detail::StateRef Context::make_state() {
 }
 
 void Context::release_action(detail::Action* a) {
+  if (a->payload != nullptr) {
+    std::destroy_at(a->payload);
+    PayloadPool::deallocate(payload_store_, a->payload);
+  }
   // Destroying the Action drops its state reference; the state's node goes
   // straight back to the pool unless some Event still holds it (then it is
   // freed into the store, kept alive by its count, when the last Event dies).

@@ -6,6 +6,7 @@
 #include <span>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "rt/buffer.hpp"
@@ -217,13 +218,17 @@ private:
   // --- Action / state pools ---------------------------------------------------
   //
   // Streams acquire Actions here per enqueue and release them on completion.
-  // Actions, their ActionStates and the waiter edges between them live in
-  // fixed-node pools with intrusive free lists (and depot-recycled chunk
-  // storage), so steady-state scheduling performs no heap allocation and a
-  // destroyed Context leaves its pages parked for the next one instead of
-  // faulting them back in.
+  // Actions, their payloads, their ActionStates and the waiter edges between
+  // them live in fixed-node pools with intrusive free lists (and
+  // depot-recycled chunk storage), so steady-state scheduling performs no
+  // heap allocation and a destroyed Context leaves its pages parked for the
+  // next one instead of faulting them back in.
 
   using ActionPool = detail::NodePool<detail::kPoolNodeBytes<detail::Action>>;
+  using PayloadPool = detail::NodePool<detail::kPoolNodeBytes<detail::Payload>>;
+  // Every in-flight action holds an Action node until the next synchronize;
+  // only actions with a payload hold a payload node too.
+  static_assert(ActionPool::kNodeBytes <= 96, "Action node outgrew 96 bytes");
 
   /// A fresh completion state from this context's store.
   [[nodiscard]] detail::StateRef make_state();
@@ -232,6 +237,12 @@ private:
   /// dependents through the flattened plan, so no Event/waiter state exists
   /// (and nothing is heap- or pool-allocated beyond the action node).
   [[nodiscard]] detail::Action* acquire_action_raw();
+  /// Give `a` a payload node holding `fn`, run when `a` completes.
+  template <typename F>
+  void set_payload(detail::Action* a, F&& fn) {
+    a->payload = new (PayloadPool::allocate(payload_store_)) detail::Payload(std::forward<F>(fn));
+  }
+  /// Return `a` and its payload node to their pools.
   void release_action(detail::Action* a);
 
   void require_all_idle(const char* who) const;
@@ -262,6 +273,7 @@ private:
   std::unordered_map<std::uint64_t, BufferRec> buffers_;
   std::uint64_t next_buffer_ = 1;
   ActionPool::Store action_store_;
+  PayloadPool::Store payload_store_;
   TelTally tel_;
   std::unique_ptr<detail::StateStore, detail::StateStoreRelease> states_{new detail::StateStore};
   /// Present only when analyzing (MS_ANALYZE=1 / installed analyze::Capture

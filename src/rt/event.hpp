@@ -6,20 +6,17 @@
 #include "sim/sim_time.hpp"
 
 namespace ms::rt {
-
-class Stream;
-
 namespace detail {
 
 struct Action;
 struct StateStore;
 
-/// One dependency edge: `action`, queued on `stream`, waits for the state
-/// whose waiter list holds this node. Plain data drawn from the owning
-/// Context's edge pool, so registering a dependency never heap-allocates.
+/// One dependency edge: `action` waits for the state whose waiter list holds
+/// this node, and its stream re-arms it when that state completes. Plain
+/// data drawn from the owning Context's edge pool, so registering a
+/// dependency never heap-allocates.
 struct WaitEdge {
   WaitEdge* next;
-  Stream* stream;
   Action* action;
 };
 
@@ -30,28 +27,32 @@ struct WaitEdge {
 /// last release returns the node to its StateStore, which outlives the
 /// Context for as long as any state is still referenced.
 struct ActionState {
+  /// Marks `ident` as a capture phantom's.
+  static constexpr std::uint64_t kPhantom = std::uint64_t{1} << 63;
+
   std::uint32_t refs = 0;
   bool done = false;
   sim::SimTime end = sim::SimTime::zero();
-  /// Node id assigned by the hazard analyzer's recorder (0 = not recorded).
-  /// Lets a dependency Event be mapped back to the recorded action so the
-  /// analyzer sees the same edge the scheduler wires.
-  std::uint64_t analyze_id = 0;
-  /// While a Context is capturing into a Graph, enqueues return phantom
-  /// events whose state carries `1 + node id` here (0 = not a capture
-  /// phantom). Such events never complete; they only name graph nodes so
-  /// later captured enqueues can depend on them.
-  std::uint64_t capture_node = 0;
-  /// The Graph a capture phantom belongs to. Node ids are graph-local, so a
-  /// phantom handed to a *different* capture must be rejected rather than
-  /// silently aliasing that graph's node of the same index.
-  const void* capture_owner = nullptr;
+  /// Who this state stands for, in one word. A real state holds the node id
+  /// the hazard analyzer's recorder assigned its action (0 = not recorded),
+  /// so a dependency Event maps back to the recorded action and the analyzer
+  /// sees the same edge the scheduler wires. While a Context captures into a
+  /// Graph, enqueues return phantom events instead: they never complete and
+  /// only name a graph node for later captured enqueues. A phantom's word
+  /// has kPhantom set and packs the graph's id with the node id (see
+  /// Context::capture_phantom).
+  std::uint64_t ident = 0;
   /// Dependents waiting on this state, as a FIFO in registration order: the
   /// completing stream fires them front to back, and same-instant arms take
   /// their engine sequence numbers from that order.
   WaitEdge* waiters_head = nullptr;
   WaitEdge* waiters_tail = nullptr;
   StateStore* store = nullptr;
+
+  /// The analyzer node id; 0 when not recorded or for a capture phantom.
+  [[nodiscard]] std::uint64_t analyze_id() const noexcept {
+    return (ident & kPhantom) != 0 ? 0 : ident;
+  }
 };
 
 /// Return a state whose last reference was just dropped to its store.

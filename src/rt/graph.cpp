@@ -1,9 +1,16 @@
 #include "rt/graph.hpp"
 
+#include <atomic>
+
 #include "rt/compiled_graph.hpp"
 #include "rt/errors.hpp"
 
 namespace ms::rt {
+
+std::uint32_t Graph::CaptureId::next() noexcept {
+  static std::atomic<std::uint32_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed);
+}
 
 Graph::NodeId Graph::add(Node node) {
   for (const NodeId d : node.deps) {

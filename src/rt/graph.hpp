@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,18 @@ public:
 
 private:
   friend class CompiledGraph;
+  friend class Context;
+
+  /// Process-unique id naming this graph in capture phantoms, so a phantom
+  /// recorded into another graph is refused (Context::capture_deps). A copy
+  /// draws its own: node ids name nodes of one graph object only.
+  struct CaptureId {
+    std::uint32_t value = next();
+    CaptureId() = default;
+    CaptureId(const CaptureId&) noexcept {}
+    CaptureId& operator=(const CaptureId&) noexcept { return *this; }
+    static std::uint32_t next() noexcept;
+  };
 
   struct Node {
     ActionKind kind = ActionKind::Kernel;
@@ -70,6 +83,7 @@ private:
   NodeId add(Node node);
 
   std::vector<Node> nodes_;
+  CaptureId capture_id_;
 };
 
 }  // namespace ms::rt

@@ -23,7 +23,7 @@ inline telemetry::Counter& pool_chunks_grown() {
 /// free nodes' own bytes — the pool keeps no side table at all, so an
 /// enqueue burst (thousands of in-flight actions before the first
 /// completion) costs one allocation per chunk and zero bookkeeping memory.
-/// Chunk storage itself comes from the thread's ChunkDepot, so a
+/// Chunk storage itself comes from the process-wide ChunkDepot, so a
 /// create-run-destroy context loop reuses the same committed pages instead
 /// of faulting fresh ones in every lifetime.
 ///
@@ -90,6 +90,11 @@ inline constexpr std::size_t kPoolNodeBytes =
 
 using StatePool = NodePool<kPoolNodeBytes<ActionState>>;
 using EdgePool = NodePool<kPoolNodeBytes<WaitEdge>>;
+
+// Every in-flight action holds one state node, and a dependency-heavy
+// pattern (Hotspot's 5-point stencil) hangs about five edges on each.
+static_assert(StatePool::kNodeBytes <= 48, "ActionState node outgrew 48 bytes");
+static_assert(EdgePool::kNodeBytes == 16, "WaitEdge node must stay two pointers");
 
 /// Home of a Context's ActionStates and of the waiter edges hung on them
 /// (an edge lives in the store of the state it waits for, so it is freed

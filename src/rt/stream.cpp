@@ -57,8 +57,6 @@ Event Stream::enqueue_transfer(ActionKind kind, BufferId buf, std::size_t offset
   Action* a = ctx_->acquire_action();
   a->kind = kind;
   a->label = kind == ActionKind::H2D ? "h2d" : "d2h";
-  a->buffer = buf;
-  a->offset = offset;
   a->bytes = bytes;
 
   // Functional payload: move real bytes between the host range and this
@@ -69,16 +67,17 @@ Event Stream::enqueue_transfer(ActionKind kind, BufferId buf, std::size_t offset
   if (rec.host == nullptr) {
     // no-op payload
   } else if (kind == ActionKind::H2D) {
-    a->fn = [ctx, buf, offset, bytes, dev] {
+    ctx->set_payload(a, [ctx, buf, offset, bytes, dev] {
       std::memcpy(ctx->device_data(buf, dev) + offset,
                   static_cast<const std::byte*>(ctx->buffer_rec(buf).host) + offset, bytes);
-    };
+    });
   } else {
-    a->fn = [ctx, buf, offset, bytes, dev] {
+    ctx->set_payload(a, [ctx, buf, offset, bytes, dev] {
       std::memcpy(static_cast<std::byte*>(ctx->buffer_rec(buf).host) + offset,
                   ctx->device_data(buf, dev) + offset, bytes);
-    };
+    });
   }
+  if (ctx_->recorder_) record_enqueue(a, deps, nullptr, buf, offset);
   return enqueue_common(a, deps);
 }
 
@@ -97,10 +96,11 @@ Event Stream::enqueue_kernel(KernelLaunch launch, Deps deps) {
   } else {
     a->label = trace::intern_label(launch.label);
   }
-  if (launch.fn) a->fn = std::move(launch.fn);
+  if (launch.fn) ctx_->set_payload(a, std::move(launch.fn));
 
   a->duration = duration;
-  return enqueue_common(a, deps, &launch);
+  if (ctx_->recorder_) record_enqueue(a, deps, &launch);
+  return enqueue_common(a, deps);
 }
 
 sim::SimTime Stream::kernel_duration(const sim::KernelWork& work) {
@@ -127,11 +127,12 @@ Event Stream::enqueue_barrier(Deps deps) {
   Action* a = ctx_->acquire_action();
   a->kind = ActionKind::Barrier;
   a->label = "barrier";
+  if (ctx_->recorder_) record_enqueue(a, deps);
   return enqueue_common(a, deps);
 }
 
-Event Stream::enqueue_common(Action* a, Deps deps, const KernelLaunch* launch) {
-  if (ctx_->recorder_) record_enqueue(a, deps, launch);
+Event Stream::enqueue_common(Action* a, Deps deps) {
+  a->stream = this;
   a->ready_floor = ctx_->host_issue();
 
   // Wire cross-stream dependencies. Completed deps only raise the ready
@@ -146,7 +147,7 @@ Event Stream::enqueue_common(Action* a, Deps deps, const KernelLaunch* launch) {
     ++a->deps_pending;
     detail::ActionState* dep = e.state_.get();
     auto* edge = new (detail::EdgePool::allocate(dep->store->edges))
-        detail::WaitEdge{nullptr, this, a};
+        detail::WaitEdge{nullptr, a};
     if (dep->waiters_tail != nullptr) {
       dep->waiters_tail->next = edge;
     } else {
@@ -165,25 +166,26 @@ Event Stream::enqueue_common(Action* a, Deps deps, const KernelLaunch* launch) {
 // Off the scheduling path entirely: builds the analyzer's view of this
 // enqueue (node + event edges) and stamps the action's state with the node
 // id so later enqueues can name it as a dependency.
-void Stream::record_enqueue(Action* a, Deps deps, const KernelLaunch* launch) {
+void Stream::record_enqueue(const Action* a, Deps deps, const KernelLaunch* launch, BufferId buf,
+                            std::size_t offset) {
   analyze::Recorder& rec = *ctx_->recorder_;
   std::vector<std::uint64_t> dep_ids;
   dep_ids.reserve(deps.size());
   for (const Event& e : deps) {
-    if (e.valid() && e.state_->analyze_id != 0) dep_ids.push_back(e.state_->analyze_id);
+    if (e.valid() && e.state_->analyze_id() != 0) dep_ids.push_back(e.state_->analyze_id());
   }
   std::uint64_t id = 0;
   switch (a->kind) {
     case ActionKind::H2D:
     case ActionKind::D2H:
-      id = rec.on_transfer(a->kind == ActionKind::H2D, index_, device_, a->buffer, a->offset,
-                           a->bytes, std::move(dep_ids));
+      id = rec.on_transfer(a->kind == ActionKind::H2D, index_, device_, buf, offset, a->bytes,
+                           std::move(dep_ids));
       break;
     case ActionKind::Kernel: {
       static const std::vector<BufferAccess> kNoAccesses;
       // a->duration is already resolved against this stream's partition
-      // (enqueue_kernel stamps it before enqueue_common); the linter uses it
-      // as the node's critical-path weight.
+      // (enqueue_kernel stamps it before recording); the linter uses it as
+      // the node's critical-path weight.
       id = rec.on_kernel(index_, device_,
                          launch != nullptr && !launch->label.empty() ? launch->label : "kernel",
                          launch != nullptr ? launch->accesses : kNoAccesses,
@@ -194,7 +196,7 @@ void Stream::record_enqueue(Action* a, Deps deps, const KernelLaunch* launch) {
       id = rec.on_barrier(index_, std::move(dep_ids));
       break;
   }
-  a->state->analyze_id = id;
+  a->state->ident = id;
   last_analyze_id_ = id;
 }
 
@@ -293,6 +295,7 @@ void Stream::next_chunk(Action* a, std::size_t left, sim::SimTime span_start) {
 }
 
 void Stream::push_compiled(Action* a) {
+  a->stream = this;
   queue_.push_back(a);
   a->pred_done = queue_.size() == 1;
   maybe_arm(a);
@@ -303,7 +306,7 @@ void Stream::on_complete(Action* a) {
   if (queue_.empty() || queue_.front() != a) {
     throw Error("Stream: completion order corrupted (internal bug)");
   }
-  if (a->fn) a->fn();
+  if (a->payload != nullptr) (*a->payload)();
   queue_.pop_front();
 
   const sim::SimTime now = engine_->now();
@@ -334,7 +337,7 @@ void Stream::complete_state(detail::ActionState& st, sim::SimTime now) {
     const detail::WaitEdge e = *edge;
     detail::EdgePool::deallocate(st.store->edges, edge);
     e.action->ready_floor = sim::max(e.action->ready_floor, now);
-    if (--e.action->deps_pending == 0) e.stream->maybe_arm(e.action);
+    if (--e.action->deps_pending == 0) e.action->stream->maybe_arm(e.action);
     edge = e.next;
   }
 }

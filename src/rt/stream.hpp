@@ -93,8 +93,13 @@ private:
 
   Event enqueue_transfer(ActionKind kind, BufferId buf, std::size_t offset, std::size_t bytes,
                          Deps deps);
-  Event enqueue_common(detail::Action* a, Deps deps, const KernelLaunch* launch = nullptr);
-  void record_enqueue(detail::Action* a, Deps deps, const KernelLaunch* launch);
+  /// Stamp `a` with this stream and its issue time, wire its dependencies
+  /// and queue it.
+  Event enqueue_common(detail::Action* a, Deps deps);
+  /// Build the analyzer's view of an enqueue: `launch` for kernels, the
+  /// buffer range for transfers.
+  void record_enqueue(const detail::Action* a, Deps deps, const KernelLaunch* launch = nullptr,
+                      BufferId buf = {}, std::size_t offset = 0);
   /// CostModel::kernel_duration on this stream's partition, through memo_.
   sim::SimTime kernel_duration(const sim::KernelWork& work);
   void maybe_arm(detail::Action* a);

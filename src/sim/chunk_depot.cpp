@@ -1,5 +1,6 @@
 #include "sim/chunk_depot.hpp"
 
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -31,7 +32,7 @@ telemetry::Counter& tel_dropped() {
 }
 telemetry::MaxGauge& tel_parked_hw() {
   static telemetry::MaxGauge& g = telemetry::registry().max_gauge(
-      "ms_sim_depot_parked_bytes_hw", "Most bytes any thread's depot has held parked");
+      "ms_sim_depot_parked_bytes_hw", "Most bytes the process-wide chunk depot has held parked");
   return g;
 }
 
@@ -43,6 +44,7 @@ struct Bin {
 };
 
 struct Depot {
+  std::mutex mu;
   std::vector<Bin> bins;
   std::size_t parked = 0;
 
@@ -54,49 +56,70 @@ struct Depot {
   }
 };
 
+/// Leaked on purpose: pools destroyed during static teardown (a Context held
+/// by a static, an Event outliving main) still release into it.
 Depot& depot() {
-  thread_local Depot d;
-  return d;
+  static Depot* d = new Depot;
+  return *d;
 }
 
 }  // namespace
 
 std::unique_ptr<std::byte[]> ChunkDepot::acquire(std::size_t bytes) {
   Depot& d = depot();
-  if (Bin* bin = d.find(bytes); bin != nullptr && !bin->chunks.empty()) {
-    auto chunk = std::move(bin->chunks.back());
-    bin->chunks.pop_back();
-    d.parked -= bytes;
-    tel_hits().add(1);
-    return chunk;
+  {
+    std::lock_guard<std::mutex> lock(d.mu);
+    if (Bin* bin = d.find(bytes); bin != nullptr && !bin->chunks.empty()) {
+      auto chunk = std::move(bin->chunks.back());
+      bin->chunks.pop_back();
+      d.parked -= bytes;
+      tel_hits().add(1);
+      return chunk;
+    }
   }
   tel_misses().add(1);
   return std::make_unique<std::byte[]>(bytes);
 }
 
 void ChunkDepot::release(std::unique_ptr<std::byte[]> chunk, std::size_t bytes) noexcept {
+  if (chunk == nullptr) return;
   Depot& d = depot();
-  if (chunk == nullptr || d.parked + bytes > kMaxParkedBytes) {
-    if (chunk != nullptr) tel_dropped().add(1);
-    return;  // drop: frees
+  std::size_t parked = 0;
+  {
+    std::lock_guard<std::mutex> lock(d.mu);
+    if (d.parked + bytes <= kMaxParkedBytes) {
+      Bin* bin = d.find(bytes);
+      if (bin == nullptr) {
+        d.bins.push_back(Bin{bytes, {}});
+        bin = &d.bins.back();
+      }
+      bin->chunks.push_back(std::move(chunk));
+      d.parked += bytes;
+      parked = d.parked;
+    }
   }
-  Bin* bin = d.find(bytes);
-  if (bin == nullptr) {
-    d.bins.push_back(Bin{bytes, {}});
-    bin = &d.bins.back();
+  if (chunk != nullptr) {
+    tel_dropped().add(1);
+    return;  // depot full: `chunk` frees on return, outside the lock
   }
-  bin->chunks.push_back(std::move(chunk));
-  d.parked += bytes;
   tel_recycled().add(1);
-  tel_parked_hw().observe(static_cast<std::int64_t>(d.parked));
+  tel_parked_hw().observe(static_cast<std::int64_t>(parked));
 }
 
-std::size_t ChunkDepot::parked_bytes() noexcept { return depot().parked; }
+std::size_t ChunkDepot::parked_bytes() noexcept {
+  Depot& d = depot();
+  std::lock_guard<std::mutex> lock(d.mu);
+  return d.parked;
+}
 
 void ChunkDepot::trim() noexcept {
   Depot& d = depot();
-  d.bins.clear();
-  d.parked = 0;
+  std::vector<Bin> freed;  // freed on return, outside the lock
+  {
+    std::lock_guard<std::mutex> lock(d.mu);
+    freed.swap(d.bins);
+    d.parked = 0;
+  }
 }
 
 }  // namespace ms::sim::detail

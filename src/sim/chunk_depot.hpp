@@ -5,20 +5,21 @@
 
 namespace ms::sim::detail {
 
-/// Thread-local recycler for pool chunk storage. A destroyed pool parks its
+/// Process-wide recycler for pool chunk storage. A destroyed pool parks its
 /// chunk arrays here and the next pool of the same chunk size adopts them,
 /// instead of round-tripping through the heap. The round trip is not just
 /// allocator overhead: multi-chunk pools freed en masse sit at the top of
 /// the heap, glibc trims them back to the OS, and the next simulation
 /// context pays a minor page fault per 4 KiB re-touching memory it held a
-/// microsecond earlier. Parked chunks keep their pages committed (and their
-/// TLB/cache residency), which is what makes a create-run-destroy context
-/// loop — the shape of every sweep and benchmark — scale flat.
+/// microsecond earlier. Parked chunks keep their pages committed, which is
+/// what makes a create-run-destroy context loop — the shape of every sweep
+/// and benchmark — scale flat.
 ///
-/// Per-thread by construction: sweep workers each park and reuse their own
-/// chunks with no synchronization; whatever is still parked when a thread
-/// exits is freed by the thread-local destructor. Total parked bytes are
-/// capped, so a one-off giant run cannot pin memory forever.
+/// One depot serves every thread, behind a mutex: chunks parked by one sweep
+/// worker serve the next context on any other, so an idle thread holds no
+/// memory of its own. Chunk traffic is a few dozen acquisitions per context,
+/// far too little for the lock to matter. Total parked bytes are capped
+/// process-wide, so a one-off giant run cannot pin memory forever.
 class ChunkDepot {
 public:
   /// Return a chunk of exactly `bytes` (recycled if one is parked, freshly
@@ -29,10 +30,10 @@ public:
   /// instead when the depot is at capacity.
   static void release(std::unique_ptr<std::byte[]> chunk, std::size_t bytes) noexcept;
 
-  /// Bytes currently parked on this thread (observability / tests).
+  /// Bytes currently parked in the process (observability / tests).
   [[nodiscard]] static std::size_t parked_bytes() noexcept;
 
-  /// Free everything parked on this thread (tests and memory-pressure use).
+  /// Free everything parked in the process (tests and memory-pressure use).
   static void trim() noexcept;
 
 private:

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "rt/context.hpp"
@@ -362,6 +363,42 @@ TEST(CompiledGraphCapture, BlockingOpsThrowDuringCapture) {
   EXPECT_THROW(ctx.destroy_buffer(buf), Error);
   EXPECT_THROW((void)cg.launch(ctx), Error);
   ctx.end_capture();
+}
+
+TEST(CompiledGraphCapture, PhantomFromAnotherGraphIsRefused) {
+  Context ctx(cfg());
+  Graph g;
+  ctx.begin_capture(g);
+  const Event first = ctx.stream(0).enqueue_kernel({"k", work(), {}});
+  ctx.end_capture();
+
+  // Node ids are graph-local: g's node 0 must not alias h's, nor a copy's.
+  const auto refused = [&](Graph& other) {
+    ctx.begin_capture(other);
+    try {
+      (void)ctx.stream(0).enqueue_kernel({"k", work(), {}}, {first});
+      ADD_FAILURE() << "a phantom of another graph was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("different graph; node ids are graph-local"),
+                std::string::npos)
+          << e.what();
+    }
+    ctx.end_capture();
+  };
+  Graph h;
+  refused(h);
+  Graph copy = g;
+  refused(copy);
+
+  // The graph that recorded the phantom still accepts it, in a later capture
+  // too, and it names the node it was returned for.
+  ctx.begin_capture(g);
+  const Event second = ctx.stream(0).enqueue_kernel({"k", work(), {}});
+  (void)ctx.stream(1 % ctx.stream_count()).enqueue_barrier({first, second});
+  ctx.end_capture();
+  ASSERT_EQ(g.size(), 3u);
+  g.compile(ctx).launch(ctx);
+  ctx.synchronize();
 }
 
 TEST(CompiledGraphCapture, NestedOrUnbalancedCaptureThrows) {

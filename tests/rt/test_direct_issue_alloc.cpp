@@ -5,6 +5,7 @@
 // Declared accesses may cost one allocation per kernel (the access list).
 // Transfers split into DMA chunks (LinkSpec::dma_chunk_bytes) allocate
 // nothing either: each chunk's continuation rides in the engine's event.
+// The same grid bounds the pool memory each in-flight kernel holds.
 
 #include <gtest/gtest.h>
 
@@ -14,40 +15,40 @@
 
 #include "alloc_counter.hpp"
 #include "rt/context.hpp"
+#include "sim/chunk_depot.hpp"
 
 namespace ms::rt {
 namespace {
 
-constexpr std::size_t kSide = 8;  ///< kSide x kSide tiles
-constexpr int kSteps = 6;
-
-/// A Hotspot-style stencil on one context: every step, each tile's kernel
-/// waits for itself and its four neighbours from the previous step.
+/// A Hotspot-style stencil on one context: every step, each tile of a
+/// side x side grid runs a kernel that waits for itself and its four
+/// neighbours from the previous step.
 struct Grid {
-  Grid() : ctx(sim::SimConfig::phi_31sp()) {
+  explicit Grid(std::size_t tiles_per_side = 8, int step_count = 6)
+      : side(tiles_per_side), steps(step_count), ctx(sim::SimConfig::phi_31sp()) {
     ctx.setup(4);
     ctx.set_tracing(false);
-    buf = ctx.create_virtual_buffer(kSide * kSide * 64);
-    prev.resize(kSide * kSide);
-    cur.resize(kSide * kSide);
+    buf = ctx.create_virtual_buffer(side * side * 64);
+    prev.resize(side * side);
+    cur.resize(side * side);
     deps.reserve(5);
   }
 
   /// One pass plus synchronize(); returns the number of kernels issued.
   std::size_t pass(bool declare) {
-    const auto at = [](std::size_t r, std::size_t c) { return r * kSide + c; };
+    const auto at = [this](std::size_t r, std::size_t c) { return r * side + c; };
     std::size_t kernels = 0;
-    for (int step = 0; step < kSteps; ++step) {
-      for (std::size_t t = 0; t < kSide * kSide; ++t) {
-        const std::size_t r = t / kSide;
-        const std::size_t c = t % kSide;
+    for (int step = 0; step < steps; ++step) {
+      for (std::size_t t = 0; t < side * side; ++t) {
+        const std::size_t r = t / side;
+        const std::size_t c = t % side;
         deps.clear();
         if (step > 0) {
           deps.push_back(prev[t]);
           if (r > 0) deps.push_back(prev[at(r - 1, c)]);
-          if (r + 1 < kSide) deps.push_back(prev[at(r + 1, c)]);
+          if (r + 1 < side) deps.push_back(prev[at(r + 1, c)]);
           if (c > 0) deps.push_back(prev[at(r, c - 1)]);
-          if (c + 1 < kSide) deps.push_back(prev[at(r, c + 1)]);
+          if (c + 1 < side) deps.push_back(prev[at(r, c + 1)]);
         }
         KernelLaunch launch;
         launch.label = "stencil";
@@ -66,6 +67,8 @@ struct Grid {
     return kernels;
   }
 
+  const std::size_t side;
+  const int steps;
   Context ctx;
   BufferId buf;
   std::vector<Event> prev, cur, deps;
@@ -89,6 +92,24 @@ TEST(DirectIssueAlloc, DeclaredAccessesCostAtMostOneAllocationPerKernel) {
   std::size_t kernels = 0;
   for (int i = 0; i < 10; ++i) kernels += g.pass(/*declare=*/true);
   EXPECT_LE(test::alloc_count() - before, kernels);
+}
+
+// A pass keeps every kernel's Action node, state node and waiter edges live
+// until its synchronize(). Once the Context is gone, every pool chunk it grew
+// is parked in the chunk depot, so the parked bytes are the pool memory the
+// pass needed.
+TEST(Footprint, HotspotKernelHoldsAtMost224PoolBytes) {
+  sim::detail::ChunkDepot::trim();
+  std::size_t kernels = 0;
+  {
+    Grid g(/*tiles_per_side=*/16, /*step_count=*/16);  // 4.75 neighbours per tile on average
+    kernels = g.pass(/*declare=*/false);
+  }
+  const double per_kernel =
+      static_cast<double>(sim::detail::ChunkDepot::parked_bytes()) / static_cast<double>(kernels);
+  EXPECT_LE(per_kernel, 224.0) << "pool bytes per in-flight kernel";
+  EXPECT_GT(per_kernel, 0.0);
+  sim::detail::ChunkDepot::trim();
 }
 
 TEST(DirectIssueAlloc, SteadyStateChunkedTransfersAllocateNothing) {

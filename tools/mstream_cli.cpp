@@ -262,6 +262,9 @@ ms::apps::CommonConfig common_from(const Cli& cli) {
   c.streamed = !cli.baseline;
   c.functional = cli.functional;
   c.protocol_iterations = 1;
+  // The action timeline grows with every action of the run; record it only
+  // for the outputs that read it.
+  c.tracing = !cli.trace_path.empty() || cli.utilization;
   return c;
 }
 
@@ -347,8 +350,6 @@ int run_graph(const std::string& sub, const std::string& name, const Cli& cli) {
 
   auto common = common_from(cli);
   common.graph = ms::apps::GraphMode::Compiled;
-  // Long replay runs would otherwise accumulate a full action timeline.
-  common.tracing = !cli.trace_path.empty() || cli.utilization;
   const int replays = cli.replays > 0 ? cli.replays : 10;
   common.protocol_iterations = replays;
 
