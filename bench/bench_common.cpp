@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <utility>
@@ -80,19 +79,6 @@ MetricsSink& metrics_sink() {
   return sink;
 }
 
-/// True when `path` can be opened for writing ("-" always can). Leaves the
-/// file system as found: the probe appends nothing, and removes a file it
-/// created. parse() probes every output before opening any, so a refused run
-/// writes no file at all.
-bool writable(const std::string& path) {
-  if (path == "-") return true;
-  std::error_code ec;
-  const bool existed = std::filesystem::exists(path, ec);
-  if (!std::ofstream(path, std::ios::app).is_open()) return false;
-  if (!existed) std::filesystem::remove(path, ec);
-  return true;
-}
-
 /// Print why the command line was refused plus the usage line, and exit 2:
 /// a mistyped flag must not run a full sweep under default settings.
 [[noreturn]] void reject(const char* prog, const std::string& why) {
@@ -120,10 +106,10 @@ Options parse(int argc, char** argv) {
   if (opt.json_file == "-" && opt.metrics_file == "-") {
     reject(argv[0], "at most one output can be '-' (stdout)");
   }
-  if (!opt.json_file.empty() && !writable(opt.json_file)) {
+  if (!opt.json_file.empty() && !telemetry::output_writable(opt.json_file)) {
     reject(argv[0], "cannot write --json file " + opt.json_file);
   }
-  if (!opt.metrics_file.empty() && !writable(opt.metrics_file)) {
+  if (!opt.metrics_file.empty() && !telemetry::output_writable(opt.metrics_file)) {
     reject(argv[0], "cannot write --metrics file " + opt.metrics_file);
   }
   if (!opt.json_file.empty() && !json_sink().out.open(opt.json_file)) {

@@ -92,8 +92,9 @@ struct AppResult {
 /// One replay-shaped phase of an app's inner loop: a block of enqueues whose
 /// schedule is identical every iteration. In Direct mode `run(record)` just
 /// calls `record()`. In Compiled mode the *first* call stream-captures
-/// `record` into an rt::Graph (charging no host time) and compiles it once
-/// through the process GraphCache; every call — including the first —
+/// `record` (charging no host time) through the process GraphCache, which
+/// checks it against the plans cached under this phase's name and compiles
+/// it only when none matches; every call — including the first —
 /// replays the plan, so each iteration pays the same replay price and
 /// per-iteration virtual times stay identical across warm-up and measured
 /// samples.
@@ -116,19 +117,8 @@ public:
       return;
     }
     if (!recorded_) {
-      rt::Graph graph;
-      ctx_->begin_capture(graph);
-      try {
-        record();
-      } catch (...) {
-        ctx_->end_capture();
-        throw;
-      }
-      ctx_->end_capture();
+      compiled_ = rt::process_graph_cache().capture(*ctx_, name_, record);
       recorded_ = true;
-      if (!graph.empty()) {
-        compiled_ = rt::process_graph_cache().get_or_compile(graph, *ctx_, name_);
-      }
     }
     if (compiled_) compiled_->launch(*ctx_);
   }

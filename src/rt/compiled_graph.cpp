@@ -63,7 +63,7 @@ std::uint64_t compiled_graph_replay_id(void* run) noexcept {
 // Compilation
 // ---------------------------------------------------------------------------
 
-CompiledGraph::CompiledGraph(const Graph& g, Context& ctx, std::string name) {
+CompiledGraph::CompiledGraph(Graph g, Context& ctx, std::string name) {
   if (g.empty()) {
     throw Error("Graph::compile: empty graph");
   }
@@ -73,9 +73,7 @@ CompiledGraph::CompiledGraph(const Graph& g, Context& ctx, std::string name) {
   plan->config_fp = sim::fingerprint(ctx.platform().config());
 
   const std::size_t n = g.nodes_.size();
-  plan->nodes.reserve(n + 1);
   int max_stream = -1;
-
   for (std::size_t i = 0; i < n; ++i) {
     const Graph::Node& src = g.nodes_[i];
     if (src.stream >= ctx.stream_count()) {
@@ -84,83 +82,46 @@ CompiledGraph::CompiledGraph(const Graph& g, Context& ctx, std::string name) {
                   std::to_string(ctx.stream_count()) + " streams");
     }
     max_stream = std::max(max_stream, src.stream);
-
-    PlanNode pn;
-    pn.kind = src.kind;
-    pn.stream = src.stream;
-    pn.dep_count = static_cast<std::uint32_t>(src.deps.size());
-    switch (src.kind) {
-      case ActionKind::H2D:
-      case ActionKind::D2H: {
-        const std::size_t size = ctx.buffer_size(src.buffer);  // throws on unknown handle
-        if (src.offset > size || src.bytes > size - src.offset) {
-          throw Error("Graph::compile: node " + std::to_string(i) +
-                      " transfer range exceeds buffer size");
-        }
-        pn.buffer = src.buffer;
-        pn.offset = src.offset;
-        pn.bytes = src.bytes;
-        pn.label = src.kind == ActionKind::H2D ? "h2d" : "d2h";
-        break;
+    if (src.kind == ActionKind::H2D || src.kind == ActionKind::D2H) {
+      const std::size_t size = ctx.buffer_size(src.buffer);  // throws on unknown handle
+      if (src.offset > size || src.bytes > size - src.offset) {
+        throw Error("Graph::compile: node " + std::to_string(i) +
+                    " transfer range exceeds buffer size");
       }
-      case ActionKind::Kernel:
-        pn.work = src.launch.work;
-        pn.label =
-            src.launch.label.empty() ? "kernel" : trace::intern_label(src.launch.label);
-        if (src.launch.fn) {
-          pn.fn = static_cast<std::uint32_t>(plan->kernel_fns.size());
-          plan->kernel_fns.push_back(src.launch.fn);
-        }
-        break;
-      case ActionKind::Barrier:
-        pn.label = "barrier";
-        break;
     }
-    plan->nodes.push_back(std::move(pn));
   }
+  plan->labels.reserve(g.labels_.size());
+  for (const std::string& label : g.labels_) plan->labels.push_back(trace::intern_label(label));
 
   // Dependent lists in CSR form. Counting pass, prefix sums, fill pass —
   // dependents of one node end up ordered by dependent id. A leaf (a node
   // nothing depends on) gets the appended completion barrier as its only
   // dependent; the barrier joins them all on the first node's stream.
-  std::vector<std::uint32_t> counts(n + 1, 0);
-  for (const Graph::Node& src : g.nodes_) {
-    for (const Graph::NodeId d : src.deps) ++counts[d];
-  }
-  PlanNode bar;
-  bar.kind = ActionKind::Barrier;
-  bar.stream = g.nodes_.front().stream;
-  bar.label = "barrier";
+  std::vector<std::uint32_t>& at = plan->dependents_at;
+  at.assign(n + 2, 0);
+  for (const std::uint32_t d : g.deps_) ++at[d + 1];
   for (std::size_t i = 0; i < n; ++i) {
-    if (counts[i] == 0) {
-      counts[i] = 1;
-      ++bar.dep_count;
+    if (at[i + 1] == 0) {
+      at[i + 1] = 1;
+      ++plan->barrier_deps;
     }
   }
-  plan->nodes.push_back(std::move(bar));
-  const std::uint32_t barrier_id = static_cast<std::uint32_t>(n);
-
-  std::uint32_t total = 0;
-  for (std::size_t i = 0; i < plan->nodes.size(); ++i) {
-    plan->nodes[i].dependents_begin = total;
-    plan->nodes[i].dependents_end = total;  // advanced by the fill pass
-    total += counts[i];
-  }
-  plan->dependents.resize(total);
+  for (std::size_t i = 0; i <= n; ++i) at[i + 1] += at[i];
+  plan->dependents.resize(at[n]);
+  std::vector<std::uint32_t> fill(at.begin(), at.end() - 2);
+  const auto barrier_id = static_cast<std::uint32_t>(n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (const Graph::NodeId d : g.nodes_[i].deps) {
-      plan->dependents[plan->nodes[d].dependents_end++] = static_cast<std::uint32_t>(i);
+    for (const std::uint32_t d : g.deps_of(g.nodes_[i])) {
+      plan->dependents[fill[d]++] = static_cast<std::uint32_t>(i);
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
-    PlanNode& pn = plan->nodes[i];
-    if (pn.dependents_end == pn.dependents_begin) {  // a leaf: its one slot is the barrier
-      plan->dependents[pn.dependents_end++] = barrier_id;
-    }
+    if (fill[i] == at[i]) plan->dependents[fill[i]] = barrier_id;  // a leaf
   }
 
+  plan->barrier_stream = g.nodes_.front().stream;
   plan->stream_count = max_stream + 1;
-  plan->source = g;
+  plan->graph = std::move(g);
 
   plan->replays_metric = &tel_replays().with(plan->name);
   plan->launch_ns_metric = &tel_launch_ns().with(plan->name);
@@ -174,13 +135,15 @@ CompiledGraph::CompiledGraph(const Graph& g, Context& ctx, std::string name) {
 
 std::uint64_t CompiledGraph::record_instance(Context& ctx, const std::vector<Stream*>& streams) {
   const Plan& plan = *plan_;
+  const Graph& g = plan.graph;
   analyze::Recorder& rec = *ctx.recorder_;
   std::vector<std::uint64_t> ids;
-  ids.reserve(plan.source.nodes_.size());
+  ids.reserve(g.size());
   std::vector<std::uint64_t> deps;
-  for (const Graph::Node& src : plan.source.nodes_) {
+  std::vector<BufferAccess> accesses;
+  for (const Graph::Node& src : g.nodes_) {
     deps.clear();
-    for (const Graph::NodeId d : src.deps) deps.push_back(ids[d]);
+    for (const std::uint32_t d : g.deps_of(src)) deps.push_back(ids[d]);
     const Stream& s = *streams[static_cast<std::size_t>(src.stream)];
     switch (src.kind) {
       case ActionKind::H2D:
@@ -192,10 +155,13 @@ std::uint64_t CompiledGraph::record_instance(Context& ctx, const std::vector<Str
         // Partition-resolved duration: the linter's critical-path weight for
         // this node, identical to what a replay charges on this stream.
         const sim::SimTime duration = ctx.cost().kernel_duration(
-            src.launch.work, ctx.platform().device(s.device()).partition(s.partition()));
+            src.work, ctx.platform().device(s.device()).partition(s.partition()));
+        const std::string_view label = g.label_of(src);
+        const std::span<const BufferAccess> acc = g.accesses_of(src);
+        accesses.assign(acc.begin(), acc.end());
         ids.push_back(rec.on_kernel(s.index(), s.device(),
-                                    src.launch.label.empty() ? "kernel" : src.launch.label,
-                                    src.launch.accesses, deps, duration));
+                                    std::string(label.empty() ? "kernel" : label), accesses,
+                                    deps, duration));
         break;
       }
       case ActionKind::Barrier:
@@ -206,14 +172,13 @@ std::uint64_t CompiledGraph::record_instance(Context& ctx, const std::vector<Str
   // Same bookkeeping as Stream::record_enqueue: each stream remembers its
   // newest node, and the completion barrier joins the leaves — the nodes
   // whose only dependent is the barrier.
-  const std::size_t barrier = plan.nodes.size() - 1;
+  const std::size_t barrier = g.size();
   std::vector<std::uint64_t> leaves;
   for (std::size_t i = 0; i < barrier; ++i) {
-    const PlanNode& pn = plan.nodes[i];
-    streams[static_cast<std::size_t>(pn.stream)]->last_analyze_id_ = ids[i];
-    if (plan.dependents[pn.dependents_end - 1] == barrier) leaves.push_back(ids[i]);
+    streams[static_cast<std::size_t>(g.nodes_[i].stream)]->last_analyze_id_ = ids[i];
+    if (plan.dependents[plan.dependents_at[i + 1] - 1] == barrier) leaves.push_back(ids[i]);
   }
-  Stream& s = *streams[static_cast<std::size_t>(plan.nodes[barrier].stream)];
+  Stream& s = *streams[static_cast<std::size_t>(plan.barrier_stream)];
   s.last_analyze_id_ = rec.on_barrier(s.index(), std::move(leaves));
   return s.last_analyze_id_;
 }
@@ -243,29 +208,30 @@ void CompiledGraph::validate_for(Context& ctx) {
   for (int s = 0; s < plan.stream_count; ++s) {
     exec.streams[static_cast<std::size_t>(s)] = &ctx.stream(s);
   }
-  exec.durations.assign(plan.nodes.size(), sim::SimTime::zero());
-  exec.payloads.assign(plan.nodes.size(), Exec::Payload{});
+  const Graph& g = plan.graph;
+  exec.durations.assign(g.size(), sim::SimTime::zero());
+  exec.payloads.assign(g.size(), Exec::Payload{});
   const auto& oh = ctx.platform().config().overhead;
   exec.per_node_cost = oh.graph_replay_per_node;
   exec.base_cost = oh.graph_launch_base;
 
-  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
-    const PlanNode& pn = plan.nodes[i];
-    Stream& s = *exec.streams[static_cast<std::size_t>(pn.stream)];
-    switch (pn.kind) {
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    const Graph::Node& node = g.nodes_[i];
+    Stream& s = *exec.streams[static_cast<std::size_t>(node.stream)];
+    switch (node.kind) {
       case ActionKind::Kernel:
         exec.durations[i] = ctx.cost().kernel_duration(
-            pn.work, ctx.platform().device(s.device()).partition(s.partition()));
+            node.work, ctx.platform().device(s.device()).partition(s.partition()));
         break;
       case ActionKind::H2D:
       case ActionKind::D2H: {
-        const std::size_t size = ctx.buffer_size(pn.buffer);  // throws on unknown handle
-        if (pn.offset > size || pn.bytes > size - pn.offset) {
+        const std::size_t size = ctx.buffer_size(node.buffer);  // throws on unknown handle
+        if (node.offset > size || node.bytes > size - node.offset) {
           throw Error("CompiledGraph::launch: transfer range exceeds buffer size on this context");
         }
-        if (ctx.buffer_backed(pn.buffer)) {
-          exec.payloads[i].device = ctx.device_data(pn.buffer, s.device()) + pn.offset;
-          exec.payloads[i].host = ctx.buffer_rec(pn.buffer).host + pn.offset;
+        if (ctx.buffer_backed(node.buffer)) {
+          exec.payloads[i].device = ctx.device_data(node.buffer, s.device()) + node.offset;
+          exec.payloads[i].host = ctx.buffer_rec(node.buffer).host + node.offset;
         }
         break;
       }
@@ -293,13 +259,14 @@ CompiledGraph::Run* CompiledGraph::acquire_run() {
   Run* r = owned.get();
   r->pool = runs_.get();
   r->plan = plan_.get();
-  r->actions.resize(plan_->nodes.size(), nullptr);
+  r->actions.resize(plan_->graph.size() + 1, nullptr);
   runs_->all.push_back(std::move(owned));
   return r;
 }
 
 Event CompiledGraph::issue_instance(Context& ctx, std::uint64_t replay_id) {
   const Plan& plan = *plan_;
+  const Graph& g = plan.graph;
   Run* run = acquire_run();
   run->replay_id = replay_id;
 
@@ -308,55 +275,62 @@ Event CompiledGraph::issue_instance(Context& ctx, std::uint64_t replay_id) {
   ctx.host_cursor_ += exec_.base_cost;
   const sim::SimTime per_node = exec_.per_node_cost;
 
-  const std::size_t count = plan.nodes.size();
-  Event out;
-  for (std::size_t i = 0; i < count; ++i) {
-    const PlanNode& pn = plan.nodes[i];
-    detail::Action* a;
-    if (i == count - 1) {
-      a = ctx.acquire_action();  // the returned Event needs a state
-      out = Event{a->state};
-    } else {
-      a = ctx.acquire_action_raw();
-    }
-    a->kind = pn.kind;
-    a->label = pn.label;
+  const auto issue = [&](detail::Action* a, std::size_t i, ActionKind kind, int stream,
+                         std::uint32_t deps) {
+    a->kind = kind;
     a->graph_run = run;
     a->graph_node = static_cast<std::uint32_t>(i);
-    a->deps_pending = static_cast<int>(pn.dep_count);
+    a->deps_pending = static_cast<int>(deps);
     a->ready_floor = ctx.host_issue(per_node);
-    switch (pn.kind) {
+    run->actions[i] = a;
+    exec_.streams[static_cast<std::size_t>(stream)]->push_compiled(a);
+  };
+
+  const std::size_t count = g.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const Graph::Node& node = g.nodes_[i];
+    detail::Action* a = ctx.acquire_action_raw();
+    switch (node.kind) {
       case ActionKind::Kernel:
+        a->label = node.label == Graph::kNone ? "kernel" : plan.labels[node.label];
         a->duration = exec_.durations[i];
-        if (pn.fn != kNoFn) {
-          ctx.set_payload(a, [fp = &plan.kernel_fns[pn.fn]] { (*fp)(); });
+        if (node.fn != Graph::kNone) {
+          ctx.set_payload(a, [fp = &g.fns_[node.fn]] { (*fp)(); });
         }
         break;
       case ActionKind::H2D: {
-        a->bytes = pn.bytes;
+        a->label = "h2d";
+        a->bytes = node.bytes;
         const Exec::Payload& p = exec_.payloads[i];
         if (p.device != nullptr) {
-          ctx.set_payload(a, [dst = p.device, src = p.host, len = pn.bytes] {
+          ctx.set_payload(a, [dst = p.device, src = p.host, len = node.bytes] {
             std::memcpy(dst, src, len);
           });
         }
         break;
       }
       case ActionKind::D2H: {
-        a->bytes = pn.bytes;
+        a->label = "d2h";
+        a->bytes = node.bytes;
         const Exec::Payload& p = exec_.payloads[i];
         if (p.device != nullptr) {
-          ctx.set_payload(a, [dst = p.host, src = p.device, len = pn.bytes] {
+          ctx.set_payload(a, [dst = p.host, src = p.device, len = node.bytes] {
             std::memcpy(dst, src, len);
           });
         }
         break;
       }
-      case ActionKind::Barrier: break;
+      case ActionKind::Barrier:
+        a->label = "barrier";
+        break;
     }
-    run->actions[i] = a;
-    exec_.streams[static_cast<std::size_t>(pn.stream)]->push_compiled(a);
+    issue(a, i, node.kind, node.stream, node.deps_end - node.deps_begin);
   }
+  // The completion barrier: the returned Event needs a state.
+  detail::Action* bar = ctx.acquire_action();
+  bar->label = "barrier";
+  Event out{bar->state};
+  issue(bar, count, ActionKind::Barrier, plan.barrier_stream, plan.barrier_deps);
   if (ctx.analyzing()) out.state_->ident = record_instance(ctx, exec_.streams);
   return out;
 }
@@ -397,16 +371,15 @@ void CompiledGraph::orphan_runs() noexcept {
 void CompiledGraph::notify(void* run_ptr, std::uint32_t node, sim::SimTime now) {
   Run* run = static_cast<Run*>(run_ptr);
   const Plan& plan = *run->plan;
-  const PlanNode& pn = plan.nodes[node];
   // Dependents are stored in increasing node id, so they arm in issue
   // order.
-  for (std::uint32_t idx = pn.dependents_begin; idx != pn.dependents_end; ++idx) {
+  for (std::uint32_t idx = plan.dependents_at[node]; idx != plan.dependents_at[node + 1]; ++idx) {
     const std::uint32_t d = plan.dependents[idx];
     detail::Action* a = run->actions[d];
     a->ready_floor = sim::max(a->ready_floor, now);
     if (--a->deps_pending == 0) a->stream->maybe_arm(a);
   }
-  if (++run->completed == plan.nodes.size()) {
+  if (++run->completed == plan.graph.size() + 1) {
     RunPool* pool = run->pool;
     pool->free.push_back(run);
     --pool->in_flight;
@@ -418,24 +391,14 @@ void CompiledGraph::notify(void* run_ptr, std::uint32_t node, sim::SimTime now) 
 // GraphCache
 // ---------------------------------------------------------------------------
 
-bool CompiledGraph::has_kernel_fn(const Graph& g) {
-  return std::any_of(g.nodes_.begin(), g.nodes_.end(),
-                     [](const Graph::Node& n) { return static_cast<bool>(n.launch.fn); });
+GraphCache::Layout GraphCache::layout_of(const Context& ctx) {
+  return Layout{sim::fingerprint(ctx.platform().config()), ctx.stream_count(),
+                ctx.partitions_per_device(), ctx.device_count()};
 }
 
-bool CompiledGraph::same_schedule(const Graph& a, const Graph& b) {
-  return std::equal(a.nodes_.begin(), a.nodes_.end(), b.nodes_.begin(), b.nodes_.end(),
-                    [](const Graph::Node& x, const Graph::Node& y) {
-                      return x.kind == y.kind && x.stream == y.stream && x.buffer == y.buffer &&
-                             x.offset == y.offset && x.bytes == y.bytes &&
-                             x.launch.work == y.launch.work && x.launch.label == y.launch.label &&
-                             x.launch.accesses == y.launch.accesses && x.deps == y.deps;
-                    });
-}
-
-GraphCache::Slot* GraphCache::find(const Graph& g, const Layout& layout) {
+GraphCache::Slot* GraphCache::find(const Graph& g, std::uint64_t hash, const Layout& layout) {
   for (Slot& s : slots_) {
-    if (s.layout == layout && CompiledGraph::same_schedule(s.graph.plan_->source, g)) {
+    if (s.layout == layout && s.hash == hash && s.graph.plan_->graph.same_schedule(g)) {
       s.last_used = ++tick_;
       return &s;
     }
@@ -443,35 +406,82 @@ GraphCache::Slot* GraphCache::find(const Graph& g, const Layout& layout) {
   return nullptr;
 }
 
-CompiledGraph GraphCache::get_or_compile(const Graph& g, Context& ctx, std::string name) {
-  if (CompiledGraph::has_kernel_fn(g)) return g.compile(ctx, std::move(name));
-  const Layout layout{sim::fingerprint(ctx.platform().config()), ctx.stream_count(),
-                      ctx.partitions_per_device(), ctx.device_count()};
+CompiledGraph GraphCache::get_or_compile(Graph g, Context& ctx, std::string name) {
+  if (g.has_kernel_fn()) return std::move(g).compile(ctx, std::move(name));
+  const Layout layout = layout_of(ctx);
+  const std::uint64_t hash = g.content_hash();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (const Slot* s = find(g, layout)) {
+    if (const Slot* s = find(g, hash, layout)) {
       ++hits_;
       tel_cache_hits().add(1);
       return s->graph;  // copy: shared plan, fresh execution state
     }
   }
 
-  // Compile outside the lock.
-  CompiledGraph compiled = g.compile(ctx, std::move(name));
+  // Compile outside the lock. The plan takes `g` over: only `hash` is read
+  // from here on.
+  CompiledGraph compiled = std::move(g).compile(ctx, std::move(name));
 
   std::lock_guard<std::mutex> lock(mu_);
   ++misses_;
   tel_cache_misses().add(1);
   // A racing miss on the same schedule may have inserted it meanwhile.
-  if (const Slot* s = find(g, layout)) return s->graph;
+  if (const Slot* s = find(compiled.plan_->graph, hash, layout)) return s->graph;
   if (slots_.size() >= capacity_) {
     auto oldest = std::min_element(slots_.begin(), slots_.end(), [](const Slot& a, const Slot& b) {
       return a.last_used < b.last_used;
     });
     slots_.erase(oldest);
   }
-  slots_.push_back(Slot{layout, compiled, ++tick_});
+  slots_.push_back(Slot{layout, hash, compiled, ++tick_});
   return compiled;
+}
+
+std::vector<CompiledGraph> GraphCache::begin_capture(Context& ctx, Graph& g,
+                                                     const std::string& name) {
+  const Layout layout = layout_of(ctx);
+  std::vector<CompiledGraph> cached;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<const Slot*> named;
+    named.reserve(slots_.size());
+    for (const Slot& s : slots_) {
+      if (s.layout == layout && s.graph.name() == name) named.push_back(&s);
+    }
+    std::sort(named.begin(), named.end(),
+              [](const Slot* a, const Slot* b) { return a->last_used > b->last_used; });
+    cached.reserve(named.size());
+    for (const Slot* s : named) cached.push_back(s->graph);
+  }
+  std::vector<const Graph*> expect;
+  expect.reserve(cached.size());
+  for (const CompiledGraph& c : cached) expect.push_back(&c.plan_->graph);
+  ctx.begin_capture(g, std::move(expect));
+  return cached;
+}
+
+void GraphCache::abort_capture(Context& ctx) { ctx.end_capture(); }
+
+std::optional<CompiledGraph> GraphCache::end_capture(Context& ctx, Graph& g,
+                                                     const std::vector<CompiledGraph>& cached,
+                                                     std::string name) {
+  if (const Graph* matched = ctx.finish_capture()) {
+    for (const CompiledGraph& c : cached) {
+      if (&c.plan_->graph != matched) continue;
+      std::lock_guard<std::mutex> lock(mu_);
+      // The plan stays a hit even if a racing insert evicted its slot since
+      // the capture began: it is still the compiled form of this schedule.
+      for (Slot& s : slots_) {
+        if (s.graph.plan_ == c.plan_) s.last_used = ++tick_;
+      }
+      ++hits_;
+      tel_cache_hits().add(1);
+      return c;
+    }
+  }
+  if (g.empty()) return std::nullopt;
+  return get_or_compile(std::move(g), ctx, std::move(name));
 }
 
 std::uint64_t GraphCache::hits() const {

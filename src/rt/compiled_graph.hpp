@@ -2,10 +2,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -92,7 +91,7 @@ public:
   Event launch(Context& ctx);
 
   /// Number of user-recorded nodes (excludes the appended completion barrier).
-  [[nodiscard]] std::size_t node_count() const noexcept { return plan_->nodes.size() - 1; }
+  [[nodiscard]] std::size_t node_count() const noexcept { return plan_->graph.size(); }
   /// Streams the plan spans: nodes reference stream indices [0, stream_span).
   [[nodiscard]] int stream_span() const noexcept { return plan_->stream_count; }
   /// Telemetry label: compiled-graph metrics are labeled families keyed by
@@ -109,34 +108,24 @@ private:
   friend void detail::compiled_graph_notify(void* run, std::uint32_t node, sim::SimTime now);
   friend std::uint64_t detail::compiled_graph_replay_id(void* run) noexcept;
 
-  static constexpr std::uint32_t kNoFn = std::numeric_limits<std::uint32_t>::max();
-
-  /// One flattened node: everything launch() needs, laid out contiguously in
-  /// issue order. Dependency edges live in the plan-wide CSR arrays.
-  struct PlanNode {
-    ActionKind kind = ActionKind::Kernel;
-    std::int32_t stream = 0;            ///< graph stream index
-    std::uint32_t dep_count = 0;        ///< static initial deps_pending
-    std::uint32_t dependents_begin = 0; ///< CSR range into Plan::dependents
-    std::uint32_t dependents_end = 0;
-    std::uint32_t fn = kNoFn;           ///< index into Plan::kernel_fns
-    BufferId buffer{};                  ///< transfers only
-    std::size_t offset = 0;
-    std::size_t bytes = 0;
-    sim::KernelWork work{};             ///< kernels: feeds the cost model
-    std::string_view label;             ///< interned; stable for the process
-  };
-
   /// Immutable compiled form, shared by every copy of this executor (and by
-  /// GraphCache hits). The last node is the appended completion barrier.
+  /// GraphCache hits). It holds the recorded graph once: replays read its
+  /// node table, and analyzing contexts' recorders re-flatten it. Plan node
+  /// ids are graph node ids, plus the appended completion barrier with id
+  /// graph.size().
   struct Plan {
     std::string name;
     std::uint64_t config_fp = 0;
     int stream_count = 0;
-    std::vector<PlanNode> nodes;
-    std::vector<std::uint32_t> dependents;          ///< CSR payload
-    std::vector<std::function<void()>> kernel_fns;  ///< reused every replay
-    Graph source;  ///< the recorded DAG, re-flattened into analyzing contexts' recorders
+    Graph graph;
+    /// Dependent lists in CSR form: node i arms dependents[dependents_at[i],
+    /// dependents_at[i + 1]) when it completes, in increasing id. A leaf's
+    /// only dependent is the completion barrier, which has none.
+    std::vector<std::uint32_t> dependents_at;
+    std::vector<std::uint32_t> dependents;
+    std::vector<std::string_view> labels;  ///< graph label index -> interned label
+    std::uint32_t barrier_deps = 0;        ///< leaves the completion barrier joins
+    int barrier_stream = 0;                ///< the first node's stream
     // Telemetry, resolved once at compile time (labeled-family children):
     telemetry::Counter* replays_metric = nullptr;
     telemetry::Histogram* launch_ns_metric = nullptr;
@@ -150,7 +139,7 @@ private:
   struct Run {
     RunPool* pool = nullptr;
     const Plan* plan = nullptr;
-    std::vector<detail::Action*> actions;    ///< per plan node
+    std::vector<detail::Action*> actions;    ///< per plan node, barrier included
     std::size_t completed = 0;               ///< actions completed so far
     std::uint64_t replay_id = 0;
   };
@@ -183,7 +172,7 @@ private:
     sim::SimTime base_cost = sim::SimTime::zero();
   };
 
-  CompiledGraph(const Graph& g, Context& ctx, std::string name);
+  CompiledGraph(Graph g, Context& ctx, std::string name);
   explicit CompiledGraph(std::shared_ptr<const Plan> plan) : plan_(std::move(plan)) {}
 
   void orphan_runs() noexcept;
@@ -196,11 +185,6 @@ private:
   /// each stream's partition (the linter's critical-path weights); returns
   /// the barrier's analyzer id.
   std::uint64_t record_instance(Context& ctx, const std::vector<Stream*>& streams);
-  /// True when some kernel node of `g` carries a functor.
-  static bool has_kernel_fn(const Graph& g);
-  /// Node-by-node equality of two recorded schedules: kind, stream, buffer,
-  /// range, kernel work, label, declared accesses and deps (functors ignored).
-  static bool same_schedule(const Graph& a, const Graph& b);
 
   std::shared_ptr<const Plan> plan_;
   Exec exec_;
@@ -211,10 +195,11 @@ private:
 /// Store of compiled plans, so repeated evaluations of the same schedule
 /// (tuner sweeps, CLI replays, protocol iterations) compile once and share
 /// the immutable plan. A cached plan is reused only for a graph whose
-/// recorded schedule equals the plan's source node for node, on a context
-/// with the same SimConfig fingerprint and stream layout. `get_or_compile`
-/// hands out a fresh executor over the cached plan on a hit. Thread-safe;
-/// least-recently-used plans are evicted beyond `capacity`.
+/// recorded schedule equals the plan's graph node for node, on a context
+/// with the same SimConfig fingerprint and stream layout; a content hash
+/// rules out most other plans before any node is compared. A hit hands out
+/// a fresh executor over the cached plan. Thread-safe; least-recently-used
+/// plans are evicted beyond `capacity`.
 ///
 /// Only graphs without kernel functors are cached: functors captured against
 /// one context's memory must not run against another's. Transfer payloads
@@ -225,8 +210,28 @@ public:
 
   /// Return an executor for `g` on `ctx`: a fresh one over a cached plan on a
   /// hit, else compile under `name` (and insert, when `g` has no kernel
-  /// functor).
-  CompiledGraph get_or_compile(const Graph& g, Context& ctx, std::string name = "graph");
+  /// functor). On a miss `g` moves into the new plan.
+  CompiledGraph get_or_compile(Graph g, Context& ctx, std::string name = "graph");
+
+  /// Stream-capture what `record()` enqueues on `ctx` and return an executor
+  /// for it, or nothing when it enqueued nothing. While the capture matches
+  /// a cached plan compiled under `name` for this layout, each node is
+  /// checked against that plan as it is recorded and nothing is stored; a
+  /// complete match is a hit on that plan. At the first node no such plan
+  /// matches, the matched prefix is copied into a fresh graph and the
+  /// capture records on; the result then goes through get_or_compile.
+  template <typename F>
+  std::optional<CompiledGraph> capture(Context& ctx, std::string name, F&& record) {
+    Graph g;
+    const std::vector<CompiledGraph> cached = begin_capture(ctx, g, name);
+    try {
+      record();
+    } catch (...) {
+      abort_capture(ctx);
+      throw;
+    }
+    return end_capture(ctx, g, cached, std::move(name));
+  }
 
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
@@ -245,11 +250,22 @@ private:
   };
   struct Slot {
     Layout layout;
+    std::uint64_t hash = 0;  ///< Graph::content_hash of the plan's graph
     CompiledGraph graph;
     std::uint64_t last_used = 0;
   };
-  /// The slot replaying `g` under `layout`, or null. Caller holds mu_.
-  Slot* find(const Graph& g, const Layout& layout);
+  static Layout layout_of(const Context& ctx);
+  /// The slot replaying `g` (whose content hash is `hash`) under `layout`,
+  /// or null. Caller holds mu_.
+  Slot* find(const Graph& g, std::uint64_t hash, const Layout& layout);
+  /// Begin capturing into the empty `g`, checked against the cached plans
+  /// named `name` for ctx's layout; returns executors over them, most
+  /// recently used first, which keep the plans alive for the capture.
+  std::vector<CompiledGraph> begin_capture(Context& ctx, Graph& g, const std::string& name);
+  static void abort_capture(Context& ctx);
+  std::optional<CompiledGraph> end_capture(Context& ctx, Graph& g,
+                                           const std::vector<CompiledGraph>& cached,
+                                           std::string name);
 
   mutable std::mutex mu_;
   std::vector<Slot> slots_;

@@ -331,42 +331,104 @@ void Context::wait(const Event& ev) {
   if (recorder_) recorder_->on_host_wait(ev.state_->analyze_id());
 }
 
-void Context::begin_capture(Graph& g) {
+void Context::begin_capture(Graph& g) { begin_capture(g, {}); }
+
+void Context::begin_capture(Graph& g, std::vector<const Graph*> expect) {
   if (capture_ != nullptr) {
     throw Error("Context::begin_capture: a capture is already active");
   }
+  if (!expect.empty() && !g.empty()) {
+    throw Error("Context::begin_capture: checking against cached schedules needs an empty graph");
+  }
   capture_ = &g;
+  expect_ = std::move(expect);
+  expect_at_ = 0;
+  matched_ = 0;
 }
 
-void Context::end_capture() {
+const Graph* Context::finish_capture() {
   if (capture_ == nullptr) {
     throw Error("Context::end_capture: no active capture");
   }
+  const Graph* hit = nullptr;
+  if (expect_at_ < expect_.size()) {
+    const Graph& at = *expect_[expect_at_];
+    for (std::size_t j = expect_at_; j < expect_.size() && hit == nullptr; ++j) {
+      const Graph& e = *expect_[j];
+      if (e.size() == matched_ && (j == expect_at_ || e.same_prefix(at, matched_))) hit = &e;
+    }
+    if (hit == nullptr) capture_->assign_prefix(at, matched_);
+  }
   capture_ = nullptr;
+  expect_ = {};  // a capture keeps no storage behind
+  return hit;
 }
 
-std::vector<std::size_t> Context::capture_deps(Deps deps) const {
-  std::vector<std::size_t> ids;
-  ids.reserve(deps.size());
-  for (const Event& e : deps) {
-    if (!e.valid()) continue;
-    const std::uint64_t ident = e.state_->ident;
-    if ((ident & detail::ActionState::kPhantom) != 0) {
-      const auto node = static_cast<std::size_t>(ident & 0xffffffffu);
-      if (ident != phantom_ident(capture_->capture_id_.value, node)) {
-        throw Error(
-            "Graph capture: dependency is a phantom event recorded into a "
-            "different graph; node ids are graph-local");
-      }
-      ids.push_back(node);
-      continue;
+std::size_t Context::capture_dep(const Event& e, std::size_t recorded) const {
+  if (!e.valid()) return kNoNode;
+  const std::uint64_t ident = e.state_->ident;
+  if ((ident & detail::ActionState::kPhantom) != 0) {
+    const auto node = static_cast<std::size_t>(ident & 0xffffffffu);
+    if (ident != phantom_ident(capture_->capture_id_.value, node)) {
+      throw Error(
+          "Graph capture: dependency is a phantom event recorded into a "
+          "different graph; node ids are graph-local");
     }
-    if (e.done()) continue;  // completed real work orders nothing in a replay
-    throw Error(
-        "Graph capture: dependency on still-pending non-captured work; "
-        "synchronize before begin_capture()");
+    if (node >= recorded) {
+      throw Error("Graph: dependency on a node that is not recorded yet");
+    }
+    return node;
   }
-  return ids;
+  if (e.done()) return kNoNode;  // completed real work orders nothing in a replay
+  throw Error(
+      "Graph capture: dependency on still-pending non-captured work; "
+      "synchronize before begin_capture()");
+}
+
+bool Context::capture_matches(const Graph& expect, const Graph::Node& node,
+                              const KernelLaunch* launch, Deps deps) const {
+  if (matched_ >= expect.size() || !expect.same_node(matched_, node, launch)) return false;
+  const Graph::Node& x = expect.nodes_[matched_];
+  std::uint32_t k = x.deps_begin;
+  for (const Event& e : deps) {
+    const std::size_t d = capture_dep(e, matched_);
+    if (d == kNoNode) continue;
+    if (k == x.deps_end || expect.deps_[k] != d) return false;
+    ++k;
+  }
+  return k == x.deps_end;
+}
+
+Event Context::capture(Graph::Node node, KernelLaunch* launch, Deps deps) {
+  if (expect_at_ < expect_.size()) {
+    const Graph& at = *expect_[expect_at_];
+    if (capture_matches(at, node, launch, deps)) return capture_phantom(matched_++);
+    // Another cached schedule with the same prefix may still match.
+    for (std::size_t j = expect_at_ + 1; j < expect_.size(); ++j) {
+      const Graph& e = *expect_[j];
+      if (e.size() > matched_ && e.same_prefix(at, matched_) &&
+          capture_matches(e, node, launch, deps)) {
+        expect_at_ = j;
+        return capture_phantom(matched_++);
+      }
+    }
+    // None does: store the matched prefix and record on.
+    capture_->assign_prefix(at, matched_);
+    expect_ = {};
+    expect_at_ = 0;
+  }
+  Graph& g = *capture_;
+  node.deps_begin = static_cast<std::uint32_t>(g.deps_.size());
+  try {
+    for (const Event& e : deps) {
+      const std::size_t d = capture_dep(e, g.size());
+      if (d != kNoNode) g.deps_.push_back(static_cast<std::uint32_t>(d));
+    }
+  } catch (...) {
+    g.deps_.resize(node.deps_begin);
+    throw;
+  }
+  return capture_phantom(g.push(node, launch));
 }
 
 Event Context::capture_phantom(std::size_t node) {
@@ -377,21 +439,28 @@ Event Context::capture_phantom(std::size_t node) {
 
 Event Context::capture_transfer(ActionKind kind, int stream, BufferId buf, std::size_t offset,
                                 std::size_t bytes, Deps deps) {
-  auto ids = capture_deps(deps);
-  const std::size_t node =
-      kind == ActionKind::H2D ? capture_->add_h2d(stream, buf, offset, bytes, std::move(ids))
-                              : capture_->add_d2h(stream, buf, offset, bytes, std::move(ids));
-  return capture_phantom(node);
+  Graph::Node n;
+  n.kind = kind;
+  n.stream = stream;
+  n.buffer = buf;
+  n.offset = offset;
+  n.bytes = bytes;
+  return capture(n, nullptr, deps);
 }
 
-Event Context::capture_kernel(int stream, KernelLaunch launch, Deps deps) {
-  auto ids = capture_deps(deps);
-  return capture_phantom(capture_->add_kernel(stream, std::move(launch), std::move(ids)));
+Event Context::capture_kernel(int stream, KernelLaunch&& launch, Deps deps) {
+  Graph::Node n;
+  n.kind = ActionKind::Kernel;
+  n.stream = stream;
+  n.work = launch.work;
+  return capture(n, &launch, deps);
 }
 
 Event Context::capture_barrier(int stream, Deps deps) {
-  auto ids = capture_deps(deps);
-  return capture_phantom(capture_->add_barrier(stream, std::move(ids)));
+  Graph::Node n;
+  n.kind = ActionKind::Barrier;
+  n.stream = stream;
+  return capture(n, nullptr, deps);
 }
 
 detail::Action* Context::acquire_action() {

@@ -11,6 +11,7 @@
 
 #include "rt/buffer.hpp"
 #include "rt/event.hpp"
+#include "rt/graph.hpp"
 #include "rt/pool.hpp"
 #include "rt/stream.hpp"
 #include "sim/platform.hpp"
@@ -21,8 +22,6 @@ class Recorder;
 }  // namespace ms::analyze
 
 namespace ms::rt {
-
-class Graph;
 
 /// The streaming runtime: the public entry point of the library.
 ///
@@ -158,7 +157,7 @@ public:
   void begin_capture(Graph& g);
 
   /// Stop recording; `g` holds everything enqueued since begin_capture().
-  void end_capture();
+  void end_capture() { (void)finish_capture(); }
 
   [[nodiscard]] bool capturing() const noexcept { return capture_ != nullptr; }
 
@@ -190,6 +189,7 @@ public:
 private:
   friend class Stream;
   friend class CompiledGraph;
+  friend class GraphCache;
 
   struct BufferRec {
     std::byte* host = nullptr;
@@ -208,12 +208,28 @@ private:
 
   Event capture_transfer(ActionKind kind, int stream, BufferId buf, std::size_t offset,
                          std::size_t bytes, Deps deps);
-  Event capture_kernel(int stream, KernelLaunch launch, Deps deps);
+  Event capture_kernel(int stream, KernelLaunch&& launch, Deps deps);
   Event capture_barrier(int stream, Deps deps);
-  /// Map dependency events to captured node ids (phantoms), dropping done
-  /// real events and rejecting pending ones.
-  std::vector<std::size_t> capture_deps(Deps deps) const;
+  /// Record `node` (with `launch`'s label, accesses and functor, which is
+  /// moved out) or, while the capture is checked against cached schedules,
+  /// match it in place; returns its phantom.
+  Event capture(Graph::Node node, KernelLaunch* launch, Deps deps);
+  /// The captured node id a dependency event names, or kNoNode for real work
+  /// that already completed; throws for pending real work, for another
+  /// graph's phantom and for a node id not below `recorded`.
+  std::size_t capture_dep(const Event& e, std::size_t recorded) const;
+  static constexpr std::size_t kNoNode = ~std::size_t{0};
+  /// Whether `node` with `deps` is node matched_ of `expect`.
+  bool capture_matches(const Graph& expect, const Graph::Node& node, const KernelLaunch* launch,
+                       Deps deps) const;
   Event capture_phantom(std::size_t node);
+  /// begin_capture(g) for an empty `g` that is first checked against the
+  /// cached schedules `expect` (most recently used first); see
+  /// GraphCache::capture.
+  void begin_capture(Graph& g, std::vector<const Graph*> expect);
+  /// End the capture. Returns the schedule of `expect` the capture recorded
+  /// exactly, if any; otherwise the target graph holds every node recorded.
+  const Graph* finish_capture();
 
   // --- Action / state pools ---------------------------------------------------
   //
@@ -279,6 +295,13 @@ private:
   /// Present only when analyzing (MS_ANALYZE=1 / installed analyze::Capture
   /// or LintCapture); the hot path pays one branch when absent.
   std::unique_ptr<analyze::Recorder> recorder_;
+  /// Cached schedules the active capture may still be recording, most
+  /// recently used first. While expect_at_ names one of them, captured nodes
+  /// are compared with it (matched_ so far) and not stored; the capture
+  /// target receives the matched prefix at the first node none of them has.
+  std::vector<const Graph*> expect_;
+  std::size_t expect_at_ = 0;
+  std::size_t matched_ = 0;
 };
 
 }  // namespace ms::rt

@@ -1,5 +1,6 @@
 #include "sim/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -177,7 +178,12 @@ struct ThreadPool::Impl {
       current = batch;
       ++generation;
     }
-    wake.notify_all();
+    // Wake only the helpers the batch can use: the calling thread takes one
+    // job itself, and max_workers counts it. A worker left asleep joins the
+    // current batch at its next wake-up; the entrants count bounds it then.
+    std::size_t helpers = std::min<std::size_t>(jobs - 1, workers.size());
+    if (max_workers != 0) helpers = std::min(helpers, max_workers - 1);
+    for (std::size_t i = 0; i < helpers; ++i) wake.notify_one();
     // The calling thread helps drain. Mark it as batch-bound for the
     // duration so a job that itself sweeps (nested parallel kernel inside a
     // parallel-sweep job) runs the inner jobs inline instead of re-entering

@@ -8,9 +8,12 @@
 #include <cstddef>
 #include <limits>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "analyze/capture.hpp"
 #include "rt/context.hpp"
 #include "rt/errors.hpp"
 #include "rt/graph.hpp"
@@ -408,6 +411,148 @@ TEST(CompiledGraphCapture, NestedOrUnbalancedCaptureThrows) {
   ctx.begin_capture(g);
   EXPECT_THROW(ctx.begin_capture(h), Error);  // already capturing
   ctx.end_capture();
+}
+
+TEST(CompiledGraphCapture, FlatGraphRoundTrip) {
+  // A hand-built graph with deps, declared accesses, labels and a functor.
+  // Replays run the functor; on an analyzing context the recorder sees the
+  // labels, accesses and deps (the one missing dep is the race reported);
+  // and a capture of the same enqueues compares equal to it in the cache.
+  const auto build = [](Graph& g, BufferId buf, int* runs, bool ordered) {
+    const auto up = g.add_h2d(0, buf, 0, 4096);
+    KernelLaunch a{"writer-a", work(), {}};
+    if (runs != nullptr) a.fn = [runs] { ++*runs; };
+    a.reads(buf, 0, 2048).writes(buf, 0, 1024);
+    const auto ka = g.add_kernel(0, std::move(a), {up});
+    KernelLaunch b{"writer-b", work(), {}};
+    b.writes(buf, MemRange::tile(0, 4, 0, 8, 64, 4));
+    std::vector<Graph::NodeId> deps{up};
+    if (ordered) deps.push_back(ka);
+    const auto kb = g.add_kernel(1, std::move(b), deps);
+    const auto join = g.add_barrier(1, {ka, kb});
+    g.add_d2h(1, buf, 0, 4096, {join});
+  };
+
+  for (const bool ordered : {true, false}) {
+    analyze::Capture capture;
+    Context ctx(cfg());
+    ctx.setup(2);
+    std::vector<float> data(1024, 1.0f);
+    const auto buf = ctx.create_buffer(std::span<float>(data));
+    int runs = 0;
+    Graph g;
+    build(g, buf, &runs, ordered);
+    ASSERT_EQ(g.size(), 5u);
+    CompiledGraph cg = g.compile(ctx);
+    EXPECT_EQ(cg.node_count(), 5u);
+    cg.launch(ctx);
+    cg.launch(ctx);
+    ctx.synchronize();
+    EXPECT_EQ(runs, 2);
+    if (ordered) {
+      EXPECT_TRUE(capture.clean());
+    } else {
+      ASSERT_FALSE(capture.clean());
+      for (const analyze::Hazard& h : capture.result().hazards) {
+        EXPECT_NE(h.kind, analyze::HazardKind::Deadlock);
+        EXPECT_EQ(h.first.label, "writer-a");
+        EXPECT_EQ(h.second.label, "writer-b");
+      }
+    }
+  }
+
+  Context ctx(cfg());
+  ctx.setup(2);
+  const auto buf = ctx.create_virtual_buffer(4096);
+  GraphCache cache;
+  Graph hand;
+  build(hand, buf, nullptr, true);
+  (void)cache.get_or_compile(hand, ctx);
+  Graph captured;
+  ctx.begin_capture(captured);
+  const Event up = ctx.stream(0).enqueue_h2d(buf, 0, 4096);
+  KernelLaunch a{"writer-a", work(), {}};
+  a.reads(buf, 0, 2048).writes(buf, 0, 1024);
+  const Event ka = ctx.stream(0).enqueue_kernel(std::move(a), {up});
+  KernelLaunch b{"writer-b", work(), {}};
+  b.writes(buf, MemRange::tile(0, 4, 0, 8, 64, 4));
+  const Event kb = ctx.stream(1).enqueue_kernel(std::move(b), {up, ka});
+  const Event join = ctx.stream(1).enqueue_barrier({ka, kb});
+  ctx.stream(1).enqueue_d2h(buf, 0, 4096, {join});
+  ctx.end_capture();
+  (void)cache.get_or_compile(captured, ctx);
+  EXPECT_EQ(cache.hits(), 1u) << "the captured graph must equal the hand-built one";
+  Graph unordered;
+  build(unordered, buf, nullptr, false);
+  (void)cache.get_or_compile(unordered, ctx);
+  EXPECT_EQ(cache.misses(), 2u) << "a dropped dep is a different schedule";
+}
+
+/// Capture through `cache` on a fresh 2-stream context: `tiles` tiles of
+/// h2d -> kernel, each kernel's work `elems_at(tile)`. Returns the host time
+/// of three replays of the executor the capture produced.
+template <typename Elems>
+double capture_and_replay(GraphCache& cache, int tiles, Elems elems_at) {
+  Context ctx(cfg());
+  ctx.setup(2);
+  ctx.set_tracing(false);
+  const auto buf = ctx.create_virtual_buffer(4096);
+  std::optional<CompiledGraph> cg = cache.capture(ctx, "phase", [&] {
+    for (int t = 0; t < tiles; ++t) {
+      const Event up = ctx.stream(t % 2).enqueue_h2d(buf, static_cast<std::size_t>(t) * 64, 64);
+      ctx.stream(t % 2).enqueue_kernel({"k", work(elems_at(t)), {}}, {up});
+    }
+  });
+  if (!cg) return -1.0;
+  EXPECT_EQ(cg->node_count(), static_cast<std::size_t>(2 * tiles));
+  for (int i = 0; i < 3; ++i) cg->launch(ctx);
+  ctx.synchronize();
+  return ctx.host_time().micros();
+}
+
+/// The same schedule compiled from scratch, without the cache.
+template <typename Elems>
+double compile_and_replay(int tiles, Elems elems_at) {
+  Context ctx(cfg());
+  ctx.setup(2);
+  ctx.set_tracing(false);
+  const auto buf = ctx.create_virtual_buffer(4096);
+  Graph g;
+  for (int t = 0; t < tiles; ++t) {
+    const auto up = g.add_h2d(t % 2, buf, static_cast<std::size_t>(t) * 64, 64);
+    g.add_kernel(t % 2, {"k", work(elems_at(t)), {}}, {up});
+  }
+  CompiledGraph cg = g.compile(ctx);
+  for (int i = 0; i < 3; ++i) cg.launch(ctx);
+  ctx.synchronize();
+  return ctx.host_time().micros();
+}
+
+TEST(CompiledGraphCapture, DivergenceAfterPrefixCompilesTheNewSchedule) {
+  // Tile k = 5's kernel is 8x heavier in the second schedule: its first
+  // 2k + 1 nodes match the cached first schedule, node 2k + 1 does not.
+  constexpr int kTiles = 12;
+  const auto first = [](int) { return 1e5; };
+  const auto second = [](int t) { return t == 5 ? 8e5 : 1e5; };
+  GraphCache cache;
+  EXPECT_EQ(capture_and_replay(cache, kTiles, first), compile_and_replay(kTiles, first));
+  EXPECT_EQ(cache.misses(), 1u);
+
+  EXPECT_EQ(capture_and_replay(cache, kTiles, second), compile_and_replay(kTiles, second));
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.size(), 2u);
+
+  // A capture that stops inside a cached schedule's nodes is a prefix of it:
+  // it compiles on its own.
+  EXPECT_EQ(capture_and_replay(cache, 3, first), compile_and_replay(3, first));
+  EXPECT_EQ(cache.misses(), 3u);
+
+  // The first schedule is still a hit, although the most recently used plan
+  // under this name diverges from it after the shared prefix.
+  EXPECT_EQ(capture_and_replay(cache, kTiles, second), compile_and_replay(kTiles, second));
+  EXPECT_EQ(capture_and_replay(cache, kTiles, first), compile_and_replay(kTiles, first));
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 3u);
 }
 
 // ---------------------------------------------------------------------------

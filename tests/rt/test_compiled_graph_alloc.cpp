@@ -1,10 +1,13 @@
 // Proves the compiled-graph zero-allocation steady state: after a warm-up
 // replay has grown the action/state/run pools and the engine heap to the
 // graph's high-water mark, launch()/synchronize() cycles perform no heap
-// allocation at all. Checked with the binary's counting global operator new
+// allocation at all, and a capture that matches a cached plan allocates
+// nothing per node. Checked with the binary's counting global operator new
 // (tests/alloc_counter.cpp) so it cannot silently regress.
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "alloc_counter.hpp"
 #include "rt/compiled_graph.hpp"
@@ -81,6 +84,48 @@ TEST(CompiledGraphAlloc, SteadyStateBatchAllocatesNothing) {
   }
   const std::size_t after = test::alloc_count();
   EXPECT_EQ(after - before, 0u) << "steady-state batches of launches must not allocate";
+}
+
+/// Allocations made while re-capturing an `n`-node chain on a fresh context
+/// whose schedule `cache` already holds (the first capture compiles it).
+std::size_t cached_capture_allocs(GraphCache& cache, std::size_t n) {
+  const auto capture = [&cache, n] {
+    Context ctx(sim::SimConfig::phi_31sp());
+    ctx.setup(2);
+    ctx.set_tracing(false);
+    const auto buf = ctx.create_virtual_buffer(n * 64);
+    const std::size_t before = test::alloc_count();
+    std::optional<CompiledGraph> cg = cache.capture(ctx, "chain", [&] {
+      Event prev;
+      for (std::size_t i = 0; i < n / 2; ++i) {
+        const int s = static_cast<int>(i % 2);
+        const Event up = ctx.stream(s).enqueue_h2d(buf, i * 64, 64, {prev});
+        prev = ctx.stream(s).enqueue_kernel({"k", work(), {}}, {up});
+      }
+    });
+    const std::size_t allocs = test::alloc_count() - before;
+    EXPECT_TRUE(cg.has_value());
+    if (cg) EXPECT_EQ(cg->node_count(), n);
+    return allocs;
+  };
+  (void)capture();
+  const std::uint64_t hits = cache.hits();
+  const std::size_t allocs = capture();
+  EXPECT_EQ(cache.hits(), hits + 1) << "the re-capture must be a cache hit";
+  return allocs;
+}
+
+TEST(CompiledGraphCapture, CacheHitAllocatesNothingPerNode) {
+  // A capture that matches a cached plan checks each node in place: what it
+  // allocates (the candidate list, the phantom events' pool) does not grow
+  // with the schedule.
+  GraphCache warm_cache;  // first hit in the process: telemetry and pool statics
+  (void)cached_capture_allocs(warm_cache, 16);
+  GraphCache small_cache;
+  GraphCache large_cache;
+  const std::size_t small = cached_capture_allocs(small_cache, 256);
+  const std::size_t large = cached_capture_allocs(large_cache, 4096);
+  EXPECT_EQ(small, large) << "a cache hit allocated per captured node";
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "rt/context.hpp"
@@ -35,6 +39,29 @@ TEST(ThreadPool, PropagatesTheFirstException) {
                           if (i == 3) throw std::runtime_error("boom");
                         }),
                std::runtime_error);
+}
+
+TEST(ThreadPool, MaxWorkersBoundsTheThreadsThatRunABatch) {
+  // Two workers may run the batch (the calling thread counts as one), so a
+  // 4-worker pool must leave the other threads out of it.
+  ThreadPool pool(4);
+  constexpr std::size_t kJobs = 64;
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  std::atomic<int> ran{0};
+  pool.run(
+      kJobs,
+      [&](std::size_t) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          threads.insert(std::this_thread::get_id());
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        ran.fetch_add(1);
+      },
+      2);
+  EXPECT_EQ(ran.load(), static_cast<int>(kJobs));
+  EXPECT_LE(threads.size(), 2u);
 }
 
 TEST(ThreadPool, NestedRunFromWorkerDoesNotDeadlock) {

@@ -17,7 +17,8 @@
 //   mstream_cli devices
 //   mstream_cli apps
 //
-// A --trace or --metrics file that cannot be written fails the run (exit 1).
+// An output file (--trace, --metrics, --json, --dot) that cannot be written
+// refuses the run before it starts (exit 2).
 // At most one output may be '-' (stdout). While stdout carries a document
 // (a '-' output, or the `stats` snapshot), the human-readable lines go to
 // stderr so the document parses as it stands.
@@ -575,6 +576,15 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (to_stdout == 1) g_text = stderr;
+  // Every requested output is probed before the workload runs: a path that
+  // cannot be written refuses the run instead of failing after it.
+  for (const std::string* path : {&cli.trace_path, &cli.metrics_path, &cli.json_path,
+                                  &cli.dot_path}) {
+    if (!path->empty() && !ms::telemetry::output_writable(*path)) {
+      std::fprintf(stderr, "cannot write %s\n", path->c_str());
+      return 2;
+    }
+  }
 
   // --metrics / --serve-obs (and the graph subcommand) switch host
   // telemetry on for the whole run; the calibration probe gives the pool
