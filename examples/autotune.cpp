@@ -17,7 +17,6 @@ int main() {
     apps::NnConfig nc;
     nc.common.partitions = c.partitions;
     nc.common.functional = false;  // timing model only
-    nc.common.tracing = false;
     nc.common.protocol_iterations = 1;
     nc.records = 2048 * 1024;
     nc.tiles = c.tiles;

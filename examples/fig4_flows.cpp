@@ -16,6 +16,7 @@ ms::apps::CommonConfig timing() {
   ms::apps::CommonConfig c;
   c.partitions = 4;
   c.functional = false;
+  c.tracing = true;  // show() renders the timeline
   c.protocol_iterations = 1;
   return c;
 }

@@ -36,6 +36,7 @@ int main() {
   big.tile = 1400;
   big.common.partitions = 4;
   big.common.functional = false;
+  big.common.tracing = true;  // the transfer counts come from the timeline
   big.common.protocol_iterations = 1;
   const auto one = apps::CfApp::run(sim::SimConfig::phi_31sp(), big);
   const auto two = apps::CfApp::run(sim::SimConfig::phi_31sp_x2(), big);

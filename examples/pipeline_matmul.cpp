@@ -16,6 +16,7 @@ int main() {
   cfg.dim = 768;        // small enough to verify functionally
   cfg.tile_grid = 4;    // 16 tasks
   cfg.common.partitions = 4;
+  cfg.common.tracing = true;  // the streamed run's timeline is rendered below
 
   const auto streamed = apps::MmApp::run(sim::SimConfig::phi_31sp(), cfg);
 

@@ -19,6 +19,7 @@ int main() {
   cfg.tile = 480;  // 10x10 tile grid
   cfg.common.partitions = 4;
   cfg.common.functional = false;  // timing-only keeps the trace readable
+  cfg.common.tracing = true;
   cfg.common.protocol_iterations = 1;
 
   const auto result = apps::CfApp::run(sim::SimConfig::phi_31sp(), cfg);

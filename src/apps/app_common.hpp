@@ -69,9 +69,11 @@ struct CommonConfig {
   /// can be verified; timing-only mode uses virtual buffers and empty
   /// functors for paper-scale parameter sweeps.
   bool functional = true;
-  /// Capture a full action timeline (tests and examples want it; the big
-  /// parameter sweeps turn it off to keep memory flat).
-  bool tracing = true;
+  /// Capture the full action timeline into AppResult::timeline. Off by
+  /// default: it grows with every action of the run, so only the callers
+  /// that read the timeline (trace export, utilization, span checks) ask
+  /// for it.
+  bool tracing = false;
   /// The paper's protocol runs each benchmark 11 times and drops the first.
   /// The simulator is deterministic, so 2 (one warm-up, one measured) gives
   /// identical numbers; tests crank this up to prove it.

@@ -137,7 +137,6 @@ CommonConfig timing_common(int partitions, bool streamed) {
   c.partitions = partitions;
   c.streamed = streamed;
   c.functional = false;
-  c.tracing = false;
   c.protocol_iterations = 1;
   return c;
 }

@@ -1,0 +1,320 @@
+// Ablations: switch one simulator mechanism, search strategy or issue path
+// at a time and show which paper effect moves with it.
+
+#include <algorithm>
+#include <chrono>
+#include <cstdlib>
+#include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "apps/hbench.hpp"
+#include "apps/mm_app.hpp"
+#include "apps/registry.hpp"
+#include "repro/figure_list.hpp"
+#include "rt/compiled_graph.hpp"
+#include "rt/context.hpp"
+#include "rt/graph.hpp"
+#include "rt/tile_plan.hpp"
+#include "rt/tuner.hpp"
+#include "trace/report.hpp"
+
+namespace ms::repro {
+
+using trace::Table;
+
+// The design decisions in DESIGN.md (D1-D4), flipped one at a time:
+//   D1 serialized DMA        -> Fig. 5's flat ID line
+//   D2 split-core penalty    -> Fig. 9(a)'s divisor-set peaks
+//   D3 per-launch overheads  -> Fig. 7/10's right-hand decline
+//   D4 per-thread alloc cost -> Fig. 9(c)'s monotone Kmeans decline
+//   D5 DMA chunking (what-if) -> no head-of-line blocking behind big uploads
+void ablation_simconfig(Sink& sink) {
+  using apps::timing_common;
+  const auto base = sim::SimConfig::phi_31sp();
+
+  // --- D1: serialized vs full-duplex DMA ----------------------------------
+  {
+    auto duplex = base;
+    duplex.link.full_duplex = true;
+    Table t({"pattern (hd/dh)", "serialized [ms]", "full-duplex [ms]"});
+    for (const auto& [hd, dh] : std::vector<std::pair<int, int>>{{16, 0}, {8, 8}, {16, 16}}) {
+      t.add_row({std::to_string(hd) + "/" + std::to_string(dh),
+                 Table::num(apps::HBench::transfer_pattern(base, hd, dh, 1 << 20)),
+                 Table::num(apps::HBench::transfer_pattern(duplex, hd, dh, 1 << 20))});
+    }
+    sink.emit(t, "ablation_d1_dma",
+              "D1 — serialized DMA produces Fig. 5; duplex would halve mixed patterns");
+  }
+
+  // --- D2: split-core contention penalty ----------------------------------
+  {
+    auto no_penalty = base;
+    no_penalty.efficiency.split_core_penalty = 0.0;
+    const auto& mm = *apps::find_app("mm");
+    Table t({"P", "with penalty [GFLOPS]", "penalty off [GFLOPS]"});
+    for (const int p : {13, 14, 15, 27, 28, 29}) {
+      t.add_row({std::to_string(p), Table::num(mm.run(base, timing_common(p), {144, 6000}).gflops, 1),
+                 Table::num(mm.run(no_penalty, timing_common(p), {144, 6000}).gflops, 1)});
+    }
+    sink.emit(t, "ablation_d2_splitcore",
+              "D2 — divisor-set peaks (14, 28) vanish without the split-core penalty");
+  }
+
+  // --- D3: per-launch management overheads ---------------------------------
+  {
+    auto no_overhead = base;
+    no_overhead.overhead.kernel_launch_base = sim::SimTime::zero();
+    no_overhead.overhead.kernel_launch_per_partition = sim::SimTime::zero();
+    no_overhead.overhead.action_enqueue = sim::SimTime::zero();
+    Table t({"P", "with overheads [ms]", "overheads off [ms]"});
+    for (const int p : {1, 8, 64, 128}) {
+      t.add_row({std::to_string(p), Table::num(apps::HBench::spatial(base, p, 128, 100, 4u << 20)),
+                 Table::num(apps::HBench::spatial(no_overhead, p, 128, 100, 4u << 20))});
+    }
+    sink.emit(t, "ablation_d3_overheads",
+              "D3 — per-launch overheads drive part of Fig. 7's rise (contention does the rest)");
+  }
+
+  // --- D4: per-thread allocation cost (the Kmeans mechanism) ---------------
+  {
+    auto no_alloc = base;
+    no_alloc.overhead.alloc_per_thread = sim::SimTime::zero();
+    const auto& kmeans = *apps::find_app("kmeans");
+    Table t({"P", "with alloc cost [s]", "alloc cost off [s]"});
+    for (const int p : {1, 4, 14, 56}) {
+      t.add_row({std::to_string(p),
+                 Table::num(kmeans.run(base, timing_common(p), {56, 1120000, 100}).ms / 1e3, 3),
+                 Table::num(kmeans.run(no_alloc, timing_common(p), {56, 1120000, 100}).ms / 1e3,
+                            3)});
+    }
+    sink.emit(t, "ablation_d4_alloc",
+              "D4 — Kmeans' decline over P disappears without per-thread alloc cost");
+  }
+
+  // --- D5: DMA chunking (what-if: a finer-grained DMA engine) --------------
+  {
+    auto chunked = base;
+    chunked.link.dma_chunk_bytes = 1 << 20;
+    Table t({"scenario", "monolithic DMA [ms]", "1 MiB chunks [ms]"});
+    auto small_behind_big = [](const sim::SimConfig& c) {
+      rt::Context ctx(c);
+      ctx.setup(2);
+      const auto buf = ctx.create_virtual_buffer(32 << 20);
+      ctx.synchronize();
+      const auto t0 = ctx.host_time();
+      ctx.stream(0).enqueue_h2d(buf, 0, 32 << 20);
+      const auto done = ctx.stream(1).enqueue_d2h(buf, 0, 4096);
+      ctx.synchronize();
+      return (done.time() - t0).millis();
+    };
+    t.add_row({"4 KiB readback behind a 32 MiB upload", Table::num(small_behind_big(base)),
+               Table::num(small_behind_big(chunked))});
+    sink.emit(t, "ablation_d5_chunking",
+              "D5 — chunked DMA removes head-of-line blocking (latency, not figures)");
+    sink.out << "(the paper's figures are insensitive to chunking: hBench already uses\n"
+                "1 MB blocks. The knob matters for latency-sensitive patterns like CF's\n"
+                "small cross-card tile round trips behind bulk uploads.)\n";
+  }
+}
+
+// Section V-C2: how much of the exhaustive (P, T) search does the pruned
+// candidate set keep, and how close does its winner come to the true
+// optimum? Uses MM (D = 6000) under the timing model as the target.
+void ablation_tuner(Sink& sink) {
+  using rt::Tuner;
+  const auto cfg = sim::SimConfig::phi_31sp();
+
+  // The metric maps a (P, T) candidate to MM's virtual time. The tile grid g
+  // must divide D = 6000; round T to the nearest such g^2.
+  const std::vector<int> grids{1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24};
+  const auto metric = [&](Tuner::Candidate c) {
+    int best_g = grids.front();
+    for (const int g : grids) {
+      if (std::abs(g * g - c.tiles) < std::abs(best_g * best_g - c.tiles)) best_g = g;
+    }
+    apps::MmConfig mc;
+    mc.common.partitions = c.partitions;
+    mc.common.functional = false;
+    mc.common.protocol_iterations = 1;
+    mc.dim = 6000;
+    mc.tile_grid = best_g;
+    return apps::MmApp::run(cfg, mc).ms;
+  };
+
+  rt::TunerOptions topt;
+  topt.max_multiplier = sink.quick ? 3 : 8;
+  const auto pruned = Tuner::pruned_space(cfg.device, topt);
+  const auto pruned_result = Tuner::search(pruned, metric);
+
+  const auto exhaustive = Tuner::exhaustive_space(cfg.device, sink.quick ? 16 : 64);
+  const auto full_result = Tuner::search(exhaustive, metric);
+
+  Table t({"search", "candidates", "best P", "best T", "best time [ms]"});
+  t.add_row({"pruned (Sec. V-C2)", std::to_string(pruned_result.evaluated),
+             std::to_string(pruned_result.best.partitions),
+             std::to_string(pruned_result.best.tiles), Table::num(pruned_result.best_metric, 2)});
+  t.add_row({"exhaustive", std::to_string(full_result.evaluated),
+             std::to_string(full_result.best.partitions), std::to_string(full_result.best.tiles),
+             Table::num(full_result.best_metric, 2)});
+  sink.emit(t, "ablation_tuner", "Sec. V-C2 — pruned vs exhaustive (P, T) search on MM");
+
+  const double gap =
+      (pruned_result.best_metric - full_result.best_metric) / full_result.best_metric * 100.0;
+  sink.out << "\nsearch-space reduction: " << exhaustive.size() << " -> " << pruned.size()
+           << " candidates ("
+           << Table::num(100.0 * static_cast<double>(pruned.size()) /
+                             static_cast<double>(exhaustive.size()),
+                         1)
+           << "% kept); pruned winner within " << Table::num(gap, 2)
+           << "% of the exhaustive optimum\n";
+}
+
+namespace {
+
+constexpr std::size_t kBytes = 16u << 20;
+
+sim::KernelWork task_work(int tiles) {
+  sim::KernelWork w;
+  w.kind = sim::KernelKind::Streaming;
+  w.elems = 4.0 * (1 << 20) * 40.0 / tiles;
+  return w;
+}
+
+/// The pipeline schedule issued directly: per tile an h2d, a kernel and a
+/// d2h on one of 4 streams, each action paying the full enqueue cost.
+void enqueue_direct(rt::Context& ctx, rt::BufferId buf, int tiles) {
+  const auto ranges = rt::split_even(kBytes, static_cast<std::size_t>(tiles));
+  for (std::size_t t = 0; t < ranges.size(); ++t) {
+    auto& s = ctx.stream(static_cast<int>(t) % 4);
+    s.enqueue_h2d(buf, ranges[t].begin, ranges[t].size());
+    s.enqueue_kernel({"k", task_work(tiles), {}});
+    s.enqueue_d2h(buf, ranges[t].begin, ranges[t].size());
+  }
+}
+
+/// The same schedule recorded as a graph: per tile an h2d, a kernel and a
+/// d2h on one of 4 streams, each depending on the one before.
+rt::Graph record(rt::BufferId buf, int tiles) {
+  rt::Graph g;
+  const auto ranges = rt::split_even(kBytes, static_cast<std::size_t>(tiles));
+  for (std::size_t t = 0; t < ranges.size(); ++t) {
+    const int s = static_cast<int>(t) % 4;
+    const auto up = g.add_h2d(s, buf, ranges[t].begin, ranges[t].size());
+    const auto k = g.add_kernel(s, {"k", task_work(tiles), {}}, {up});
+    g.add_d2h(s, buf, ranges[t].begin, ranges[t].size(), {k});
+  }
+  return g;
+}
+
+/// A context with 4 streams, tracing off, and one virtual buffer for the
+/// pipeline.
+struct Rig {
+  rt::Context ctx;
+  rt::BufferId buf;
+
+  explicit Rig(const sim::SimConfig& cfg) : ctx(cfg) {
+    ctx.set_tracing(false);
+    ctx.setup(4);
+    buf = ctx.create_virtual_buffer(kBytes);
+  }
+};
+
+double run_direct(const sim::SimConfig& cfg, int tiles) {
+  Rig rig(cfg);
+  rig.ctx.synchronize();
+  const auto t0 = rig.ctx.host_time();
+  enqueue_direct(rig.ctx, rig.buf, tiles);
+  rig.ctx.synchronize();
+  return (rig.ctx.host_time() - t0).millis();
+}
+
+double run_replay(const sim::SimConfig& cfg, int tiles) {
+  Rig rig(cfg);
+  auto cg = record(rig.buf, tiles).compile(rig.ctx);
+  rig.ctx.synchronize();
+  const auto t0 = rig.ctx.host_time();
+  cg.launch(rig.ctx);
+  rig.ctx.synchronize();
+  return (rig.ctx.host_time() - t0).millis();
+}
+
+template <typename F>
+double wall_us(F&& f) {
+  const auto t0 = std::chrono::steady_clock::now();
+  f();
+  return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0).count();
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// Compiled-executor A/B: real wall-clock host cost per replay for direct
+/// re-enqueue of the same schedule vs CompiledGraph::launch(), interleaved
+/// and reported as medians.
+void compiled_ab(Sink& sink, const sim::SimConfig& cfg, int tiles, int reps) {
+  Rig rig(cfg);
+  rig.ctx.synchronize();
+  auto cg = record(rig.buf, tiles).compile(rig.ctx);
+
+  // Warm every path (action pools, compiled run pool + per-context
+  // validation cache) so steady-state replays are measured.
+  enqueue_direct(rig.ctx, rig.buf, tiles);
+  cg.launch(rig.ctx);
+  rig.ctx.synchronize();
+
+  // Interleaved samples: one of each path per round, medians across rounds.
+  std::vector<double> direct, compiled;
+  for (int rep = 0; rep < reps; ++rep) {
+    direct.push_back(wall_us([&] { enqueue_direct(rig.ctx, rig.buf, tiles); }));
+    rig.ctx.synchronize();
+    compiled.push_back(wall_us([&] { cg.launch(rig.ctx); }));
+    rig.ctx.synchronize();
+  }
+
+  const double md = median(direct), mc = median(compiled);
+  Table t({"path", "host per replay [us]", "vs direct"});
+  t.add_row({"direct re-enqueue", Table::num(md), "1.00x"});
+  t.add_row({"compiled launch()", Table::num(mc), Table::num(md / mc) + "x"});
+  sink.emit(t, "compiled_ab_T" + std::to_string(tiles),
+            "compiled executor A/B at T=" + std::to_string(tiles) + " (" +
+                std::to_string(3 * tiles + 1) + " nodes, medians of " + std::to_string(reps) +
+                " interleaved rounds)");
+}
+
+}  // namespace
+
+// How much of Fig. 10's right-hand decline is the *host's* per-action
+// enqueue cost (as opposed to device-side launch overheads)? The recorded
+// graph API (rt::Graph) re-issues a whole schedule for a per-node cost ~20x
+// below action_enqueue, so replaying the same pipeline at growing task
+// counts separates the two contributions. Part two is the compiled-executor
+// A/B in real wall-clock host time.
+void ablation_graph_replay(Sink& sink) {
+  const auto cfg = sim::SimConfig::phi_31sp();
+
+  Table t({"T", "direct enqueue [ms]", "graph replay [ms]", "host share removed"});
+  const std::vector<int> tiles = sink.quick ? std::vector<int>{8, 512}
+                                            : std::vector<int>{4, 8, 16, 64, 256, 1024, 4096};
+  for (const int n : tiles) {
+    const double direct = run_direct(cfg, n);
+    const double replay = run_replay(cfg, n);
+    t.add_row({std::to_string(n), Table::num(direct), Table::num(replay),
+               improvement_cell(direct, replay)});
+  }
+  sink.emit(t, "ablation_graph_replay", "graph replay vs per-action enqueue over task granularity");
+
+  sink.out << "\nat small T the curves agree (device work dominates); at huge T the direct\n"
+              "version pays 3 x T x action_enqueue on the host while the replay does not —\n"
+              "that difference is the host-side share of Fig. 10's right-hand decline.\n\n";
+
+  // Part two: what the *compiled* executor saves the host per replay, on a
+  // >=1k-node schedule.
+  compiled_ab(sink, cfg, /*tiles=*/512, /*reps=*/sink.quick ? 5 : 11);
+}
+
+}  // namespace ms::repro

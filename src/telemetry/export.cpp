@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <ostream>
 #include <set>
@@ -29,15 +27,6 @@ void write_escaped(std::ostream& os, const std::string& s) {
 }
 
 }  // namespace
-
-bool output_writable(const std::string& path) {
-  if (path == "-") return true;
-  std::error_code ec;
-  const bool existed = std::filesystem::exists(path, ec);
-  if (!std::ofstream(path, std::ios::app).is_open()) return false;
-  if (!existed) std::filesystem::remove(path, ec);
-  return true;
-}
 
 std::string json_quote(std::string_view s) {
   std::string out;

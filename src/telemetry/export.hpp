@@ -15,13 +15,6 @@ namespace ms::telemetry {
 /// library (reports, traces) quotes its strings through this one function.
 [[nodiscard]] std::string json_quote(std::string_view s);
 
-/// True when `path` can be opened for writing ("-", stdout, always can).
-/// Leaves the file system as found: the probe appends nothing, and removes a
-/// file it created. Command lines probe every requested output with this
-/// before any work runs, so an output that cannot be written refuses the run
-/// up front and a refused run writes no file at all.
-[[nodiscard]] bool output_writable(const std::string& path);
-
 /// Write a registry snapshot in the Prometheus text exposition format
 /// (# HELP / # TYPE lines, histograms as cumulative _bucket/_sum/_count
 /// series with le labels). MaxGauges export as gauges.

@@ -108,8 +108,10 @@ TEST(CfApp, TwoMicsMatchOneMicChecksum) {
 TEST(CfApp, TwoMicsMoveMoreData) {
   // The paper's explanation for sub-2x scaling: separate memory spaces need
   // extra block transfers.
-  const auto one = CfApp::run(sim::SimConfig::phi_31sp(), small(true));
-  const auto two = CfApp::run(sim::SimConfig::phi_31sp_x2(), small(true));
+  CfConfig cc = small(true);
+  cc.common.tracing = true;
+  const auto one = CfApp::run(sim::SimConfig::phi_31sp(), cc);
+  const auto two = CfApp::run(sim::SimConfig::phi_31sp_x2(), cc);
   auto transfers = [](const trace::Timeline& t) {
     return t.count(trace::SpanKind::H2D) + t.count(trace::SpanKind::D2H);
   };
@@ -124,6 +126,7 @@ TEST(CfApp, OverlapsTransfersWithCompute) {
   cc.tile = 240;
   cc.common.partitions = 4;
   cc.common.functional = false;
+  cc.common.tracing = true;
   const auto r = CfApp::run(cfg(), cc);
   EXPECT_GT(r.timeline.overlap(trace::SpanKind::H2D, trace::SpanKind::Kernel),
             sim::SimTime::zero());

@@ -19,10 +19,12 @@ namespace {
 
 sim::SimConfig cfg() { return sim::SimConfig::phi_31sp(); }
 
+/// A timing-only run that records the timeline every check here reads.
 CommonConfig timing(int partitions) {
   CommonConfig c;
   c.partitions = partitions;
   c.functional = false;
+  c.tracing = true;
   c.protocol_iterations = 1;
   return c;
 }

@@ -175,7 +175,6 @@ TEST(GraphModes, ThreadCountInvariant) {
 template <typename Config>
 Config timing_only(Config c) {
   c.common.functional = false;
-  c.common.tracing = false;
   c.common.graph = GraphMode::Compiled;
   return c;
 }

@@ -67,6 +67,7 @@ TEST(HotspotApp, NoTransfersInsideTheStepLoop) {
   // Fig. 4(c): transfers only at the boundary — per protocol run: 2 bands
   // in for temp + 2 for power, 2 out.
   auto hc = small(true);
+  hc.common.tracing = true;
   const auto r = HotspotApp::run(cfg(), hc);
   const auto h2d = r.timeline.count(trace::SpanKind::H2D);
   const auto d2h = r.timeline.count(trace::SpanKind::D2H);
@@ -75,7 +76,9 @@ TEST(HotspotApp, NoTransfersInsideTheStepLoop) {
 }
 
 TEST(HotspotApp, KernelsOverlapAcrossPartitionsWithinAStep) {
-  const auto r = HotspotApp::run(cfg(), small(true));
+  auto hc = small(true);
+  hc.common.tracing = true;
+  const auto r = HotspotApp::run(cfg(), hc);
   EXPECT_GT(r.timeline.overlap(trace::SpanKind::Kernel, trace::SpanKind::Kernel),
             sim::SimTime::zero());
 }

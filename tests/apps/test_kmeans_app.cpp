@@ -50,7 +50,9 @@ TEST(KmeansApp, ChecksumStableAcrossTiling) {
 TEST(KmeansApp, EachIterationSynchronizes) {
   // Non-overlappable structure: at least `iterations` centroid uploads and
   // per-tile partial downloads happen.
-  const auto r = KmeansApp::run(cfg(), small(true));
+  auto kc = small(true);
+  kc.common.tracing = true;
+  const auto r = KmeansApp::run(cfg(), kc);
   const auto h2d = r.timeline.count(trace::SpanKind::H2D);
   // points tiles (4) + centroids per iteration (5), x2 protocol runs.
   EXPECT_EQ(h2d, 2u * (4u + 5u));

@@ -76,6 +76,7 @@ TEST(KmeansAsync, TransformationMakesItOverlappable) {
   kc.tiles = 28;
   kc.common.partitions = 28;
   kc.common.functional = false;
+  kc.common.tracing = true;
 
   const auto async = KmeansAsyncApp::run(cfg(), kc);
   const auto h2d_overlap =

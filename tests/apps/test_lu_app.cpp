@@ -117,6 +117,7 @@ TEST(LuApp, OverlapsTransfersWithCompute) {
   lc.tile = 240;
   lc.common.partitions = 4;
   lc.common.functional = false;
+  lc.common.tracing = true;
   const auto r = LuApp::run(cfg(), lc);
   EXPECT_GT(r.timeline.overlap(trace::SpanKind::H2D, trace::SpanKind::Kernel),
             sim::SimTime::zero());

@@ -60,7 +60,9 @@ TEST(MmApp, ChecksumStableAcrossTileGrids) {
 }
 
 TEST(MmApp, StreamedVersionOverlapsTransfersWithCompute) {
-  const auto r = MmApp::run(cfg(), small(true));
+  auto mc = small(true);
+  mc.common.tracing = true;
+  const auto r = MmApp::run(cfg(), mc);
   EXPECT_GT(r.timeline.overlap(trace::SpanKind::H2D, trace::SpanKind::Kernel),
             sim::SimTime::zero());
 }
@@ -68,8 +70,11 @@ TEST(MmApp, StreamedVersionOverlapsTransfersWithCompute) {
 TEST(MmApp, BaselineMovesSameDataVolume) {
   // Band sharing: streamed must transfer 2 D^2 in and D^2 out, like the
   // baseline (no re-send amplification).
-  const auto s = MmApp::run(cfg(), small(true));
-  const auto b = MmApp::run(cfg(), small(false));
+  auto streamed = small(true);
+  auto baseline = small(false);
+  streamed.common.tracing = baseline.common.tracing = true;
+  const auto s = MmApp::run(cfg(), streamed);
+  const auto b = MmApp::run(cfg(), baseline);
   auto h2d_bytes = [](const trace::Timeline& t) {
     std::uint64_t total = 0;
     for (const auto& sp : t.spans()) {

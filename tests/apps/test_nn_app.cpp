@@ -76,6 +76,7 @@ TEST(NnApp, IsTransferBound) {
   nc.tiles = 64;
   nc.common.partitions = 4;
   nc.common.functional = false;
+  nc.common.tracing = true;
   const auto r = NnApp::run(cfg(), nc);
   const auto transfer =
       r.timeline.busy(trace::SpanKind::H2D) + r.timeline.busy(trace::SpanKind::D2H);
@@ -90,6 +91,7 @@ TEST(NnApp, StreamedOverlapsTransfersWithKernels) {
   auto nc = small(true);
   nc.records = 200000;
   nc.common.functional = false;
+  nc.common.tracing = true;
   const auto r = NnApp::run(cfg(), nc);
   EXPECT_GT(r.timeline.overlap(trace::SpanKind::H2D, trace::SpanKind::Kernel),
             sim::SimTime::zero());

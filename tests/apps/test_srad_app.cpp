@@ -60,7 +60,9 @@ TEST(SradApp, DiffusionReducesVariance) {
 
 TEST(SradApp, SynchronizesEveryIteration) {
   // The statistics readback forces one tiny D2H per tile per iteration.
-  const auto r = SradApp::run(cfg(), small(true));
+  auto sc = small(true);
+  sc.common.tracing = true;
+  const auto r = SradApp::run(cfg(), sc);
   const auto d2h = r.timeline.count(trace::SpanKind::D2H);
   // per protocol run: 9 tiles x 4 iterations (stats) + 3 bands (final image)
   EXPECT_EQ(d2h, 2u * (9u * 4u + 3u));

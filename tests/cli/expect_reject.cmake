@@ -1,5 +1,5 @@
-# Run CLI (mstream_cli or a bench binary) with ARGS and require a non-zero
-# exit plus a stderr line matching the regex EXPECT. Invoked by ctest as:
+# Run CLI (mstream_cli) with ARGS and require a non-zero exit plus a stderr
+# line matching the regex EXPECT. Invoked by ctest as:
 #   cmake -DCLI=<binary> -DARGS=<;-list> -DEXPECT=<regex> [-DABSENT=<path>]
 #         -P expect_reject.cmake
 # With ABSENT (an absolute path the run is asked to write), the refused run

@@ -1,6 +1,6 @@
-# Run CLI (mstream_cli or a bench binary) with ARGS, require exit code
-# EXPECT_RC (default 0), and require stdout to hold one document of FORMAT
-# and nothing else; the human-readable lines belong on stderr.
+# Run CLI (mstream_cli) with ARGS, require exit code EXPECT_RC (default 0),
+# and require stdout to hold one document of FORMAT and nothing else; the
+# human-readable lines belong on stderr.
 #   json        one JSON object
 #   prometheus  Prometheus text: every line is a '#' comment or a sample
 #   dot         one Graphviz digraph

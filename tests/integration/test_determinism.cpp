@@ -22,13 +22,21 @@ sim::SimConfig cards(int devices = 1) {
   return c;
 }
 
+/// A functional run that records its timeline, so span counts can compare.
+CommonConfig traced() {
+  CommonConfig c;
+  c.tracing = true;
+  return c;
+}
+
 /// Run `app` twice at `point` on one card (functional, traced) and require
 /// bit-identical virtual time, checksum and span count.
 void expect_bit_stable(std::string_view app, const AppPoint& point) {
-  const AppResult a = find_app(app)->run(cards(), CommonConfig{}, point);
-  const AppResult b = find_app(app)->run(cards(), CommonConfig{}, point);
+  const AppResult a = find_app(app)->run(cards(), traced(), point);
+  const AppResult b = find_app(app)->run(cards(), traced(), point);
   EXPECT_DOUBLE_EQ(a.ms, b.ms);
   EXPECT_DOUBLE_EQ(a.checksum, b.checksum);
+  EXPECT_GT(a.timeline.size(), 0u);
   EXPECT_EQ(a.timeline.size(), b.timeline.size());
 }
 
@@ -82,7 +90,7 @@ AppResult run_at_small_size(const std::string& app, int devices, GraphMode graph
       {"nn", {4, 2000}},
       {"srad", {16, 64, 3}},
   };
-  CommonConfig common;
+  CommonConfig common = traced();
   common.graph = graph;
   return find_app(app)->run(cards(devices), common, small.at(app));
 }
@@ -102,6 +110,7 @@ TEST_P(MultiCardDeterminism, RepeatedRunsAreBitStable) {
   EXPECT_GT(a.ms, 0.0);
   EXPECT_DOUBLE_EQ(a.ms, b.ms);
   EXPECT_DOUBLE_EQ(a.checksum, b.checksum);
+  EXPECT_GT(a.timeline.size(), 0u);
   EXPECT_EQ(a.timeline.size(), b.timeline.size());
 }
 

@@ -30,18 +30,21 @@ namespace {
 
 sim::SimConfig cfg() { return sim::SimConfig::phi_31sp(); }
 
-/// Runs `app()` once with the engine forced serial and once with the default
-/// worker count; virtual time and checksum must be bit-equal.
-template <typename Fn>
-void expect_engine_invariant(Fn&& app, const char* label) {
+/// Runs `App` on `c`, traced, once with the engine forced serial and once
+/// with the default worker count; virtual time, checksum and span count
+/// must be bit-equal.
+template <typename App, typename Config>
+void expect_engine_invariant(Config c, const char* label) {
+  c.common.tracing = true;
   AppResult serial, parallel;
   {
     kern::par::ThreadScope scope(1);
-    serial = app();
+    serial = App::run(cfg(), c);
   }
-  parallel = app();
+  parallel = App::run(cfg(), c);
   EXPECT_DOUBLE_EQ(serial.ms, parallel.ms) << label << ": virtual time moved";
   EXPECT_DOUBLE_EQ(serial.checksum, parallel.checksum) << label << ": checksum moved";
+  EXPECT_GT(serial.timeline.size(), 0u) << label;
   EXPECT_EQ(serial.timeline.size(), parallel.timeline.size()) << label;
 }
 
@@ -53,7 +56,7 @@ TEST(KernelEngine, Fig9aVirtualTimesUnchangedByParallelKernels) {
     mc.dim = 96;
     mc.tile_grid = 2;
     mc.common.partitions = partitions;
-    expect_engine_invariant([&] { return MmApp::run(cfg(), mc); }, "mm");
+    expect_engine_invariant<MmApp>(mc, "mm");
   }
 }
 
@@ -62,18 +65,18 @@ TEST(KernelEngine, VirtualTimesUnchangedAcrossApps) {
   hc.rows = hc.cols = 96;
   hc.tile_rows = hc.tile_cols = 48;
   hc.steps = 3;
-  expect_engine_invariant([&] { return HotspotApp::run(cfg(), hc); }, "hotspot");
+  expect_engine_invariant<HotspotApp>(hc, "hotspot");
 
   SradConfig sc;
   sc.rows = sc.cols = 64;
   sc.tile_rows = sc.tile_cols = 32;
   sc.iterations = 2;
-  expect_engine_invariant([&] { return SradApp::run(cfg(), sc); }, "srad");
+  expect_engine_invariant<SradApp>(sc, "srad");
 
   NnConfig nc;
   nc.records = 4096;
   nc.tiles = 4;
-  expect_engine_invariant([&] { return NnApp::run(cfg(), nc); }, "nn");
+  expect_engine_invariant<NnApp>(nc, "nn");
 
   KmeansConfig kc;
   kc.points = 2000;
@@ -81,7 +84,7 @@ TEST(KernelEngine, VirtualTimesUnchangedAcrossApps) {
   kc.clusters = 4;
   kc.iterations = 3;
   kc.tiles = 2;
-  expect_engine_invariant([&] { return KmeansApp::run(cfg(), kc); }, "kmeans");
+  expect_engine_invariant<KmeansApp>(kc, "kmeans");
 }
 
 TEST(KernelEngine, ParallelSweepOverParallelKernelsMatchesSerial) {
@@ -93,7 +96,6 @@ TEST(KernelEngine, ParallelSweepOverParallelKernelsMatchesSerial) {
     mc.dim = 64;
     mc.tile_grid = 2;
     mc.common.partitions = partitions[i];
-    mc.common.tracing = false;
     const AppResult r = MmApp::run(cfg(), mc);
     return std::pair<double, double>{r.ms, r.checksum};
   };

@@ -24,19 +24,22 @@ namespace {
 
 sim::SimConfig cfg() { return sim::SimConfig::phi_31sp(); }
 
-/// Run `fn` once with metrics off and once with metrics on; both runs must
-/// be bit-identical in virtual time, checksum, and span count.
-template <typename Fn>
-void expect_invariant_under_telemetry(Fn&& fn) {
+/// Run `App` on `c` once with metrics off and once with metrics on, both
+/// traced; the runs must be bit-identical in virtual time, checksum, and
+/// span count.
+template <typename App, typename Config>
+void expect_invariant_under_telemetry(Config c) {
+  c.common.tracing = true;
   telemetry::set_enabled(false);
-  const AppResult off = fn();
+  const AppResult off = App::run(cfg(), c);
   telemetry::set_enabled(true);
-  const AppResult on = fn();
+  const AppResult on = App::run(cfg(), c);
   telemetry::set_enabled(false);
   telemetry::clear_spans();
 
   EXPECT_DOUBLE_EQ(off.ms, on.ms);
   EXPECT_DOUBLE_EQ(off.checksum, on.checksum);
+  EXPECT_GT(off.timeline.size(), 0u);
   EXPECT_EQ(off.timeline.size(), on.timeline.size());
 }
 
@@ -44,21 +47,21 @@ TEST(TelemetryDeterminism, Mm) {
   MmConfig c;
   c.dim = 64;
   c.tile_grid = 2;
-  expect_invariant_under_telemetry([&] { return MmApp::run(cfg(), c); });
+  expect_invariant_under_telemetry<MmApp>(c);
 }
 
 TEST(TelemetryDeterminism, Cf) {
   CfConfig c;
   c.dim = 48;
   c.tile = 16;
-  expect_invariant_under_telemetry([&] { return CfApp::run(cfg(), c); });
+  expect_invariant_under_telemetry<CfApp>(c);
 }
 
 TEST(TelemetryDeterminism, Lu) {
   LuConfig c;
   c.dim = 48;
   c.tile = 16;
-  expect_invariant_under_telemetry([&] { return LuApp::run(cfg(), c); });
+  expect_invariant_under_telemetry<LuApp>(c);
 }
 
 TEST(TelemetryDeterminism, Kmeans) {
@@ -68,7 +71,7 @@ TEST(TelemetryDeterminism, Kmeans) {
   c.clusters = 3;
   c.iterations = 3;
   c.tiles = 2;
-  expect_invariant_under_telemetry([&] { return KmeansApp::run(cfg(), c); });
+  expect_invariant_under_telemetry<KmeansApp>(c);
 }
 
 TEST(TelemetryDeterminism, Hotspot) {
@@ -76,14 +79,14 @@ TEST(TelemetryDeterminism, Hotspot) {
   c.rows = c.cols = 32;
   c.tile_rows = c.tile_cols = 16;
   c.steps = 3;
-  expect_invariant_under_telemetry([&] { return HotspotApp::run(cfg(), c); });
+  expect_invariant_under_telemetry<HotspotApp>(c);
 }
 
 TEST(TelemetryDeterminism, Nn) {
   NnConfig c;
   c.records = 1000;
   c.tiles = 4;
-  expect_invariant_under_telemetry([&] { return NnApp::run(cfg(), c); });
+  expect_invariant_under_telemetry<NnApp>(c);
 }
 
 TEST(TelemetryDeterminism, Srad) {
@@ -91,7 +94,7 @@ TEST(TelemetryDeterminism, Srad) {
   c.rows = c.cols = 32;
   c.tile_rows = c.tile_cols = 16;
   c.iterations = 2;
-  expect_invariant_under_telemetry([&] { return SradApp::run(cfg(), c); });
+  expect_invariant_under_telemetry<SradApp>(c);
 }
 
 TEST(TelemetryDeterminism, TotalsIndependentOfThreadCount) {

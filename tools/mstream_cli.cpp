@@ -1,6 +1,7 @@
 // mstream_cli — run any of the ported applications (or the hBench
 // microbenchmark) from the command line against a chosen simulated
-// platform, with optional Chrome-trace export.
+// platform, with optional Chrome-trace export, or regenerate the paper's
+// evaluation figure by figure.
 //
 //   mstream_cli app mm      --dim 6000 --tiles 144 --partitions 4
 //   mstream_cli app kmeans  --points 1120000 --tiles 56 --partitions 28 --iters 100
@@ -16,12 +17,17 @@
 //   mstream_cli stats app cf --dim 4800
 //   mstream_cli devices
 //   mstream_cli apps
+//   mstream_cli reproduce fig10_tile_sweep fig08_overall_comparison --quick
+//   mstream_cli reproduce list
 //
 // An output file (--trace, --metrics, --json, --dot) that cannot be written
 // refuses the run before it starts (exit 2).
 // At most one output may be '-' (stdout). While stdout carries a document
 // (a '-' output, or the `stats` snapshot), the human-readable lines go to
 // stderr so the document parses as it stands.
+//
+// Each flag applies to the subcommands that read it; any other subcommand
+// refuses it (exit 2), so a flag is never silently ignored.
 //
 // Flags:
 //   --device {31sp | 31sp-x2 | 7120p}   platform preset     (default 31sp)
@@ -41,10 +47,12 @@
 //                                       the whole run; ADDR is HOST:PORT, :PORT or PORT
 //                                       (port 0 = ephemeral, bound address is
 //                                       printed). Implies host telemetry.
-//   --json FILE                         (analyze/lint) write the JSON report ('-' = stdout)
+//   --json FILE                         (analyze/lint) write the JSON report, (reproduce)
+//                                       the figures' tables ('-' = stdout)
 //   --dot FILE                          (analyze) write Graphviz dot of the racy subgraph
 //                                       ('-' = stdout)
 //   --replays N                         (graph) protocol replays of the captured schedule
+//   --quick                             (reproduce) shrink every sweep to smoke size
 
 #include <atomic>
 #include <charconv>
@@ -53,6 +61,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -62,12 +71,14 @@
 #include <string_view>
 #include <type_traits>
 #include <variant>
+#include <vector>
 
 #include "analyze/capture.hpp"
 #include "analyze/report.hpp"
 #include "apps/hbench.hpp"
 #include "apps/registry.hpp"
 #include "model/analytic.hpp"
+#include "repro/figures.hpp"
 #include "rt/compiled_graph.hpp"
 #include "sim/sweep.hpp"
 #include "telemetry/export.hpp"
@@ -99,6 +110,38 @@ struct Cli {
   double gflop = 0.0;
   double gelem = 0.2;
   int replays = 0;
+  bool quick = false;
+};
+
+/// The subcommands that take flags. Each flag names the ones that read it.
+enum Command : unsigned {
+  kApp = 1u << 0,
+  kHbench = 1u << 1,
+  kGraph = 1u << 2,
+  kAnalyze = 1u << 3,
+  kLint = 1u << 4,
+  kStats = 1u << 5,
+  kTune = 1u << 6,
+  kReproduce = 1u << 7,
+};
+
+/// The subcommands that run an app through run_app(), and those that run
+/// an app or an hBench pattern.
+constexpr unsigned kAppRuns = kApp | kGraph | kAnalyze | kLint | kStats;
+constexpr unsigned kWorkloads = kAppRuns | kHbench;
+
+/// A subcommand's name, its bit and the operands ahead of its flags
+/// (reproduce takes any number of figure names).
+struct Subcommand {
+  std::string_view name;
+  Command bit;
+  int operands;
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"app", kApp, 1},         {"hbench", kHbench, 1}, {"graph", kGraph, 2},
+    {"analyze", kAnalyze, 2}, {"lint", kLint, 2},     {"stats", kStats, 2},
+    {"tune", kTune, 0},       {"reproduce", kReproduce, 0},
 };
 
 int usage() {
@@ -116,6 +159,7 @@ int usage() {
                "       mstream_cli tune [--h2d-mib N --d2h-mib N --gflop N | --gelem N]\n"
                "       mstream_cli devices\n"
                "       mstream_cli apps\n"
+               "       mstream_cli reproduce [list | NAME...] [--quick] [--json FILE] [--metrics FILE]\n"
                "flags: --device {31sp|31sp-x2|7120p} --partitions N --tiles N\n"
                "       --dim N --points N --iters N --baseline --functional\n"
                "       --trace FILE --metrics FILE --serve-obs ADDR\n"
@@ -134,6 +178,20 @@ std::FILE* g_text = stdout;
   va_start(args, fmt);
   std::vfprintf(g_text, fmt, args);
   va_end(args);
+}
+
+/// True when `path` can be opened for writing ("-", stdout, always can).
+/// Leaves the file system as found: the probe appends nothing, and removes a
+/// file it created. Every requested output is probed before the workload
+/// runs, so one that cannot be written refuses the run up front and a
+/// refused run writes no file at all.
+bool output_writable(const std::string& path) {
+  if (path == "-") return true;
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  if (!std::ofstream(path, std::ios::app).is_open()) return false;
+  if (!existed) std::filesystem::remove(path, ec);
+  return true;
 }
 
 /// Open `path` for writing and hand the stream to `fn`; "-" selects stdout.
@@ -189,54 +247,73 @@ bool parse_positive(std::string_view token, T* out) {
   return true;
 }
 
-bool parse_flags(int argc, char** argv, int first, Cli* cli) {
-  const std::map<std::string_view, bool*> switches{
-      {"--baseline", &cli->baseline},
-      {"--functional", &cli->functional},
-      {"--utilization", &cli->utilization},
-  };
-  const std::map<std::string_view, std::string*> strings{
-      {"--metrics", &cli->metrics_path},
-      {"--serve-obs", &cli->obs_addr},
-      {"--device", &cli->device},
-      {"--trace", &cli->trace_path},
-      {"--json", &cli->json_path},
-      {"--dot", &cli->dot_path},
-  };
-  const std::map<std::string_view, std::variant<int*, std::size_t*, double*>> numbers{
-      {"--replays", &cli->replays},
-      {"--partitions", &cli->partitions},
-      {"--tiles", &cli->tiles},
-      {"--dim", &cli->dim},
-      {"--points", &cli->points},
-      {"--iters", &cli->iters},
-      {"--h2d-mib", &cli->h2d_mib},
-      {"--d2h-mib", &cli->d2h_mib},
-      {"--gflop", &cli->gflop},
-      {"--gelem", &cli->gelem},
+/// Store a flag's value: a switch turns on, a string is kept as given, a
+/// number must parse whole, positive and finite.
+bool store(bool* out, const char* /*value*/) {
+  *out = true;
+  return true;
+}
+bool store(std::string* out, const char* value) {
+  *out = value;
+  return true;
+}
+template <typename T>
+bool store(T* out, const char* value) {
+  return parse_positive(std::string_view(value), out);
+}
+
+/// One flag: where its value goes and the subcommands that read it.
+struct Flag {
+  std::variant<bool*, std::string*, int*, std::size_t*, double*> target;
+  unsigned readers;
+};
+
+/// Parse argv[first..] as flags of `cmd`. Prints the reason and returns
+/// false for an unknown flag, a flag `cmd` does not read, a missing value or
+/// a malformed number.
+bool parse_flags(int argc, char** argv, int first, const Subcommand& cmd, Cli* cli) {
+  const std::map<std::string_view, Flag> flags{
+      {"--device", {&cli->device, kWorkloads | kTune}},
+      {"--partitions", {&cli->partitions, kWorkloads}},
+      {"--tiles", {&cli->tiles, kWorkloads}},
+      {"--dim", {&cli->dim, kAppRuns}},
+      {"--points", {&cli->points, kAppRuns}},
+      {"--iters", {&cli->iters, kWorkloads}},
+      {"--baseline", {&cli->baseline, kAppRuns}},
+      {"--functional", {&cli->functional, kAppRuns}},
+      {"--trace", {&cli->trace_path, kAppRuns}},
+      {"--utilization", {&cli->utilization, kAppRuns}},
+      {"--metrics", {&cli->metrics_path, kWorkloads | kTune | kReproduce}},
+      {"--serve-obs", {&cli->obs_addr, kWorkloads | kTune}},
+      {"--json", {&cli->json_path, kAnalyze | kLint | kReproduce}},
+      {"--dot", {&cli->dot_path, kAnalyze}},
+      {"--replays", {&cli->replays, kGraph}},
+      {"--h2d-mib", {&cli->h2d_mib, kTune}},
+      {"--d2h-mib", {&cli->d2h_mib, kTune}},
+      {"--gflop", {&cli->gflop, kTune}},
+      {"--gelem", {&cli->gelem, kTune}},
+      {"--quick", {&cli->quick, kReproduce}},
   };
   for (int i = first; i < argc; ++i) {
-    const std::string_view flag = argv[i];
-    if (const auto sw = switches.find(flag); sw != switches.end()) {
-      *sw->second = true;
-      continue;
-    }
-    const auto str = strings.find(flag);
-    const auto num = numbers.find(flag);
-    if (str == strings.end() && num == numbers.end()) {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+    const char* name = argv[i];
+    const auto flag = flags.find(name);
+    if (flag == flags.end()) {
+      std::fprintf(stderr, "unknown flag: %s\n", name);
       return false;
     }
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
+    if ((flag->second.readers & cmd.bit) == 0) {
+      std::fprintf(stderr, "%s does not apply to %.*s\n", name,
+                   static_cast<int>(cmd.name.size()), cmd.name.data());
       return false;
     }
-    const char* value = argv[++i];
-    if (str != strings.end()) {
-      *str->second = value;
-    } else if (!std::visit([&](auto* out) { return parse_positive(value, out); }, num->second)) {
-      std::fprintf(stderr, "bad value for %s: '%s' (want a positive number)\n", argv[i - 1],
-                   value);
+    const bool takes_value = !std::holds_alternative<bool*>(flag->second.target);
+    if (takes_value && i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n", name);
+      return false;
+    }
+    const char* value = takes_value ? argv[++i] : "";
+    if (!std::visit([&](auto* out) { return store(out, value); }, flag->second.target)) {
+      std::fprintf(stderr, "bad value for %s: '%s' (want a positive number)\n", name, value);
       return false;
     }
   }
@@ -530,6 +607,41 @@ int list_apps() {
   return 0;
 }
 
+/// `reproduce [NAME...]`: run the named figures in the order given (every
+/// figure when none is named), then write their tables to --json as one
+/// document. An unknown name refuses the run before any figure runs.
+int run_reproduce(const std::vector<std::string_view>& names, const Cli& cli) {
+  std::vector<const ms::repro::Figure*> run;
+  for (const std::string_view name : names) {
+    const ms::repro::Figure* figure = ms::repro::find_figure(name);
+    if (figure == nullptr) {
+      std::fprintf(stderr, "unknown figure: %.*s ('mstream_cli reproduce list' lists them)\n",
+                   static_cast<int>(name.size()), name.data());
+      return 2;
+    }
+    run.push_back(figure);
+  }
+  if (names.empty()) {
+    for (const ms::repro::Figure& figure : ms::repro::figures()) run.push_back(&figure);
+  }
+  ms::repro::Sink sink(g_text == stdout ? std::cout : std::cerr, cli.quick);
+  for (const ms::repro::Figure* figure : run) figure->run(sink);
+  if (!cli.json_path.empty() &&
+      !with_output(cli.json_path, [&](std::ostream& os) { sink.write_json(os); })) {
+    return 2;
+  }
+  return 0;
+}
+
+/// `reproduce list`: one figure name per line, in the order a bare
+/// `reproduce` runs them.
+int list_figures() {
+  for (const ms::repro::Figure& figure : ms::repro::figures()) {
+    std::printf("%.*s\n", static_cast<int>(figure.name.size()), figure.name.data());
+  }
+  return 0;
+}
+
 int list_devices() {
   const std::map<std::string, ms::sim::SimConfig> devices{
       {"31sp", ms::sim::SimConfig::phi_31sp()},
@@ -554,16 +666,25 @@ int main(int argc, char** argv) {
   if (cmd == "devices") return list_devices();
   if (cmd == "apps") return list_apps();
   if (cmd == "stats" && argc == 2) return run_stats_list();
-  if (argc < 3) return usage();
+  if (cmd == "reproduce" && argc == 3 && std::string_view(argv[2]) == "list") {
+    return list_figures();
+  }
 
-  Cli cli;
-  int flag_start = 3;
-  if (cmd == "tune") flag_start = 2;
-  if (cmd == "analyze" || cmd == "lint" || cmd == "stats" || cmd == "graph") {
-    flag_start = 4;  // {analyze|lint|stats|graph} {app|hbench} <name>
+  const Subcommand* sub = nullptr;
+  for (const Subcommand& s : kSubcommands) {
+    if (s.name == cmd) sub = &s;
+  }
+  if (sub == nullptr) return usage();
+  int flag_start = 2 + sub->operands;
+  std::vector<std::string_view> figures;  // reproduce's operands
+  if (sub->bit == kReproduce) {
+    for (; flag_start < argc && argv[flag_start][0] != '-'; ++flag_start) {
+      figures.emplace_back(argv[flag_start]);
+    }
   }
   if (flag_start > argc) return usage();
-  if (!parse_flags(argc, argv, flag_start, &cli)) return usage();
+  Cli cli;
+  if (!parse_flags(argc, argv, flag_start, *sub, &cli)) return usage();
   // A workload under `stats` is a run whose output is its metrics snapshot.
   if (cmd == "stats" && cli.metrics_path.empty()) cli.metrics_path = "-";
   int to_stdout = 0;
@@ -580,7 +701,7 @@ int main(int argc, char** argv) {
   // cannot be written refuses the run instead of failing after it.
   for (const std::string* path : {&cli.trace_path, &cli.metrics_path, &cli.json_path,
                                   &cli.dot_path}) {
-    if (!path->empty() && !ms::telemetry::output_writable(*path)) {
+    if (!path->empty() && !output_writable(*path)) {
       std::fprintf(stderr, "cannot write %s\n", path->c_str());
       return 2;
     }
@@ -588,10 +709,11 @@ int main(int argc, char** argv) {
 
   // --metrics / --serve-obs (and the graph subcommand) switch host
   // telemetry on for the whole run; the calibration probe gives the pool
-  // metrics a baseline even for timing-only runs that never sweep.
+  // metrics a baseline even for timing-only runs that never sweep. A
+  // reproduce snapshot holds what the figures ran and nothing else.
   if (!cli.metrics_path.empty() || !cli.obs_addr.empty() || cmd == "graph") {
     ms::telemetry::set_enabled(true);
-    calibration_probe();
+    if (cmd != "reproduce") calibration_probe();
   }
   // Live endpoint: bound before the run so scrapers can watch it in flight.
   // The bound address is printed (port 0 resolves to an ephemeral port) so
@@ -604,23 +726,17 @@ int main(int argc, char** argv) {
   }
 
   try {
-    int rc = -1;
-    if (cmd == "app") {
-      rc = run_app(argv[2], cli);
-    } else if (cmd == "hbench") {
-      rc = run_hbench(argv[2], cli);
-    } else if (cmd == "analyze") {
-      rc = run_analyze(argv[2], argv[3], cli);
-    } else if (cmd == "lint") {
-      rc = run_lint(argv[2], argv[3], cli);
-    } else if (cmd == "graph") {
-      rc = run_graph(argv[2], argv[3], cli);
-    } else if (cmd == "stats") {
-      rc = run_workload("stats", argv[2], argv[3], cli);
-    } else if (cmd == "tune") {
-      rc = run_tune(cli);
+    int rc = 0;
+    switch (sub->bit) {
+      case kApp: rc = run_app(argv[2], cli); break;
+      case kHbench: rc = run_hbench(argv[2], cli); break;
+      case kGraph: rc = run_graph(argv[2], argv[3], cli); break;
+      case kAnalyze: rc = run_analyze(argv[2], argv[3], cli); break;
+      case kLint: rc = run_lint(argv[2], argv[3], cli); break;
+      case kStats: rc = run_workload("stats", argv[2], argv[3], cli); break;
+      case kTune: rc = run_tune(cli); break;
+      case kReproduce: rc = run_reproduce(figures, cli); break;
     }
-    if (rc == -1) return usage();
     // The run is over: flip /healthz to Draining (503) so scrapers stop
     // treating the process as a live target while the exit snapshot lands.
     if (ms::telemetry::ObsServer* obs = ms::telemetry::obs_server()) {
