@@ -1,7 +1,8 @@
 // Microbenchmarks for the kernel execution engine: one benchmark per
 // parallelized kernel at the paper's working-set shapes, each run at 1, 2
 // and 4 engine workers (the `/threads:N` suffix) so the file records how
-// every kernel scales. Wall-clock only — virtual time never depends on
+// every kernel scales, plus the single-threaded generator that fills the
+// functional apps' inputs. Wall-clock only — virtual time never depends on
 // these. Emit machine-readable results with
 //   bench_kernels --benchmark_format=json --benchmark_out=BENCH_KERNELS.json
 // (scripts/record_bench.sh does exactly that).
@@ -11,8 +12,10 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <span>
 #include <vector>
 
+#include "apps/app_common.hpp"
 #include "gbench_main.hpp"
 #include "kern/gemm.hpp"
 #include "kern/hotspot.hpp"
@@ -204,6 +207,34 @@ void BM_SaxpyIter(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SaxpyIter)->Apply(thread_axis);
+
+// The functional apps' input generator: std::mt19937 +
+// std::uniform_real_distribution (`std`), against apps::fill_uniform's block
+// MT19937, which produces the same values. One SRAD image's worth of values
+// per iteration; `time_per_value` is the cost of one value, in seconds.
+template <typename T, bool kBlock>
+void BM_FillUniform(benchmark::State& state) {
+  std::vector<T> out(1u << 16);
+  constexpr std::uint32_t seed = 77;  // SradApp's image
+  for (auto _ : state) {
+    if constexpr (kBlock) {
+      ms::apps::fill_uniform(std::span<T>(out), seed, T(10), T(200));
+    } else {
+      std::mt19937 rng(seed);
+      std::uniform_real_distribution<T> dist(T(10), T(200));
+      for (T& v : out) v = dist(rng);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["time_per_value"] =
+      benchmark::Counter(static_cast<double>(out.size()),
+                         benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_TEMPLATE(BM_FillUniform, float, false)->Name("BM_FillUniform/float/std");
+BENCHMARK_TEMPLATE(BM_FillUniform, float, true)->Name("BM_FillUniform/float/block");
+BENCHMARK_TEMPLATE(BM_FillUniform, double, false)->Name("BM_FillUniform/double/std");
+BENCHMARK_TEMPLATE(BM_FillUniform, double, true)->Name("BM_FillUniform/double/block");
 
 }  // namespace
 

@@ -36,8 +36,9 @@ telemetry::MaxGauge& tel_parked_hw() {
   return g;
 }
 
-/// One bin per distinct chunk size. A handful of sizes exist process-wide
-/// (one per pool type), so linear search beats any map.
+/// One bin per distinct block size. A few dozen sizes exist process-wide
+/// (one per pool type, plus the shadow sizes of the functional apps' buffers),
+/// so linear search beats any map.
 struct Bin {
   std::size_t bytes = 0;
   std::vector<std::unique_ptr<std::byte[]>> chunks;
@@ -82,7 +83,7 @@ std::unique_ptr<std::byte[]> ChunkDepot::acquire(std::size_t bytes) {
 }
 
 void ChunkDepot::release(std::unique_ptr<std::byte[]> chunk, std::size_t bytes) noexcept {
-  if (chunk == nullptr) return;
+  if (chunk == nullptr || bytes == 0) return;
   Depot& d = depot();
   std::size_t parked = 0;
   {

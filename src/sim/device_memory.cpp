@@ -1,16 +1,26 @@
 #include "sim/device_memory.hpp"
 
+#include <cstring>
 #include <new>
 #include <stdexcept>
+#include <utility>
+
+#include "sim/chunk_depot.hpp"
 
 namespace ms::sim {
 
+DeviceMemory::~DeviceMemory() {
+  for (auto& [h, b] : blocks_) detail::ChunkDepot::release(std::move(b.bytes), b.size);
+}
+
 DeviceMemory::Handle DeviceMemory::allocate(std::size_t bytes) {
-  if (in_use_ + bytes > capacity_) {
+  if (bytes > capacity_ - in_use_) {
     throw std::bad_alloc{};
   }
+  Block b{detail::ChunkDepot::acquire(bytes), bytes};
+  std::memset(b.bytes.get(), 0, bytes);
   const Handle h = next_handle_++;
-  blocks_.emplace(h, std::vector<std::byte>(bytes));
+  blocks_.emplace(h, std::move(b));
   in_use_ += bytes;
   return h;
 }
@@ -20,7 +30,8 @@ void DeviceMemory::free(Handle h) {
   if (it == blocks_.end()) {
     throw std::invalid_argument("DeviceMemory::free: unknown handle (double free?)");
   }
-  in_use_ -= it->second.size();
+  in_use_ -= it->second.size;
+  detail::ChunkDepot::release(std::move(it->second.bytes), it->second.size);
   blocks_.erase(it);
 }
 
@@ -29,7 +40,7 @@ std::byte* DeviceMemory::data(Handle h) {
   if (it == blocks_.end()) {
     throw std::invalid_argument("DeviceMemory::data: unknown handle");
   }
-  return it->second.data();
+  return it->second.bytes.get();
 }
 
 const std::byte* DeviceMemory::data(Handle h) const {
@@ -37,7 +48,7 @@ const std::byte* DeviceMemory::data(Handle h) const {
   if (it == blocks_.end()) {
     throw std::invalid_argument("DeviceMemory::data: unknown handle");
   }
-  return it->second.data();
+  return it->second.bytes.get();
 }
 
 std::size_t DeviceMemory::size(Handle h) const {
@@ -45,7 +56,7 @@ std::size_t DeviceMemory::size(Handle h) const {
   if (it == blocks_.end()) {
     throw std::invalid_argument("DeviceMemory::size: unknown handle");
   }
-  return it->second.size();
+  return it->second.size;
 }
 
 bool DeviceMemory::valid(Handle h) const noexcept { return blocks_.contains(h); }

@@ -2,8 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
-#include <vector>
 
 namespace ms::sim {
 
@@ -14,12 +14,20 @@ namespace ms::sim {
 /// copies back out. Because the shadow is *distinct* storage, forgetting a
 /// transfer in an application port produces genuinely wrong results — the
 /// functional tests catch real data-movement bugs, not just timing ones.
+///
+/// Blocks come from and go back to the process-wide ChunkDepot, so the next
+/// context of a sweep reuses the shadows the last one freed instead of
+/// faulting fresh pages in; every block is zeroed when it is handed out.
 class DeviceMemory {
 public:
   using Handle = std::uint64_t;
   static constexpr Handle null_handle = 0;
 
   explicit DeviceMemory(std::size_t capacity_bytes) : capacity_(capacity_bytes) {}
+  ~DeviceMemory();
+
+  DeviceMemory(const DeviceMemory&) = delete;
+  DeviceMemory& operator=(const DeviceMemory&) = delete;
 
   /// Allocate `bytes` (zero-initialized, matching MPSS behaviour).
   /// Throws std::bad_alloc when the card is out of memory.
@@ -40,10 +48,15 @@ public:
   [[nodiscard]] std::uint64_t total_allocations() const noexcept { return next_handle_ - 1; }
 
 private:
+  struct Block {
+    std::unique_ptr<std::byte[]> bytes;
+    std::size_t size = 0;
+  };
+
   std::size_t capacity_;
   std::size_t in_use_ = 0;
   Handle next_handle_ = 1;
-  std::unordered_map<Handle, std::vector<std::byte>> blocks_;
+  std::unordered_map<Handle, Block> blocks_;
 };
 
 }  // namespace ms::sim

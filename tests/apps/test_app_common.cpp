@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -45,6 +48,99 @@ TEST(AppCommon, FillSpdProducesSymmetricDominantMatrix) {
     // Diagonal dominance implies positive definiteness for symmetric m.
     EXPECT_GT(m[i * n + i], off_diag);
   }
+}
+
+#ifdef __GLIBCXX__
+// fill_uniform generates 624 words per block: 624 floats or 312 doubles.
+// These lengths cover empty, a single value, both sides of a block edge
+// (the first for floats, the second for doubles) and many blocks.
+constexpr std::size_t kFillLengths[] = {0, 1, 623, 624, 625, 1249, 100000};
+
+// The apps' inputs (and so every functional checksum in the golden tables)
+// were drawn with std::mt19937 + std::uniform_real_distribution; the block
+// generator must reproduce them bit for bit, at every seed and range the apps
+// use.
+template <typename T>
+std::vector<T> libstdcxx_uniform(std::size_t n, std::uint32_t seed, T lo, T hi) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<T> dist(lo, hi);
+  std::vector<T> v(n);
+  for (T& x : v) x = dist(rng);
+  return v;
+}
+
+template <typename T>
+void expect_same_bits(const std::vector<T>& got, const std::vector<T>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(T)), 0)
+        << "value " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+TEST(FillUniform, MatchesLibstdcxxSequence) {
+  const struct {
+    std::uint32_t seed;
+    float lo, hi;
+  } floats[] = {{77, 10.0f, 200.0f}, {11, 0.0f, 10.0f}, {7, 0.0f, 180.0f}, {42, -2.0f, 3.0f}};
+  const struct {
+    std::uint32_t seed;
+    double lo, hi;
+  } doubles[] = {{31, 70.0, 90.0}, {32, 0.0, 0.5},   {101, -1.0, 1.0}, {202, -1.0, 1.0},
+                 {909, 0.0, 1.0},  {1313, 0.0, 1.0}, {3, -1.0, 1.0}};
+  for (const std::size_t n : kFillLengths) {
+    for (const auto& c : floats) {
+      SCOPED_TRACE(::testing::Message() << "float seed " << c.seed << " n " << n);
+      std::vector<float> got(n);
+      fill_uniform(std::span<float>(got), c.seed, c.lo, c.hi);
+      expect_same_bits(got, libstdcxx_uniform(n, c.seed, c.lo, c.hi));
+    }
+    for (const auto& c : doubles) {
+      SCOPED_TRACE(::testing::Message() << "double seed " << c.seed << " n " << n);
+      std::vector<double> got(n);
+      fill_uniform(std::span<double>(got), c.seed, c.lo, c.hi);
+      expect_same_bits(got, libstdcxx_uniform(n, c.seed, c.lo, c.hi));
+    }
+  }
+}
+
+TEST(FillUniform, FillSpdMatchesLibstdcxxSequence) {
+  // CfApp and LuApp draw their matrices with these seeds.
+  constexpr std::size_t n = 128;
+  for (const std::uint32_t seed : {909u, 1313u}) {
+    std::vector<double> want = libstdcxx_uniform(n * n, seed, 0.0, 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        const double avg = 0.5 * (want[i * n + j] + want[j * n + i]);
+        want[i * n + j] = avg;
+        want[j * n + i] = avg;
+      }
+      want[i * n + i] += static_cast<double>(n);
+    }
+    std::vector<double> got(n * n);
+    fill_spd(std::span<double>(got), n, seed);
+    expect_same_bits(got, want);
+  }
+}
+#endif
+
+// Values taken from libstdc++'s std::mt19937 + uniform_real_distribution, so
+// a build on another standard library still checks the sequence, including
+// the first value of the second 624-word block.
+TEST(FillUniform, PinnedValues) {
+  std::vector<float> f(626);
+  fill_uniform(std::span<float>(f), 77, 10.0f, 200.0f);  // SradApp's image
+  EXPECT_EQ(f[0], 0x1.7142eep+7f);
+  EXPECT_EQ(f[623], 0x1.1e45fap+7f);
+  EXPECT_EQ(f[624], 0x1.3e4142p+5f);
+  EXPECT_EQ(f[625], 0x1.631e7ap+6f);
+  std::vector<double> d(626);
+  fill_uniform(std::span<double>(d), 101, -1.0, 1.0);  // MmApp's A
+  EXPECT_EQ(d[0], 0x1.ae68c1708656p-4);
+  EXPECT_EQ(d[311], -0x1.2b84f89d4238cp-1);
+  EXPECT_EQ(d[312], 0x1.daa2e4e3482bcp-1);
+  EXPECT_EQ(d[624], 0x1.53ddc9c77dcdcp-1);
+  EXPECT_EQ(d[625], -0x1.d795985007908p-1);
 }
 
 TEST(AppCommon, ChecksumSumsSpans) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "rt/context.hpp"
 #include "rt/errors.hpp"
+#include "sim/chunk_depot.hpp"
 
 namespace ms::rt {
 namespace {
@@ -17,6 +20,35 @@ TEST(Buffers, CreateReportsSizeAndBacking) {
   EXPECT_TRUE(id.valid());
   EXPECT_EQ(ctx.buffer_size(id), 800u);
   EXPECT_TRUE(ctx.buffer_backed(id));
+}
+
+// A destroyed Context parks its backed buffers' device shadows in the chunk
+// depot, and the next Context's buffer of the same size takes one from there:
+// the shape of a functional sweep, which otherwise faults every shadow in
+// afresh at every point.
+TEST(DeviceMemory, SecondContextReusesParkedShadows) {
+  sim::detail::ChunkDepot::trim();
+  std::vector<float> host(3001, 1.5f);  // a size nothing else allocates
+  const std::size_t bytes = host.size() * sizeof(float);
+  const std::byte* first = nullptr;
+  {
+    Context ctx(cfg());
+    const auto id = ctx.create_buffer(std::span<float>(host));
+    ctx.stream(0).enqueue_h2d(id, 0, bytes);
+    ctx.synchronize();
+    first = ctx.device_data(id, 0);
+  }
+  EXPECT_GE(sim::detail::ChunkDepot::parked_bytes(), bytes);
+  {
+    Context ctx(cfg());
+    const std::size_t parked = sim::detail::ChunkDepot::parked_bytes();
+    const auto id = ctx.create_buffer(std::span<float>(host));
+    EXPECT_EQ(parked - sim::detail::ChunkDepot::parked_bytes(), bytes);
+    EXPECT_EQ(ctx.device_data(id, 0), first);
+    const std::byte* shadow = ctx.device_data(id, 0);
+    EXPECT_TRUE(std::all_of(shadow, shadow + bytes, [](std::byte b) { return b == std::byte{0}; }));
+  }
+  sim::detail::ChunkDepot::trim();
 }
 
 TEST(Buffers, VirtualBufferHasSizeButNoStorage) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <new>
 #include <stdexcept>
+
+#include "sim/chunk_depot.hpp"
 
 namespace ms::sim {
 namespace {
@@ -51,6 +54,36 @@ TEST(DeviceMemory, OutOfMemoryThrowsBadAlloc) {
   EXPECT_THROW(mem.allocate(100), std::bad_alloc);
   // Exactly filling the card is fine.
   EXPECT_NO_THROW(mem.allocate(24));
+}
+
+TEST(DeviceMemory, HugeRequestAfterAnAllocationThrowsBadAlloc) {
+  // `in_use + bytes` would wrap to a small number and pass a naive check.
+  DeviceMemory mem(1024);
+  mem.allocate(16);
+  EXPECT_THROW(mem.allocate(SIZE_MAX - 7), std::bad_alloc);
+  EXPECT_EQ(mem.bytes_in_use(), 16u);
+  EXPECT_EQ(mem.live_allocations(), 1u);
+}
+
+TEST(DeviceMemory, RecycledBlockIsZeroed) {
+  // Shadow blocks are recycled through the chunk depot; a block that held
+  // another card's data must still come back zero-initialized.
+  detail::ChunkDepot::trim();
+  constexpr std::size_t kBytes = 4093;  // a size nothing else allocates
+  const std::byte* scribbled = nullptr;
+  {
+    DeviceMemory mem(1 << 20);
+    const auto h = mem.allocate(kBytes);
+    std::memset(mem.data(h), 0xCD, kBytes);
+    scribbled = mem.data(h);
+    mem.free(h);
+  }
+  DeviceMemory mem(1 << 20);
+  const auto h = mem.allocate(kBytes);
+  EXPECT_EQ(mem.data(h), scribbled);  // the parked block, not a fresh one
+  for (std::size_t i = 0; i < kBytes; ++i) ASSERT_EQ(mem.data(h)[i], std::byte{0}) << i;
+  mem.free(h);
+  detail::ChunkDepot::trim();
 }
 
 TEST(DeviceMemory, FreeingReleasesCapacity) {
