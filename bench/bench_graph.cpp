@@ -50,7 +50,6 @@ struct Fixture {
   ms::rt::Graph graph;
 
   explicit Fixture(int tasks) : ctx(ms::sim::SimConfig::phi_31sp()) {
-    ctx.set_tracing(false);
     ctx.setup(kStreams);
     buf = ctx.create_virtual_buffer(static_cast<std::size_t>(tasks) << 10);
     ctx.synchronize();
@@ -122,7 +121,6 @@ void BM_GraphCaptureHit(benchmark::State& state) {
   const int tasks = static_cast<int>(state.range(0)) / 3;
   const int nodes = 3 * tasks;
   ms::rt::Context ctx(ms::sim::SimConfig::phi_31sp());
-  ctx.set_tracing(false);
   ctx.setup(kStreams);
   const auto buf = ctx.create_virtual_buffer(static_cast<std::size_t>(tasks) << 10);
   const std::size_t slice = 1 << 10;

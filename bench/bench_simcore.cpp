@@ -74,7 +74,6 @@ void BM_RuntimePipeline(benchmark::State& state) {
   const int tasks = static_cast<int>(state.range(0));
   for (auto _ : state) {
     ms::rt::Context ctx(ms::sim::SimConfig::phi_31sp());
-    ctx.set_tracing(false);
     ctx.setup(4);
     const auto buf = ctx.create_virtual_buffer(static_cast<std::size_t>(tasks) << 10);
     for (int t = 0; t < tasks; ++t) {
@@ -110,7 +109,6 @@ void BM_StencilIssue(benchmark::State& state) {
   w.elems = 1e5;
   for (auto _ : state) {
     ms::rt::Context ctx(ms::sim::SimConfig::phi_31sp());
-    ctx.set_tracing(false);
     ctx.setup(4);
     for (int step = 0; step < kSteps; ++step) {
       for (std::size_t t = 0; t < tiles; ++t) {
@@ -144,7 +142,6 @@ void BM_MultiDevicePipeline(benchmark::State& state) {
   constexpr int kTasks = 256;
   for (auto _ : state) {
     ms::rt::Context ctx(cfg);
-    ctx.set_tracing(false);
     ctx.setup(4);
     const auto buf = ctx.create_virtual_buffer(static_cast<std::size_t>(kTasks) << 10);
     for (int t = 0; t < kTasks; ++t) {

@@ -120,7 +120,6 @@ void runtime_pipeline(benchmark::State& state) {
   const int tasks = static_cast<int>(state.range(0));
   for (auto _ : state) {
     ms::rt::Context ctx(ms::sim::SimConfig::phi_31sp());
-    ctx.set_tracing(false);
     ctx.setup(4);
     const auto buf = ctx.create_virtual_buffer(static_cast<std::size_t>(tasks) << 10);
     for (int t = 0; t < tasks; ++t) {

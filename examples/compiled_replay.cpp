@@ -27,7 +27,6 @@ int main() {
   work.elems = 1e8 / kTiles;
 
   auto make_ctx = [&](rt::Context& ctx) {
-    ctx.set_tracing(false);
     ctx.setup(4);
     return ctx.create_virtual_buffer(kBytes);
   };

@@ -18,8 +18,10 @@
 int main() {
   using namespace ms;
 
-  // 1. A platform (one simulated Phi 31SP) and a context with 4 partitions.
+  // 1. A platform (one simulated Phi 31SP) and a context with 4 partitions
+  //    that records its timeline (step 6 draws it).
   rt::Context ctx(sim::SimConfig::phi_31sp());
+  ctx.set_tracing(true);
   ctx.setup(/*partitions_per_device=*/4);
 
   // 2. Host data, registered as buffers (device instantiations are created

@@ -35,6 +35,7 @@ int main() {
 
   // 3. Record the schedule once...
   rt::Context ctx(cfg);
+  ctx.set_tracing(true);  // the summary below reads the timeline
   ctx.setup(choice.partitions);
   const auto bin = ctx.create_virtual_buffer(static_cast<std::size_t>(shape.h2d_bytes));
   const auto bout = ctx.create_virtual_buffer(static_cast<std::size_t>(shape.d2h_bytes));

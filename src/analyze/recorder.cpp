@@ -27,37 +27,49 @@ Recorder::Recorder(const sim::SimConfig& config)
   graph_.id_base = g_next_serial.fetch_add(1, std::memory_order_relaxed) << 40;
 }
 
-std::uint64_t Recorder::on_transfer(bool h2d, int stream, int device, rt::BufferId buf,
-                                    std::size_t offset, std::size_t bytes,
-                                    std::vector<std::uint64_t> deps) {
+std::uint64_t Recorder::on_enqueue(const rt::ActionEnqueue& e) {
   tel_recorded().add(1);
-  return h2d ? graph_.add_h2d(stream, device, buf, offset, bytes, std::move(deps))
-             : graph_.add_d2h(stream, device, buf, offset, bytes, std::move(deps));
-}
-
-std::uint64_t Recorder::on_kernel(int stream, int device, std::string label,
-                                  const std::vector<rt::BufferAccess>& accesses,
-                                  std::vector<std::uint64_t> deps, sim::SimTime duration) {
-  tel_recorded().add(1);
-  return graph_.add_kernel(stream, device, std::move(label), accesses, std::move(deps), duration);
-}
-
-std::uint64_t Recorder::on_barrier(int stream, std::vector<std::uint64_t> deps) {
-  tel_recorded().add(1);
-  return graph_.add_barrier(stream, std::move(deps));
+  std::vector<std::uint64_t> deps(e.deps.begin(), e.deps.end());
+  std::uint64_t id = 0;
+  switch (e.kind) {
+    case rt::ActionKind::H2D:
+      id = graph_.add_h2d(e.stream, e.device, e.buffer, e.offset, e.bytes, std::move(deps));
+      break;
+    case rt::ActionKind::D2H:
+      id = graph_.add_d2h(e.stream, e.device, e.buffer, e.offset, e.bytes, std::move(deps));
+      break;
+    case rt::ActionKind::Kernel:
+      // e.duration is resolved against the stream's partition; the linter
+      // uses it as the node's critical-path weight.
+      accesses_.assign(e.accesses.begin(), e.accesses.end());
+      id = graph_.add_kernel(e.stream, e.device, std::string(e.label), accesses_, std::move(deps),
+                             e.duration);
+      break;
+    case rt::ActionKind::Barrier:
+      id = graph_.add_barrier(e.stream, std::move(deps));
+      break;
+  }
+  const auto s = static_cast<std::size_t>(e.stream);
+  if (last_on_stream_.size() <= s) last_on_stream_.resize(s + 1, 0);
+  last_on_stream_[s] = id;
+  return id;
 }
 
 void Recorder::on_buffer(rt::BufferId id, std::size_t bytes) { graph_.declare_buffer(id, bytes); }
 
-void Recorder::on_buffer_name(rt::BufferId id, std::string name) {
-  graph_.set_buffer_name(id, std::move(name));
+void Recorder::on_buffer_name(rt::BufferId id, std::string_view name) {
+  graph_.set_buffer_name(id, std::string(name));
 }
 
 void Recorder::on_assume_resident(rt::BufferId id) { graph_.assume_device_resident(id); }
 
 void Recorder::on_free(rt::BufferId id) { graph_.add_free(id); }
 
-void Recorder::on_host_wait(std::uint64_t joined) {
+void Recorder::on_host_wait(std::uint64_t joined, int stream) {
+  if (stream >= 0) {
+    const auto s = static_cast<std::size_t>(stream);
+    joined = s < last_on_stream_.size() ? last_on_stream_[s] : 0;
+  }
   std::vector<std::uint64_t> deps;
   if (joined != 0) deps.push_back(joined);
   graph_.add_host_sync(std::move(deps));
@@ -67,13 +79,17 @@ void Recorder::on_host_write(rt::BufferId id, std::size_t offset, std::size_t by
   graph_.add_host_write(id, offset, bytes);
 }
 
-void Recorder::on_setup(int partitions) { graph_.partitions = partitions; }
+void Recorder::on_setup(int partitions) {
+  graph_.partitions = partitions;
+  last_on_stream_.clear();
+}
 
 void Recorder::on_protocol_sample() { lint_carry_.begin_protocol_sample(); }
 
-void Recorder::on_clock(sim::SimTime now) {
+void Recorder::on_drain(sim::SimTime now) {
   clock_ = now;
   synced_ = true;
+  flush(/*may_throw=*/true);
 }
 
 void Recorder::flush(bool may_throw) {
@@ -127,7 +143,7 @@ void Recorder::flush(bool may_throw) {
   graph_.reset_segment();
 }
 
-void Recorder::finalize() noexcept {
+void Recorder::on_finish() noexcept {
   try {
     const std::size_t before = accumulated_.hazards.size();
     flush(/*may_throw=*/false);

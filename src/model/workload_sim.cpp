@@ -43,7 +43,6 @@ double run(const sim::SimConfig& cfg, const OffloadShape& shape, int partitions,
   const std::size_t h2d = static_cast<std::size_t>(std::max(0.0, shape.h2d_bytes));
   const std::size_t d2h = static_cast<std::size_t>(std::max(0.0, shape.d2h_bytes));
   rt::Context ctx(cfg);
-  ctx.set_tracing(false);
   ctx.setup(partitions);
   const rt::BufferId bin = ctx.create_virtual_buffer(std::max<std::size_t>(1, h2d));
   const rt::BufferId bout = ctx.create_virtual_buffer(std::max<std::size_t>(1, d2h));

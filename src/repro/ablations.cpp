@@ -208,14 +208,12 @@ rt::Graph record(rt::BufferId buf, int tiles) {
   return g;
 }
 
-/// A context with 4 streams, tracing off, and one virtual buffer for the
-/// pipeline.
+/// A context with 4 streams and one virtual buffer for the pipeline.
 struct Rig {
   rt::Context ctx;
   rt::BufferId buf;
 
   explicit Rig(const sim::SimConfig& cfg) : ctx(cfg) {
-    ctx.set_tracing(false);
     ctx.setup(4);
     buf = ctx.create_virtual_buffer(kBytes);
   }

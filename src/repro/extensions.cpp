@@ -230,7 +230,6 @@ namespace {
 /// and its own A bands.
 double run_multi_card_mm(const sim::SimConfig& cfg, std::size_t d, int g, int partitions) {
   rt::Context ctx(cfg);
-  ctx.set_tracing(false);
   ctx.setup(partitions);
   const int devices = ctx.device_count();
 

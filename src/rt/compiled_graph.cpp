@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <utility>
+#include <vector>
 
-#include "analyze/recorder.hpp"
 #include "rt/context.hpp"
 #include "rt/errors.hpp"
 #include "rt/stream.hpp"
@@ -133,56 +133,6 @@ CompiledGraph::CompiledGraph(Graph g, Context& ctx, std::string name) {
   plan_ = std::move(plan);
 }
 
-std::uint64_t CompiledGraph::record_instance(Context& ctx, const std::vector<Stream*>& streams) {
-  const Plan& plan = *plan_;
-  const Graph& g = plan.graph;
-  analyze::Recorder& rec = *ctx.recorder_;
-  std::vector<std::uint64_t> ids;
-  ids.reserve(g.size());
-  std::vector<std::uint64_t> deps;
-  std::vector<BufferAccess> accesses;
-  for (const Graph::Node& src : g.nodes_) {
-    deps.clear();
-    for (const std::uint32_t d : g.deps_of(src)) deps.push_back(ids[d]);
-    const Stream& s = *streams[static_cast<std::size_t>(src.stream)];
-    switch (src.kind) {
-      case ActionKind::H2D:
-      case ActionKind::D2H:
-        ids.push_back(rec.on_transfer(src.kind == ActionKind::H2D, s.index(), s.device(),
-                                      src.buffer, src.offset, src.bytes, deps));
-        break;
-      case ActionKind::Kernel: {
-        // Partition-resolved duration: the linter's critical-path weight for
-        // this node, identical to what a replay charges on this stream.
-        const sim::SimTime duration = ctx.cost().kernel_duration(
-            src.work, ctx.platform().device(s.device()).partition(s.partition()));
-        const std::string_view label = g.label_of(src);
-        const std::span<const BufferAccess> acc = g.accesses_of(src);
-        accesses.assign(acc.begin(), acc.end());
-        ids.push_back(rec.on_kernel(s.index(), s.device(),
-                                    std::string(label.empty() ? "kernel" : label), accesses,
-                                    deps, duration));
-        break;
-      }
-      case ActionKind::Barrier:
-        ids.push_back(rec.on_barrier(s.index(), deps));
-        break;
-    }
-  }
-  // Same bookkeeping as Stream::record_enqueue: each stream remembers its
-  // newest node, and the completion barrier joins the leaves — the nodes
-  // whose only dependent is the barrier.
-  const std::size_t barrier = g.size();
-  std::vector<std::uint64_t> leaves;
-  for (std::size_t i = 0; i < barrier; ++i) {
-    streams[static_cast<std::size_t>(g.nodes_[i].stream)]->last_analyze_id_ = ids[i];
-    if (plan.dependents[plan.dependents_at[i + 1] - 1] == barrier) leaves.push_back(ids[i]);
-  }
-  Stream& s = *streams[static_cast<std::size_t>(plan.barrier_stream)];
-  s.last_analyze_id_ = rec.on_barrier(s.index(), std::move(leaves));
-  return s.last_analyze_id_;
-}
-
 // ---------------------------------------------------------------------------
 // Validation
 // ---------------------------------------------------------------------------
@@ -275,9 +225,7 @@ Event CompiledGraph::issue_instance(Context& ctx, std::uint64_t replay_id) {
   ctx.host_cursor_ += exec_.base_cost;
   const sim::SimTime per_node = exec_.per_node_cost;
 
-  const auto issue = [&](detail::Action* a, std::size_t i, ActionKind kind, int stream,
-                         std::uint32_t deps) {
-    a->kind = kind;
+  const auto issue = [&](detail::Action* a, std::size_t i, int stream, std::uint32_t deps) {
     a->graph_run = run;
     a->graph_node = static_cast<std::uint32_t>(i);
     a->deps_pending = static_cast<int>(deps);
@@ -286,10 +234,18 @@ Event CompiledGraph::issue_instance(Context& ctx, std::uint64_t replay_id) {
     exec_.streams[static_cast<std::size_t>(stream)]->push_compiled(a);
   };
 
+  // Observers see each node as a direct enqueue of it would report it, its
+  // dependencies named by the ids they gave this run's earlier nodes; the
+  // completion barrier joins the leaves, the nodes whose only dependent it is.
+  const bool observed = ctx.observed();
   const std::size_t count = g.size();
+  std::vector<std::uint64_t> ids;
+  std::vector<std::uint64_t> deps;
+  if (observed) ids.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const Graph::Node& node = g.nodes_[i];
     detail::Action* a = ctx.acquire_action_raw();
+    a->kind = node.kind;
     switch (node.kind) {
       case ActionKind::Kernel:
         a->label = node.label == Graph::kNone ? "kernel" : plan.labels[node.label];
@@ -324,14 +280,32 @@ Event CompiledGraph::issue_instance(Context& ctx, std::uint64_t replay_id) {
         a->label = "barrier";
         break;
     }
-    issue(a, i, node.kind, node.stream, node.deps_end - node.deps_begin);
+    if (observed) {
+      deps.clear();
+      for (const std::uint32_t d : g.deps_of(node)) {
+        if (ids[d] != 0) deps.push_back(ids[d]);
+      }
+      ids.push_back(ctx.report_enqueue(*a, *exec_.streams[static_cast<std::size_t>(node.stream)],
+                                       deps, node.buffer, node.offset, g.accesses_of(node)));
+    }
+    issue(a, i, node.stream, node.deps_end - node.deps_begin);
   }
   // The completion barrier: the returned Event needs a state.
   detail::Action* bar = ctx.acquire_action();
+  bar->kind = ActionKind::Barrier;
   bar->label = "barrier";
   Event out{bar->state};
-  issue(bar, count, ActionKind::Barrier, plan.barrier_stream, plan.barrier_deps);
-  if (ctx.analyzing()) out.state_->ident = record_instance(ctx, exec_.streams);
+  if (observed) {
+    deps.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      if (plan.dependents[plan.dependents_at[i + 1] - 1] == count && ids[i] != 0) {
+        deps.push_back(ids[i]);
+      }
+    }
+    bar->state->ident = ctx.report_enqueue(
+        *bar, *exec_.streams[static_cast<std::size_t>(plan.barrier_stream)], deps);
+  }
+  issue(bar, count, plan.barrier_stream, plan.barrier_deps);
   return out;
 }
 

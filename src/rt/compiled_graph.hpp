@@ -47,9 +47,10 @@ void compiled_graph_notify(void* run, std::uint32_t node, sim::SimTime now);
 /// This is the only way a recorded graph is issued. Each replay charges
 /// `graph_launch_base` plus `graph_replay_per_node` per node (completion
 /// barrier included) to the host clock — far below a per-action enqueue,
-/// which the ablation bench measures. On an analyzing context every replay
-/// instance is also appended to the context's analyze::Recorder, node for
-/// node, exactly as direct enqueues of the same schedule would be.
+/// which the ablation bench measures. On an observed context every replayed
+/// action is reported to the context's observers through the same enqueue
+/// event a direct enqueue of it would raise (Context::report_enqueue), so
+/// the analyzer records a replay node for node like direct issue.
 ///
 /// Compatibility: a compiled graph can launch on any context whose SimConfig
 /// fingerprint matches the compile-time one and whose layout satisfies the
@@ -180,11 +181,6 @@ private:
   Event issue_instance(Context& ctx, std::uint64_t replay_id);
   Run* acquire_run();
   static void notify(void* run, std::uint32_t node, sim::SimTime now);
-  /// Append one replay instance (nodes plus completion barrier, on
-  /// `streams`) to `ctx`'s recorder, with kernel durations resolved against
-  /// each stream's partition (the linter's critical-path weights); returns
-  /// the barrier's analyzer id.
-  std::uint64_t record_instance(Context& ctx, const std::vector<Stream*>& streams);
 
   std::shared_ptr<const Plan> plan_;
   Exec exec_;

@@ -1,5 +1,6 @@
 #include "rt/context.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "analyze/recorder.hpp"
+#include "rt/compiled_graph.hpp"
 #include "rt/errors.hpp"
 #include "rt/graph.hpp"
 #include "sim/chunk_depot.hpp"
@@ -90,16 +92,18 @@ telemetry::Histogram& tel_sync_ns() {
 Context::Context(const sim::SimConfig& cfg) : platform_(std::make_unique<sim::Platform>(cfg)) {
   if (telemetry::env_switch("MS_ANALYZE") || analyze::Capture::current() != nullptr ||
       analyze::LintCapture::current() != nullptr) {
-    recorder_ = std::make_unique<analyze::Recorder>(cfg);
+    analyzer_ = std::make_unique<analyze::Recorder>(cfg);
+    observers_.push_back(analyzer_.get());
   }
   setup(1);
 }
 
 Context::~Context() {
   flush_telemetry();
-  // Report whatever the last segment accumulated; dtors must not throw, so
-  // abort-mode hazards go to stderr and capture mode collects as usual.
-  if (recorder_) recorder_->finalize();
+  // The analyzer reports whatever the last segment accumulated; dtors must
+  // not throw, so abort-mode hazards go to stderr and capture mode collects
+  // as usual.
+  for (Observer* o : observers_) o->on_finish();
   // Actions still in flight (a Context dropped without synchronize()) are
   // placement-constructed in pool nodes, so run their (and their payloads')
   // destructors before the stores release the chunks. In-order queues hold
@@ -133,11 +137,8 @@ void Context::setup(int partitions_per_device) {
   // All streams idle = every recorded action completed before anything that
   // will be enqueued on the new layout: a segment boundary. The new partition
   // count is stamped after the flush — it applies to the next segment.
-  if (recorder_) {
-    recorder_->on_clock(sim::max(host_cursor_, platform_->now()));
-    recorder_->flush(/*may_throw=*/true);
-    recorder_->on_setup(partitions_per_device);
-  }
+  for (Observer* o : observers_) o->on_drain(sim::max(host_cursor_, platform_->now()));
+  for (Observer* o : observers_) o->on_setup(partitions_per_device);
 
   const int devices = platform_->device_count();
   for (int d = 0; d < devices; ++d) {
@@ -198,7 +199,7 @@ BufferId Context::create_buffer(void* host, std::size_t bytes) {
 
   const BufferId id{next_buffer_++};
   buffers_.emplace(id.value, std::move(rec));
-  if (recorder_) recorder_->on_buffer(id, bytes);
+  for (Observer* o : observers_) o->on_buffer(id, bytes);
 
   // Creation is a synchronous host call: charge base + per-MiB cost once.
   const auto& oh = platform_->config().overhead;
@@ -217,7 +218,7 @@ BufferId Context::create_virtual_buffer(std::size_t bytes) {
 
   const BufferId id{next_buffer_++};
   buffers_.emplace(id.value, std::move(rec));
-  if (recorder_) recorder_->on_buffer(id, bytes);
+  for (Observer* o : observers_) o->on_buffer(id, bytes);
 
   const auto& oh = platform_->config().overhead;
   const double mib = static_cast<double>(bytes) / (1024.0 * 1024.0);
@@ -226,31 +227,31 @@ BufferId Context::create_virtual_buffer(std::size_t bytes) {
 }
 
 void Context::name_buffer(BufferId id, std::string_view name) {
-  if (!recorder_) return;
+  if (!observed()) return;
   (void)buffer_rec(id);  // validate the handle
-  recorder_->on_buffer_name(id, std::string(name));
+  for (Observer* o : observers_) o->on_buffer_name(id, name);
 }
 
 void Context::assume_device_resident(BufferId id) {
-  if (!recorder_) return;
+  if (!observed()) return;
   (void)buffer_rec(id);  // validate the handle
-  recorder_->on_assume_resident(id);
+  for (Observer* o : observers_) o->on_assume_resident(id);
 }
 
 void Context::host_write(BufferId id, std::size_t offset, std::size_t bytes) {
-  if (!recorder_) return;
+  if (!observed()) return;
   const BufferRec& rec = buffer_rec(id);
   if (offset > rec.bytes || bytes > rec.bytes - offset) {
     throw Error("Context::host_write: range out of bounds");
   }
   if (bytes == 0) return;
-  recorder_->on_host_write(id, offset, bytes);
+  for (Observer* o : observers_) o->on_host_write(id, offset, bytes);
 }
 
 void Context::host_write(BufferId id) { host_write(id, 0, buffer_rec(id).bytes); }
 
 void Context::mark_protocol_sample() {
-  if (recorder_) recorder_->on_protocol_sample();
+  for (Observer* o : observers_) o->on_protocol_sample();
 }
 
 void Context::destroy_buffer(BufferId id) {
@@ -269,7 +270,7 @@ void Context::destroy_buffer(BufferId id) {
     }
   }
   buffers_.erase(it);
-  if (recorder_) recorder_->on_free(id);
+  for (Observer* o : observers_) o->on_free(id);
   host_cursor_ += platform_->config().overhead.alloc_base;
 }
 
@@ -304,12 +305,10 @@ void Context::synchronize() {
   host_cursor_ = sim::max(host_cursor_, platform_->now()) +
                  platform_->cost().sync_overhead(stream_count(), cross);
   // Everything enqueued so far completed before anything enqueued next: a
-  // segment boundary. Abort mode throws HazardError here. The clock feeds the
-  // linter's per-segment elapsed time (its bound must stay <= this span).
-  if (recorder_) {
-    recorder_->on_clock(host_cursor_);
-    recorder_->flush(/*may_throw=*/true);
-  }
+  // segment boundary. The analyzer's abort mode throws HazardError here. The
+  // clock feeds the linter's per-segment elapsed time (its bound must stay
+  // <= this span).
+  for (Observer* o : observers_) o->on_drain(host_cursor_);
   sample_counter_tracks();
   if (t0 != 0) tel_sync_ns().observe(telemetry::now_ns() - t0);
   flush_telemetry();
@@ -328,7 +327,81 @@ void Context::wait(const Event& ev) {
   }
   host_cursor_ = sim::max(host_cursor_, sim::max(platform_->now(), ev.time())) +
                  platform_->cost().sync_overhead(1, false);
-  if (recorder_) recorder_->on_host_wait(ev.state_->analyze_id());
+  for (Observer* o : observers_) o->on_host_wait(ev.state_->observer_id(), -1);
+}
+
+void Context::set_tracing(bool on) {
+  if (on) {
+    add_observer(timeline_);
+  } else {
+    remove_observer(timeline_);
+  }
+}
+
+void Context::add_observer(Observer& o) {
+  if (!observing(o)) observers_.push_back(&o);
+}
+
+void Context::remove_observer(Observer& o) {
+  const auto it = std::find(observers_.begin(), observers_.end(), &o);
+  if (it != observers_.end()) observers_.erase(it);
+}
+
+bool Context::observing(const Observer& o) const noexcept {
+  return std::find(observers_.begin(), observers_.end(), &o) != observers_.end();
+}
+
+std::uint64_t Context::report_enqueue(const detail::Action& a, const Stream& s,
+                                      std::span<const std::uint64_t> deps, BufferId buf,
+                                      std::size_t offset, std::span<const BufferAccess> accesses) {
+  ActionEnqueue e;
+  e.kind = a.kind;
+  e.stream = s.index();
+  e.device = s.device();
+  e.partition = s.partition();
+  e.label = a.label;
+  e.buffer = buf;
+  e.offset = offset;
+  e.bytes = a.bytes;
+  e.accesses = accesses;
+  e.duration = a.duration;
+  e.deps = deps;
+  std::uint64_t id = 0;
+  for (Observer* o : observers_) {
+    const std::uint64_t mine = o->on_enqueue(e);
+    if (id == 0) id = mine;
+  }
+  return id;
+}
+
+std::uint64_t Context::report_enqueue(const detail::Action& a, const Stream& s, Deps deps,
+                                      BufferId buf, std::size_t offset,
+                                      std::span<const BufferAccess> accesses) {
+  // Grown only by numbered dependencies: with no numbering observer (the
+  // timeline alone) an enqueue allocates nothing here.
+  std::vector<std::uint64_t> ids;
+  for (const Event& e : deps) {
+    if (e.valid() && e.state_->observer_id() != 0) ids.push_back(e.state_->observer_id());
+  }
+  return report_enqueue(a, s, ids, buf, offset, accesses);
+}
+
+void Context::report_span(const detail::Action& a, sim::SimTime start, sim::SimTime end) {
+  const Stream& s = *a.stream;
+  trace::Span span;
+  span.kind = a.kind == ActionKind::Barrier  ? trace::SpanKind::Sync
+              : a.kind == ActionKind::Kernel ? trace::SpanKind::Kernel
+              : a.kind == ActionKind::H2D    ? trace::SpanKind::H2D
+                                             : trace::SpanKind::D2H;
+  span.device = s.device();
+  span.stream = s.index();
+  span.partition = s.partition();
+  span.start = start;
+  span.end = end;
+  span.bytes = a.bytes;  // 0 for kernels and barriers
+  span.label = a.label;
+  if (a.graph_run != nullptr) span.replay_id = detail::compiled_graph_replay_id(a.graph_run);
+  for (Observer* o : observers_) o->on_span(span);
 }
 
 void Context::begin_capture(Graph& g) { begin_capture(g, {}); }

@@ -12,14 +12,11 @@
 #include "rt/buffer.hpp"
 #include "rt/event.hpp"
 #include "rt/graph.hpp"
+#include "rt/observer.hpp"
 #include "rt/pool.hpp"
 #include "rt/stream.hpp"
 #include "sim/platform.hpp"
 #include "trace/timeline.hpp"
-
-namespace ms::analyze {
-class Recorder;
-}  // namespace ms::analyze
 
 namespace ms::rt {
 
@@ -39,10 +36,12 @@ namespace ms::rt {
 ///   auto elapsed = ctx.host_time() - t0;         // virtual milliseconds
 class Context {
 public:
-  /// The context records its action graph for hazard analysis when
-  /// MS_ANALYZE=1 is set (abort mode: analyze::HazardError at the next
-  /// synchronization point) or when an analyze::Capture or LintCapture is
-  /// installed on the constructing thread (collection mode).
+  /// The context installs the analyzer's recorder as an observer, and so
+  /// records its action graph for hazard analysis, when MS_ANALYZE=1 is set
+  /// (abort mode: analyze::HazardError at the next synchronization point) or
+  /// when an analyze::Capture or LintCapture is installed on the
+  /// constructing thread (collection mode). Otherwise it starts with no
+  /// observer at all.
   explicit Context(const sim::SimConfig& cfg);
   ~Context();
 
@@ -97,19 +96,20 @@ public:
   void destroy_buffer(BufferId id);
 
   /// Attach a human-readable name to a buffer for hazard reports ("J plane",
-  /// "centroids"). No-op when the context is not analyzing.
+  /// "centroids"). No-op when no observer is installed.
   void name_buffer(BufferId id, std::string_view name);
 
   /// Tell the hazard analyzer every device copy of this buffer counts as
   /// initialized — for transfer-only studies (hBench Fig. 5) whose D2H reads
-  /// are not produced by any recorded kernel. No-op when not analyzing.
+  /// are not produced by any recorded kernel. No-op when no observer is
+  /// installed.
   void assume_device_resident(BufferId id);
 
   /// Declare that the host mutated `[offset, offset+bytes)` of the buffer's
   /// registered range (a reduction result, fresh input data, ...). Consumed
   /// by the performance linter's redundant-h2d rule, which otherwise proves a
   /// re-upload of unchanged bytes pointless; never affects timing, hazard
-  /// analysis, or the schedule. No-op when the context is not analyzing.
+  /// analysis, or the schedule. No-op when no observer is installed.
   void host_write(BufferId id, std::size_t offset, std::size_t bytes);
   /// Whole-buffer convenience overload.
   void host_write(BufferId id);
@@ -119,8 +119,8 @@ public:
   /// The performance linter resets the state that would otherwise read the
   /// harness's deliberate repetition as an app-level loop — re-uploading
   /// unchanged inputs in sample N+1 is protocol, not redundancy. Never
-  /// affects timing, hazard analysis, or the schedule; no-op when the
-  /// context is not analyzing.
+  /// affects timing, hazard analysis, or the schedule; no-op when no
+  /// observer is installed.
   void mark_protocol_sample();
 
   [[nodiscard]] std::size_t buffer_size(BufferId id) const;
@@ -167,19 +167,30 @@ public:
 
   // --- Introspection -----------------------------------------------------------
 
-  /// Toggle timeline capture (on by default). Sweeps with millions of
-  /// actions switch it off to keep memory flat.
-  void set_tracing(bool on) noexcept { tracing_ = on; }
-  [[nodiscard]] bool tracing() const noexcept { return tracing_; }
+  /// Record the timeline (off by default): installs the context's timeline
+  /// observer, which keeps one span per action until the context dies or
+  /// the caller moves timeline() out. Off again removes it; the spans kept
+  /// so far stay.
+  void set_tracing(bool on);
+  [[nodiscard]] bool tracing() const noexcept { return observing(timeline_); }
 
-  /// True when this context records its action graph for hazard analysis.
-  [[nodiscard]] bool analyzing() const noexcept { return recorder_ != nullptr; }
+  /// True when the analyzer's recorder observes this context, i.e. it
+  /// records its action graph for hazard analysis (decided at construction).
+  [[nodiscard]] bool analyzing() const noexcept { return analyzer_ != nullptr; }
+
+  /// Install `o` after the observers already present; it sees what the
+  /// context does from now on and must outlive its installation (see
+  /// Observer). Installing one twice is a no-op.
+  void add_observer(Observer& o);
+  /// Uninstall `o`; a no-op when it is not installed.
+  void remove_observer(Observer& o);
 
   [[nodiscard]] sim::Platform& platform() noexcept { return *platform_; }
   [[nodiscard]] const sim::Platform& platform() const noexcept { return *platform_; }
   [[nodiscard]] const sim::CostModel& cost() const noexcept { return platform_->cost(); }
-  [[nodiscard]] trace::Timeline& timeline() noexcept { return timeline_; }
-  [[nodiscard]] const trace::Timeline& timeline() const noexcept { return timeline_; }
+  /// The spans recorded while tracing (empty unless set_tracing(true)).
+  [[nodiscard]] trace::Timeline& timeline() noexcept { return timeline_.timeline; }
+  [[nodiscard]] const trace::Timeline& timeline() const noexcept { return timeline_.timeline; }
 
   /// Bumped whenever the stream/buffer layout changes (setup, add_stream,
   /// destroy_buffer). Compiled graphs cache their per-context validation
@@ -261,6 +272,27 @@ private:
   /// Return `a` and its payload node to their pools.
   void release_action(detail::Action* a);
 
+  // --- Observers ----------------------------------------------------------------
+
+  [[nodiscard]] bool observed() const noexcept { return !observers_.empty(); }
+  [[nodiscard]] bool observing(const Observer& o) const noexcept;
+  /// Report `a` (kind, label, bytes and duration stamped) as issued on `s`
+  /// to every observer, with what the action does not keep: the ids of its
+  /// dependencies and, for a transfer, the buffer range; for a kernel, its
+  /// accesses. The one translation of an action into an ActionEnqueue,
+  /// shared by direct enqueues and compiled replays. Returns the first
+  /// non-zero id an observer numbered it with (0 = none).
+  std::uint64_t report_enqueue(const detail::Action& a, const Stream& s,
+                               std::span<const std::uint64_t> deps, BufferId buf = {},
+                               std::size_t offset = 0,
+                               std::span<const BufferAccess> accesses = {});
+  /// Same, for a direct enqueue waiting on `deps`.
+  std::uint64_t report_enqueue(const detail::Action& a, const Stream& s, Deps deps,
+                               BufferId buf = {}, std::size_t offset = 0,
+                               std::span<const BufferAccess> accesses = {});
+  /// Report `a`'s span on its stream to every observer.
+  void report_span(const detail::Action& a, sim::SimTime start, sim::SimTime end);
+
   void require_all_idle(const char* who) const;
   [[nodiscard]] const BufferRec& buffer_rec(BufferId id) const;
 
@@ -278,8 +310,6 @@ private:
   void sample_counter_tracks();
 
   std::unique_ptr<sim::Platform> platform_;
-  trace::Timeline timeline_;
-  bool tracing_ = true;
   sim::SimTime host_cursor_ = sim::SimTime::zero();
   int partitions_ = 0;
   std::uint64_t layout_epoch_ = 0;
@@ -292,9 +322,15 @@ private:
   PayloadPool::Store payload_store_;
   TelTally tel_;
   std::unique_ptr<detail::StateStore, detail::StateStoreRelease> states_{new detail::StateStore};
-  /// Present only when analyzing (MS_ANALYZE=1 / installed analyze::Capture
-  /// or LintCapture); the hot path pays one branch when absent.
-  std::unique_ptr<analyze::Recorder> recorder_;
+  /// Everything watching this context, notified in installation order.
+  /// Empty unless tracing, analyzing or a caller installed one: the issue
+  /// path then pays one emptiness test per enqueue and one per start.
+  std::vector<Observer*> observers_;
+  /// The observers the context owns: the timeline (listed while tracing)
+  /// and, when analyzing, the analyzer's recorder (listed from construction
+  /// to destruction).
+  TimelineObserver timeline_;
+  std::unique_ptr<Observer> analyzer_;
   /// Cached schedules the active capture may still be recording, most
   /// recently used first. While expect_at_ names one of them, captured nodes
   /// are compared with it (matched_ so far) and not stored; the capture

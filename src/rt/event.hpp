@@ -33,10 +33,10 @@ struct ActionState {
   std::uint32_t refs = 0;
   bool done = false;
   sim::SimTime end = sim::SimTime::zero();
-  /// Who this state stands for, in one word. A real state holds the node id
-  /// the hazard analyzer's recorder assigned its action (0 = not recorded),
-  /// so a dependency Event maps back to the recorded action and the analyzer
-  /// sees the same edge the scheduler wires. While a Context captures into a
+  /// Who this state stands for, in one word. A real state holds the id an
+  /// observer numbered its action with (0 = not numbered; see
+  /// Observer::on_enqueue), so a dependency Event maps back to the reported
+  /// action and the analyzer sees the same edge the scheduler wires. While a Context captures into a
   /// Graph, enqueues return phantom events instead: they never complete and
   /// only name a graph node for later captured enqueues. A phantom's word
   /// has kPhantom set and packs the graph's id with the node id (see
@@ -49,8 +49,9 @@ struct ActionState {
   WaitEdge* waiters_tail = nullptr;
   StateStore* store = nullptr;
 
-  /// The analyzer node id; 0 when not recorded or for a capture phantom.
-  [[nodiscard]] std::uint64_t analyze_id() const noexcept {
+  /// The observer's id of the action; 0 when not numbered or for a capture
+  /// phantom.
+  [[nodiscard]] std::uint64_t observer_id() const noexcept {
     return (ident & kPhantom) != 0 ? 0 : ident;
   }
 };

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "analyze/recorder.hpp"
 #include "rt/compiled_graph.hpp"
 #include "rt/context.hpp"
 #include "rt/errors.hpp"
@@ -77,7 +76,7 @@ Event Stream::enqueue_transfer(ActionKind kind, BufferId buf, std::size_t offset
                   ctx->device_data(buf, dev) + offset, bytes);
     });
   }
-  if (ctx_->recorder_) record_enqueue(a, deps, nullptr, buf, offset);
+  if (ctx_->observed()) a->state->ident = ctx_->report_enqueue(*a, *this, deps, buf, offset);
   return enqueue_common(a, deps);
 }
 
@@ -89,17 +88,15 @@ Event Stream::enqueue_kernel(KernelLaunch launch, Deps deps) {
   const sim::SimTime duration = kernel_duration(launch.work);
   Action* a = ctx_->acquire_action();
   a->kind = ActionKind::Kernel;
-  // Labels only feed trace spans; intern them (stable storage, no per-span
-  // string) and skip the intern-table lock entirely when tracing is off.
-  if (launch.label.empty() || !ctx_->tracing()) {
-    a->label = "kernel";
-  } else {
-    a->label = trace::intern_label(launch.label);
-  }
-  if (launch.fn) ctx_->set_payload(a, std::move(launch.fn));
-
+  a->label = "kernel";
   a->duration = duration;
-  if (ctx_->recorder_) record_enqueue(a, deps, &launch);
+  if (launch.fn) ctx_->set_payload(a, std::move(launch.fn));
+  // Labels only feed observers; intern them (stable storage, no per-span
+  // string) and skip the intern-table lock entirely when nothing observes.
+  if (ctx_->observed()) {
+    if (!launch.label.empty()) a->label = trace::intern_label(launch.label);
+    a->state->ident = ctx_->report_enqueue(*a, *this, deps, {}, 0, launch.accesses);
+  }
   return enqueue_common(a, deps);
 }
 
@@ -127,7 +124,7 @@ Event Stream::enqueue_barrier(Deps deps) {
   Action* a = ctx_->acquire_action();
   a->kind = ActionKind::Barrier;
   a->label = "barrier";
-  if (ctx_->recorder_) record_enqueue(a, deps);
+  if (ctx_->observed()) a->state->ident = ctx_->report_enqueue(*a, *this, deps);
   return enqueue_common(a, deps);
 }
 
@@ -163,43 +160,6 @@ Event Stream::enqueue_common(Action* a, Deps deps) {
   return ev;
 }
 
-// Off the scheduling path entirely: builds the analyzer's view of this
-// enqueue (node + event edges) and stamps the action's state with the node
-// id so later enqueues can name it as a dependency.
-void Stream::record_enqueue(const Action* a, Deps deps, const KernelLaunch* launch, BufferId buf,
-                            std::size_t offset) {
-  analyze::Recorder& rec = *ctx_->recorder_;
-  std::vector<std::uint64_t> dep_ids;
-  dep_ids.reserve(deps.size());
-  for (const Event& e : deps) {
-    if (e.valid() && e.state_->analyze_id() != 0) dep_ids.push_back(e.state_->analyze_id());
-  }
-  std::uint64_t id = 0;
-  switch (a->kind) {
-    case ActionKind::H2D:
-    case ActionKind::D2H:
-      id = rec.on_transfer(a->kind == ActionKind::H2D, index_, device_, buf, offset, a->bytes,
-                           std::move(dep_ids));
-      break;
-    case ActionKind::Kernel: {
-      static const std::vector<BufferAccess> kNoAccesses;
-      // a->duration is already resolved against this stream's partition
-      // (enqueue_kernel stamps it before recording); the linter uses it as
-      // the node's critical-path weight.
-      id = rec.on_kernel(index_, device_,
-                         launch != nullptr && !launch->label.empty() ? launch->label : "kernel",
-                         launch != nullptr ? launch->accesses : kNoAccesses,
-                         std::move(dep_ids), a->duration);
-      break;
-    }
-    case ActionKind::Barrier:
-      id = rec.on_barrier(index_, std::move(dep_ids));
-      break;
-  }
-  a->state->ident = id;
-  last_analyze_id_ = id;
-}
-
 void Stream::maybe_arm(Action* a) {
   if (a->armed || !a->pred_done || a->deps_pending > 0) return;
   a->armed = true;
@@ -226,7 +186,7 @@ void Stream::start(Action* a) {
 
   if (a->kind == ActionKind::Barrier) {
     // No resource use: the barrier completes as soon as it is reached.
-    if (ctx_->tracing()) record_span(a, now, now);
+    if (ctx_->observed()) ctx_->report_span(*a, now, now);
     engine.schedule_at(now, [this, a] { on_complete(a); });
     return;
   }
@@ -243,27 +203,8 @@ void Stream::start(Action* a) {
     grant = dev_->link().reserve(link_direction(*a), now, a->bytes);
   }
 
-  if (ctx_->tracing()) record_span(a, grant.start, grant.end);
+  if (ctx_->observed()) ctx_->report_span(*a, grant.start, grant.end);
   engine.schedule_at(grant.end, [this, a] { on_complete(a); });
-}
-
-void Stream::record_span(const Action* a, sim::SimTime start, sim::SimTime end) {
-  trace::Span span;
-  span.kind = a->kind == ActionKind::Barrier  ? trace::SpanKind::Sync
-              : a->kind == ActionKind::Kernel ? trace::SpanKind::Kernel
-              : a->kind == ActionKind::H2D    ? trace::SpanKind::H2D
-                                              : trace::SpanKind::D2H;
-  span.device = device_;
-  span.stream = index_;
-  span.partition = partition_;
-  span.start = start;
-  span.end = end;
-  span.bytes = a->bytes;  // 0 for kernels and barriers
-  span.label = a->label;
-  if (a->graph_run != nullptr) {
-    span.replay_id = detail::compiled_graph_replay_id(a->graph_run);
-  }
-  ctx_->timeline_.record(span);
 }
 
 void Stream::start_transfer_chunked(Action* a, std::size_t chunk, sim::SimTime now) {
@@ -282,7 +223,7 @@ void Stream::start_transfer_chunked(Action* a, std::size_t chunk, sim::SimTime n
 void Stream::next_chunk(Action* a, std::size_t left, sim::SimTime span_start) {
   const sim::SimTime now = engine_->now();
   if (left == 0) {
-    if (ctx_->tracing()) record_span(a, span_start, now);
+    if (ctx_->observed()) ctx_->report_span(*a, span_start, now);
     on_complete(a);
     return;
   }
@@ -356,9 +297,7 @@ void Stream::synchronize() {
   ctx_->host_cursor_ = sim::max(ctx_->host_cursor_, ctx_->platform().now()) + sync;
   // Later enqueues (any stream) happen-after everything this stream had
   // queued; its most recent action's completion subsumes the whole FIFO.
-  if (ctx_->recorder_) {
-    ctx_->recorder_->on_host_wait(last_analyze_id_);
-  }
+  for (Observer* o : ctx_->observers_) o->on_host_wait(0, index_);
 }
 
 }  // namespace ms::rt

@@ -96,16 +96,10 @@ private:
   /// Stamp `a` with this stream and its issue time, wire its dependencies
   /// and queue it.
   Event enqueue_common(detail::Action* a, Deps deps);
-  /// Build the analyzer's view of an enqueue: `launch` for kernels, the
-  /// buffer range for transfers.
-  void record_enqueue(const detail::Action* a, Deps deps, const KernelLaunch* launch = nullptr,
-                      BufferId buf = {}, std::size_t offset = 0);
   /// CostModel::kernel_duration on this stream's partition, through memo_.
   sim::SimTime kernel_duration(const sim::KernelWork& work);
   void maybe_arm(detail::Action* a);
   void start(detail::Action* a);
-  /// Record `a`'s timeline span (kind, placement, bytes, label, replay id).
-  void record_span(const detail::Action* a, sim::SimTime start, sim::SimTime end);
   /// A transfer larger than the link's DMA chunk: reserve its first chunk
   /// now and the rest one at a time through next_chunk().
   void start_transfer_chunked(detail::Action* a, std::size_t chunk, sim::SimTime now);
@@ -131,10 +125,6 @@ private:
   /// In-order action queue; entries are owned by the Context's action pool
   /// and returned to it on completion.
   detail::PtrRing<detail::Action> queue_;
-  /// Analyzer node id of the most recently recorded action on this stream
-  /// (direct enqueue or compiled replay; 0 = none): synchronize() reports the
-  /// host wait as joining it.
-  std::uint64_t last_analyze_id_ = 0;
   /// Memo of kernel durations: a stream re-issues the same few KernelWorks,
   /// and the partition, the cost model's other input, is fixed for the
   /// stream's lifetime. Keyed on the work's bit pattern; the first

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
 #include <tuple>
 #include <vector>
 
+#include "analyze/capture.hpp"
+#include "analyze/perf_lint.hpp"
 #include "apps/registry.hpp"
 
 namespace ms::apps {
@@ -57,29 +60,9 @@ TEST(Determinism, TimingOnlyAndFunctionalAgreeOnVirtualTime) {
   EXPECT_DOUBLE_EQ(fun.ms, tim.ms);
 }
 
-TEST(Determinism, UnrelatedTracingDoesNotChangeTiming) {
-  // Tracing is observational only.
-  rt::Context with(cards());
-  rt::Context without(cards());
-  without.set_tracing(false);
-  const auto buf_a = with.create_virtual_buffer(1 << 20);
-  const auto buf_b = without.create_virtual_buffer(1 << 20);
-  with.stream(0).enqueue_h2d(buf_a, 0, 1 << 20);
-  without.stream(0).enqueue_h2d(buf_b, 0, 1 << 20);
-  with.synchronize();
-  without.synchronize();
-  EXPECT_DOUBLE_EQ((with.host_time() - without.host_time()).micros(), 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Multi-card coverage: every registry entry, run twice at 1, 2 and 3
-// devices, must give bit-identical virtual time, checksum and span count. Cross-card joins
-// (CF/LU tile relays, KMeans reductions) are where a scheduling order bug
-// would surface as run-to-run drift.
-// ---------------------------------------------------------------------------
-
-/// The small case each registry entry runs at in the multi-card suite.
-AppResult run_at_small_size(const std::string& app, int devices, GraphMode graph) {
+/// The small case each registry entry runs at.
+AppResult run_at_small_size(const std::string& app, int devices, GraphMode graph,
+                            bool tracing = true) {
   static const std::map<std::string, AppPoint> small{
       {"mm", {16, 256}},
       {"cf", {36, 96}},
@@ -91,6 +74,7 @@ AppResult run_at_small_size(const std::string& app, int devices, GraphMode graph
       {"srad", {16, 64, 3}},
   };
   CommonConfig common = traced();
+  common.tracing = tracing;
   common.graph = graph;
   return find_app(app)->run(cards(devices), common, small.at(app));
 }
@@ -100,6 +84,55 @@ std::vector<std::string> app_names() {
   for (const AppEntry& app : registry()) names.emplace_back(app.name);
   return names;
 }
+
+TEST(Determinism, UnrelatedTracingDoesNotChangeTiming) {
+  // Observers are observational only: no observer, the timeline, the hazard
+  // analyzer and the timeline beside the linter give bit-identical virtual
+  // time and results.
+  rt::Context with(cards());
+  rt::Context without(cards());
+  with.set_tracing(true);
+  const auto buf_a = with.create_virtual_buffer(1 << 20);
+  const auto buf_b = without.create_virtual_buffer(1 << 20);
+  with.stream(0).enqueue_h2d(buf_a, 0, 1 << 20);
+  without.stream(0).enqueue_h2d(buf_b, 0, 1 << 20);
+  with.synchronize();
+  without.synchronize();
+  EXPECT_DOUBLE_EQ((with.host_time() - without.host_time()).micros(), 0.0);
+  EXPECT_EQ(with.timeline().size(), 1u);
+  EXPECT_TRUE(without.timeline().empty());
+
+  for (const std::string& app : app_names()) {
+    const AppResult bare = run_at_small_size(app, 1, GraphMode::Direct, /*tracing=*/false);
+    const AppResult timeline = run_at_small_size(app, 1, GraphMode::Direct);
+    AppResult analyzed;
+    {
+      const analyze::Capture capture;
+      analyzed = run_at_small_size(app, 1, GraphMode::Direct, /*tracing=*/false);
+      EXPECT_TRUE(capture.clean()) << app;
+    }
+    AppResult linted;
+    {
+      const analyze::LintCapture lint;
+      linted = run_at_small_size(app, 1, GraphMode::Direct);
+      EXPECT_GT(lint.nodes(), 0u) << app;
+    }
+    EXPECT_TRUE(bare.timeline.empty()) << app;
+    EXPECT_GT(timeline.timeline.size(), 0u) << app;
+    EXPECT_EQ(linted.timeline.size(), timeline.timeline.size()) << app;
+    for (const AppResult* r : std::initializer_list<const AppResult*>{&timeline, &analyzed, &linted}) {
+      EXPECT_EQ(r->ms, bare.ms) << app;
+      EXPECT_EQ(r->checksum, bare.checksum) << app;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Multi-card coverage: every registry entry, run twice at 1, 2 and 3
+// devices, must give bit-identical virtual time, checksum and span count. Cross-card joins
+// (CF/LU tile relays, KMeans reductions) are where a scheduling order bug
+// would surface as run-to-run drift.
+// ---------------------------------------------------------------------------
 
 class MultiCardDeterminism : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 

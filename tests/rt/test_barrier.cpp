@@ -26,6 +26,7 @@ TEST(Barrier, CompletesImmediatelyOnIdleStream) {
 
 TEST(Barrier, HasZeroDuration) {
   Context ctx(cfg());
+  ctx.set_tracing(true);
   ctx.stream(0).enqueue_kernel({"k", work(), {}});
   ctx.stream(0).enqueue_barrier();
   ctx.synchronize();

@@ -61,6 +61,7 @@ TEST(Buffers, VirtualBufferHasSizeButNoStorage) {
 
 TEST(Buffers, VirtualBufferTransfersAreCostedButMoveNothing) {
   Context ctx(cfg());
+  ctx.set_tracing(true);
   const auto id = ctx.create_virtual_buffer(1 << 20);
   const auto t0 = ctx.host_time();
   ctx.stream(0).enqueue_h2d(id, 0, 1 << 20);

@@ -88,6 +88,22 @@ TEST(Context, SetupWhileStreamsBusyThrows) {
   EXPECT_NO_THROW(ctx.setup(2));
 }
 
+TEST(Context, RecordsNoTimelineByDefault) {
+  // A context built outside an app (hBench, the C API, ablations) has no
+  // observer: nothing keeps a span per action that nobody reads.
+  Context ctx(cfg());
+  ctx.setup(2);
+  EXPECT_FALSE(ctx.tracing());
+  const auto buf = ctx.create_virtual_buffer(1 << 16);
+  for (int i = 0; i < 16; ++i) {
+    const Event up = ctx.stream(i % 2).enqueue_h2d(buf, 0, 1 << 16);
+    ctx.stream(i % 2).enqueue_kernel(KernelLaunch("k", sim::KernelWork{}), {up});
+    ctx.stream(i % 2).enqueue_barrier();
+  }
+  ctx.synchronize();
+  EXPECT_EQ(ctx.timeline().size(), 0u);
+}
+
 TEST(Context, TracingToggleSuppressesSpans) {
   Context ctx(cfg());
   ctx.set_tracing(false);

@@ -80,6 +80,7 @@ TEST(DmaChunking, FunctionalPayloadStillDeliversAllBytes) {
 
 TEST(DmaChunking, TimelineRecordsOneSpanPerTransfer) {
   Context ctx(chunked_cfg(1 << 20));
+  ctx.set_tracing(true);
   const auto buf = ctx.create_virtual_buffer(8 << 20);
   ctx.stream(0).enqueue_h2d(buf, 0, 8 << 20);
   ctx.synchronize();

@@ -36,6 +36,7 @@ TEST(Events, CrossStreamDependencyOrdersExecution) {
 
 TEST(Events, DependentSpanStartsAfterDependencyEnds) {
   Context ctx(cfg());
+  ctx.set_tracing(true);
   ctx.setup(2);
   const Event e0 = ctx.stream(0).enqueue_kernel({"producer", work(1e7), {}});
   ctx.stream(1).enqueue_kernel({"consumer", work(1e3), {}}, {e0});
@@ -47,6 +48,7 @@ TEST(Events, DependentSpanStartsAfterDependencyEnds) {
 
 TEST(Events, IndependentStreamsIgnoreEachOther) {
   Context ctx(cfg());
+  ctx.set_tracing(true);
   ctx.setup(2);
   ctx.stream(0).enqueue_kernel({"a", work(1e8), {}});
   ctx.stream(1).enqueue_kernel({"b", work(1e3), {}});
@@ -145,6 +147,7 @@ TEST(Events, DuplicateDependenciesAreHarmless) {
 
 TEST(Events, EventTimeMatchesSpanEnd) {
   Context ctx(cfg());
+  ctx.set_tracing(true);
   const Event e = ctx.stream(0).enqueue_kernel({"k", work(), {}});
   ctx.synchronize();
   ASSERT_EQ(ctx.timeline().size(), 1u);
@@ -199,6 +202,7 @@ TEST(Events, SameInstantDependentsStartInRegistrationOrder) {
   // partition 0, so whichever is armed first holds it: registration order
   // must decide, and the timeline shows it.
   Context ctx(cfg());
+  ctx.set_tracing(true);
   ctx.setup(2);
   Stream& extra = ctx.add_stream(0, 0);
   const Event gate = ctx.stream(1).enqueue_kernel({"gate", work(1e8), {}});

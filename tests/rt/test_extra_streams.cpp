@@ -40,6 +40,7 @@ TEST(ExtraStreams, InvalidPlacementThrows) {
 TEST(ExtraStreams, SharesThePartitionComputeResource) {
   // Two streams on the same partition: their kernels serialize.
   Context ctx(cfg());
+  ctx.set_tracing(true);
   ctx.setup(2);
   Stream& extra = ctx.add_stream(0, 0);
   ctx.stream(0).enqueue_kernel({"a", work(), {}});
@@ -55,6 +56,7 @@ TEST(ExtraStreams, TransferStreamUnblocksUploads) {
   const std::size_t bytes = 8 << 20;
 
   Context blocked(cfg());
+  blocked.set_tracing(true);
   blocked.setup(1);
   const auto b1 = blocked.create_virtual_buffer(bytes);
   blocked.stream(0).enqueue_kernel({"busy", work(1e9), {}});
@@ -63,6 +65,7 @@ TEST(ExtraStreams, TransferStreamUnblocksUploads) {
   const auto blocked_h2d_start = blocked.timeline().spans().back().start;
 
   Context freed(cfg());
+  freed.set_tracing(true);
   freed.setup(1);
   const auto b2 = freed.create_virtual_buffer(bytes);
   Stream& io = freed.add_stream(0, 0);

@@ -60,6 +60,7 @@ std::vector<sim::KernelWork> distinct_works() {
 std::vector<double> issue_and_check(Context& ctx, const std::vector<int>& streams,
                                     const std::vector<sim::KernelWork>& works,
                                     const std::vector<std::size_t>& order) {
+  ctx.set_tracing(true);
   ctx.timeline().clear();
   for (std::size_t i = 0; i < order.size(); ++i) {
     KernelLaunch launch;

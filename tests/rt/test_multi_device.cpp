@@ -16,6 +16,7 @@ sim::KernelWork work(double elems = 1e7) {
 
 TEST(MultiDevice, KernelsOnDifferentCardsOverlapFully) {
   Context ctx(sim::SimConfig::phi_31sp_x2());
+  ctx.set_tracing(true);
   ctx.setup(1);
   ctx.stream(0, 0).enqueue_kernel({"a", work(1e8), {}});
   ctx.stream(1, 0).enqueue_kernel({"b", work(1e8), {}});
@@ -31,6 +32,7 @@ TEST(MultiDevice, KernelsOnDifferentCardsOverlapFully) {
 
 TEST(MultiDevice, LinksAreIndependent) {
   Context ctx(sim::SimConfig::phi_31sp_x2());
+  ctx.set_tracing(true);
   ctx.setup(1);
   const auto buf = ctx.create_virtual_buffer(16 << 20);
   ctx.stream(0, 0).enqueue_h2d(buf, 0, 16 << 20);
@@ -43,6 +45,7 @@ TEST(MultiDevice, LinksAreIndependent) {
 
 TEST(MultiDevice, SameCardTransfersStillSerialize) {
   Context ctx(sim::SimConfig::phi_31sp_x2());
+  ctx.set_tracing(true);
   ctx.setup(2);
   const auto buf = ctx.create_virtual_buffer(16 << 20);
   ctx.stream(0, 0).enqueue_h2d(buf, 0, 8 << 20);
@@ -92,6 +95,7 @@ TEST(MultiDevice, FourCardsScaleOut) {
   sim::SimConfig cfg = sim::SimConfig::phi_31sp();
   cfg.num_devices = 4;
   Context ctx(cfg);
+  ctx.set_tracing(true);
   ctx.setup(2);
   EXPECT_EQ(ctx.stream_count(), 8);
   for (int d = 0; d < 4; ++d) {

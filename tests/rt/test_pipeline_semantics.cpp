@@ -154,6 +154,7 @@ TEST(PipelineSemantics, DeeperTilingNeverBeatsTheLinkBound) {
 
 TEST(PipelineSemantics, OverlapNeverExceedsEitherBusyTime) {
   Context ctx(cfg());
+  ctx.set_tracing(true);
   ctx.setup(4);
   const auto b = ctx.create_virtual_buffer(16 << 20);
   ctx.synchronize();

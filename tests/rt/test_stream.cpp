@@ -78,6 +78,7 @@ TEST(Stream, InStreamActionsExecuteInOrder) {
 
 TEST(Stream, InStreamActionsDoNotOverlapInTime) {
   Context ctx(cfg());
+  ctx.set_tracing(true);
   for (int i = 0; i < 4; ++i) ctx.stream(0).enqueue_kernel({"k", small_kernel(), {}});
   ctx.synchronize();
   const auto& spans = ctx.timeline().spans();
@@ -89,6 +90,7 @@ TEST(Stream, InStreamActionsDoNotOverlapInTime) {
 
 TEST(Stream, KernelsOnDifferentPartitionsOverlap) {
   Context ctx(cfg());
+  ctx.set_tracing(true);
   ctx.setup(2);
   ctx.stream(0).enqueue_kernel({"a", small_kernel(), {}});
   ctx.stream(1).enqueue_kernel({"b", small_kernel(), {}});
@@ -100,6 +102,7 @@ TEST(Stream, KernelsOnDifferentPartitionsOverlap) {
 TEST(Stream, TransferOverlapsKernelOfOtherStream) {
   // The core temporal-sharing claim: H2D on stream 1 while stream 0 computes.
   Context ctx(cfg());
+  ctx.set_tracing(true);
   ctx.setup(2);
   std::vector<float> data(1 << 20, 1.0f);
   const auto buf = ctx.create_buffer(std::span<float>(data));
@@ -116,6 +119,7 @@ TEST(Stream, TransfersNeverOverlapEachOther) {
   // Paper finding #1, at the runtime level: even from different streams,
   // H2D and D2H serialise on the DMA engine.
   Context ctx(cfg());
+  ctx.set_tracing(true);
   ctx.setup(2);
   std::vector<float> data(1 << 20, 1.0f);
   const auto buf = ctx.create_buffer(std::span<float>(data));
@@ -187,11 +191,13 @@ TEST(Stream, KernelDurationScalesWithPartitionWidth) {
   w.elems = 1e8;
 
   Context full(cfg());
+  full.set_tracing(true);
   full.stream(0).enqueue_kernel({"k", w, {}});
   full.synchronize();
   const auto t_full = full.timeline().spans()[0].duration();
 
   Context quarter(cfg());
+  quarter.set_tracing(true);
   quarter.setup(4);
   quarter.stream(0).enqueue_kernel({"k", w, {}});
   quarter.synchronize();

@@ -94,6 +94,7 @@ TEST_P(StressDag, InvariantsHold) {
   spec.partitions = 1 + static_cast<int>(spec.seed % 7);
 
   Context ctx(sim::SimConfig::phi_31sp());
+  ctx.set_tracing(true);
   ctx.setup(spec.partitions);
   const BufferId buf = ctx.create_virtual_buffer(8 << 20);
 
