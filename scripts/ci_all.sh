@@ -4,8 +4,9 @@
 #   2. observability endpoint smoke: scrape a live --serve-obs run over TCP
 #      (/healthz readiness + monotone Prometheus /metrics + /trace host track)
 #   3. sanitizers: thread (the sweep pool, parallel kernels and concurrent
-#      telemetry primitives), address (leak check proves the hazard-abort
-#      path releases pooled actions), undefined (every UB report fatal)
+#      telemetry primitives), address (leak check proves the runtime's
+#      pools and depot release every action), undefined (every UB report
+#      fatal)
 #   4. native kernel leg (-O3 -march=native numerics stay bit-stable)
 #   5. static analysis (clang-tidy, or the strict -Werror fallback)
 #   6. performance lint: every app + hbench pattern under `mstream_cli lint`,

@@ -3,7 +3,7 @@
 # suites exercising the thread pool, the pooled runtime hot path, and the
 # hazard analyzer. Defaults to ThreadSanitizer, which is what the
 # multithreaded sweep engine needs; pass "address" for an ASan run (leak
-# detection on — this is what proves hazard-abort paths release pooled
+# detection on — this is what proves every context releases its pooled
 # actions) or "undefined" for UBSan with every report fatal.
 #
 #   scripts/ci_sanitize.sh [thread|address|undefined] [build-dir]
@@ -38,8 +38,8 @@ export UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1 ${UBSAN_OPTIONS:-}"
 # kernel engine, and concurrent graph-cache access under the race detector.
 # test_model/test_trace: analytic + timeline layers. test_telemetry:
 # the concurrent metric primitives and span rings under the race detector.
-# test_analyze: the hazard analyzer, including the abort path that must not
-# leak pooled actions (ASan's leak checker is the arbiter).
+# test_analyze: the hazard analyzer and linter behind analyze::Capture,
+# including a pooled tuner search with one Capture per worker thread.
 # test_apps: the ported apps across the Direct and Compiled graph modes,
 # including plans shared through the process graph cache.
 # test_integration: paper claims end to end.

@@ -1,15 +1,12 @@
 #include "analyze/capture.hpp"
 
+#include "analyze/recorder.hpp"
+
 namespace ms::analyze {
-namespace {
-thread_local Capture* g_current = nullptr;
-}  // namespace
 
-Capture::Capture() : prev_(g_current) { g_current = this; }
-
-Capture::~Capture() { g_current = prev_; }
-
-Capture* Capture::current() noexcept { return g_current; }
+std::unique_ptr<rt::Observer> Capture::make_observer(const sim::SimConfig& cfg) {
+  return std::make_unique<Recorder>(cfg, *this);
+}
 
 void Capture::add(const Analysis& analysis, const GraphRecord& record) {
   merged_.nodes_analyzed += analysis.nodes_analyzed;

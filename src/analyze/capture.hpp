@@ -1,57 +1,52 @@
 #pragma once
 
-#include <string>
-#include <utility>
+#include <memory>
 
 #include "analyze/analyzer.hpp"
+#include "analyze/perf_lint.hpp"
 #include "analyze/record.hpp"
-#include "rt/errors.hpp"
+#include "rt/observer.hpp"
 
 namespace ms::analyze {
 
-/// Thrown by an analyzing Context at the next synchronization point when the
-/// segment contains hazards (the `MS_ANALYZE=1` abort mode). what() carries
-/// the full human-readable report.
-class HazardError : public rt::Error {
+/// Scoped, thread-local analysis: the one way to turn the hazard analyzer,
+/// and optionally the performance linter, on. While a Capture is alive on a
+/// thread, every rt::Context constructed on that thread owns a Recorder that
+/// records its action graph and reports each segment's hazards (and lint)
+/// here. Captures nest; the innermost wins, and an outer one records nothing
+/// from contexts built inside an inner one. Each worker thread of a parallel
+/// sweep installs its own Capture, so per-candidate attribution needs no
+/// locking. The contexts a Capture observes must die before it, and they
+/// write into it, so a Capture is never declared const.
+class Capture final : public rt::ObserverScope {
 public:
-  HazardError(std::string what, Analysis analysis)
-      : rt::Error(std::move(what)), analysis_(std::move(analysis)) {}
+  /// `lint`: also run every segment through the performance linter
+  /// (perf_lint.hpp) against the platform config of its context.
+  explicit Capture(bool lint = false) : linting_(lint) {}
 
-  [[nodiscard]] const Analysis& analysis() const noexcept { return analysis_; }
+  /// A Recorder reporting here, for a Context being constructed.
+  [[nodiscard]] std::unique_ptr<rt::Observer> make_observer(const sim::SimConfig& cfg) override;
 
-private:
-  Analysis analysis_;
-};
-
-/// Scoped, thread-local hazard sink. While a Capture is alive on a thread,
-/// every rt::Context constructed on that thread records its action graph and
-/// *reports* hazards here instead of throwing — the collection mode behind
-/// `mstream_cli analyze` and the Tuner/KnnTuner batch validation. Captures
-/// nest; the innermost wins. Each worker thread of a parallel sweep installs
-/// its own Capture, so per-candidate attribution needs no locking.
-class Capture {
-public:
-  Capture();
-  ~Capture();
-  Capture(const Capture&) = delete;
-  Capture& operator=(const Capture&) = delete;
-
-  /// The Capture currently installed on this thread (nullptr when none).
-  [[nodiscard]] static Capture* current() noexcept;
-
-  /// Called by the runtime recorder at each flush.
+  /// Called by the recorder at each flush.
   void add(const Analysis& analysis, const GraphRecord& record);
 
+  /// True when no segment had a hazard.
   [[nodiscard]] bool clean() const noexcept { return merged_.hazards.empty(); }
   [[nodiscard]] const Analysis& result() const noexcept { return merged_; }
   /// The record of the last hazardous segment (for the dot report); empty
   /// when everything was clean.
   [[nodiscard]] const GraphRecord& racy_record() const noexcept { return racy_; }
 
+  [[nodiscard]] bool linting() const noexcept { return linting_; }
+  /// Lint findings and bound/elapsed totals; empty unless linting.
+  [[nodiscard]] LintTotals& lint() noexcept { return lint_totals_; }
+  [[nodiscard]] const LintTotals& lint() const noexcept { return lint_totals_; }
+
 private:
-  Capture* prev_ = nullptr;
+  bool linting_;
   Analysis merged_;
   GraphRecord racy_;
+  LintTotals lint_totals_;
 };
 
 }  // namespace ms::analyze

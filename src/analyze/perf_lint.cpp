@@ -22,8 +22,6 @@ telemetry::Counter& tel_lint_findings() {
   return c;
 }
 
-thread_local LintCapture* g_lint_capture = nullptr;
-
 // Rule thresholds.
 /// sub-knee-transfer counts only chunks below this fraction of the knee (at
 /// 0.5 a chunk reaches less than a third of wire efficiency; chunks just
@@ -534,15 +532,9 @@ std::vector<LintFinding> finalize_lint(LintCarry& carry) {
   return out;
 }
 
-// --- LintCapture -------------------------------------------------------------
+// --- LintTotals --------------------------------------------------------------
 
-LintCapture::LintCapture() : prev_(g_lint_capture) { g_lint_capture = this; }
-
-LintCapture::~LintCapture() { g_lint_capture = prev_; }
-
-LintCapture* LintCapture::current() noexcept { return g_lint_capture; }
-
-void LintCapture::add_segment(const LintReport& segment, sim::SimTime elapsed, bool synced) {
+void LintTotals::add_segment(const LintReport& segment, sim::SimTime elapsed, bool synced) {
   findings_.insert(findings_.end(), segment.findings.begin(), segment.findings.end());
   nodes_ += segment.nodes_analyzed;
   if (!synced) return;  // in-flight tail segment: bound vs elapsed is apples/oranges
@@ -566,11 +558,11 @@ void LintCapture::add_segment(const LintReport& segment, sim::SimTime elapsed, b
   }
 }
 
-void LintCapture::add_findings(std::vector<LintFinding> findings) {
+void LintTotals::add_findings(std::vector<LintFinding> findings) {
   for (LintFinding& f : findings) findings_.push_back(std::move(f));
 }
 
-double LintCapture::overlap_efficiency() const noexcept {
+double LintTotals::overlap_efficiency() const noexcept {
   if (!(sim::SimTime::zero() < elapsed_)) return 0.0;
   return bound_ / elapsed_;
 }

@@ -174,21 +174,10 @@ public:
 [[nodiscard]] std::vector<LintFinding> check_partition_shape(const sim::CoprocessorSpec& spec,
                                                              int partitions);
 
-/// Thread-local collection sink for runtime-recorded lint results, mirroring
-/// `Capture` for hazards. While one is installed, every `rt::Context` records
-/// its action stream and the Recorder lints each segment at the same flush
-/// points as the hazard pass, accumulating findings and bound/elapsed totals
-/// here instead of printing or throwing. Linting is entirely passive: installs
-/// never change virtual time, checksums, or the schedule.
-class LintCapture {
+/// Lint results summed over a run's segments: what a linting Capture
+/// collects (Capture::lint()) and the lint reports print.
+class LintTotals {
 public:
-  LintCapture();
-  ~LintCapture();
-  LintCapture(const LintCapture&) = delete;
-  LintCapture& operator=(const LintCapture&) = delete;
-
-  [[nodiscard]] static LintCapture* current() noexcept;
-
   // --- recorder interface ----------------------------------------------------
   /// `elapsed` is the virtual time the segment occupied (flush clock minus the
   /// previous flush clock); `synced` is false for the finalize-path segment of
@@ -215,7 +204,6 @@ public:
   [[nodiscard]] double overlap_efficiency() const noexcept;
 
 private:
-  LintCapture* prev_ = nullptr;
   std::vector<LintFinding> findings_;
   std::vector<DeviceBound> devices_;
   sim::SimTime bound_{};

@@ -1,10 +1,8 @@
 #include "analyze/recorder.hpp"
 
 #include <atomic>
-#include <cstdio>
 #include <utility>
 
-#include "analyze/report.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace ms::analyze {
@@ -22,8 +20,8 @@ telemetry::Counter& tel_recorded() {
 }
 }  // namespace
 
-Recorder::Recorder(const sim::SimConfig& config)
-    : capture_(Capture::current()), lint_capture_(LintCapture::current()), lint_config_(config) {
+Recorder::Recorder(const sim::SimConfig& config, Capture& capture)
+    : capture_(capture), lint_config_(config) {
   graph_.id_base = g_next_serial.fetch_add(1, std::memory_order_relaxed) << 40;
 }
 
@@ -89,10 +87,10 @@ void Recorder::on_protocol_sample() { lint_carry_.begin_protocol_sample(); }
 void Recorder::on_drain(sim::SimTime now) {
   clock_ = now;
   synced_ = true;
-  flush(/*may_throw=*/true);
+  flush();
 }
 
-void Recorder::flush(bool may_throw) {
+void Recorder::flush() {
   if (graph_.empty()) {
     // Nothing to analyze, but keep the elapsed-time baseline current so the
     // next segment is not charged for idle/setup intervals before it.
@@ -102,15 +100,15 @@ void Recorder::flush(bool may_throw) {
     }
     return;
   }
-  Analysis analysis = analyze(graph_, &coverage_);
+  const Analysis analysis = analyze(graph_, &coverage_);
 
-  if (lint_capture_ != nullptr) {
+  if (capture_.linting()) {
     const LintReport report = lint(graph_, lint_config_, &lint_carry_, analysis.hazards.size());
     // A flush without a preceding host drain (finalize of a context that was
     // never synchronized) has actions still in flight: its segment has no
     // completed wall span to compare the bound against.
-    lint_capture_->add_segment(report, synced_ ? clock_ - flushed_clock_ : sim::SimTime::zero(),
-                               synced_);
+    capture_.lint().add_segment(report, synced_ ? clock_ - flushed_clock_ : sim::SimTime::zero(),
+                                synced_);
   }
   if (synced_) {
     flushed_clock_ = clock_;
@@ -124,40 +122,14 @@ void Recorder::flush(bool may_throw) {
     if (it != graph_.buffers.end()) it->second.freed = true;
   }
 
-  if (capture_ != nullptr) {
-    capture_->add(analysis, graph_);
-    graph_.reset_segment();
-    return;
-  }
-
-  accumulated_.nodes_analyzed += analysis.nodes_analyzed;
-  if (!analysis.clean()) {
-    accumulated_.hazards.insert(accumulated_.hazards.end(), analysis.hazards.begin(),
-                                analysis.hazards.end());
-    if (may_throw) {
-      std::string what = text_report(analysis);
-      graph_.reset_segment();
-      throw HazardError(std::move(what), std::move(analysis));
-    }
-  }
+  capture_.add(analysis, graph_);
   graph_.reset_segment();
 }
 
 void Recorder::on_finish() noexcept {
   try {
-    const std::size_t before = accumulated_.hazards.size();
-    flush(/*may_throw=*/false);
-    if (lint_capture_ != nullptr && !lint_finalized_) {
-      lint_finalized_ = true;
-      lint_capture_->add_findings(finalize_lint(lint_carry_));
-    }
-    if (capture_ == nullptr && accumulated_.hazards.size() > before) {
-      Analysis tail;
-      tail.nodes_analyzed = accumulated_.nodes_analyzed;
-      tail.hazards.assign(accumulated_.hazards.begin() + static_cast<std::ptrdiff_t>(before),
-                          accumulated_.hazards.end());
-      std::fputs(text_report(tail).c_str(), stderr);
-    }
+    flush();
+    if (capture_.linting()) capture_.lint().add_findings(finalize_lint(lint_carry_));
   } catch (...) {  // NOLINT(bugprone-empty-catch) — a dtor-path report must not throw
   }
 }

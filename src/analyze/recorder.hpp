@@ -15,24 +15,25 @@
 
 namespace ms::analyze {
 
-/// The runtime-facing recorder: the rt::Observer an analyzing rt::Context
-/// installs at construction. It turns each enqueued action into a node of
-/// its GraphRecord and each host wait into a join; at every drain it
-/// analyzes the completed segment, then drops it (keeping the cheap
-/// always-on mode's memory proportional to one barrier interval, not the
-/// whole run). Hazards either go to the thread's installed Capture
-/// (collection mode) or are thrown as HazardError (abort mode).
+/// The runtime-facing recorder: the rt::Observer a Capture hands each
+/// rt::Context constructed under it. It turns each enqueued action into a
+/// node of its GraphRecord and each host wait into a join; at every drain it
+/// analyzes the completed segment, reports the hazards to its Capture, then
+/// drops the segment (keeping memory proportional to one barrier interval,
+/// not the whole run).
 ///
-/// When a LintCapture is installed, each segment additionally runs through
-/// the performance linter (perf_lint.hpp) at the same flush points, with the
+/// When the Capture lints, each segment additionally runs through the
+/// performance linter (perf_lint.hpp) at the same flush points, with the
 /// platform config the owning context supplies; findings and bound/elapsed
-/// totals accumulate in the LintCapture. Without one, linting is skipped
+/// totals accumulate in Capture::lint(). Otherwise linting is skipped
 /// entirely.
 class Recorder final : public rt::Observer {
 public:
   /// `config`: the platform the owning context simulates against — the
-  /// linter's transfer floors and partition checks read it.
-  explicit Recorder(const sim::SimConfig& config);
+  /// linter's transfer floors and partition checks read it. `capture`
+  /// receives every segment's results and must outlive the recorder's
+  /// context.
+  Recorder(const sim::SimConfig& config, Capture& capture);
 
   [[nodiscard]] GraphRecord& graph() noexcept { return graph_; }
 
@@ -63,25 +64,19 @@ public:
   /// upload cleanliness (redundant-h2d) and pipeline rounds
   /// (single-stream-pipeline) — resets here.
   void on_protocol_sample() override;
-  /// Global barrier at host clock `now`: analyze the segment. In abort mode
-  /// (no Capture was installed when the Recorder was built) throws
-  /// HazardError on hazards; in collection mode reports into the Capture.
-  /// Either way the segment is reset afterwards. Segment elapsed times for
-  /// the lint overlap-efficiency score are differences of these clocks.
+  /// Global barrier at host clock `now`: analyze the segment, report it to
+  /// the Capture and reset it. Segment elapsed times for the lint
+  /// overlap-efficiency score are differences of these clocks.
   void on_drain(sim::SimTime now) override;
-  /// Final flush from ~Context: never throws; abort-mode hazards go to
-  /// stderr so they are not silently lost.
+  /// Final flush from ~Context.
   void on_finish() noexcept override;
 
-  [[nodiscard]] const Analysis& accumulated() const noexcept { return accumulated_; }
-
 private:
-  void flush(bool may_throw);
+  void flush();
 
   GraphRecord graph_;
   Coverage coverage_;
-  Analysis accumulated_;
-  Capture* capture_ = nullptr;
+  Capture& capture_;
   /// Node id of the newest action recorded on each stream (0 = none), for
   /// the join of a Stream::synchronize; cleared when setup() rebuilds the
   /// streams.
@@ -89,14 +84,12 @@ private:
   /// Scratch for a kernel's accesses.
   std::vector<rt::BufferAccess> accesses_;
 
-  // Lint state (active only while a LintCapture was installed at creation).
-  LintCapture* lint_capture_ = nullptr;
+  // Lint state (used only when the Capture lints).
   sim::SimConfig lint_config_;
   LintCarry lint_carry_;
   sim::SimTime clock_{};
   sim::SimTime flushed_clock_{};
   bool synced_ = false;  ///< did a drain clock precede this flush?
-  bool lint_finalized_ = false;
 };
 
 }  // namespace ms::analyze

@@ -85,15 +85,15 @@ std::string json_report(const Analysis& analysis) {
   return out;
 }
 
-std::string text_report(const LintCapture& capture) {
+std::string text_report(const LintTotals& totals) {
   std::string out;
-  const std::vector<LintFinding>& findings = capture.findings();
+  const std::vector<LintFinding>& findings = totals.findings();
   if (findings.empty()) {
-    out += "lint: clean (" + std::to_string(capture.nodes()) + " actions in " +
-           std::to_string(capture.segments()) + " segment(s), 0 findings)\n";
+    out += "lint: clean (" + std::to_string(totals.nodes()) + " actions in " +
+           std::to_string(totals.segments()) + " segment(s), 0 findings)\n";
   } else {
     out += "lint: " + std::to_string(findings.size()) + " finding(s) in " +
-           std::to_string(capture.nodes()) + " actions\n";
+           std::to_string(totals.nodes()) + " actions\n";
     std::size_t i = 1;
     for (const LintFinding& f : findings) {
       out += "  [" + std::to_string(i++) + "] " + std::string(to_string(f.severity)) + " " +
@@ -101,30 +101,30 @@ std::string text_report(const LintCapture& capture) {
       if (!f.fixit.empty()) out += "      fix: " + f.fixit + "\n";
     }
   }
-  for (const DeviceBound& d : capture.devices()) {
+  for (const DeviceBound& d : totals.devices()) {
     out += "  device " + std::to_string(d.device) + ": path " + f3(d.path.millis()) +
            " ms, link " + f3(d.link.millis()) + " ms (h2d " + f3(d.h2d.millis()) + " + d2h " +
            f3(d.d2h.millis()) + "), bound " + f3(d.bound.millis()) + " ms\n";
   }
-  if (capture.elapsed() > sim::SimTime::zero()) {
-    out += "  bound " + f3(capture.bound().millis()) + " ms <= elapsed " +
-           f3(capture.elapsed().millis()) + " ms, overlap efficiency " +
-           f3(capture.overlap_efficiency()) + "\n";
+  if (totals.elapsed() > sim::SimTime::zero()) {
+    out += "  bound " + f3(totals.bound().millis()) + " ms <= elapsed " +
+           f3(totals.elapsed().millis()) + " ms, overlap efficiency " +
+           f3(totals.overlap_efficiency()) + "\n";
   }
   return out;
 }
 
-std::string json_report(const LintCapture& capture) {
+std::string json_report(const LintTotals& totals) {
   std::string out = "{\n  \"clean\": ";
-  out += capture.clean() ? "true" : "false";
-  out += ",\n  \"segments\": " + std::to_string(capture.segments());
-  out += ",\n  \"nodes\": " + std::to_string(capture.nodes());
-  out += ",\n  \"bound_us\": " + f3(capture.bound().micros());
-  out += ",\n  \"elapsed_us\": " + f3(capture.elapsed().micros());
-  out += ",\n  \"overlap_efficiency\": " + f3(capture.overlap_efficiency());
+  out += totals.clean() ? "true" : "false";
+  out += ",\n  \"segments\": " + std::to_string(totals.segments());
+  out += ",\n  \"nodes\": " + std::to_string(totals.nodes());
+  out += ",\n  \"bound_us\": " + f3(totals.bound().micros());
+  out += ",\n  \"elapsed_us\": " + f3(totals.elapsed().micros());
+  out += ",\n  \"overlap_efficiency\": " + f3(totals.overlap_efficiency());
   out += ",\n  \"devices\": [";
   bool first = true;
-  for (const DeviceBound& d : capture.devices()) {
+  for (const DeviceBound& d : totals.devices()) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    {\"device\": " + std::to_string(d.device) + ", \"path_us\": " +
@@ -135,7 +135,7 @@ std::string json_report(const LintCapture& capture) {
   out += first ? "]" : "\n  ]";
   out += ",\n  \"findings\": [";
   first = true;
-  for (const LintFinding& f : capture.findings()) {
+  for (const LintFinding& f : totals.findings()) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    {\"rule\": \"" + f.rule + "\", \"severity\": \"" +

@@ -23,11 +23,11 @@ namespace ms::analyze {
 
 /// Human-readable lint summary: findings with fix-its, then per-device bound
 /// components and the overlap-efficiency score.
-[[nodiscard]] std::string text_report(const LintCapture& capture);
+[[nodiscard]] std::string text_report(const LintTotals& totals);
 
 /// Machine-readable lint summary:
 /// {"clean": bool, "segments": N, "nodes": N, "bound_us": x, "elapsed_us": x,
 ///  "overlap_efficiency": x, "devices": [...], "findings": [...]}.
-[[nodiscard]] std::string json_report(const LintCapture& capture);
+[[nodiscard]] std::string json_report(const LintTotals& totals);
 
 }  // namespace ms::analyze

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <random>
 #include <stdexcept>
 
+#include "analyze/capture.hpp"
 #include "model/workload_sim.hpp"
 #include "sim/sweep.hpp"
 #include "telemetry/span.hpp"
@@ -114,8 +116,9 @@ KnnTuner KnnTuner::train(const sim::SimConfig& cfg, int samples, std::uint32_t s
   // Label samples across the sweep pool: each sample's pruned-space search
   // runs serially inside one worker (its simulations share nothing), and
   // samples are added back in index order, so the trained tuner is
-  // bit-identical to a serial run. The validated search hazard-checks every
-  // candidate pipeline before trusting its virtual time as a label.
+  // bit-identical to a serial run. Every candidate pipeline runs under its
+  // own Capture and is hazard-checked before its virtual time is trusted as
+  // a label: a hazardous one scores +infinity, which the search skips.
   struct Labeled {
     OffloadShape shape;
     rt::Tuner::Candidate best;
@@ -123,12 +126,11 @@ KnnTuner KnnTuner::train(const sim::SimConfig& cfg, int samples, std::uint32_t s
   const auto labeled = sim::parallel_map<Labeled>(
       static_cast<std::size_t>(samples), [&](std::size_t i) {
         const OffloadShape shape = random_shape(seed + static_cast<std::uint32_t>(i));
-        const auto result = rt::Tuner::search(
-            space,
-            [&](rt::Tuner::Candidate c) {
-              return simulate_streamed_ms(cfg, shape, c.partitions, c.tiles);
-            },
-            {.validate = true});
+        const auto result = rt::Tuner::search(space, [&](rt::Tuner::Candidate c) {
+          analyze::Capture capture;
+          const double ms = simulate_streamed_ms(cfg, shape, c.partitions, c.tiles);
+          return capture.clean() ? ms : std::numeric_limits<double>::infinity();
+        });
         return Labeled{shape, result.best};
       });
   for (const Labeled& l : labeled) {

@@ -1,8 +1,6 @@
 // Ablations: switch one simulator mechanism, search strategy or issue path
 // at a time and show which paper effect moves with it.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <ostream>
 #include <string>
@@ -238,60 +236,13 @@ double run_replay(const sim::SimConfig& cfg, int tiles) {
   return (rig.ctx.host_time() - t0).millis();
 }
 
-template <typename F>
-double wall_us(F&& f) {
-  const auto t0 = std::chrono::steady_clock::now();
-  f();
-  return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0).count();
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-/// Compiled-executor A/B: real wall-clock host cost per replay for direct
-/// re-enqueue of the same schedule vs CompiledGraph::launch(), interleaved
-/// and reported as medians.
-void compiled_ab(Sink& sink, const sim::SimConfig& cfg, int tiles, int reps) {
-  Rig rig(cfg);
-  rig.ctx.synchronize();
-  auto cg = record(rig.buf, tiles).compile(rig.ctx);
-
-  // Warm every path (action pools, compiled run pool + per-context
-  // validation cache) so steady-state replays are measured.
-  enqueue_direct(rig.ctx, rig.buf, tiles);
-  cg.launch(rig.ctx);
-  rig.ctx.synchronize();
-
-  // Interleaved samples: one of each path per round, medians across rounds.
-  std::vector<double> direct, compiled;
-  for (int rep = 0; rep < reps; ++rep) {
-    direct.push_back(wall_us([&] { enqueue_direct(rig.ctx, rig.buf, tiles); }));
-    rig.ctx.synchronize();
-    compiled.push_back(wall_us([&] { cg.launch(rig.ctx); }));
-    rig.ctx.synchronize();
-  }
-
-  const double md = median(direct), mc = median(compiled);
-  Table t({"path", "host per replay [us]", "vs direct"});
-  t.add_row({"direct re-enqueue", Table::num(md), "1.00x"});
-  t.add_row({"compiled launch()", Table::num(mc), Table::num(md / mc) + "x"});
-  sink.emit(t, "compiled_ab_T" + std::to_string(tiles),
-            "compiled executor A/B at T=" + std::to_string(tiles) + " (" +
-                std::to_string(3 * tiles + 1) + " nodes, medians of " + std::to_string(reps) +
-                " interleaved rounds)");
-}
-
 }  // namespace
 
 // How much of Fig. 10's right-hand decline is the *host's* per-action
 // enqueue cost (as opposed to device-side launch overheads)? The recorded
 // graph API (rt::Graph) re-issues a whole schedule for a per-node cost ~20x
 // below action_enqueue, so replaying the same pipeline at growing task
-// counts separates the two contributions. Part two is the compiled-executor
-// A/B in real wall-clock host time.
+// counts separates the two contributions.
 void ablation_graph_replay(Sink& sink) {
   const auto cfg = sim::SimConfig::phi_31sp();
 
@@ -309,10 +260,6 @@ void ablation_graph_replay(Sink& sink) {
   sink.out << "\nat small T the curves agree (device work dominates); at huge T the direct\n"
               "version pays 3 x T x action_enqueue on the host while the replay does not —\n"
               "that difference is the host-side share of Fig. 10's right-hand decline.\n\n";
-
-  // Part two: what the *compiled* executor saves the host per replay, on a
-  // >=1k-node schedule.
-  compiled_ab(sink, cfg, /*tiles=*/512, /*reps=*/sink.quick ? 5 : 11);
 }
 
 }  // namespace ms::repro

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "analyze/recorder.hpp"
 #include "rt/compiled_graph.hpp"
 #include "rt/errors.hpp"
 #include "rt/graph.hpp"
@@ -87,22 +86,28 @@ telemetry::Histogram& tel_sync_ns() {
       "ms_rt_sync_wall_ns", "Wall-clock nanoseconds spent inside Context::synchronize");
   return h;
 }
+
+/// The innermost ObserverScope installed on this thread.
+thread_local ObserverScope* g_scope = nullptr;
 }  // namespace
 
+ObserverScope::ObserverScope() noexcept : prev_(g_scope) { g_scope = this; }
+
+ObserverScope::~ObserverScope() { g_scope = prev_; }
+
+ObserverScope* ObserverScope::current() noexcept { return g_scope; }
+
 Context::Context(const sim::SimConfig& cfg) : platform_(std::make_unique<sim::Platform>(cfg)) {
-  if (telemetry::env_switch("MS_ANALYZE") || analyze::Capture::current() != nullptr ||
-      analyze::LintCapture::current() != nullptr) {
-    analyzer_ = std::make_unique<analyze::Recorder>(cfg);
-    observers_.push_back(analyzer_.get());
+  if (ObserverScope* scope = ObserverScope::current()) {
+    scoped_ = scope->make_observer(cfg);
+    observers_.push_back(scoped_.get());
   }
   setup(1);
 }
 
 Context::~Context() {
   flush_telemetry();
-  // The analyzer reports whatever the last segment accumulated; dtors must
-  // not throw, so abort-mode hazards go to stderr and capture mode collects
-  // as usual.
+  // The analyzer reports whatever the last segment accumulated.
   for (Observer* o : observers_) o->on_finish();
   // Actions still in flight (a Context dropped without synchronize()) are
   // placement-constructed in pool nodes, so run their (and their payloads')
@@ -305,9 +310,8 @@ void Context::synchronize() {
   host_cursor_ = sim::max(host_cursor_, platform_->now()) +
                  platform_->cost().sync_overhead(stream_count(), cross);
   // Everything enqueued so far completed before anything enqueued next: a
-  // segment boundary. The analyzer's abort mode throws HazardError here. The
-  // clock feeds the linter's per-segment elapsed time (its bound must stay
-  // <= this span).
+  // segment boundary. The clock feeds the linter's per-segment elapsed time
+  // (its bound must stay <= this span).
   for (Observer* o : observers_) o->on_drain(host_cursor_);
   sample_counter_tracks();
   if (t0 != 0) tel_sync_ns().observe(telemetry::now_ns() - t0);

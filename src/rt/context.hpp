@@ -36,12 +36,9 @@ namespace ms::rt {
 ///   auto elapsed = ctx.host_time() - t0;         // virtual milliseconds
 class Context {
 public:
-  /// The context installs the analyzer's recorder as an observer, and so
-  /// records its action graph for hazard analysis, when MS_ANALYZE=1 is set
-  /// (abort mode: analyze::HazardError at the next synchronization point) or
-  /// when an analyze::Capture or LintCapture is installed on the
-  /// constructing thread (collection mode). Otherwise it starts with no
-  /// observer at all.
+  /// The context starts with the observer of the ObserverScope installed on
+  /// the constructing thread (an analyze::Capture), if any, and otherwise
+  /// with no observer at all.
   explicit Context(const sim::SimConfig& cfg);
   ~Context();
 
@@ -173,10 +170,6 @@ public:
   /// so far stay.
   void set_tracing(bool on);
   [[nodiscard]] bool tracing() const noexcept { return observing(timeline_); }
-
-  /// True when the analyzer's recorder observes this context, i.e. it
-  /// records its action graph for hazard analysis (decided at construction).
-  [[nodiscard]] bool analyzing() const noexcept { return analyzer_ != nullptr; }
 
   /// Install `o` after the observers already present; it sees what the
   /// context does from now on and must outlive its installation (see
@@ -323,14 +316,13 @@ private:
   TelTally tel_;
   std::unique_ptr<detail::StateStore, detail::StateStoreRelease> states_{new detail::StateStore};
   /// Everything watching this context, notified in installation order.
-  /// Empty unless tracing, analyzing or a caller installed one: the issue
-  /// path then pays one emptiness test per enqueue and one per start.
+  /// Empty unless tracing, scoped or a caller installed one: the issue path
+  /// then pays one emptiness test per enqueue and one per start.
   std::vector<Observer*> observers_;
   /// The observers the context owns: the timeline (listed while tracing)
-  /// and, when analyzing, the analyzer's recorder (listed from construction
-  /// to destruction).
+  /// and the ObserverScope's (listed from construction to destruction).
   TimelineObserver timeline_;
-  std::unique_ptr<Observer> analyzer_;
+  std::unique_ptr<Observer> scoped_;
   /// Cached schedules the active capture may still be recording, most
   /// recently used first. While expect_at_ names one of them, captured nodes
   /// are compared with it (matched_ so far) and not stored; the capture

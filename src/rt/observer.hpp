@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 
@@ -10,6 +11,10 @@
 #include "rt/buffer.hpp"
 #include "sim/sim_time.hpp"
 #include "trace/timeline.hpp"
+
+namespace ms::sim {
+struct SimConfig;
+}  // namespace ms::sim
 
 namespace ms::rt {
 
@@ -82,13 +87,38 @@ public:
   virtual void on_protocol_sample() {}
   virtual void on_free(BufferId /*id*/) {}
   /// Every stream drained and the host clock reads `now`: everything issued
-  /// so far completed before anything issued next. May throw (the
-  /// analyzer's abort mode raises analyze::HazardError here).
+  /// so far completed before anything issued next.
   virtual void on_drain(sim::SimTime /*now*/) {}
   /// Context::setup stamped a new partition layout for what follows.
   virtual void on_setup(int /*partitions*/) {}
   /// The context is being destroyed.
   virtual void on_finish() noexcept {}
+};
+
+/// The one way to observe Contexts one does not construct oneself: while a
+/// scope is installed on a thread, every Context constructed on that thread
+/// asks it for an observer, owns it and keeps it installed (first) until the
+/// context dies. A scope is installed for its lifetime. Scopes nest and the
+/// innermost wins; a Context built before the scope, or on another thread,
+/// is not observed. The hazard analyzer's analyze::Capture is the one
+/// implementation; the contexts it observes must die before it.
+class ObserverScope {
+public:
+  ObserverScope(const ObserverScope&) = delete;
+  ObserverScope& operator=(const ObserverScope&) = delete;
+
+  /// The innermost scope installed on this thread (nullptr when none).
+  [[nodiscard]] static ObserverScope* current() noexcept;
+
+  /// The observer for a Context being constructed against `cfg`.
+  [[nodiscard]] virtual std::unique_ptr<Observer> make_observer(const sim::SimConfig& cfg) = 0;
+
+protected:
+  ObserverScope() noexcept;
+  virtual ~ObserverScope();
+
+private:
+  ObserverScope* prev_;
 };
 
 /// The timeline as an observer: keeps every span, in report order.

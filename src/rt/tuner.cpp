@@ -1,10 +1,9 @@
 #include "rt/tuner.hpp"
 
+#include <cmath>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 
-#include "analyze/capture.hpp"
 #include "rt/errors.hpp"
 #include "telemetry/span.hpp"
 
@@ -21,9 +20,9 @@ telemetry::Counter& tel_candidates() {
       "ms_tuner_candidates_total", "Candidate configurations submitted to tuner searches");
   return c;
 }
-telemetry::Counter& tel_hazardous() {
+telemetry::Counter& tel_rejected() {
   static telemetry::Counter& c = telemetry::registry().counter(
-      "ms_tuner_hazardous_total", "Candidates rejected by hazard validation");
+      "ms_tuner_rejected_total", "Candidates skipped because their metric was not finite");
   return c;
 }
 telemetry::Gauge& tel_done() {
@@ -100,16 +99,10 @@ Tuner::Result Tuner::search(const std::vector<Candidate>& candidates,
 
   const telemetry::ScopedSpan span("rt.tuner.search");
   tel_search_begin(candidates.size());
-  // A validated evaluation installs its own Capture on whichever thread runs
-  // it — the thread-local scoping gives per-candidate attribution for free.
-  std::vector<char> hazardous(candidates.size(), 0);
   const auto values = sim::parallel_map<double>(
       candidates.size(),
       [&](std::size_t i) {
-        std::optional<analyze::Capture> capture;
-        if (opt.validate) capture.emplace();
         const double v = metric(candidates[i]);
-        hazardous[i] = capture && !capture->clean() ? 1 : 0;
         tel_done().add(1);
         return v;
       },
@@ -118,11 +111,11 @@ Tuner::Result Tuner::search(const std::vector<Candidate>& candidates,
   // Ordered reduction: the winner and tie-breaks follow candidate order, not
   // evaluation order.
   Result r;
-  r.best_metric = std::numeric_limits<double>::max();
+  r.best_metric = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     ++r.evaluated;
-    if (hazardous[i] != 0) {
-      ++r.hazardous;
+    if (!std::isfinite(values[i])) {
+      ++r.rejected;
       continue;
     }
     if (values[i] < r.best_metric) {
@@ -130,11 +123,9 @@ Tuner::Result Tuner::search(const std::vector<Candidate>& candidates,
       r.best = candidates[i];
     }
   }
-  if (opt.validate) {
-    tel_hazardous().add(static_cast<std::uint64_t>(r.hazardous));
-    if (r.hazardous == candidates.size()) {
-      throw Error("Tuner::search: every candidate configuration reported hazards");
-    }
+  tel_rejected().add(static_cast<std::uint64_t>(r.rejected));
+  if (r.rejected == candidates.size()) {
+    throw Error("Tuner::search: no candidate configuration has a finite metric");
   }
   return r;
 }

@@ -31,12 +31,6 @@ struct SearchOptions {
   /// so `metric` must then be thread-safe (simulator-backed metrics are,
   /// since every evaluation builds its own Context).
   sim::SweepOptions sweep{.threads = 1};
-  /// Run every evaluation under an installed analyze::Capture: the Contexts
-  /// the metric builds record their action graphs, and a candidate whose
-  /// pipeline contains any hazard (race, use-before-write, deadlock, ...) is
-  /// excluded from the ranking and counted in Result::hazardous. Throws
-  /// rt::Error when every candidate is hazardous.
-  bool validate = false;
 };
 
 class Tuner {
@@ -50,9 +44,9 @@ public:
     Candidate best{};
     double best_metric = 0.0;
     std::size_t evaluated = 0;
-    /// Candidates whose pipelines the hazard analyzer rejected (only with
-    /// SearchOptions::validate; they never become `best`).
-    std::size_t hazardous = 0;
+    /// Candidates skipped because their metric was not finite (they never
+    /// become `best`).
+    std::size_t rejected = 0;
   };
 
   /// H1: the pruned partition-count candidates for `spec` — all divisors of
@@ -75,8 +69,11 @@ public:
   /// ms) over a candidate list and return the winner. Ties keep the earliest
   /// candidate. The ranking is an ordered reduction over the candidate list
   /// after every evaluation has finished, so the winner and its tie-breaks
-  /// do not depend on `opt.sweep`. Throws std::invalid_argument on an empty
-  /// candidate list or an empty metric.
+  /// do not depend on `opt.sweep`. A candidate whose metric is not finite
+  /// (a metric's way to rule it out, e.g. a hazardous pipeline) is skipped
+  /// and counted in Result::rejected. Throws std::invalid_argument on an
+  /// empty candidate list or an empty metric, and rt::Error when no
+  /// candidate has a finite metric.
   [[nodiscard]] static Result search(const std::vector<Candidate>& candidates,
                                      const std::function<double(Candidate)>& metric,
                                      const SearchOptions& opt = {});

@@ -66,20 +66,24 @@ const char* to_string(MetricKind k) noexcept {
   return "?";
 }
 
+namespace {
+
+/// Parse the on/off environment switch `name`. Unset, empty and "0" mean
+/// off; "1" means on. Any other value ("false", "off", "00", ...) counts as
+/// off and prints a one-line warning to stderr (once), so a spelling that
+/// reads as "off" can never switch a feature on.
 bool env_switch(const char* name) noexcept {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0' || std::strcmp(v, "0") == 0) return false;
   if (std::strcmp(v, "1") == 0) return true;
-  // Warn once per variable: MS_ANALYZE is read by every Context.
-  static std::mutex mu;
-  static std::vector<std::string> warned;
-  const std::lock_guard<std::mutex> lock(mu);
-  if (std::find(warned.begin(), warned.end(), name) == warned.end()) {
-    warned.emplace_back(name);
+  static std::atomic<bool> warned{false};
+  if (!warned.exchange(true, std::memory_order_relaxed)) {
     std::fprintf(stderr, "warning: %s='%s' is not 0 or 1; treating it as 0\n", name, v);
   }
   return false;
 }
+
+}  // namespace
 
 namespace detail {
 

@@ -99,13 +99,6 @@ inline constinit std::atomic<int> g_state{-1};
 /// tests, benchmarks).
 void set_enabled(bool on) noexcept;
 
-/// Parse the on/off environment switch `name` (MS_METRICS, MS_ANALYZE).
-/// Unset, empty and "0" mean off; "1" means on. Any other value ("false",
-/// "off", "00", ...) counts as off and prints a one-line warning to stderr
-/// (once per variable), so a spelling that reads as "off" can never switch a
-/// feature on.
-[[nodiscard]] bool env_switch(const char* name) noexcept;
-
 // ---------------------------------------------------------------------------
 // Metric primitives
 // ---------------------------------------------------------------------------

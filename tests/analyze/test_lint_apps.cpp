@@ -1,9 +1,8 @@
-// App-level linter coverage: the ported applications run under a LintCapture
-// at small sizes and must come out clean (nn's transfer-bound duplex finding
-// is the one designed exception), the critical-path bound must hold against
-// the simulated time at 1..3 devices, linting must not perturb results,
-// compiled replays are linted like direct enqueues, and the tuner exposure
-// must pre-prune.
+// App-level linter coverage: the ported applications run under a linting
+// Capture at small sizes and must come out clean (nn's transfer-bound duplex
+// finding is the one designed exception), the critical-path bound must hold
+// against the simulated time at 1..3 devices, compiled replays are linted
+// like direct enqueues, and the tuner exposure must pre-prune.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +30,7 @@
 namespace {
 
 using ms::analyze::Capture;
-using ms::analyze::LintCapture;
+using ms::analyze::LintTotals;
 namespace rule = ms::analyze::rule;
 
 ms::sim::SimConfig cfg() { return ms::sim::SimConfig::phi_31sp(); }
@@ -42,27 +41,27 @@ ms::sim::SimConfig cfg_n(int devices) {
   return c;
 }
 
-/// Run under both analyzers: hazards must stay clean (the linter's ordering
-/// rules assume that), the lint findings and bound checks are the caller's.
+/// Run under a linting Capture: hazards must stay clean (the linter's
+/// ordering rules assume that), the lint findings and bound checks are the
+/// caller's.
 template <typename Fn>
-ms::apps::AppResult run_linted(LintCapture& capture, Fn&& run) {
-  Capture hazards;
-  ms::apps::AppResult r = run();
-  EXPECT_TRUE(hazards.clean()) << ms::analyze::text_report(hazards.result());
-  return r;
+LintTotals run_linted(Fn&& run) {
+  Capture capture(/*lint=*/true);
+  (void)run();
+  EXPECT_TRUE(capture.clean()) << ms::analyze::text_report(capture.result());
+  return capture.lint();
 }
 
 /// Clean app + sound bound: no findings, and the summed per-segment makespan
 /// lower bound never exceeds the summed simulated segment time.
 template <typename Fn>
 void expect_lint_clean(Fn&& run) {
-  LintCapture capture;
-  (void)run_linted(capture, run);
-  EXPECT_TRUE(capture.clean()) << ms::analyze::text_report(capture);
-  ASSERT_GT(capture.segments(), 0u);
-  EXPECT_GT(capture.bound().micros(), 0.0);
-  EXPECT_LE(capture.bound().micros(), capture.elapsed().micros());
-  const double eff = capture.overlap_efficiency();
+  const LintTotals lint = run_linted(run);
+  EXPECT_TRUE(lint.clean()) << ms::analyze::text_report(lint);
+  ASSERT_GT(lint.segments(), 0u);
+  EXPECT_GT(lint.bound().micros(), 0.0);
+  EXPECT_LE(lint.bound().micros(), lint.elapsed().micros());
+  const double eff = lint.overlap_efficiency();
   EXPECT_GT(eff, 0.0);
   EXPECT_LE(eff, 1.0);
 }
@@ -130,12 +129,11 @@ TEST(LintApps, Nn) {
   ms::apps::NnConfig nc;
   nc.records = 1u << 16;
   nc.tiles = 4;
-  LintCapture capture;
-  (void)run_linted(capture, [&] { return ms::apps::NnApp::run(cfg(), nc); });
-  for (const ms::analyze::LintFinding& f : capture.findings()) {
+  const LintTotals lint = run_linted([&] { return ms::apps::NnApp::run(cfg(), nc); });
+  for (const ms::analyze::LintFinding& f : lint.findings()) {
     EXPECT_EQ(f.rule, rule::kDuplexSerialization) << f.message;
   }
-  EXPECT_LE(capture.bound().micros(), capture.elapsed().micros());
+  EXPECT_LE(lint.bound().micros(), lint.elapsed().micros());
 }
 
 TEST(LintApps, MultiDeviceCleanAndBounded) {
@@ -143,11 +141,11 @@ TEST(LintApps, MultiDeviceCleanAndBounded) {
     ms::apps::CfConfig cc;
     cc.dim = 128;
     cc.tile = 32;
-    LintCapture capture;
-    (void)run_linted(capture, [&] { return ms::apps::CfApp::run(cfg_n(devices), cc); });
-    EXPECT_TRUE(capture.clean()) << ms::analyze::text_report(capture);
-    EXPECT_EQ(capture.devices().size(), static_cast<std::size_t>(devices));
-    EXPECT_LE(capture.bound().micros(), capture.elapsed().micros());
+    const LintTotals lint =
+        run_linted([&] { return ms::apps::CfApp::run(cfg_n(devices), cc); });
+    EXPECT_TRUE(lint.clean()) << ms::analyze::text_report(lint);
+    EXPECT_EQ(lint.devices().size(), static_cast<std::size_t>(devices));
+    EXPECT_LE(lint.bound().micros(), lint.elapsed().micros());
   }
 }
 
@@ -166,61 +164,32 @@ TEST(LintApps, BaselineKmeansIsSingleStreamPipeline) {
   kc.dims = 4;
   kc.iterations = 3;
   kc.common.streamed = false;
-  LintCapture capture;
-  (void)run_linted(capture, [&] { return ms::apps::KmeansApp::run(cfg(), kc); });
-  ASSERT_FALSE(capture.clean());
+  const LintTotals lint = run_linted([&] { return ms::apps::KmeansApp::run(cfg(), kc); });
+  ASSERT_FALSE(lint.clean());
   bool pipeline = false;
-  for (const ms::analyze::LintFinding& f : capture.findings()) {
+  for (const ms::analyze::LintFinding& f : lint.findings()) {
     pipeline = pipeline || f.rule == rule::kSingleStreamPipeline;
   }
-  EXPECT_TRUE(pipeline) << ms::analyze::text_report(capture);
+  EXPECT_TRUE(pipeline) << ms::analyze::text_report(lint);
 }
 
 TEST(LintApps, HbenchDuplexPatternIsFlagged) {
   // Fig. 5's mixed pattern: both directions at once on separate streams.
-  LintCapture capture;
-  Capture hazards;
+  Capture capture(/*lint=*/true);
   (void)ms::apps::HBench::transfer_pattern(cfg(), 8, 8, 1u << 20);
-  ASSERT_FALSE(capture.clean());
-  for (const ms::analyze::LintFinding& f : capture.findings()) {
+  ASSERT_FALSE(capture.lint().clean());
+  for (const ms::analyze::LintFinding& f : capture.lint().findings()) {
     EXPECT_EQ(f.rule, rule::kDuplexSerialization) << f.message;
   }
 }
 
-TEST(LintApps, LintingDoesNotPerturbResults) {
-  // Virtual times and checksums must be bit-identical with the linter on
-  // (LintCapture installed) and off — linting is entirely passive.
-  ms::apps::KmeansConfig kc;
-  kc.points = 2048;
-  kc.dims = 4;
-  kc.iterations = 3;
-  kc.tiles = 4;
-  ms::apps::SradConfig sc;
-  sc.rows = sc.cols = 64;
-  sc.tile_rows = sc.tile_cols = 32;
-  sc.iterations = 3;
-
-  const auto km_off = ms::apps::KmeansApp::run(cfg(), kc);
-  const auto srad_off = ms::apps::SradApp::run(cfg(), sc);
-  ms::apps::AppResult km_on, srad_on;
-  {
-    LintCapture capture;
-    km_on = ms::apps::KmeansApp::run(cfg(), kc);
-    srad_on = ms::apps::SradApp::run(cfg(), sc);
-    EXPECT_TRUE(capture.clean()) << ms::analyze::text_report(capture);
-  }
-  EXPECT_EQ(km_on.ms, km_off.ms);
-  EXPECT_EQ(km_on.checksum, km_off.checksum);
-  EXPECT_EQ(srad_on.ms, srad_off.ms);
-  EXPECT_EQ(srad_on.checksum, srad_off.checksum);
-}
-
 // --- Compiled replay ----------------------------------------------------------
 
-/// Findings of one compile-and-replay of `build`'s graph under a LintCapture.
+/// Findings of one compile-and-replay of `build`'s graph under a linting
+/// Capture.
 template <typename Build>
 std::vector<ms::analyze::LintFinding> replay_findings(Build&& build) {
-  LintCapture capture;
+  Capture capture(/*lint=*/true);
   {
     ms::rt::Context ctx(cfg());
     ctx.setup(4);
@@ -229,7 +198,7 @@ std::vector<ms::analyze::LintFinding> replay_findings(Build&& build) {
     g.compile(ctx).launch(ctx);
     ctx.synchronize();
   }
-  return capture.findings();
+  return capture.lint().findings();
 }
 
 bool has_rule(const std::vector<ms::analyze::LintFinding>& findings, std::string_view id) {
@@ -270,8 +239,9 @@ TEST(LintTuner, SpeclessOverloadStillEvaluatesEverything) {
   using ms::rt::Tuner;
   const std::vector<Tuner::Candidate> candidates = {{3, 3}, {2, 2}};
   const auto metric = [](Tuner::Candidate c) { return static_cast<double>(c.partitions); };
-  const Tuner::Result r = Tuner::search(candidates, metric, {.validate = true});
+  const Tuner::Result r = Tuner::search(candidates, metric);
   EXPECT_EQ(r.evaluated, 2u);
+  EXPECT_EQ(r.rejected, 0u);
   EXPECT_EQ(r.best.partitions, 2);
 }
 

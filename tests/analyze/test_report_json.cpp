@@ -19,7 +19,7 @@ namespace {
 
 using ms::analyze::GraphRecord;
 using ms::analyze::HazardKind;
-using ms::analyze::LintCapture;
+using ms::analyze::LintTotals;
 using ms::analyze::LintFinding;
 using ms::analyze::LintReport;
 using ms::rt::AccessMode;
@@ -288,10 +288,10 @@ LintReport duplex_report() {
 TEST(ReportJson, LintFindingsRoundTrip) {
   const LintReport r = duplex_report();
   ASSERT_EQ(r.findings.size(), 1u);
-  LintCapture capture;
-  capture.add_segment(r, r.bound + r.bound, /*synced=*/true);
+  LintTotals totals;
+  totals.add_segment(r, r.bound + r.bound, /*synced=*/true);
 
-  const JsonValue doc = parse(ms::analyze::json_report(capture));
+  const JsonValue doc = parse(ms::analyze::json_report(totals));
   EXPECT_FALSE(doc.at("clean").boolean);
   const auto& findings = doc.at("findings").array;
   ASSERT_EQ(findings.size(), 1u);
@@ -313,23 +313,23 @@ TEST(ReportJson, LintFindingsRoundTrip) {
 
 TEST(ReportJson, LintBoundsMatchTheCapture) {
   const LintReport r = duplex_report();
-  LintCapture capture;
-  capture.add_segment(r, r.bound + r.bound, /*synced=*/true);
-  capture.add_segment(r, r.bound + r.bound + r.bound, /*synced=*/true);
-  ASSERT_FALSE(capture.devices().empty());
+  LintTotals totals;
+  totals.add_segment(r, r.bound + r.bound, /*synced=*/true);
+  totals.add_segment(r, r.bound + r.bound + r.bound, /*synced=*/true);
+  ASSERT_FALSE(totals.devices().empty());
 
-  const JsonValue doc = parse(ms::analyze::json_report(capture));
-  EXPECT_EQ(doc.at("segments").number, num(capture.segments()));
-  EXPECT_EQ(doc.at("nodes").number, num(capture.nodes()));
-  expect_us(doc.at("bound_us"), capture.bound());
-  expect_us(doc.at("elapsed_us"), capture.elapsed());
-  EXPECT_NEAR(doc.at("overlap_efficiency").number, capture.overlap_efficiency(), 5e-4);
+  const JsonValue doc = parse(ms::analyze::json_report(totals));
+  EXPECT_EQ(doc.at("segments").number, num(totals.segments()));
+  EXPECT_EQ(doc.at("nodes").number, num(totals.nodes()));
+  expect_us(doc.at("bound_us"), totals.bound());
+  expect_us(doc.at("elapsed_us"), totals.elapsed());
+  EXPECT_NEAR(doc.at("overlap_efficiency").number, totals.overlap_efficiency(), 5e-4);
   EXPECT_NEAR(doc.at("overlap_efficiency").number, 0.4, 5e-4);
 
   const auto& devices = doc.at("devices").array;
-  ASSERT_EQ(devices.size(), capture.devices().size());
+  ASSERT_EQ(devices.size(), totals.devices().size());
   for (std::size_t i = 0; i < devices.size(); ++i) {
-    const ms::analyze::DeviceBound& d = capture.devices()[i];
+    const ms::analyze::DeviceBound& d = totals.devices()[i];
     EXPECT_EQ(devices[i].at("device").number, static_cast<double>(d.device));
     expect_us(devices[i].at("path_us"), d.path);
     expect_us(devices[i].at("h2d_us"), d.h2d);
@@ -348,10 +348,10 @@ TEST(ReportJson, LintSeverities) {
   warn.rule = std::string(rule::kDeadAction);
   warn.severity = ms::analyze::LintSeverity::Warning;
   warn.message = "a warning-level finding";
-  LintCapture capture;
-  capture.add_findings({note, warn});
+  LintTotals totals;
+  totals.add_findings({note, warn});
 
-  const JsonValue doc = parse(ms::analyze::json_report(capture));
+  const JsonValue doc = parse(ms::analyze::json_report(totals));
   const auto& findings = doc.at("findings").array;
   ASSERT_EQ(findings.size(), 2u);
   EXPECT_EQ(findings[0].at("severity").string, "note");
@@ -367,9 +367,9 @@ TEST(ReportJson, EscapesStrings) {
   f.buffer_name = nasty;
   f.message = nasty;
   f.fixit = nasty;
-  LintCapture capture;
-  capture.add_findings({f});
-  const JsonValue lint = parse(ms::analyze::json_report(capture));
+  LintTotals totals;
+  totals.add_findings({f});
+  const JsonValue lint = parse(ms::analyze::json_report(totals));
   const JsonValue& j = lint.at("findings").array.at(0);
   EXPECT_EQ(j.at("buffer_name").string, nasty);
   EXPECT_EQ(j.at("message").string, nasty);
@@ -390,9 +390,9 @@ TEST(ReportJson, EscapesStrings) {
   EXPECT_EQ(h.at("message").string, a.hazards[0].message);
 }
 
-TEST(ReportJson, CleanLintCapture) {
-  const LintCapture capture;
-  const JsonValue doc = parse(ms::analyze::json_report(capture));
+TEST(ReportJson, CleanLintTotals) {
+  const LintTotals totals;
+  const JsonValue doc = parse(ms::analyze::json_report(totals));
   EXPECT_TRUE(doc.at("clean").boolean);
   EXPECT_EQ(doc.at("segments").number, 0.0);
   EXPECT_EQ(doc.at("nodes").number, 0.0);

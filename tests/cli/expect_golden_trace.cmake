@@ -1,6 +1,7 @@
-# Run CLI with ARGS (a `--trace -` run), require exit 0, and require stdout,
-# less the wall-clock host events (the `"pid":1000` lines, which differ run to
-# run), to equal GOLDEN line for line. Invoked by ctest as:
+# Run CLI with ARGS (a run that writes its document to stdout), require exit
+# 0, and require stdout, less any wall-clock host events of a trace (the
+# `"pid":1000` lines, which differ run to run), to equal GOLDEN line for line.
+# Invoked by ctest as:
 #   cmake -DCLI=<binary> -DARGS=<;-list> -DGOLDEN=<file> -P expect_golden_trace.cmake
 execute_process(COMMAND ${CLI} ${ARGS}
                 RESULT_VARIABLE rc
@@ -46,5 +47,5 @@ if(w EQUAL -1)
 else()
   string(SUBSTRING "${want}" 0 ${w} want_line)
 endif()
-message(FATAL_ERROR "${CLI} ${ARGS}: device events differ from ${GOLDEN} at line ${line}\n"
+message(FATAL_ERROR "${CLI} ${ARGS}: stdout differs from ${GOLDEN} at line ${line}\n"
                     "--- got\n${got_line}\n--- golden\n${want_line}\n")

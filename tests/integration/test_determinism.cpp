@@ -5,18 +5,28 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <initializer_list>
 #include <map>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <tuple>
 #include <vector>
 
 #include "analyze/capture.hpp"
-#include "analyze/perf_lint.hpp"
+#include "analyze/report.hpp"
 #include "apps/registry.hpp"
+#include "kern/par.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/span.hpp"
 
 namespace ms::apps {
+
+/// How gtest prints a GraphMode parameter (found by argument-dependent
+/// lookup, so it lives in GraphMode's namespace).
+void PrintTo(GraphMode mode, std::ostream* os) {
+  *os << (mode == GraphMode::Direct ? "Direct" : "Compiled");
+}
+
 namespace {
 
 sim::SimConfig cards(int devices = 1) {
@@ -86,9 +96,8 @@ std::vector<std::string> app_names() {
 }
 
 TEST(Determinism, UnrelatedTracingDoesNotChangeTiming) {
-  // Observers are observational only: no observer, the timeline, the hazard
-  // analyzer and the timeline beside the linter give bit-identical virtual
-  // time and results.
+  // The timeline is observational only: a traced and an untraced context
+  // give bit-identical virtual time, and only the traced one keeps spans.
   rt::Context with(cards());
   rt::Context without(cards());
   with.set_tracing(true);
@@ -101,31 +110,72 @@ TEST(Determinism, UnrelatedTracingDoesNotChangeTiming) {
   EXPECT_DOUBLE_EQ((with.host_time() - without.host_time()).micros(), 0.0);
   EXPECT_EQ(with.timeline().size(), 1u);
   EXPECT_TRUE(without.timeline().empty());
+}
 
-  for (const std::string& app : app_names()) {
-    const AppResult bare = run_at_small_size(app, 1, GraphMode::Direct, /*tracing=*/false);
-    const AppResult timeline = run_at_small_size(app, 1, GraphMode::Direct);
-    AppResult analyzed;
-    {
-      const analyze::Capture capture;
-      analyzed = run_at_small_size(app, 1, GraphMode::Direct, /*tracing=*/false);
-      EXPECT_TRUE(capture.clean()) << app;
-    }
-    AppResult linted;
-    {
-      const analyze::LintCapture lint;
-      linted = run_at_small_size(app, 1, GraphMode::Direct);
-      EXPECT_GT(lint.nodes(), 0u) << app;
-    }
-    EXPECT_TRUE(bare.timeline.empty()) << app;
-    EXPECT_GT(timeline.timeline.size(), 0u) << app;
-    EXPECT_EQ(linted.timeline.size(), timeline.timeline.size()) << app;
-    for (const AppResult* r : std::initializer_list<const AppResult*>{&timeline, &analyzed, &linted}) {
-      EXPECT_EQ(r->ms, bare.ms) << app;
-      EXPECT_EQ(r->checksum, bare.checksum) << app;
-    }
+// ---------------------------------------------------------------------------
+// Passivity: every knob that only observes a run (the timeline, the analyzer
+// and its linter, metrics recording, the kernel thread count) must leave
+// every registry entry's virtual time and checksum bit-identical to the
+// all-off run, in both graph modes; traced runs must agree on their spans.
+// ---------------------------------------------------------------------------
+
+class Passivity : public ::testing::TestWithParam<std::tuple<std::string, GraphMode>> {};
+
+TEST_P(Passivity, ObserversMetricsAndThreadsLeaveResultsBitIdentical) {
+  const auto& [app, graph] = GetParam();
+  const auto run = [&](bool tracing) { return run_at_small_size(app, 1, graph, tracing); };
+  telemetry::set_enabled(false);
+  const AppResult oracle = run(false);
+  EXPECT_TRUE(oracle.timeline.empty());
+
+  struct Knobbed {
+    const char* knobs;
+    bool traced;
+    AppResult result;
+  };
+  std::vector<Knobbed> runs;
+  runs.push_back({"timeline", true, run(true)});
+  {
+    analyze::Capture capture;
+    runs.push_back({"capture", false, run(false)});
+    EXPECT_TRUE(capture.clean()) << analyze::text_report(capture.result());
+  }
+  {
+    analyze::Capture capture(/*lint=*/true);
+    runs.push_back({"linting capture + timeline", true, run(true)});
+    EXPECT_GT(capture.lint().nodes(), 0u);
+  }
+  telemetry::set_enabled(true);
+  runs.push_back({"metrics", false, run(false)});
+  {
+    analyze::Capture capture;
+    runs.push_back({"metrics + capture + timeline", true, run(true)});
+  }
+  telemetry::set_enabled(false);
+  telemetry::clear_spans();
+  {
+    const kern::par::ThreadScope one(1);
+    runs.push_back({"one kernel thread", false, run(false)});
+  }
+
+  const std::size_t spans = runs.front().result.timeline.size();
+  EXPECT_GT(spans, 0u);
+  for (const Knobbed& r : runs) {
+    EXPECT_EQ(r.result.ms, oracle.ms) << r.knobs;
+    EXPECT_EQ(r.result.checksum, oracle.checksum) << r.knobs;
+    EXPECT_EQ(r.result.timeline.size(), r.traced ? spans : 0u) << r.knobs;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, Passivity,
+    ::testing::Combine(::testing::ValuesIn(app_names()),
+                       ::testing::Values(GraphMode::Direct, GraphMode::Compiled)),
+    [](const auto& p) {
+      std::string name = std::get<0>(p.param);
+      std::replace(name.begin(), name.end(), '-', '_');  // gtest names allow no '-'
+      return name + (std::get<1>(p.param) == GraphMode::Direct ? "_direct" : "_compiled");
+    });
 
 // ---------------------------------------------------------------------------
 // Multi-card coverage: every registry entry, run twice at 1, 2 and 3

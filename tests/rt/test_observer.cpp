@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "analyze/capture.hpp"
 #include "analyze/recorder.hpp"
 #include "rt/compiled_graph.hpp"
 #include "rt/context.hpp"
@@ -51,17 +52,17 @@ void issue_schedule(Context& ctx, BufferId buf) {
   ctx.stream(0).enqueue_kernel(KernelLaunch("tail", work(5e4)).reads(buf, 0, kHalf), {down});
 }
 
-/// A context laid out for the schedule, with `o` installed before anything
-/// is issued.
+/// A context laid out for the schedule, with `o` (if any) installed before
+/// anything is issued.
 struct Rig {
   Context ctx{cfg()};
   BufferId buf;
 
-  explicit Rig(Observer& o) {
+  Rig() {
     ctx.setup(3);
     buf = ctx.create_virtual_buffer(2 * kHalf);
-    ctx.add_observer(o);
   }
+  explicit Rig(Observer& o) : Rig() { ctx.add_observer(o); }
 
   /// Capture the schedule and replay it once.
   void replay() {
@@ -156,10 +157,13 @@ TEST(Observer, DirectIssueAndReplayReportTheSameActions) {
 }
 
 /// The analyzer's segment after the schedule was issued: read before the
-/// drain that analyzes and drops it.
+/// drain that analyzes and drops it. The context is built before the
+/// Capture, so the recorder installed by hand is its only analyzer.
 std::vector<analyze::ActionNode> recorded(bool replay) {
-  analyze::Recorder rec(cfg());
-  Rig rig(rec);
+  Rig rig;
+  analyze::Capture capture;
+  analyze::Recorder rec(cfg(), capture);
+  rig.ctx.add_observer(rec);
   if (replay) {
     rig.replay();
   } else {
@@ -167,6 +171,7 @@ std::vector<analyze::ActionNode> recorded(bool replay) {
   }
   std::vector<analyze::ActionNode> nodes = rec.graph().nodes;
   rig.ctx.synchronize();
+  rig.ctx.remove_observer(rec);
   return nodes;
 }
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
+
+#include "rt/errors.hpp"
 
 namespace ms::rt {
 namespace {
@@ -72,6 +75,25 @@ TEST(Tuner, SearchEmptyInputsThrow) {
   EXPECT_THROW((void)Tuner::search({}, [](Tuner::Candidate) { return 0.0; }), std::invalid_argument);
   const auto space = Tuner::pruned_space(phi());
   EXPECT_THROW((void)Tuner::search(space, {}), std::invalid_argument);
+}
+
+TEST(Tuner, SearchSkipsNonFiniteMetrics) {
+  // A metric rules a candidate out by scoring it +inf (or NaN): it is
+  // counted, never chosen, and a search with no finite candidate throws.
+  const std::vector<Tuner::Candidate> space{{1, 1}, {1, 2}, {1, 3}, {1, 4}};
+  const auto metric = [](Tuner::Candidate c) {
+    if (c.tiles == 1) return std::numeric_limits<double>::infinity();
+    if (c.tiles == 2) return std::numeric_limits<double>::quiet_NaN();
+    return static_cast<double>(c.tiles);
+  };
+  const auto r = Tuner::search(space, metric);
+  EXPECT_EQ(r.evaluated, 4u);
+  EXPECT_EQ(r.rejected, 2u);
+  EXPECT_EQ(r.best.tiles, 3);
+  EXPECT_DOUBLE_EQ(r.best_metric, 3.0);
+
+  const auto none = [](Tuner::Candidate) { return std::numeric_limits<double>::infinity(); };
+  EXPECT_THROW((void)Tuner::search(space, none), Error);
 }
 
 TEST(Tuner, SweepKeepsSerialWinnerAndTieBreaks) {

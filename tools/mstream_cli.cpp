@@ -507,8 +507,8 @@ int run_workload(const char* cmd, const std::string& sub, const std::string& nam
 }
 
 // Run any app/hbench config under a hazard Capture: the runtime records the
-// virtual-concurrency action graph and collects happens-before violations
-// instead of aborting. Prints the text report; exit 1 when hazards exist.
+// virtual-concurrency action graph and collects happens-before violations.
+// Prints the text report; exit 1 when hazards exist.
 int run_analyze(const std::string& sub, const std::string& name, const Cli& cli) {
   ms::analyze::Capture capture;
   if (const int rc = run_workload("analyze", sub, name, cli); rc != 0) return rc;
@@ -537,26 +537,26 @@ int run_analyze(const std::string& sub, const std::string& name, const Cli& cli)
 // records each barrier-delimited segment and the linter checks it against the
 // platform's cost model — anti-pattern findings with fix-its, the per-device
 // critical-path/link makespan lower bound, and the overlap-efficiency score
-// (static bound / simulated elapsed time). A hazard Capture rides along so
-// racy configs report instead of aborting. Exit 1 when findings exist.
+// (static bound / simulated elapsed time). Hazards are collected alongside
+// and counted in a note. Exit 1 when findings exist.
 int run_lint(const std::string& sub, const std::string& name, const Cli& cli) {
-  ms::analyze::Capture hazards;
-  ms::analyze::LintCapture capture;
+  ms::analyze::Capture capture(/*lint=*/true);
   if (const int rc = run_workload("lint", sub, name, cli); rc != 0) return rc;
 
-  say("%s", ms::analyze::text_report(capture).c_str());
-  if (!hazards.clean()) {
+  const ms::analyze::LintTotals& lint = capture.lint();
+  say("%s", ms::analyze::text_report(lint).c_str());
+  if (!capture.clean()) {
     say("note: %zu hazard(s) found alongside — run `mstream_cli analyze` for details\n",
-        hazards.result().hazards.size());
+        capture.result().hazards.size());
   }
   if (!cli.json_path.empty()) {
     if (!with_output(cli.json_path,
-                     [&](std::ostream& os) { os << ms::analyze::json_report(capture); })) {
+                     [&](std::ostream& os) { os << ms::analyze::json_report(lint); })) {
       return 2;
     }
     if (cli.json_path != "-") say("json report -> %s\n", cli.json_path.c_str());
   }
-  return capture.clean() ? 0 : 1;
+  return lint.clean() ? 0 : 1;
 }
 
 int run_tune(const Cli& cli) {
