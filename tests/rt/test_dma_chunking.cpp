@@ -14,7 +14,7 @@ sim::SimConfig chunked_cfg(std::size_t chunk) {
   return c;
 }
 
-TEST(DmaChunking, OffByDefaultAndTimingUnchanged) {
+TEST(DmaChunking, OffByDefault) {
   EXPECT_EQ(sim::SimConfig::phi_31sp().link.dma_chunk_bytes, 0u);
 }
 

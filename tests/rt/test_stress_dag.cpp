@@ -1,95 +1,30 @@
-// Randomized stress suite for the runtime: generate random task graphs
-// (random streams, kinds, sizes, and backward dependency edges), run them,
-// and check the structural invariants the scheduler must uphold no matter
-// what:
+// Randomized stress suite for the runtime: run the random task graphs of
+// random_dag.hpp and check the structural invariants the scheduler must
+// uphold no matter what:
 //   * every action completes (no lost wakeups / deadlocks),
 //   * dependency edges are respected on the virtual timeline,
 //   * actions of one stream never overlap (in-order streams),
 //   * H2D/D2H spans never overlap each other (serialized DMA),
 //   * the whole run is bit-deterministic.
+// The passivity harness (tests/integration/test_passivity.cpp) runs them too.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <random>
+#include <utility>
 #include <vector>
 
+#include "random_dag.hpp"
 #include "rt/context.hpp"
 #include "trace/timeline.hpp"
 
 namespace ms::rt {
 namespace {
 
-struct GraphSpec {
-  std::uint32_t seed = 0;
-  int partitions = 4;
-  int actions = 120;
-};
-
-struct BuiltGraph {
-  std::vector<Event> events;
-  std::vector<std::vector<std::size_t>> deps;  // indices of dependency actions
-};
-
-BuiltGraph build_random_graph(Context& ctx, BufferId buf, const GraphSpec& spec) {
-  std::mt19937 rng(spec.seed);
-  std::uniform_int_distribution<int> stream_pick(0, ctx.stream_count() - 1);
-  std::uniform_int_distribution<int> kind_pick(0, 3);
-  std::uniform_real_distribution<double> size_pick(1e4, 5e6);
-  std::uniform_int_distribution<int> dep_count_pick(0, 3);
-
-  BuiltGraph g;
-  g.events.reserve(static_cast<std::size_t>(spec.actions));
-  g.deps.resize(static_cast<std::size_t>(spec.actions));
-
-  const std::size_t buf_bytes = ctx.buffer_size(buf);
-  for (int i = 0; i < spec.actions; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    // Random backward dependencies (acyclic by construction).
-    std::vector<Event> deps;
-    if (i > 0) {
-      const int n = dep_count_pick(rng);
-      std::uniform_int_distribution<std::size_t> dep_pick(0, idx - 1);
-      for (int d = 0; d < n; ++d) {
-        const std::size_t target = dep_pick(rng);
-        g.deps[idx].push_back(target);
-        deps.push_back(g.events[target]);
-      }
-    }
-
-    Stream& s = ctx.stream(stream_pick(rng));
-    Event ev;
-    switch (kind_pick(rng)) {
-      case 0: {
-        const auto bytes = static_cast<std::size_t>(size_pick(rng));
-        ev = s.enqueue_h2d(buf, 0, std::min(bytes, buf_bytes), deps);
-        break;
-      }
-      case 1: {
-        const auto bytes = static_cast<std::size_t>(size_pick(rng));
-        ev = s.enqueue_d2h(buf, 0, std::min(bytes, buf_bytes), deps);
-        break;
-      }
-      case 2: {
-        sim::KernelWork w;
-        w.kind = sim::KernelKind::Streaming;
-        w.elems = size_pick(rng);
-        ev = s.enqueue_kernel({"stress", w, {}}, deps);
-        break;
-      }
-      default:
-        ev = s.enqueue_barrier(deps);
-        break;
-    }
-    g.events.push_back(ev);
-  }
-  return g;
-}
-
 class StressDag : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(StressDag, InvariantsHold) {
-  GraphSpec spec;
+  test::GraphSpec spec;
   spec.seed = GetParam();
   spec.partitions = 1 + static_cast<int>(spec.seed % 7);
 
@@ -98,7 +33,7 @@ TEST_P(StressDag, InvariantsHold) {
   ctx.setup(spec.partitions);
   const BufferId buf = ctx.create_virtual_buffer(8 << 20);
 
-  const auto graph = build_random_graph(ctx, buf, spec);
+  const auto graph = test::build_random_graph(ctx, buf, spec);
   ctx.synchronize();
 
   // 1. Everything completed.
@@ -140,12 +75,12 @@ TEST_P(StressDag, InvariantsHold) {
 
 TEST_P(StressDag, Deterministic) {
   auto run_once = [&] {
-    GraphSpec spec;
+    test::GraphSpec spec;
     spec.seed = GetParam();
     Context ctx(sim::SimConfig::phi_31sp());
     ctx.setup(3);
     const BufferId buf = ctx.create_virtual_buffer(8 << 20);
-    build_random_graph(ctx, buf, spec);
+    test::build_random_graph(ctx, buf, spec);
     ctx.synchronize();
     return ctx.host_time().micros();
   };

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/sweep.hpp"
 #include "telemetry/export.hpp"
 
 namespace ms::telemetry {
@@ -308,6 +309,42 @@ TEST(MetricsEnv, OnlyOneSwitchesRecordingOn) {
   }
   ::unsetenv("MS_METRICS");
   set_enabled(false);
+}
+
+TEST(TelemetryDeterminism, TotalsIndependentOfThreadCount) {
+  // Counter shards and histogram buckets merge by addition, so the totals a
+  // sweep records are exact and identical no matter how many threads split
+  // the work: {serial, 2 workers, one per hardware thread}.
+  set_enabled(true);
+  Counter& c = registry().counter("ms_test_sweep_total", "thread-count invariance test");
+  Histogram& h = registry().histogram("ms_test_sweep_ns", "thread-count invariance test");
+
+  constexpr std::size_t kJobs = 300;
+  std::vector<HistogramSnapshot> snaps;
+  std::vector<std::uint64_t> counts;
+  for (const int threads : {1, 2, 0}) {
+    c.reset();
+    h.reset();
+    sim::SweepOptions opt;
+    opt.threads = threads;
+    sim::parallel_for(
+        kJobs,
+        [&](std::size_t i) {
+          c.add(1);
+          h.observe(static_cast<std::uint64_t>(i) % 1000);
+        },
+        opt);
+    counts.push_back(c.value());
+    snaps.push_back(h.snapshot());
+  }
+  set_enabled(false);
+
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    EXPECT_EQ(counts[i], kJobs) << "thread config #" << i;
+    EXPECT_EQ(snaps[i].count(), kJobs) << "thread config #" << i;
+    EXPECT_EQ(snaps[i].sum, snaps[0].sum) << "thread config #" << i;
+    EXPECT_EQ(snaps[i].buckets, snaps[0].buckets) << "thread config #" << i;
+  }
 }
 
 }  // namespace

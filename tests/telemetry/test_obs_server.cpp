@@ -7,9 +7,7 @@
 
 #include "telemetry/obs_server.hpp"
 
-#include <arpa/inet.h>
 #include <gtest/gtest.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -24,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "loopback_http.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 #include "trace/chrome_trace.hpp"
@@ -31,56 +30,7 @@
 namespace ms::telemetry {
 namespace {
 
-/// Connected loopback TCP socket, or -1.
-int connect_loopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(static_cast<std::uint16_t>(port));
-  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-/// Minimal blocking HTTP/1.1 client: one request, read to EOF (the server
-/// always answers Connection: close).
-std::string http_request(int port, const std::string& target,
-                         const std::string& method = "GET") {
-  const int fd = connect_loopback(port);
-  if (fd < 0) return {};
-  const std::string req =
-      method + " " + target + " HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
-  for (std::size_t off = 0; off < req.size();) {
-    const ssize_t w = ::send(fd, req.data() + off, req.size() - off, 0);
-    if (w <= 0) {
-      ::close(fd);
-      return {};
-    }
-    off += static_cast<std::size_t>(w);
-  }
-  std::string resp;
-  char buf[4096];
-  for (ssize_t r = 0; (r = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
-    resp.append(buf, static_cast<std::size_t>(r));
-  }
-  ::close(fd);
-  return resp;
-}
-
-int status_of(const std::string& resp) {
-  // "HTTP/1.1 NNN ..."
-  if (resp.size() < 12) return -1;
-  return std::atoi(resp.c_str() + 9);
-}
-
-std::string body_of(const std::string& resp) {
-  const std::size_t at = resp.find("\r\n\r\n");
-  return at == std::string::npos ? std::string() : resp.substr(at + 4);
-}
+using namespace test;  // the loopback HTTP client
 
 bool valid_metric_name(const std::string& s) {
   if (s.empty()) return false;

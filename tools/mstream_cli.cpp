@@ -161,9 +161,9 @@ int usage() {
                "       mstream_cli apps\n"
                "       mstream_cli reproduce [list | NAME...] [--quick] [--json FILE] [--metrics FILE]\n"
                "flags: --device {31sp|31sp-x2|7120p} --partitions N --tiles N\n"
-               "       --dim N --points N --iters N --baseline --functional\n"
+               "       --dim N --points N --iters N --baseline --functional --utilization\n"
                "       --trace FILE --metrics FILE --serve-obs ADDR\n"
-               "       --utilization ('-' = stdout)\n",
+               "FILE:  a path, or '-' for stdout\n",
                names.c_str());
   return 2;
 }
