@@ -47,23 +47,7 @@ ms::kern::par::ThreadScope threads_of(const benchmark::State& state) {
 }
 
 // The MM app's unit of work: one 500 x 500 C tile of the paper's D = 6000
-// multiplication (C tile += A band * B band, k = 6000).
-void BM_GemmTile(benchmark::State& state) {
-  const std::size_t m = 500, n = 500, k = 6000;
-  const auto a = random_vec<double>(m * k, 1);
-  const auto b = random_vec<double>(k * n, 2);
-  std::vector<double> c(m * n, 0.0);
-  const auto scope = threads_of(state);
-  for (auto _ : state) {
-    ms::kern::gemm_tile(a.data(), b.data(), c.data(), m, n, k, k, n, n);
-    benchmark::DoNotOptimize(c.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ms::kern::gemm_flops(m, n, k)));
-}
-BENCHMARK(BM_GemmTile)->Apply(thread_axis);
-
+// multiplication (C tile += A band * B^T band, k = 6000).
 void BM_GemmNtAcc(benchmark::State& state) {
   const std::size_t m = 500, n = 500, k = 6000;
   const auto a = random_vec<double>(m * k, 3);

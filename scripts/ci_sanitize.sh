@@ -42,10 +42,10 @@ export UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1 ${UBSAN_OPTIONS:-}"
 # including a pooled tuner search with one Capture per worker thread.
 # test_apps: the ported apps across the Direct and Compiled graph modes,
 # including plans shared through the process graph cache.
-# test_integration: paper claims end to end, and the passivity harness: its
-# pool-placement knob runs every registry app and random DAG as two
-# concurrent sweep jobs, each under its own Capture, while another thread
-# scrapes a live ObsServer.
+# test_integration: paper claims end to end, and the passivity harness, the
+# suite's one identity oracle: its pool-placement knob runs registry apps
+# and random DAGs as two concurrent sweep jobs, each under its own Capture,
+# while another thread scrapes a live ObsServer.
 # test_capi: the flat C API, an external input surface (range resolution
 # of caller-supplied pointers and sizes).
 for t in "${TARGETS[@]}"; do

@@ -6,91 +6,10 @@ namespace ms::kern {
 
 namespace {
 
-// Blocking shape (see docs/architecture.md §8). The decomposition is a pure
-// function of (m, n, k) — never of the worker count — so results are
-// bit-identical across 1..N threads. The micro-kernel shape is sized to the
-// register file: the accumulator block is kMr x kNr doubles and must fit the
-// architectural vector registers with room for A broadcasts and B loads, or
-// the compiler spills the accumulators and the kernel falls off a cliff.
-// Per C element the accumulation order over p is identical for every shape
-// (serial within each k-block), so the shape choice never changes results.
-#if defined(__AVX512F__)
-constexpr std::size_t kMr = 4;   // 4x24 doubles = 12 of 32 zmm accumulators
-constexpr std::size_t kNr = 24;  // three 512-bit lanes per row
-#else
-constexpr std::size_t kMr = 2;   // two rows of three panels keeps the FMA
-constexpr std::size_t kNr = 24;  // chains independent without spill storms
-#endif
-constexpr std::size_t kKc = 256;      // k-block: a kKc x kNr B panel stays in L2
-constexpr std::size_t kGemmBand = 128;  // rows per parallel band
-
-/// kMr x kNr register micro-kernel: acc rows of C stay in registers across
-/// the whole k-block, B is streamed panel-wise, A is broadcast. The j-loop
-/// has a compile-time trip count so the compiler vectorizes it.
-inline void micro_full(const double* a, const double* b, double* c, std::size_t k0,
-                       std::size_t kend, std::size_t lda, std::size_t ldb, std::size_t ldc) {
-  double acc[kMr][kNr];
-  for (std::size_t r = 0; r < kMr; ++r) {
-    for (std::size_t j = 0; j < kNr; ++j) acc[r][j] = c[r * ldc + j];
-  }
-  for (std::size_t p = k0; p < kend; ++p) {
-    const double* bp = b + p * ldb;
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const double arp = a[r * lda + p];
-      for (std::size_t j = 0; j < kNr; ++j) acc[r][j] += arp * bp[j];
-    }
-  }
-  for (std::size_t r = 0; r < kMr; ++r) {
-    for (std::size_t j = 0; j < kNr; ++j) c[r * ldc + j] = acc[r][j];
-  }
-}
-
-/// Edge micro-kernel for the m % kMr / n % kNr fringe: same accumulation
-/// order (k sequential per element), runtime trip counts. A given C element
-/// is always handled by the same kernel — the fringe is a function of
-/// (m, n) only — so the full/edge split never changes results between runs.
-inline void micro_edge(const double* a, const double* b, double* c, std::size_t mr,
-                       std::size_t nr, std::size_t k0, std::size_t kend, std::size_t lda,
-                       std::size_t ldb, std::size_t ldc) {
-  double acc[kMr][kNr];
-  for (std::size_t r = 0; r < mr; ++r) {
-    for (std::size_t j = 0; j < nr; ++j) acc[r][j] = c[r * ldc + j];
-  }
-  for (std::size_t p = k0; p < kend; ++p) {
-    const double* bp = b + p * ldb;
-    for (std::size_t r = 0; r < mr; ++r) {
-      const double arp = a[r * lda + p];
-      for (std::size_t j = 0; j < nr; ++j) acc[r][j] += arp * bp[j];
-    }
-  }
-  for (std::size_t r = 0; r < mr; ++r) {
-    for (std::size_t j = 0; j < nr; ++j) c[r * ldc + j] = acc[r][j];
-  }
-}
-
-/// One i-band of gemm_tile: k-blocked, j-panelled, register micro-kernel.
-void gemm_band(const double* a, const double* b, double* c, std::size_t i0, std::size_t i1,
-               std::size_t n, std::size_t k, std::size_t lda, std::size_t ldb,
-               std::size_t ldc) {
-  for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
-    const std::size_t p1 = p0 + kKc < k ? p0 + kKc : k;
-    for (std::size_t i = i0; i < i1; i += kMr) {
-      const std::size_t mr = i + kMr <= i1 ? kMr : i1 - i;
-      const double* ai = a + i * lda;
-      double* ci = c + i * ldc;
-      std::size_t j = 0;
-      if (mr == kMr) {
-        for (; j + kNr <= n; j += kNr) {
-          micro_full(ai, b + j, ci + j, p0, p1, lda, ldb, ldc);
-        }
-      }
-      for (; j < n; j += kNr) {
-        const std::size_t nr = j + kNr <= n ? kNr : n - j;
-        micro_edge(ai, b + j, ci + j, mr, nr, p0, p1, lda, ldb, ldc);
-      }
-    }
-  }
-}
+// Rows per parallel band. The decomposition is a pure function of (m, n, k)
+// -- never of the worker count -- so results are bit-identical across 1..N
+// threads.
+constexpr std::size_t kGemmBand = 128;
 
 /// Lane width for the gemm_nt dot-product kernel: four strided partial sums
 /// per (i, j), combined by a fixed pair tree, the p-remainder folded in
@@ -144,14 +63,6 @@ void gemm_nt_band(const double* a, const double* b, double* c, std::size_t i0, s
 }
 
 }  // namespace
-
-void gemm_tile(const double* a, const double* b, double* c, std::size_t m, std::size_t n,
-               std::size_t k, std::size_t lda, std::size_t ldb, std::size_t ldc) {
-  if (m == 0 || n == 0 || k == 0) return;
-  par::for_blocked(0, m, kGemmBand, [=](std::size_t i0, std::size_t i1) {
-    gemm_band(a, b, c, i0, i1, n, k, lda, ldb, ldc);
-  });
-}
 
 void gemm_nt_acc(const double* a, const double* b, double* c, std::size_t m, std::size_t n,
                  std::size_t k, std::size_t lda, std::size_t ldb, std::size_t ldc) {

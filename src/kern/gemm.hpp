@@ -4,17 +4,6 @@
 
 namespace ms::kern {
 
-/// C += A * B on row-major tiles.
-///
-/// A is m x k with leading dimension lda, B is k x n with ldb, C is m x n
-/// with ldc. Runs on the kernel execution engine (kern::par): row bands in
-/// parallel, k-blocked with a register micro-kernel per j-panel. The
-/// decomposition is a pure function of (m, n, k), so results are
-/// bit-identical across thread counts; virtual time still comes from the
-/// cost model alone.
-void gemm_tile(const double* a, const double* b, double* c, std::size_t m, std::size_t n,
-               std::size_t k, std::size_t lda, std::size_t ldb, std::size_t ldc);
-
 /// C += A * B^T on row-major tiles: A is m x k (lda), B is n x k (ldb), C is
 /// m x n (ldc). The tiled MM application stores B transposed so that a
 /// column band of B is a contiguous row band of B^T and can be moved by one
@@ -24,7 +13,8 @@ void gemm_tile(const double* a, const double* b, double* c, std::size_t m, std::
 void gemm_nt_acc(const double* a, const double* b, double* c, std::size_t m, std::size_t n,
                  std::size_t k, std::size_t lda, std::size_t ldb, std::size_t ldc);
 
-/// Naive triple loop used as the test oracle.
+/// C += A * B (B is k x n, ldb): the naive triple loop, gemm_nt_acc's test
+/// oracle.
 void gemm_reference(const double* a, const double* b, double* c, std::size_t m, std::size_t n,
                     std::size_t k, std::size_t lda, std::size_t ldb, std::size_t ldc);
 

@@ -1,9 +1,6 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -64,40 +61,6 @@ const char* to_string(MetricKind k) noexcept {
     case MetricKind::Histogram: return "histogram";
   }
   return "?";
-}
-
-namespace {
-
-/// Parse the on/off environment switch `name`. Unset, empty and "0" mean
-/// off; "1" means on. Any other value ("false", "off", "00", ...) counts as
-/// off and prints a one-line warning to stderr (once), so a spelling that
-/// reads as "off" can never switch a feature on.
-bool env_switch(const char* name) noexcept {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0' || std::strcmp(v, "0") == 0) return false;
-  if (std::strcmp(v, "1") == 0) return true;
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true, std::memory_order_relaxed)) {
-    std::fprintf(stderr, "warning: %s='%s' is not 0 or 1; treating it as 0\n", name, v);
-  }
-  return false;
-}
-
-}  // namespace
-
-namespace detail {
-
-bool init_from_env() noexcept {
-  const bool on = env_switch("MS_METRICS");
-  int expected = -1;
-  g_state.compare_exchange_strong(expected, on ? 1 : 0, std::memory_order_relaxed);
-  return g_state.load(std::memory_order_relaxed) != 0;
-}
-
-}  // namespace detail
-
-void set_enabled(bool on) noexcept {
-  detail::g_state.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
 struct Registry::Entry {

@@ -69,12 +69,9 @@ struct HistogramSnapshot {
 
 namespace detail {
 
-/// Runtime gate, tri-state so it can be constant-initialized (no static
-/// init order hazards with the metric registrations running in other TUs):
-/// -1 = consult MS_METRICS on first use, 0 = off, 1 = on.
-inline constinit std::atomic<int> g_state{-1};
-
-[[nodiscard]] bool init_from_env() noexcept;
+/// Runtime gate. Constant-initialized, so metric registrations running in
+/// other TUs' static initializers see it off.
+inline constinit std::atomic<bool> g_enabled{false};
 
 /// Small dense id for the calling thread, assigned on first use; picks the
 /// counter shard and labels span records.
@@ -86,18 +83,18 @@ inline constinit std::atomic<int> g_state{-1};
 
 }  // namespace detail
 
-/// Is host-side metric/span recording on? Off by default; turned on by
-/// MS_METRICS=1 in the environment or set_enabled(true). One relaxed load —
-/// the whole cost of an instrumented call site while recording is off.
+/// Is host-side metric/span recording on? Off until set_enabled(true). One
+/// relaxed load -- the whole cost of an instrumented call site while
+/// recording is off.
 [[nodiscard]] inline bool enabled() noexcept {
-  const int s = detail::g_state.load(std::memory_order_relaxed);
-  if (s >= 0) return s != 0;
-  return detail::init_from_env();
+  return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// Programmatic override of the MS_METRICS gate (the CLI's --metrics flag,
-/// tests, benchmarks).
-void set_enabled(bool on) noexcept;
+/// The one recording switch (the CLI's --metrics, --serve-obs and graph
+/// subcommand, tests, benchmarks).
+inline void set_enabled(bool on) noexcept {
+  detail::g_enabled.store(on, std::memory_order_relaxed);
+}
 
 // ---------------------------------------------------------------------------
 // Metric primitives

@@ -13,7 +13,7 @@
 //   GET /trace    Chrome trace of the host track (span rings + counter
 //                 samples), the same bytes the --trace export writes for them
 //
-// Payloads are always well formed; while recording is off (MS_METRICS unset)
+// Payloads are always well formed; while recording is off (set_enabled(false))
 // the series read zero and the trace has no events. It is opt-in —
 // nothing listens unless a caller constructs one or calls ensure_obs_server
 // (`mstream_cli --serve-obs`).

@@ -27,7 +27,7 @@ inline constinit std::atomic<std::uint64_t> g_next_replay{1};
 /// Allocate the next replay id. Ids are process-wide, monotonic, and start
 /// at 1 (0 means "no replay"). Ids are handed out whether or not recording is
 /// on: replay correlation also stamps the simulator trace, which does not
-/// depend on the MS_METRICS gate.
+/// depend on the recording switch.
 [[nodiscard]] inline std::uint64_t next_replay_id() noexcept {
   return detail::g_next_replay.fetch_add(1, std::memory_order_relaxed);
 }

@@ -15,7 +15,6 @@
 #include "apps/mm_app.hpp"
 #include "apps/nn_app.hpp"
 #include "apps/srad_app.hpp"
-#include "kern/par.hpp"
 
 namespace ms::apps {
 namespace {
@@ -153,23 +152,6 @@ TEST(GraphModes, LuIdenticalAcrossModesOnTwoCards) {
 
 TEST(GraphModes, MmIdenticalAcrossModesOnTwoCards) {
   expect_identical(run_modes<MmApp>(sim::SimConfig::phi_31sp_x2(), mm_cfg()), 0x1.da693ccf7ec5ap-1);
-}
-
-// The kernel engine's host thread count must not leak into either virtual
-// times or checksums, in any issue mode.
-TEST(GraphModes, ThreadCountInvariant) {
-  const Modes base = run_modes<SradApp>(sim::SimConfig::phi_31sp(), srad_cfg());
-  const Modes base_km = run_modes<KmeansApp>(sim::SimConfig::phi_31sp(), kmeans_cfg());
-  for (const int threads : {1, 2, 0 /* one per hardware thread */}) {
-    kern::par::ThreadScope scope(threads);
-    const Modes m = run_modes<SradApp>(sim::SimConfig::phi_31sp(), srad_cfg());
-    EXPECT_EQ(m.direct.ms, base.direct.ms) << threads;
-    EXPECT_EQ(m.compiled.ms, base.compiled.ms) << threads;
-    EXPECT_EQ(m.compiled.checksum, base.compiled.checksum) << threads;
-    const Modes km = run_modes<KmeansApp>(sim::SimConfig::phi_31sp(), kmeans_cfg());
-    EXPECT_EQ(km.compiled.ms, base_km.compiled.ms) << threads;
-    EXPECT_EQ(km.compiled.checksum, base_km.compiled.checksum) << threads;
-  }
 }
 
 template <typename Config>

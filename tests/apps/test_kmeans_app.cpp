@@ -102,14 +102,6 @@ TEST(KmeansApp, InvalidTilesThrow) {
   EXPECT_THROW(KmeansApp::run(cfg(), kc), std::invalid_argument);
 }
 
-TEST(KmeansApp, GraphReplayMatchesDirectEnqueueResults) {
-  auto kc = small(true);
-  const auto direct = KmeansApp::run(cfg(), kc);
-  kc.common.graph = GraphMode::Compiled;
-  const auto compiled = KmeansApp::run(cfg(), kc);
-  EXPECT_DOUBLE_EQ(compiled.checksum, direct.checksum);
-}
-
 TEST(KmeansApp, GraphReplayCutsHostOverheadAtFineGranularity) {
   KmeansConfig kc;
   kc.points = 1120000;

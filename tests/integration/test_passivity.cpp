@@ -1,7 +1,8 @@
-// The passivity harness. A knob that only observes a run, or only changes
-// how the host executes it, must leave every virtual time, checksum, span,
-// hazard and lint verdict bit-identical to the all-off run of the same
-// point. The knobs and their levels (level 0 is off):
+// The passivity harness, the one identity oracle of the test suite. A knob
+// that only observes a run, or only changes how the host executes it, must
+// leave every virtual time, checksum, span, hazard and lint verdict
+// bit-identical to the all-off run of the same point. The knobs and their
+// levels (level 0 is off):
 //
 //   timeline   CommonConfig::tracing / Context::set_tracing
 //   analysis   none, an analyze::Capture, or a linting Capture(true)
@@ -19,6 +20,8 @@
 // random_dag.hpp on 1-3 cards. Each runs the all-off oracle and three knob
 // vectors, drawn in turn from a greedy pairwise cover plus a fixed-seed
 // random sample; PassiveKnobs.GeneratorCoversEveryPair proves the coverage.
+// The named points at the end run one or two knobs at a time at further
+// sizes, so a failure there names the knob at fault.
 
 #include <gtest/gtest.h>
 
@@ -27,15 +30,18 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <ostream>
 #include <random>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "analyze/capture.hpp"
@@ -50,6 +56,13 @@
 #include "telemetry/obs_server.hpp"
 
 namespace ms::apps {
+
+/// How gtest prints a GraphMode parameter (found by argument-dependent
+/// lookup, so it lives in GraphMode's namespace).
+void PrintTo(GraphMode mode, std::ostream* os) {
+  *os << (mode == GraphMode::Direct ? "Direct" : "Compiled");
+}
+
 namespace {
 
 // --- PassiveKnobs ---------------------------------------------------------------
@@ -86,6 +99,27 @@ struct PassiveKnobs {
     return s;
   }
 };
+
+/// Knob vectors, each spelled in str()'s form ("timeline=on repeat=warm");
+/// the knobs a text does not name stay off.
+std::vector<PassiveKnobs> vectors(std::initializer_list<const char*> texts) {
+  std::vector<PassiveKnobs> out;
+  for (const char* text : texts) {
+    PassiveKnobs& v = out.emplace_back();
+    std::istringstream in(text);
+    for (std::string word; in >> word;) {
+      const std::size_t eq = word.find('=');
+      const auto named = [&](const KnobLevels& k) { return word.substr(0, eq) == k.name; };
+      const auto k = std::ranges::find_if(kKnobs, named);
+      if (eq == std::string::npos || k == kKnobs.end()) throw std::invalid_argument(word);
+      const auto l = std::ranges::find(k->levels, word.substr(eq + 1));
+      if (l == k->levels.end()) throw std::invalid_argument(word);
+      v.level[static_cast<std::size_t>(k - kKnobs.begin())] =
+          static_cast<std::size_t>(l - k->levels.begin());
+    }
+  }
+  return out;
+}
 
 using Pair = std::array<std::size_t, 4>;  // (knob i, its level, knob j > i, its level)
 
@@ -150,7 +184,7 @@ struct Point {
   AppPoint size;
   GraphMode mode = GraphMode::Direct;
   int cards = 1;
-  int partitions = 1;
+  int partitions = 4;  // CommonConfig's and GraphSpec's default
   std::uint32_t seed = 0;
   std::vector<PassiveKnobs> knobs;
 
@@ -162,6 +196,12 @@ struct Point {
 };
 
 void PrintTo(const Point& p, std::ostream* os) { *os << p.str(); }  // for gtest's test list
+
+/// `app` as a gtest name part, which allows no '-'.
+std::string test_name(std::string app) {
+  std::replace(app.begin(), app.end(), '-', '_');
+  return app;
+}
 
 std::vector<Point> points() {
   // mm, hotspot, srad and nn tiles span more than one kern::par block, so the
@@ -218,6 +258,8 @@ struct Observed {
   std::optional<Lines> spans;
   std::optional<Lines> hazards;
   std::optional<Lines> lint;
+  bool clean = true;           // the analyzer found no hazard
+  std::size_t lint_nodes = 0;  // actions the linter saw
 };
 
 std::optional<Lines> span_lines(const trace::Timeline& timeline) {
@@ -282,7 +324,9 @@ Observed run_once(const Point& p, const PassiveKnobs& k) {
   }
   if (capture) {
     o.hazards = lines_of(analyze::json_report(capture->result()));
+    o.clean = capture->clean();
     if (capture->linting()) o.lint = lint_lines(capture->lint());
+    o.lint_nodes = capture->lint().nodes();
   }
   return o;
 }
@@ -367,33 +411,50 @@ void expect_matches(Observed& ref, const Observed& o, const PassiveKnobs& k,
   if (o.lint) expect_same_lines(ref.lint, *o.lint, "lint totals", where);
 }
 
-class PassivityHarness : public ::testing::TestWithParam<Point> {};
+/// An analyzing run of a registry app: no hazard, and a graph was linted.
+void expect_clean(const Observed& o, const std::string& where) {
+  if (!o.clean) {
+    std::string report;
+    for (const std::string& line : *o.hazards) report += "\n" + line;
+    ADD_FAILURE() << where << ": the analyzer found hazards" << report;
+  }
+  EXPECT_TRUE(!o.lint || o.lint_nodes > 0) << where << ": nothing linted";
+}
 
-TEST_P(PassivityHarness, KnobsLeaveResultsBitIdentical) {
-  const Point& p = GetParam();
+/// Runs `p`: the all-off oracle, then each knob vector of `p`, every run
+/// compared with the oracle. A registry app must also take virtual time, and
+/// every analyzing run of one must be clean.
+void check(const Point& p) {
+  const bool app = !p.app.empty();
   Observed ref = observe(p, PassiveKnobs{}).front();
+  EXPECT_TRUE(!app || ref.clock[0] > 0.0) << p.str() << ": no virtual time";
   if (p.mode == GraphMode::Compiled) {
     // Replay pricing moves virtual time; the data must not move at all.
     Point direct = p;
     direct.mode = GraphMode::Direct;
     const double want = observe(direct, PassiveKnobs{}).front().clock[1];
     EXPECT_EQ(std::bit_cast<std::uint64_t>(ref.clock[1]), std::bit_cast<std::uint64_t>(want))
-        << p.str() << ": compiled checksum " << hex(ref.clock[1]) << " != direct " << hex(want);
+        << p.str() << " [" << PassiveKnobs{}.str() << "]: compiled checksum " << hex(ref.clock[1])
+        << " != direct " << hex(want);
   }
   for (const PassiveKnobs& k : p.knobs) {
     const std::vector<Observed> runs = observe(p, k);
     for (std::size_t r = 0; r < runs.size(); ++r) {
-      expect_matches(ref, runs[r], k,
-                     p.str() + " [" + k.str() + "] run " + std::to_string(r + 1) + "/" +
-                         std::to_string(runs.size()));
+      const std::string where = p.str() + " [" + k.str() + "] run " + std::to_string(r + 1) +
+                                "/" + std::to_string(runs.size());
+      expect_matches(ref, runs[r], k, where);
+      if (app && runs[r].hazards) expect_clean(runs[r], where);
     }
   }
 }
 
+class PassivityHarness : public ::testing::TestWithParam<Point> {};
+
+TEST_P(PassivityHarness, KnobsLeaveResultsBitIdentical) { check(GetParam()); }
+
 INSTANTIATE_TEST_SUITE_P(Points, PassivityHarness, ::testing::ValuesIn(points()), [](const auto& point) {
   const Point& p = point.param;
-  std::string name = p.app.empty() ? "dag" + std::to_string(p.seed) : p.app;
-  std::replace(name.begin(), name.end(), '-', '_');  // gtest names allow no '-'
+  std::string name = p.app.empty() ? "dag" + std::to_string(p.seed) : test_name(p.app);
   if (!p.app.empty()) name += p.mode == GraphMode::Direct ? "_direct" : "_compiled";
   return name + "_" + std::to_string(p.cards) + "card_P" + std::to_string(p.partitions);
 });
@@ -434,6 +495,161 @@ TEST(Determinism, TimingOnlyAndFunctionalAgreeOnVirtualTime) {
   const double tim = find_app("mm")->run(sim::SimConfig::phi_31sp(), timing_only, {9, 96}).ms;
   EXPECT_EQ(std::bit_cast<std::uint64_t>(fun), std::bit_cast<std::uint64_t>(tim))
       << hex(fun) << " != " << hex(tim);
+}
+
+// --- Named points -----------------------------------------------------------------
+// The harness at further sizes with one or two knobs at a time, so that a
+// failure here names the knob at fault.
+
+/// A random DAG on one card.
+Point dag(std::uint32_t seed, int partitions, const char* vector) {
+  Point p;
+  p.partitions = partitions;
+  p.seed = seed;
+  p.knobs = vectors({vector});
+  return p;
+}
+
+TEST(Determinism, MmIsBitStable) {
+  check({.app = "mm", .size = {4, 64}, .knobs = vectors({"timeline=on repeat=warm"})});
+}
+TEST(Determinism, CfIsBitStable) {
+  check({.app = "cf", .size = {9, 48}, .knobs = vectors({"timeline=on repeat=warm"})});
+}
+TEST(Determinism, KmeansIsBitStable) {
+  check({.app = "kmeans", .size = {2, 500, 3}, .knobs = vectors({"timeline=on repeat=warm"})});
+}
+TEST(Determinism, HotspotIsBitStable) {
+  check({.app = "hotspot", .size = {4, 32, 3}, .knobs = vectors({"timeline=on repeat=warm"})});
+}
+TEST(Determinism, NnIsBitStable) {
+  check({.app = "nn", .size = {4, 1000}, .knobs = vectors({"timeline=on repeat=warm"})});
+}
+TEST(Determinism, SradIsBitStable) {
+  check({.app = "srad", .size = {4, 32, 2}, .knobs = vectors({"timeline=on repeat=warm"})});
+}
+TEST(Determinism, UnrelatedTracingDoesNotChangeTiming) { check(dag(1, 4, "timeline=on")); }
+
+/// A small size for every registry app. mm's 32-row tiles are one kern::par
+/// block each; the points above run mm on the pool.
+AppPoint small(const std::string& app) {
+  static const std::map<std::string, AppPoint> sizes{
+      {"mm", {16, 128}},         {"cf", {36, 96}},     {"lu", {16, 128}},
+      {"kmeans", {4, 2000, 3}},  {"kmeans-async", {4, 2000, 3}},
+      {"hotspot", {16, 64, 3}},  {"nn", {4, 2000}},    {"srad", {16, 64, 3}},
+  };
+  return sizes.at(app);
+}
+
+TEST(Determinism, MmCompiledReplayIsBitStableOnEveryCardCount) {
+  for (const int cards : {1, 2, 3}) {
+    check({.app = "mm", .size = small("mm"), .mode = GraphMode::Compiled, .cards = cards,
+           .knobs = vectors({"timeline=on repeat=warm"})});
+  }
+}
+
+std::vector<std::string> app_names() {
+  std::vector<std::string> names;
+  for (const AppEntry& app : registry()) names.emplace_back(app.name);
+  return names;
+}
+
+class Passivity : public ::testing::TestWithParam<std::tuple<std::string, GraphMode>> {};
+
+TEST_P(Passivity, ObserversMetricsAndThreadsLeaveResultsBitIdentical) {
+  const auto& [app, mode] = GetParam();
+  check({.app = app, .size = small(app), .mode = mode,
+         .knobs = vectors({"timeline=on", "analysis=capture", "timeline=on analysis=lint",
+                           "metrics=on", "timeline=on analysis=capture metrics=on",
+                           "kthreads=hw"})});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, Passivity,
+    ::testing::Combine(::testing::ValuesIn(app_names()),
+                       ::testing::Values(GraphMode::Direct, GraphMode::Compiled)),
+    [](const auto& p) {
+      return test_name(std::get<0>(p.param)) +
+             (std::get<1>(p.param) == GraphMode::Direct ? "_direct" : "_compiled");
+    });
+
+class MultiCardDeterminism : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+
+TEST_P(MultiCardDeterminism, RepeatedRunsAreBitStable) {
+  const auto& [app, cards] = GetParam();
+  check({.app = app, .size = small(app), .cards = cards,
+         .knobs = vectors({"timeline=on repeat=warm"})});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, MultiCardDeterminism,
+    ::testing::Combine(::testing::ValuesIn(app_names()), ::testing::Values(1, 2, 3)),
+    [](const auto& p) {
+      return test_name(std::get<0>(p.param)) + "_" + std::to_string(std::get<1>(p.param)) + "dev";
+    });
+
+class StressDag : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(StressDag, Deterministic) {
+  check(dag(GetParam(), 3, "repeat=warm"));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StressDag,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 10u, 42u, 99u, 1234u, 777777u));
+
+TEST(KernelEngine, Fig9aVirtualTimesUnchangedByParallelKernels) {
+  for (const int partitions : {1, 2, 4, 7}) {
+    check({.app = "mm", .size = {4, 96}, .partitions = partitions,
+           .knobs = vectors({"timeline=on kthreads=hw"})});
+  }
+}
+
+TEST(KernelEngine, VirtualTimesUnchangedAcrossApps) {
+  for (const auto& [app, size] : std::initializer_list<std::pair<const char*, AppPoint>>{
+           {"hotspot", {4, 96, 3}}, {"srad", {4, 64, 2}}, {"nn", {4, 4096}},
+           {"kmeans", {2, 2000, 3}}}) {
+    check({.app = app, .size = size, .knobs = vectors({"timeline=on kthreads=hw"})});
+  }
+}
+
+TEST(KernelEngine, ParallelSweepOverParallelKernelsMatchesSerial) {
+  for (const int partitions : {1, 2, 3, 5}) {
+    check({.app = "mm", .size = {4, 64}, .partitions = partitions,
+           .knobs = vectors({"kthreads=hw placement=pool"})});
+  }
+}
+
+TEST(GraphModes, ThreadCountInvariant) {
+  for (const GraphMode mode : {GraphMode::Direct, GraphMode::Compiled}) {
+    check({.app = "srad", .size = {16, 64, 3}, .mode = mode,
+           .knobs = vectors({"kthreads=2", "kthreads=hw"})});
+  }
+  check({.app = "kmeans", .size = {4, 2000, 5}, .mode = GraphMode::Compiled,
+         .knobs = vectors({"kthreads=2", "kthreads=hw"})});
+}
+
+TEST(SradApp, ChecksumReproducible) {
+  check({.app = "srad", .size = {9, 48, 4}, .knobs = vectors({"repeat=warm"})});
+}
+
+TEST(KmeansAsync, IsDeterministic) {
+  check({.app = "kmeans-async", .size = {4, 2000, 8}, .knobs = vectors({"repeat=warm"})});
+}
+
+TEST(KmeansApp, GraphReplayMatchesDirectEnqueueResults) {
+  // No knob vector: the compiled checksum against direct issue's.
+  check({.app = "kmeans", .size = {4, 2000, 5}, .mode = GraphMode::Compiled, .knobs = {}});
+}
+
+TEST(AppsClean, AnalyzerDoesNotPerturbResults) {
+  check({.app = "hotspot", .size = {4, 64, 3}, .knobs = vectors({"analysis=capture"})});
+  check({.app = "srad", .size = {4, 64, 3}, .knobs = vectors({"analysis=capture"})});
+}
+
+TEST(ParallelSweep, VirtualTimesIdenticalSerialVsParallel) {
+  for (const int partitions : {1, 2, 3, 4, 7, 8, 14}) {
+    check(dag(1, partitions, "placement=pool"));
+  }
 }
 
 }  // namespace

@@ -14,57 +14,53 @@ void fill(std::vector<double>& v, unsigned seed) {
   for (double& x : v) x = d(rng);
 }
 
-TEST(Gemm, MatchesReferenceSquare) {
-  const std::size_t n = 37;
-  std::vector<double> a(n * n), b(n * n), c1(n * n, 0.0), c2(n * n, 0.0);
-  fill(a, 1);
-  fill(b, 2);
-  gemm_tile(a.data(), b.data(), c1.data(), n, n, n, n, n, n);
-  gemm_reference(a.data(), b.data(), c2.data(), n, n, n, n, n, n);
-  for (std::size_t i = 0; i < n * n; ++i) EXPECT_NEAR(c1[i], c2[i], 1e-10);
+/// The k x n matrix B (leading dimension ldb) of a B^T stored n x k with
+/// leading dimension ldbt: the operand gemm_reference takes for gemm_nt_acc's.
+std::vector<double> untransposed(const std::vector<double>& bt, std::size_t n, std::size_t k,
+                                 std::size_t ldbt, std::size_t ldb) {
+  std::vector<double> b(k * ldb, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t p = 0; p < k; ++p) b[p * ldb + j] = bt[j * ldbt + p];
+  }
+  return b;
 }
 
-TEST(Gemm, AccumulatesIntoC) {
-  const std::size_t n = 8;
-  std::vector<double> a(n * n), b(n * n), c(n * n, 1.0), expect(n * n, 1.0);
-  fill(a, 3);
-  fill(b, 4);
-  gemm_reference(a.data(), b.data(), expect.data(), n, n, n, n, n, n);
-  gemm_tile(a.data(), b.data(), c.data(), n, n, n, n, n, n);
-  for (std::size_t i = 0; i < n * n; ++i) EXPECT_NEAR(c[i], expect[i], 1e-12);
+/// gemm_nt_acc against the naive oracle on C (m x n, ldc) starting at `c0`.
+void expect_matches_reference(std::size_t m, std::size_t n, std::size_t k, std::size_t lda,
+                              std::size_t ldbt, std::size_t ldc, double c0, unsigned seed,
+                              double tol) {
+  std::vector<double> a(m * lda), bt(n * ldbt), c1(m * ldc, c0), c2(m * ldc, c0);
+  fill(a, seed);
+  fill(bt, seed + 1);
+  gemm_nt_acc(a.data(), bt.data(), c1.data(), m, n, k, lda, ldbt, ldc);
+  const std::vector<double> b = untransposed(bt, n, k, ldbt, n);
+  gemm_reference(a.data(), b.data(), c2.data(), m, n, k, lda, n, ldc);
+  for (std::size_t i = 0; i < c1.size(); ++i) EXPECT_NEAR(c1[i], c2[i], tol) << i;
 }
+
+TEST(Gemm, MatchesReferenceSquare) {
+  expect_matches_reference(37, 37, 37, 37, 37, 37, 0.0, 1, 1e-10);
+}
+
+TEST(Gemm, AccumulatesIntoC) { expect_matches_reference(8, 8, 8, 8, 8, 8, 1.0, 3, 1e-12); }
 
 TEST(Gemm, IdentityLeavesMatrixUnchanged) {
+  // C = A * I^T = A.
   const std::size_t n = 16;
-  std::vector<double> eye(n * n, 0.0), b(n * n), c(n * n, 0.0);
+  std::vector<double> a(n * n), eye(n * n, 0.0), c(n * n, 0.0);
   for (std::size_t i = 0; i < n; ++i) eye[i * n + i] = 1.0;
-  fill(b, 5);
-  gemm_tile(eye.data(), b.data(), c.data(), n, n, n, n, n, n);
-  for (std::size_t i = 0; i < n * n; ++i) EXPECT_NEAR(c[i], b[i], 1e-13);
+  fill(a, 5);
+  gemm_nt_acc(a.data(), eye.data(), c.data(), n, n, n, n, n, n);
+  for (std::size_t i = 0; i < n * n; ++i) EXPECT_DOUBLE_EQ(c[i], a[i]);
 }
 
 TEST(Gemm, RectangularWithStrides) {
-  // C (3x5) += A (3x4) * B (4x5), embedded in larger leading dimensions.
-  const std::size_t m = 3, n = 5, k = 4, lda = 7, ldb = 9, ldc = 11;
-  std::vector<double> a(m * lda), b(k * ldb), c1(m * ldc, 0.5), c2(m * ldc, 0.5);
-  fill(a, 6);
-  fill(b, 7);
-  gemm_tile(a.data(), b.data(), c1.data(), m, n, k, lda, ldb, ldc);
-  gemm_reference(a.data(), b.data(), c2.data(), m, n, k, lda, ldb, ldc);
-  for (std::size_t i = 0; i < m * ldc; ++i) EXPECT_NEAR(c1[i], c2[i], 1e-12);
+  // C (3x5) += A (3x4) * B^T (5x4), embedded in larger leading dimensions.
+  expect_matches_reference(3, 5, 4, 7, 9, 11, 0.5, 6, 1e-12);
 }
 
 TEST(Gemm, NtAccMatchesExplicitTranspose) {
-  const std::size_t m = 6, n = 9, k = 13;
-  std::vector<double> a(m * k), bt(n * k), b(k * n), c1(m * n, 0.0), c2(m * n, 0.0);
-  fill(a, 8);
-  fill(bt, 9);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t p = 0; p < k; ++p) b[p * n + j] = bt[j * k + p];
-  }
-  gemm_nt_acc(a.data(), bt.data(), c1.data(), m, n, k, k, k, n);
-  gemm_reference(a.data(), b.data(), c2.data(), m, n, k, k, n, n);
-  for (std::size_t i = 0; i < m * n; ++i) EXPECT_NEAR(c1[i], c2[i], 1e-12);
+  expect_matches_reference(6, 9, 13, 13, 13, 9, 0.0, 8, 1e-12);
 }
 
 TEST(Gemm, FlopCount) {
@@ -74,23 +70,17 @@ TEST(Gemm, FlopCount) {
 
 TEST(Gemm, ZeroDimensionsAreNoOps) {
   std::vector<double> a(4), b(4), c(4, 7.0);
-  gemm_tile(a.data(), b.data(), c.data(), 0, 2, 2, 2, 2, 2);
-  gemm_tile(a.data(), b.data(), c.data(), 2, 2, 0, 2, 2, 2);
+  gemm_nt_acc(a.data(), b.data(), c.data(), 0, 2, 2, 2, 2, 2);
+  gemm_nt_acc(a.data(), b.data(), c.data(), 2, 2, 0, 2, 2, 2);
   for (const double x : c) EXPECT_DOUBLE_EQ(x, 7.0);
 }
 
+// Sizes either side of the 4-column j groups and the 4-lane k split.
 class GemmSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(GemmSizeSweep, BlockedEqualsNaive) {
   const std::size_t n = GetParam();
-  std::vector<double> a(n * n), b(n * n), c1(n * n, 0.0), c2(n * n, 0.0);
-  fill(a, static_cast<unsigned>(n));
-  fill(b, static_cast<unsigned>(n + 1));
-  gemm_tile(a.data(), b.data(), c1.data(), n, n, n, n, n, n);
-  gemm_reference(a.data(), b.data(), c2.data(), n, n, n, n, n, n);
-  double max_err = 0.0;
-  for (std::size_t i = 0; i < n * n; ++i) max_err = std::max(max_err, std::abs(c1[i] - c2[i]));
-  EXPECT_LT(max_err, 1e-9);
+  expect_matches_reference(n, n, n, n, n, n, 0.0, static_cast<unsigned>(n), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, GemmSizeSweep, ::testing::Values(1, 2, 5, 16, 63, 64, 65, 100));

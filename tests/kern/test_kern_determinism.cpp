@@ -57,21 +57,6 @@ void expect_bit_identical(std::vector<T>& out, const std::vector<T>& init, Fn&& 
   }
 }
 
-TEST(KernDeterminism, GemmTile) {
-  const std::size_t m = 300, n = 70, k = 60;  // 3 row bands, full + fringe panels
-  const auto a = random_vec<double>(m * k, 11);
-  const auto b = random_vec<double>(k * n, 12);
-  const auto c0 = random_vec<double>(m * n, 13);
-  std::vector<double> c;
-  expect_bit_identical(c, c0,
-                       [&] { gemm_tile(a.data(), b.data(), c.data(), m, n, k, k, n, n); });
-
-  // And against the naive oracle (different summation order, so NEAR).
-  auto ref = c0;
-  gemm_reference(a.data(), b.data(), ref.data(), m, n, k, k, n, n);
-  for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-10);
-}
-
 TEST(KernDeterminism, GemmNtAcc) {
   const std::size_t m = 300, n = 41, k = 70;  // j fringe + k % lanes tail
   const auto a = random_vec<double>(m * k, 21);

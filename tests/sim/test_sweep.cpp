@@ -11,9 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "rt/context.hpp"
-#include "sim/sim_config.hpp"
-
 namespace ms::sim {
 namespace {
 
@@ -111,52 +108,6 @@ TEST(ParallelMap, SerialOptionBypassesThePool) {
   const auto out = parallel_map<int>(
       8, [](std::size_t i) { return static_cast<int>(i) + 1; }, serial);
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
-}
-
-/// One simulated streamed pipeline; returns the virtual host time. Each call
-/// builds a private Context, which is the contract that makes sweep points
-/// independent.
-double simulate_point(int partitions, int tasks) {
-  rt::Context ctx(SimConfig::phi_31sp());
-  ctx.set_tracing(false);
-  ctx.setup(partitions);
-  const auto buf = ctx.create_virtual_buffer(static_cast<std::size_t>(tasks) << 12);
-  for (int t = 0; t < tasks; ++t) {
-    auto& s = ctx.stream(t % partitions);
-    const std::size_t off = static_cast<std::size_t>(t) << 12;
-    s.enqueue_h2d(buf, off, 1 << 12);
-    KernelWork w;
-    w.kind = KernelKind::Streaming;
-    w.elems = 5e4 * (1.0 + 0.1 * t);
-    s.enqueue_kernel({"k", w, {}});
-    s.enqueue_d2h(buf, off, 1 << 12);
-  }
-  ctx.synchronize();
-  return ctx.host_time().micros();
-}
-
-// The tentpole guarantee: a parallel sweep returns bit-identical virtual
-// times to a serial one, point for point. The simulation itself is
-// deterministic, and parallel_map's by-index ordering keeps the association.
-TEST(ParallelSweep, VirtualTimesIdenticalSerialVsParallel) {
-  const std::vector<int> partitions{1, 2, 3, 4, 7, 8, 14};
-  const int tasks = 24;
-
-  SweepOptions serial;
-  serial.threads = 1;
-  const auto serial_times = parallel_map<double>(
-      partitions.size(), [&](std::size_t i) { return simulate_point(partitions[i], tasks); },
-      serial);
-
-  const auto parallel_times = parallel_map<double>(
-      partitions.size(), [&](std::size_t i) { return simulate_point(partitions[i], tasks); });
-
-  ASSERT_EQ(serial_times.size(), parallel_times.size());
-  for (std::size_t i = 0; i < serial_times.size(); ++i) {
-    // Bit-identical, not approximately equal: same config, same event order,
-    // same floating-point operations in the same order.
-    EXPECT_EQ(serial_times[i], parallel_times[i]) << "P=" << partitions[i];
-  }
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -289,26 +288,6 @@ TEST_F(Metrics, PrometheusExportHasHelpTypeAndSeries) {
   EXPECT_NE(s.find("ms_test_prom_ns_bucket{le=\"+Inf\"} 1"), std::string::npos);
   EXPECT_NE(s.find("ms_test_prom_ns_sum 100"), std::string::npos);
   EXPECT_NE(s.find("ms_test_prom_ns_count 1"), std::string::npos);
-}
-
-TEST(MetricsEnv, OnlyOneSwitchesRecordingOn) {
-  const struct {
-    const char* value;
-    bool on;
-  } cases[] = {{"1", true}, {"0", false}, {"", false}, {"false", false}, {"off", false},
-               {"00", false}};
-  for (const auto& c : cases) {
-    ASSERT_EQ(::setenv("MS_METRICS", c.value, 1), 0);
-    detail::g_state.store(-1);
-    ::testing::internal::CaptureStderr();
-    EXPECT_EQ(enabled(), c.on) << "MS_METRICS=" << c.value;
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    if (std::string(c.value) == "false") {
-      EXPECT_NE(err.find("MS_METRICS='false'"), std::string::npos) << err;
-    }
-  }
-  ::unsetenv("MS_METRICS");
-  set_enabled(false);
 }
 
 TEST(TelemetryDeterminism, TotalsIndependentOfThreadCount) {
