@@ -27,7 +27,7 @@ TARGETS=(test_sim test_rt test_kern test_model test_trace test_telemetry test_an
 cmake -S "${SOURCE_DIR}" -B "${BUILD_DIR}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DMS_SANITIZE="${SANITIZER}"
-cmake --build "${BUILD_DIR}" -j --target "${TARGETS[@]}"
+cmake --build "${BUILD_DIR}" -j --target "${TARGETS[@]}" mstream_cli
 
 # Fail on any sanitizer report even when the test itself would pass.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -51,5 +51,8 @@ export UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1 ${UBSAN_OPTIONS:-}"
 for t in "${TARGETS[@]}"; do
   "${BUILD_DIR}/tests/${t}"
 done
+# The golden virtual times and checksums (traces and the reproduce --quick
+# tables) must not depend on the build flavour either.
+ctest --test-dir "${BUILD_DIR}" -R '^cli_golden_' --output-on-failure
 
 echo "ci_sanitize(${SANITIZER}): OK"

@@ -91,19 +91,20 @@ AppResult run_srad(const sim::SimConfig& cfg, const CommonConfig& common, int g,
 }
 
 constexpr AppEntry kApps[] = {
-    {"mm", true, SizeFlag::Dim, 6000, 0, run_mm},
-    {"cf", true, SizeFlag::Dim, 9600, 0, run_cf},
-    {"lu", true, SizeFlag::Dim, 9600, 0, run_lu},
-    {"kmeans", false, SizeFlag::Points, 1120000, 100, run_kmeans<KmeansApp>},
-    {"kmeans-async", false, SizeFlag::Points, 1120000, 100, run_kmeans<KmeansAsyncApp>},
-    {"hotspot", true, SizeFlag::Dim, 16384, 50, run_hotspot},
-    {"nn", false, SizeFlag::Points, 5242880, 0, run_nn},
-    {"srad", true, SizeFlag::Dim, 10000, 100, run_srad},
+    {"mm", true, SizeFlag::Dim, 6000, 0, true, run_mm},
+    {"cf", true, SizeFlag::Dim, 9600, 0, true, run_cf},
+    {"lu", true, SizeFlag::Dim, 9600, 0, true, run_lu},
+    {"kmeans", false, SizeFlag::Points, 1120000, 100, true, run_kmeans<KmeansApp>},
+    // The asynchronous port issues every action directly.
+    {"kmeans-async", false, SizeFlag::Points, 1120000, 100, false, run_kmeans<KmeansAsyncApp>},
+    {"hotspot", true, SizeFlag::Dim, 16384, 50, true, run_hotspot},
+    {"nn", false, SizeFlag::Points, 5242880, 0, true, run_nn},
+    {"srad", true, SizeFlag::Dim, 10000, 100, true, run_srad},
 };
 
 }  // namespace
 
-std::string AppEntry::check(const AppPoint& point) const {
+std::string AppEntry::check(const AppPoint& point, GraphMode graph) const {
   const std::string app(name);
   if (point.tiles < 1) {
     return app + ": T = " + std::to_string(point.tiles) + " is not a positive tile count";
@@ -113,12 +114,17 @@ std::string AppEntry::check(const AppPoint& point) const {
            " tiles a 2-D grid, T = g*g)";
   }
   if (point.iters != 0 && !takes_iters()) return app + " takes no iteration count";
+  if (graph == GraphMode::Compiled && !compiles) {
+    return app + " has no compiled-graph mode (it issues every action directly)";
+  }
   return {};
 }
 
 AppResult AppEntry::run(const sim::SimConfig& cfg, const CommonConfig& common,
                         const AppPoint& point) const {
-  if (const std::string why = check(point); !why.empty()) throw std::invalid_argument(why);
+  if (const std::string why = check(point, common.graph); !why.empty()) {
+    throw std::invalid_argument(why);
+  }
   return run_config(cfg, common, square_tiles ? grid_edge(point.tiles) : point.tiles,
                     point.size != 0 ? point.size : paper_size,
                     point.iters != 0 ? point.iters : paper_iters);

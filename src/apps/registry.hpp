@@ -36,19 +36,25 @@ struct AppEntry {
   SizeFlag size_flag;
   std::size_t paper_size;  ///< the paper's headline dataset size
   int paper_iters;         ///< the paper's iteration count; 0 = the app takes none
+  /// Whether the app issues its replay-shaped phases through GraphPhase, so
+  /// that GraphMode::Compiled replays them; an app without them refuses it.
+  bool compiles;
   /// Runs the app with `t` = g for square_tiles apps and T otherwise.
   AppResult (*run_config)(const sim::SimConfig& cfg, const CommonConfig& common, int t,
                           std::size_t size, int iters);
 
   [[nodiscard]] bool takes_iters() const noexcept { return paper_iters > 0; }
 
-  /// Why `point` does not fit this app (T < 1, a non-square T for a 2-D
-  /// app, or an iteration count for an app that takes none); empty when it
+  /// Why `point` in issue mode `graph` does not fit this app (T < 1, a
+  /// non-square T for a 2-D app, an iteration count for an app that takes
+  /// none, or Compiled for an app that does not compile); empty when it
   /// fits.
-  [[nodiscard]] std::string check(const AppPoint& point) const;
+  [[nodiscard]] std::string check(const AppPoint& point,
+                                  GraphMode graph = GraphMode::Direct) const;
 
   /// Build the app's config from `point` and run it. Throws
-  /// std::invalid_argument with check()'s reason when the point does not fit.
+  /// std::invalid_argument with check()'s reason (for `common.graph`) when
+  /// the point does not fit.
   [[nodiscard]] AppResult run(const sim::SimConfig& cfg, const CommonConfig& common,
                               const AppPoint& point) const;
 };

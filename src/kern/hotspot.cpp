@@ -1,8 +1,12 @@
 #include "kern/hotspot.hpp"
 
+#include "kern/isa.hpp"
 #include "kern/par.hpp"
 
 namespace ms::kern {
+
+using detail::Isa;
+using detail::Variants;
 
 namespace {
 
@@ -19,10 +23,12 @@ inline double update(double t, double pw, double north, double south, double eas
 /// edge columns 0 and cols-1 — a property of the grid, not of the tile — so
 /// the columns are split by global position: clamped prologue/epilogue
 /// iterations for the edges, and a branch-free interior loop (the hot path)
-/// the compiler can vectorize.
-void hotspot_rows(const double* t_in, const double* power, double* t_out, std::size_t rows,
-                  std::size_t cols, std::size_t r0, std::size_t r1, std::size_t col_begin,
-                  std::size_t col_end, const HotspotParams& p) {
+/// the compiler can vectorize. Compiled once per ISA variant (Variants).
+[[gnu::always_inline]] inline void hotspot_rows(const double* t_in, const double* power,
+                                                double* t_out, std::size_t rows,
+                                                std::size_t cols, std::size_t r0, std::size_t r1,
+                                                std::size_t col_begin, std::size_t col_end,
+                                                const HotspotParams& p) {
   for (std::size_t r = r0; r < r1; ++r) {
     const std::size_t rn = r > 0 ? r - 1 : r;         // clamped north
     const std::size_t rs = r + 1 < rows ? r + 1 : r;  // clamped south
@@ -50,13 +56,22 @@ void hotspot_rows(const double* t_in, const double* power, double* t_out, std::s
 
 }  // namespace
 
+void detail::hotspot_step(Isa isa, const double* t_in, const double* power, double* t_out,
+                          std::size_t rows, std::size_t cols, std::size_t row_begin,
+                          std::size_t row_end, std::size_t col_begin, std::size_t col_end,
+                          const HotspotParams& p) {
+  if (row_end <= row_begin || col_end <= col_begin) return;
+  const auto step = Variants<hotspot_rows>::pick(isa);
+  par::for_blocked(row_begin, row_end, par::kRowBand, [&](std::size_t b0, std::size_t b1) {
+    step(t_in, power, t_out, rows, cols, b0, b1, col_begin, col_end, p);
+  });
+}
+
 void hotspot_step(const double* t_in, const double* power, double* t_out, std::size_t rows,
                   std::size_t cols, std::size_t row_begin, std::size_t row_end,
                   std::size_t col_begin, std::size_t col_end, const HotspotParams& p) {
-  if (row_end <= row_begin || col_end <= col_begin) return;
-  par::for_blocked(row_begin, row_end, par::kRowBand, [=](std::size_t b0, std::size_t b1) {
-    hotspot_rows(t_in, power, t_out, rows, cols, b0, b1, col_begin, col_end, p);
-  });
+  detail::hotspot_step(detail::host_isa(), t_in, power, t_out, rows, cols, row_begin, row_end,
+                       col_begin, col_end, p);
 }
 
 }  // namespace ms::kern

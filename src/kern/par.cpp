@@ -14,8 +14,7 @@ void set_threads(int t) noexcept { g_threads.store(t, std::memory_order_relaxed)
 
 int threads() noexcept { return g_threads.load(std::memory_order_relaxed); }
 
-void for_blocked(std::size_t begin0, std::size_t end0, std::size_t block,
-                 const std::function<void(std::size_t, std::size_t)>& body) {
+void for_blocked(std::size_t begin0, std::size_t end0, std::size_t block, BlockBody body) {
   if (end0 <= begin0) return;
   if (block == 0) block = end0 - begin0;
   const std::size_t blocks = block_count(end0 - begin0, block);

@@ -1,16 +1,28 @@
 #include "kern/srad.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 
+#include "kern/isa.hpp"
 #include "kern/par.hpp"
 
 namespace ms::kern {
 
+using detail::Isa;
+using detail::Variants;
+
 namespace {
 
-/// Gradients and unclamped diffusion coefficient of one cell.
+/// std::clamp(v, 0.0, 1.0) as two compare-and-selects that both always
+/// run, with the same results: a NaN and -0.0 pass through, v < 0 gives
+/// +0.0 and v > 1 gives 1.0. std::clamp runs its second compare only when
+/// the first fails, and under the default -ftrapping-math GCC cannot
+/// if-convert (so cannot vectorize) a compare that might not run.
+inline double clamp_unit(double v) {
+  const double lo = v < 0.0 ? 0.0 : v;
+  return lo > 1.0 ? 1.0 : lo;
+}
+
+/// Gradients and clamped diffusion coefficient of one cell.
 struct CoeffCell {
   float n, s, w, e;
   double cv;
@@ -33,22 +45,31 @@ inline CoeffCell coeff_cell(float jc, float jn, float js, float jw, float je, do
   const double den_l = 1.0 + 0.25 * l;
   const double qsqr = num / (den_l * den_l);
   const double den = (qsqr - q0sqr) / (q0sqr * (1.0 + q0sqr));
-  return {n, s, w, e, 1.0 / (1.0 + den)};
+  return {n, s, w, e, clamp_unit(1.0 / (1.0 + den))};
 }
 
-/// Columns [c0, c1) of one srad_coeff row. `north`, `row`, `south` and the
-/// four gradient pointers are row bases (indexed by global column); the
-/// unclamped coefficients go to cv[col - c0]. As in hotspot, column clamping
-/// only fires at the global edge columns 0 and cols-1, so those run as
-/// scalar prologue/epilogue and every other column takes the branch-free
-/// interior loop. Kept out of line with `__restrict` pointers and q0sqr by
-/// value: that is what lets GCC vectorize the loop without runtime alias
-/// checks.
-[[gnu::noinline]] void coeff_row(const float* __restrict north, const float* __restrict row,
-                                 const float* __restrict south, float* __restrict dn,
-                                 float* __restrict ds, float* __restrict dw,
-                                 float* __restrict de, double* __restrict cv, std::size_t cols,
-                                 std::size_t c0, std::size_t c1, double q0sqr) {
+/// Columns of a srad_coeff row per coeff_row call: the clamped coefficients
+/// wait in a stack chunk of this many doubles for their float conversion.
+constexpr std::size_t kCoeffChunk = 512;
+
+/// Columns [c0, c1) of one srad_coeff row, c1 - c0 <= kCoeffChunk. `north`,
+/// `row`, `south` and the five output pointers are row bases (indexed by
+/// global column); `cv` is the chunk. As in hotspot, column clamping only
+/// fires at the global edge columns 0 and cols-1, so those run as scalar
+/// prologue/epilogue and every other column takes the branch-free interior
+/// loop. The float conversion of the coefficient is a second loop: inside
+/// the first, GCC sinks it into the clamp's pass-through branch, where it
+/// might not run, and the loop no longer vectorizes. Compiled through
+/// Variants, out of line with `__restrict` pointers and q0sqr by value:
+/// that is what lets GCC vectorize the loops without runtime alias checks.
+[[gnu::always_inline]] inline void coeff_row(const float* __restrict north,
+                                             const float* __restrict row,
+                                             const float* __restrict south,
+                                             float* __restrict c, float* __restrict dn,
+                                             float* __restrict ds, float* __restrict dw,
+                                             float* __restrict de, double* __restrict cv,
+                                             std::size_t cols, std::size_t c0, std::size_t c1,
+                                             double q0sqr) {
   const auto store = [&](std::size_t col, const CoeffCell& x) {
     dn[col] = x.n;
     ds[col] = x.s;
@@ -69,6 +90,7 @@ inline CoeffCell coeff_cell(float jc, float jn, float js, float jw, float je, do
   if (col < c1) {  // col == cols-1 > 0: global east edge clamps
     store(col, coeff_cell(row[col], north[col], south[col], row[col - 1], row[col], q0sqr));
   }
+  for (std::size_t i = 0; i < c1 - c0; ++i) c[c0 + i] = static_cast<float>(cv[i]);
 }
 
 /// The per-cell divergence update from the cell's own, south and east
@@ -80,13 +102,16 @@ inline float update_cell(float jv, float cc, float cs, float ce, float n, float 
   return static_cast<float>(jv + 0.25 * lambda * div);
 }
 
-/// Columns [c0, c1) of one srad_update row (row bases as in coeff_row).
-/// Only the east neighbour is read, so only global column cols-1 clamps.
-[[gnu::noinline]] void update_row(float* __restrict j, const float* __restrict c,
-                                  const float* __restrict c_south, const float* __restrict dn,
-                                  const float* __restrict ds, const float* __restrict dw,
-                                  const float* __restrict de, std::size_t cols, std::size_t c0,
-                                  std::size_t c1, double lambda) {
+/// Columns [c0, c1) of one srad_update row (row bases and variants as in
+/// coeff_row). Only the east neighbour is read, so only global column
+/// cols-1 clamps.
+[[gnu::always_inline]] inline void update_row(float* __restrict j, const float* __restrict c,
+                                              const float* __restrict c_south,
+                                              const float* __restrict dn,
+                                              const float* __restrict ds,
+                                              const float* __restrict dw,
+                                              const float* __restrict de, std::size_t cols,
+                                              std::size_t c0, std::size_t c1, double lambda) {
   std::size_t col = c0;
   const std::size_t interior_end = c1 < cols ? c1 : cols - 1;
   for (; col < interior_end; ++col) {  // col <= cols-2: east neighbour exists
@@ -142,27 +167,48 @@ double srad_q0sqr(double sum, double sum2, std::size_t count) noexcept {
   return var / (mean * mean);
 }
 
-void srad_coeff(const float* j, float* c, float* dn, float* ds, float* dw, float* de,
-                std::size_t rows, std::size_t cols, std::size_t row_begin, std::size_t row_end,
-                std::size_t col_begin, std::size_t col_end, double q0sqr) {
+void detail::srad_coeff(Isa isa, const float* j, float* c, float* dn, float* ds, float* dw,
+                        float* de, std::size_t rows, std::size_t cols, std::size_t row_begin,
+                        std::size_t row_end, std::size_t col_begin, std::size_t col_end,
+                        double q0sqr) {
   if (row_end <= row_begin || col_end <= col_begin) return;
+  const auto coeff = Variants<coeff_row>::pick(isa);
   // Band-parallel over rows (fixed kRowBand); each cell's expression is
   // self-contained, so any banding gives bit-identical tiles.
-  par::for_blocked(row_begin, row_end, par::kRowBand, [=](std::size_t r0, std::size_t r1) {
-    std::vector<double> cv(col_end - col_begin);
+  par::for_blocked(row_begin, row_end, par::kRowBand, [&](std::size_t r0, std::size_t r1) {
+    double cv[kCoeffChunk];
     for (std::size_t r = r0; r < r1; ++r) {
       const std::size_t rn = r > 0 ? r - 1 : 0;
       const std::size_t rs = r + 1 < rows ? r + 1 : rows - 1;
       const std::size_t row = r * cols;
-      coeff_row(j + rn * cols, j + row, j + rs * cols, dn + row, ds + row, dw + row, de + row,
-                cv.data(), cols, col_begin, col_end, q0sqr);
-      // The clamp is a separate scalar pass: inside the stencil loop its
-      // compares keep GCC from if-converting (trapping math), which blocks
-      // vectorization. std::clamp passes a NaN through unchanged.
-      float* crow = c + row + col_begin;
-      for (std::size_t i = 0; i < cv.size(); ++i) {
-        crow[i] = static_cast<float>(std::clamp(cv[i], 0.0, 1.0));
+      for (std::size_t c0 = col_begin; c0 < col_end; c0 += kCoeffChunk) {
+        const std::size_t c1 = col_end - c0 < kCoeffChunk ? col_end : c0 + kCoeffChunk;
+        coeff(j + rn * cols, j + row, j + rs * cols, c + row, dn + row, ds + row, dw + row,
+              de + row, cv, cols, c0, c1, q0sqr);
       }
+    }
+  });
+}
+
+void srad_coeff(const float* j, float* c, float* dn, float* ds, float* dw, float* de,
+                std::size_t rows, std::size_t cols, std::size_t row_begin, std::size_t row_end,
+                std::size_t col_begin, std::size_t col_end, double q0sqr) {
+  detail::srad_coeff(detail::host_isa(), j, c, dn, ds, dw, de, rows, cols, row_begin, row_end,
+                     col_begin, col_end, q0sqr);
+}
+
+void detail::srad_update(Isa isa, float* j, const float* c, const float* dn, const float* ds,
+                         const float* dw, const float* de, std::size_t rows, std::size_t cols,
+                         std::size_t row_begin, std::size_t row_end, std::size_t col_begin,
+                         std::size_t col_end, double lambda) {
+  if (row_end <= row_begin || col_end <= col_begin) return;
+  const auto update = Variants<update_row>::pick(isa);
+  par::for_blocked(row_begin, row_end, par::kRowBand, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      const std::size_t rs = r + 1 < rows ? r + 1 : rows - 1;
+      const std::size_t row = r * cols;
+      update(j + row, c + row, c + rs * cols, dn + row, ds + row, dw + row, de + row, cols,
+             col_begin, col_end, lambda);
     }
   });
 }
@@ -170,15 +216,8 @@ void srad_coeff(const float* j, float* c, float* dn, float* ds, float* dw, float
 void srad_update(float* j, const float* c, const float* dn, const float* ds, const float* dw,
                  const float* de, std::size_t rows, std::size_t cols, std::size_t row_begin,
                  std::size_t row_end, std::size_t col_begin, std::size_t col_end, double lambda) {
-  if (row_end <= row_begin || col_end <= col_begin) return;
-  par::for_blocked(row_begin, row_end, par::kRowBand, [=](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      const std::size_t rs = r + 1 < rows ? r + 1 : rows - 1;
-      const std::size_t row = r * cols;
-      update_row(j + row, c + row, c + rs * cols, dn + row, ds + row, dw + row, de + row, cols,
-                 col_begin, col_end, lambda);
-    }
-  });
+  detail::srad_update(detail::host_isa(), j, c, dn, ds, dw, de, rows, cols, row_begin, row_end,
+                      col_begin, col_end, lambda);
 }
 
 void srad_compress(const float* j, float* image, std::size_t begin, std::size_t end) {

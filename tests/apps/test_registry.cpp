@@ -40,6 +40,21 @@ TEST(Registry, NonSquareTilesThrowForTwoDimensionalApps) {
                std::invalid_argument);
 }
 
+// kmeans-async issues every action directly (it has no GraphPhase), so a
+// Compiled run of it would only rerun the Direct one: it is refused.
+TEST(Registry, CompiledModeOnlyForAppsThatCompile) {
+  for (const AppEntry& app : registry()) {
+    EXPECT_EQ(app.check({4, 2000}, GraphMode::Compiled).empty(), app.compiles) << app.name;
+  }
+  const AppEntry& async = *find_app("kmeans-async");
+  EXPECT_FALSE(async.compiles);
+  EXPECT_EQ(async.check({4, 2000}, GraphMode::Compiled),
+            "kmeans-async has no compiled-graph mode (it issues every action directly)");
+  CommonConfig compiled = timing_common(4);
+  compiled.graph = GraphMode::Compiled;
+  EXPECT_THROW((void)async.run(cfg(), compiled, {4, 2000, 3}), std::invalid_argument);
+}
+
 // Fig. 9's captions: MM 6000 with 500x500 tiles, CF 9600 with 800x800,
 // Hotspot 16384 with 1024x1024 (50 steps), SRAD 10000 with 500x500.
 TEST(Registry, TileMappingReproducesFig9Captions) {

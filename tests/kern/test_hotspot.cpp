@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 #include <vector>
+
+#include "isa_variant_test.hpp"
 
 namespace ms::kern {
 namespace {
@@ -92,6 +95,61 @@ TEST(Hotspot, TiledStepEqualsWholeGridStep) {
     }
   }
   for (std::size_t i = 0; i < n * n; ++i) EXPECT_DOUBLE_EQ(tiled[i], whole[i]);
+}
+
+// The plain clamped-index loop, as the exact oracle: each cell's update is
+// the kernel's expression in the same operation order.
+void ref_hotspot_step(const double* t_in, const double* power, double* t_out, std::size_t rows,
+                      std::size_t cols, std::size_t row_begin, std::size_t row_end,
+                      std::size_t col_begin, std::size_t col_end, const HotspotParams& p) {
+  for (std::size_t r = row_begin; r < row_end; ++r) {
+    const std::size_t rn = r > 0 ? r - 1 : r;
+    const std::size_t rs = r + 1 < rows ? r + 1 : r;
+    for (std::size_t c = col_begin; c < col_end; ++c) {
+      const std::size_t cw = c > 0 ? c - 1 : c;
+      const std::size_t ce = c + 1 < cols ? c + 1 : c;
+      const double t = t_in[r * cols + c];
+      const double north = t_in[rn * cols + c];
+      const double south = t_in[rs * cols + c];
+      const double east = t_in[r * cols + ce];
+      const double west = t_in[r * cols + cw];
+      t_out[r * cols + c] =
+          t + p.dt_over_cap * (power[r * cols + c] + (south + north - 2.0 * t) * p.ry_inv +
+                               (east + west - 2.0 * t) * p.rx_inv + (p.t_ambient - t) * p.rz_inv);
+    }
+  }
+}
+
+// The ISA variants (kern/isa.hpp) against the oracle.
+class HotspotVariant : public test::IsaVariantTest {};
+INSTANTIATE_TEST_SUITE_P(Isa, HotspotVariant, test::kIsaVariants, test::isa_variant_name);
+
+TEST_P(HotspotVariant, MatchesScalarOracleOnEveryTileWidth) {
+  // Widths 1..9 from the west edge, inside and against the east edge leave
+  // every remainder of the 2- and 4-lane loops; 70 rows span two kRowBand
+  // bands; 1- and 2-column grids clamp both edges at once. The update term
+  // is as large as the temperature, so a product rounded differently (an
+  // FMA) shows in the result instead of vanishing in the final add.
+  const HotspotParams p{.dt_over_cap = 0.7, .rx_inv = 0.3, .ry_inv = 0.45, .rz_inv = 0.2,
+                        .t_ambient = 0.1};
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{70, 23}, {5, 1}, {5, 2}}) {
+    std::mt19937 rng(static_cast<unsigned>(rows * 100 + cols));
+    std::uniform_real_distribution<double> d(-1.0, 1.0);
+    std::vector<double> t(rows * cols), power(rows * cols);
+    for (double& x : t) x = d(rng);
+    for (double& x : power) x = d(rng);
+    for (std::size_t w = 1; w <= 9 && w <= cols; ++w) {
+      for (const std::size_t c0 : {std::size_t{0}, (cols - w) / 2, cols - w}) {
+        SCOPED_TRACE(::testing::Message() << rows << "x" << cols << " columns [" << c0 << ","
+                                          << c0 + w << ")");
+        std::vector<double> got(rows * cols, -1.0), want(rows * cols, -1.0);
+        detail::hotspot_step(isa(), t.data(), power.data(), got.data(), rows, cols, 0, rows, c0,
+                             c0 + w, p);
+        ref_hotspot_step(t.data(), power.data(), want.data(), rows, cols, 0, rows, c0, c0 + w, p);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
+      }
+    }
+  }
 }
 
 TEST(Hotspot, WorkFormulas) {

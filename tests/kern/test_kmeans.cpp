@@ -7,6 +7,8 @@
 #include <random>
 #include <vector>
 
+#include "isa_variant_test.hpp"
+
 namespace ms::kern {
 namespace {
 
@@ -132,12 +134,15 @@ std::vector<float> uniform(std::size_t n, unsigned seed) {
   return v;
 }
 
+/// The `isa` variant of kmeans_assign (the one the process runs by default)
+/// against the oracle.
 void expect_assign_matches_oracle(const std::vector<float>& points,
                                   const std::vector<float>& centroids, std::size_t n,
-                                  std::size_t dims, std::size_t k) {
+                                  std::size_t dims, std::size_t k,
+                                  detail::Isa isa = detail::host_isa()) {
   SCOPED_TRACE(::testing::Message() << "n=" << n << " dims=" << dims << " k=" << k);
   std::vector<std::int32_t> got(n, -1), want(n, -2);
-  kmeans_assign(points.data(), centroids.data(), got.data(), n, dims, k);
+  detail::kmeans_assign(isa, points.data(), centroids.data(), got.data(), n, dims, k);
   ref_kmeans_assign(points.data(), centroids.data(), want.data(), n, dims, k);
   EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(std::int32_t)), 0);
 }
@@ -151,6 +156,24 @@ TEST(Kmeans, AssignMatchesScalarOracle) {
         const auto points = uniform(n * dims, static_cast<unsigned>(n * 100 + dims));
         const auto centroids = uniform(k * dims, static_cast<unsigned>(k * 100 + dims + 1));
         expect_assign_matches_oracle(points, centroids, n, dims, k);
+      }
+    }
+  }
+}
+
+// The ISA variants (kern/isa.hpp) against the oracle.
+class KmeansVariant : public test::IsaVariantTest {};
+INSTANTIATE_TEST_SUITE_P(Isa, KmeansVariant, test::kIsaVariants, test::isa_variant_name);
+
+TEST_P(KmeansVariant, AssignMatchesScalarOracle) {
+  // Every n % 8 remainder, centroid counts around the four-in-flight group,
+  // and the 1-, 3- and 34-feature shapes.
+  for (std::size_t n = 1; n <= 17; ++n) {
+    for (const std::size_t k : {1u, 4u, 5u, 9u}) {
+      for (const std::size_t dims : {1u, 3u, 34u}) {
+        const auto points = uniform(n * dims, static_cast<unsigned>(n * 100 + dims));
+        const auto centroids = uniform(k * dims, static_cast<unsigned>(k * 100 + dims + 1));
+        expect_assign_matches_oracle(points, centroids, n, dims, k, isa());
       }
     }
   }
@@ -179,14 +202,15 @@ TEST(Kmeans, AssignLanePathBreaksExactTiesToLowestIndex) {
   expect_assign_matches_oracle(points, centroids, n, dims, k);
 }
 
-TEST(Kmeans, AssignKeepsEachDistancesFeatureOrder) {
-  // A centroid and its feature-reversed twin are exactly equidistant from
-  // the origin, but their float sums d = 0..dims-1 round differently
-  // whenever the accumulation order matters, so the membership of a point
-  // at the origin reveals the order each distance was summed in. Centroids
-  // come in three such pairs: two fill the four-in-flight group, one is the
-  // k % 4 tail; five points cover the lane path and the scalar remainder.
-  const std::size_t dims = 34, k = 6, n = 5;
+/// A centroid and its feature-reversed twin are exactly equidistant from
+/// the origin, but their float sums d = 0..dims-1 round differently
+/// whenever the accumulation order matters, so the membership of a point
+/// at the origin reveals the order each distance was summed in. Centroids
+/// come in three such pairs: two fill the four-in-flight group, one is the
+/// k % 4 tail; nine points cover the lane path (4 or 8 lanes, by variant)
+/// and the scalar remainder.
+void expect_feature_order_kept(detail::Isa isa) {
+  const std::size_t dims = 34, k = 6, n = 9;
   std::mt19937 rng(5);
   std::uniform_real_distribution<float> u(0.5f, 2.0f);
   const std::vector<float> origin(n * dims, 0.0f);
@@ -205,10 +229,16 @@ TEST(Kmeans, AssignKeepsEachDistancesFeatureOrder) {
       }
       if (fwd != rev) ++order_sensitive;
     }
-    expect_assign_matches_oracle(origin, centroids, n, dims, k);
+    expect_assign_matches_oracle(origin, centroids, n, dims, k, isa);
   }
   EXPECT_GT(order_sensitive, 50);  // the inputs do exercise the order
 }
+
+TEST(Kmeans, AssignKeepsEachDistancesFeatureOrder) {
+  expect_feature_order_kept(detail::host_isa());
+}
+
+TEST_P(KmeansVariant, AssignKeepsEachDistancesFeatureOrder) { expect_feature_order_kept(isa()); }
 
 TEST(Kmeans, AssignFlopsFormula) {
   EXPECT_DOUBLE_EQ(kmeans_assign_flops(10, 34, 8), 3.0 * 10 * 34 * 8);

@@ -9,8 +9,14 @@
 #include <random>
 #include <vector>
 
+#include "alloc_counter.hpp"
+#include "isa_variant_test.hpp"
+#include "kern/par.hpp"
+
 namespace ms::kern {
 namespace {
+
+using detail::Isa;
 
 std::vector<float> random_image(std::size_t cells, unsigned seed) {
   std::mt19937 rng(seed);
@@ -143,11 +149,12 @@ TEST(Srad, TiledPipelineEqualsWholeImage) {
 
 // The scalar srad_coeff / srad_update the vectorized kernels replaced, kept
 // verbatim (minus the band parallelism, which never changes a cell) as exact
-// oracles: every output of the kernels must match them bit for bit.
+// oracles: every output of the kernels must match them bit for bit. `cv`,
+// when given, receives each cell's coefficient before the clamp.
 void ref_srad_coeff(const float* j, float* c, float* dn, float* ds, float* dw, float* de,
                     std::size_t rows, std::size_t cols, std::size_t row_begin,
                     std::size_t row_end, std::size_t col_begin, std::size_t col_end,
-                    double q0sqr) {
+                    double q0sqr, double* cv_out = nullptr) {
   for (std::size_t r = row_begin; r < row_end; ++r) {
     const std::size_t rn = r > 0 ? r - 1 : 0;
     const std::size_t rs = r + 1 < rows ? r + 1 : rows - 1;
@@ -174,6 +181,7 @@ void ref_srad_coeff(const float* j, float* c, float* dn, float* ds, float* dw, f
       const double qsqr = num / (den_l * den_l);
       const double den = (qsqr - q0sqr) / (q0sqr * (1.0 + q0sqr));
       const double cv = 1.0 / (1.0 + den);
+      if (cv_out != nullptr) cv_out[k] = cv;
       c[k] = static_cast<float>(std::clamp(cv, 0.0, 1.0));
     }
   }
@@ -206,19 +214,20 @@ bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-/// Runs srad_coeff and then srad_update on `tile` of the rows x cols plane
-/// `j`, and the oracles on a copy, from identical sentinel-filled outputs;
-/// every plane must match bit for bit (cells outside the tile included).
-void expect_matches_oracle(const std::vector<float>& j, std::size_t rows, std::size_t cols,
-                           const Tile& t, double q0sqr) {
+/// Runs the `isa` variant of srad_coeff and then srad_update on `tile` of
+/// the rows x cols plane `j`, and the oracles on a copy, from identical
+/// sentinel-filled outputs; every plane must match bit for bit (cells
+/// outside the tile included).
+void expect_matches_oracle(Isa isa, const std::vector<float>& j, std::size_t rows,
+                           std::size_t cols, const Tile& t, double q0sqr) {
   SCOPED_TRACE(::testing::Message() << rows << "x" << cols << " tile [" << t.r0 << "," << t.r1
-                                    << ")x[" << t.c0 << "," << t.c1 << ")");
+                                    << ")x[" << t.c0 << "," << t.c1 << ") q0sqr " << q0sqr);
   const std::size_t cells = rows * cols;
   const auto fill = random_image(cells, 7);  // stands in for the untouched cells
   std::vector<float> c(fill), dn(fill), ds(fill), dw(fill), de(fill);
   std::vector<float> rc(fill), rdn(fill), rds(fill), rdw(fill), rde(fill);
-  srad_coeff(j.data(), c.data(), dn.data(), ds.data(), dw.data(), de.data(), rows, cols, t.r0,
-             t.r1, t.c0, t.c1, q0sqr);
+  detail::srad_coeff(isa, j.data(), c.data(), dn.data(), ds.data(), dw.data(), de.data(), rows,
+                     cols, t.r0, t.r1, t.c0, t.c1, q0sqr);
   ref_srad_coeff(j.data(), rc.data(), rdn.data(), rds.data(), rdw.data(), rde.data(), rows, cols,
                  t.r0, t.r1, t.c0, t.c1, q0sqr);
   EXPECT_TRUE(same_bits(c, rc)) << "c";
@@ -232,8 +241,8 @@ void expect_matches_oracle(const std::vector<float>& j, std::size_t rows, std::s
   ref_srad_coeff(j.data(), rc.data(), rdn.data(), rds.data(), rdw.data(), rde.data(), rows, cols,
                  0, rows, 0, cols, q0sqr);
   std::vector<float> ju(j), rju(j);
-  srad_update(ju.data(), rc.data(), rdn.data(), rds.data(), rdw.data(), rde.data(), rows, cols,
-              t.r0, t.r1, t.c0, t.c1, 0.5);
+  detail::srad_update(isa, ju.data(), rc.data(), rdn.data(), rds.data(), rdw.data(), rde.data(),
+                      rows, cols, t.r0, t.r1, t.c0, t.c1, 0.5);
   ref_srad_update(rju.data(), rc.data(), rdn.data(), rds.data(), rdw.data(), rde.data(), rows,
                   cols, t.r0, t.r1, t.c0, t.c1, 0.5);
   EXPECT_TRUE(same_bits(ju, rju)) << "j";
@@ -245,8 +254,8 @@ void expect_matches_oracle(const std::vector<float>& j, std::size_t rows, std::s
              pde = random_image(cells, 12);
   ju = j;
   rju = j;
-  srad_update(ju.data(), pc.data(), pdn.data(), pds.data(), pdw.data(), pde.data(), rows, cols,
-              t.r0, t.r1, t.c0, t.c1, 0.5);
+  detail::srad_update(isa, ju.data(), pc.data(), pdn.data(), pds.data(), pdw.data(), pde.data(),
+                      rows, cols, t.r0, t.r1, t.c0, t.c1, 0.5);
   ref_srad_update(rju.data(), pc.data(), pdn.data(), pds.data(), pdw.data(), pde.data(), rows,
                   cols, t.r0, t.r1, t.c0, t.c1, 0.5);
   EXPECT_TRUE(same_bits(ju, rju)) << "j from random planes";
@@ -274,7 +283,7 @@ TEST(Srad, CoeffAndUpdateMatchScalarOracleOnEdgeAndInteriorTiles) {
                         Tile{10, 20, 0, 1},           // col 0 alone
                         Tile{10, 20, cols - 1, cols},  // col cols-1 alone
                         Tile{69, 70, 17, 18}}) {      // one cell on the south edge
-    expect_matches_oracle(j, rows, cols, t, q0);
+    expect_matches_oracle(detail::host_isa(), j, rows, cols, t, q0);
   }
 }
 
@@ -288,8 +297,8 @@ TEST(Srad, CoeffAndUpdateMatchScalarOracleOnDegenerateShapes) {
     double s = 0.0, s2 = 0.0;
     srad_statistics(j.data(), 0, rows * cols, &s, &s2);
     const double q0 = srad_q0sqr(s, s2, rows * cols);
-    expect_matches_oracle(j, rows, cols, Tile{0, rows, 0, cols}, q0);
-    expect_matches_oracle(j, rows, cols, Tile{0, rows, cols - 1, cols}, q0);
+    expect_matches_oracle(detail::host_isa(), j, rows, cols, Tile{0, rows, 0, cols}, q0);
+    expect_matches_oracle(detail::host_isa(), j, rows, cols, Tile{0, rows, cols - 1, cols}, q0);
   }
 }
 
@@ -305,8 +314,97 @@ TEST(Srad, CoeffAndUpdateMatchScalarOracleOnNonFiniteInput) {
   j[9 * cols + 0] = std::numeric_limits<float>::quiet_NaN();
   j[4 * cols + cols - 1] = std::numeric_limits<float>::infinity();
   j[10 * cols + 8] = 0.0f;
-  expect_matches_oracle(j, rows, cols, Tile{0, rows, 0, cols}, 0.05);
-  expect_matches_oracle(j, rows, cols, Tile{1, 11, 2, 19}, 0.05);
+  expect_matches_oracle(detail::host_isa(), j, rows, cols, Tile{0, rows, 0, cols}, 0.05);
+  expect_matches_oracle(detail::host_isa(), j, rows, cols, Tile{1, 11, 2, 19}, 0.05);
+}
+
+// The ISA variants (kern/isa.hpp) against the oracles, each on its own.
+class SradVariant : public test::IsaVariantTest {};
+INSTANTIATE_TEST_SUITE_P(Isa, SradVariant, test::kIsaVariants, test::isa_variant_name);
+
+TEST_P(SradVariant, MatchesScalarOracleOnEveryTileWidth) {
+  // Widths 1..17 from three starting columns leave every remainder of the
+  // 2-, 4- and 8-lane loops, against the west edge, the east edge and
+  // inside; 70 rows span two kRowBand bands.
+  const std::size_t rows = 70, cols = 37;
+  const auto j = extracted(rows * cols, 11);
+  double s = 0.0, s2 = 0.0;
+  srad_statistics(j.data(), 0, rows * cols, &s, &s2);
+  const double q0 = srad_q0sqr(s, s2, rows * cols);
+  for (std::size_t w = 1; w <= 17; ++w) {
+    expect_matches_oracle(isa(), j, rows, cols, Tile{0, rows, 0, w}, q0);
+    expect_matches_oracle(isa(), j, rows, cols, Tile{2, 9, 5, 5 + w}, q0);
+    expect_matches_oracle(isa(), j, rows, cols, Tile{60, rows, cols - w, cols}, q0);
+  }
+  // Planes one or two cells wide or tall clamp both edges of one axis.
+  for (const auto& [r, c] : {std::pair<std::size_t, std::size_t>{9, 1}, {9, 2}, {1, 19}, {1, 1}}) {
+    expect_matches_oracle(isa(), extracted(r * c, 13), r, c, Tile{0, r, 0, c}, q0);
+  }
+}
+
+TEST_P(SradVariant, MatchesScalarOracleAcrossCoefficientChunks) {
+  // 1100 columns take three coefficient chunks per row; the tiles start and
+  // end off the chunk and vector boundaries.
+  const std::size_t rows = 4, cols = 1100;
+  const auto j = extracted(rows * cols, 23);
+  double s = 0.0, s2 = 0.0;
+  srad_statistics(j.data(), 0, rows * cols, &s, &s2);
+  const double q0 = srad_q0sqr(s, s2, rows * cols);
+  for (const Tile& t : {Tile{0, rows, 0, cols}, Tile{1, 3, 509, 1030}, Tile{0, rows, 1023, cols},
+                        Tile{2, 3, 511, 513}}) {
+    expect_matches_oracle(isa(), j, rows, cols, t, q0);
+  }
+}
+
+TEST_P(SradVariant, MatchesScalarOracleOnEveryClampCase) {
+  // std::clamp's four cases, each hit by some cell: q0sqr = 0.05 puts the
+  // flat patch (qsqr = 0) above 1; a negative q0sqr puts every finite
+  // coefficient below 0; q0sqr = -0.0 divides by -0.0, which gives -0.0
+  // where qsqr > 0 and a NaN on the flat patch. The NaN, infinities and
+  // zero in J add NaNs and infinite gradients.
+  const std::size_t rows = 9, cols = 29;
+  auto j = extracted(rows * cols, 19);
+  for (std::size_t r = 2; r < 6; ++r) {
+    for (std::size_t col = 10; col < 15; ++col) j[r * cols + col] = 1.5f;
+  }
+  j[7 * cols + 21] = std::numeric_limits<float>::quiet_NaN();
+  j[1 * cols + 3] = std::numeric_limits<float>::infinity();
+  j[6 * cols + 26] = -std::numeric_limits<float>::infinity();
+  j[8 * cols + 0] = 0.0f;
+  std::size_t nan = 0, neg_zero = 0, below = 0, above = 0;
+  for (const double q0 : {0.05, -0.5, -0.0, 0.0}) {
+    std::vector<float> c(rows * cols), dn(c), ds(c), dw(c), de(c);
+    std::vector<double> cv(rows * cols);
+    ref_srad_coeff(j.data(), c.data(), dn.data(), ds.data(), dw.data(), de.data(), rows, cols, 0,
+                   rows, 0, cols, q0, cv.data());
+    for (const double v : cv) {
+      nan += std::isnan(v) ? 1 : 0;
+      neg_zero += v == 0.0 && std::signbit(v) ? 1 : 0;
+      below += v < 0.0 ? 1 : 0;
+      above += v > 1.0 ? 1 : 0;
+    }
+    expect_matches_oracle(isa(), j, rows, cols, Tile{0, rows, 0, cols}, q0);
+    expect_matches_oracle(isa(), j, rows, cols, Tile{1, 8, 3, 26}, q0);
+  }
+  EXPECT_GT(nan, 0u);
+  EXPECT_GT(neg_zero, 0u);
+  EXPECT_GT(below, 0u);
+  EXPECT_GT(above, 0u);
+}
+
+TEST(Srad, CoeffAndUpdateAllocateNothingAtOneThread) {
+  // Two row bands and two coefficient chunks per row: the chunk is on the
+  // stack, and for_blocked takes the band body by reference.
+  const par::ThreadScope serial(1);
+  const std::size_t rows = 70, cols = 600;
+  auto j = extracted(rows * cols, 29);
+  std::vector<float> c(rows * cols), dn(c), ds(c), dw(c), de(c);
+  const std::size_t before = ms::test::alloc_count();
+  srad_coeff(j.data(), c.data(), dn.data(), ds.data(), dw.data(), de.data(), rows, cols, 0, rows,
+             0, cols, 0.05);
+  srad_update(j.data(), c.data(), dn.data(), ds.data(), dw.data(), de.data(), rows, cols, 0, rows,
+              0, cols, 0.5);
+  EXPECT_EQ(ms::test::alloc_count(), before);
 }
 
 TEST(Srad, WorkFormulas) {

@@ -379,8 +379,9 @@ bool report(const ms::apps::AppResult& r, const Cli& cli) {
 
 /// Look up `name` in the app registry, check the CLI's workload flags
 /// against its entry and run it. Prints the reason and returns nullopt for an
-/// unknown app, the wrong size flag, a non-square --tiles for a 2-D app or
-/// --iters for an app that takes none.
+/// unknown app, the wrong size flag, a non-square --tiles for a 2-D app,
+/// --iters for an app that takes none or `graph` for an app that does not
+/// compile.
 std::optional<ms::apps::AppResult> run_registered(const std::string& name,
                                                   const ms::sim::SimConfig& cfg,
                                                   const ms::apps::CommonConfig& common,
@@ -397,7 +398,7 @@ std::optional<ms::apps::AppResult> run_registered(const std::string& name,
     return std::nullopt;
   }
   const ms::apps::AppPoint point{cli.tiles, dim ? cli.dim : cli.points, cli.iters};
-  if (const std::string why = app->check(point); !why.empty()) {
+  if (const std::string why = app->check(point, common.graph); !why.empty()) {
     std::fprintf(stderr, "%s\n", why.c_str());
     return std::nullopt;
   }
