@@ -28,13 +28,16 @@ fi
 mkdir -p "${ARTIFACTS}"
 
 # workload-id  CLI-subcommand-and-args: every app the registry lists
-# (`mstream_cli apps`), then the hBench patterns.
+# (`mstream_cli apps`), the tile-task apps on two cards (their cross-card
+# coherence round trips), then the hBench patterns.
 apps="$("${CLI}" apps)"
 WORKLOADS=()
 for app in ${apps}; do
   WORKLOADS+=("app:${app} app ${app}")
 done
 WORKLOADS+=(
+  "app:cf-x2     app cf --device 31sp-x2 --tiles 16 --dim 960"
+  "app:lu-x2     app lu --device 31sp-x2 --tiles 16 --dim 960"
   "hbench:fig5   hbench fig5"
   "hbench:fig6   hbench fig6"
   "hbench:fig7   hbench fig7"

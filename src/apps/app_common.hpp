@@ -5,6 +5,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -46,6 +47,23 @@ inline void declare_cross_reads(rt::KernelLaunch& launch, rt::BufferId buf,
     launch.reads(buf, rt::MemRange::tile(tile.row_begin, tile.row_end, tile.col_end,
                                          tile.col_end + 1, cols, elem_size));
   }
+}
+
+/// A named device buffer of `count` elements of T: in functional runs it is
+/// backed by `host`, first resized to `count` (new elements zero); otherwise
+/// it is virtual, of the same byte size, and `host` stays as it is.
+template <typename T>
+rt::BufferId app_buffer(rt::Context& ctx, bool functional, std::vector<T>& host,
+                        std::size_t count, std::string_view name) {
+  rt::BufferId id;
+  if (functional) {
+    host.resize(count);
+    id = ctx.create_buffer(host.data(), count * sizeof(T));
+  } else {
+    id = ctx.create_virtual_buffer(count * sizeof(T));
+  }
+  ctx.name_buffer(id, name);
+  return id;
 }
 
 /// How an app issues its replay-shaped inner loop.

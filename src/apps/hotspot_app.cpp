@@ -20,28 +20,16 @@ AppResult HotspotApp::run(const sim::SimConfig& cfg, const HotspotConfig& hc) {
   const int streams = ctx.stream_count();
 
   const std::size_t cells = hc.rows * hc.cols;
-  const std::size_t grid_bytes = cells * sizeof(double);
 
   std::vector<double> temp0, temp1, power;
-  std::array<rt::BufferId, 2> btemp{};
-  rt::BufferId bpower;
+  const std::array<rt::BufferId, 2> btemp{
+      app_buffer(ctx, hc.common.functional, temp0, cells, "temp[0]"),
+      app_buffer(ctx, hc.common.functional, temp1, cells, "temp[1]")};
+  const rt::BufferId bpower = app_buffer(ctx, hc.common.functional, power, cells, "power");
   if (hc.common.functional) {
-    temp0.resize(cells);
-    temp1.assign(cells, 0.0);
-    power.resize(cells);
     fill_uniform(std::span<double>(temp0), 31, 70.0, 90.0);
     fill_uniform(std::span<double>(power), 32, 0.0, 0.5);
-    btemp[0] = ctx.create_buffer(std::span<double>(temp0));
-    btemp[1] = ctx.create_buffer(std::span<double>(temp1));
-    bpower = ctx.create_buffer(std::span<double>(power));
-  } else {
-    btemp[0] = ctx.create_virtual_buffer(grid_bytes);
-    btemp[1] = ctx.create_virtual_buffer(grid_bytes);
-    bpower = ctx.create_virtual_buffer(grid_bytes);
   }
-  ctx.name_buffer(btemp[0], "temp[0]");
-  ctx.name_buffer(btemp[1], "temp[1]");
-  ctx.name_buffer(bpower, "power");
 
   const auto tiles = rt::grid_tiles(hc.rows, hc.cols, trows, tcols);
   const std::size_t tiles_per_row =

@@ -30,33 +30,20 @@ AppResult KmeansApp::run(const sim::SimConfig& cfg, const KmeansConfig& kc) {
 
   std::vector<float> points, centroids, sums;
   std::vector<std::int32_t> counts, membership;
-  rt::BufferId bpts, bcent, bsums, bcounts, bmemb;
+  const rt::BufferId bpts = app_buffer(ctx, kc.common.functional, points, n * dims, "points");
+  const rt::BufferId bcent =
+      app_buffer(ctx, kc.common.functional, centroids, k * dims, "centroids");
+  const rt::BufferId bsums =
+      app_buffer(ctx, kc.common.functional, sums, t_count * k * dims, "partial-sums");
+  const rt::BufferId bcounts =
+      app_buffer(ctx, kc.common.functional, counts, t_count * k, "partial-counts");
+  const rt::BufferId bmemb = app_buffer(ctx, kc.common.functional, membership, n, "membership");
   if (kc.common.functional) {
-    points.resize(n * dims);
     fill_uniform(std::span<float>(points), 11, 0.0f, 10.0f);
-    centroids.resize(k * dims);
     // Standard seeding: the first k points.
     std::memcpy(centroids.data(), points.data(), k * dims * sizeof(float));
-    sums.assign(t_count * k * dims, 0.0f);
-    counts.assign(t_count * k, 0);
-    membership.assign(n, -1);
-    bpts = ctx.create_buffer(std::span<float>(points));
-    bcent = ctx.create_buffer(std::span<float>(centroids));
-    bsums = ctx.create_buffer(std::span<float>(sums));
-    bcounts = ctx.create_buffer(counts.data(), counts.size() * sizeof(std::int32_t));
-    bmemb = ctx.create_buffer(membership.data(), membership.size() * sizeof(std::int32_t));
-  } else {
-    bpts = ctx.create_virtual_buffer(n * dims * sizeof(float));
-    bcent = ctx.create_virtual_buffer(k * dims * sizeof(float));
-    bsums = ctx.create_virtual_buffer(t_count * k * dims * sizeof(float));
-    bcounts = ctx.create_virtual_buffer(t_count * k * sizeof(std::int32_t));
-    bmemb = ctx.create_virtual_buffer(n * sizeof(std::int32_t));
+    std::fill(membership.begin(), membership.end(), -1);
   }
-  ctx.name_buffer(bpts, "points");
-  ctx.name_buffer(bcent, "centroids");
-  ctx.name_buffer(bsums, "partial-sums");
-  ctx.name_buffer(bcounts, "partial-counts");
-  ctx.name_buffer(bmemb, "membership");
 
   const auto ranges = rt::split_even(n, t_count);
   std::vector<float> seed_centroids = centroids;  // reset between protocol runs

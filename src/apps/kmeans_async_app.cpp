@@ -39,42 +39,26 @@ AppResult KmeansAsyncApp::run(const sim::SimConfig& cfg, const KmeansConfig& kc)
   std::vector<float> cent_host[2];
   std::vector<float> sums_host[2];
   std::vector<std::int32_t> counts_host[2];
-  rt::BufferId bpts, bcent[2], bsums[2], bcounts[2];
-
+  rt::BufferId bcent[2], bsums[2], bcounts[2];
+  const rt::BufferId bpts = app_buffer(ctx, kc.common.functional, points, n * dims, "points");
   if (kc.common.functional) {
-    points.resize(n * dims);
     fill_uniform(std::span<float>(points), 11, 0.0f, 10.0f);  // same data as the sync app
-    for (int p = 0; p < 2; ++p) {
-      cent_host[p].resize(cent_elems);
-      std::memcpy(cent_host[p].data(), points.data(), cent_elems * sizeof(float));
-      sums_host[p].assign(t_count * cent_elems, 0.0f);
-      counts_host[p].assign(t_count * k, 0);
-    }
-    bpts = ctx.create_buffer(std::span<float>(points));
-    for (int p = 0; p < 2; ++p) {
-      bcent[p] = ctx.create_buffer(std::span<float>(cent_host[p]));
-      bsums[p] = ctx.create_buffer(std::span<float>(sums_host[p]));
-      bcounts[p] = ctx.create_buffer(counts_host[p].data(),
-                                     counts_host[p].size() * sizeof(std::int32_t));
-    }
-  } else {
-    bpts = ctx.create_virtual_buffer(n * dims * sizeof(float));
-    for (int p = 0; p < 2; ++p) {
-      bcent[p] = ctx.create_virtual_buffer(cent_elems * sizeof(float));
-      bsums[p] = ctx.create_virtual_buffer(t_count * cent_elems * sizeof(float));
-      bcounts[p] = ctx.create_virtual_buffer(t_count * k * sizeof(std::int32_t));
-    }
   }
-  ctx.name_buffer(bpts, "points");
   for (int p = 0; p < 2; ++p) {
     // Built piecewise: GCC 12's -Wrestrict false-positives on the
     // char* + std::string&& operator+ chain (PR105329).
     std::string tag = "[";
     tag += std::to_string(p);
     tag += ']';
-    ctx.name_buffer(bcent[p], std::string("centroids") += tag);
-    ctx.name_buffer(bsums[p], std::string("partial-sums") += tag);
-    ctx.name_buffer(bcounts[p], std::string("partial-counts") += tag);
+    bcent[p] = app_buffer(ctx, kc.common.functional, cent_host[p], cent_elems,
+                          std::string("centroids") += tag);
+    bsums[p] = app_buffer(ctx, kc.common.functional, sums_host[p], t_count * cent_elems,
+                          std::string("partial-sums") += tag);
+    bcounts[p] = app_buffer(ctx, kc.common.functional, counts_host[p], t_count * k,
+                            std::string("partial-counts") += tag);
+    if (kc.common.functional) {
+      std::memcpy(cent_host[p].data(), points.data(), cent_elems * sizeof(float));
+    }
   }
 
   const auto ranges = rt::split_even(n, t_count);

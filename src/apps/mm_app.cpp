@@ -31,25 +31,13 @@ AppResult MmApp::run(const sim::SimConfig& cfg, const MmConfig& mc) {
   // contiguous row band j of B^T; C is stored tile-major so every C tile is
   // one contiguous D2H transfer.
   std::vector<double> a, bt, c;
-  rt::BufferId ba, bbt, bc;
-  const std::size_t n2 = d * d;
+  const rt::BufferId ba = app_buffer(ctx, mc.common.functional, a, d * d, "A");
+  const rt::BufferId bbt = app_buffer(ctx, mc.common.functional, bt, d * d, "B^T");
+  const rt::BufferId bc = app_buffer(ctx, mc.common.functional, c, d * d, "C");
   if (mc.common.functional) {
-    a.resize(n2);
-    bt.resize(n2);
-    c.assign(n2, 0.0);
     fill_uniform(std::span<double>(a), 101, -1.0, 1.0);
     fill_uniform(std::span<double>(bt), 202, -1.0, 1.0);
-    ba = ctx.create_buffer(std::span<double>(a));
-    bbt = ctx.create_buffer(std::span<double>(bt));
-    bc = ctx.create_buffer(std::span<double>(c));
-  } else {
-    ba = ctx.create_virtual_buffer(n2 * sizeof(double));
-    bbt = ctx.create_virtual_buffer(n2 * sizeof(double));
-    bc = ctx.create_virtual_buffer(n2 * sizeof(double));
   }
-  ctx.name_buffer(ba, "A");
-  ctx.name_buffer(bbt, "B^T");
-  ctx.name_buffer(bc, "C");
 
   const std::size_t band_bytes = tb * d * sizeof(double);
   const std::size_t tile_bytes = tb * tb * sizeof(double);

@@ -24,21 +24,13 @@ NnApp::Output NnApp::run_with_output(const sim::SimConfig& cfg, const NnConfig& 
 
   std::vector<kern::LatLng> records;
   std::vector<float> dist;
-  rt::BufferId brec, bdist;
+  const rt::BufferId brec = app_buffer(ctx, nc.common.functional, records, nc.records, "records");
+  const rt::BufferId bdist = app_buffer(ctx, nc.common.functional, dist, nc.records, "dist");
   if (nc.common.functional) {
-    records.resize(nc.records);
     // Two interleaved uniform fields give lat/lng spread around the target.
     fill_uniform(std::span<float>(reinterpret_cast<float*>(records.data()), nc.records * 2), 7,
                  0.0f, 180.0f);
-    dist.assign(nc.records, 0.0f);
-    brec = ctx.create_buffer(records.data(), records.size() * sizeof(kern::LatLng));
-    bdist = ctx.create_buffer(std::span<float>(dist));
-  } else {
-    brec = ctx.create_virtual_buffer(nc.records * sizeof(kern::LatLng));
-    bdist = ctx.create_virtual_buffer(nc.records * sizeof(float));
   }
-  ctx.name_buffer(brec, "records");
-  ctx.name_buffer(bdist, "dist");
 
   std::vector<kern::Neighbor> best;
   const auto ranges = rt::split_even(nc.records, static_cast<std::size_t>(tiles));

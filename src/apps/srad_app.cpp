@@ -20,61 +20,29 @@ AppResult SradApp::run(const sim::SimConfig& cfg, const SradConfig& sc) {
   const int streams = ctx.stream_count();
 
   const std::size_t cells = sc.rows * sc.cols;
-  const std::size_t img_bytes = cells * sizeof(float);
 
   std::vector<float> image, j_host;
-  rt::BufferId bimg, bj, bc, bdn, bds, bdw, bde, bpart;
 
   const auto tiles = rt::grid_tiles(sc.rows, sc.cols, trows, tcols);
   const std::size_t tiles_per_row = (sc.cols + tcols - 1) / tcols;
   const std::size_t tile_rows_count = (sc.rows + trows - 1) / trows;
   auto tile_index = [&](std::size_t tr, std::size_t tc) { return tr * tiles_per_row + tc; };
 
-  if (sc.common.functional) {
-    image.resize(cells);
-    fill_uniform(std::span<float>(image), 77, 10.0f, 200.0f);
-    j_host.assign(cells, 0.0f);
-    bimg = ctx.create_buffer(std::span<float>(image));
-    bj = ctx.create_buffer(std::span<float>(j_host));
-  } else {
-    bimg = ctx.create_virtual_buffer(img_bytes);
-    bj = ctx.create_virtual_buffer(img_bytes);
-  }
+  const rt::BufferId bimg = app_buffer(ctx, sc.common.functional, image, cells, "image");
+  const rt::BufferId bj = app_buffer(ctx, sc.common.functional, j_host, cells, "J");
+  if (sc.common.functional) fill_uniform(std::span<float>(image), 77, 10.0f, 200.0f);
   // Scratch planes (coefficient + four derivatives). The *cost* of their
   // repeated allocation is charged per kernel launch via temp_alloc_bytes;
   // functionally they are plain persistent planes.
   std::vector<float> c_host, dn_host, ds_host, dw_host, de_host;
   std::vector<double> part_host;
-  if (sc.common.functional) {
-    c_host.assign(cells, 0.0f);
-    dn_host.assign(cells, 0.0f);
-    ds_host.assign(cells, 0.0f);
-    dw_host.assign(cells, 0.0f);
-    de_host.assign(cells, 0.0f);
-    part_host.assign(tiles.size() * 2, 0.0);
-    bc = ctx.create_buffer(std::span<float>(c_host));
-    bdn = ctx.create_buffer(std::span<float>(dn_host));
-    bds = ctx.create_buffer(std::span<float>(ds_host));
-    bdw = ctx.create_buffer(std::span<float>(dw_host));
-    bde = ctx.create_buffer(std::span<float>(de_host));
-    bpart = ctx.create_buffer(std::span<double>(part_host));
-  } else {
-    bc = ctx.create_virtual_buffer(img_bytes);
-    bdn = ctx.create_virtual_buffer(img_bytes);
-    bds = ctx.create_virtual_buffer(img_bytes);
-    bdw = ctx.create_virtual_buffer(img_bytes);
-    bde = ctx.create_virtual_buffer(img_bytes);
-    bpart = ctx.create_virtual_buffer(tiles.size() * 2 * sizeof(double));
-  }
-
-  ctx.name_buffer(bimg, "image");
-  ctx.name_buffer(bj, "J");
-  ctx.name_buffer(bc, "coeff");
-  ctx.name_buffer(bdn, "dN");
-  ctx.name_buffer(bds, "dS");
-  ctx.name_buffer(bdw, "dW");
-  ctx.name_buffer(bde, "dE");
-  ctx.name_buffer(bpart, "partials");
+  const rt::BufferId bc = app_buffer(ctx, sc.common.functional, c_host, cells, "coeff");
+  const rt::BufferId bdn = app_buffer(ctx, sc.common.functional, dn_host, cells, "dN");
+  const rt::BufferId bds = app_buffer(ctx, sc.common.functional, ds_host, cells, "dS");
+  const rt::BufferId bdw = app_buffer(ctx, sc.common.functional, dw_host, cells, "dW");
+  const rt::BufferId bde = app_buffer(ctx, sc.common.functional, de_host, cells, "dE");
+  const rt::BufferId bpart =
+      app_buffer(ctx, sc.common.functional, part_host, tiles.size() * 2, "partials");
 
   const std::vector<float> image_seed = image;
   const std::size_t rows = sc.rows;

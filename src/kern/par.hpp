@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <type_traits>
 #include <vector>
+
+#include "sim/function_ref.hpp"
 
 namespace ms::kern::par {
 
@@ -54,26 +54,8 @@ private:
   return block == 0 ? 0 : (n + block - 1) / block;
 }
 
-/// A non-owning reference to a block body `void(std::size_t, std::size_t)`.
-/// The body outlives the for_blocked call it is passed to, so nothing is
-/// copied and nothing allocated, however much the lambda captures.
-class BlockBody {
-public:
-  template <typename F>
-    requires(!std::is_same_v<std::remove_cvref_t<F>, BlockBody> &&
-             std::is_invocable_v<F&, std::size_t, std::size_t>)
-  BlockBody(F&& f) noexcept  // NOLINT(google-explicit-constructor): takes the lambda in place
-      : fn_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
-        call_([](void* fn, std::size_t b0, std::size_t b1) {
-          (*static_cast<std::remove_reference_t<F>*>(fn))(b0, b1);
-        }) {}
-
-  void operator()(std::size_t b0, std::size_t b1) const { call_(fn_, b0, b1); }
-
-private:
-  void* fn_;
-  void (*call_)(void*, std::size_t, std::size_t);
-};
+/// A block body `void(std::size_t begin, std::size_t end)`, by reference.
+using BlockBody = sim::FunctionRef<void(std::size_t, std::size_t)>;
 
 /// Run body(begin, end) over the fixed blocks of [begin0, end0): block b
 /// covers [begin0 + b*block, min(begin0 + (b+1)*block, end0)). Blocks may run

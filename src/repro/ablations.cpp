@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "apps/hbench.hpp"
-#include "apps/mm_app.hpp"
 #include "apps/registry.hpp"
 #include "repro/figure_list.hpp"
 #include "rt/compiled_graph.hpp"
@@ -127,18 +126,13 @@ void ablation_tuner(Sink& sink) {
   // The metric maps a (P, T) candidate to MM's virtual time. The tile grid g
   // must divide D = 6000; round T to the nearest such g^2.
   const std::vector<int> grids{1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24};
+  const apps::AppEntry& mm = *apps::find_app("mm");
   const auto metric = [&](Tuner::Candidate c) {
     int best_g = grids.front();
     for (const int g : grids) {
       if (std::abs(g * g - c.tiles) < std::abs(best_g * best_g - c.tiles)) best_g = g;
     }
-    apps::MmConfig mc;
-    mc.common.partitions = c.partitions;
-    mc.common.functional = false;
-    mc.common.protocol_iterations = 1;
-    mc.dim = 6000;
-    mc.tile_grid = best_g;
-    return apps::MmApp::run(cfg, mc).ms;
+    return mm.run(cfg, apps::timing_common(c.partitions), {best_g * best_g, 6000}).ms;
   };
 
   rt::TunerOptions topt;

@@ -9,11 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "apps/cf_app.hpp"
-#include "apps/kmeans_app.hpp"
-#include "apps/kmeans_async_app.hpp"
-#include "apps/lu_app.hpp"
-#include "apps/mm_app.hpp"
+#include "apps/registry.hpp"
 #include "kern/gemm.hpp"
 #include "model/analytic.hpp"
 #include "model/ml_tuner.hpp"
@@ -194,22 +190,15 @@ void futurework_async_kmeans(Sink& sink) {
   const std::vector<std::size_t> sizes =
       sink.quick ? std::vector<std::size_t>{1120000}
                  : std::vector<std::size_t>{140000, 280000, 560000, 1120000, 2240000};
+  const apps::AppEntry& kmeans = *apps::find_app("kmeans");
+  const apps::CommonConfig common = apps::timing_common(28);
+  apps::CommonConfig graph_common = common;
+  graph_common.graph = apps::GraphMode::Compiled;
   for (const std::size_t n : sizes) {
-    apps::KmeansConfig kc;
-    kc.points = n;
-    kc.dims = 34;
-    kc.clusters = 8;
-    kc.iterations = 100;
-    kc.tiles = 28;
-    kc.common.partitions = 28;
-    kc.common.functional = false;
-    kc.common.protocol_iterations = 1;
-
-    const auto sync = apps::KmeansApp::run(cfg, kc);
-    auto graph_kc = kc;
-    graph_kc.common.graph = apps::GraphMode::Compiled;
-    const auto graphed = apps::KmeansApp::run(cfg, graph_kc);
-    const auto async = apps::KmeansAsyncApp::run(cfg, kc);
+    const apps::AppPoint point{28, n, 100};
+    const auto sync = kmeans.run(cfg, common, point);
+    const auto graphed = kmeans.run(cfg, graph_common, point);
+    const auto async = apps::find_app("kmeans-async")->run(cfg, common, point);
     t.add_row({std::to_string(n / 1000) + "K", Table::num(sync.ms / 1e3, 3),
                Table::num(graphed.ms / 1e3, 3), Table::num(async.ms / 1e3, 3),
                improvement_cell(sync.ms, async.ms)});
@@ -347,15 +336,10 @@ void generality_7120(Sink& sink) {
   {
     // P values that are aligned on exactly one of the two cards.
     Table t({"P", "31SP [GFLOPS]", "7120P [GFLOPS]", "aligned on"});
+    const apps::AppEntry& mm = *apps::find_app("mm");
     for (const int p : std::vector<int>{4, 5, 6, 7, 8, 10, 12, 14, 15}) {
-      apps::MmConfig mc;
-      mc.common.partitions = p;
-      mc.common.functional = false;
-      mc.common.protocol_iterations = 1;
-      mc.dim = 6000;
-      mc.tile_grid = 12;
-      const double g31 = apps::MmApp::run(a, mc).gflops;
-      const double g71 = apps::MmApp::run(b, mc).gflops;
+      const double g31 = mm.run(a, apps::timing_common(p), {144, 6000}).gflops;
+      const double g71 = mm.run(b, apps::timing_common(p), {144, 6000}).gflops;
       std::string aligned;
       if (56 % p == 0) aligned += "31SP ";
       if (60 % p == 0) aligned += "7120P";
@@ -384,19 +368,8 @@ void cf_vs_lu(Sink& sink) {
   const std::vector<std::size_t> dims =
       sink.quick ? std::vector<std::size_t>{4800} : std::vector<std::size_t>{4800, 9600, 14400};
   for (const std::size_t d : dims) {
-    apps::CfConfig cc;
-    cc.dim = d;
-    cc.tile = d / 12;
-    cc.common.partitions = 4;
-    cc.common.functional = false;
-    cc.common.protocol_iterations = 1;
-    const auto cf = apps::CfApp::run(cfg, cc);
-
-    apps::LuConfig lc;
-    lc.dim = d;
-    lc.tile = d / 12;
-    lc.common = cc.common;
-    const auto lu = apps::LuApp::run(cfg, lc);
+    const auto cf = apps::find_app("cf")->run(cfg, apps::timing_common(4), {144, d});
+    const auto lu = apps::find_app("lu")->run(cfg, apps::timing_common(4), {144, d});
 
     t.add_row({std::to_string(d) + "^2", Table::num(cf.ms, 1), Table::num(lu.ms, 1),
                Table::num(lu.ms / cf.ms, 2) + "x", Table::num(cf.gflops, 1),

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "apps/cf_app.hpp"
 #include "apps/hbench.hpp"
 #include "apps/registry.hpp"
 #include "repro/figure_list.hpp"
@@ -421,16 +420,11 @@ void fig11_multi_mic(Sink& sink) {
   Table t({"dataset", "1-mic [GFLOPS]", "2-mics [GFLOPS]", "projected [GFLOPS]", "scaling"});
   const std::vector<std::size_t> dims =
       sink.quick ? std::vector<std::size_t>{14000} : std::vector<std::size_t>{14000, 16000};
+  const apps::AppEntry& cf = *apps::find_app("cf");
   for (const std::size_t d : dims) {
-    apps::CfConfig cc;
-    cc.common.partitions = 4;
-    cc.common.functional = false;
-    cc.common.protocol_iterations = 1;
-    cc.dim = d;
-    cc.tile = d / 10;  // 1400/1600 tiles, the paper's 800..1600 range
-
-    const auto one = apps::CfApp::run(sim::SimConfig::phi_31sp(), cc);
-    const auto two = apps::CfApp::run(sim::SimConfig::phi_31sp_x2(), cc);
+    // g = 10: 1400/1600 tiles, the paper's 800..1600 range.
+    const auto one = cf.run(sim::SimConfig::phi_31sp(), apps::timing_common(4), {100, d});
+    const auto two = cf.run(sim::SimConfig::phi_31sp_x2(), apps::timing_common(4), {100, d});
     t.add_row({std::to_string(d) + "^2", Table::num(one.gflops, 1), Table::num(two.gflops, 1),
                Table::num(2.0 * one.gflops, 1), Table::num(two.gflops / one.gflops, 2) + "x"});
   }

@@ -370,9 +370,9 @@ GraphCache::Layout GraphCache::layout_of(const Context& ctx) {
                 ctx.partitions_per_device(), ctx.device_count()};
 }
 
-GraphCache::Slot* GraphCache::find(const Graph& g, std::uint64_t hash, const Layout& layout) {
+GraphCache::Slot* GraphCache::find(const Graph& g, const Layout& layout) {
   for (Slot& s : slots_) {
-    if (s.layout == layout && s.hash == hash && s.graph.plan_->graph.same_schedule(g)) {
+    if (s.layout == layout && s.graph.plan_->graph.same_schedule(g)) {
       s.last_used = ++tick_;
       return &s;
     }
@@ -383,32 +383,30 @@ GraphCache::Slot* GraphCache::find(const Graph& g, std::uint64_t hash, const Lay
 CompiledGraph GraphCache::get_or_compile(Graph g, Context& ctx, std::string name) {
   if (g.has_kernel_fn()) return std::move(g).compile(ctx, std::move(name));
   const Layout layout = layout_of(ctx);
-  const std::uint64_t hash = g.content_hash();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (const Slot* s = find(g, hash, layout)) {
+    if (const Slot* s = find(g, layout)) {
       ++hits_;
       tel_cache_hits().add(1);
       return s->graph;  // copy: shared plan, fresh execution state
     }
   }
 
-  // Compile outside the lock. The plan takes `g` over: only `hash` is read
-  // from here on.
+  // Compile outside the lock. The plan takes `g` over.
   CompiledGraph compiled = std::move(g).compile(ctx, std::move(name));
 
   std::lock_guard<std::mutex> lock(mu_);
   ++misses_;
   tel_cache_misses().add(1);
   // A racing miss on the same schedule may have inserted it meanwhile.
-  if (const Slot* s = find(compiled.plan_->graph, hash, layout)) return s->graph;
+  if (const Slot* s = find(compiled.plan_->graph, layout)) return s->graph;
   if (slots_.size() >= capacity_) {
     auto oldest = std::min_element(slots_.begin(), slots_.end(), [](const Slot& a, const Slot& b) {
       return a.last_used < b.last_used;
     });
     slots_.erase(oldest);
   }
-  slots_.push_back(Slot{layout, hash, compiled, ++tick_});
+  slots_.push_back(Slot{layout, compiled, ++tick_});
   return compiled;
 }
 

@@ -192,10 +192,10 @@ private:
 /// (tuner sweeps, CLI replays, protocol iterations) compile once and share
 /// the immutable plan. A cached plan is reused only for a graph whose
 /// recorded schedule equals the plan's graph node for node, on a context
-/// with the same SimConfig fingerprint and stream layout; a content hash
-/// rules out most other plans before any node is compared. A hit hands out
-/// a fresh executor over the cached plan. Thread-safe; least-recently-used
-/// plans are evicted beyond `capacity`.
+/// with the same SimConfig fingerprint and stream layout; a plan of another
+/// size or with other dependency and access counts is ruled out before any
+/// node is compared. A hit hands out a fresh executor over the cached plan.
+/// Thread-safe; least-recently-used plans are evicted beyond `capacity`.
 ///
 /// Only graphs without kernel functors are cached: functors captured against
 /// one context's memory must not run against another's. Transfer payloads
@@ -246,14 +246,12 @@ private:
   };
   struct Slot {
     Layout layout;
-    std::uint64_t hash = 0;  ///< Graph::content_hash of the plan's graph
     CompiledGraph graph;
     std::uint64_t last_used = 0;
   };
   static Layout layout_of(const Context& ctx);
-  /// The slot replaying `g` (whose content hash is `hash`) under `layout`,
-  /// or null. Caller holds mu_.
-  Slot* find(const Graph& g, std::uint64_t hash, const Layout& layout);
+  /// The slot replaying `g` under `layout`, or null. Caller holds mu_.
+  Slot* find(const Graph& g, const Layout& layout);
   /// Begin capturing into the empty `g`, checked against the cached plans
   /// named `name` for ctx's layout; returns executors over them, most
   /// recently used first, which keep the plans alive for the capture.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 
 #include "rt/compiled_graph.hpp"
 #include "rt/errors.hpp"
@@ -148,39 +147,6 @@ bool Graph::same_prefix(const Graph& other, std::size_t count) const {
     }
   }
   return true;
-}
-
-std::uint64_t Graph::content_hash() const {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull ^ (h >> 29); };
-  std::vector<std::uint64_t> label_hashes(labels_.size());
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
-    label_hashes[i] = std::hash<std::string_view>{}(labels_[i]);
-  }
-  for (const Node& n : nodes_) {
-    mix(static_cast<std::uint64_t>(n.kind) |
-        (std::uint64_t{static_cast<std::uint32_t>(n.stream)} << 8));
-    mix(n.buffer.value);
-    mix(n.offset);
-    mix(n.bytes);
-    mix(std::bit_cast<std::uint64_t>(n.work.flops));
-    mix(std::bit_cast<std::uint64_t>(n.work.elems));
-    mix(std::bit_cast<std::uint64_t>(n.work.temp_alloc_bytes));
-    mix(static_cast<std::uint64_t>(n.work.kind) |
-        (std::uint64_t{n.work.temp_alloc_per_thread} << 8));
-    mix(n.label == kNone ? 0 : label_hashes[n.label]);
-    mix(n.deps_end);
-    mix(n.accesses_end);
-  }
-  for (const std::uint32_t d : deps_) mix(d);
-  for (const BufferAccess& a : accesses_) {
-    mix(a.buffer.value ^ (std::uint64_t{static_cast<std::uint8_t>(a.mode)} << 56));
-    mix(a.range.offset);
-    mix(a.range.len);
-    mix(a.range.rows);
-    mix(a.range.stride);
-  }
-  return h;
 }
 
 void Graph::assign_prefix(const Graph& src, std::size_t count) {

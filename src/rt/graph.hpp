@@ -135,8 +135,6 @@ private:
   [[nodiscard]] bool same_schedule(const Graph& other) const {
     return size() == other.size() && same_prefix(other, size());
   }
-  /// Hash of everything same_schedule compares; equal schedules hash equal.
-  [[nodiscard]] std::uint64_t content_hash() const;
   [[nodiscard]] bool has_kernel_fn() const noexcept { return !fns_.empty(); }
   /// Replace this graph's nodes with the first `count` nodes of `src`.
   void assign_prefix(const Graph& src, std::size_t count);

@@ -57,7 +57,10 @@ telemetry::CounterFamily& tel_worker_busy() {
       "worker");
   return f;
 }
-telemetry::Counter& tel_caller_busy() { return tel_worker_busy().with("caller"); }
+telemetry::Counter& tel_caller_busy() {
+  static telemetry::Counter& c = tel_worker_busy().with("caller");
+  return c;
+}
 }  // namespace
 
 struct ThreadPool::Impl {
@@ -65,7 +68,9 @@ struct ThreadPool::Impl {
   /// straggler that wakes after the batch finished touches only the (fully
   /// exhausted) batch object, never state recycled for the next run.
   struct Batch {
-    const std::function<void(std::size_t)>* body = nullptr;
+    explicit Batch(JobBody b) noexcept : body(b) {}
+
+    JobBody body;
     std::size_t jobs = 0;
     std::size_t max_workers = 0;  ///< 0 = unlimited
     std::uint64_t submit_ns = 0;  ///< wall stamp at submit; 0 = telemetry off
@@ -100,7 +105,7 @@ struct ThreadPool::Impl {
           }
         }
         try {
-          (*body)(i);
+          body(i);
         } catch (...) {
           std::lock_guard<std::mutex> lock(mu);
           if (!error) error = std::current_exception();
@@ -163,13 +168,11 @@ struct ThreadPool::Impl {
     }
   }
 
-  void run(std::size_t jobs, const std::function<void(std::size_t)>& body,
-           std::size_t max_workers) {
+  void run(std::size_t jobs, JobBody body, std::size_t max_workers) {
     std::lock_guard<std::mutex> run_lock(run_mu);  // one batch at a time
     const telemetry::ScopedSpan span("sim.pool.batch");
     tel_batches().add(1);
-    auto batch = std::make_shared<Batch>();
-    batch->body = &body;
+    auto batch = std::make_shared<Batch>(body);
     batch->jobs = jobs;
     batch->max_workers = max_workers;
     if (telemetry::enabled()) batch->submit_ns = telemetry::now_ns();
@@ -214,8 +217,7 @@ unsigned ThreadPool::size() const noexcept {
   return static_cast<unsigned>(impl_->workers.size());
 }
 
-void ThreadPool::run(std::size_t jobs, const std::function<void(std::size_t)>& body,
-                     std::size_t max_workers) {
+void ThreadPool::run(std::size_t jobs, JobBody body, std::size_t max_workers) {
   if (jobs == 0) return;
   if (t_in_pool_batch) {
     // Nested sweep from inside a job — whether the job landed on a pool
@@ -234,8 +236,7 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
-void parallel_for(std::size_t jobs, const std::function<void(std::size_t)>& body,
-                  const SweepOptions& opt) {
+void parallel_for(std::size_t jobs, JobBody body, const SweepOptions& opt) {
   if (jobs == 0) return;
   if (opt.threads == 1 || jobs == 1) {
     for (std::size_t i = 0; i < jobs; ++i) body(i);

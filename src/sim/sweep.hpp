@@ -1,10 +1,15 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
+#include "sim/function_ref.hpp"
+
 namespace ms::sim {
+
+/// A job body `void(std::size_t job)`, by reference: the pool copies nothing
+/// and allocates nothing for it.
+using JobBody = FunctionRef<void(std::size_t)>;
 
 /// Knobs for a parallel sweep.
 struct SweepOptions {
@@ -44,8 +49,7 @@ public:
   /// helping drain — executes the inner jobs inline on that thread (no
   /// deadlock on nested sweeps; see the nested-parallel_map regression
   /// tests).
-  void run(std::size_t jobs, const std::function<void(std::size_t)>& body,
-           std::size_t max_workers = 0);
+  void run(std::size_t jobs, JobBody body, std::size_t max_workers = 0);
 
   /// Lazily-created process-wide pool shared by every sweep call site.
   static ThreadPool& shared();
@@ -57,8 +61,7 @@ private:
 
 /// Run body(0..jobs-1) across the shared pool (or serially for
 /// opt.threads == 1 / single-job sweeps). Blocks until all jobs complete.
-void parallel_for(std::size_t jobs, const std::function<void(std::size_t)>& body,
-                  const SweepOptions& opt = {});
+void parallel_for(std::size_t jobs, JobBody body, const SweepOptions& opt = {});
 
 /// Map i -> fn(i) for i in [0, jobs) with deterministic result ordering:
 /// out[i] is fn(i) no matter which worker computed it or in what order.

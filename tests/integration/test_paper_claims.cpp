@@ -4,10 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/cf_app.hpp"
+#include <algorithm>
+#include <string_view>
+
 #include "apps/hbench.hpp"
-#include "apps/mm_app.hpp"
-#include "apps/nn_app.hpp"
+#include "apps/registry.hpp"
 #include "rt/tuner.hpp"
 
 namespace ms {
@@ -40,19 +41,19 @@ TEST(PaperClaims, C3_SpatialSharingAloneDoesNotHelp) {
   }
 }
 
+/// Virtual ms of `app` at `point` under the paper-scale timing knobs.
+double run_ms(std::string_view app, const sim::SimConfig& c, int partitions,
+              const apps::AppPoint& point, bool streamed = true) {
+  return apps::find_app(app)->run(c, apps::timing_common(partitions, streamed), point).ms;
+}
+
 TEST(PaperClaims, C4_OverlappableAppsBenefitAtScale) {
   // "Being overlappable is a must for benefits" — MM (overlappable) gains
   // from streams at paper scale (Fig. 8(a): +8.3% on average).
-  apps::MmConfig mc;
-  mc.dim = 6000;
-  mc.tile_grid = 4;
-  mc.common.partitions = 4;
-  mc.common.functional = false;
-  const auto streamed = apps::MmApp::run(cfg(), mc);
-  mc.common.streamed = false;
-  const auto baseline = apps::MmApp::run(cfg(), mc);
-  EXPECT_LT(streamed.ms, baseline.ms);
-  const double gain = (baseline.ms - streamed.ms) / baseline.ms;
+  const double streamed = run_ms("mm", cfg(), 4, {16, 6000});
+  const double baseline = run_ms("mm", cfg(), 4, {16, 6000}, false);
+  EXPECT_LT(streamed, baseline);
+  const double gain = (baseline - streamed) / baseline;
   EXPECT_GT(gain, 0.03);
   EXPECT_LT(gain, 0.40);
 }
@@ -60,23 +61,10 @@ TEST(PaperClaims, C4_OverlappableAppsBenefitAtScale) {
 TEST(PaperClaims, C4b_CfGainsMoreThanMm) {
   // Fig. 8: CF improves ~24% vs MM ~8% — CF has more pipeline stages to
   // overlap. Require CF's relative gain to exceed MM's.
-  apps::MmConfig mc;
-  mc.dim = 6000;
-  mc.tile_grid = 4;
-  mc.common.partitions = 4;
-  mc.common.functional = false;
-  const double mm_s = apps::MmApp::run(cfg(), mc).ms;
-  mc.common.streamed = false;
-  const double mm_b = apps::MmApp::run(cfg(), mc).ms;
-
-  apps::CfConfig cc;
-  cc.dim = 9600;
-  cc.tile = 960;
-  cc.common.partitions = 4;
-  cc.common.functional = false;
-  const double cf_s = apps::CfApp::run(cfg(), cc).ms;
-  cc.common.streamed = false;
-  const double cf_b = apps::CfApp::run(cfg(), cc).ms;
+  const double mm_s = run_ms("mm", cfg(), 4, {16, 6000});
+  const double mm_b = run_ms("mm", cfg(), 4, {16, 6000}, false);
+  const double cf_s = run_ms("cf", cfg(), 4, {100, 9600});
+  const double cf_b = run_ms("cf", cfg(), 4, {100, 9600}, false);
 
   const double mm_gain = (mm_b - mm_s) / mm_b;
   const double cf_gain = (cf_b - cf_s) / cf_b;
@@ -87,15 +75,10 @@ TEST(PaperClaims, C5_TaskAndResourceGranularityMatter) {
   // "Both task granularity and resource granularity have a large impact."
   // Sweep T for MM at fixed P: the spread between best and worst must be
   // substantial (Fig. 10(a)).
-  apps::MmConfig mc;
-  mc.dim = 6000;
-  mc.common.partitions = 4;
-  mc.common.functional = false;
   double best = 1e300;
   double worst = 0.0;
-  for (const int g : {1, 2, 4, 10, 20}) {  // T = 1..400
-    mc.tile_grid = g;
-    const double ms = apps::MmApp::run(cfg(), mc).ms;
+  for (const int tiles : {1, 4, 16, 100, 400}) {
+    const double ms = run_ms("mm", cfg(), 4, {tiles, 6000});
     best = std::min(best, ms);
     worst = std::max(worst, ms);
   }
@@ -104,27 +87,16 @@ TEST(PaperClaims, C5_TaskAndResourceGranularityMatter) {
 
 TEST(PaperClaims, C7_TwoMicsFasterButBelowProjection) {
   // Section VI / Fig. 11: two cards beat one, but stay under 2x.
-  apps::CfConfig cc;
-  cc.dim = 4800;
-  cc.tile = 480;
-  cc.common.partitions = 4;
-  cc.common.functional = false;
-  const double one = apps::CfApp::run(sim::SimConfig::phi_31sp(), cc).ms;
-  const double two = apps::CfApp::run(sim::SimConfig::phi_31sp_x2(), cc).ms;
+  const double one = run_ms("cf", sim::SimConfig::phi_31sp(), 4, {100, 4800});
+  const double two = run_ms("cf", sim::SimConfig::phi_31sp_x2(), 4, {100, 4800});
   EXPECT_LT(two, one);            // faster
   EXPECT_GT(two, one / 2.0);      // but below the 2x projection
 }
 
 TEST(PaperClaims, DivisorPartitionsBeatNeighborsForMm) {
   // Fig. 9(a): P in {2,4,7,8,14,28,56} runs "much faster" than neighbours.
-  apps::MmConfig mc;
-  mc.dim = 6000;
-  mc.tile_grid = 10;  // plenty of tasks for any P
-  mc.common.functional = false;
-  auto run_p = [&](int p) {
-    mc.common.partitions = p;
-    return apps::MmApp::run(cfg(), mc).ms;
-  };
+  // T = 100 gives plenty of tasks for any P.
+  auto run_p = [](int p) { return run_ms("mm", cfg(), p, {100, 6000}); };
   EXPECT_LT(run_p(28), run_p(27));
   EXPECT_LT(run_p(28), run_p(29));
   EXPECT_LT(run_p(14), run_p(13));

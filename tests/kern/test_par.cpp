@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
+
 namespace ms::kern::par {
 namespace {
 
@@ -155,6 +157,24 @@ TEST(Par, NestedForBlockedRunsInline) {
     }
   });
   EXPECT_EQ(cells.size(), 48u);
+}
+
+TEST(Par, PooledForBlockedAllocatesOnlyTheBatch) {
+  // Two row bands at two threads go through the pool. The body reaches the
+  // pool by reference and the pool's telemetry children are cached, so the
+  // calling thread allocates only the batch record.
+  const ThreadScope two(2);
+  const std::size_t rows = 70, cols = 600;
+  std::vector<float> plane(rows * cols);
+  const auto fill = [&](std::size_t r0, std::size_t r1) {
+    std::fill(plane.begin() + static_cast<std::ptrdiff_t>(r0 * cols),
+              plane.begin() + static_cast<std::ptrdiff_t>(r1 * cols), 1.0f);
+  };
+  for_blocked(0, rows, kRowBand, fill);  // starts the shared pool
+  const std::size_t before = ms::test::alloc_count();
+  for_blocked(0, rows, kRowBand, fill);
+  EXPECT_EQ(ms::test::alloc_count() - before, 1u);
+  EXPECT_EQ(std::count(plane.begin(), plane.end(), 1.0f), static_cast<std::ptrdiff_t>(rows * cols));
 }
 
 }  // namespace
