@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -17,9 +18,11 @@
 
 #include "apps/app_common.hpp"
 #include "gbench_main.hpp"
+#include "kern/cholesky.hpp"
 #include "kern/gemm.hpp"
 #include "kern/hotspot.hpp"
 #include "kern/kmeans.hpp"
+#include "kern/lu.hpp"
 #include "kern/nn.hpp"
 #include "kern/par.hpp"
 #include "kern/saxpy_iter.hpp"
@@ -63,6 +66,84 @@ void BM_GemmNtAcc(benchmark::State& state) {
                           static_cast<std::int64_t>(ms::kern::gemm_flops(m, n, k)));
 }
 BENCHMARK(BM_GemmNtAcc)->Apply(thread_axis);
+
+// The cf and lu tile tasks at a 144-row tile edge (three kern::par row
+// bands, a fringe in every micro-tile shape), items = flops. The written
+// tile is reset from `init` in every iteration, so repeated in-place solves
+// cannot drift toward denormals; the copy is ~1% of the smallest kernel.
+constexpr std::size_t kTile = 144;
+
+template <typename Kernel>
+void run_tile_task(benchmark::State& state, double flops, Kernel&& kernel) {
+  const auto init = random_vec<double>(kTile * kTile, 20);
+  std::vector<double> c(init);
+  const auto scope = threads_of(state);
+  for (auto _ : state) {
+    std::copy(init.begin(), init.end(), c.begin());
+    kernel(c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(flops));
+}
+
+/// A well-conditioned triangle source for the solves: diagonal kTile.
+std::vector<double> tile_triangle() {
+  auto t = random_vec<double>(kTile * kTile, 21);
+  for (std::size_t i = 0; i < kTile; ++i) t[i * kTile + i] = static_cast<double>(kTile);
+  return t;
+}
+
+void BM_GemmNtTile(benchmark::State& state) {
+  const auto a = random_vec<double>(kTile * kTile, 22);
+  const auto b = random_vec<double>(kTile * kTile, 23);
+  run_tile_task(state, ms::kern::gemm_flops(kTile, kTile, kTile), [&](double* c) {
+    ms::kern::gemm_nt_tile(a.data(), b.data(), c, kTile, kTile, kTile, kTile, kTile, kTile);
+  });
+}
+BENCHMARK(BM_GemmNtTile)->Apply(thread_axis);
+
+void BM_SyrkTile(benchmark::State& state) {
+  const auto a = random_vec<double>(kTile * kTile, 24);
+  run_tile_task(state, ms::kern::syrk_flops(kTile, kTile), [&](double* c) {
+    ms::kern::syrk_tile(a.data(), c, kTile, kTile, kTile, kTile);
+  });
+}
+BENCHMARK(BM_SyrkTile)->Apply(thread_axis);
+
+void BM_TrsmTile(benchmark::State& state) {
+  const auto l = tile_triangle();
+  run_tile_task(state, ms::kern::trsm_flops(kTile, kTile), [&](double* b) {
+    ms::kern::trsm_tile(l.data(), b, kTile, kTile, kTile, kTile);
+  });
+}
+BENCHMARK(BM_TrsmTile)->Apply(thread_axis);
+
+void BM_GemmNnSub(benchmark::State& state) {
+  const auto a = random_vec<double>(kTile * kTile, 25);
+  const auto b = random_vec<double>(kTile * kTile, 26);
+  run_tile_task(state, ms::kern::gemm_flops(kTile, kTile, kTile), [&](double* c) {
+    ms::kern::gemm_nn_sub(a.data(), b.data(), c, kTile, kTile, kTile, kTile, kTile, kTile);
+  });
+}
+BENCHMARK(BM_GemmNnSub)->Apply(thread_axis);
+
+void BM_TrsmLowerLeft(benchmark::State& state) {
+  const auto l = tile_triangle();
+  run_tile_task(state, ms::kern::lu_trsm_flops(kTile, kTile), [&](double* b) {
+    ms::kern::trsm_lower_left(l.data(), b, kTile, kTile, kTile, kTile);
+  });
+}
+BENCHMARK(BM_TrsmLowerLeft)->Apply(thread_axis);
+
+void BM_TrsmUpperRight(benchmark::State& state) {
+  const auto u = tile_triangle();
+  run_tile_task(state, ms::kern::lu_trsm_flops(kTile, kTile), [&](double* b) {
+    ms::kern::trsm_upper_right(u.data(), b, kTile, kTile, kTile, kTile);
+  });
+}
+BENCHMARK(BM_TrsmUpperRight)->Apply(thread_axis);
 
 // One 1024-row band of the paper's 8192-wide Hotspot grid.
 void BM_HotspotStep(benchmark::State& state) {

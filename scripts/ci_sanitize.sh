@@ -41,7 +41,10 @@ export UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1 ${UBSAN_OPTIONS:-}"
 # test_analyze: the hazard analyzer and linter behind analyze::Capture,
 # including a pooled tuner search with one Capture per worker thread.
 # test_apps: the ported apps across the Direct and Compiled graph modes,
-# including plans shared through the process graph cache.
+# including plans shared through the process graph cache, and the pinned
+# mm/cf/lu checksums (PinnedChecksum.*), whose sizes run every fringe of
+# the vectorized dense tile kernels under ASan (address) and UBSan
+# (undefined).
 # test_integration: paper claims end to end, and the passivity harness, the
 # suite's one identity oracle: its pool-placement knob runs registry apps
 # and random DAGs as two concurrent sweep jobs, each under its own Capture,

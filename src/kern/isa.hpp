@@ -6,13 +6,14 @@
 #include "kern/hotspot.hpp"
 
 // Run-time ISA dispatch of the hot row kernels (srad_coeff, srad_update,
-// hotspot_step, kmeans_assign). Each one's row body is written once and
-// compiled twice: for the build's baseline target and with AVX2 enabled.
-// The process picks one variant, once. Both variants are bit-identical:
-// every lane runs the scalar operation sequence, `-ffp-contract=off` keeps
-// any a*b+c from fusing into an FMA (and "fma" is not enabled), GCC never
-// reassociates floating-point arithmetic without -ffast-math, and exp/log
-// stay scalar libm calls. The public kernels run host_isa()'s variant; the
+// hotspot_step, kmeans_assign) and the dense tile kernels (gemm_nt_acc,
+// gemm_nt_tile, syrk_tile, gemm_nn_sub). Each one's row body is written
+// once and compiled twice: for the build's baseline target and with AVX2
+// enabled. The process picks one variant, once. Both variants are
+// bit-identical: every lane runs the scalar operation sequence,
+// `-ffp-contract=off` keeps any a*b+c from fusing into an FMA (and "fma" is
+// not enabled), GCC never reassociates floating-point arithmetic without
+// -ffast-math, and exp/log stay scalar libm calls. The public kernels run host_isa()'s variant; the
 // overloads below name the variant, so tests can run both against the
 // scalar oracles.
 
@@ -62,6 +63,15 @@ struct Variants<Body> {
   }
 };
 
+/// The Avx2 variant of `Wide` or the baseline variant of `Base`, by `isa`:
+/// for a body whose lane count is a template parameter, the baseline
+/// variant runs its SSE2-width instance and the AVX2 variant the wider one.
+/// Both instances take the same parameters.
+template <auto Base, auto Wide>
+[[nodiscard]] constexpr auto pick_lanes(Isa isa) noexcept {
+  return isa == Isa::Avx2 ? &Variants<Wide>::avx2 : &Variants<Base>::baseline;
+}
+
 // The dispatched kernels with their variant named (the public kernel of the
 // same name passes host_isa()).
 void srad_coeff(Isa isa, const float* j, float* c, float* dn, float* ds, float* dw, float* de,
@@ -76,5 +86,14 @@ void hotspot_step(Isa isa, const double* t_in, const double* power, double* t_ou
                   std::size_t col_begin, std::size_t col_end, const HotspotParams& p);
 void kmeans_assign(Isa isa, const float* points, const float* centroids,
                    std::int32_t* membership, std::size_t n, std::size_t dims, std::size_t k);
+void gemm_nt_acc(Isa isa, const double* a, const double* b, double* c, std::size_t m,
+                 std::size_t n, std::size_t k, std::size_t lda, std::size_t ldb, std::size_t ldc);
+void gemm_nt_tile(Isa isa, const double* a, const double* b, double* c, std::size_t m,
+                  std::size_t n, std::size_t k, std::size_t lda, std::size_t ldb,
+                  std::size_t ldc);
+void syrk_tile(Isa isa, const double* a, double* c, std::size_t n, std::size_t k,
+               std::size_t lda, std::size_t ldc);
+void gemm_nn_sub(Isa isa, const double* a, const double* b, double* c, std::size_t m,
+                 std::size_t n, std::size_t k, std::size_t lda, std::size_t ldb, std::size_t ldc);
 
 }  // namespace ms::kern::detail

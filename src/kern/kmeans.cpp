@@ -1,26 +1,20 @@
 #include "kern/kmeans.hpp"
 
-#include <cstring>
 #include <limits>
-#include <vector>
 
 #include "kern/isa.hpp"
+#include "kern/lanes.hpp"
 #include "kern/par.hpp"
 
 namespace ms::kern {
 
 using detail::Isa;
-using detail::Variants;
 
 namespace {
 
-/// L float / int lanes, one point per lane. Spelled as typedefs: GCC drops
-/// a template-dependent vector_size from an alias-declaration.
-template <std::size_t L>
-struct Lanes {
-  typedef float f __attribute__((vector_size(4 * L)));
-  typedef std::int32_t i __attribute__((vector_size(4 * L)));
-};
+/// Features per block of a lane group's transposed points, held in a
+/// stack buffer of kDimBlock * L floats.
+constexpr std::size_t kDimBlock = 64;
 
 /// Nearest centroid of one point: per centroid, diff = p[d] - c[d];
 /// dist += diff * diff with d ascending, then a strict-< argmin over the
@@ -44,23 +38,52 @@ struct Lanes {
   return best_c;
 }
 
+/// acc[c] = the squared distance from each of the L points at `p` (one per
+/// lane) to centroid c of the C at `cc`, features in ascending order, as
+/// assign1 sums them. The points go to lane order kDimBlock features at a
+/// time in `lanes` while the accumulators carry across blocks; `held` is
+/// the first feature `lanes` holds (dims: none), so when dims <= kDimBlock
+/// the points are transposed once for all centroids.
+template <std::size_t L, std::size_t C>
+[[gnu::always_inline]] inline void distances(const float* p, const float* cc, std::size_t dims,
+                                             float* lanes, std::size_t& held,
+                                             typename detail::Lanes<float, L>::type (&acc)[C]) {
+  using vf = typename detail::Lanes<float, L>::type;
+#pragma GCC unroll 4
+  for (std::size_t c = 0; c < C; ++c) acc[c] = vf{};
+  for (std::size_t d0 = 0; d0 < dims; d0 += kDimBlock) {
+    const std::size_t d1 = dims - d0 < kDimBlock ? dims : d0 + kDimBlock;
+    if (held != d0) {
+      for (std::size_t d = d0; d < d1; ++d) {
+        for (std::size_t l = 0; l < L; ++l) lanes[(d - d0) * L + l] = p[l * dims + d];
+      }
+      held = d0;
+    }
+    const float* x_at = lanes;
+    for (std::size_t d = d0; d < d1; ++d, x_at += L) {
+      vf x;
+      detail::load(x, x_at);
+#pragma GCC unroll 4
+      for (std::size_t c = 0; c < C; ++c) {
+        const vf diff = x - cc[c * dims + d];
+        acc[c] += diff * diff;
+      }
+    }
+  }
+}
+
 /// assign1 for the L consecutive points at `p`, one SIMD lane per point.
 /// Every lane runs assign1's exact operation sequence, so each membership
 /// is bit-identical to the scalar path; four centroids are in flight at
-/// once to hide the add latency of the serial per-lane chains. `lanes`
-/// (dims * L floats) receives the points transposed to lane order, and is
-/// read with memcpy: outside an AVX function GCC aligns an 8-lane vector
-/// type to 16 bytes only, so an array of them could be allocated 16-byte
-/// aligned and then loaded with the AVX2 variant's 32-byte aligned moves.
+/// once to hide the add latency of the serial per-lane chains.
 template <std::size_t L>
 [[gnu::always_inline]] inline void assign_lanes(const float* p, const float* centroids,
                                                 std::int32_t* membership, std::size_t dims,
-                                                std::size_t k, float* lanes) {
-  using vf = typename Lanes<L>::f;
-  using vi = typename Lanes<L>::i;
-  for (std::size_t d = 0; d < dims; ++d) {
-    for (std::size_t l = 0; l < L; ++l) lanes[d * L + l] = p[l * dims + d];
-  }
+                                                std::size_t k) {
+  using vf = typename detail::Lanes<float, L>::type;
+  using vi = typename detail::Lanes<std::int32_t, L>::type;
+  float lanes[kDimBlock * L];
+  std::size_t held = dims;
   vf best = vf{} + std::numeric_limits<float>::max();
   vi best_c = vi{};
   const auto take = [&](const vf& dist, std::size_t c) {
@@ -70,38 +93,17 @@ template <std::size_t L>
   };
   std::size_t c = 0;
   for (; c + 4 <= k; c += 4) {
-    const float* c0 = centroids + c * dims;
-    const float* c1 = c0 + dims;
-    const float* c2 = c1 + dims;
-    const float* c3 = c2 + dims;
-    vf a0{}, a1{}, a2{}, a3{};
-    for (std::size_t d = 0; d < dims; ++d) {
-      vf x;
-      std::memcpy(&x, lanes + d * L, sizeof x);
-      const vf d0 = x - c0[d];
-      const vf d1 = x - c1[d];
-      const vf d2 = x - c2[d];
-      const vf d3 = x - c3[d];
-      a0 += d0 * d0;
-      a1 += d1 * d1;
-      a2 += d2 * d2;
-      a3 += d3 * d3;
-    }
-    take(a0, c);
-    take(a1, c + 1);
-    take(a2, c + 2);
-    take(a3, c + 3);
+    vf acc[4];
+    distances<L, 4>(p, centroids + c * dims, dims, lanes, held, acc);
+    take(acc[0], c);
+    take(acc[1], c + 1);
+    take(acc[2], c + 2);
+    take(acc[3], c + 3);
   }
   for (; c < k; ++c) {
-    const float* cc = centroids + c * dims;
-    vf a{};
-    for (std::size_t d = 0; d < dims; ++d) {
-      vf x;
-      std::memcpy(&x, lanes + d * L, sizeof x);
-      const vf diff = x - cc[d];
-      a += diff * diff;
-    }
-    take(a, c);
+    vf acc[1];
+    distances<L, 1>(p, centroids + c * dims, dims, lanes, held, acc);
+    take(acc[0], c);
   }
   for (std::size_t l = 0; l < L; ++l) membership[l] = best_c[l];
 }
@@ -115,10 +117,9 @@ template <std::size_t L>
                                                 std::int32_t* membership, std::size_t i0,
                                                 std::size_t i1, std::size_t dims,
                                                 std::size_t k) {
-  std::vector<float> lanes(dims * L);
   std::size_t i = i0;
   for (; i + L <= i1; i += L) {
-    assign_lanes<L>(points + i * dims, centroids, membership + i, dims, k, lanes.data());
+    assign_lanes<L>(points + i * dims, centroids, membership + i, dims, k);
   }
   for (; i < i1; ++i) {
     membership[i] = assign1(points + i * dims, centroids, dims, k);
@@ -133,8 +134,7 @@ void detail::kmeans_assign(Isa isa, const float* points, const float* centroids,
   // Per-point scans are independent and each point owns its membership slot,
   // so fixed kChunk chunks parallelize with bit-identical results: the
   // distance accumulation order per (point, centroid) never changes.
-  const auto assign = isa == Isa::Avx2 ? &Variants<assign_chunk<8>>::avx2
-                                        : &Variants<assign_chunk<4>>::baseline;
+  const auto assign = detail::pick_lanes<assign_chunk<4>, assign_chunk<8>>(isa);
   par::for_blocked(0, n, par::kChunk, [&](std::size_t i0, std::size_t i1) {
     assign(points, centroids, membership, i0, i1, dims, k);
   });

@@ -205,11 +205,12 @@ std::string test_name(std::string app) {
 }
 
 std::vector<Point> points() {
-  // mm, hotspot, srad and nn tiles span more than one kern::par block, so the
-  // kthreads knob runs their kernels on the pool. cf and lu tile kernels are
-  // serial, and a multi-chunk kmeans tile would cost ~30 ms a run.
+  // mm, cf, lu, hotspot, srad and nn tiles span more than one kern::par
+  // block (cf and lu: 144-row tiles, three row bands), so the kthreads knob
+  // runs their kernels on the pool. A multi-chunk kmeans tile would cost
+  // ~30 ms a run.
   static const std::map<std::string_view, AppPoint> small{
-      {"mm", {4, 288}},         {"cf", {36, 96}},    {"lu", {16, 128}},
+      {"mm", {4, 288}},         {"cf", {4, 288}},    {"lu", {4, 288}},
       {"kmeans", {4, 2000, 3}}, {"kmeans-async", {4, 2000, 3}},
       {"hotspot", {4, 256, 2}}, {"nn", {4, 132000}}, {"srad", {4, 256, 2}},
   };

@@ -14,6 +14,21 @@ void fill(std::vector<double>& v, unsigned seed) {
   for (double& x : v) x = d(rng);
 }
 
+/// C += A * B (B is k x n, ldb): the naive triple loop, gemm_nt_acc's
+/// tolerance oracle (its sums run in another order).
+void gemm_reference(const double* a, const double* b, double* c, std::size_t m, std::size_t n,
+                    std::size_t k, std::size_t lda, std::size_t ldb, std::size_t ldc) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = c[i * ldc + j];
+      for (std::size_t p = 0; p < k; ++p) {
+        acc += a[i * lda + p] * b[p * ldb + j];
+      }
+      c[i * ldc + j] = acc;
+    }
+  }
+}
+
 /// The k x n matrix B (leading dimension ldb) of a B^T stored n x k with
 /// leading dimension ldbt: the operand gemm_reference takes for gemm_nt_acc's.
 std::vector<double> untransposed(const std::vector<double>& bt, std::size_t n, std::size_t k,

@@ -11,9 +11,11 @@
 #include <thread>
 #include <vector>
 
+#include "kern/cholesky.hpp"
 #include "kern/gemm.hpp"
 #include "kern/hotspot.hpp"
 #include "kern/kmeans.hpp"
+#include "kern/lu.hpp"
 #include "kern/nn.hpp"
 #include "kern/par.hpp"
 #include "kern/saxpy_iter.hpp"
@@ -65,6 +67,44 @@ TEST(KernDeterminism, GemmNtAcc) {
   std::vector<double> c;
   expect_bit_identical(c, c0,
                        [&] { gemm_nt_acc(a.data(), bt.data(), c.data(), m, n, k, k, k, n); });
+}
+
+/// A 144-row tile: three kern::par bands, the last one short.
+constexpr std::size_t kTile = 144;
+
+/// A tile-sized triangle source with a dominant diagonal, for the solves.
+std::vector<double> triangle(unsigned seed) {
+  auto t = random_vec<double>(kTile * kTile, seed);
+  for (std::size_t i = 0; i < kTile; ++i) t[i * kTile + i] = 4.0;
+  return t;
+}
+
+TEST(KernDeterminism, CfTileKernels) {
+  const std::size_t n = kTile, k = kTile;
+  const auto a = random_vec<double>(n * k, 24);
+  const auto b = random_vec<double>(n * k, 25);
+  const auto c0 = random_vec<double>(n * n, 26);
+  const auto l = triangle(27);
+  std::vector<double> c;
+  expect_bit_identical(c, c0, [&] {
+    gemm_nt_tile(a.data(), b.data(), c.data(), n, n, k, k, k, n);
+  });
+  expect_bit_identical(c, c0, [&] { syrk_tile(a.data(), c.data(), n, k, k, n); });
+  expect_bit_identical(c, c0, [&] { trsm_tile(l.data(), c.data(), n, n, n, n); });
+}
+
+TEST(KernDeterminism, LuTileKernels) {
+  const std::size_t n = kTile, k = kTile;
+  const auto a = random_vec<double>(n * k, 28);
+  const auto b = random_vec<double>(k * n, 29);
+  const auto c0 = random_vec<double>(n * n, 30);
+  const auto t = triangle(31);
+  std::vector<double> c;
+  expect_bit_identical(c, c0, [&] {
+    gemm_nn_sub(a.data(), b.data(), c.data(), n, n, k, k, n, n);
+  });
+  expect_bit_identical(c, c0, [&] { trsm_lower_left(t.data(), c.data(), n, n, n, n); });
+  expect_bit_identical(c, c0, [&] { trsm_upper_right(t.data(), c.data(), n, n, n, n); });
 }
 
 TEST(KernDeterminism, HotspotStep) {

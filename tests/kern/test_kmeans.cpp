@@ -7,7 +7,9 @@
 #include <random>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "isa_variant_test.hpp"
+#include "kern/par.hpp"
 
 namespace ms::kern {
 namespace {
@@ -239,6 +241,30 @@ TEST(Kmeans, AssignKeepsEachDistancesFeatureOrder) {
 }
 
 TEST_P(KmeansVariant, AssignKeepsEachDistancesFeatureOrder) { expect_feature_order_kept(isa()); }
+
+TEST_P(KmeansVariant, AssignOverSeveralFeatureBlocksMatchesScalarOracle) {
+  // Features beyond one 64-feature transpose block, with the accumulators
+  // carried across blocks, on the lane path and the remainder.
+  for (const std::size_t dims : {63u, 64u, 65u, 130u}) {
+    const std::size_t n = 21, k = 6;
+    const auto points = uniform(n * dims, static_cast<unsigned>(dims));
+    const auto centroids = uniform(k * dims, static_cast<unsigned>(dims + 1));
+    expect_assign_matches_oracle(points, centroids, n, dims, k, isa());
+  }
+}
+
+TEST(Kmeans, AssignAllocatesNothingAtOneThread) {
+  // Two point chunks, lane groups and a remainder, features over one
+  // transpose block.
+  const std::size_t n = 2 * par::kChunk + 5, dims = 70, k = 5;
+  const auto points = uniform(n * dims, 3);
+  const auto centroids = uniform(k * dims, 4);
+  std::vector<std::int32_t> memb(n, -1);
+  par::ThreadScope scope(1);
+  const std::size_t before = ms::test::alloc_count();
+  kmeans_assign(points.data(), centroids.data(), memb.data(), n, dims, k);
+  EXPECT_EQ(ms::test::alloc_count() - before, 0u);
+}
 
 TEST(Kmeans, AssignFlopsFormula) {
   EXPECT_DOUBLE_EQ(kmeans_assign_flops(10, 34, 8), 3.0 * 10 * 34 * 8);
